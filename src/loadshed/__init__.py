@@ -41,7 +41,6 @@ from .netgraph import (
     StaticSchedule,
     check_window_connectivity,
     metropolis_weights,
-    threshold_graph,
 )
 from .protocol import (
     ExactSplit,
@@ -51,11 +50,9 @@ from .protocol import (
     StepSchedule,
     TraceEstimator,
     dmc_round,
-    p_values,
     run_protocol,
     shed_decision,
     x_update_round,
-    zeta_update,
 )
 from .rootfind import (
     AssumptionCertificate,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: solve (oracle only), run (distributed + report), continuous
-(closed form + distributed), check (assumption certificate), gen
+Subcommands: solve (oracle or closed form only), run (distributed run plus
+report, discrete or continuous), check (assumption certificate), gen
 (scenario generator).  Exit codes: 0 success, 2 validation failure,
 3 non-convergence.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rootfind, scenario
 from .criticality import eval_surrogate
-from .netgraph import check_window_connectivity
+from .netgraph import check_window_connectivity, connectivity_horizon
 from .oracle import InfeasibleError
 from .protocol import NoisySplit, certify_deficit_tracking, run_protocol
 from .scenario import ScenarioError
@@ -75,13 +75,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_continuous(args: argparse.Namespace) -> int:
-    config = _load(args.config, args)
-    if config.mode != "continuous":
-        raise ScenarioError("continuous subcommand needs a continuous-mode config")
-    return cmd_run(args)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     config = _load(args.config, args)
     inst = scenario.build_instance(config)
@@ -127,9 +120,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         )
     )
 
-    B = inst.schedule.window
-    cert.window = B
-    connectivity = check_window_connectivity(inst.schedule, max(B, (min(config.max_rounds, 100 * B) // B) * B))
+    cert.window = inst.schedule.window
+    connectivity = check_window_connectivity(
+        inst.schedule, connectivity_horizon(inst.schedule, config.max_rounds)
+    )
     cert.add(
         rootfind.CheckResult(
             "window_connectivity",
@@ -174,38 +168,42 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # --quiet is accepted before and after the subcommand; it has no
+    # default of its own, so a subcommand that omits it keeps the value
+    # main() starts from
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument(
+        "--quiet", action="store_true", default=argparse.SUPPRESS,
+        help="suppress stdout reports",
+    )
     parser = argparse.ArgumentParser(
         prog="loadshed",
         description="Distributed priority-based load shedding simulator",
+        parents=[quiet],
     )
-    parser.add_argument("--quiet", action="store_true", help="suppress stdout reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
         p.add_argument("config", help="scenario JSON path")
         p.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--quiet", action="store_true", help="suppress stdout reports")
 
-    p_solve = sub.add_parser("solve", help="centralized oracle solution only")
+    p_solve = sub.add_parser("solve", parents=[quiet], help="centralized oracle solution only")
     add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_run = sub.add_parser("run", help="full distributed run plus report")
+    p_run = sub.add_parser(
+        "run", parents=[quiet], help="full distributed run plus report (discrete or continuous)"
+    )
     add_common(p_run)
     p_run.add_argument("--trace", default=None, help="write per-round CSV here")
     p_run.set_defaults(func=cmd_run)
 
-    p_cont = sub.add_parser("continuous", help="continuous-variant oracle and run")
-    add_common(p_cont)
-    p_cont.add_argument("--trace", default=None, help="write per-round CSV here")
-    p_cont.set_defaults(func=cmd_continuous)
-
-    p_check = sub.add_parser("check", help="verify run assumptions numerically")
+    p_check = sub.add_parser("check", parents=[quiet], help="verify run assumptions numerically")
     add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 
-    p_gen = sub.add_parser("gen", help="generate a random scenario")
+    p_gen = sub.add_parser("gen", parents=[quiet], help="generate a random scenario")
     p_gen.add_argument("--regions", type=int, default=4)
     p_gen.add_argument("--loads", type=int, default=100)
     p_gen.add_argument("--seed", type=int, required=True)
@@ -213,14 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--graph", default="line",
                        choices=["line", "line-periodic", "random-periodic", "random"])
     p_gen.add_argument("-o", "--output", required=True)
-    p_gen.add_argument("--quiet", action="store_true", help="suppress stdout reports")
     p_gen.set_defaults(func=cmd_gen)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, argparse.Namespace(quiet=False))
     try:
         return args.func(args)
     except (ScenarioError, InfeasibleError, FileNotFoundError, ValueError) as exc:

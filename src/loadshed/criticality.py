@@ -147,10 +147,6 @@ class Ccf:
     def total_load(self) -> float:
         return self.cumulative[-1] if self.cumulative else 0.0
 
-    def step_mass(self, index: int) -> float:
-        below = self.cumulative[index - 1] if index else 0.0
-        return self.cumulative[index] - below
-
 
 def build_ccf(pairs: Iterable[tuple[float, float]]) -> Ccf:
     """Build a CCF from (power, criticality) pairs.
@@ -189,6 +185,22 @@ def min_gap(criticalities: Iterable[float]) -> float:
     return min(b - a for a, b in zip(distinct, distinct[1:]))
 
 
+def check_ramp_width(criticalities: Iterable[float], ramp_width: float) -> None:
+    """Reject a surrogate ramp width that is not positive or exceeds the
+    smallest gap between distinct criticalities."""
+    if ramp_width <= 0:
+        raise ValueError(f"ramp width must be positive, got {ramp_width}")
+    distinct = set(criticalities)
+    if len(distinct) >= 2:
+        gap = min_gap(distinct)
+        # a few ulps of slack: a width equal to the real smallest gap
+        # may exceed the float-rounded gap by one ulp
+        if ramp_width > gap * (1.0 + 1e-12):
+            raise ValueError(
+                f"ramp width {ramp_width} exceeds the smallest criticality gap {gap}"
+            )
+
+
 @dataclass(frozen=True)
 class SurrogateCcf:
     """Piecewise-linear surrogate of a CCF.
@@ -204,26 +216,7 @@ class SurrogateCcf:
     ramp_width: float
 
     def __post_init__(self):
-        if self.ramp_width <= 0:
-            raise ValueError(f"ramp width must be positive, got {self.ramp_width}")
-        bps = self.base.breakpoints
-        if len(bps) >= 2:
-            gap = min(b - a for a, b in zip(bps, bps[1:]))
-            # a few ulps of slack: a width equal to the real smallest gap
-            # may exceed the float-rounded gap by one ulp
-            if self.ramp_width > gap * (1.0 + 1e-12):
-                raise ValueError(
-                    f"ramp width {self.ramp_width} exceeds the smallest "
-                    f"criticality gap {gap}"
-                )
-
-    @property
-    def total_load(self) -> float:
-        return self.base.total_load
-
-    @property
-    def lipschitz_bound(self) -> float:
-        return self.base.total_load / self.ramp_width
+        check_ramp_width(self.base.breakpoints, self.ramp_width)
 
 
 def eval_surrogate(surrogate: SurrogateCcf, z: float) -> float:

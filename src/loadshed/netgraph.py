@@ -9,7 +9,7 @@ functions of (seed, t), so any round can be re-derived independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,27 +28,6 @@ def normalize_edges(edges: Iterable[Sequence[int]], n: int) -> frozenset[Edge]:
             continue
         out.add((min(i, j), max(i, j)))
     return frozenset(out)
-
-
-def is_connected(edges: Iterable[Edge], n: int) -> bool:
-    if n <= 1:
-        return True
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
 
 
 def connected_components(edges: Iterable[Edge], n: int) -> list[list[int]]:
@@ -73,6 +52,10 @@ def connected_components(edges: Iterable[Edge], n: int) -> list[list[int]]:
                     stack.append(v)
         components.append(sorted(group))
     return components
+
+
+def is_connected(edges: Iterable[Edge], n: int) -> bool:
+    return len(connected_components(edges, n)) <= 1
 
 
 def metropolis_weights(edges: Iterable[Edge], n: int) -> np.ndarray:
@@ -105,17 +88,32 @@ def stochasticity_defect(W: np.ndarray) -> float:
     return float(max(rows, cols))
 
 
-def threshold_graph(W: np.ndarray, gamma: float) -> set[Edge]:
-    """Directed edges (j, i) for every entry w_ij above the threshold."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    n = W.shape[0]
-    return {(j, i) for i in range(n) for j in range(n) if W[i, j] > gamma}
+def draw_edges(seed: int, counter: int, n: int, edge_probability: float) -> frozenset[Edge]:
+    """Bernoulli edge draw: pair k of the pairs (i, j), i < j, in
+    lexicographic order appears when the splitmix draw at (counter, k)
+    falls below ``edge_probability``."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return frozenset(
+        pair
+        for k, pair in enumerate(pairs)
+        if unit_float(mix64(seed, STREAM_EDGES, counter, k)) < edge_probability
+    )
 
 
-def default_gamma(n: int) -> float:
-    """Threshold below the Metropolis-Hastings entry floor 1/n."""
-    return 1.0 / (2.0 * n)
+def repair_edges(union: set[Edge], n: int, seed: int, key: int) -> frozenset[Edge]:
+    """Edges that connect a window's union graph; empty when it is connected.
+
+    The components are put in an order seeded by ``key`` and their
+    smallest nodes are chained in that order.
+    """
+    components = connected_components(union, n)
+    if len(components) <= 1:
+        return frozenset()
+    order = sorted(
+        range(len(components)), key=lambda k: mix64(seed, STREAM_REPAIR, key, k)
+    )
+    reps = [components[k][0] for k in order]
+    return frozenset((min(a, b), max(a, b)) for a, b in zip(reps, reps[1:]))
 
 
 @dataclass(frozen=True)
@@ -169,35 +167,14 @@ class RandomSchedule:
         if self.window < 1:
             raise ValueError("window must be positive")
 
-    def _pairs(self) -> list[Edge]:
-        return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)]
-
-    def _raw_edges(self, t: int) -> frozenset[Edge]:
-        pairs = self._pairs()
-        return frozenset(
-            pair
-            for k, pair in enumerate(pairs)
-            if unit_float(mix64(self.seed, STREAM_EDGES, t, k)) < self.edge_probability
-        )
-
     def edges_at(self, t: int) -> frozenset[Edge]:
-        edges = self._raw_edges(t)
+        edges = draw_edges(self.seed, t, self.n, self.edge_probability)
         w, offset = divmod(t - 1, self.window)
         if offset == self.window - 1:
-            union: set[Edge] = set()
-            for tau in range(w * self.window + 1, (w + 1) * self.window + 1):
-                union |= self._raw_edges(tau)
-            if not is_connected(union, self.n):
-                components = connected_components(union, self.n)
-                order = sorted(
-                    range(len(components)),
-                    key=lambda k: mix64(self.seed, STREAM_REPAIR, w, k),
-                )
-                reps = [components[k][0] for k in order]
-                extra = {
-                    (min(a, b), max(a, b)) for a, b in zip(reps, reps[1:])
-                }
-                edges = edges | extra
+            union = set(edges)
+            for tau in range(w * self.window + 1, t):
+                union |= draw_edges(self.seed, tau, self.n, self.edge_probability)
+            edges = edges | repair_edges(union, self.n, self.seed, w)
         return edges
 
 
@@ -220,6 +197,18 @@ class ConnectivityReport:
         )
 
 
+# windows of a schedule that validation and certificates check for
+# connectivity, when the run is that long
+CONNECTIVITY_WINDOWS = 100
+
+
+def connectivity_horizon(schedule: GraphSchedule, max_rounds: int) -> int:
+    """Rounds checked for window connectivity: the whole windows within
+    ``min(max_rounds, CONNECTIVITY_WINDOWS * window)``, at least one."""
+    B = schedule.window
+    return max(B, min(max_rounds, CONNECTIVITY_WINDOWS * B) // B * B)
+
+
 def check_window_connectivity(schedule: GraphSchedule, horizon: int) -> ConnectivityReport:
     """Verify that every window's union graph over the horizon is connected.
 
@@ -234,9 +223,9 @@ def check_window_connectivity(schedule: GraphSchedule, horizon: int) -> Connecti
         union: set[Edge] = set()
         for t in range(w * B + 1, (w + 1) * B + 1):
             union |= schedule.edges_at(t)
-        if not is_connected(union, schedule.n):
-            leads = tuple(c[0] for c in connected_components(union, schedule.n))
-            return ConnectivityReport(False, windows, w, leads)
+        components = connected_components(union, schedule.n)
+        if len(components) > 1:
+            return ConnectivityReport(False, windows, w, tuple(c[0] for c in components))
     return ConnectivityReport(True, windows)
 
 
@@ -260,3 +249,47 @@ def neighbor_lists(edges: Iterable[Edge], n: int) -> list[list[int]]:
     for row in out:
         row.sort()
     return out
+
+
+class Mixing(NamedTuple):
+    """Mixing structure of one edge set."""
+
+    weights: np.ndarray
+    rows: list[list[tuple[int, float]]]
+    neighbors: list[list[int]]
+
+
+class MixingCache:
+    """Per-round mixing structure of a schedule, built once per distinct
+    edge set.
+
+    Static and periodic schedules are read once, one edge set per step of
+    their cycle; other schedules are asked for each round's edge set once
+    per call of ``at``.
+    """
+
+    def __init__(self, schedule: GraphSchedule):
+        self.schedule = schedule
+        self._by_edges: dict[frozenset[Edge], Mixing] = {}
+        self._cycle: list[Mixing] | None = None
+        if isinstance(schedule, StaticSchedule):
+            self._cycle = [self._build(schedule.edges_at(1))]
+        elif isinstance(schedule, PeriodicSchedule):
+            self._cycle = [
+                self._build(schedule.edges_at(t)) for t in range(1, len(schedule.steps) + 1)
+            ]
+
+    def _build(self, edges: frozenset[Edge]) -> Mixing:
+        entry = self._by_edges.get(edges)
+        if entry is None:
+            n = self.schedule.n
+            W = metropolis_weights(edges, n)
+            entry = Mixing(W, mixing_rows(W), neighbor_lists(edges, n))
+            self._by_edges[edges] = entry
+        return entry
+
+    def at(self, t: int) -> Mixing:
+        """Mixing structure of round t (1-based)."""
+        if self._cycle is not None:
+            return self._cycle[(t - 1) % len(self._cycle)]
+        return self._build(self.schedule.edges_at(t))

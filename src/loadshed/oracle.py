@@ -253,14 +253,17 @@ def continuous_solution(
         lo, hi = kinks[idx - 1], kinks[idx]
         flo, fhi = values[idx - 1], values[idx]
         z = lo + (deficit - flo) * (hi - lo) / (fhi - flo)
+    shed = tuple(continuous_fill(capacity, criticality, z) for capacity, criticality in regions)
+    return ContinuousSolution(shed, z)
+
+
+def continuous_fill(capacity: float, criticality: float, z: float) -> float:
+    """Fill rule of the continuous variant for one region at threshold z:
+    the whole capacity up to level floor(z), the fraction z - floor(z) of
+    it at the next integer level, nothing above."""
     floor = math.floor(z)
-    frac = z - floor
-    shed = []
-    for capacity, criticality in regions:
-        if criticality <= floor:
-            shed.append(capacity)
-        elif floor < criticality <= math.ceil(z):
-            shed.append(capacity * frac)
-        else:
-            shed.append(0.0)
-    return ContinuousSolution(tuple(shed), z)
+    if criticality <= floor:
+        return capacity
+    if criticality <= math.ceil(z):
+        return capacity * (z - floor)
+    return 0.0

@@ -1,33 +1,29 @@
 """Synchronous-round distributed runtime for priority-based load shedding.
 
-Each region keeps a scalar estimate of the shedding threshold, refined by
-neighbor averaging plus a local correction from its own surrogate CCF and
-deficit estimate; a regional cutoff (the smallest own criticality at or
-above the estimate) feeds a dynamic min-consensus layer whose minimum is
-the network-wide threshold.  Rounds are synchronous: every update reads
-only previous-round state, and all neighbor reductions run in fixed index
-order so results do not depend on evaluation order.
+Each region keeps a scalar estimate of the shedding threshold; a regional
+cutoff (the smallest own criticality at or above the estimate) feeds a
+dynamic min-consensus layer whose minimum is the network-wide threshold.
+The estimates never read the other two layers, so the engine runs the
+layers one after another over chunks of rounds: the recursion kernel
+``x_rounds`` (x <- W(t) x - eta(t) (S_j(x_j) - p_j(t))), the cutoff layer
+``cutoffs``, then the min-consensus kernel ``dmc_rounds``.  The one-round
+functions ``x_update_round`` and ``dmc_round`` call the kernels.  Every
+update reads only previous-round state, and all neighbor reductions run
+in fixed index order, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .criticality import CriticalLoad, SurrogateCcf, eval_surrogate, local_zeta
-from .netgraph import (
-    GraphSchedule,
-    PeriodicSchedule,
-    StaticSchedule,
-    metropolis_weights,
-    mixing_rows,
-    neighbor_lists,
-)
-from .rootfind import mix_and_step
+from .criticality import CriticalLoad, SurrogateCcf
+from .netgraph import GraphSchedule, MixingCache, mixing_rows
 from .seeding import noise_matrix, symmetric_uniform, STREAM_NOISE
 
 
@@ -127,10 +123,10 @@ Estimator = ExactSplit | NoisySplit | TraceEstimator
 # run converged
 DEFAULT_STABLE_ROUNDS = 50
 
-
-def p_values(estimator: Estimator, t: int) -> tuple[float, ...]:
-    """Per-region deficit estimates for round t."""
-    return estimator.values(t)
+# most rounds per engine chunk: an unrecorded run holds the per-round
+# state of one chunk, so this bounds its memory; chunks start at 64
+# rounds and double, so an early stop computes few surplus rounds
+CHUNK = 1024
 
 
 def certify_deficit_tracking(
@@ -161,6 +157,47 @@ def certify_deficit_tracking(
     return worst
 
 
+def x_rounds(
+    x: Sequence[float],
+    rows: Sequence[Sequence[Sequence[tuple[int, float]]]],
+    etas: Sequence[float],
+    ps: Sequence[Sequence[float]],
+    surrogates: Sequence[SurrogateCcf],
+) -> list[list[float]]:
+    """The threshold-estimate recursion over consecutive rounds.
+
+    Round r mixes the previous estimates with the sparse mixing rows
+    ``rows[r]`` (reduced in ascending neighbor order) and steps by
+    ``etas[r]`` against the gap between each region's surrogate CCF and
+    its deficit estimate ``ps[r][j]``.  The surrogate is evaluated with
+    the arithmetic of ``eval_surrogate``, so results match it bit for bit.
+    Returns the estimates after every round.
+    """
+    regions = [
+        (s.base.breakpoints, s.base.cumulative, len(s.base.breakpoints), s.ramp_width)
+        for s in surrogates
+    ]
+    out = []
+    for rows_t, eta_t, p_t in zip(rows, etas, ps):
+        new_x = []
+        for j, (bps, cum, size, c) in enumerate(regions):
+            z = x[j]
+            idx = bisect_right(bps, z)
+            below = cum[idx - 1] if idx else 0.0
+            v = below
+            if idx < size:
+                d = z - bps[idx]
+                if d > -c:
+                    v += (cum[idx] - below) * (d / c + 1.0)
+            acc = 0.0
+            for k, w in rows_t[j]:
+                acc += w * x[k]
+            new_x.append(acc - eta_t * (v - p_t[j]))
+        out.append(new_x)
+        x = new_x
+    return out
+
+
 def x_update_round(
     x: Sequence[float],
     W: np.ndarray,
@@ -175,13 +212,78 @@ def x_update_round(
         raise ValueError(f"mixing matrix {W.shape} does not match {n} regions")
     if len(p) != n or len(surrogates) != n:
         raise ValueError("p and surrogates must have one entry per region")
-    y = [eval_surrogate(surrogates[j], x[j]) - p[j] for j in range(n)]
-    return mix_and_step(x, mixing_rows(W), eta_t, y)
+    return x_rounds(x, [mixing_rows(W)], [eta_t], [p], surrogates)[0]
 
 
-def zeta_update(sorted_criticalities: Sequence[float], x_new: float) -> float:
-    """Regional cutoff: smallest own criticality at or above the estimate."""
-    return local_zeta(sorted_criticalities, x_new)
+def cutoffs(
+    region_criticalities: Sequence[Sequence[float]], X: np.ndarray
+) -> np.ndarray:
+    """Regional cutoffs of a block of estimates, one row per round.
+
+    Entry (r, j) is the smallest criticality of region j at or above
+    ``X[r, j]``, or +inf when none exists: ``local_zeta`` applied to every
+    entry, with the same comparisons (a NaN estimate, which local_zeta
+    maps to the smallest criticality, maps to +inf here).
+    """
+    Z = np.empty(X.shape)
+    for j, crits in enumerate(region_criticalities):
+        padded = np.array((*crits, math.inf))
+        Z[:, j] = padded[np.searchsorted(padded[:-1], X[:, j], side="left")]
+    return Z
+
+
+def dmc_rounds(
+    z: Sequence[float],
+    alpha: Sequence[float],
+    zeta_rows: Sequence[Sequence[float]],
+    neighbor_rows: Sequence[Sequence[Sequence[int]]],
+    ramp_width: float,
+    self_tuning: bool = True,
+) -> tuple[list[list[float]], list[list[float]]]:
+    """Dynamic min-consensus with local self-tuning over consecutive rounds.
+
+    In round r each node takes the minimum of its neighborhood's previous
+    values (inflated by its own step alpha) and its fresh cutoff
+    ``zeta_rows[r][j]``; neighborhoods are ``neighbor_rows[r]``.  Alpha
+    resets large after any increase so stale minima age out quickly, and
+    settles at half the ramp width otherwise.  With self-tuning off, alpha
+    stays zero: plain min-consensus, suited to static graphs once the
+    cutoffs have stopped changing.  Returns the values and steps after
+    every round.
+    """
+    half = ramp_width / 2.0
+    z_rows, alpha_rows = [], []
+    # the last round computed with each neighborhood object, by id: a
+    # round with the same neighborhood and cutoff-row objects and an equal
+    # state has that round's output (equal floats differ at most in the
+    # sign of zero, which neither the sums with alpha >= 0 nor the
+    # comparisons carry into the output); on static and periodic graphs
+    # this skips the rounds after the layer has settled
+    last: dict[int, tuple] = {}
+    for zeta_new, neighbors in zip(zeta_rows, neighbor_rows):
+        seen = last.get(id(neighbors))
+        if seen is not None and seen[0] is zeta_new and seen[1] == z and seen[2] == alpha:
+            new_z, new_alpha = seen[3], seen[4]
+        else:
+            new_z, new_alpha = [], []
+            for j, a_j in enumerate(alpha):
+                best = z[j] + a_j
+                for k in neighbors[j]:
+                    cand = z[k] + a_j
+                    if cand < best:
+                        best = cand
+                if zeta_new[j] < best:
+                    best = zeta_new[j]
+                new_z.append(best)
+                if self_tuning:
+                    new_alpha.append(0.5 if best > z[j] else half)
+                else:
+                    new_alpha.append(0.0)
+            last[id(neighbors)] = (zeta_new, z, alpha, new_z, new_alpha)
+        z_rows.append(new_z)
+        alpha_rows.append(new_alpha)
+        z, alpha = new_z, new_alpha
+    return z_rows, alpha_rows
 
 
 def dmc_round(
@@ -192,49 +294,11 @@ def dmc_round(
     ramp_width: float,
     self_tuning: bool = True,
 ) -> tuple[list[float], list[float]]:
-    """One dynamic min-consensus round with local self-tuning.
-
-    Each node takes the minimum of its neighborhood's previous values
-    (inflated by its own step alpha) and its fresh cutoff.  Alpha resets
-    large after any increase so stale minima age out quickly, and settles
-    at half the ramp width otherwise.  With self-tuning off, alpha stays
-    zero: plain min-consensus, suited to static graphs once the cutoffs
-    have stopped changing.
-    """
-    new_z: list[float] = []
-    new_alpha: list[float] = []
-    for j in range(len(z)):
-        a_j = alpha[j]
-        best = z[j] + a_j
-        for k in neighbors[j]:
-            cand = z[k] + a_j
-            if cand < best:
-                best = cand
-        if zeta_new[j] < best:
-            best = zeta_new[j]
-        new_z.append(best)
-        if self_tuning:
-            new_alpha.append(0.5 if best > z[j] else ramp_width / 2.0)
-        else:
-            new_alpha.append(0.0)
-    return new_z, new_alpha
-
-
-def _graph_entry(edges, n: int):
-    return (
-        mixing_rows(metropolis_weights(edges, n)),
-        neighbor_lists(edges, n),
+    """One dynamic min-consensus round (see ``dmc_rounds``)."""
+    z_rows, alpha_rows = dmc_rounds(
+        z, alpha, [zeta_new], [neighbors], ramp_width, self_tuning
     )
-
-
-@dataclass(frozen=True)
-class RegionNodeState:
-    """Snapshot of one region's protocol state."""
-
-    x: float
-    zeta: float
-    z_min: float
-    alpha: float
+    return z_rows[0], alpha_rows[0]
 
 
 @dataclass(frozen=True)
@@ -287,11 +351,34 @@ class RunTrace:
     def z_star_distributed(self) -> float:
         return min(self.final_z)
 
-    def final_states(self) -> tuple[RegionNodeState, ...]:
-        return tuple(
-            RegionNodeState(self.final_x[j], self.final_zeta[j], self.final_z[j], self.final_alpha[j])
-            for j in range(len(self.final_x))
-        )
+
+def _as_array(rows: list[list[float]], n: int) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * n).reshape(-1, n)
+
+
+def _zeta_stretches(
+    Z: np.ndarray, prev: list[float], carry: int
+) -> tuple[np.ndarray, list[list[float]]]:
+    """Stretches of unchanged cutoff rows in ``Z``, which follows the row
+    ``prev`` that closed a stretch of ``carry`` rounds.
+
+    Returns the length of the stretch ending at each row, and the rows as
+    lists, one list object per stretch (the min-consensus kernel
+    recognises repeated rows by identity).
+    """
+    changed = np.empty(len(Z), dtype=bool)
+    changed[0] = (Z[0] != prev).any()
+    changed[1:] = (Z[1:] != Z[:-1]).any(axis=1)
+    idx = np.arange(len(Z))
+    last_change = np.maximum.accumulate(np.where(changed, idx, -1))
+    streaks = np.where(last_change >= 0, idx - last_change, carry + idx + 1)
+    rows: list[list[float]] = []
+    row, start = prev, 0
+    for r in np.flatnonzero(changed).tolist():
+        rows += [row] * (r - start)
+        row, start = Z[r].tolist(), r
+    rows += [row] * (len(Z) - start)
+    return streaks, rows
 
 
 def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
@@ -304,7 +391,7 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     vector has been unchanged for ``convergence_window`` consecutive
     rounds; the cutoffs are the quantity with a finite-time limit, whereas
     the min-consensus values keep cycling with the graph period on
-    switching networks.
+    switching networks.  Each layer runs over a chunk of rounds at a time.
     """
     n = len(inst.region_criticalities)
     if len(inst.surrogates) != n:
@@ -312,133 +399,67 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     for s in inst.surrogates:
         if s.ramp_width != inst.ramp_width:
             raise ValueError("surrogate ramp width differs from instance ramp width")
-    crits = [list(c) for c in inst.region_criticalities]
-    bases = [(list(s.base.breakpoints), list(s.base.cumulative)) for s in inst.surrogates]
-    c = inst.ramp_width
     K = inst.convergence_window
     x = [float(inst.x0)] * n
     zeta = [math.inf] * n
-    zmin = [math.inf] * n
-    alpha = [c / 2.0 if inst.self_tuning else 0.0] * n
+    z = [math.inf] * n
+    alpha = [inst.ramp_width / 2.0 if inst.self_tuning else 0.0] * n
     streak = 0
     converged = False
-    # static and periodic schedules repeat a short cycle of graphs; build
-    # their mixing structure once instead of per round
-    period_env = None
-    schedule = inst.schedule
-    if isinstance(schedule, StaticSchedule):
-        period_env = [_graph_entry(schedule.edges_at(1), n)]
-    elif isinstance(schedule, PeriodicSchedule):
-        period_env = [
-            _graph_entry(schedule.edges_at(t), n)
-            for t in range(1, len(schedule.steps) + 1)
-        ]
-    cache: dict[frozenset, tuple] = {}
-    step = inst.step
-    harmonic = step.exponent == 1.0
-    gain, offset = step.gain, step.offset
-    estimator = inst.estimator
-    rec_t: list[int] = []
-    rec_eta: list[float] = []
-    rec_x: list[list[float]] = []
-    rec_zeta: list[list[float]] = []
-    rec_z: list[list[float]] = []
-    rec_a: list[list[float]] = []
-    rec_p: list[tuple[float, ...]] = []
-    rounds = 0
-    region_range = range(n)
-    bps_lens = [len(b) for b, _ in bases]
-    crit_lens = [len(sc) for sc in crits]
-    self_tuning = inst.self_tuning
-    half_c = c / 2.0
-    inf = math.inf
-    bl, br = bisect_left, bisect_right
-    for t in range(1, inst.max_rounds + 1):
-        if period_env is not None:
-            rows, nbrs = period_env[(t - 1) % len(period_env)]
-        else:
-            edges = schedule.edges_at(t)
-            entry = cache.get(edges)
-            if entry is None:
-                entry = _graph_entry(edges, n)
-                cache[edges] = entry
-            rows, nbrs = entry
-        eta_t = gain / (t + offset) if harmonic else step.eta(t)
-        p_t = estimator.values(t)
-
-        # one fused pass per region: threshold update (inlined surrogate
-        # evaluation, same arithmetic as eval_surrogate so trajectories
-        # match the generic root finder bit for bit), cutoff update, and
-        # the min-consensus step, which reads only previous-round state
-        new_x, new_zeta, new_z, new_alpha = [], [], [], []
-        for j in region_range:
-            bps, cum = bases[j]
-            z = x[j]
-            idx = br(bps, z)
-            v = cum[idx - 1] if idx else 0.0
-            if idx < bps_lens[j]:
-                d = z - bps[idx]
-                if d > -c:
-                    v += (cum[idx] - (cum[idx - 1] if idx else 0.0)) * (d / c + 1.0)
-            acc = 0.0
-            for k, w in rows[j]:
-                acc += w * x[k]
-            xj = acc - eta_t * (v - p_t[j])
-            new_x.append(xj)
-
-            sc = crits[j]
-            i = bl(sc, xj)
-            zeta_j = sc[i] if i < crit_lens[j] else inf
-            new_zeta.append(zeta_j)
-
-            a_j = alpha[j]
-            best = zmin[j] + a_j
-            for k in nbrs[j]:
-                cand = zmin[k] + a_j
-                if cand < best:
-                    best = cand
-            if zeta_j < best:
-                best = zeta_j
-            new_z.append(best)
-            if self_tuning:
-                new_alpha.append(0.5 if best > zmin[j] else half_c)
-            else:
-                new_alpha.append(0.0)
-
-        streak = streak + 1 if new_zeta == zeta else 0
-        x, zeta, zmin, alpha = new_x, new_zeta, new_z, new_alpha
+    mixing = MixingCache(inst.schedule)
+    recorded: list[tuple] = []  # per chunk: eta, x, zeta, z_min, alpha, p
+    t0, size = 1, 64
+    while t0 <= inst.max_rounds and not converged:
+        ts = range(t0, min(t0 + size, inst.max_rounds + 1))
+        graphs = [mixing.at(t) for t in ts]
+        etas = [inst.step.eta(t) for t in ts]
+        ps = [inst.estimator.values(t) for t in ts]
+        X = _as_array(x_rounds(x, [g.rows for g in graphs], etas, ps, inst.surrogates), n)
+        Z = cutoffs(inst.region_criticalities, X)
+        streaks, zeta_rows = _zeta_stretches(Z, zeta, streak)
+        m = len(ts)
+        if K is not None:
+            stops = np.flatnonzero(streaks >= K)
+            if stops.size:
+                m = int(stops[0]) + 1
+                converged = True
+        z_rows, alpha_rows = dmc_rounds(
+            z, alpha, zeta_rows[:m], [g.neighbors for g in graphs[:m]],
+            inst.ramp_width, inst.self_tuning,
+        )
+        x, zeta, z, alpha = X[m - 1].tolist(), zeta_rows[m - 1], z_rows[-1], alpha_rows[-1]
+        streak = int(streaks[m - 1])
         if record_trace:
-            rec_t.append(t)
-            rec_eta.append(eta_t)
-            rec_x.append(x)
-            rec_zeta.append(zeta)
-            rec_z.append(zmin)
-            rec_a.append(alpha)
-            rec_p.append(p_t)
-        rounds = t
-        if K is not None and streak >= K:
-            converged = True
-            break
+            recorded.append((
+                np.array(etas[:m]), X[:m], Z[:m], _as_array(z_rows, n),
+                _as_array(alpha_rows, n), np.array(ps[:m]),
+            ))
+        t0 += m
+        size = min(2 * size, CHUNK)
     if K is None:
         converged = streak >= DEFAULT_STABLE_ROUNDS
 
-    empty = np.empty((0, n))
+    if recorded:
+        eta, xs, zetas, zs, alphas, ps = (np.concatenate(parts) for parts in zip(*recorded))
+    else:
+        eta = np.empty(0)
+        xs = zetas = zs = alphas = ps = np.empty((0, n))
     return RunTrace(
-        rounds=rounds,
+        rounds=t0 - 1,
         converged=converged,
         final_x=tuple(x),
         final_zeta=tuple(zeta),
-        final_z=tuple(zmin),
+        final_z=tuple(z),
         final_alpha=tuple(alpha),
         zeta_stable_rounds=streak,
         recorded=record_trace,
-        t=np.array(rec_t, dtype=np.int64) if record_trace else np.empty(0, dtype=np.int64),
-        eta=np.array(rec_eta) if record_trace else np.empty(0),
-        x=np.array(rec_x) if record_trace else empty,
-        zeta=np.array(rec_zeta) if record_trace else empty,
-        z_min=np.array(rec_z) if record_trace else empty,
-        alpha=np.array(rec_a) if record_trace else empty,
-        p=np.array(rec_p) if record_trace else empty,
+        t=np.arange(1, len(eta) + 1, dtype=np.int64),
+        eta=eta,
+        x=xs,
+        zeta=zetas,
+        z_min=zs,
+        alpha=alphas,
+        p=ps,
     )
 
 

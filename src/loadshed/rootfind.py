@@ -16,11 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .netgraph import (
-    GraphSchedule,
-    metropolis_weights,
-    mixing_rows,
-)
+from .netgraph import GraphSchedule, MixingCache, mixing_rows
 
 SIGN_TOL = 1e-9
 LIPSCHITZ_SAFETY = 1.1
@@ -276,21 +272,16 @@ def run_to_root(
     if len(x) != n:
         raise ValueError(f"x0 has length {len(x)}, field has {n} nodes")
     t_large = 10.0 * max_rounds
-    rows_cache: dict[frozenset, list] = {}
+    mixing = MixingCache(schedule)
     xs, etas, disagreements = [], [], []
     ratio_max, ratio_argmax = 0.0, 1
     mean_abs_max, mean_abs_argmax = 0.0, 1
     converged = False
     rounds = 0
     for t in range(1, max_rounds + 1):
-        edges = schedule.edges_at(t)
-        rows = rows_cache.get(edges)
-        if rows is None:
-            rows = mixing_rows(metropolis_weights(edges, n))
-            rows_cache[edges] = rows
         eta_t = eta(t)
         y = [fld.evaluate(j, x[j], t) for j in range(n)]
-        x = mix_and_step(x, rows, eta_t, y)
+        x = mix_and_step(x, mixing.at(t).rows, eta_t, y)
         mean = math.fsum(x) / n
         spread = max(abs(v - mean) for v in x)
         xs.append(list(x))

@@ -24,23 +24,30 @@ from .criticality import (
     Region,
     SurrogateCcf,
     build_ccf,
+    check_ramp_width,
     eval_ccf,
     min_gap,
     resolve_loads,
 )
 from .netgraph import (
     GraphSchedule,
+    MixingCache,
     PeriodicSchedule,
     RandomSchedule,
     StaticSchedule,
     check_window_connectivity,
-    connected_components,
-    is_connected,
-    metropolis_weights,
+    connectivity_horizon,
+    draw_edges,
     normalize_edges,
+    repair_edges,
     stochasticity_defect,
 )
-from .oracle import ContinuousSolution, continuous_solution, greedy_shed_set
+from .oracle import (
+    ContinuousSolution,
+    continuous_fill,
+    continuous_solution,
+    greedy_shed_set,
+)
 from .protocol import (
     Estimator,
     ExactSplit,
@@ -51,15 +58,7 @@ from .protocol import (
     TraceEstimator,
     run_protocol,
 )
-from .seeding import (
-    STREAM_EDGES,
-    STREAM_NATURE,
-    STREAM_POWER,
-    STREAM_REGION,
-    STREAM_REPAIR,
-    mix64,
-    unit_float,
-)
+from .seeding import STREAM_NATURE, STREAM_POWER, STREAM_REGION, mix64, unit_float
 
 CONFIG_VERSION = 1
 
@@ -309,28 +308,20 @@ def validate(config: ScenarioConfig) -> None:
                 f"deficit {config.deficit}; the load set must cover the deficit"
             )
         if config.ramp_width is not None:
-            crits = [l.criticality for l in loads]
-            if len(set(crits)) >= 2:
-                gap = min_gap(crits)
-                # same few-ulp slack as the surrogate constructor
-                if config.ramp_width > gap * (1.0 + 1e-12):
-                    raise ScenarioError(
-                        f"ramp width {config.ramp_width} exceeds the smallest "
-                        f"criticality gap {gap}; the surrogate would disagree "
-                        f"with the step function at breakpoints"
-                    )
-            elif config.ramp_width <= 0:
-                raise ScenarioError("ramp width must be positive")
+            try:
+                check_ramp_width((l.criticality for l in loads), config.ramp_width)
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from exc
 
-    # schedule sanity: buildable, and unions over one horizon window connect
+    # schedule sanity: buildable, and unions over the horizon's windows connect
     schedule = build_schedule(config)
-    B = schedule.window
-    horizon = max(B, (min(config.max_rounds, 50 * B) // B) * B)
-    report = check_window_connectivity(schedule, horizon)
+    report = check_window_connectivity(
+        schedule, connectivity_horizon(schedule, config.max_rounds)
+    )
     if not report.passed:
         raise ScenarioError(
             f"communication schedule fails window connectivity at window "
-            f"{report.failing_window} (window {B})"
+            f"{report.failing_window} (window {schedule.window})"
         )
 
 
@@ -662,30 +653,12 @@ def _random_periodic_steps(
     the window's last step.
     """
     n = len(ids)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    steps: list[set[tuple[int, int]]] = []
-    for t in range(period):
-        steps.append(
-            {
-                pair
-                for k, pair in enumerate(pairs)
-                if unit_float(mix64(seed, STREAM_EDGES, t, k)) < edge_probability
-            }
-        )
+    steps = [draw_edges(seed, t, n, edge_probability) for t in range(period)]
     for w0 in range(0, period, window):
         union: set[tuple[int, int]] = set()
         for s in steps[w0 : w0 + window]:
             union |= s
-        if not is_connected(union, n):
-            components = connected_components(union, n)
-            order = sorted(
-                range(len(components)),
-                key=lambda k: mix64(seed, STREAM_REPAIR, w0, k),
-            )
-            reps = [components[k][0] for k in order]
-            steps[w0 + window - 1] |= {
-                (min(a, b), max(a, b)) for a, b in zip(reps, reps[1:])
-            }
+        steps[w0 + window - 1] |= repair_edges(union, n, seed, w0)
     return tuple(
         tuple(sorted((ids[a], ids[b]) for a, b in step)) for step in steps
     )
@@ -774,35 +747,23 @@ def continuous_shed_from_estimates(
     config: ScenarioConfig, estimates: Sequence[float]
 ) -> tuple[float, ...]:
     """Apply the continuous fill rule region by region to local estimates."""
-    shed = []
-    for region, z in zip(config.continuous_regions, estimates):
-        floor = math.floor(z)
-        if region.criticality <= floor:
-            shed.append(region.capacity)
-        elif floor < region.criticality <= math.ceil(z):
-            shed.append(region.capacity * (z - floor))
-        else:
-            shed.append(0.0)
-    return tuple(shed)
+    return tuple(
+        continuous_fill(region.capacity, region.criticality, z)
+        for region, z in zip(config.continuous_regions, estimates)
+    )
 
 
 def certificate_digest(config: ScenarioConfig, inst: ProtocolInstance) -> dict:
     """Small always-on sanity digest attached to every report."""
     schedule = inst.schedule
-    B = schedule.window
-    horizon = max(B, (min(inst.max_rounds, 20 * B) // B) * B)
+    horizon = connectivity_horizon(schedule, inst.max_rounds)
     connectivity = check_window_connectivity(schedule, horizon)
-    defect = 0.0
-    seen = set()
-    for t in range(1, min(horizon, 32) + 1):
-        edges = schedule.edges_at(t)
-        if edges in seen:
-            continue
-        seen.add(edges)
-        W = metropolis_weights(edges, len(inst.region_criticalities))
-        defect = max(defect, stochasticity_defect(W))
+    mixing = MixingCache(schedule)
+    defect = max(
+        stochasticity_defect(mixing.at(t).weights) for t in range(1, min(horizon, 32) + 1)
+    )
     return {
-        "window": B,
+        "window": schedule.window,
         "window_connectivity": connectivity.passed,
         "stochasticity_defect": defect,
         "ramp_width": inst.ramp_width,

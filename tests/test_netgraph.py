@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from loadshed.netgraph import (
+    MixingCache,
     PeriodicSchedule,
     RandomSchedule,
     StaticSchedule,
     check_window_connectivity,
     connected_components,
-    default_gamma,
+    connectivity_horizon,
     is_connected,
     metropolis_weights,
+    mixing_rows,
     neighbor_lists,
     normalize_edges,
     stochasticity_defect,
-    threshold_graph,
 )
 
 LINE4 = [(0, 1), (1, 2), (2, 3)]
@@ -73,8 +74,6 @@ class TestMetropolisWeights:
             W = metropolis_weights(edges, n)
             nonzero = W[W > 0]
             assert (nonzero >= 1.0 / n - 1e-15).all()
-            # the default threshold sits strictly below the floor
-            assert default_gamma(n) < 1.0 / n
 
     def test_product_over_window_stays_doubly_stochastic(self):
         rng = np.random.default_rng(33)
@@ -101,28 +100,6 @@ class TestMetropolisWeights:
             assert new_spread <= spread + 1e-15
             spread = new_spread
         assert spread < spread0
-
-
-class TestThresholdGraph:
-    def test_line_recovered(self):
-        W = metropolis_weights(LINE4, 4)
-        edges = threshold_graph(W, 1.0 / 8.0)
-        expected = {(i, i) for i in range(4)}
-        for i, j in LINE4:
-            expected.add((i, j))
-            expected.add((j, i))
-        assert edges == expected
-
-    def test_identity_self_loops_only(self):
-        assert threshold_graph(np.eye(3), 0.5) == {(0, 0), (1, 1), (2, 2)}
-
-    def test_threshold_above_entries(self):
-        W = metropolis_weights(LINE4, 4)
-        assert threshold_graph(W, 0.999) == set()
-
-    def test_gamma_domain(self):
-        with pytest.raises(ValueError):
-            threshold_graph(np.eye(2), 1.5)
 
 
 class TestSchedules:
@@ -165,6 +142,55 @@ class TestSchedules:
         a = RandomSchedule(5, 0.4, window=3, seed=1)
         b = RandomSchedule(5, 0.4, window=3, seed=2)
         assert any(a.edges_at(t) != b.edges_at(t) for t in range(1, 20))
+
+    def test_random_schedule_draws_and_repairs_are_pinned(self):
+        # the last rounds of windows 0, 1 and 2 (t = 2, 4, 6) carry repair edges
+        schedule = RandomSchedule(4, 0.2, window=2, seed=5)
+        expected = [set(), {(0, 3), (1, 2), (1, 3)}, {(0, 3), (1, 2)}, {(0, 1)},
+                    {(1, 2)}, {(0, 1), (1, 3)}]
+        assert [schedule.edges_at(t) for t in range(1, 7)] == expected
+
+    def test_connectivity_horizon_whole_windows(self):
+        schedule = PeriodicSchedule(3, (frozenset({(0, 1)}), frozenset({(1, 2)})), window=2)
+        assert connectivity_horizon(schedule, 45_000) == 200  # 100 windows
+        assert connectivity_horizon(schedule, 7) == 6
+        assert connectivity_horizon(schedule, 1) == 2  # at least one window
+
+
+class CountingSchedule(RandomSchedule):
+    """A random schedule that counts its edge-set reads."""
+
+    calls = 0
+
+    def edges_at(self, t):
+        CountingSchedule.calls += 1
+        return super().edges_at(t)
+
+
+class TestMixingCache:
+    def test_entries_match_the_edge_sets(self):
+        schedule = RandomSchedule(5, 0.4, window=2, seed=4)
+        mixing = MixingCache(schedule)
+        for t in range(1, 30):
+            edges = schedule.edges_at(t)
+            entry = mixing.at(t)
+            assert np.array_equal(entry.weights, metropolis_weights(edges, 5))
+            assert entry.rows == mixing_rows(entry.weights)
+            assert entry.neighbors == neighbor_lists(edges, 5)
+
+    def test_one_entry_per_distinct_edge_set(self):
+        line = frozenset({(0, 1), (1, 2)})
+        schedule = PeriodicSchedule(3, (line, frozenset({(0, 1)}), line))
+        mixing = MixingCache(schedule)
+        assert mixing.at(1) is mixing.at(3) is mixing.at(4)
+        assert mixing.at(2) is not mixing.at(1)
+
+    def test_random_schedule_read_once_per_round(self):
+        CountingSchedule.calls = 0
+        mixing = MixingCache(CountingSchedule(4, 0.5, window=2, seed=1))
+        for t in range(1, 11):
+            mixing.at(t)
+        assert CountingSchedule.calls == 10
 
 
 class TestHelpers:

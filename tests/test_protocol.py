@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,21 +15,28 @@ from loadshed.criticality import (
     eval_surrogate,
     local_zeta,
 )
-from loadshed.netgraph import StaticSchedule, normalize_edges
+from loadshed.netgraph import (
+    PeriodicSchedule,
+    RandomSchedule,
+    StaticSchedule,
+    metropolis_weights,
+    neighbor_lists,
+    normalize_edges,
+)
 from loadshed.oracle import exact_z_hat, exact_z_star
 from loadshed.protocol import (
+    CHUNK,
     ExactSplit,
     NoisySplit,
     ProtocolInstance,
     StepSchedule,
     TraceEstimator,
     certify_deficit_tracking,
+    cutoffs,
     dmc_round,
-    p_values,
     run_protocol,
     shed_decision,
     x_update_round,
-    zeta_update,
 )
 from loadshed import scenario
 from loadshed.seeding import noise_matrix, symmetric_uniform, STREAM_NOISE
@@ -107,33 +115,33 @@ class TestStepSchedule:
 class TestEstimators:
     def test_exact_split_quarters(self):
         est = ExactSplit(2.94, 4)
-        assert p_values(est, 1) == (0.735, 0.735, 0.735, 0.735)
-        assert p_values(est, 1000) == (0.735, 0.735, 0.735, 0.735)
+        assert est.values(1) == (0.735, 0.735, 0.735, 0.735)
+        assert est.values(1000) == (0.735, 0.735, 0.735, 0.735)
 
     def test_exact_split_zero(self):
-        assert p_values(ExactSplit(0.0, 3), 5) == (0.0, 0.0, 0.0)
+        assert ExactSplit(0.0, 3).values(5) == (0.0, 0.0, 0.0)
 
     def test_noisy_split_bound(self):
         est = NoisySplit(2.94, 4, seed=5)
         base = 2.94 / 4
         for t in (1, 2, 17, 400):
-            vals = p_values(est, t)
+            vals = est.values(t)
             assert all(abs(v - base) <= 1.0 / t for v in vals)
 
     def test_noisy_split_clock_start(self):
         est = NoisySplit(2.0, 2, seed=1)
-        assert p_values(est, 0) == (1.0, 1.0)
+        assert est.values(0) == (1.0, 1.0)
 
     def test_noisy_split_deterministic(self):
         a = NoisySplit(1.0, 3, seed=9)
         b = NoisySplit(1.0, 3, seed=9)
-        assert p_values(a, 42) == p_values(b, 42)
+        assert a.values(42) == b.values(42)
 
     def test_trace_estimator_replay_and_clamp(self):
         est = TraceEstimator(((1.0, 2.0), (3.0, 4.0)))
-        assert p_values(est, 1) == (1.0, 2.0)
-        assert p_values(est, 2) == (3.0, 4.0)
-        assert p_values(est, 99) == (3.0, 4.0)
+        assert est.values(1) == (1.0, 2.0)
+        assert est.values(2) == (3.0, 4.0)
+        assert est.values(99) == (3.0, 4.0)
 
     def test_trace_estimator_ragged_rejected(self):
         with pytest.raises(ValueError):
@@ -186,8 +194,6 @@ class TestXUpdate:
         # never alter region 0's update
         pairs = [FIG_PAIRS[:3], FIG_PAIRS[3:6], FIG_PAIRS[6:]]
         surrogates = [SurrogateCcf(build_ccf(p), FIG_RAMP) for p in pairs]
-        from loadshed.netgraph import metropolis_weights
-
         W = metropolis_weights([(0, 1), (1, 2)], 3)
         x = [0.3, 0.5, 0.9]
         p = [2.0, 2.0, 2.0]
@@ -199,9 +205,19 @@ class TestXUpdate:
 
 class TestZetaUpdate:
     def test_delegates_to_local_zeta(self):
-        crits = (0.2, 0.5, 0.7)
-        for x in (0.4, 0.2, 0.9):
-            assert zeta_update(crits, x) == local_zeta(crits, x)
+        # the engine's cutoff layer is local_zeta applied to every estimate
+        crits = ((0.2, 0.5, 0.7), (0.1, 0.4), ())
+        X = np.array([
+            [0.4, 0.05, 0.0],
+            [0.2, 0.4, 1.0],
+            [0.9, 0.41, -1.0],
+            [0.7, -1.0, 0.5],
+            [-0.0, 0.1, 0.2],
+        ])
+        Z = cutoffs(crits, X)
+        for r in range(len(X)):
+            for j in range(len(crits)):
+                assert Z[r, j] == local_zeta(crits[j], float(X[r, j]))
 
 
 class TestDmcRound:
@@ -302,16 +318,6 @@ class TestRunProtocol:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.z_min, b.z_min)
 
-    def test_final_states_snapshot(self):
-        trace = run_protocol(fig_two_region_instance(max_rounds=200, window=None))
-        states = trace.final_states()
-        assert len(states) == 2
-        for j, state in enumerate(states):
-            assert state.x == trace.final_x[j]
-            assert state.zeta == trace.final_zeta[j]
-            assert state.z_min == trace.final_z[j]
-            assert state.alpha == trace.final_alpha[j]
-
     def test_mismatched_ramp_rejected(self, fig_ccf):
         surrogate = SurrogateCcf(fig_ccf, 0.04)
         with pytest.raises(ValueError):
@@ -325,6 +331,82 @@ class TestRunProtocol:
                     estimator=ExactSplit(1.0, 1),
                 )
             )
+
+
+def per_round_run(inst):
+    """The protocol as a plain loop of the public one-round functions:
+    x_update_round, then local_zeta per region, then dmc_round."""
+    n = len(inst.region_criticalities)
+    x = [float(inst.x0)] * n
+    zeta = [math.inf] * n
+    z = [math.inf] * n
+    alpha = [inst.ramp_width / 2.0 if inst.self_tuning else 0.0] * n
+    streak = 0
+    rows = []
+    for t in range(1, inst.max_rounds + 1):
+        edges = inst.schedule.edges_at(t)
+        eta, p = inst.step.eta(t), inst.estimator.values(t)
+        x = x_update_round(x, metropolis_weights(edges, n), eta, p, inst.surrogates)
+        new_zeta = [local_zeta(c, v) for c, v in zip(inst.region_criticalities, x)]
+        streak = streak + 1 if new_zeta == zeta else 0
+        zeta = new_zeta
+        z, alpha = dmc_round(
+            z, alpha, zeta, neighbor_lists(edges, n), inst.ramp_width, inst.self_tuning
+        )
+        rows.append((t, eta, x, zeta, z, alpha, p))
+        if inst.convergence_window is not None and streak >= inst.convergence_window:
+            break
+    return rows, streak
+
+
+class TestEngineComposition:
+    """run_protocol equals the per-round loop of the public round functions,
+    bit for bit, across chunk boundaries and early stops."""
+
+    def assert_same(self, inst):
+        rows, streak = per_round_run(inst)
+        t, eta, x, zeta, z, alpha, p = (list(col) for col in zip(*rows))
+        for record in (False, True):
+            trace = run_protocol(inst, record_trace=record)
+            assert trace.rounds == len(rows)
+            assert trace.zeta_stable_rounds == streak
+            assert trace.final_x == tuple(x[-1])
+            assert trace.final_zeta == tuple(zeta[-1])
+            assert trace.final_z == tuple(z[-1])
+            assert trace.final_alpha == tuple(alpha[-1])
+            if record:
+                assert trace.t.tolist() == t
+                assert trace.eta.tolist() == eta
+                for array, expected in ((trace.x, x), (trace.zeta, zeta), (trace.z_min, z),
+                                        (trace.alpha, alpha), (trace.p, p)):
+                    assert array.tolist() == [list(row) for row in expected]
+        return trace
+
+    def test_static_longer_than_a_full_chunk(self):
+        trace = self.assert_same(fig_two_region_instance(max_rounds=3 * CHUNK, window=None))
+        assert trace.converged
+
+    @pytest.mark.parametrize("window", [150, 2 * CHUNK])
+    def test_static_early_stop_in_a_later_chunk(self, window):
+        trace = self.assert_same(fig_two_region_instance(max_rounds=3 * CHUNK, window=window))
+        assert trace.converged and window < trace.rounds < 3 * CHUNK
+
+    def test_plain_min_consensus(self):
+        self.assert_same(fig_two_region_instance(max_rounds=700, window=None, self_tuning=False))
+
+    def test_periodic_schedule(self):
+        config = scenario.generate_scenario(4, 12, seed=3, graph="random-periodic", max_rounds=1500)
+        inst = scenario.build_instance(config)
+        assert isinstance(inst.schedule, PeriodicSchedule)
+        self.assert_same(inst)
+
+    def test_random_schedule_noisy_estimates(self):
+        config = scenario.generate_scenario(4, 12, seed=6, graph="random", max_rounds=1200)
+        inst = dataclasses.replace(
+            scenario.build_instance(config), estimator=NoisySplit(config.deficit, 4, seed=6)
+        )
+        assert isinstance(inst.schedule, RandomSchedule)
+        self.assert_same(inst)
 
 
 class TestEndToEnd:

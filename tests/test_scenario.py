@@ -52,6 +52,16 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="ramp width"):
             loads_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("width", [0, -0.01])
+    def test_nonpositive_ramp_rejected(self, width, tmp_path):
+        config = load_scenario(CONFIG_DIR / "two_region_step_example.json")
+        doc = json.loads(dumps_scenario(config))
+        doc["ramp_width"] = width
+        path = tmp_path / "ramp.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError, match="ramp width"):
+            load_scenario(path)
+
     def test_parse_error_carries_position(self):
         with pytest.raises(ScenarioError, match="line 1"):
             loads_scenario("{not json")
@@ -145,6 +155,12 @@ class TestGenerateScenario:
         assert len(loads) == 1
         summary = scenario.oracle_summary(config)
         assert summary.z_star == loads[0].criticality
+
+    def test_random_periodic_steps_are_pinned(self):
+        # the last steps of both windows (steps 2 and 4) carry repair edges
+        steps = scenario._random_periodic_steps(3, [1, 2, 3, 4], period=4, window=2,
+                                                edge_probability=0.2)
+        assert steps == (((2, 4),), ((1, 2), (1, 3)), ((1, 4),), ((1, 2), (2, 3)))
 
     def test_validates(self):
         config = generate_scenario(4, 20, seed=9, graph="random-periodic")
@@ -258,11 +274,18 @@ class TestCli:
         rc = cli.main(["--quiet", "run", str(path)])
         assert rc == 2
 
-    def test_continuous_subcommand(self, capsys):
-        rc = cli.main(["continuous", str(CONFIG_DIR / "continuous_four_regions.json")])
+    def test_run_continuous_config(self, capsys):
+        rc = cli.main(["run", str(CONFIG_DIR / "continuous_four_regions.json")])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["oracle_continuous"]["z_tilde"] == pytest.approx(1.25, abs=1e-9)
+
+    @pytest.mark.parametrize("command", ["solve", "run", "check"])
+    def test_quiet_before_or_after_subcommand(self, command, capsys):
+        config = str(CONFIG_DIR / "two_region_step_example.json")
+        for argv in (["--quiet", command, config], [command, config, "--quiet"]):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == ""
 
     def test_gen_and_run(self, tmp_path, capsys):
         out = tmp_path / "gen.json"
