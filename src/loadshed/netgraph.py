@@ -4,16 +4,19 @@ Graphs are undirected over nodes 0..n-1 and stored as frozensets of
 ordered pairs (i, j) with i < j.  Schedules map a 1-based round counter to
 an edge set; all three kinds (static, periodic, seeded random) are pure
 functions of (seed, t), so any round can be re-derived independently.
+They are read a block of rounds at a time (``edges_between``); a random
+schedule draws a block as one vectorised splitmix matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .seeding import STREAM_EDGES, STREAM_REPAIR, mix64, unit_float
+from .seeding import STREAM_EDGES, STREAM_REPAIR, mix64, mix64_grid, unit_float
 
 Edge = tuple[int, int]
 
@@ -88,25 +91,32 @@ def stochasticity_defect(W: np.ndarray) -> float:
     return float(max(rows, cols))
 
 
-def draw_edges(seed: int, counter: int, n: int, edge_probability: float) -> frozenset[Edge]:
-    """Bernoulli edge draw: pair k of the pairs (i, j), i < j, in
-    lexicographic order appears when the splitmix draw at (counter, k)
-    falls below ``edge_probability``."""
+def draw_edges(seed: int, counters, n: int, edge_probability: float) -> np.ndarray:
+    """Bernoulli edge draws, one row per counter: pair k of the pairs
+    (i, j), i < j, in lexicographic order appears when the splitmix draw
+    at (counter, k) falls below ``edge_probability``."""
+    pairs = np.arange(n * (n - 1) // 2)
+    return unit_float(mix64_grid(seed, STREAM_EDGES, counters, pairs)) < edge_probability
+
+
+def edge_sets(draws: np.ndarray, n: int) -> list[frozenset[Edge]]:
+    """The edge set of each row of ``draws``; equal rows share one set."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return frozenset(
-        pair
-        for k, pair in enumerate(pairs)
-        if unit_float(mix64(seed, STREAM_EDGES, counter, k)) < edge_probability
-    )
+    width = -(-draws.shape[1] // 8)  # bytes per bit-packed row
+    packed = np.packbits(draws, axis=1).tobytes()
+    keys = [packed[r * width:(r + 1) * width] for r in range(draws.shape[0])]
+    rows = {key: r for r, key in enumerate(keys)}  # one row per distinct key
+    sets = {key: frozenset(compress(pairs, draws[r].tolist())) for key, r in rows.items()}
+    return [sets[key] for key in keys]
 
 
-def repair_edges(union: set[Edge], n: int, seed: int, key: int) -> frozenset[Edge]:
-    """Edges that connect a window's union graph; empty when it is connected.
+def repair_edges(components: list[list[int]], seed: int, key: int) -> frozenset[Edge]:
+    """Edges that connect a window's union graph, given its connected
+    components; empty when it is connected.
 
     The components are put in an order seeded by ``key`` and their
     smallest nodes are chained in that order.
     """
-    components = connected_components(union, n)
     if len(components) <= 1:
         return frozenset()
     order = sorted(
@@ -124,8 +134,11 @@ class StaticSchedule:
     edges: frozenset[Edge]
     window: int = 1
 
+    def edges_between(self, t0: int, t1: int) -> list[frozenset[Edge]]:
+        return [self.edges] * (t1 - t0)
+
     def edges_at(self, t: int) -> frozenset[Edge]:
-        return self.edges
+        return self.edges_between(t, t + 1)[0]
 
 
 @dataclass(frozen=True)
@@ -142,8 +155,11 @@ class PeriodicSchedule:
         if self.window == 0:
             object.__setattr__(self, "window", len(self.steps))
 
+    def edges_between(self, t0: int, t1: int) -> list[frozenset[Edge]]:
+        return [self.steps[(t - 1) % len(self.steps)] for t in range(t0, t1)]
+
     def edges_at(self, t: int) -> frozenset[Edge]:
-        return self.steps[(t - 1) % len(self.steps)]
+        return self.edges_between(t, t + 1)[0]
 
 
 @dataclass(frozen=True)
@@ -160,6 +176,8 @@ class RandomSchedule:
     edge_probability: float
     window: int
     seed: int
+    # connected components of each distinct window union seen so far
+    _components: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.edge_probability <= 1.0:
@@ -167,15 +185,26 @@ class RandomSchedule:
         if self.window < 1:
             raise ValueError("window must be positive")
 
-    def edges_at(self, t: int) -> frozenset[Edge]:
-        edges = draw_edges(self.seed, t, self.n, self.edge_probability)
-        w, offset = divmod(t - 1, self.window)
-        if offset == self.window - 1:
-            union = set(edges)
-            for tau in range(w * self.window + 1, t):
-                union |= draw_edges(self.seed, tau, self.n, self.edge_probability)
-            edges = edges | repair_edges(union, self.n, self.seed, w)
+    def edges_between(self, t0: int, t1: int) -> list[frozenset[Edge]]:
+        """Edge sets of rounds t0..t1-1, drawn in one block from the start
+        of t0's window; each window that ends in the range gets its repair."""
+        B = self.window
+        start = t0 - (t0 - 1) % B
+        draws = draw_edges(self.seed, np.arange(start, t1), self.n, self.edge_probability)
+        edges = edge_sets(draws[t0 - start:], self.n)
+        whole = (t1 - start) // B
+        unions = draws[: whole * B].reshape(whole, B, draws.shape[1]).any(axis=1)
+        for w, union in enumerate(edge_sets(unions, self.n), (start - 1) // B):
+            components = self._components.get(union)
+            if components is None:
+                components = self._components[union] = connected_components(union, self.n)
+            if len(components) > 1:
+                last = (w + 1) * B - t0  # index of the window's last round
+                edges[last] = edges[last] | repair_edges(components, self.seed, w)
         return edges
+
+    def edges_at(self, t: int) -> frozenset[Edge]:
+        return self.edges_between(t, t + 1)[0]
 
 
 GraphSchedule = StaticSchedule | PeriodicSchedule | RandomSchedule
@@ -219,11 +248,9 @@ def check_window_connectivity(schedule: GraphSchedule, horizon: int) -> Connecti
     if horizon % B != 0:
         raise ValueError(f"horizon {horizon} is not a multiple of the window {B}")
     windows = horizon // B
+    edges = schedule.edges_between(1, horizon + 1)
     for w in range(windows):
-        union: set[Edge] = set()
-        for t in range(w * B + 1, (w + 1) * B + 1):
-            union |= schedule.edges_at(t)
-        components = connected_components(union, schedule.n)
+        components = connected_components(chain(*edges[w * B:(w + 1) * B]), schedule.n)
         if len(components) > 1:
             return ConnectivityReport(False, windows, w, tuple(c[0] for c in components))
     return ConnectivityReport(True, windows)
@@ -264,8 +291,8 @@ class MixingCache:
     edge set.
 
     Static and periodic schedules are read once, one edge set per step of
-    their cycle; other schedules are asked for each round's edge set once
-    per call of ``at``.
+    their cycle; other schedules are asked for a block of rounds' edge sets
+    per call of ``block``.
     """
 
     def __init__(self, schedule: GraphSchedule):
@@ -273,11 +300,9 @@ class MixingCache:
         self._by_edges: dict[frozenset[Edge], Mixing] = {}
         self._cycle: list[Mixing] | None = None
         if isinstance(schedule, StaticSchedule):
-            self._cycle = [self._build(schedule.edges_at(1))]
+            self._cycle = [self._build(schedule.edges)]
         elif isinstance(schedule, PeriodicSchedule):
-            self._cycle = [
-                self._build(schedule.edges_at(t)) for t in range(1, len(schedule.steps) + 1)
-            ]
+            self._cycle = [self._build(edges) for edges in schedule.steps]
 
     def _build(self, edges: frozenset[Edge]) -> Mixing:
         entry = self._by_edges.get(edges)
@@ -288,8 +313,12 @@ class MixingCache:
             self._by_edges[edges] = entry
         return entry
 
+    def block(self, t0: int, t1: int) -> list[Mixing]:
+        """Mixing structures of rounds t0..t1-1 (1-based)."""
+        if self._cycle is not None:
+            return [self._cycle[(t - 1) % len(self._cycle)] for t in range(t0, t1)]
+        return [self._build(edges) for edges in self.schedule.edges_between(t0, t1)]
+
     def at(self, t: int) -> Mixing:
         """Mixing structure of round t (1-based)."""
-        if self._cycle is not None:
-            return self._cycle[(t - 1) % len(self._cycle)]
-        return self._build(self.schedule.edges_at(t))
+        return self.block(t, t + 1)[0]

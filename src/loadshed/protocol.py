@@ -411,7 +411,7 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     t0, size = 1, 64
     while t0 <= inst.max_rounds and not converged:
         ts = range(t0, min(t0 + size, inst.max_rounds + 1))
-        graphs = [mixing.at(t) for t in ts]
+        graphs = mixing.block(ts.start, ts.stop)
         etas = [inst.step.eta(t) for t in ts]
         ps = [inst.estimator.values(t) for t in ts]
         X = _as_array(x_rounds(x, [g.rows for g in graphs], etas, ps, inst.surrogates), n)

@@ -278,10 +278,10 @@ def run_to_root(
     mean_abs_max, mean_abs_argmax = 0.0, 1
     converged = False
     rounds = 0
-    for t in range(1, max_rounds + 1):
+    for t, graph in enumerate(mixing.block(1, max_rounds + 1), 1):
         eta_t = eta(t)
         y = [fld.evaluate(j, x[j], t) for j in range(n)]
-        x = mix_and_step(x, mixing.at(t).rows, eta_t, y)
+        x = mix_and_step(x, graph.rows, eta_t, y)
         mean = math.fsum(x) / n
         spread = max(abs(v - mean) for v in x)
         xs.append(list(x))

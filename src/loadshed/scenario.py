@@ -36,8 +36,10 @@ from .netgraph import (
     RandomSchedule,
     StaticSchedule,
     check_window_connectivity,
+    connected_components,
     connectivity_horizon,
     draw_edges,
+    edge_sets,
     normalize_edges,
     repair_edges,
     stochasticity_defect,
@@ -653,12 +655,10 @@ def _random_periodic_steps(
     the window's last step.
     """
     n = len(ids)
-    steps = [draw_edges(seed, t, n, edge_probability) for t in range(period)]
+    steps = edge_sets(draw_edges(seed, range(period), n, edge_probability), n)
     for w0 in range(0, period, window):
-        union: set[tuple[int, int]] = set()
-        for s in steps[w0 : w0 + window]:
-            union |= s
-        steps[w0 + window - 1] |= repair_edges(union, n, seed, w0)
+        components = connected_components(set().union(*steps[w0 : w0 + window]), n)
+        steps[w0 + window - 1] |= repair_edges(components, seed, w0)
     return tuple(
         tuple(sorted((ids[a], ids[b]) for a, b in step)) for step in steps
     )
@@ -759,9 +759,7 @@ def certificate_digest(config: ScenarioConfig, inst: ProtocolInstance) -> dict:
     horizon = connectivity_horizon(schedule, inst.max_rounds)
     connectivity = check_window_connectivity(schedule, horizon)
     mixing = MixingCache(schedule)
-    defect = max(
-        stochasticity_defect(mixing.at(t).weights) for t in range(1, min(horizon, 32) + 1)
-    )
+    defect = max(stochasticity_defect(m.weights) for m in mixing.block(1, min(horizon, 32) + 1))
     return {
         "window": schedule.window,
         "window_connectivity": connectivity.passed,

@@ -36,8 +36,8 @@ def mix64(*parts: int) -> int:
     return x
 
 
-def unit_float(h: int) -> float:
-    """Map a 64-bit hash to [0, 1) using the top 53 bits."""
+def unit_float(h):
+    """Map a 64-bit hash, or a uint64 array, to [0, 1) by its top 53 bits."""
     return (h >> 11) * 2.0 ** -53
 
 
@@ -51,20 +51,26 @@ def symmetric_uniform(seed: int, tag: int, *indices: int) -> float:
     return 2.0 * uniform(seed, tag, *indices) - 1.0
 
 
+def mix64_grid(seed: int, tag: int, rows, cols) -> np.ndarray:
+    """Vectorized mix64(seed, tag, r, c) over rows x cols of non-negative
+    integers below 2**64, as uint64; bit-identical to the scalar path."""
+    r = np.asarray(rows, dtype=np.uint64).reshape(-1, 1)
+    c = np.asarray(cols, dtype=np.uint64).reshape(1, -1)
+    with np.errstate(over="ignore"):
+        x = np.uint64(_GAMMA)
+        for part in (np.uint64(seed & _MASK), np.uint64(tag & _MASK), r, c):
+            x = x + part
+            z = x
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
+            x = z ^ (z >> np.uint64(31))
+    return x
+
+
 def noise_matrix(seed: int, times: np.ndarray, n: int) -> np.ndarray:
     """Vectorized symmetric_uniform(seed, STREAM_NOISE, t, j) over times x [n].
 
     Bit-identical to the scalar path; used for long-horizon certificate
     sweeps where a Python loop would be too slow.
     """
-    t = np.asarray(times, dtype=np.uint64).reshape(-1, 1)
-    j = np.arange(n, dtype=np.uint64).reshape(1, -1)
-    with np.errstate(over="ignore"):
-        x = np.uint64(_GAMMA)
-        for part in (np.uint64(seed & _MASK), np.uint64(STREAM_NOISE), t, j):
-            x = x + part
-            z = x
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-            x = z ^ (z >> np.uint64(31))
-    return 2.0 * ((x >> np.uint64(11)) * 2.0 ** -53) - 1.0
+    return 2.0 * unit_float(mix64_grid(seed, STREAM_NOISE, times, np.arange(n))) - 1.0

@@ -3,6 +3,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -247,6 +250,19 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["z_star"] == 0.4
+
+    def test_closed_stdout_exits_without_traceback(self):
+        # the reader goes away before any output is written, as with `| head`
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "loadshed.cli", "solve",
+             str(CONFIG_DIR / "two_region_step_example.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
     def test_run_with_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
