@@ -10,7 +10,7 @@ schedule draws a block as one vectorised splitmix matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
@@ -34,10 +34,7 @@ def normalize_edges(edges: Iterable[Sequence[int]], n: int) -> frozenset[Edge]:
 
 
 def connected_components(edges: Iterable[Edge], n: int) -> list[list[int]]:
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
+    adjacency = neighbor_lists(edges, n)
     seen = [False] * n
     components = []
     for start in range(n):
@@ -100,14 +97,20 @@ def draw_edges(seed: int, counters, n: int, edge_probability: float) -> np.ndarr
 
 
 def edge_sets(draws: np.ndarray, n: int) -> list[frozenset[Edge]]:
-    """The edge set of each row of ``draws``; equal rows share one set."""
+    """The edge set of each row of ``draws``."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    width = -(-draws.shape[1] // 8)  # bytes per bit-packed row
-    packed = np.packbits(draws, axis=1).tobytes()
-    keys = [packed[r * width:(r + 1) * width] for r in range(draws.shape[0])]
-    rows = {key: r for r, key in enumerate(keys)}  # one row per distinct key
-    sets = {key: frozenset(compress(pairs, draws[r].tolist())) for key, r in rows.items()}
-    return [sets[key] for key in keys]
+    return [frozenset(compress(pairs, row)) for row in draws.tolist()]
+
+
+def connected_rows(draws: np.ndarray, n: int) -> np.ndarray:
+    """Whether each row's edge set connects the n nodes (by squaring reachability)."""
+    reach = np.zeros((draws.shape[0], n, n), dtype=bool)
+    i, j = np.triu_indices(n, 1)
+    reach[:, i, j] = reach[:, j, i] = draws
+    reach[:, range(n), range(n)] = True
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    return reach[:, 0].all(axis=1)
 
 
 def repair_edges(components: list[list[int]], seed: int, key: int) -> frozenset[Edge]:
@@ -176,8 +179,6 @@ class RandomSchedule:
     edge_probability: float
     window: int
     seed: int
-    # connected components of each distinct window union seen so far
-    _components: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.edge_probability <= 1.0:
@@ -187,20 +188,20 @@ class RandomSchedule:
 
     def edges_between(self, t0: int, t1: int) -> list[frozenset[Edge]]:
         """Edge sets of rounds t0..t1-1, drawn in one block from the start
-        of t0's window; each window that ends in the range gets its repair."""
+        of t0's window; each disconnected window that ends in the range
+        gets its repair."""
         B = self.window
         start = t0 - (t0 - 1) % B
         draws = draw_edges(self.seed, np.arange(start, t1), self.n, self.edge_probability)
         edges = edge_sets(draws[t0 - start:], self.n)
         whole = (t1 - start) // B
         unions = draws[: whole * B].reshape(whole, B, draws.shape[1]).any(axis=1)
-        for w, union in enumerate(edge_sets(unions, self.n), (start - 1) // B):
-            components = self._components.get(union)
-            if components is None:
-                components = self._components[union] = connected_components(union, self.n)
-            if len(components) > 1:
-                last = (w + 1) * B - t0  # index of the window's last round
-                edges[last] = edges[last] | repair_edges(components, self.seed, w)
+        broken = np.flatnonzero(~connected_rows(unions, self.n))
+        for k, union in zip(broken.tolist(), edge_sets(unions[broken], self.n)):
+            w = (start - 1) // B + k
+            last = (w + 1) * B - t0  # index of the window's last round
+            components = connected_components(union, self.n)
+            edges[last] = edges[last] | repair_edges(components, self.seed, w)
         return edges
 
     def edges_at(self, t: int) -> frozenset[Edge]:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .netgraph import GraphSchedule, MixingCache, mixing_rows
+from .protocol import CHUNK
 
 SIGN_TOL = 1e-9
 LIPSCHITZ_SAFETY = 1.1
@@ -278,7 +280,9 @@ def run_to_root(
     mean_abs_max, mean_abs_argmax = 0.0, 1
     converged = False
     rounds = 0
-    for t, graph in enumerate(mixing.block(1, max_rounds + 1), 1):
+    budget = range(1, max_rounds + 1)  # a chunk at a time: an early stop draws no more
+    blocks = (mixing.block(t0, min(t0 + CHUNK, budget.stop)) for t0 in budget[::CHUNK])
+    for t, graph in enumerate(chain.from_iterable(blocks), 1):
         eta_t = eta(t)
         y = [fld.evaluate(j, x[j], t) for j in range(n)]
         x = mix_and_step(x, graph.rows, eta_t, y)

@@ -15,6 +15,7 @@ from loadshed.netgraph import (
     StaticSchedule,
     check_window_connectivity,
     connected_components,
+    connected_rows,
     connectivity_horizon,
     is_connected,
     metropolis_weights,
@@ -242,7 +243,7 @@ class TestBlockDraw:
         schedule = RandomSchedule(n, p, window, seed)
         expected = [reference_edges(schedule, t) for t in range(t0, t0 + length)]
         assert schedule.edges_between(t0, t0 + length) == expected
-        # a second read goes through the cached window components
+        # reads are pure: a second read gives the same edges
         assert schedule.edges_between(t0, t0 + length) == expected
         if length:
             assert schedule.edges_at(t0) == expected[0]
@@ -285,6 +286,19 @@ class TestHelpers:
     def test_connected_components(self):
         comps = connected_components([(0, 1), (2, 3)], 5)
         assert comps == [[0, 1], [2, 3], [4]]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_connected_rows_on_paths(self, n):
+        # a path in shuffled node order is the longest way to reach
+        # everything; dropping any one of its edges disconnects it
+        order = np.random.default_rng(n).permutation(n).tolist()
+        path = [(min(a, b), max(a, b)) for a, b in zip(order, order[1:])]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        rows = np.array([[pair in path for pair in pairs]]
+                        + [[pair in path and pair != cut for pair in pairs] for cut in path])
+        assert connected_rows(rows.reshape(len(rows), len(pairs)), n).tolist() == [
+            is_connected(edges, n) for edges in netgraph.edge_sets(rows, n)
+        ] == [True] + [False] * len(path)
 
     def test_single_node_connected(self):
         assert is_connected([], 1)

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from loadshed import netgraph, rootfind
 from loadshed.criticality import SurrogateCcf, build_ccf, eval_surrogate
 from loadshed.netgraph import RandomSchedule, StaticSchedule, normalize_edges
 from loadshed.oracle import exact_z_hat
 from loadshed.protocol import (
+    CHUNK,
     ExactSplit,
     NoisySplit,
     ProtocolInstance,
@@ -128,6 +130,33 @@ class TestModuleEquivalence:
         fld = shedding_field(pairs, FIG_RAMP, estimator)
         run = run_to_root(fld, schedule, ETA.eta, tolerance=0.0, max_rounds=300)
         assert np.array_equal(run.x, trace.x)
+
+    def test_random_schedule_read_a_chunk_at_a_time(self, monkeypatch):
+        # the round budget is drawn CHUNK rounds at a time, so an early
+        # stop leaves the rest of it undrawn
+        drawn = []
+        draw = netgraph.draw_edges
+
+        def counted_draw(seed, counters, *rest):
+            drawn.append((int(counters[0]), int(counters[-1])))
+            return draw(seed, counters, *rest)
+
+        monkeypatch.setattr(netgraph, "draw_edges", counted_draw)
+        schedule = RandomSchedule(3, 0.3, window=2, seed=5)
+        still = TimeVaryingField(3, lambda j, z, t: 0.0, limit=lambda j, z: 0.0)
+        run = run_to_root(still, schedule, ETA.eta, x0=1.0, max_rounds=10_000)
+        assert run.converged and run.rounds == 1
+        assert drawn == [(1, CHUNK)]
+
+        drawn.clear()
+        fld = TimeVaryingField(3, lambda j, z, t: math.tanh(z) + j, limit=lambda j, z: math.tanh(z) + j)
+        run = run_to_root(fld, schedule, ETA.eta, x0=30.0, max_rounds=2500)
+        assert not run.converged and run.rounds == 2500
+        assert drawn == [(1, 1024), (1025, 2048), (2049, 2500)]
+        # blocks that start and end inside windows give the same run
+        monkeypatch.setattr(rootfind, "CHUNK", 7)
+        again = run_to_root(fld, schedule, ETA.eta, x0=30.0, max_rounds=2500)
+        assert np.array_equal(again.x, run.x)
 
 
 class TestAssumptionChecks:
