@@ -69,7 +69,6 @@ from .scenario import (
     emit_trace,
     generate_scenario,
     load_scenario,
-    run_continuous,
     run_scenario,
 )
 

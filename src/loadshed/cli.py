@@ -19,7 +19,7 @@ import numpy as np
 
 from . import rootfind, scenario
 from .criticality import eval_surrogate
-from .netgraph import check_window_connectivity, connectivity_horizon
+from .netgraph import check_window_connectivity
 from .oracle import InfeasibleError
 from .protocol import NoisySplit, certify_deficit_tracking, run_protocol
 from .scenario import ScenarioError
@@ -38,6 +38,7 @@ def _load(path: str, overrides: argparse.Namespace) -> scenario.ScenarioConfig:
         changes["seed"] = overrides.seed
     if changes:
         config = dataclasses.replace(config, **changes)
+        scenario.validate(config)
     return config
 
 
@@ -65,11 +66,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load(args.config, args)
-    record = args.trace is not None
-    if config.mode == "continuous":
-        trace, report = scenario.run_continuous(config, record_trace=record)
-    else:
-        trace, report = scenario.run_scenario(config, record_trace=record)
+    trace, report = scenario.run_scenario(config, record_trace=args.trace is not None)
     if args.trace:
         scenario.emit_trace(trace, args.trace, scenario.region_ids(config))
     _emit(report.to_json(), args.quiet)
@@ -122,9 +119,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
 
     cert.window = inst.schedule.window
-    connectivity = check_window_connectivity(
-        inst.schedule, connectivity_horizon(inst.schedule, config.max_rounds)
-    )
+    connectivity = check_window_connectivity(inst.schedule, config.max_rounds)
     cert.add(
         rootfind.CheckResult(
             "window_connectivity",

@@ -232,24 +232,13 @@ class ConnectivityReport:
 CONNECTIVITY_WINDOWS = 100
 
 
-def connectivity_horizon(schedule: GraphSchedule, max_rounds: int) -> int:
-    """Rounds checked for window connectivity: the whole windows within
-    ``min(max_rounds, CONNECTIVITY_WINDOWS * window)``, at least one."""
+def check_window_connectivity(schedule: GraphSchedule, max_rounds: int) -> ConnectivityReport:
+    """Verify that every window's union graph is connected, over the whole
+    windows within ``min(max_rounds, CONNECTIVITY_WINDOWS * window)``
+    rounds, at least one."""
     B = schedule.window
-    return max(B, min(max_rounds, CONNECTIVITY_WINDOWS * B) // B * B)
-
-
-def check_window_connectivity(schedule: GraphSchedule, horizon: int) -> ConnectivityReport:
-    """Verify that every window's union graph over the horizon is connected.
-
-    The horizon counts rounds 1..horizon and must be a multiple of the
-    schedule window.
-    """
-    B = schedule.window
-    if horizon % B != 0:
-        raise ValueError(f"horizon {horizon} is not a multiple of the window {B}")
-    windows = horizon // B
-    edges = schedule.edges_between(1, horizon + 1)
+    windows = max(1, min(max_rounds // B, CONNECTIVITY_WINDOWS))
+    edges = schedule.edges_between(1, windows * B + 1)
     for w in range(windows):
         components = connected_components(chain(*edges[w * B:(w + 1) * B]), schedule.n)
         if len(components) > 1:
@@ -282,42 +271,28 @@ def neighbor_lists(edges: Iterable[Edge], n: int) -> list[list[int]]:
 class Mixing(NamedTuple):
     """Mixing structure of one edge set."""
 
-    weights: np.ndarray
     rows: list[list[tuple[int, float]]]
     neighbors: list[list[int]]
 
 
 class MixingCache:
     """Per-round mixing structure of a schedule, built once per distinct
-    edge set.
-
-    Static and periodic schedules are read once, one edge set per step of
-    their cycle; other schedules are asked for a block of rounds' edge sets
-    per call of ``block``.
-    """
+    edge set (one dict lookup per round; frozensets cache their hash)."""
 
     def __init__(self, schedule: GraphSchedule):
         self.schedule = schedule
         self._by_edges: dict[frozenset[Edge], Mixing] = {}
-        self._cycle: list[Mixing] | None = None
-        if isinstance(schedule, StaticSchedule):
-            self._cycle = [self._build(schedule.edges)]
-        elif isinstance(schedule, PeriodicSchedule):
-            self._cycle = [self._build(edges) for edges in schedule.steps]
 
     def _build(self, edges: frozenset[Edge]) -> Mixing:
         entry = self._by_edges.get(edges)
         if entry is None:
             n = self.schedule.n
-            W = metropolis_weights(edges, n)
-            entry = Mixing(W, mixing_rows(W), neighbor_lists(edges, n))
+            entry = Mixing(mixing_rows(metropolis_weights(edges, n)), neighbor_lists(edges, n))
             self._by_edges[edges] = entry
         return entry
 
     def block(self, t0: int, t1: int) -> list[Mixing]:
         """Mixing structures of rounds t0..t1-1 (1-based)."""
-        if self._cycle is not None:
-            return [self._cycle[(t - 1) % len(self._cycle)] for t in range(t0, t1)]
         return [self._build(edges) for edges in self.schedule.edges_between(t0, t1)]
 
     def at(self, t: int) -> Mixing:

@@ -238,7 +238,6 @@ def dmc_rounds(
     zeta_rows: Sequence[Sequence[float]],
     neighbor_rows: Sequence[Sequence[Sequence[int]]],
     ramp_width: float,
-    self_tuning: bool = True,
 ) -> tuple[list[list[float]], list[list[float]]]:
     """Dynamic min-consensus with local self-tuning over consecutive rounds.
 
@@ -246,10 +245,8 @@ def dmc_rounds(
     values (inflated by its own step alpha) and its fresh cutoff
     ``zeta_rows[r][j]``; neighborhoods are ``neighbor_rows[r]``.  Alpha
     resets large after any increase so stale minima age out quickly, and
-    settles at half the ramp width otherwise.  With self-tuning off, alpha
-    stays zero: plain min-consensus, suited to static graphs once the
-    cutoffs have stopped changing.  Returns the values and steps after
-    every round.
+    settles at half the ramp width otherwise.  Returns the values and
+    steps after every round.
     """
     half = ramp_width / 2.0
     z_rows, alpha_rows = [], []
@@ -275,10 +272,7 @@ def dmc_rounds(
                 if zeta_new[j] < best:
                     best = zeta_new[j]
                 new_z.append(best)
-                if self_tuning:
-                    new_alpha.append(0.5 if best > z[j] else half)
-                else:
-                    new_alpha.append(0.0)
+                new_alpha.append(0.5 if best > z[j] else half)
             last[id(neighbors)] = (zeta_new, z, alpha, new_z, new_alpha)
         z_rows.append(new_z)
         alpha_rows.append(new_alpha)
@@ -292,12 +286,9 @@ def dmc_round(
     zeta_new: Sequence[float],
     neighbors: Sequence[Sequence[int]],
     ramp_width: float,
-    self_tuning: bool = True,
 ) -> tuple[list[float], list[float]]:
     """One dynamic min-consensus round (see ``dmc_rounds``)."""
-    z_rows, alpha_rows = dmc_rounds(
-        z, alpha, [zeta_new], [neighbors], ramp_width, self_tuning
-    )
+    z_rows, alpha_rows = dmc_rounds(z, alpha, [zeta_new], [neighbors], ramp_width)
     return z_rows[0], alpha_rows[0]
 
 
@@ -319,7 +310,6 @@ class ProtocolInstance:
     convergence_window: int | None = 50
     max_rounds: int = 20_000
     x0: float = 0.0
-    self_tuning: bool = True
 
 
 @dataclass(frozen=True)
@@ -403,7 +393,7 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     x = [float(inst.x0)] * n
     zeta = [math.inf] * n
     z = [math.inf] * n
-    alpha = [inst.ramp_width / 2.0 if inst.self_tuning else 0.0] * n
+    alpha = [inst.ramp_width / 2.0] * n
     streak = 0
     converged = False
     mixing = MixingCache(inst.schedule)
@@ -424,8 +414,7 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
                 m = int(stops[0]) + 1
                 converged = True
         z_rows, alpha_rows = dmc_rounds(
-            z, alpha, zeta_rows[:m], [g.neighbors for g in graphs[:m]],
-            inst.ramp_width, inst.self_tuning,
+            z, alpha, zeta_rows[:m], [g.neighbors for g in graphs[:m]], inst.ramp_width
         )
         x, zeta, z, alpha = X[m - 1].tolist(), zeta_rows[m - 1], z_rows[-1], alpha_rows[-1]
         streak = int(streaks[m - 1])

@@ -55,8 +55,6 @@ class TimeVaryingField:
     n: int
     evaluate: Callable[[int, float, float], float]
     limit: Callable[[int, float], float] | None = None
-    claimed_bound: float | None = None
-    claimed_lipschitz: float | None = None
 
     def average_limit(self, z: float, t_large: float) -> float:
         if self.limit is not None:

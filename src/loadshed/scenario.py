@@ -31,15 +31,14 @@ from .criticality import (
 )
 from .netgraph import (
     GraphSchedule,
-    MixingCache,
     PeriodicSchedule,
     RandomSchedule,
     StaticSchedule,
     check_window_connectivity,
     connected_components,
-    connectivity_horizon,
     draw_edges,
     edge_sets,
+    metropolis_weights,
     normalize_edges,
     repair_edges,
     stochasticity_defect,
@@ -143,21 +142,14 @@ class SummaryReport:
     oracle: OracleSummary | None
     oracle_continuous: ContinuousSolution | None
     distributed_z_star: float | None
-    per_region_final: tuple[float, ...]
+    per_region_final: tuple[float | str, ...]  # "inf" for an infinite value
     distributed_shed_total: float | None
     rounds: int
     converged: bool
     certificate_digest: dict
 
     def to_json(self) -> str:
-        def default(obj):
-            if hasattr(obj, "__dataclass_fields__"):
-                return asdict(obj)
-            if isinstance(obj, float) and math.isinf(obj):
-                return "inf"
-            raise TypeError(f"not serializable: {obj!r}")
-
-        return json.dumps(asdict(self), default=default, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +309,7 @@ def validate(config: ScenarioConfig) -> None:
 
     # schedule sanity: buildable, and unions over the horizon's windows connect
     schedule = build_schedule(config)
-    report = check_window_connectivity(
-        schedule, connectivity_horizon(schedule, config.max_rounds)
-    )
+    report = check_window_connectivity(schedule, config.max_rounds)
     if not report.passed:
         raise ScenarioError(
             f"communication schedule fails window connectivity at window "
@@ -499,30 +489,26 @@ def generate_scenario(
     loads_per_region: int,
     seed: int,
     deficit_fraction: float = 0.4,
-    power_range: tuple[float, float] = (0.5, 1.5),
     graph: str = "line",
-    combiner_weight: float = 0.5,
     max_rounds: int = 45_000,
-    convergence_window: int | None = None,
 ) -> ScenarioConfig:
     """Deterministically generate a discrete scenario from a seed.
 
     Nature criticalities are drawn on the 1e-4 grid and resampled until
-    every combined criticality is distinct (tracked on the combined-value
-    grid, so distinctness survives floating-point rounding).  Power draws
-    are rejected while the deficit lands within DEGENERACY_MARGIN ramps of
-    a breakpoint; such near-boundary deficits make the threshold
+    every combined criticality (half nature, half region) is distinct
+    (tracked on the combined-value grid, so distinctness survives
+    floating-point rounding).  Powers are drawn from [0.5, 1.5), and the
+    draws are rejected while the deficit lands within DEGENERACY_MARGIN
+    ramps of a breakpoint; such near-boundary deficits make the threshold
     ill-conditioned.  The step gain is regions/total so the drift scale is
     invariant to the power units, and the offset tempers the first steps
-    so the estimates do not overshoot the root.  The default is a
-    fixed-horizon run: convergence is judged from the closing stretch of
-    unchanged cutoffs rather than an early-stopping rule, which on
-    switching graphs can freeze on transient states.
+    so the estimates do not overshoot the root.  Runs have a fixed
+    horizon: convergence is judged from the closing stretch of unchanged
+    cutoffs rather than an early-stopping rule, which on switching graphs
+    can freeze on transient states.
     """
     if n_regions < 1 or loads_per_region < 1:
         raise ValueError("counts must be positive")
-    if combiner_weight != 0.5:
-        raise ValueError("the generator assumes the default half-half combiner")
     grid = CRITICALITY_GRID
     region_grid_values = [
         int(unit_float(mix64(seed, STREAM_REGION, j)) * (grid + 1))
@@ -556,9 +542,7 @@ def generate_scenario(
     for sub_draw in range(1000):
         powers = [
             [
-                power_range[0]
-                + (power_range[1] - power_range[0])
-                * unit_float(mix64(seed, STREAM_POWER, sub_draw, j * loads_per_region + i))
+                0.5 + unit_float(mix64(seed, STREAM_POWER, sub_draw, j * loads_per_region + i))
                 for i in range(loads_per_region)
             ]
             for j in range(n_regions)
@@ -634,9 +618,7 @@ def generate_scenario(
         step=StepSchedule(gain=n_regions / total, offset=50.0, exponent=1.0),
         estimator=EstimatorSpec(kind="exact_split"),
         max_rounds=max_rounds,
-        convergence_window=convergence_window,
-        combiner_weight=combiner_weight,
-        ramp_width=None,
+        convergence_window=None,
         regions=regions,
     )
 
@@ -686,28 +668,42 @@ def oracle_summary(config: ScenarioConfig) -> OracleSummary:
 
 
 def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[RunTrace, SummaryReport]:
-    """Oracle solve plus full distributed run of a discrete scenario."""
-    if config.mode != "discrete":
-        raise ScenarioError("run_scenario handles discrete mode; use run_continuous")
-    oracle = oracle_summary(config)
+    """Centralized solve plus full distributed run, in either mode.
+
+    Discrete mode reports the oracle and the regions' final min-consensus
+    values.  Continuous mode reports the closed form and the final
+    threshold estimates; each region applies the fill rule to its own
+    estimate, and the reported shed total sums those local decisions.
+    Infinite per-region values are reported as ``"inf"``, as in the trace
+    CSV, so the report stays strict JSON.
+    """
     inst = build_instance(config)
     trace = run_protocol(inst, record_trace=record_trace)
-    z_dist = trace.z_star_distributed
-    per_region = regional_loads(config)
-    shed_total = None
-    if math.isfinite(z_dist):
-        shed_total = math.fsum(
-            load.power
-            for loads in per_region
-            for load in loads
-            if load.criticality <= z_dist
-        )
+    oracle = closed_form = None
+    if config.mode == "continuous":
+        regions = [(r.capacity, float(r.criticality)) for r in config.continuous_regions]
+        closed_form = continuous_solution(regions, config.deficit)
+        final = trace.final_x
+        z_dist = math.fsum(final) / len(final)
+        shed_total = math.fsum(continuous_shed_from_estimates(config, final))
+    else:
+        oracle = oracle_summary(config)
+        final = trace.final_z
+        z_dist = trace.z_star_distributed if math.isfinite(trace.z_star_distributed) else None
+        shed_total = None
+        if z_dist is not None:
+            shed_total = math.fsum(
+                load.power
+                for loads in regional_loads(config)
+                for load in loads
+                if load.criticality <= z_dist
+            )
     report = SummaryReport(
-        mode="discrete",
+        mode=config.mode,
         oracle=oracle,
-        oracle_continuous=None,
-        distributed_z_star=z_dist if math.isfinite(z_dist) else None,
-        per_region_final=trace.final_z,
+        oracle_continuous=closed_form,
+        distributed_z_star=z_dist,
+        per_region_final=tuple(str(v) if math.isinf(v) else v for v in final),
         distributed_shed_total=shed_total,
         rounds=trace.rounds,
         converged=trace.converged,
@@ -716,31 +712,8 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
     return trace, report
 
 
-def run_continuous(config: ScenarioConfig, record_trace: bool = True) -> tuple[RunTrace, SummaryReport]:
-    """Closed-form solve plus fixed-horizon distributed run (continuous mode).
-
-    Each region applies the fill rule to its own final threshold estimate;
-    the reported shed total sums those local decisions.
-    """
-    if config.mode != "continuous":
-        raise ScenarioError("run_continuous handles continuous mode")
-    regions = [(r.capacity, float(r.criticality)) for r in config.continuous_regions]
-    closed_form = continuous_solution(regions, config.deficit)
-    inst = build_instance(config)
-    trace = run_protocol(inst, record_trace=record_trace)
-    shed = continuous_shed_from_estimates(config, trace.final_x)
-    report = SummaryReport(
-        mode="continuous",
-        oracle=None,
-        oracle_continuous=closed_form,
-        distributed_z_star=math.fsum(trace.final_x) / len(trace.final_x),
-        per_region_final=trace.final_x,
-        distributed_shed_total=math.fsum(shed),
-        rounds=trace.rounds,
-        converged=trace.converged,
-        certificate_digest=certificate_digest(config, inst),
-    )
-    return trace, report
+# perfbench/golden.py calls this name
+run_continuous = run_scenario
 
 
 def continuous_shed_from_estimates(
@@ -756,10 +729,12 @@ def continuous_shed_from_estimates(
 def certificate_digest(config: ScenarioConfig, inst: ProtocolInstance) -> dict:
     """Small always-on sanity digest attached to every report."""
     schedule = inst.schedule
-    horizon = connectivity_horizon(schedule, inst.max_rounds)
-    connectivity = check_window_connectivity(schedule, horizon)
-    mixing = MixingCache(schedule)
-    defect = max(stochasticity_defect(m.weights) for m in mixing.block(1, min(horizon, 32) + 1))
+    connectivity = check_window_connectivity(schedule, inst.max_rounds)
+    sampled = min(connectivity.windows_checked * schedule.window, 32)
+    defect = max(
+        stochasticity_defect(metropolis_weights(edges, schedule.n))
+        for edges in set(schedule.edges_between(1, sampled + 1))
+    )
     return {
         "window": schedule.window,
         "window_connectivity": connectivity.passed,

@@ -37,7 +37,6 @@ from loadshed.scenario import (
     emit_trace,
     generate_scenario,
     load_scenario,
-    run_continuous,
     run_scenario,
 )
 
@@ -60,7 +59,7 @@ class TestAcceptance:
             for a, b in zip(closed.per_region_shed, (1.2, 0.3, 0.3, 0.0))
         )
         config = load_scenario(CONFIG_DIR / "continuous_four_regions.json")
-        trace, rep = run_continuous(config, record_trace=False)
+        trace, rep = run_scenario(config, record_trace=False)
         estimates_ok = trace.rounds == 1000 and all(
             abs(v - 1.25) <= 0.01 for v in trace.final_x
         )

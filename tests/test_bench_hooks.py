@@ -3,6 +3,7 @@ outside; this guard fails when one of them is renamed or deleted."""
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -41,3 +42,17 @@ def test_layer_hooks_install_and_uninstall():
         tracer.uninstall()
     for (owner, attr), value in before.items():
         assert owner.__dict__[attr] is value, (owner, attr)
+
+
+def test_names_perfbench_calls_exist():
+    # perfbench calls the package as pkg.<module>.<name>; a deleted name
+    # would only show when the benchmark runs
+    sources = (Path(__file__).resolve().parent.parent / "perfbench").glob("*.py")
+    calls = {
+        match for path in sources
+        for match in re.findall(r"\bpkg\.(\w+)\.(\w+)", path.read_text(encoding="utf-8"))
+    }
+    assert calls
+    missing = [f"{module}.{name}" for module, name in sorted(calls)
+               if not hasattr(getattr(PKG, module), name)]
+    assert not missing

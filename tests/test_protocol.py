@@ -259,12 +259,6 @@ class TestDmcRound:
         assert z == [0.2 + c / 2]
         assert alpha == [0.5]
 
-    def test_plain_mode_keeps_alpha_zero(self):
-        z, alpha = dmc_round([0.4, 0.7], [0.0, 0.0], [0.4, 0.7], [[1], [0]], 0.05,
-                             self_tuning=False)
-        assert alpha == [0.0, 0.0]
-        assert z == [0.4, 0.4]
-
 
 class TestRunProtocol:
     def test_fig_two_region_reaches_oracle(self, fig_ccf):
@@ -340,7 +334,7 @@ def per_round_run(inst):
     x = [float(inst.x0)] * n
     zeta = [math.inf] * n
     z = [math.inf] * n
-    alpha = [inst.ramp_width / 2.0 if inst.self_tuning else 0.0] * n
+    alpha = [inst.ramp_width / 2.0] * n
     streak = 0
     rows = []
     for t in range(1, inst.max_rounds + 1):
@@ -350,9 +344,7 @@ def per_round_run(inst):
         new_zeta = [local_zeta(c, v) for c, v in zip(inst.region_criticalities, x)]
         streak = streak + 1 if new_zeta == zeta else 0
         zeta = new_zeta
-        z, alpha = dmc_round(
-            z, alpha, zeta, neighbor_lists(edges, n), inst.ramp_width, inst.self_tuning
-        )
+        z, alpha = dmc_round(z, alpha, zeta, neighbor_lists(edges, n), inst.ramp_width)
         rows.append((t, eta, x, zeta, z, alpha, p))
         if inst.convergence_window is not None and streak >= inst.convergence_window:
             break
@@ -390,9 +382,6 @@ class TestEngineComposition:
     def test_static_early_stop_in_a_later_chunk(self, window):
         trace = self.assert_same(fig_two_region_instance(max_rounds=3 * CHUNK, window=window))
         assert trace.converged and window < trace.rounds < 3 * CHUNK
-
-    def test_plain_min_consensus(self):
-        self.assert_same(fig_two_region_instance(max_rounds=700, window=None, self_tuning=False))
 
     def test_periodic_schedule(self):
         config = scenario.generate_scenario(4, 12, seed=3, graph="random-periodic", max_rounds=1500)

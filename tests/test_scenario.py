@@ -20,7 +20,6 @@ from loadshed.scenario import (
     generate_scenario,
     load_scenario,
     loads_scenario,
-    run_continuous,
     run_scenario,
 )
 
@@ -191,7 +190,7 @@ class TestRuns:
 
     def test_continuous_run_matches_closed_form(self):
         config = load_scenario(CONFIG_DIR / "continuous_four_regions.json")
-        trace, report = run_continuous(config, record_trace=False)
+        trace, report = run_scenario(config, record_trace=False)
         closed = report.oracle_continuous
         assert closed.z_tilde == pytest.approx(1.25, abs=1e-9)
         assert closed.per_region_shed == pytest.approx((1.2, 0.3, 0.3, 0.0), abs=1e-9)
@@ -212,7 +211,7 @@ class TestEmitTrace:
 
     def test_continuous_run_row_count(self, tmp_path):
         config = load_scenario(CONFIG_DIR / "continuous_four_regions.json")
-        trace, _ = run_continuous(config)
+        trace, _ = run_scenario(config)
         out = tmp_path / "trace.csv"
         emit_trace(trace, out, scenario.region_ids(config))
         lines = out.read_text().splitlines()
@@ -289,6 +288,26 @@ class TestCli:
         path.write_text("{broken")
         rc = cli.main(["--quiet", "run", str(path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("rounds", ["0", "-5"])
+    def test_max_rounds_override_validated(self, command, rounds, capsys):
+        config = str(CONFIG_DIR / "two_region_step_example.json")
+        assert cli.main([command, config, "--max-rounds", rounds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_rounds" in captured.err
+
+    def test_report_is_strict_json(self, capsys):
+        # one round leaves the min-consensus values at their +inf sentinel
+        config = str(CONFIG_DIR / "two_region_step_example.json")
+        assert cli.main(["run", config, "--max-rounds", "1"]) == 3
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["per_region_final"] == ["inf", "inf"]
 
     def test_run_continuous_config(self, capsys):
         rc = cli.main(["run", str(CONFIG_DIR / "continuous_four_regions.json")])
