@@ -275,9 +275,20 @@ class Mixing(NamedTuple):
     neighbors: list[list[int]]
 
 
+# MixingCache empties itself at the start of a block once it holds more
+# entries than this: random schedules over many regions draw a new edge set
+# almost every round, static and periodic ones and the 4-region random
+# family (64 graphs) never get near it
+MIXING_CACHE_ENTRIES = 1024
+
+
 class MixingCache:
     """Per-round mixing structure of a schedule, built once per distinct
-    edge set (one dict lookup per round; frozensets cache their hash)."""
+    edge set (one dict lookup per round; frozensets cache their hash).
+
+    It holds at most ``MIXING_CACHE_ENTRIES`` entries plus one block's worth;
+    each block's list stays valid after the cache empties.
+    """
 
     def __init__(self, schedule: GraphSchedule):
         self.schedule = schedule
@@ -293,6 +304,8 @@ class MixingCache:
 
     def block(self, t0: int, t1: int) -> list[Mixing]:
         """Mixing structures of rounds t0..t1-1 (1-based)."""
+        if len(self._by_edges) > MIXING_CACHE_ENTRIES:
+            self._by_edges.clear()
         return [self._build(edges) for edges in self.schedule.edges_between(t0, t1)]
 
     def at(self, t: int) -> Mixing:

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .criticality import (
     Ccf,
@@ -50,6 +53,7 @@ from .oracle import (
     greedy_shed_set,
 )
 from .protocol import (
+    CHUNK,
     Estimator,
     ExactSplit,
     NoisySplit,
@@ -273,6 +277,12 @@ def validate(config: ScenarioConfig) -> None:
     ids = region_ids(config)
     if len(set(ids)) != len(ids):
         raise ScenarioError("region ids must be unique")
+    if config.estimator.kind == "trace":
+        for k, row in enumerate(config.estimator.rows):
+            if len(row) != len(ids):
+                raise ScenarioError(
+                    f"estimator.rows[{k}] has {len(row)} entries for {len(ids)} regions"
+                )
 
     if config.mode == "continuous":
         if not config.continuous_regions:
@@ -383,79 +393,130 @@ def dumps_scenario(config: ScenarioConfig) -> str:
     return json.dumps(_config_to_dict(config), indent=2, sort_keys=True) + "\n"
 
 
-def _require(doc: dict, key: str, context: str):
-    if key not in doc:
-        raise ScenarioError(f"missing field {key!r} in {context}")
-    return doc[key]
+_REQUIRED = object()
+_KINDS = {
+    dict: "an object", list: "an array", str: "a string",
+    int: "an integer", float: "a finite number",
+}
+
+
+def _checked(value, kind: type, path: str, key: str = ""):
+    """``value`` if it is JSON of the given kind, else a ``ScenarioError``
+    naming the field ``path + key``.  Booleans are neither integers nor
+    numbers, and a number (``float``: a JSON int or float) must be finite."""
+    if kind is float:
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ScenarioError(f"{path}{key} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _field(doc: dict, key: str, kind: type, path: str = "", default=_REQUIRED):
+    """``doc[key]`` checked as ``kind``; ``path`` is the JSON path of ``doc``."""
+    value = doc.get(key, _REQUIRED)
+    if value is _REQUIRED:
+        if default is _REQUIRED:
+            raise ScenarioError(f"missing field {path}{key}")
+        return default
+    return _checked(value, kind, path, key)
+
+
+def _objects(doc: dict, key: str, path: str = "") -> list[tuple[dict, str]]:
+    """Each object of the array ``doc[key]``, with its JSON path."""
+    return [
+        (_checked(item, dict, f"{path}{key}[{k}]"), f"{path}{key}[{k}].")
+        for k, item in enumerate(_field(doc, key, list, path))
+    ]
+
+
+def _edges(items: list, field: str) -> tuple[tuple[int, int], ...]:
+    edges = []
+    for k, edge in enumerate(items):
+        if not (isinstance(edge, list) and len(edge) == 2):
+            raise ScenarioError(f"{field}[{k}] must be a pair of region ids, got {edge!r}")
+        edges.append(tuple(_checked(i, int, f"{field}[{k}]") for i in edge))
+    return tuple(edges)
 
 
 def _config_from_dict(doc: dict) -> ScenarioConfig:
-    mode = _require(doc, "mode", "config")
-    graph_doc = _require(doc, "graph", "config")
-    kind = _require(graph_doc, "kind", "graph")
+    mode = _field(doc, "mode", str)
+    graph_doc = _field(doc, "graph", dict)
+    steps = _field(graph_doc, "steps", list, "graph.", ())
     graph = GraphSpec(
-        kind=kind,
-        edges=tuple(tuple(e) for e in graph_doc.get("edges", ())),
+        kind=_field(graph_doc, "kind", str, "graph."),
+        edges=_edges(_field(graph_doc, "edges", list, "graph.", ()), "graph.edges"),
         steps=tuple(
-            tuple(tuple(e) for e in step) for step in graph_doc.get("steps", ())
+            _edges(_checked(step, list, f"graph.steps[{k}]"), f"graph.steps[{k}]")
+            for k, step in enumerate(steps)
         ),
-        edge_probability=graph_doc.get("edge_probability", 0.5),
-        window=graph_doc.get("window", 1),
+        edge_probability=_field(graph_doc, "edge_probability", float, "graph.", 0.5),
+        window=_field(graph_doc, "window", int, "graph.", 1),
     )
-    step_doc = doc.get("step", {})
+    step_doc = _field(doc, "step", dict, default={})
     step = StepSchedule(
-        gain=step_doc.get("gain", 1.0),
-        offset=step_doc.get("offset", 1.0),
-        exponent=step_doc.get("exponent", 1.0),
+        gain=_field(step_doc, "gain", float, "step.", 1.0),
+        offset=_field(step_doc, "offset", float, "step.", 1.0),
+        exponent=_field(step_doc, "exponent", float, "step.", 1.0),
     )
-    est_doc = doc.get("estimator", {"kind": "exact_split"})
+    est_doc = _field(doc, "estimator", dict, default={"kind": "exact_split"})
+    rows = _field(est_doc, "rows", list, "estimator.", ())
     estimator = EstimatorSpec(
-        kind=_require(est_doc, "kind", "estimator"),
-        rows=tuple(tuple(r) for r in est_doc.get("rows", ())),
+        kind=_field(est_doc, "kind", str, "estimator."),
+        rows=tuple(
+            tuple(
+                _checked(v, float, f"estimator.rows[{r}][{k}]")
+                for k, v in enumerate(_checked(row, list, f"estimator.rows[{r}]"))
+            )
+            for r, row in enumerate(rows)
+        ),
     )
     ramp = doc.get("ramp_width", "auto")
     regions: tuple[Region, ...] = ()
     continuous: tuple[ContinuousRegion, ...] = ()
-    region_docs = _require(doc, "regions", "config")
     if mode == "continuous":
         continuous = tuple(
             ContinuousRegion(
-                id=_require(r, "id", "region"),
-                capacity=_require(r, "capacity", "region"),
-                criticality=_require(r, "criticality", "region"),
+                id=_field(r, "id", int, path),
+                capacity=_field(r, "capacity", float, path),
+                criticality=_field(r, "criticality", int, path),
             )
-            for r in region_docs
+            for r, path in _objects(doc, "regions")
         )
     else:
         regions = tuple(
             Region(
-                id=_require(r, "id", "region"),
-                region_criticality=_require(r, "criticality", "region"),
+                id=_field(r, "id", int, path),
+                region_criticality=_field(r, "criticality", float, path),
                 loads=tuple(
                     Load(
-                        id=_require(l, "id", "load"),
-                        power=_require(l, "power", "load"),
-                        nature_criticality=_require(l, "nature_criticality", "load"),
+                        id=_field(l, "id", int, load_path),
+                        power=_field(l, "power", float, load_path),
+                        nature_criticality=_field(l, "nature_criticality", float, load_path),
                         region_id=r["id"],
                     )
-                    for l in _require(r, "loads", "region")
+                    for l, load_path in _objects(r, "loads", path)
                 ),
             )
-            for r in region_docs
+            for r, path in _objects(doc, "regions")
         )
+    stop_window = doc.get("convergence_window", 50)
     config = ScenarioConfig(
-        version=_require(doc, "version", "config"),
+        version=_field(doc, "version", int),
         mode=mode,
-        deficit=_require(doc, "deficit", "config"),
-        seed=doc.get("seed", 0),
+        deficit=_field(doc, "deficit", float),
+        seed=_field(doc, "seed", int, default=0),
         graph=graph,
         step=step,
         estimator=estimator,
-        max_rounds=doc.get("max_rounds", 20_000),
-        convergence_window=doc.get("convergence_window", 50),
-        combiner_weight=doc.get("combiner_weight", 0.5),
-        ramp_width=None if ramp == "auto" else float(ramp),
-        x0=doc.get("x0", 0.0),
+        max_rounds=_field(doc, "max_rounds", int, default=20_000),
+        convergence_window=(
+            None if stop_window is None else _checked(stop_window, int, "convergence_window")
+        ),
+        combiner_weight=_field(doc, "combiner_weight", float, default=0.5),
+        ramp_width=None if ramp == "auto" else float(_checked(ramp, float, "ramp_width")),
+        x0=_field(doc, "x0", float, default=0.0),
         regions=regions,
         continuous_regions=continuous,
     )
@@ -675,7 +736,9 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
     threshold estimates; each region applies the fill rule to its own
     estimate, and the reported shed total sums those local decisions.
     Infinite per-region values are reported as ``"inf"``, as in the trace
-    CSV, so the report stays strict JSON.
+    CSV, so the report stays strict JSON.  A run is reported converged only
+    when the engine's cutoffs settled on a finite threshold and, in discrete
+    mode, that threshold is the oracle's.
     """
     inst = build_instance(config)
     trace = run_protocol(inst, record_trace=record_trace)
@@ -686,10 +749,12 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
         final = trace.final_x
         z_dist = math.fsum(final) / len(final)
         shed_total = math.fsum(continuous_shed_from_estimates(config, final))
+        answer_ok = math.isfinite(z_dist)
     else:
         oracle = oracle_summary(config)
         final = trace.final_z
         z_dist = trace.z_star_distributed if math.isfinite(trace.z_star_distributed) else None
+        answer_ok = z_dist == oracle.z_star
         shed_total = None
         if z_dist is not None:
             shed_total = math.fsum(
@@ -706,7 +771,7 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
         per_region_final=tuple(str(v) if math.isinf(v) else v for v in final),
         distributed_shed_total=shed_total,
         rounds=trace.rounds,
-        converged=trace.converged,
+        converged=trace.converged and answer_ok,
         certificate_digest=certificate_digest(config, inst),
     )
     return trace, report
@@ -752,7 +817,9 @@ def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | No
     """Write the per-round records as CSV.
 
     Columns: t, eta, region, x, zeta, z_min, alpha, p.  Floats carry 12
-    significant digits; the infinity sentinel serializes as ``inf``.
+    significant digits; the infinity sentinel serializes as ``inf``.  Rows
+    are built and written a block of ``CHUNK`` rounds at a time, which
+    bounds the memory the text takes.
     """
     if not trace.recorded or trace.rounds == 0:
         raise ValueError("trace has no recorded rounds")
@@ -760,18 +827,27 @@ def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | No
     ids = list(region_ids) if region_ids is not None else list(range(1, n + 1))
     if len(ids) != n:
         raise ValueError(f"{len(ids)} region ids for {n} regions")
+    cells_of_region = np.array([f",{i}," for i in ids], dtype=object)
     path = Path(path)
     try:
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,eta,region,x,zeta,z_min,alpha,p\n")
-            for r in range(trace.rounds):
-                t = int(trace.t[r])
-                eta = trace.eta[r]
-                for j in range(n):
-                    fh.write(
-                        f"{t},{eta:.12g},{ids[j]},{trace.x[r, j]:.12g},"
-                        f"{trace.zeta[r, j]:.12g},{trace.z_min[r, j]:.12g},"
-                        f"{trace.alpha[r, j]:.12g},{trace.p[r, j]:.12g}\n"
-                    )
+            for r0 in range(0, trace.rounds, CHUNK):
+                block = slice(r0, r0 + CHUNK)
+                ts, etas = trace.t[block].tolist(), trace.eta[block].tolist()
+                heads = np.array([f"{t},{eta:.12g}" for t, eta in zip(ts, etas)], dtype=object)
+                rows = heads[:, None] + cells_of_region + _formatted(trace.x[block])
+                for values in (trace.zeta, trace.z_min, trace.alpha, trace.p):
+                    rows = rows + "," + _formatted(values[block])
+                fh.write("".join((rows + "\n").ravel().tolist()))
     except OSError as exc:
         raise OSError(f"failed writing trace to {path}: {exc}") from exc
+
+
+def _formatted(values: np.ndarray) -> np.ndarray:
+    """``format(v, ".12g")`` of each float, as an object array of the same
+    shape, formatting each distinct bit pattern once.  Keyed on bits, not
+    on value, so ``-0.0`` stays apart from ``0.0`` and NaNs need no care."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array([format(v, ".12g") for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(values.shape)]

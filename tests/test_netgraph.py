@@ -176,6 +176,14 @@ class TestMixingCache:
         assert mixing.at(1) is mixing.at(3) is mixing.at(4)
         assert mixing.at(2) is not mixing.at(1)
 
+    def test_bounded_on_many_distinct_graphs(self):
+        # 12 regions: nearly every round draws a new edge set
+        mixing = MixingCache(RandomSchedule(12, 0.45, window=2, seed=0))
+        for t0 in range(1, 3073, 1024):
+            block = mixing.block(t0, t0 + 1024)
+            assert len(mixing._by_edges) <= 2048
+        assert block[0].rows == mixing_rows(metropolis_weights(mixing.schedule.edges_at(2049), 12))
+
     def test_random_schedule_read_once_per_round(self, monkeypatch):
         # one draw per block call, each round of the block and of the
         # window it starts in drawn once, at most one repair per window

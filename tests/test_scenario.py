@@ -4,14 +4,19 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadshed import cli, scenario
-from loadshed.protocol import run_protocol
+from loadshed.protocol import CHUNK, RunTrace, run_protocol
 from loadshed.scenario import (
     ScenarioError,
     dump_scenario,
@@ -198,7 +203,90 @@ class TestRuns:
             assert abs(estimate - 1.25) < 0.01
 
 
+def recorded_trace(eta, x, zeta, z_min, alpha, p) -> RunTrace:
+    """A recorded trace holding the given per-round columns."""
+    return RunTrace(
+        rounds=len(eta), converged=False, final_x=(), final_zeta=(), final_z=(),
+        final_alpha=(), zeta_stable_rounds=0, recorded=True,
+        t=np.arange(1, len(eta) + 1, dtype=np.int64),
+        eta=eta, x=x, zeta=zeta, z_min=z_min, alpha=alpha, p=p,
+    )
+
+
+def reference_csv(trace: RunTrace, ids) -> bytes:
+    """The trace CSV written one cell at a time from numpy scalars."""
+    n = trace.x.shape[1]
+    ids = list(ids) if ids is not None else list(range(1, n + 1))
+    lines = ["t,eta,region,x,zeta,z_min,alpha,p\n"]
+    for r in range(trace.rounds):
+        t = int(trace.t[r])
+        eta = trace.eta[r]
+        for j in range(n):
+            lines.append(
+                f"{t},{eta:.12g},{ids[j]},{trace.x[r, j]:.12g},"
+                f"{trace.zeta[r, j]:.12g},{trace.z_min[r, j]:.12g},"
+                f"{trace.alpha[r, j]:.12g},{trace.p[r, j]:.12g}\n"
+            )
+    return "".join(lines).encode()
+
+
+SPECIAL_FLOATS = (
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+)
+
+
+@st.composite
+def drawn_traces(draw, rounds: int):
+    """A trace of ``rounds`` rounds whose columns each repeat one value,
+    repeat no value, or mix signed zeros, NaNs, infinities, subnormals and
+    drawn floats; plus the region ids to write (or None)."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(SPECIAL_FLOATS + tuple(draw(st.lists(st.floats(), max_size=4))))
+
+    def column(shape):
+        size = math.prod(shape)
+        kind = draw(st.sampled_from(["repeat", "distinct", "mixed"]))
+        if kind == "repeat":
+            values = np.full(size, draw(st.sampled_from(pool.tolist())))
+        elif kind == "distinct":
+            # an odd multiplier permutes the 64-bit patterns, so none repeats
+            bits = np.arange(size, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+            values = (bits + np.uint64(rng.integers(2**63))).view(np.float64)
+        else:
+            values = rng.choice(pool, size)
+            values[:2] = [0.0, -0.0][:size]
+        return values.reshape(shape)
+
+    eta = column((rounds,))
+    trace = recorded_trace(eta, *(column((rounds, n)) for _ in range(5)))
+    ids = draw(st.none() | st.lists(st.integers(-10**9, 10**9), min_size=n, max_size=n))
+    return trace, ids
+
+
 class TestEmitTrace:
+    @pytest.mark.parametrize("rounds", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_bytes_match_scalar_reference(self, rounds, data):
+        trace, ids = data.draw(drawn_traces(rounds))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "trace.csv"
+            emit_trace(trace, out, ids)
+            assert out.read_bytes() == reference_csv(trace, ids)
+
+    def test_signed_zeros_stay_apart(self, tmp_path):
+        # 0.0 == -0.0, so a writer that formats each distinct float value
+        # once would write "0" for both
+        x = np.array([[0.0], [-0.0], [0.0]])
+        trace = recorded_trace(np.ones(3), x, x, x, x, x)
+        out = tmp_path / "trace.csv"
+        emit_trace(trace, out)
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["0", "-0", "0"]
+        assert rows[1] == "2,1,1,-0,-0,-0,-0,-0"
+
     def test_single_round_single_region(self, tmp_path):
         config = generate_scenario(1, 1, seed=5, max_rounds=1)
         inst = scenario.build_instance(config)
@@ -282,6 +370,49 @@ class TestCli:
         path.write_text(json.dumps(doc))
         rc = cli.main(["--quiet", "run", str(path)])
         assert rc == 3
+
+    def test_deficit_of_total_power_is_not_converged(self, capsys, tmp_path):
+        # the cutoffs settle, but the distributed threshold stays at +inf
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        doc["deficit"] = 16.0
+        path = tmp_path / "all.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["oracle"]["z_star"] == 0.8
+        assert payload["distributed_z_star"] is None
+        assert payload["converged"] is False
+
+    @pytest.mark.parametrize(
+        "where, value, field",
+        [
+            (("deficit",), math.nan, "deficit"),
+            (("deficit",), True, "deficit"),
+            (("x0",), math.nan, "x0"),
+            (("regions", 0, "loads", 0, "power"), math.nan, "regions[0].loads[0].power"),
+            (("regions", 0, "loads", 0, "power"), "1.0", "regions[0].loads[0].power"),
+            (("max_rounds",), 3000.0, "max_rounds"),
+            (("estimator",), {"kind": "trace", "rows": [[2.0, 2.0, 2.0]]}, "estimator.rows[0]"),
+            (("estimator",), {"kind": "trace", "rows": [[6.0]]}, "estimator.rows[0]"),
+            (("regions",), "x", "regions"),
+        ],
+        ids=["deficit-nan", "deficit-true", "x0-nan", "power-nan", "power-string",
+             "max-rounds-float", "trace-too-wide", "trace-too-narrow", "regions-string"],
+    )
+    def test_non_numbers_rejected(self, where, value, field, capsys, tmp_path):
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field} ")
+        with pytest.raises(ScenarioError, match=re.escape(field)):
+            load_scenario(path)
 
     def test_validation_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
