@@ -53,7 +53,6 @@ from .oracle import (
     greedy_shed_set,
 )
 from .protocol import (
-    CHUNK,
     Estimator,
     ExactSplit,
     NoisySplit,
@@ -74,6 +73,11 @@ CONFIG_VERSION = 1
 DEGENERACY_MARGIN = 0.3
 
 CRITICALITY_GRID = 10_000  # nature criticalities are multiples of 1e-4
+
+# emit_trace builds and writes this many rounds of rows at a time; the
+# text of a block stays well under a megabyte at any region count the
+# generator makes
+TRACE_BLOCK_ROUNDS = 128
 
 
 class ScenarioError(ValueError):
@@ -818,7 +822,7 @@ def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | No
 
     Columns: t, eta, region, x, zeta, z_min, alpha, p.  Floats carry 12
     significant digits; the infinity sentinel serializes as ``inf``.  Rows
-    are built and written a block of ``CHUNK`` rounds at a time, which
+    are built and written ``TRACE_BLOCK_ROUNDS`` rounds at a time, which
     bounds the memory the text takes.
     """
     if not trace.recorded or trace.rounds == 0:
@@ -828,26 +832,36 @@ def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | No
     if len(ids) != n:
         raise ValueError(f"{len(ids)} region ids for {n} regions")
     cells_of_region = np.array([f",{i}," for i in ids], dtype=object)
+    repeating = (trace.zeta, trace.z_min, trace.alpha, trace.p)
     path = Path(path)
     try:
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,eta,region,x,zeta,z_min,alpha,p\n")
-            for r0 in range(0, trace.rounds, CHUNK):
-                block = slice(r0, r0 + CHUNK)
+            for r0 in range(0, trace.rounds, TRACE_BLOCK_ROUNDS):
+                block = slice(r0, r0 + TRACE_BLOCK_ROUNDS)
                 ts, etas = trace.t[block].tolist(), trace.eta[block].tolist()
                 heads = np.array([f"{t},{eta:.12g}" for t, eta in zip(ts, etas)], dtype=object)
-                rows = heads[:, None] + cells_of_region + _formatted(trace.x[block])
-                for values in (trace.zeta, trace.z_min, trace.alpha, trace.p):
-                    rows = rows + "," + _formatted(values[block])
+                rows = heads[:, None] + cells_of_region + _text(trace.x[block])
+                for values in repeating:
+                    rows = rows + "," + _distinct_text(values[block])
                 fh.write("".join((rows + "\n").ravel().tolist()))
     except OSError as exc:
         raise OSError(f"failed writing trace to {path}: {exc}") from exc
 
 
-def _formatted(values: np.ndarray) -> np.ndarray:
-    """``format(v, ".12g")`` of each float, as an object array of the same
-    shape, formatting each distinct bit pattern once.  Keyed on bits, not
-    on value, so ``-0.0`` stays apart from ``0.0`` and NaNs need no care."""
+def _text(values: np.ndarray) -> np.ndarray:
+    """``format(v, ".12g")`` of each value as a float, as an object array
+    of the same shape.  An integer prints the same digits either way."""
+    values = np.asarray(values, dtype=np.float64)
+    text = np.array([format(v, ".12g") for v in values.ravel().tolist()], dtype=object)
+    return text.reshape(values.shape)
+
+
+def _distinct_text(values: np.ndarray) -> np.ndarray:
+    """As ``_text``, formatting each distinct bit pattern once: the cutoff,
+    min-consensus, ramp and estimate columns hold a few hundred distinct
+    values per run.  Keyed on bits, not on value, so ``-0.0`` stays apart
+    from ``0.0`` and NaNs need no care."""
+    values = np.asarray(values, dtype=np.float64)
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    text = np.array([format(v, ".12g") for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse.reshape(values.shape)]
+    return _text(bits.view(np.float64))[inverse.reshape(values.shape)]

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from loadshed import cli, scenario
 from loadshed.protocol import CHUNK, RunTrace, run_protocol
 from loadshed.scenario import (
+    TRACE_BLOCK_ROUNDS,
     ScenarioError,
     dump_scenario,
     dumps_scenario,
@@ -235,28 +236,34 @@ SPECIAL_FLOATS = (
     5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
 )
 
+INTEGERS = (0, 3, -7, 10**15, 2**53 + 1, -(2**63), 2**63 - 1)
+
 
 @st.composite
 def drawn_traces(draw, rounds: int):
     """A trace of ``rounds`` rounds whose columns each repeat one value,
-    repeat no value, or mix signed zeros, NaNs, infinities, subnormals and
-    drawn floats; plus the region ids to write (or None)."""
+    repeat no value, mix signed zeros, NaNs, infinities, subnormals and
+    drawn floats, or hold 64-bit integers (a ``trace`` estimator given in
+    JSON integers records ``p`` as such); plus the region ids to write (or
+    None)."""
     n = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = np.array(SPECIAL_FLOATS + tuple(draw(st.lists(st.floats(), max_size=4))))
 
     def column(shape):
         size = math.prod(shape)
-        kind = draw(st.sampled_from(["repeat", "distinct", "mixed"]))
+        kind = draw(st.sampled_from(["repeat", "distinct", "mixed", "integer"]))
         if kind == "repeat":
             values = np.full(size, draw(st.sampled_from(pool.tolist())))
         elif kind == "distinct":
             # an odd multiplier permutes the 64-bit patterns, so none repeats
             bits = np.arange(size, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
             values = (bits + np.uint64(rng.integers(2**63))).view(np.float64)
-        else:
+        elif kind == "mixed":
             values = rng.choice(pool, size)
             values[:2] = [0.0, -0.0][:size]
+        else:
+            values = rng.choice(np.array(INTEGERS), size)
         return values.reshape(shape)
 
     eta = column((rounds,))
@@ -266,7 +273,10 @@ def drawn_traces(draw, rounds: int):
 
 
 class TestEmitTrace:
-    @pytest.mark.parametrize("rounds", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("rounds", [
+        1, TRACE_BLOCK_ROUNDS - 1, TRACE_BLOCK_ROUNDS, TRACE_BLOCK_ROUNDS + 1,
+        CHUNK - 1, CHUNK, CHUNK + 1,
+    ])
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
     def test_bytes_match_scalar_reference(self, rounds, data):
@@ -286,6 +296,20 @@ class TestEmitTrace:
         rows = out.read_text().splitlines()[1:]
         assert [row.split(",")[3] for row in rows] == ["0", "-0", "0"]
         assert rows[1] == "2,1,1,-0,-0,-0,-0,-0"
+
+    def test_integer_estimates_match_reference(self, tmp_path):
+        # an all-integer ``trace`` estimator table records ``p`` as int64;
+        # read as float bits, 3 would be written as 1.48219693752e-323
+        eta = np.array([1.0, 0.5])
+        x = np.array([[0.25, -0.0], [1e300, 0.0]])
+        p = np.array([[3, 5], [3, 2**53 + 1]], dtype=np.int64)
+        trace = recorded_trace(eta, x, x, x, x, p)
+        out = tmp_path / "trace.csv"
+        emit_trace(trace, out)
+        assert out.read_bytes() == reference_csv(trace, None)
+        assert [row.split(",")[-1] for row in out.read_text().splitlines()[1:]] == [
+            "3", "5", "3", "9.00719925474e+15",
+        ]
 
     def test_single_round_single_region(self, tmp_path):
         config = generate_scenario(1, 1, seed=5, max_rounds=1)
@@ -370,6 +394,17 @@ class TestCli:
         path.write_text(json.dumps(doc))
         rc = cli.main(["--quiet", "run", str(path)])
         assert rc == 3
+
+    def test_run_trace_with_integer_estimates(self, tmp_path):
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        doc["estimator"] = {"kind": "trace", "rows": [[3, 3]]}
+        doc["max_rounds"] = 3
+        path, out = tmp_path / "int.json", tmp_path / "trace.csv"
+        path.write_text(json.dumps(doc))
+        cli.main(["--quiet", "run", str(path), "--trace", str(out)])
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3 * 2
+        assert {row.split(",")[-1] for row in rows} == {"3"}
 
     def test_deficit_of_total_power_is_not_converged(self, capsys, tmp_path):
         # the cutoffs settle, but the distributed threshold stays at +inf
