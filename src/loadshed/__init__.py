@@ -49,16 +49,13 @@ from .protocol import (
     RunTrace,
     StepSchedule,
     TraceEstimator,
-    dmc_round,
     run_protocol,
     shed_decision,
-    x_update_round,
 )
 from .rootfind import (
     AssumptionCertificate,
     RootRun,
     TimeVaryingField,
-    aux_update_round,
     run_to_root,
 )
 from .scenario import (

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -20,8 +19,8 @@ import numpy as np
 from . import rootfind, scenario
 from .criticality import eval_surrogate
 from .netgraph import check_window_connectivity
-from .oracle import InfeasibleError
-from .protocol import NoisySplit, certify_deficit_tracking, run_protocol
+from .oracle import InfeasibleError, continuous_solution
+from .protocol import certify_deficit_tracking, run_protocol
 from .scenario import ScenarioError
 
 EXIT_OK = 0
@@ -51,16 +50,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     config = _load(args.config, args)
     if config.mode == "continuous":
         regions = [(r.capacity, float(r.criticality)) for r in config.continuous_regions]
-        from .oracle import continuous_solution
-
         solution = continuous_solution(regions, config.deficit)
-        _emit(
-            json.dumps(dataclasses.asdict(solution), sort_keys=True, indent=2),
-            args.quiet,
-        )
-        return EXIT_OK
-    summary = scenario.oracle_summary(config)
-    _emit(json.dumps(dataclasses.asdict(summary), sort_keys=True, indent=2), args.quiet)
+    else:
+        solution = scenario.oracle_summary(config)
+    _emit(json.dumps(dataclasses.asdict(solution), sort_keys=True, indent=2), args.quiet)
     return EXIT_OK
 
 
@@ -78,11 +71,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     inst = scenario.build_instance(config)
     n = len(inst.region_criticalities)
 
-    estimator = inst.estimator
+    horizon = min(config.max_rounds, 2000)
+    estimates = inst.estimator.block(1, horizon + 1).tolist()
     fld = rootfind.TimeVaryingField(
         n=n,
-        evaluate=lambda j, z, t: eval_surrogate(inst.surrogates[j], z)
-        - estimator.values(int(t))[j],
+        evaluate=lambda j, z, t: eval_surrogate(inst.surrogates[j], z) - estimates[int(t) - 1][j],
         limit=lambda j, z: eval_surrogate(inst.surrogates[j], z)
         - config.deficit / n,
     )
@@ -90,7 +83,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     lo = min(all_bps) - 2 * inst.ramp_width
     hi = max(all_bps) + 2 * inst.ramp_width
     grid = np.linspace(lo, hi, 1001)
-    horizon = min(config.max_rounds, 2000)
 
     cert = rootfind.AssumptionCertificate()
     bounded, lipschitz, cert.bound, cert.lipschitz = (
@@ -100,15 +92,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     cert.add(lipschitz)
     sign = rootfind.verify_sign_condition(fld, grid, 10.0 * horizon)
     cert.add(sign)
-    cert.sign_witness = sign.witness
     deviation = rootfind.verify_deviation_rate(
         fld, grid[::10], horizon, lambda t: inst.step.eta(t)
     )
     cert.add(deviation)
-    cert.deviation_rate = deviation.value if deviation.value is not None else math.nan
+    cert.deviation_rate = deviation.value
 
-    theta = certify_deficit_tracking(inst.estimator, inst.step, min(100_000, 10 * config.max_rounds))
-    bound_theta = 2.0 * n if isinstance(inst.estimator, NoisySplit) else max(theta, 1.0)
+    theta = certify_deficit_tracking(
+        inst.estimator, inst.step, min(100_000, 10 * config.max_rounds), config.deficit
+    )
+    bound_theta = 2.0 * n
     cert.add(
         rootfind.CheckResult(
             "deficit_tracking",
@@ -141,10 +134,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         inst, max_rounds=min(500, config.max_rounds), convergence_window=None
     )
     probe = run_protocol(probe_inst, record_trace=True)
-    means = probe.x.mean(axis=1)
-    spread = np.abs(probe.x - means[:, None]).max(axis=1)
-    etas = probe.eta
-    cert.consensus_ratio = float((spread / etas).max())
+    cert.consensus_ratio = rootfind.consensus_diagnostics(probe.x, probe.eta).ratio_max
 
     _emit(str(cert), args.quiet)
     return EXIT_OK if cert.passed else EXIT_VALIDATION

@@ -307,7 +307,3 @@ class MixingCache:
         if len(self._by_edges) > MIXING_CACHE_ENTRIES:
             self._by_edges.clear()
         return [self._build(edges) for edges in self.schedule.edges_between(t0, t1)]
-
-    def at(self, t: int) -> Mixing:
-        """Mixing structure of round t (1-based)."""
-        return self.block(t, t + 1)[0]

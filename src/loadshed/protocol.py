@@ -6,10 +6,10 @@ dynamic min-consensus layer whose minimum is the network-wide threshold.
 The estimates never read the other two layers, so the engine runs the
 layers one after another over chunks of rounds: the recursion kernel
 ``x_rounds`` (x <- W(t) x - eta(t) (S_j(x_j) - p_j(t))), the cutoff layer
-``cutoffs``, then the min-consensus kernel ``dmc_rounds``.  The one-round
-functions ``x_update_round`` and ``dmc_round`` call the kernels.  Every
-update reads only previous-round state, and all neighbor reductions run
-in fixed index order, so results do not depend on evaluation order.
+``cutoffs``, then the min-consensus kernel ``dmc_rounds``.  Estimators
+return the deficit estimates of a chunk as one array (``block(t0, t1)``).
+Every update reads only previous-round state, and all neighbor reductions
+run in fixed index order, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .criticality import CriticalLoad, SurrogateCcf
-from .netgraph import GraphSchedule, MixingCache, mixing_rows
-from .seeding import noise_matrix, symmetric_uniform, STREAM_NOISE
+from .netgraph import GraphSchedule, MixingCache
+from .seeding import noise_matrix
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,9 @@ class ExactSplit:
     deficit: float
     n: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "_vec", (self.deficit / self.n,) * self.n)
-
-    def values(self, t: int) -> tuple[float, ...]:
-        return self._vec
+    def block(self, t0: int, t1: int) -> np.ndarray:
+        """Estimates of rounds t0..t1-1, one row per round (t0 >= 1)."""
+        return np.full((t1 - t0, self.n), self.deficit / self.n)
 
 
 @dataclass(frozen=True)
@@ -76,24 +74,20 @@ class NoisySplit:
     """Equal split plus uniform noise decaying like 1/t.
 
     p_j(t) = deficit/n + e_j(t)/t with e_j(t) drawn from [-1, 1) by the
-    seeded counter stream, so any round can be recomputed independently.
-    The aggregate error is bounded by n/t, which stays below 2n * eta(t)
-    for the default harmonic step; the tracking certificate verifies it
-    numerically.
+    seeded counter stream (``noise_matrix``), so any round can be
+    recomputed independently.  The aggregate error is bounded by n/t, which
+    stays below 2n * eta(t) for the default harmonic step; the tracking
+    certificate verifies it numerically.
     """
 
     deficit: float
     n: int
     seed: int
 
-    def values(self, t: int) -> tuple[float, ...]:
-        base = self.deficit / self.n
-        if t <= 0:
-            return (base,) * self.n
-        return tuple(
-            base + symmetric_uniform(self.seed, STREAM_NOISE, t, j) / t
-            for j in range(self.n)
-        )
+    def block(self, t0: int, t1: int) -> np.ndarray:
+        """Estimates of rounds t0..t1-1, one row per round (t0 >= 1)."""
+        ts = np.arange(t0, t1)
+        return self.deficit / self.n + noise_matrix(self.seed, ts, self.n) / ts[:, None]
 
 
 @dataclass(frozen=True)
@@ -112,9 +106,11 @@ class TraceEstimator:
         width = len(self.rows[0])
         if any(len(r) != width for r in self.rows):
             raise ValueError("trace estimator rows must have equal width")
+        object.__setattr__(self, "_table", np.array(self.rows, dtype=np.float64))
 
-    def values(self, t: int) -> tuple[float, ...]:
-        return self.rows[min(max(t, 1) - 1, len(self.rows) - 1)]
+    def block(self, t0: int, t1: int) -> np.ndarray:
+        """Estimates of rounds t0..t1-1, one row per round (t0 >= 1)."""
+        return self._table[np.minimum(np.arange(t0, t1), len(self._table)) - 1]
 
 
 Estimator = ExactSplit | NoisySplit | TraceEstimator
@@ -130,30 +126,23 @@ CHUNK = 1024
 
 
 def certify_deficit_tracking(
-    estimator: Estimator, step: StepSchedule, t_max: int
+    estimator: Estimator, step: StepSchedule, t_max: int, deficit: float
 ) -> float:
     """Max over t in [1, t_max] of |sum_j p_j(t) - deficit| / eta(t).
 
     This is the empirical deviation-rate constant of the estimator; for
     the noisy split with the harmonic default step it never exceeds 2n.
+    Estimates are read a chunk at a time, and eta(t) is evaluated only at
+    rounds whose aggregate error is nonzero, so an exact split costs a few
+    array operations per chunk.
     """
-    if isinstance(estimator, ExactSplit):
-        return 0.0
-    if isinstance(estimator, NoisySplit):
-        worst = 0.0
-        chunk = 1 << 17
-        for start in range(1, t_max + 1, chunk):
-            ts = np.arange(start, min(start + chunk, t_max + 1), dtype=np.uint64)
-            noise = noise_matrix(estimator.seed, ts, estimator.n)
-            errors = np.abs(noise.sum(axis=1)) / ts.astype(np.float64)
-            etas = np.array([step.eta(int(t)) for t in ts])
-            worst = max(worst, float((errors / etas).max()))
-        return worst
-    deficit = math.fsum(estimator.rows[-1])
     worst = 0.0
-    for t in range(1, t_max + 1):
-        row = estimator.values(t)
-        worst = max(worst, abs(math.fsum(row) - deficit) / step.eta(t))
+    for t0 in range(1, t_max + 1, CHUNK):
+        P = estimator.block(t0, min(t0 + CHUNK, t_max + 1))
+        errors = np.abs((P - deficit / P.shape[1]).sum(axis=1))
+        rounds = np.flatnonzero(errors)
+        etas = np.array([step.eta(t) for t in (rounds + t0).tolist()])
+        worst = max(worst, float((errors[rounds] / etas).max(initial=0.0)))
     return worst
 
 
@@ -196,23 +185,6 @@ def x_rounds(
         out.append(new_x)
         x = new_x
     return out
-
-
-def x_update_round(
-    x: Sequence[float],
-    W: np.ndarray,
-    eta_t: float,
-    p: Sequence[float],
-    surrogates: Sequence[SurrogateCcf],
-) -> list[float]:
-    """One threshold-estimate round: mix neighbor values, step against the
-    gap between the local surrogate CCF and the local deficit estimate."""
-    n = len(x)
-    if W.shape != (n, n):
-        raise ValueError(f"mixing matrix {W.shape} does not match {n} regions")
-    if len(p) != n or len(surrogates) != n:
-        raise ValueError("p and surrogates must have one entry per region")
-    return x_rounds(x, [mixing_rows(W)], [eta_t], [p], surrogates)[0]
 
 
 def cutoffs(
@@ -280,18 +252,6 @@ def dmc_rounds(
     return z_rows, alpha_rows
 
 
-def dmc_round(
-    z: Sequence[float],
-    alpha: Sequence[float],
-    zeta_new: Sequence[float],
-    neighbors: Sequence[Sequence[int]],
-    ramp_width: float,
-) -> tuple[list[float], list[float]]:
-    """One dynamic min-consensus round (see ``dmc_rounds``)."""
-    z_rows, alpha_rows = dmc_rounds(z, alpha, [zeta_new], [neighbors], ramp_width)
-    return z_rows[0], alpha_rows[0]
-
-
 @dataclass(frozen=True)
 class ProtocolInstance:
     """Everything the runtime needs for one scenario.
@@ -346,29 +306,32 @@ def _as_array(rows: list[list[float]], n: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * n).reshape(-1, n)
 
 
+def _stretch_rows(
+    A: np.ndarray, changed: np.ndarray, prev: list[float] | None
+) -> list[list[float]]:
+    """The rows of ``A`` as lists, one list object per stretch that starts at
+    a row marked ``changed``, with ``prev`` before the first mark: kernels
+    recognise a repeated row by identity, and it costs no allocation."""
+    rows, row, start = [], prev, 0
+    for r in np.flatnonzero(changed).tolist():
+        rows += [row] * (r - start)
+        row, start = A[r].tolist(), r
+    return rows + [row] * (len(A) - start)
+
+
 def _zeta_stretches(
     Z: np.ndarray, prev: list[float], carry: int
 ) -> tuple[np.ndarray, list[list[float]]]:
     """Stretches of unchanged cutoff rows in ``Z``, which follows the row
-    ``prev`` that closed a stretch of ``carry`` rounds.
-
-    Returns the length of the stretch ending at each row, and the rows as
-    lists, one list object per stretch (the min-consensus kernel
-    recognises repeated rows by identity).
-    """
+    ``prev`` that closed a stretch of ``carry`` rounds: the length of the
+    stretch ending at each row, and the rows as ``_stretch_rows`` lists."""
     changed = np.empty(len(Z), dtype=bool)
     changed[0] = (Z[0] != prev).any()
     changed[1:] = (Z[1:] != Z[:-1]).any(axis=1)
     idx = np.arange(len(Z))
     last_change = np.maximum.accumulate(np.where(changed, idx, -1))
     streaks = np.where(last_change >= 0, idx - last_change, carry + idx + 1)
-    rows: list[list[float]] = []
-    row, start = prev, 0
-    for r in np.flatnonzero(changed).tolist():
-        rows += [row] * (r - start)
-        row, start = Z[r].tolist(), r
-    rows += [row] * (len(Z) - start)
-    return streaks, rows
+    return streaks, _stretch_rows(Z, changed, prev)
 
 
 def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
@@ -403,7 +366,9 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
         ts = range(t0, min(t0 + size, inst.max_rounds + 1))
         graphs = mixing.block(ts.start, ts.stop)
         etas = [inst.step.eta(t) for t in ts]
-        ps = [inst.estimator.values(t) for t in ts]
+        P = inst.estimator.block(ts.start, ts.stop)
+        bits = P.view(np.uint64)  # rows equal bit for bit, as an exact split's, share a list
+        ps = _stretch_rows(P, np.append(True, (bits[1:] != bits[:-1]).any(axis=1)), None)
         X = _as_array(x_rounds(x, [g.rows for g in graphs], etas, ps, inst.surrogates), n)
         Z = cutoffs(inst.region_criticalities, X)
         streaks, zeta_rows = _zeta_stretches(Z, zeta, streak)
@@ -421,7 +386,7 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
         if record_trace:
             recorded.append((
                 np.array(etas[:m]), X[:m], Z[:m], _as_array(z_rows, n),
-                _as_array(alpha_rows, n), np.array(ps[:m]),
+                _as_array(alpha_rows, n), P[:m],
             ))
         t0 += m
         size = min(2 * size, CHUNK)

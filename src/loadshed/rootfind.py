@@ -2,10 +2,11 @@
 
 The recursion x(t+1) = W(t) x(t) - eta(t) y(t), with y_j(t) the local field
 evaluated at the node's own state, drives every node to a common root of
-the average limit field.  This module provides the shared one-round
-kernel, a fixed-field runner with convergence diagnostics, and executable
-checks of the boundedness, Lipschitz, sign, and deviation-rate conditions
-the convergence argument rests on.
+the average limit field.  This module provides the one-round kernel
+``mix_and_step``, a fixed-field runner, ``consensus_diagnostics`` (the
+disagreement, its ratio to the step size and the size of the mean of any
+block of estimates), and executable checks of the boundedness, Lipschitz,
+sign, and deviation-rate conditions the convergence argument rests on.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .netgraph import GraphSchedule, MixingCache, mixing_rows
+from .netgraph import GraphSchedule, MixingCache
 from .protocol import CHUNK
 
 SIGN_TOL = 1e-9
@@ -64,20 +65,6 @@ class TimeVaryingField:
         return math.fsum(values) / self.n
 
 
-def aux_update_round(
-    x: Sequence[float],
-    W: np.ndarray,
-    eta_t: float,
-    fld: TimeVaryingField,
-    t: float,
-) -> list[float]:
-    """One round of the generalized recursion with a dense mixing matrix."""
-    if W.shape[0] != len(x):
-        raise ValueError(f"state dimension {len(x)} does not match matrix {W.shape}")
-    y = [fld.evaluate(j, x[j], t) for j in range(len(x))]
-    return mix_and_step(x, mixing_rows(W), eta_t, y)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -111,8 +98,7 @@ class AssumptionCertificate:
     lipschitz: float = math.nan        # slope estimate, with safety factor
     deviation_rate: float = math.nan   # theta: |H - avg h(., t)| / eta(t)
     window: int = 0                    # B of the schedule in force
-    consensus_ratio: float | None = None  # nu: max disagreement / eta
-    sign_witness: float | None = None
+    consensus_ratio: float = math.nan  # nu: max disagreement / eta
     checks: dict[str, CheckResult] = field(default_factory=dict)
 
     @property
@@ -126,19 +112,14 @@ class AssumptionCertificate:
         lines = [str(c) for c in self.checks.values()]
         lines.append(
             f"constants: bound={self.bound:.6g} lipschitz={self.lipschitz:.6g} "
-            f"deviation_rate={self.deviation_rate:.6g} window={self.window}"
-            + (
-                f" consensus_ratio={self.consensus_ratio:.6g}"
-                if self.consensus_ratio is not None
-                else ""
-            )
+            f"deviation_rate={self.deviation_rate:.6g} window={self.window} "
+            f"consensus_ratio={self.consensus_ratio:.6g}"
         )
         return "\n".join(lines)
 
 
 def _sample_times(horizon: int, count: int = 24) -> list[int]:
-    times = sorted({int(round(x)) for x in np.geomspace(1, max(horizon, 1), count)})
-    return [t for t in times if t >= 1]
+    return sorted({int(round(x)) for x in np.geomspace(1, max(horizon, 1), count)})
 
 
 def verify_assumption_bounded_lipschitz(
@@ -235,6 +216,36 @@ def verify_deviation_rate(
     )
 
 
+class ConsensusDiagnostics(NamedTuple):
+    """Consensus diagnostics of a block of estimates, one row per round.
+
+    A peak is reported with the first round attaining it, and as (0.0, 1)
+    when no round has a positive value.
+    """
+
+    disagreement: np.ndarray   # (rounds,) max_j |x_j - mean|
+    ratio_max: float           # sup_t disagreement / eta  (consensus-rate nu)
+    ratio_argmax: int
+    mean_abs_max: float        # sup_t |mean(x)|  (boundedness monitor)
+    mean_abs_argmax: int
+
+
+def consensus_diagnostics(x: np.ndarray, eta: np.ndarray) -> ConsensusDiagnostics:
+    """Disagreement, its largest ratio to the step size and the largest
+    |mean| of the (rounds, n) estimates ``x`` under steps ``eta``.
+
+    The mean is numpy's row mean; rounds with eta = 0 have no ratio.
+    """
+    mean = x.mean(axis=1)
+    disagreement = np.abs(x - mean[:, None]).max(axis=1)
+    ratio = np.divide(disagreement, eta, out=np.zeros_like(disagreement), where=eta > 0)
+    peaks = []
+    for values in (ratio, np.abs(mean)):
+        k = int(np.argmax(np.append(0.0, values)))  # index k is round k; 0: none positive
+        peaks += [float(values[k - 1]) if k else 0.0, max(k, 1)]
+    return ConsensusDiagnostics(disagreement, *peaks)
+
+
 @dataclass(frozen=True)
 class RootRun:
     """Trajectory and diagnostics of a root-finding run."""
@@ -245,11 +256,7 @@ class RootRun:
     rounds: int
     x: np.ndarray              # (rounds, n)
     eta: np.ndarray            # (rounds,)
-    disagreement: np.ndarray   # (rounds,) max_i |x_i - mean|
-    ratio_max: float           # sup_t disagreement / eta  (consensus-rate nu)
-    ratio_argmax: int          # round where the sup was attained
-    mean_abs_max: float        # sup_t |mean(x)|  (boundedness monitor)
-    mean_abs_argmax: int
+    diagnostics: ConsensusDiagnostics
 
 
 def run_to_root(
@@ -265,7 +272,7 @@ def run_to_root(
     Convergence requires both the disagreement and the average limit field
     at the mean to fall inside the tolerance.  Diagnostics cover the
     consensus ratio (disagreement over step size) and the boundedness of
-    the running mean.
+    the running mean (``consensus_diagnostics``).
     """
     n = fld.n
     x = list(x0) if isinstance(x0, Sequence) else [float(x0)] * n
@@ -273,41 +280,21 @@ def run_to_root(
         raise ValueError(f"x0 has length {len(x)}, field has {n} nodes")
     t_large = 10.0 * max_rounds
     mixing = MixingCache(schedule)
-    xs, etas, disagreements = [], [], []
-    ratio_max, ratio_argmax = 0.0, 1
-    mean_abs_max, mean_abs_argmax = 0.0, 1
+    xs, etas = [], []
     converged = False
-    rounds = 0
     budget = range(1, max_rounds + 1)  # a chunk at a time: an early stop draws no more
     blocks = (mixing.block(t0, min(t0 + CHUNK, budget.stop)) for t0 in budget[::CHUNK])
     for t, graph in enumerate(chain.from_iterable(blocks), 1):
         eta_t = eta(t)
         y = [fld.evaluate(j, x[j], t) for j in range(n)]
         x = mix_and_step(x, graph.rows, eta_t, y)
+        xs.append(x)
+        etas.append(eta_t)
         mean = math.fsum(x) / n
         spread = max(abs(v - mean) for v in x)
-        xs.append(list(x))
-        etas.append(eta_t)
-        disagreements.append(spread)
-        rounds = t
-        if eta_t > 0 and spread / eta_t > ratio_max:
-            ratio_max, ratio_argmax = spread / eta_t, t
-        if abs(mean) > mean_abs_max:
-            mean_abs_max, mean_abs_argmax = abs(mean), t
         if spread <= tolerance and abs(fld.average_limit(mean, t_large)) <= tolerance:
             converged = True
             break
-    mean = math.fsum(x) / n
-    return RootRun(
-        root=mean,
-        x_final=tuple(x),
-        converged=converged,
-        rounds=rounds,
-        x=np.array(xs),
-        eta=np.array(etas),
-        disagreement=np.array(disagreements),
-        ratio_max=ratio_max,
-        ratio_argmax=ratio_argmax,
-        mean_abs_max=mean_abs_max,
-        mean_abs_argmax=mean_abs_argmax,
-    )
+    X, E = np.array(xs).reshape(len(xs), n), np.array(etas)
+    diagnostics = consensus_diagnostics(X, E)
+    return RootRun(math.fsum(x) / n, tuple(x), converged, len(xs), X, E, diagnostics)

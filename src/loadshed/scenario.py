@@ -15,7 +15,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -204,7 +204,7 @@ def build_schedule(config: ScenarioConfig) -> GraphSchedule:
         return normalize_edges(pairs, n)
 
     if spec.kind == "static":
-        return StaticSchedule(n, to_indices(spec.edges), max(1, spec.window))
+        return StaticSchedule(n, to_indices(spec.edges), spec.window)
     if spec.kind == "periodic":
         return PeriodicSchedule(
             n, tuple(to_indices(step) for step in spec.steps), spec.window
@@ -277,6 +277,15 @@ def validate(config: ScenarioConfig) -> None:
         raise ScenarioError("max_rounds must be positive")
     if config.convergence_window is not None and config.convergence_window < 1:
         raise ScenarioError("convergence window must be positive or null")
+    if not 1 <= config.graph.window <= config.max_rounds:
+        raise ScenarioError(
+            f"graph.window {config.graph.window} outside [1, max_rounds = {config.max_rounds}]"
+        )
+    # checked in every mode and graph kind, also where unused
+    for field, value in (("graph.edge_probability", config.graph.edge_probability),
+                         ("combiner_weight", config.combiner_weight)):
+        if not 0.0 <= value <= 1.0:
+            raise ScenarioError(f"{field} {value} outside [0, 1]")
 
     ids = region_ids(config)
     if len(set(ids)) != len(ids):
@@ -288,6 +297,7 @@ def validate(config: ScenarioConfig) -> None:
                     f"estimator.rows[{k}] has {len(row)} entries for {len(ids)} regions"
                 )
 
+    crits: list[float] = []
     if config.mode == "continuous":
         if not config.continuous_regions:
             raise ScenarioError("continuous mode needs continuous_regions")
@@ -315,12 +325,14 @@ def validate(config: ScenarioConfig) -> None:
                 f"infeasible: total sheddable power {total} is below the "
                 f"deficit {config.deficit}; the load set must cover the deficit"
             )
-        if config.ramp_width is not None:
-            try:
-                check_ramp_width((l.criticality for l in loads), config.ramp_width)
-            except ValueError as exc:
-                raise ScenarioError(str(exc)) from exc
+        crits = [l.criticality for l in loads]
+    if config.ramp_width is not None:  # continuous mode: positivity only
+        try:
+            check_ramp_width(crits, config.ramp_width)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
+    build_estimator(config)
     # schedule sanity: buildable, and unions over the horizon's windows connect
     schedule = build_schedule(config)
     report = check_window_connectivity(schedule, config.max_rounds)
@@ -427,12 +439,20 @@ def _field(doc: dict, key: str, kind: type, path: str = "", default=_REQUIRED):
     return _checked(value, kind, path, key)
 
 
-def _objects(doc: dict, key: str, path: str = "") -> list[tuple[dict, str]]:
-    """Each object of the array ``doc[key]``, with its JSON path."""
-    return [
-        (_checked(item, dict, f"{path}{key}[{k}]"), f"{path}{key}[{k}].")
-        for k, item in enumerate(_field(doc, key, list, path))
-    ]
+def _known(doc: dict, keys: str, path: str = "") -> dict:
+    """``doc``, once none of its keys lies outside the space-separated ``keys``."""
+    unknown = sorted(set(doc) - set(keys.split()))
+    if unknown:
+        raise ScenarioError(f"unknown field {path}{unknown[0]}")
+    return doc
+
+
+def _objects(doc: dict, key: str, keys: str, path: str = "") -> Iterator[tuple[dict, str]]:
+    """Each object of the array ``doc[key]``, with its JSON path; an object
+    may hold only the space-separated ``keys``."""
+    for k, item in enumerate(_field(doc, key, list, path)):
+        item_path = f"{path}{key}[{k}]"
+        yield _known(_checked(item, dict, item_path), keys, item_path + "."), item_path + "."
 
 
 def _edges(items: list, field: str) -> tuple[tuple[int, int], ...]:
@@ -445,8 +465,11 @@ def _edges(items: list, field: str) -> tuple[tuple[int, int], ...]:
 
 
 def _config_from_dict(doc: dict) -> ScenarioConfig:
+    _known(doc, "version mode deficit seed combiner_weight ramp_width x0 graph step "
+                "estimator max_rounds convergence_window regions")
     mode = _field(doc, "mode", str)
-    graph_doc = _field(doc, "graph", dict)
+    graph_doc = _known(_field(doc, "graph", dict), "kind edges steps edge_probability window",
+                       "graph.")
     steps = _field(graph_doc, "steps", list, "graph.", ())
     graph = GraphSpec(
         kind=_field(graph_doc, "kind", str, "graph."),
@@ -458,14 +481,17 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
         edge_probability=_field(graph_doc, "edge_probability", float, "graph.", 0.5),
         window=_field(graph_doc, "window", int, "graph.", 1),
     )
-    step_doc = _field(doc, "step", dict, default={})
+    step_doc = _known(_field(doc, "step", dict, default={}), "gain offset exponent", "step.")
     step = StepSchedule(
         gain=_field(step_doc, "gain", float, "step.", 1.0),
         offset=_field(step_doc, "offset", float, "step.", 1.0),
         exponent=_field(step_doc, "exponent", float, "step.", 1.0),
     )
-    est_doc = _field(doc, "estimator", dict, default={"kind": "exact_split"})
+    est_doc = _known(_field(doc, "estimator", dict, default={"kind": "exact_split"}),
+                     "kind rows", "estimator.")
     rows = _field(est_doc, "rows", list, "estimator.", ())
+    if "rows" in est_doc and not rows:
+        raise ScenarioError("estimator.rows must hold at least one row")
     estimator = EstimatorSpec(
         kind=_field(est_doc, "kind", str, "estimator."),
         rows=tuple(
@@ -486,7 +512,7 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
                 capacity=_field(r, "capacity", float, path),
                 criticality=_field(r, "criticality", int, path),
             )
-            for r, path in _objects(doc, "regions")
+            for r, path in _objects(doc, "regions", "id capacity criticality")
         )
     else:
         regions = tuple(
@@ -500,10 +526,10 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
                         nature_criticality=_field(l, "nature_criticality", float, load_path),
                         region_id=r["id"],
                     )
-                    for l, load_path in _objects(r, "loads", path)
+                    for l, load_path in _objects(r, "loads", "id power nature_criticality", path)
                 ),
             )
-            for r, path in _objects(doc, "regions")
+            for r, path in _objects(doc, "regions", "id criticality loads")
         )
     stop_window = doc.get("convergence_window", 50)
     config = ScenarioConfig(

@@ -41,14 +41,9 @@ def unit_float(h):
     return (h >> 11) * 2.0 ** -53
 
 
-def uniform(seed: int, tag: int, *indices: int) -> float:
-    """Deterministic draw in [0, 1) for the given stream position."""
-    return unit_float(mix64(seed, tag, *indices))
-
-
 def symmetric_uniform(seed: int, tag: int, *indices: int) -> float:
-    """Deterministic draw in [-1, 1)."""
-    return 2.0 * uniform(seed, tag, *indices) - 1.0
+    """Deterministic draw in [-1, 1) for the given stream position."""
+    return 2.0 * unit_float(mix64(seed, tag, *indices)) - 1.0
 
 
 def mix64_grid(seed: int, tag: int, rows, cols) -> np.ndarray:

@@ -288,12 +288,8 @@ class TestAcceptance:
         # criteria plus a numeric certificate for the noisy estimator
         step = StepSchedule(1.0, 1.0, 1.0)
         estimator = NoisySplit(2.94, 4, seed=42)
-        theta = certify_deficit_tracking(estimator, step, 100_000)
-        bounded = all(
-            abs(v) <= 2.94 / 4 + 1.0
-            for t in (1, 10, 1000, 100_000)
-            for v in estimator.values(t)
-        )
+        theta = certify_deficit_tracking(estimator, step, 100_000, 2.94)
+        bounded = bool((np.abs(estimator.block(1, 100_001)) <= 2.94 / 4 + 1.0).all())
         report(
             7,
             theta <= 2 * 4 and bounded,

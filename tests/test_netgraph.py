@@ -165,7 +165,7 @@ class TestMixingCache:
         mixing = MixingCache(schedule)
         for t in range(1, 30):
             edges = schedule.edges_at(t)
-            entry = mixing.at(t)
+            (entry,) = mixing.block(t, t + 1)
             assert entry.rows == mixing_rows(metropolis_weights(edges, 5))
             assert entry.neighbors == neighbor_lists(edges, 5)
 
@@ -173,8 +173,10 @@ class TestMixingCache:
         line = frozenset({(0, 1), (1, 2)})
         schedule = PeriodicSchedule(3, (line, frozenset({(0, 1)}), line))
         mixing = MixingCache(schedule)
-        assert mixing.at(1) is mixing.at(3) is mixing.at(4)
-        assert mixing.at(2) is not mixing.at(1)
+        one, two, three, four = mixing.block(1, 5)
+        assert one is three is four
+        assert two is not one
+        assert mixing.block(7, 8)[0] is one
 
     def test_bounded_on_many_distinct_graphs(self):
         # 12 regions: nearly every round draws a new edge set

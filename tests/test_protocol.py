@@ -20,6 +20,7 @@ from loadshed.netgraph import (
     RandomSchedule,
     StaticSchedule,
     metropolis_weights,
+    mixing_rows,
     neighbor_lists,
     normalize_edges,
 )
@@ -33,10 +34,10 @@ from loadshed.protocol import (
     TraceEstimator,
     certify_deficit_tracking,
     cutoffs,
-    dmc_round,
+    dmc_rounds,
     run_protocol,
     shed_decision,
-    x_update_round,
+    x_rounds,
 )
 from loadshed import scenario
 from loadshed.seeding import noise_matrix, symmetric_uniform, STREAM_NOISE
@@ -115,33 +116,39 @@ class TestStepSchedule:
 class TestEstimators:
     def test_exact_split_quarters(self):
         est = ExactSplit(2.94, 4)
-        assert est.values(1) == (0.735, 0.735, 0.735, 0.735)
-        assert est.values(1000) == (0.735, 0.735, 0.735, 0.735)
+        assert est.block(1, 2).tolist() == [[0.735] * 4]
+        assert est.block(1000, 1002).tolist() == [[0.735] * 4] * 2
 
     def test_exact_split_zero(self):
-        assert ExactSplit(0.0, 3).values(5) == (0.0, 0.0, 0.0)
+        assert ExactSplit(0.0, 3).block(5, 6).tolist() == [[0.0, 0.0, 0.0]]
 
     def test_noisy_split_bound(self):
+        # each row is the scalar draw of its own round, within 1/t of the share
         est = NoisySplit(2.94, 4, seed=5)
         base = 2.94 / 4
         for t in (1, 2, 17, 400):
-            vals = est.values(t)
+            vals = est.block(t, t + 1)[0].tolist()
+            assert vals == [base + symmetric_uniform(5, STREAM_NOISE, t, j) / t for j in range(4)]
             assert all(abs(v - base) <= 1.0 / t for v in vals)
-
-    def test_noisy_split_clock_start(self):
-        est = NoisySplit(2.0, 2, seed=1)
-        assert est.values(0) == (1.0, 1.0)
 
     def test_noisy_split_deterministic(self):
         a = NoisySplit(1.0, 3, seed=9)
         b = NoisySplit(1.0, 3, seed=9)
-        assert a.values(42) == b.values(42)
+        assert np.array_equal(a.block(42, 43), b.block(42, 43))
+
+    def test_estimator_blocks_are_their_rows(self):
+        # a block of rounds equals the one-round blocks stacked
+        for est in (ExactSplit(2.94, 4), NoisySplit(2.94, 4, seed=5),
+                    TraceEstimator(((1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0)))):
+            block = est.block(1, 300)
+            assert block.dtype == np.float64 and block.shape == (299, 4)
+            assert block.tolist() == [est.block(t, t + 1)[0].tolist() for t in range(1, 300)]
 
     def test_trace_estimator_replay_and_clamp(self):
-        est = TraceEstimator(((1.0, 2.0), (3.0, 4.0)))
-        assert est.values(1) == (1.0, 2.0)
-        assert est.values(2) == (3.0, 4.0)
-        assert est.values(99) == (3.0, 4.0)
+        est = TraceEstimator(((1, 2.0), (3.0, 4.0)))
+        assert est.block(1, 4).tolist() == [[1.0, 2.0], [3.0, 4.0], [3.0, 4.0]]
+        assert est.block(99, 100).tolist() == [[3.0, 4.0]]
+        assert est.block(1, 2).dtype == np.float64  # integer entries read as floats
 
     def test_trace_estimator_ragged_rejected(self):
         with pytest.raises(ValueError):
@@ -156,17 +163,25 @@ class TestEstimators:
 
     def test_tracking_certificate(self):
         step = StepSchedule()
-        assert certify_deficit_tracking(ExactSplit(5.0, 4), step, 1000) == 0.0
-        theta = certify_deficit_tracking(NoisySplit(5.0, 4, seed=2), step, 50_000)
-        assert theta <= 2 * 4
+        assert certify_deficit_tracking(ExactSplit(5.0, 4), step, 1000, 5.0) == 0.0
+        theta = certify_deficit_tracking(NoisySplit(5.0, 4, seed=2), step, 50_000, 5.0)
+        assert 0.0 < theta <= 2 * 4
 
     def test_tracking_certificate_trace(self):
-        # replayed table: rows sum to 3.0, 3.2, 3.0 against the final 3.0,
+        # replayed table: rows sum to 3.0, 3.2, 3.0 against the deficit 3.0,
         # so the worst deviation ratio is 0.2 / eta(2)
         est = TraceEstimator(((1.0, 2.0), (1.6, 1.6), (1.5, 1.5)))
         step = StepSchedule()
-        theta = certify_deficit_tracking(est, step, 10)
+        theta = certify_deficit_tracking(est, step, 10, 3.0)
         assert theta == pytest.approx(0.2 / step.eta(2), rel=1e-9)
+
+    def test_tracking_certificate_trace_off_the_deficit(self):
+        # a table that never sums to the deficit: the ratio grows like
+        # 0.5 (t + 1) and peaks at the last round
+        est = TraceEstimator(((3.0, 3.5),))
+        step = StepSchedule()
+        assert certify_deficit_tracking(est, step, 3000, 6.0) == 0.5 / step.eta(3000)
+        assert certify_deficit_tracking(est, step, 3000, 6.5) == 0.0
 
 
 class TestXUpdate:
@@ -174,31 +189,25 @@ class TestXUpdate:
         # one region whose surrogate vanishes at the current estimate:
         # the update moves by the full deficit estimate
         s = SurrogateCcf(build_ccf([(2.0, 0.5)]), 0.1)
-        new = x_update_round([0.0], np.array([[1.0]]), 1.0, [2.0], [s])
+        (new,) = x_rounds([0.0], [mixing_rows(np.array([[1.0]]))], [1.0], [[2.0]], [s])
         assert new == [2.0]
 
     def test_zero_step_is_pure_averaging(self):
         pairs_a, pairs_b = FIG_PAIRS[:4], FIG_PAIRS[4:]
         surrogates = [SurrogateCcf(build_ccf(p), FIG_RAMP) for p in (pairs_a, pairs_b)]
         W = np.array([[0.5, 0.5], [0.5, 0.5]])
-        new = x_update_round([1.0, 3.0], W, 0.0, [5.0, 5.0], surrogates)
+        (new,) = x_rounds([1.0, 3.0], [mixing_rows(W)], [0.0], [[5.0, 5.0]], surrogates)
         assert new == [2.0, 2.0]
-
-    def test_dimension_mismatch(self):
-        s = SurrogateCcf(build_ccf([(2.0, 0.5)]), 0.1)
-        with pytest.raises(ValueError):
-            x_update_round([0.0, 1.0], np.array([[1.0]]), 1.0, [2.0, 2.0], [s, s])
 
     def test_locality(self):
         # region 0 talks only to region 1: changing region 2's state can
         # never alter region 0's update
         pairs = [FIG_PAIRS[:3], FIG_PAIRS[3:6], FIG_PAIRS[6:]]
         surrogates = [SurrogateCcf(build_ccf(p), FIG_RAMP) for p in pairs]
-        W = metropolis_weights([(0, 1), (1, 2)], 3)
-        x = [0.3, 0.5, 0.9]
-        p = [2.0, 2.0, 2.0]
-        base = x_update_round(x, W, 0.1, p, surrogates)
-        poked = x_update_round([0.3, 0.5, 0.0], W, 0.1, p, surrogates)
+        rows = [mixing_rows(metropolis_weights([(0, 1), (1, 2)], 3))]
+        p = [[2.0, 2.0, 2.0]]
+        (base,) = x_rounds([0.3, 0.5, 0.9], rows, [0.1], p, surrogates)
+        (poked,) = x_rounds([0.3, 0.5, 0.0], rows, [0.1], p, surrogates)
         assert poked[0] == base[0]
         assert poked[1] != base[1]
 
@@ -228,19 +237,19 @@ class TestDmcRound:
         zeta = [0.5, 0.3, 0.9]
         z = [math.inf] * 3
         alpha = [half] * 3
-        z, alpha = dmc_round(z, alpha, zeta, neighbors, c)
+        (z,), (alpha,) = dmc_rounds(z, alpha, [zeta], [neighbors], c)
         assert z == [0.5, 0.3, 0.9]
-        z, alpha = dmc_round(z, alpha, zeta, neighbors, c)
+        (z,), (alpha,) = dmc_rounds(z, alpha, [zeta], [neighbors], c)
         assert z == [0.3 + half, 0.3, 0.3 + half]
-        z2, alpha = dmc_round(z, alpha, zeta, neighbors, c)
+        (z2,), (alpha,) = dmc_rounds(z, alpha, [zeta], [neighbors], c)
         assert z2 == z  # fixed point reached within diameter rounds
         assert min(z2) == 0.3
         assert all(v <= 0.3 + 2 * half for v in z2)
 
     def test_single_node_tracks_own_cutoff(self):
-        z, alpha = dmc_round([math.inf], [0.025], [0.4], [[]], 0.05)
+        (z,), (alpha,) = dmc_rounds([math.inf], [0.025], [[0.4]], [[[]]], 0.05)
         assert z == [0.4]
-        z, alpha = dmc_round(z, alpha, [0.4], [[]], 0.05)
+        (z,), (alpha,) = dmc_rounds(z, alpha, [[0.4]], [[[]]], 0.05)
         assert z == [0.4]
 
     def test_sentinel_never_injected(self):
@@ -248,14 +257,14 @@ class TestDmcRound:
         z = [0.4, math.inf]
         alpha = [c / 2, c / 2]
         zeta = [0.4, math.inf]
-        z, alpha = dmc_round(z, alpha, zeta, [[1], [0]], c)
+        (z,), (alpha,) = dmc_rounds(z, alpha, [zeta], [[[1], [0]]], c)
         assert z[1] == 0.4 + c / 2  # finite: tracks the neighbor plus step
         assert z[0] == 0.4
 
     def test_alpha_resets_large_after_increase(self):
         c = 0.05
         # cutoff jumps upward: the node's value rises, so alpha goes to 1/2
-        z, alpha = dmc_round([0.2], [c / 2], [0.6], [[]], c)
+        (z,), (alpha,) = dmc_rounds([0.2], [c / 2], [[0.6]], [[[]]], c)
         assert z == [0.2 + c / 2]
         assert alpha == [0.5]
 
@@ -328,8 +337,8 @@ class TestRunProtocol:
 
 
 def per_round_run(inst):
-    """The protocol as a plain loop of the public one-round functions:
-    x_update_round, then local_zeta per region, then dmc_round."""
+    """The protocol as a plain loop, one round at a time: x_rounds, then
+    local_zeta per region, then dmc_rounds, each on one-round inputs."""
     n = len(inst.region_criticalities)
     x = [float(inst.x0)] * n
     zeta = [math.inf] * n
@@ -339,12 +348,15 @@ def per_round_run(inst):
     rows = []
     for t in range(1, inst.max_rounds + 1):
         edges = inst.schedule.edges_at(t)
-        eta, p = inst.step.eta(t), inst.estimator.values(t)
-        x = x_update_round(x, metropolis_weights(edges, n), eta, p, inst.surrogates)
+        eta, p = inst.step.eta(t), inst.estimator.block(t, t + 1)[0].tolist()
+        w_rows = mixing_rows(metropolis_weights(edges, n))
+        (x,) = x_rounds(x, [w_rows], [eta], [p], inst.surrogates)
         new_zeta = [local_zeta(c, v) for c, v in zip(inst.region_criticalities, x)]
         streak = streak + 1 if new_zeta == zeta else 0
         zeta = new_zeta
-        z, alpha = dmc_round(z, alpha, zeta, neighbor_lists(edges, n), inst.ramp_width)
+        (z,), (alpha,) = dmc_rounds(
+            z, alpha, [zeta], [neighbor_lists(edges, n)], inst.ramp_width
+        )
         rows.append((t, eta, x, zeta, z, alpha, p))
         if inst.convergence_window is not None and streak >= inst.convergence_window:
             break
@@ -352,8 +364,8 @@ def per_round_run(inst):
 
 
 class TestEngineComposition:
-    """run_protocol equals the per-round loop of the public round functions,
-    bit for bit, across chunk boundaries and early stops."""
+    """run_protocol equals the per-round loop of its kernels, bit for bit,
+    across chunk boundaries and early stops."""
 
     def assert_same(self, inst):
         rows, streak = per_round_run(inst)
@@ -387,6 +399,14 @@ class TestEngineComposition:
         config = scenario.generate_scenario(4, 12, seed=3, graph="random-periodic", max_rounds=1500)
         inst = scenario.build_instance(config)
         assert isinstance(inst.schedule, PeriodicSchedule)
+        self.assert_same(inst)
+
+    def test_replayed_table_changing_mid_chunk(self):
+        # rows change every round, repeat in pairs, then the last repeats
+        table = tuple((3.0 + 0.01 * (k // 2 % 3), 3.0) for k in range(100))
+        inst = dataclasses.replace(
+            fig_two_region_instance(max_rounds=300, window=None), estimator=TraceEstimator(table)
+        )
         self.assert_same(inst)
 
     def test_random_schedule_noisy_estimates(self):

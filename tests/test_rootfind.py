@@ -7,7 +7,7 @@ import pytest
 
 from loadshed import netgraph, rootfind
 from loadshed.criticality import SurrogateCcf, build_ccf, eval_surrogate
-from loadshed.netgraph import RandomSchedule, StaticSchedule, normalize_edges
+from loadshed.netgraph import RandomSchedule, StaticSchedule, mixing_rows, normalize_edges
 from loadshed.oracle import exact_z_hat
 from loadshed.protocol import (
     CHUNK,
@@ -19,7 +19,8 @@ from loadshed.protocol import (
 )
 from loadshed.rootfind import (
     TimeVaryingField,
-    aux_update_round,
+    consensus_diagnostics,
+    mix_and_step,
     run_to_root,
     verify_assumption_bounded_lipschitz,
     verify_deviation_rate,
@@ -32,16 +33,17 @@ LINE4 = StaticSchedule(4, normalize_edges([(0, 1), (1, 2), (2, 3)], 4))
 ETA = StepSchedule(1.0, 1.0, 1.0)
 
 
-def shedding_field(pairs_by_region, ramp, estimator):
-    """Per-region surrogate CCFs minus deficit estimates as a field."""
+def shedding_field(pairs_by_region, ramp, estimator, rounds=2000):
+    """Per-region surrogate CCFs minus deficit estimates as a field, for
+    rounds 1..rounds."""
     surrogates = [SurrogateCcf(build_ccf(p), ramp) for p in pairs_by_region]
     n = len(surrogates)
     deficit = estimator.deficit
+    estimates = estimator.block(1, rounds + 1).tolist()
 
     return TimeVaryingField(
         n=n,
-        evaluate=lambda j, z, t: eval_surrogate(surrogates[j], z)
-        - estimator.values(int(t))[j],
+        evaluate=lambda j, z, t: eval_surrogate(surrogates[j], z) - estimates[int(t) - 1][j],
         limit=lambda j, z: eval_surrogate(surrogates[j], z) - deficit / n,
     )
 
@@ -62,11 +64,10 @@ class TestAuxUpdate:
     def test_telescoping_contraction(self):
         # h(z, t) = z on one node: x(t) shrinks by (1 - eta) each round,
         # giving exactly 1/(t+1) after t rounds of the harmonic step
-        fld = TimeVaryingField(1, lambda j, z, t: z, limit=lambda j, z: z)
-        W = np.array([[1.0]])
+        rows = mixing_rows(np.array([[1.0]]))
         x = [1.0]
         for t in range(1, 200):
-            x = aux_update_round(x, W, ETA.eta(t), fld, t)
+            x = mix_and_step(x, rows, ETA.eta(t), x)
         assert x[0] == pytest.approx(1.0 / 200.0, rel=1e-9)
 
     def test_zero_field_is_pure_consensus(self):
@@ -75,11 +76,6 @@ class TestAuxUpdate:
                           tolerance=1e-9, max_rounds=4000)
         assert run.converged
         assert run.root == pytest.approx(1.0, abs=1e-8)  # the initial mean
-
-    def test_dimension_check(self):
-        fld = TimeVaryingField(2, lambda j, z, t: 0.0)
-        with pytest.raises(ValueError):
-            aux_update_round([0.0], np.eye(2), 0.5, fld, 1)
 
 
 class TestModuleEquivalence:
@@ -253,6 +249,21 @@ class TestRunToRoot:
 
 
 class TestConvergenceDiagnostics:
+    def test_consensus_diagnostics_by_hand(self):
+        x = np.array([[1.0, 3.0], [0.0, 0.0], [5.0, 1.0], [-4.0, -4.0], [2.0, 0.0]])
+        eta = np.array([0.5, 0.25, 0.0, 0.1, 0.5])
+        d = consensus_diagnostics(x, eta)
+        assert d.disagreement.tolist() == [1.0, 0.0, 2.0, 0.0, 1.0]
+        # round 3 disagrees most but has eta = 0, so no ratio; round 5 ties
+        # round 1, and the first round attaining the peak is reported
+        assert (d.ratio_max, d.ratio_argmax) == (2.0, 1)
+        assert (d.mean_abs_max, d.mean_abs_argmax) == (4.0, 4)
+
+    def test_consensus_diagnostics_in_agreement(self):
+        d = consensus_diagnostics(np.zeros((3, 2)), np.ones(3))
+        assert d.disagreement.tolist() == [0.0, 0.0, 0.0]
+        assert d[1:] == (0.0, 1, 0.0, 1)
+
     def test_consensus_ratio_peaks_early(self):
         # ten seeded noisy-estimator runs of the continuous shedding field:
         # the disagreement-to-step ratio attains its maximum in the first
@@ -262,29 +273,29 @@ class TestConvergenceDiagnostics:
         caps = [(1.2, 1.0), (1.2, 2.0), (1.2, 2.0), (1.2, 3.0)]
         surrogates = [SurrogateCcf(build_ccf([(cap, crit)]), 1.0) for cap, crit in caps]
         for seed in range(10):
-            est = NoisySplit(1.8, 4, seed=seed)
+            estimates = NoisySplit(1.8, 4, seed=seed).block(1, 2001).tolist()
             fld = TimeVaryingField(
                 4,
-                evaluate=lambda j, z, t, e=est: eval_surrogate(surrogates[j], z)
-                - e.values(int(t))[j],
+                evaluate=lambda j, z, t, e=estimates: eval_surrogate(surrogates[j], z)
+                - e[int(t) - 1][j],
                 limit=lambda j, z: eval_surrogate(surrogates[j], z) - 0.45,
             )
             run = run_to_root(fld, LINE4, ETA.eta, x0=1.0, tolerance=0.0,
                               max_rounds=2000)
-            assert run.ratio_argmax <= 200
-            ratio = run.disagreement / run.eta
-            assert ratio[200:].max() <= ratio[: run.ratio_argmax + 1].max() + 1e-12
+            assert run.diagnostics.ratio_argmax <= 200
+            ratio = run.diagnostics.disagreement / run.eta
+            assert ratio[200:].max() <= ratio[: run.diagnostics.ratio_argmax + 1].max() + 1e-12
 
     def test_mean_stays_bounded(self):
         # boundedness monitor: |mean| never leaves the criticality range
         # and its running max grows negligibly once the transit is over
         run = run_to_root(continuous_field(), LINE4, ETA.eta, x0=0.0,
                           tolerance=0.0, max_rounds=3000)
-        assert math.isfinite(run.mean_abs_max)
-        assert run.mean_abs_max <= 3.0
+        assert math.isfinite(run.diagnostics.mean_abs_max)
+        assert run.diagnostics.mean_abs_max <= 3.0
         means = np.abs(run.x.mean(axis=1))
         half_max = means[: 3000 // 2].max()
-        assert run.mean_abs_max <= half_max * 1.05
+        assert run.diagnostics.mean_abs_max <= half_max * 1.05
 
     def test_lyapunov_monitor(self):
         # test-side decrease monitor: squared distance of the mean to the

@@ -107,6 +107,54 @@ class TestLoadScenario:
             loads_scenario(json.dumps(doc))
 
 
+    @pytest.mark.parametrize(
+        "config, where, field",
+        [
+            ("two_region_step_example.json", (), "convergence_windw"),
+            ("two_region_step_example.json", ("graph",), "graph.windw"),
+            ("two_region_step_example.json", ("step",), "step.gian"),
+            ("two_region_step_example.json", ("estimator",), "estimator.row"),
+            ("two_region_step_example.json", ("regions", 1), "regions[1].critical"),
+            ("two_region_step_example.json", ("regions", 0, "loads", 1), "regions[0].loads[1].pwr"),
+            ("continuous_four_regions.json", ("regions", 2), "regions[2].cap"),
+        ],
+        ids=["root", "graph", "step", "estimator", "region", "load", "continuous-region"],
+    )
+    def test_unknown_field_rejected(self, config, where, field, capsys, tmp_path):
+        doc = json.loads((CONFIG_DIR / config).read_text())
+        target = doc
+        for key in where:
+            target = target[key]
+        target[re.split(r"[.\]]", field)[-1]] = 5
+        path = tmp_path / "misspelt.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: unknown field {field}\n"
+
+    @pytest.mark.parametrize(
+        "config, field, value, message",
+        [
+            ("continuous_four_regions.json", "combiner_weight", 5, "combiner_weight"),
+            ("continuous_four_regions.json", "ramp_width", -1, "ramp width"),
+            ("two_region_step_example.json", "graph.edge_probability", 2, "edge_probability"),
+            ("two_region_step_example.json", "estimator.rows", [], "estimator.rows"),
+            ("two_region_step_example.json", "estimator.kind", "oracle", "estimator kind"),
+        ],
+        ids=["weight-continuous", "ramp-continuous", "probability-static", "rows-empty",
+             "estimator-kind"],
+    )
+    def test_unused_fields_still_checked(self, config, field, value, message):
+        # fields a mode or kind does not read are checked all the same
+        doc = json.loads((CONFIG_DIR / config).read_text())
+        *parents, key = field.split(".")
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[key] = value
+        with pytest.raises(ScenarioError, match=message):
+            loads_scenario(json.dumps(doc))
+
+
 class TestRoundTrip:
     def test_dump_load_identity(self, tmp_path):
         config = generate_scenario(3, 5, seed=11, graph="line")
@@ -448,6 +496,44 @@ class TestCli:
         assert captured.err.startswith(f"error: {field} ")
         with pytest.raises(ScenarioError, match=re.escape(field)):
             load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "graph, window",
+        [
+            ({"kind": "static", "edges": [[1, 2]]}, 0),
+            ({"kind": "static", "edges": [[1, 2]]}, -2),
+            ({"kind": "periodic", "steps": [[[1, 2]]]}, 0),
+            ({"kind": "static", "edges": [[1, 2]]}, 3001),
+        ],
+        ids=["static-0", "static-negative", "periodic-0", "above-max-rounds"],
+    )
+    def test_window_outside_horizon_rejected(self, graph, window, capsys, tmp_path):
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        assert doc["max_rounds"] == 3000
+        doc["graph"] = {**graph, "window": window}
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: graph.window {window} outside [1, max_rounds = 3000]\n"
+
+    @pytest.mark.parametrize(
+        "row, code, line",
+        [
+            ([3, 3.5], 2, "deficit_tracking: FAIL  value=15000.5  bound 4"),
+            ([3, 3], 0, "deficit_tracking: pass  value=0  bound 4"),
+        ],
+        ids=["off-the-deficit", "on-the-deficit"],
+    )
+    def test_check_deficit_tracking(self, row, code, line, capsys, tmp_path):
+        # theta is measured against the config's deficit (6), so a table
+        # that misses it by 0.5 fails at 0.5 (t + 1) over 30 000 rounds
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        doc["estimator"] = {"kind": "trace", "rows": [row]}
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", str(path)]) == code
+        assert line in capsys.readouterr().out.splitlines()
 
     def test_validation_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
