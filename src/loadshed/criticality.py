@@ -14,6 +14,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Load:
@@ -217,26 +219,31 @@ class SurrogateCcf:
 
     def __post_init__(self):
         check_ramp_width(self.base.breakpoints, self.ramp_width)
+        # eval_surrogate's arrays: breakpoints, and cumulative loads after a leading 0.0
+        object.__setattr__(self, "_bps", np.array(self.base.breakpoints, dtype=np.float64))
+        object.__setattr__(self, "_cum", np.array((0.0, *self.base.cumulative)))
 
 
-def eval_surrogate(surrogate: SurrogateCcf, z: float) -> float:
-    """Evaluate the surrogate CCF at z.
+def eval_surrogate(surrogate: SurrogateCcf, z: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate the surrogate CCF at z, a float or a float64 array.
 
-    Because the ramp width never exceeds the smallest breakpoint gap, at
-    most one ramp is partially climbed at any z: everything below is fully
-    counted, everything above contributes nothing.
+    A float gives a float, an array an array of its shape.  Because the
+    ramp width never exceeds the smallest breakpoint gap, at most one ramp
+    is partially climbed at any z: everything below is fully counted,
+    everything above contributes nothing.  Each point takes the arithmetic
+    of the scalar recursion in ``protocol.x_rounds``, bit for bit.
     """
-    bps = surrogate.base.breakpoints
-    cum = surrogate.base.cumulative
-    idx = bisect_right(bps, z)
-    value = cum[idx - 1] if idx else 0.0
-    if idx < len(bps):
-        d = z - bps[idx]
-        if d > -surrogate.ramp_width:
-            value += (cum[idx] - (cum[idx - 1] if idx else 0.0)) * (
-                d / surrogate.ramp_width + 1.0
-            )
-    return value
+    bps, cum, c = surrogate._bps, surrogate._cum, surrogate.ramp_width
+    zs = np.asarray(z, dtype=np.float64).reshape(-1)
+    idx = np.searchsorted(bps, zs, side="right")
+    value = cum[idx]  # the load at or below z
+    # the ramp term only below the last breakpoint, on the ramp to the next
+    lanes = np.flatnonzero(idx < len(bps))
+    d = zs[lanes] - bps[idx[lanes]]
+    lanes, d = lanes[d > -c], d[d > -c]
+    below = value[lanes]
+    value[lanes] = below + (cum[idx[lanes] + 1] - below) * (d / c + 1.0)
+    return value.reshape(np.shape(z)) if np.ndim(z) else float(value[0])
 
 
 def local_zeta(sorted_criticalities: Sequence[float], x: float) -> float:

@@ -49,20 +49,32 @@ def mix_and_step(
 class TimeVaryingField:
     """Per-node field h(j, z, t) with an optional declared limit field.
 
-    ``limit`` gives lim_{t->inf} h(j, z, .) when known analytically; when
-    absent, certificates estimate it from late-time samples.
+    ``evaluate(j, z, t)`` and ``limit(j, z)`` take z as a float (from
+    ``run_to_root``) or as a float64 array (the verifiers' whole grid) and
+    return a value of its shape.  ``limit`` gives lim_{t->inf} h(j, z, .)
+    when known analytically; when absent, certificates estimate it from
+    late-time samples.
     """
 
     n: int
     evaluate: Callable[[int, float, float], float]
     limit: Callable[[int, float], float] | None = None
 
-    def average_limit(self, z: float, t_large: float) -> float:
+    def average_limit(self, z: float | np.ndarray, t_large: float) -> float | np.ndarray:
+        """Mean over nodes of the limit field at z, a float or an array."""
         if self.limit is not None:
             values = [self.limit(j, z) for j in range(self.n)]
         else:
             values = [self.evaluate(j, z, t_large) for j in range(self.n)]
-        return math.fsum(values) / self.n
+        return _node_mean(values)
+
+
+def _node_mean(values: Sequence[float] | Sequence[np.ndarray]) -> float | np.ndarray:
+    """Mean of one value per node, each a float or a 1-D array over one grid:
+    ``math.fsum`` across nodes at each point over the node count."""
+    if np.ndim(values[0]) == 0:
+        return math.fsum(values) / len(values)
+    return np.array([math.fsum(p) for p in np.stack(values, axis=-1).tolist()]) / len(values)
 
 
 @dataclass(frozen=True)
@@ -131,11 +143,10 @@ def verify_assumption_bounded_lipschitz(
     slope = 0.0
     for t in times:
         for j in range(fld.n):
-            values = [fld.evaluate(j, float(z), t) for z in grid]
-            bound = max(bound, max(abs(v) for v in values))
-            for i in range(1, len(grid) - 1):
-                quotient = abs(values[i + 1] - values[i - 1]) / (grid[i + 1] - grid[i - 1])
-                slope = max(slope, quotient)
+            v = fld.evaluate(j, grid, t)
+            quotients = np.abs(v[2:] - v[:-2]) / (grid[2:] - grid[:-2])
+            bound = max(bound, float(np.abs(v).max()))
+            slope = max(slope, float(np.max(quotients, initial=0.0)))
     slope *= LIPSCHITZ_SAFETY
     bounded = CheckResult(
         "field_bounded", math.isfinite(bound), bound,
@@ -154,7 +165,7 @@ def verify_sign_condition(
     when the limit never changes sign); the winner must keep the product
     above -SIGN_TOL across the whole grid.
     """
-    H = np.array([fld.average_limit(float(z), t_large) for z in grid])
+    H = fld.average_limit(grid, t_large)
     candidates: list[float] = []
     for i in range(len(grid) - 1):
         if H[i] == 0.0:
@@ -196,15 +207,12 @@ def verify_deviation_rate(
     """
     times = _sample_times(horizon, count=40)
     t_large = 10.0 * max(horizon, 1)
-    H = [fld.average_limit(float(z), t_large) for z in grid]
+    H = fld.average_limit(grid, t_large)
     running = 0.0
     attained_at = 1
     for t in times:
-        worst = 0.0
-        for zi, z in enumerate(grid):
-            avg = math.fsum(fld.evaluate(j, float(z), t) for j in range(fld.n)) / fld.n
-            worst = max(worst, abs(H[zi] - avg))
-        ratio = worst / eta(t)
+        avg = _node_mean([fld.evaluate(j, grid, t) for j in range(fld.n)])
+        ratio = float(np.abs(H - avg).max()) / eta(t)
         if ratio > running:
             running = ratio
             attained_at = t

@@ -90,6 +90,13 @@ class ContinuousRegion:
     capacity: float
     criticality: int
 
+    def __post_init__(self):
+        if self.capacity < 0:
+            raise ValueError(f"region {self.id}: negative capacity {self.capacity}")
+        if not (isinstance(self.criticality, int) and self.criticality >= 1):
+            raise ValueError(f"region {self.id}: continuous criticality must be a positive "
+                             f"integer, got {self.criticality!r}")
+
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -301,14 +308,6 @@ def validate(config: ScenarioConfig) -> None:
     if config.mode == "continuous":
         if not config.continuous_regions:
             raise ScenarioError("continuous mode needs continuous_regions")
-        for r in config.continuous_regions:
-            if r.capacity < 0:
-                raise ScenarioError(f"region {r.id}: negative capacity {r.capacity}")
-            if not (isinstance(r.criticality, int) and r.criticality >= 1):
-                raise ScenarioError(
-                    f"region {r.id}: continuous criticality must be a positive "
-                    f"integer, got {r.criticality!r}"
-                )
         total = math.fsum(r.capacity for r in config.continuous_regions)
         if total < config.deficit:
             raise ScenarioError(
@@ -455,6 +454,15 @@ def _objects(doc: dict, key: str, keys: str, path: str = "") -> Iterator[tuple[d
         yield _known(_checked(item, dict, item_path), keys, item_path + "."), item_path + "."
 
 
+def _built(cls: type, path: str, **fields):
+    """``cls(**fields)``; a range error it raises becomes a ``ScenarioError``
+    prefixed by the object's JSON path (``path`` ends in a dot)."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ScenarioError(f"{path[:-1]}: {exc}") from exc
+
+
 def _edges(items: list, field: str) -> tuple[tuple[int, int], ...]:
     edges = []
     for k, edge in enumerate(items):
@@ -470,19 +478,23 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
     mode = _field(doc, "mode", str)
     graph_doc = _known(_field(doc, "graph", dict), "kind edges steps edge_probability window",
                        "graph.")
+    kind = _field(graph_doc, "kind", str, "graph.")
     steps = _field(graph_doc, "steps", list, "graph.", ())
     graph = GraphSpec(
-        kind=_field(graph_doc, "kind", str, "graph."),
+        kind=kind,
         edges=_edges(_field(graph_doc, "edges", list, "graph.", ()), "graph.edges"),
         steps=tuple(
             _edges(_checked(step, list, f"graph.steps[{k}]"), f"graph.steps[{k}]")
             for k, step in enumerate(steps)
         ),
         edge_probability=_field(graph_doc, "edge_probability", float, "graph.", 0.5),
-        window=_field(graph_doc, "window", int, "graph.", 1),
+        # a periodic graph's window defaults to its period
+        window=_field(graph_doc, "window", int, "graph.",
+                      len(steps) if kind == "periodic" and steps else 1),
     )
     step_doc = _known(_field(doc, "step", dict, default={}), "gain offset exponent", "step.")
-    step = StepSchedule(
+    step = _built(
+        StepSchedule, "step.",
         gain=_field(step_doc, "gain", float, "step.", 1.0),
         offset=_field(step_doc, "offset", float, "step.", 1.0),
         exponent=_field(step_doc, "exponent", float, "step.", 1.0),
@@ -507,7 +519,8 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
     continuous: tuple[ContinuousRegion, ...] = ()
     if mode == "continuous":
         continuous = tuple(
-            ContinuousRegion(
+            _built(
+                ContinuousRegion, path,
                 id=_field(r, "id", int, path),
                 capacity=_field(r, "capacity", float, path),
                 criticality=_field(r, "criticality", int, path),
@@ -516,11 +529,13 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
         )
     else:
         regions = tuple(
-            Region(
+            _built(
+                Region, path,
                 id=_field(r, "id", int, path),
                 region_criticality=_field(r, "criticality", float, path),
                 loads=tuple(
-                    Load(
+                    _built(
+                        Load, load_path,
                         id=_field(l, "id", int, load_path),
                         power=_field(l, "power", float, load_path),
                         nature_criticality=_field(l, "nature_criticality", float, load_path),

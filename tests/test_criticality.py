@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadshed.criticality import (
     Ccf,
@@ -161,6 +164,66 @@ class TestSurrogate:
         s = SurrogateCcf(build_ccf([(5.0, 0.3)]), 2.0)
         assert eval_surrogate(s, 0.3) == 5.0
         assert eval_surrogate(s, 0.3 - 1.0) == 2.5
+
+
+def scalar_surrogate(surrogate: SurrogateCcf, z: float) -> float:
+    """The surrogate at one point by ``bisect_right`` on the tuples: the
+    reference for the array evaluation."""
+    bps = surrogate.base.breakpoints
+    cum = surrogate.base.cumulative
+    idx = bisect_right(bps, z)
+    value = cum[idx - 1] if idx else 0.0
+    if idx < len(bps):
+        d = z - bps[idx]
+        if d > -surrogate.ramp_width:
+            value += (cum[idx] - (cum[idx - 1] if idx else 0.0)) * (
+                d / surrogate.ramp_width + 1.0
+            )
+    return value
+
+
+@st.composite
+def surrogates_and_points(draw):
+    """A surrogate (possibly of no loads) with points at and around its
+    breakpoints and ramp starts, outside its range, at +-0.0 and between."""
+    crits = draw(st.lists(st.integers(0, 400), max_size=12, unique=True))
+    pairs = [(draw(st.floats(0.01, 50.0)), k / 400) for k in crits]
+    ccf = build_ccf(pairs)
+    gap = min_gap(ccf.breakpoints) if len(ccf.breakpoints) > 1 else 1.0
+    ramp = gap * draw(st.sampled_from([1.0, 0.5, 0.3, 1e-3]))
+    surrogate = SurrogateCcf(ccf, ramp)
+    special = [0.0, -0.0, -1.0, 2.0, -math.inf, math.inf]
+    for bp in ccf.breakpoints:
+        special += [bp, bp - ramp, math.nextafter(bp, -math.inf), math.nextafter(bp - ramp, math.inf)]
+    points = draw(st.lists(st.sampled_from(special) | st.floats(-0.5, 1.5), max_size=40))
+    return surrogate, points
+
+
+class TestSurrogateArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(surrogates_and_points())
+    def test_array_matches_scalar_reference(self, case):
+        surrogate, points = case
+        expected = [scalar_surrogate(surrogate, z).hex() for z in points]
+        values = eval_surrogate(surrogate, np.array(points, dtype=np.float64))
+        assert values.shape == (len(points),)
+        assert [v.hex() for v in values.tolist()] == expected
+        # a float in gives a float out, with the same bits
+        singles = [eval_surrogate(surrogate, z) for z in points]
+        assert all(type(v) is float for v in singles)
+        assert [v.hex() for v in singles] == expected
+
+    def test_empty_ccf(self):
+        s = SurrogateCcf(build_ccf([]), 1.0)
+        assert eval_surrogate(s, 0.5) == 0.0
+        assert eval_surrogate(s, np.array([-1.0, 0.0, 1.0])).tolist() == [0.0, 0.0, 0.0]
+
+    def test_keeps_the_input_shape(self, fig_ccf):
+        s = SurrogateCcf(fig_ccf, FIG_RAMP)
+        grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        values = eval_surrogate(s, grid)
+        assert values.shape == (3, 4)
+        assert values.ravel().tolist() == [eval_surrogate(s, z) for z in grid.ravel().tolist()]
 
 
 class TestLocalZeta:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from loadshed import netgraph, rootfind
+from loadshed import cli, netgraph, rootfind, scenario
 from loadshed.criticality import SurrogateCcf, build_ccf, eval_surrogate
 from loadshed.netgraph import RandomSchedule, StaticSchedule, mixing_rows, normalize_edges
 from loadshed.oracle import exact_z_hat
@@ -15,9 +16,13 @@ from loadshed.protocol import (
     NoisySplit,
     ProtocolInstance,
     StepSchedule,
+    TraceEstimator,
     run_protocol,
 )
 from loadshed.rootfind import (
+    LIPSCHITZ_SAFETY,
+    SIGN_TOL,
+    CheckResult,
     TimeVaryingField,
     consensus_diagnostics,
     mix_and_step,
@@ -29,16 +34,19 @@ from loadshed.rootfind import (
 
 from conftest import FIG_PAIRS, FIG_RAMP
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
 LINE4 = StaticSchedule(4, normalize_edges([(0, 1), (1, 2), (2, 3)], 4))
 ETA = StepSchedule(1.0, 1.0, 1.0)
 
 
-def shedding_field(pairs_by_region, ramp, estimator, rounds=2000):
+def shedding_field(pairs_by_region, ramp, estimator, rounds=2000, deficit=None):
     """Per-region surrogate CCFs minus deficit estimates as a field, for
-    rounds 1..rounds."""
+    rounds 1..rounds; the limit subtracts an equal share of ``deficit``
+    (by default the estimator's)."""
     surrogates = [SurrogateCcf(build_ccf(p), ramp) for p in pairs_by_region]
     n = len(surrogates)
-    deficit = estimator.deficit
+    deficit = estimator.deficit if deficit is None else deficit
     estimates = estimator.block(1, rounds + 1).tolist()
 
     return TimeVaryingField(
@@ -172,8 +180,8 @@ class TestAssumptionChecks:
         assert abs(sign.witness - z_hat) <= FIG_RAMP + grid[1] - grid[0]
 
     def test_sine_field_passes_on_symmetric_grid(self):
-        fld = TimeVaryingField(1, lambda j, z, t: math.sin(z),
-                               limit=lambda j, z: math.sin(z))
+        fld = TimeVaryingField(1, lambda j, z, t: np.sin(z),
+                               limit=lambda j, z: np.sin(z))
         grid = np.linspace(-1.0, 1.0, 801)
         sign = verify_sign_condition(fld, grid, t_large=1e6)
         assert sign.passed
@@ -306,3 +314,157 @@ class TestConvergenceDiagnostics:
         V = (means - 1.25) ** 2
         warmup = 50
         assert (V[warmup:] < V[warmup] + 0.01).all()
+
+
+# ---------------------------------------------------------------------------
+# the verifiers as they were written point by point: references for the
+# grid evaluation, which must give the same results bit for bit
+
+
+def loop_bounded_lipschitz(fld, grid, horizon):
+    times = rootfind._sample_times(horizon)
+    bound = 0.0
+    slope = 0.0
+    for t in times:
+        for j in range(fld.n):
+            values = [fld.evaluate(j, float(z), t) for z in grid]
+            bound = max(bound, max(abs(v) for v in values))
+            for i in range(1, len(grid) - 1):
+                quotient = abs(values[i + 1] - values[i - 1]) / (grid[i + 1] - grid[i - 1])
+                slope = max(slope, quotient)
+    return bound, slope * LIPSCHITZ_SAFETY
+
+
+def loop_sign_condition(fld, grid, t_large):
+    H = np.array([fld.average_limit(float(z), t_large) for z in grid])
+    candidates = []
+    for i in range(len(grid) - 1):
+        if H[i] == 0.0:
+            candidates.append(float(grid[i]))
+        elif H[i] < 0.0 < H[i + 1]:
+            candidates.append(float(grid[i] if abs(H[i]) <= abs(H[i + 1]) else grid[i + 1]))
+    if H[-1] == 0.0:
+        candidates.append(float(grid[-1]))
+    if not candidates:
+        if (H >= 0.0).all():
+            candidates.append(float(grid[0]))
+        elif (H <= 0.0).all():
+            candidates.append(float(grid[-1]))
+    best_witness, best_min = None, -math.inf
+    for cand in candidates:
+        worst = float(((grid - cand) * H).min())
+        if worst > best_min:
+            best_min, best_witness = worst, cand
+    if best_witness is None:
+        return CheckResult("sign_condition", False, detail="no sign change found")
+    return CheckResult("sign_condition", best_min >= -SIGN_TOL, value=best_min,
+                       witness=best_witness)
+
+
+def loop_deviation_rate(fld, grid, horizon, eta):
+    times = rootfind._sample_times(horizon, count=40)
+    t_large = 10.0 * max(horizon, 1)
+    H = [fld.average_limit(float(z), t_large) for z in grid]
+    running = 0.0
+    attained_at = 1
+    for t in times:
+        worst = 0.0
+        for zi, z in enumerate(grid):
+            avg = math.fsum(fld.evaluate(j, float(z), t) for j in range(fld.n)) / fld.n
+            worst = max(worst, abs(H[zi] - avg))
+        ratio = worst / eta(t)
+        if ratio > running:
+            running = ratio
+            attained_at = t
+    return CheckResult("deviation_rate", attained_at <= max(1, horizon // 2), value=running,
+                       detail=f"running max attained at t={attained_at}")
+
+
+def bits(check: CheckResult) -> tuple:
+    """A check with its numbers as exact bit patterns (-0.0 differs from 0.0)."""
+    return (check.name, check.passed,
+            *(None if v is None else float(v).hex() for v in (check.value, check.witness)),
+            check.detail)
+
+
+class TestGridVerifiersMatchLoops:
+    # three regions, so that a sum across nodes can round differently from fsum
+    PAIRS = [FIG_PAIRS[:3], FIG_PAIRS[3:5], FIG_PAIRS[5:]]
+
+    @pytest.mark.parametrize(
+        "estimator, deficit",
+        [
+            (ExactSplit(6.0, 3), 6.0),
+            (NoisySplit(6.0, 3, seed=3), 6.0),
+            (TraceEstimator(((1.0, 4.0, 1.0), (2.1, 2.5, 1.4), (1.7, 2.2, 2.1))), 6.0),
+        ],
+        ids=["exact", "noisy", "trace"],
+    )
+    def test_same_results_as_point_by_point(self, estimator, deficit):
+        fld = shedding_field(self.PAIRS, FIG_RAMP, estimator, deficit=deficit)
+        grid = np.linspace(0.0 - 2 * FIG_RAMP, 0.8 + 2 * FIG_RAMP, 301)
+        horizon = 400
+        bounded, lipschitz, bound, slope = verify_assumption_bounded_lipschitz(
+            fld, grid, horizon
+        )
+        assert (bound.hex(), slope.hex()) == tuple(
+            float(v).hex() for v in loop_bounded_lipschitz(fld, grid, horizon)
+        )
+        assert (bounded.value, lipschitz.value) == (bound, slope)
+        assert bits(verify_sign_condition(fld, grid, 10.0 * horizon)) == bits(
+            loop_sign_condition(fld, grid, 10.0 * horizon)
+        )
+        sparse = grid[::10]
+        assert bits(verify_deviation_rate(fld, sparse, horizon, ETA.eta)) == bits(
+            loop_deviation_rate(fld, sparse, horizon, ETA.eta)
+        )
+
+    def test_average_limit_of_a_grid_is_its_points(self):
+        fld = shedding_field(self.PAIRS, FIG_RAMP, NoisySplit(6.0, 3, seed=3))
+        grid = np.linspace(-0.1, 0.9, 57)
+        for t_large in (1e6, None):
+            if t_large is None:  # no declared limit: late-time samples
+                fld = TimeVaryingField(fld.n, fld.evaluate)
+                t_large = 1500
+            values = fld.average_limit(grid, t_large)
+            assert [v.hex() for v in values.tolist()] == [
+                fld.average_limit(float(z), t_large).hex() for z in grid
+            ]
+
+
+class TestCheckCertificate:
+    """Certificate constants of ``loadshed check`` at full precision."""
+
+    @pytest.mark.parametrize(
+        "source, constants",
+        [
+            ("two_region_step_example.json",
+             (5.0, 88.0, 0.0, 1, 4.000000000000001, -0.0, 0.3699)),
+            ("continuous_four_regions.json",
+             (0.75, 1.3200000000000165, 0.0, 1, 3.548682538985941, -0.0, 1.25)),
+            ("line", (63.27119016960299, 3832.9029522611204, 0.0, 1, 31.551827232703314,
+                      -0.0, 0.4210726)),
+            ("random", (63.27119016960299, 3832.9029522611204, 0.0, 2, 140.96398051850585,
+                        -0.0, 0.4210726)),
+        ],
+        ids=["two-region", "continuous", "gen-line-0", "gen-random-0"],
+    )
+    def test_constants(self, source, constants, monkeypatch, tmp_path):
+        certificates = []
+
+        class Recorded(rootfind.AssumptionCertificate):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                certificates.append(self)
+
+        monkeypatch.setattr(rootfind, "AssumptionCertificate", Recorded)
+        path = CONFIG_DIR / source
+        if not source.endswith(".json"):  # `loadshed gen --graph <source> --seed 0`
+            path = tmp_path / "gen.json"
+            scenario.dump_scenario(scenario.generate_scenario(4, 100, 0, graph=source), path)
+        assert cli.main(["--quiet", "check", str(path)]) == 0
+        (cert,) = certificates
+        sign = cert.checks["sign_condition"]
+        got = (cert.bound, cert.lipschitz, cert.deviation_rate, cert.window,
+               cert.consensus_ratio, sign.value, sign.witness)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in constants]

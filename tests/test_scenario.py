@@ -517,6 +517,54 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: graph.window {window} outside [1, max_rounds = 3000]\n"
 
+    def test_periodic_window_defaults_to_the_period(self):
+        # neither step is connected on its own; every two consecutive are
+        doc = json.loads((CONFIG_DIR / "continuous_four_regions.json").read_text())
+        doc["graph"] = {"kind": "periodic", "steps": [[[1, 2], [3, 4]], [[2, 3]]]}
+        assert loads_scenario(json.dumps(doc)).graph.window == 2
+        doc["graph"]["window"] = 1
+        with pytest.raises(ScenarioError, match="window connectivity"):
+            loads_scenario(json.dumps(doc))
+        doc["graph"] = {"kind": "static", "edges": [[1, 2], [2, 3], [3, 4]]}
+        assert loads_scenario(json.dumps(doc)).graph.window == 1
+
+    @pytest.mark.parametrize(
+        "config, where, value, message",
+        [
+            ("two_region_step_example.json", ("regions", 0, "loads", 0, "power"), -1.0,
+             "regions[0].loads[0]: load 1: power must be nonnegative, got -1.0"),
+            ("two_region_step_example.json", ("regions", 1, "loads", 2, "nature_criticality"),
+             1.5, "regions[1].loads[2]: load 7: nature criticality 1.5 outside [0, 1]"),
+            ("two_region_step_example.json", ("regions", 1, "criticality"), 1.5,
+             "regions[1]: region 2: criticality 1.5 outside [0, 1]"),
+            ("two_region_step_example.json", ("step", "gain"), 0.0,
+             "step: step gain must be positive, got 0.0"),
+            ("two_region_step_example.json", ("step", "offset"), -1.0,
+             "step: step offset must be positive, got -1.0"),
+            ("two_region_step_example.json", ("step", "exponent"), 0.5,
+             "step: step exponent must lie in (0.5, 1], got 0.5"),
+            ("continuous_four_regions.json", ("regions", 2, "capacity"), -1.0,
+             "regions[2]: region 3: negative capacity -1.0"),
+            ("continuous_four_regions.json", ("regions", 3, "criticality"), 0,
+             "regions[3]: region 4: continuous criticality must be a positive integer, got 0"),
+        ],
+        ids=["power", "nature", "region", "gain", "offset", "exponent", "capacity",
+             "continuous-criticality"],
+    )
+    def test_range_error_names_its_path(self, config, where, value, message, capsys,
+                                        tmp_path):
+        doc = json.loads((CONFIG_DIR / config).read_text())
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "row, code, line",
         [
