@@ -7,6 +7,8 @@ the average limit field.  This module provides the one-round kernel
 disagreement, its ratio to the step size and the size of the mean of any
 block of estimates), and executable checks of the boundedness, Lipschitz,
 sign, and deviation-rate conditions the convergence argument rests on.
+The checks evaluate a field on a whole grid per call and average across
+nodes with ``math.fsum`` at each point: bit for bit a point-by-point check.
 """
 
 from __future__ import annotations
@@ -49,11 +51,10 @@ def mix_and_step(
 class TimeVaryingField:
     """Per-node field h(j, z, t) with an optional declared limit field.
 
-    ``evaluate(j, z, t)`` and ``limit(j, z)`` take z as a float (from
-    ``run_to_root``) or as a float64 array (the verifiers' whole grid) and
-    return a value of its shape.  ``limit`` gives lim_{t->inf} h(j, z, .)
-    when known analytically; when absent, certificates estimate it from
-    late-time samples.
+    ``evaluate(j, z, t)`` and ``limit(j, z)`` take z as a float (from ``run_to_root``)
+    or a float64 array (the verifiers' grid) and return a value of its shape.
+    ``limit`` gives lim_{t->inf} h(j, z, .) when known analytically; when
+    absent, certificates estimate it from late-time samples.
     """
 
     n: int
@@ -70,8 +71,7 @@ class TimeVaryingField:
 
 
 def _node_mean(values: Sequence[float] | Sequence[np.ndarray]) -> float | np.ndarray:
-    """Mean of one value per node, each a float or a 1-D array over one grid:
-    ``math.fsum`` across nodes at each point over the node count."""
+    """Mean of per-node floats or 1-D grid arrays: ``math.fsum`` across nodes at each point."""
     if np.ndim(values[0]) == 0:
         return math.fsum(values) / len(values)
     return np.array([math.fsum(p) for p in np.stack(values, axis=-1).tolist()]) / len(values)
