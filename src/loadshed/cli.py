@@ -19,7 +19,7 @@ import numpy as np
 from . import rootfind, scenario
 from .criticality import eval_surrogate
 from .netgraph import check_window_connectivity
-from .oracle import InfeasibleError, continuous_solution
+from .oracle import InfeasibleError
 from .protocol import certify_deficit_tracking, run_protocol
 from .scenario import ScenarioError
 
@@ -48,11 +48,8 @@ def _emit(obj: str, quiet: bool) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     config = _load(args.config, args)
-    if config.mode == "continuous":
-        regions = [(r.capacity, float(r.criticality)) for r in config.continuous_regions]
-        solution = continuous_solution(regions, config.deficit)
-    else:
-        solution = scenario.oracle_summary(config)
+    solution = (scenario.continuous_closed_form(config) if config.mode == "continuous"
+                else scenario.oracle_summary(config))
     _emit(json.dumps(dataclasses.asdict(solution), sort_keys=True, indent=2), args.quiet)
     return EXIT_OK
 

@@ -15,7 +15,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -273,7 +273,9 @@ def build_instance(config: ScenarioConfig) -> ProtocolInstance:
 # validation
 
 
-def validate(config: ScenarioConfig) -> None:
+def validate(config: ScenarioConfig, window_is_period: bool = False) -> None:
+    """Raise a ``ScenarioError`` naming the first fault of ``config``;
+    ``window_is_period``: the graph's window is its period by default."""
     if config.version != CONFIG_VERSION:
         raise ScenarioError(f"unsupported config version {config.version}")
     if config.mode not in ("discrete", "continuous"):
@@ -285,8 +287,10 @@ def validate(config: ScenarioConfig) -> None:
     if config.convergence_window is not None and config.convergence_window < 1:
         raise ScenarioError("convergence window must be positive or null")
     if not 1 <= config.graph.window <= config.max_rounds:
+        window = config.graph.window
+        given = f"defaults to the period {window}, which is" if window_is_period else window
         raise ScenarioError(
-            f"graph.window {config.graph.window} outside [1, max_rounds = {config.max_rounds}]"
+            f"graph.window {given} outside [1, max_rounds = {config.max_rounds}]"
         )
     # checked in every mode and graph kind, also where unused
     for field, value in (("graph.edge_probability", config.graph.edge_probability),
@@ -346,58 +350,70 @@ def validate(config: ScenarioConfig) -> None:
 # JSON serialization
 
 
+_KINDS = {
+    dict: "an object", list: "an array", str: "a string",
+    int: "an integer", float: "a finite number",
+}
+
+# One table per JSON object, read by ``_fields`` and written by
+# ``_config_to_dict``: a key maps to (kind, default), or to (kind,) if it is
+# required.  A default of None marks an optional key with no value of its
+# own; a third entry is the one value accepted outside the kind.  A key
+# names the attribute it is built into (a discrete region's criticality:
+# ``region_criticality``).  tests/test_schema.py holds the schema to them.
+_ROOT = {
+    "version": (int,),
+    "mode": (str,),
+    "deficit": (float,),
+    "seed": (int, 0),
+    "combiner_weight": (float, 0.5),
+    "ramp_width": (float, "auto", "auto"),
+    "x0": (float, 0.0),
+    "max_rounds": (int, 20_000),
+    "convergence_window": (int, 50, None),
+    "graph": (dict,),
+    "step": (dict, {}),
+    "estimator": (dict, {"kind": "exact_split"}),
+    "regions": (list,),
+}
+_GRAPH = {
+    "kind": (str,),
+    "edges": (list, []),
+    "steps": (list, []),
+    "edge_probability": (float, 0.5),
+    "window": (int, None),  # the period of a periodic graph, else 1
+}
+_STEP = {"gain": (float, 1.0), "offset": (float, 1.0), "exponent": (float, 1.0)}
+_ESTIMATOR = {"kind": (str,), "rows": (list, None)}
+_REGION = {"id": (int,), "criticality": (float,), "loads": (list,)}
+_LOAD = {"id": (int,), "power": (float,), "nature_criticality": (float,)}
+_CONTINUOUS_REGION = {"id": (int,), "capacity": (float,), "criticality": (int,)}
+# the keys written only for a graph or an estimator of one kind, and that kind
+_ONLY_FOR = {"edges": "static", "steps": "periodic", "edge_probability": "random", "rows": "trace"}
+
+
+def _written(obj, table: dict, **values) -> dict:
+    """The keys of ``table`` that ``obj``'s kind writes, valued from ``values`` or ``obj``."""
+    kind = getattr(obj, "kind", None)
+    return {key: values[key] if key in values else getattr(obj, key)
+            for key in table if _ONLY_FOR.get(key, kind) == kind}
+
+
 def _config_to_dict(config: ScenarioConfig) -> dict:
-    doc: dict = {
-        "version": config.version,
-        "mode": config.mode,
-        "deficit": config.deficit,
-        "seed": config.seed,
-        "combiner_weight": config.combiner_weight,
-        "ramp_width": "auto" if config.ramp_width is None else config.ramp_width,
-        "graph": {
-            "kind": config.graph.kind,
-            "window": config.graph.window,
-        },
-        "step": {
-            "gain": config.step.gain,
-            "offset": config.step.offset,
-            "exponent": config.step.exponent,
-        },
-        "estimator": {"kind": config.estimator.kind},
-        "max_rounds": config.max_rounds,
-        "convergence_window": config.convergence_window,
-        "x0": config.x0,
-    }
-    if config.graph.kind == "static":
-        doc["graph"]["edges"] = [list(e) for e in config.graph.edges]
-    elif config.graph.kind == "periodic":
-        doc["graph"]["steps"] = [[list(e) for e in step] for step in config.graph.steps]
-    elif config.graph.kind == "random":
-        doc["graph"]["edge_probability"] = config.graph.edge_probability
-    if config.estimator.kind == "trace":
-        doc["estimator"]["rows"] = [list(r) for r in config.estimator.rows]
-    if config.mode == "continuous":
-        doc["regions"] = [
-            {"id": r.id, "capacity": r.capacity, "criticality": r.criticality}
-            for r in config.continuous_regions
-        ]
-    else:
-        doc["regions"] = [
-            {
-                "id": region.id,
-                "criticality": region.region_criticality,
-                "loads": [
-                    {
-                        "id": load.id,
-                        "power": load.power,
-                        "nature_criticality": load.nature_criticality,
-                    }
-                    for load in region.loads
-                ],
-            }
+    return _written(
+        config, _ROOT,
+        ramp_width="auto" if config.ramp_width is None else config.ramp_width,
+        graph=_written(config.graph, _GRAPH),
+        step=_written(config.step, _STEP),
+        estimator=_written(config.estimator, _ESTIMATOR),
+        regions=[
+            _written(region, _CONTINUOUS_REGION) for region in config.continuous_regions
+        ] if config.mode == "continuous" else [
+            _written(region, _REGION, criticality=region.region_criticality,
+                     loads=[_written(load, _LOAD) for load in region.loads])
             for region in config.regions
-        ]
-    return doc
+        ],
+    )
 
 
 def dump_scenario(config: ScenarioConfig, path: str | Path) -> None:
@@ -406,13 +422,6 @@ def dump_scenario(config: ScenarioConfig, path: str | Path) -> None:
 
 def dumps_scenario(config: ScenarioConfig) -> str:
     return json.dumps(_config_to_dict(config), indent=2, sort_keys=True) + "\n"
-
-
-_REQUIRED = object()
-_KINDS = {
-    dict: "an object", list: "an array", str: "a string",
-    int: "an integer", float: "a finite number",
-}
 
 
 def _checked(value, kind: type, path: str, key: str = ""):
@@ -428,30 +437,22 @@ def _checked(value, kind: type, path: str, key: str = ""):
     return value
 
 
-def _field(doc: dict, key: str, kind: type, path: str = "", default=_REQUIRED):
-    """``doc[key]`` checked as ``kind``; ``path`` is the JSON path of ``doc``."""
-    value = doc.get(key, _REQUIRED)
-    if value is _REQUIRED:
-        if default is _REQUIRED:
+def _fields(doc, table: dict, path: str = "") -> dict:
+    """The JSON object ``doc`` read through ``table``, with defaults filled
+    in; ``path`` is the JSON path of ``doc`` plus a dot, or "" at the root."""
+    _checked(doc, dict, path[:-1])
+    if not doc.keys() <= table.keys():
+        raise ScenarioError(f"unknown field {path}{min(doc.keys() - table.keys())}")
+    fields = {}
+    for key, entry in table.items():  # (kind,) or (kind, default) or (kind, default, also)
+        if key in doc:
+            value = doc[key]
+            fields[key] = value if value in entry[2:] else _checked(value, entry[0], path, key)
+        elif len(entry) > 1:
+            fields[key] = entry[1]
+        else:
             raise ScenarioError(f"missing field {path}{key}")
-        return default
-    return _checked(value, kind, path, key)
-
-
-def _known(doc: dict, keys: str, path: str = "") -> dict:
-    """``doc``, once none of its keys lies outside the space-separated ``keys``."""
-    unknown = sorted(set(doc) - set(keys.split()))
-    if unknown:
-        raise ScenarioError(f"unknown field {path}{unknown[0]}")
-    return doc
-
-
-def _objects(doc: dict, key: str, keys: str, path: str = "") -> Iterator[tuple[dict, str]]:
-    """Each object of the array ``doc[key]``, with its JSON path; an object
-    may hold only the space-separated ``keys``."""
-    for k, item in enumerate(_field(doc, key, list, path)):
-        item_path = f"{path}{key}[{k}]"
-        yield _known(_checked(item, dict, item_path), keys, item_path + "."), item_path + "."
+    return fields
 
 
 def _built(cls: type, path: str, **fields):
@@ -463,9 +464,9 @@ def _built(cls: type, path: str, **fields):
         raise ScenarioError(f"{path[:-1]}: {exc}") from exc
 
 
-def _edges(items: list, field: str) -> tuple[tuple[int, int], ...]:
+def _edges(items, field: str) -> tuple[tuple[int, int], ...]:
     edges = []
-    for k, edge in enumerate(items):
+    for k, edge in enumerate(_checked(items, list, field)):
         if not (isinstance(edge, list) and len(edge) == 2):
             raise ScenarioError(f"{field}[{k}] must be a pair of region ids, got {edge!r}")
         edges.append(tuple(_checked(i, int, f"{field}[{k}]") for i in edge))
@@ -473,105 +474,56 @@ def _edges(items: list, field: str) -> tuple[tuple[int, int], ...]:
 
 
 def _config_from_dict(doc: dict) -> ScenarioConfig:
-    _known(doc, "version mode deficit seed combiner_weight ramp_width x0 graph step "
-                "estimator max_rounds convergence_window regions")
-    mode = _field(doc, "mode", str)
-    graph_doc = _known(_field(doc, "graph", dict), "kind edges steps edge_probability window",
-                       "graph.")
-    kind = _field(graph_doc, "kind", str, "graph.")
-    steps = _field(graph_doc, "steps", list, "graph.", ())
-    graph = GraphSpec(
-        kind=kind,
-        edges=_edges(_field(graph_doc, "edges", list, "graph.", ()), "graph.edges"),
-        steps=tuple(
-            _edges(_checked(step, list, f"graph.steps[{k}]"), f"graph.steps[{k}]")
-            for k, step in enumerate(steps)
-        ),
-        edge_probability=_field(graph_doc, "edge_probability", float, "graph.", 0.5),
-        # a periodic graph's window defaults to its period
-        window=_field(graph_doc, "window", int, "graph.",
-                      len(steps) if kind == "periodic" and steps else 1),
-    )
-    step_doc = _known(_field(doc, "step", dict, default={}), "gain offset exponent", "step.")
-    step = _built(
-        StepSchedule, "step.",
-        gain=_field(step_doc, "gain", float, "step.", 1.0),
-        offset=_field(step_doc, "offset", float, "step.", 1.0),
-        exponent=_field(step_doc, "exponent", float, "step.", 1.0),
-    )
-    est_doc = _known(_field(doc, "estimator", dict, default={"kind": "exact_split"}),
-                     "kind rows", "estimator.")
-    rows = _field(est_doc, "rows", list, "estimator.", ())
-    if "rows" in est_doc and not rows:
+    root = _fields(doc, _ROOT)
+    graph = _fields(root["graph"], _GRAPH, "graph.")
+    steps = graph["steps"]
+    # a periodic graph's window defaults to its period, any other's to 1
+    window_is_period = graph["window"] is None and graph["kind"] == "periodic" and bool(steps)
+    if graph["window"] is None:
+        graph["window"] = len(steps) if window_is_period else 1
+    graph["edges"] = _edges(graph["edges"], "graph.edges")
+    graph["steps"] = tuple(_edges(step, f"graph.steps[{k}]") for k, step in enumerate(steps))
+    step = _built(StepSchedule, "step.", **_fields(root["step"], _STEP, "step."))
+    estimator = _fields(root["estimator"], _ESTIMATOR, "estimator.")
+    if estimator["rows"] == []:
         raise ScenarioError("estimator.rows must hold at least one row")
-    estimator = EstimatorSpec(
-        kind=_field(est_doc, "kind", str, "estimator."),
-        rows=tuple(
-            tuple(
-                _checked(v, float, f"estimator.rows[{r}][{k}]")
-                for k, v in enumerate(_checked(row, list, f"estimator.rows[{r}]"))
-            )
-            for r, row in enumerate(rows)
-        ),
+    estimator["rows"] = tuple(
+        tuple(
+            _checked(v, float, f"estimator.rows[{r}][{k}]")
+            for k, v in enumerate(_checked(row, list, f"estimator.rows[{r}]"))
+        )
+        for r, row in enumerate(estimator["rows"] or ())
     )
-    ramp = doc.get("ramp_width", "auto")
-    regions: tuple[Region, ...] = ()
-    continuous: tuple[ContinuousRegion, ...] = ()
-    if mode == "continuous":
-        continuous = tuple(
-            _built(
-                ContinuousRegion, path,
-                id=_field(r, "id", int, path),
-                capacity=_field(r, "capacity", float, path),
-                criticality=_field(r, "criticality", int, path),
-            )
-            for r, path in _objects(doc, "regions", "id capacity criticality")
+    continuous = root["mode"] == "continuous"
+    regions = []
+    for k, item in enumerate(root["regions"]):
+        path = f"regions[{k}]."
+        region = _fields(item, _CONTINUOUS_REGION if continuous else _REGION, path)
+        if continuous:
+            regions.append(_built(ContinuousRegion, path, **region))
+            continue
+        loads = tuple(
+            _built(Load, f"{path}loads[{i}].", **_fields(load, _LOAD, f"{path}loads[{i}]."),
+                   region_id=region["id"])
+            for i, load in enumerate(region["loads"])
         )
-    else:
-        regions = tuple(
-            _built(
-                Region, path,
-                id=_field(r, "id", int, path),
-                region_criticality=_field(r, "criticality", float, path),
-                loads=tuple(
-                    _built(
-                        Load, load_path,
-                        id=_field(l, "id", int, load_path),
-                        power=_field(l, "power", float, load_path),
-                        nature_criticality=_field(l, "nature_criticality", float, load_path),
-                        region_id=r["id"],
-                    )
-                    for l, load_path in _objects(r, "loads", "id power nature_criticality", path)
-                ),
-            )
-            for r, path in _objects(doc, "regions", "id criticality loads")
-        )
-    stop_window = doc.get("convergence_window", 50)
-    config = ScenarioConfig(
-        version=_field(doc, "version", int),
-        mode=mode,
-        deficit=_field(doc, "deficit", float),
-        seed=_field(doc, "seed", int, default=0),
-        graph=graph,
+        regions.append(_built(Region, path, id=region["id"],
+                              region_criticality=region["criticality"], loads=loads))
+    root.update(
+        graph=GraphSpec(**graph),
         step=step,
-        estimator=estimator,
-        max_rounds=_field(doc, "max_rounds", int, default=20_000),
-        convergence_window=(
-            None if stop_window is None else _checked(stop_window, int, "convergence_window")
-        ),
-        combiner_weight=_field(doc, "combiner_weight", float, default=0.5),
-        ramp_width=None if ramp == "auto" else float(_checked(ramp, float, "ramp_width")),
-        x0=_field(doc, "x0", float, default=0.0),
-        regions=regions,
-        continuous_regions=continuous,
+        estimator=EstimatorSpec(**estimator),
+        ramp_width=None if root["ramp_width"] == "auto" else float(root["ramp_width"]),
+        regions=() if continuous else tuple(regions),
+        continuous_regions=tuple(regions) if continuous else (),
     )
-    validate(config)
+    config = ScenarioConfig(**root)
+    validate(config, window_is_period)
     return config
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    return loads_scenario(text)
+    return loads_scenario(Path(path).read_text(encoding="utf-8"))
 
 
 def loads_scenario(text: str) -> ScenarioConfig:
@@ -773,6 +725,12 @@ def oracle_summary(config: ScenarioConfig) -> OracleSummary:
     )
 
 
+def continuous_closed_form(config: ScenarioConfig) -> ContinuousSolution:
+    """The centralized continuous solution: the closed-form threshold and fill."""
+    regions = [(r.capacity, float(r.criticality)) for r in config.continuous_regions]
+    return continuous_solution(regions, config.deficit)
+
+
 def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[RunTrace, SummaryReport]:
     """Centralized solve plus full distributed run, in either mode.
 
@@ -789,8 +747,7 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
     trace = run_protocol(inst, record_trace=record_trace)
     oracle = closed_form = None
     if config.mode == "continuous":
-        regions = [(r.capacity, float(r.criticality)) for r in config.continuous_regions]
-        closed_form = continuous_solution(regions, config.deficit)
+        closed_form = continuous_closed_form(config)
         final = trace.final_x
         z_dist = math.fsum(final) / len(final)
         shed_total = math.fsum(continuous_shed_from_estimates(config, final))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -173,6 +174,33 @@ class TestRoundTrip:
         path = tmp_path / "copy.json"
         dump_scenario(config, path)
         assert load_scenario(path) == config
+
+    @pytest.mark.parametrize(
+        "family, digest",
+        [
+            ("line", "a6f1031aa9b78fe3c67f07a0ac3697e0d5f34eb45fbd8458dcdba57c958d853a"),
+            ("line-periodic", "ea2133bd4fbcc31f9230e12098387425665c9a09ee361787b16e2fb0f191c9d0"),
+            ("random-periodic", "0c7cf9d141291350bf22f53454d97736c395cd4bc0ee773863a13577206d931c"),
+            ("random", "de14c8d3451552a8f74b563a411d87747c886c82116ee10efbf0ecfcb21ba860"),
+        ],
+    )
+    def test_written_bytes_are_pinned(self, family, digest):
+        # `loadshed gen --regions 3 --loads 4 --seed 1 --graph <family>` writes these bytes
+        text = dumps_scenario(generate_scenario(3, 4, seed=1, graph=family))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_empty_edge_list_bytes_are_pinned(self):
+        text = dumps_scenario(generate_scenario(1, 1, seed=5))
+        assert '"edges": []' in text
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9550b6f6fdc2346af2fbb9c11fe9b38a744d8048bd632be2066c275508a85c01"
+        )
+
+    @pytest.mark.parametrize("name", ["continuous_four_regions.json",
+                                      "two_region_step_example.json"])
+    def test_shipped_config_bytes_round_trip(self, name):
+        text = (CONFIG_DIR / name).read_text()
+        assert dumps_scenario(loads_scenario(text)) == text
 
 
 class TestGenerateScenario:
@@ -418,9 +446,10 @@ class TestCli:
              str(CONFIG_DIR / "two_region_step_example.json")],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
-        proc.stdout.close()
-        stderr = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 1
+        with proc:
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 1
         assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
     def test_run_with_trace(self, tmp_path, capsys):
@@ -516,6 +545,23 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: graph.window {window} outside [1, max_rounds = 3000]\n"
+
+    def test_periodic_window_default_outside_horizon_says_so(self, capsys, tmp_path):
+        # three steps and no window: the window defaults to the period, 3
+        doc = json.loads((CONFIG_DIR / "continuous_four_regions.json").read_text())
+        doc["max_rounds"] = 2
+        doc["graph"] = {"kind": "periodic", "steps": [[[1, 2]], [[2, 3]], [[3, 4]]]}
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: graph.window defaults to the period 3, which is outside "
+            "[1, max_rounds = 2]\n"
+        )
+        doc["graph"]["window"] = 3
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "error: graph.window 3 outside [1, max_rounds = 2]\n"
 
     def test_periodic_window_defaults_to_the_period(self):
         # neither step is connected on its own; every two consecutive are

@@ -1,6 +1,7 @@
-"""The JSON schema and the parser agree: every document the schema rejects,
-the parser rejects too, and the CLI answers any document with an exit code,
-never a traceback."""
+"""The JSON schema and the parser agree: the schema describes the parser's
+field tables, every document the parser accepts is schema-valid, a
+schema-valid document is never rejected for an unknown or missing key, and
+the CLI answers any document with an exit code, never a traceback."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from loadshed import cli
+from loadshed import cli, scenario
 from loadshed.scenario import loads_scenario
 
 from test_scenario import CONFIG_DIR
@@ -55,6 +56,43 @@ def test_documents_pass_schema_and_load(name):
     doc = DOCUMENTS[name]
     VALIDATOR.validate(doc)
     loads_scenario(json.dumps(doc))
+
+
+OBJECTS = {  # each JSON object's schema and the parser's field table for it
+    "root": (SCHEMA, scenario._ROOT),
+    "graph": (SCHEMA["properties"]["graph"], scenario._GRAPH),
+    "step": (SCHEMA["properties"]["step"], scenario._STEP),
+    "estimator": (SCHEMA["properties"]["estimator"], scenario._ESTIMATOR),
+    "region": (SCHEMA["definitions"]["discrete_region"], scenario._REGION),
+    "load": (SCHEMA["definitions"]["load"], scenario._LOAD),
+    "continuous-region": (SCHEMA["definitions"]["continuous_region"],
+                          scenario._CONTINUOUS_REGION),
+}
+JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", float: "number"}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+def test_field_tables_match_schema(name):
+    schema, table = OBJECTS[name]
+    properties = schema["properties"]
+    assert schema["additionalProperties"] is False
+    assert sorted(table) == sorted(properties)
+    assert sorted(schema.get("required", [])) == sorted(k for k, e in table.items() if len(e) == 1)
+    for key, (kind, *default) in table.items():
+        prop = properties[key]
+        if default and default[0] is not None:
+            assert prop["default"] == default[0], key
+        else:
+            assert "default" not in prop, key
+        types = {b["type"] for b in prop.get("oneOf", [prop]) if "type" in b}
+        if types:
+            assert JSON_TYPES[kind] in types, key
+        # a oneOf's const or null branch is the value accepted outside the kind
+        outside = [b.get("const") for b in prop.get("oneOf", [])
+                   if b.get("type", "null") == "null"]
+        assert outside == default[1:], key
+        for value in prop.get("enum", [prop["const"]] if "const" in prop else []):
+            assert type(value) is kind, key
 
 
 def locations(node, out=None) -> list[tuple[object, object]]:
@@ -108,13 +146,17 @@ def mutated_documents(draw):
 @given(mutated_documents())
 def test_schema_rejections_are_parser_rejections(doc):
     text = json.dumps(doc)
-    parsed = True
+    error = None
     try:
         loads_scenario(text)
-    except ValueError:
-        parsed = False
-    if not VALIDATOR.is_valid(doc):
-        assert not parsed, f"schema rejects, parser accepts: {text}"
+    except ValueError as exc:
+        error = str(exc)
+    if error is None:
+        assert VALIDATOR.is_valid(doc), f"parser accepts, schema rejects: {text}"
+    elif VALIDATOR.is_valid(doc):
+        # the converse: the schema states every rule on which keys an object holds
+        assert not error.startswith(("unknown field", "missing field")), text
+    parsed = error is None
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
