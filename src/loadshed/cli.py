@@ -28,17 +28,10 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _load(path: str, overrides: argparse.Namespace) -> scenario.ScenarioConfig:
-    config = scenario.load_scenario(path)
-    changes = {}
-    if overrides.max_rounds is not None:
-        changes["max_rounds"] = overrides.max_rounds
-    if overrides.seed is not None:
-        changes["seed"] = overrides.seed
-    if changes:
-        config = dataclasses.replace(config, **changes)
-        scenario.validate(config)
-    return config
+def _load(args: argparse.Namespace) -> scenario.ScenarioConfig:
+    # each flag that is set replaces the document's key before the parser reads it
+    flags = {"max_rounds": args.max_rounds, "seed": args.seed}
+    return scenario.load_scenario(args.config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _emit(obj: str, quiet: bool) -> None:
@@ -47,7 +40,7 @@ def _emit(obj: str, quiet: bool) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    config = _load(args.config, args)
+    config = _load(args)
     solution = (scenario.continuous_closed_form(config) if config.mode == "continuous"
                 else scenario.oracle_summary(config))
     _emit(json.dumps(dataclasses.asdict(solution), sort_keys=True, indent=2), args.quiet)
@@ -55,7 +48,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load(args.config, args)
+    config = _load(args)
     trace, report = scenario.run_scenario(config, record_trace=args.trace is not None)
     if args.trace:
         scenario.emit_trace(trace, args.trace, scenario.region_ids(config))
@@ -64,7 +57,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    config = _load(args.config, args)
+    config = _load(args)
     inst = scenario.build_instance(config)
     n = len(inst.region_criticalities)
 

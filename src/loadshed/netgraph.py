@@ -129,6 +129,20 @@ def repair_edges(components: list[list[int]], seed: int, key: int) -> frozenset[
     return frozenset((min(a, b), max(a, b)) for a, b in zip(reps, reps[1:]))
 
 
+def repaired_edge_sets(seed: int, counters, n: int, edge_probability: float, window: int,
+                       keys: Sequence[int]) -> list[frozenset[Edge]]:
+    """Edge sets drawn at ``counters``, in windows of ``window`` consecutive
+    counters.  When the union of window k is disconnected, its last round gets
+    the ``repair_edges`` chain keyed ``keys[k]``; there is one window per key."""
+    draws = draw_edges(seed, counters, n, edge_probability)
+    edges = edge_sets(draws, n)
+    unions = draws[: len(keys) * window].reshape(len(keys), window, draws.shape[1]).any(axis=1)
+    broken = np.flatnonzero(~connected_rows(unions, n))
+    for k, union in zip(broken.tolist(), edge_sets(unions[broken], n)):
+        edges[(k + 1) * window - 1] |= repair_edges(connected_components(union, n), seed, keys[k])
+    return edges
+
+
 @dataclass(frozen=True)
 class StaticSchedule:
     """The same edge set at every round."""
@@ -150,13 +164,11 @@ class PeriodicSchedule:
 
     n: int
     steps: tuple[frozenset[Edge], ...]
-    window: int = 0  # 0 resolves to the period
+    window: int
 
     def __post_init__(self):
         if not self.steps:
             raise ValueError("periodic schedule needs at least one step")
-        if self.window == 0:
-            object.__setattr__(self, "window", len(self.steps))
 
     def edges_between(self, t0: int, t1: int) -> list[frozenset[Edge]]:
         return [self.steps[(t - 1) % len(self.steps)] for t in range(t0, t1)]
@@ -189,20 +201,12 @@ class RandomSchedule:
     def edges_between(self, t0: int, t1: int) -> list[frozenset[Edge]]:
         """Edge sets of rounds t0..t1-1, drawn in one block from the start
         of t0's window; each disconnected window that ends in the range
-        gets its repair."""
+        gets its repair, keyed by the window's index."""
         B = self.window
-        start = t0 - (t0 - 1) % B
-        draws = draw_edges(self.seed, np.arange(start, t1), self.n, self.edge_probability)
-        edges = edge_sets(draws[t0 - start:], self.n)
-        whole = (t1 - start) // B
-        unions = draws[: whole * B].reshape(whole, B, draws.shape[1]).any(axis=1)
-        broken = np.flatnonzero(~connected_rows(unions, self.n))
-        for k, union in zip(broken.tolist(), edge_sets(unions[broken], self.n)):
-            w = (start - 1) // B + k
-            last = (w + 1) * B - t0  # index of the window's last round
-            components = connected_components(union, self.n)
-            edges[last] = edges[last] | repair_edges(components, self.seed, w)
-        return edges
+        w0 = (t0 - 1) // B  # window w holds rounds w*B + 1 .. (w + 1)*B
+        edges = repaired_edge_sets(self.seed, np.arange(w0 * B + 1, t1), self.n,
+                                   self.edge_probability, B, range(w0, (t1 - 1) // B))
+        return edges[t0 - 1 - w0 * B:]
 
     def edges_at(self, t: int) -> frozenset[Edge]:
         return self.edges_between(t, t + 1)[0]

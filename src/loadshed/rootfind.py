@@ -2,11 +2,11 @@
 
 The recursion x(t+1) = W(t) x(t) - eta(t) y(t), with y_j(t) the local field
 evaluated at the node's own state, drives every node to a common root of
-the average limit field.  This module provides the one-round kernel
-``mix_and_step``, a fixed-field runner, ``consensus_diagnostics`` (the
-disagreement, its ratio to the step size and the size of the mean of any
-block of estimates), and executable checks of the boundedness, Lipschitz,
-sign, and deviation-rate conditions the convergence argument rests on.
+the average limit field.  This module provides a fixed-field runner,
+``consensus_diagnostics`` (the disagreement, its ratio to the step size
+and the size of the mean of any block of estimates), and executable
+checks of the boundedness, Lipschitz, sign, and deviation-rate conditions
+the convergence argument rests on.
 The checks evaluate a field on a whole grid per call and average across
 nodes with ``math.fsum`` at each point: bit for bit a point-by-point check.
 """
@@ -25,26 +25,6 @@ from .protocol import CHUNK
 
 SIGN_TOL = 1e-9
 LIPSCHITZ_SAFETY = 1.1
-
-
-def mix_and_step(
-    x: Sequence[float],
-    w_rows: Sequence[Sequence[tuple[int, float]]],
-    eta_t: float,
-    y: Sequence[float],
-) -> list[float]:
-    """One synchronous round: neighbor averaging then a local field step.
-
-    Rows are reduced in ascending neighbor order so results are identical
-    no matter how node updates are scheduled.
-    """
-    out = []
-    for j, row in enumerate(w_rows):
-        acc = 0.0
-        for k, w in row:
-            acc += w * x[k]
-        out.append(acc - eta_t * y[j])
-    return out
 
 
 @dataclass(frozen=True)
@@ -71,10 +51,14 @@ class TimeVaryingField:
 
 
 def _node_mean(values: Sequence[float] | Sequence[np.ndarray]) -> float | np.ndarray:
-    """Mean of per-node floats or 1-D grid arrays: ``math.fsum`` across nodes at each point."""
+    """Mean of per-node floats or 1-D grid arrays: ``math.fsum`` across nodes at each point.
+    Grid arrays with a non-finite sample have no mean: it is NaN at every point."""
     if np.ndim(values[0]) == 0:
         return math.fsum(values) / len(values)
-    return np.array([math.fsum(p) for p in np.stack(values, axis=-1).tolist()]) / len(values)
+    points = np.stack(values, axis=-1)
+    if not np.isfinite(points).all():  # math.fsum raises on inf + -inf
+        return np.full(len(points), math.nan)
+    return np.array([math.fsum(p) for p in points.tolist()]) / len(values)
 
 
 @dataclass(frozen=True)
@@ -137,16 +121,18 @@ def _sample_times(horizon: int, count: int = 24) -> list[int]:
 def verify_assumption_bounded_lipschitz(
     fld: TimeVaryingField, grid: np.ndarray, horizon: int
 ) -> tuple[CheckResult, CheckResult, float, float]:
-    """Estimate sup |h| and the Lipschitz constant over grid x sample times."""
+    """Estimate sup |h| and the Lipschitz constant over grid x sample times;
+    a non-finite sample fails both checks."""
     times = _sample_times(horizon)
-    bound = 0.0
-    slope = 0.0
-    for t in times:
-        for j in range(fld.n):
-            v = fld.evaluate(j, grid, t)
-            quotients = np.abs(v[2:] - v[:-2]) / (grid[2:] - grid[:-2])
-            bound = max(bound, float(np.abs(v).max()))
-            slope = max(slope, float(np.max(quotients, initial=0.0)))
+    bound = slope = 0.0
+    for v in (fld.evaluate(j, grid, t) for t in times for j in range(fld.n)):
+        peak = float(np.abs(v).max())  # NaN or inf when a sample is
+        if not math.isfinite(peak):  # no bound, and no slope either
+            bound = slope = peak
+            break
+        quotients = np.abs(v[2:] - v[:-2]) / (grid[2:] - grid[:-2])
+        bound = max(bound, peak)
+        slope = max(slope, float(np.max(quotients, initial=0.0)))
     slope *= LIPSCHITZ_SAFETY
     bounded = CheckResult(
         "field_bounded", math.isfinite(bound), bound,
@@ -203,7 +189,7 @@ def verify_deviation_rate(
     """Bound |H(z) - avg_j h_j(z, t)| / eta(t) and check it stabilizes.
 
     Passes when the running maximum of the ratio stops growing in the
-    second half of the sampled horizon.
+    second half of the sampled horizon; fails on a non-finite sample.
     """
     times = _sample_times(horizon, count=40)
     t_large = 10.0 * max(horizon, 1)
@@ -212,6 +198,8 @@ def verify_deviation_rate(
     attained_at = 1
     for t in times:
         avg = _node_mean([fld.evaluate(j, grid, t) for j in range(fld.n)])
+        if not (np.isfinite(H).all() and np.isfinite(avg).all()):
+            return CheckResult("deviation_rate", False, math.nan, detail="non-finite field sample")
         ratio = float(np.abs(H - avg).max()) / eta(t)
         if ratio > running:
             running = ratio
@@ -294,8 +282,13 @@ def run_to_root(
     blocks = (mixing.block(t0, min(t0 + CHUNK, budget.stop)) for t0 in budget[::CHUNK])
     for t, graph in enumerate(chain.from_iterable(blocks), 1):
         eta_t = eta(t)
-        y = [fld.evaluate(j, x[j], t) for j in range(n)]
-        x = mix_and_step(x, graph.rows, eta_t, y)
+        x_next = []
+        for j, row in enumerate(graph.rows):  # ascending neighbour order
+            acc = 0.0
+            for k, w in row:
+                acc += w * x[k]
+            x_next.append(acc - eta_t * fld.evaluate(j, x[j], t))
+        x = x_next
         xs.append(x)
         etas.append(eta_t)
         mean = math.fsum(x) / n

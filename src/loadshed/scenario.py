@@ -38,12 +38,9 @@ from .netgraph import (
     RandomSchedule,
     StaticSchedule,
     check_window_connectivity,
-    connected_components,
-    draw_edges,
-    edge_sets,
     metropolis_weights,
     normalize_edges,
-    repair_edges,
+    repaired_edge_sets,
     stochasticity_defect,
 )
 from .oracle import (
@@ -312,23 +309,22 @@ def validate(config: ScenarioConfig, window_is_period: bool = False) -> None:
     if config.mode == "continuous":
         if not config.continuous_regions:
             raise ScenarioError("continuous mode needs continuous_regions")
-        total = math.fsum(r.capacity for r in config.continuous_regions)
-        if total < config.deficit:
-            raise ScenarioError(
-                f"infeasible: total capacity {total} is below the deficit "
-                f"{config.deficit}; the load set must cover the deficit"
-            )
+        what, amounts = "total capacity", [r.capacity for r in config.continuous_regions]
     else:
         if not config.regions:
             raise ScenarioError("discrete mode needs regions")
         loads = resolved_loads(config)  # validates partition and ranges
-        total = math.fsum(l.power for l in loads)
-        if total < config.deficit:
-            raise ScenarioError(
-                f"infeasible: total sheddable power {total} is below the "
-                f"deficit {config.deficit}; the load set must cover the deficit"
-            )
+        what, amounts = "total sheddable power", [l.power for l in loads]
         crits = [l.criticality for l in loads]
+    try:
+        total = math.fsum(amounts)
+    except OverflowError:  # finite amounts whose sum is not
+        raise ScenarioError(f"regions: {what} exceeds the largest float") from None
+    if total < config.deficit:
+        raise ScenarioError(
+            f"infeasible: {what} {total} is below the deficit "
+            f"{config.deficit}; the load set must cover the deficit"
+        )
     if config.ramp_width is not None:  # continuous mode: positivity only
         try:
             check_ramp_width(crits, config.ramp_width)
@@ -522,11 +518,12 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
     return config
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    return loads_scenario(Path(path).read_text(encoding="utf-8"))
+def load_scenario(path: str | Path, **overrides) -> ScenarioConfig:
+    return loads_scenario(Path(path).read_text(encoding="utf-8"), **overrides)
 
 
-def loads_scenario(text: str) -> ScenarioConfig:
+def loads_scenario(text: str, **overrides) -> ScenarioConfig:
+    """Parse and validate a document whose root keys ``overrides`` replace first."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -535,7 +532,7 @@ def loads_scenario(text: str) -> ScenarioConfig:
         ) from exc
     if not isinstance(doc, dict):
         raise ScenarioError("config root must be a JSON object")
-    return _config_from_dict(doc)
+    return _config_from_dict({**doc, **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +564,8 @@ def generate_scenario(
     """
     if n_regions < 1 or loads_per_region < 1:
         raise ValueError("counts must be positive")
+    if not 0.0 < deficit_fraction < 1.0:
+        raise ValueError(f"deficit fraction {deficit_fraction} outside (0, 1)")
     grid = CRITICALITY_GRID
     region_grid_values = [
         int(unit_float(mix64(seed, STREAM_REGION, j)) * (grid + 1))
@@ -620,7 +619,7 @@ def generate_scenario(
             chosen = (powers, total, deficit)
             break
     if chosen is None:
-        raise RuntimeError(f"seed {seed}: no admissible power draw found")
+        raise ValueError(f"seed {seed}: no admissible power draw found")
     powers, total, deficit = chosen
 
     regions = tuple(
@@ -694,11 +693,8 @@ def _random_periodic_steps(
     union is disconnected, a chain across its components is appended to
     the window's last step.
     """
-    n = len(ids)
-    steps = edge_sets(draw_edges(seed, range(period), n, edge_probability), n)
-    for w0 in range(0, period, window):
-        components = connected_components(set().union(*steps[w0 : w0 + window]), n)
-        steps[w0 + window - 1] |= repair_edges(components, seed, w0)
+    steps = repaired_edge_sets(seed, range(period), len(ids), edge_probability, window,
+                               range(0, period, window))
     return tuple(
         tuple(sorted((ids[a], ids[b]) for a, b in step)) for step in steps
     )

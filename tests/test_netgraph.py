@@ -171,7 +171,7 @@ class TestMixingCache:
 
     def test_one_entry_per_distinct_edge_set(self):
         line = frozenset({(0, 1), (1, 2)})
-        schedule = PeriodicSchedule(3, (line, frozenset({(0, 1)}), line))
+        schedule = PeriodicSchedule(3, (line, frozenset({(0, 1)}), line), window=3)
         mixing = MixingCache(schedule)
         one, two, three, four = mixing.block(1, 5)
         assert one is three is four

@@ -8,7 +8,7 @@ import pytest
 
 from loadshed import cli, netgraph, rootfind, scenario
 from loadshed.criticality import SurrogateCcf, build_ccf, eval_surrogate
-from loadshed.netgraph import RandomSchedule, StaticSchedule, mixing_rows, normalize_edges
+from loadshed.netgraph import RandomSchedule, StaticSchedule, normalize_edges
 from loadshed.oracle import exact_z_hat
 from loadshed.protocol import (
     CHUNK,
@@ -25,7 +25,6 @@ from loadshed.rootfind import (
     CheckResult,
     TimeVaryingField,
     consensus_diagnostics,
-    mix_and_step,
     run_to_root,
     verify_assumption_bounded_lipschitz,
     verify_deviation_rate,
@@ -72,11 +71,11 @@ class TestAuxUpdate:
     def test_telescoping_contraction(self):
         # h(z, t) = z on one node: x(t) shrinks by (1 - eta) each round,
         # giving exactly 1/(t+1) after t rounds of the harmonic step
-        rows = mixing_rows(np.array([[1.0]]))
-        x = [1.0]
-        for t in range(1, 200):
-            x = mix_and_step(x, rows, ETA.eta(t), x)
-        assert x[0] == pytest.approx(1.0 / 200.0, rel=1e-9)
+        fld = TimeVaryingField(1, lambda j, z, t: z)
+        run = run_to_root(fld, StaticSchedule(1, frozenset()), ETA.eta, x0=1.0,
+                          tolerance=0.0, max_rounds=199)
+        assert run.rounds == 199 and not run.converged
+        assert run.x_final[0] == pytest.approx(1.0 / 200.0, rel=1e-9)
 
     def test_zero_field_is_pure_consensus(self):
         fld = TimeVaryingField(4, lambda j, z, t: 0.0, limit=lambda j, z: 0.0)
@@ -191,6 +190,41 @@ class TestAssumptionChecks:
         fld = TimeVaryingField(1, lambda j, z, t: -z, limit=lambda j, z: -z)
         grid = np.linspace(-1.0, 1.0, 801)
         assert not verify_sign_condition(fld, grid, t_large=1e6).passed
+
+    @pytest.mark.parametrize(
+        "h, witness",
+        [(lambda z: z + 5.0, 0), (lambda z: z - 5.0, -1)],
+        ids=["positive", "negative"],
+    )
+    def test_sign_without_a_change_takes_an_endpoint(self, h, witness):
+        # a limit of one sign everywhere: the root sits past the grid's end
+        fld = TimeVaryingField(1, lambda j, z, t: h(z), limit=lambda j, z: h(z))
+        grid = np.linspace(-1.0, 1.0, 801)
+        sign = verify_sign_condition(fld, grid, t_large=1e6)
+        assert sign.passed and sign.witness == grid[witness]
+
+    def test_sign_of_a_decreasing_limit_has_no_candidate(self):
+        # even point count: the limit -(z + 0.3) is never 0 on the grid
+        fld = TimeVaryingField(1, lambda j, z, t: -(z + 0.3), limit=lambda j, z: -(z + 0.3))
+        sign = verify_sign_condition(fld, np.linspace(-1.0, 1.0, 800), t_large=1e6)
+        assert not sign.passed
+        assert sign.detail == "no sign change found" and sign.witness is None
+
+    @pytest.mark.parametrize(
+        "bad", [(np.nan, np.nan), (np.inf, np.inf), (np.inf, -np.inf)],
+        ids=["nan", "inf", "opposite-inf"],
+    )
+    def test_non_finite_samples_fail(self, bad):
+        # node j's field is bad[j] above z = 0.5
+        fld = TimeVaryingField(2, lambda j, z, t: np.where(z > 0.5, bad[j], z))
+        grid = np.linspace(-1.0, 1.0, 801)
+        bounded, lipschitz, bound, slope = verify_assumption_bounded_lipschitz(fld, grid, 100)
+        assert not bounded.passed and not lipschitz.passed
+        assert not math.isfinite(bound) and not math.isfinite(slope)
+        deviation = verify_deviation_rate(fld, grid, 100, ETA.eta)
+        assert not deviation.passed and math.isnan(deviation.value)
+        sign = verify_sign_condition(fld, grid, t_large=1e6)
+        assert not sign.passed and sign.detail == "no sign change found"
 
     def test_deviation_rate_zero_for_time_invariant(self):
         pairs = [FIG_PAIRS[:4], FIG_PAIRS[4:]]

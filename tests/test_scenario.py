@@ -612,6 +612,44 @@ class TestCli:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "config, key, message",
+        [
+            ("two_region_step_example.json", "power", "total sheddable power"),
+            ("continuous_four_regions.json", "capacity", "total capacity"),
+        ],
+    )
+    def test_total_overflow_rejected(self, config, key, message, capsys, tmp_path):
+        # each amount is finite, their sum is not
+        doc = json.loads((CONFIG_DIR / config).read_text())
+        for target in (doc["regions"][0]["loads"][:2] if key == "power" else doc["regions"][:2]):
+            target[key] = 1e308
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: regions: {message} exceeds the largest float\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--deficit-fraction", "2"], "deficit fraction 2.0 outside (0, 1)"),
+            (["--deficit-fraction", "-0.5"], "deficit fraction -0.5 outside (0, 1)"),
+            (["--deficit-fraction", "0"], "deficit fraction 0.0 outside (0, 1)"),
+            (["--deficit-fraction", "1"], "deficit fraction 1.0 outside (0, 1)"),
+            (["--deficit-fraction", "nan"], "deficit fraction nan outside (0, 1)"),
+            # one load: the deficit always sits at 0.9 of its ramp
+            (["--regions", "1", "--loads", "1", "--deficit-fraction", "0.9"],
+             "seed 1: no admissible power draw found"),
+        ],
+        ids=["above-one", "negative", "zero", "one", "nan", "no-admissible-draw"],
+    )
+    def test_gen_deficit_fraction_rejected(self, argv, message, capsys, tmp_path):
+        out = tmp_path / "gen.json"
+        argv = ["gen", "--seed", "1", "--regions", "2", "--loads", "3", *argv, "-o", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "row, code, line",
         [
             ([3, 3.5], 2, "deficit_tracking: FAIL  value=15000.5  bound 4"),
@@ -643,6 +681,28 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "max_rounds" in captured.err
+
+    def test_max_rounds_flag_replaces_a_faulty_key(self, capsys, tmp_path):
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        doc["max_rounds"] = "many"
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "error: max_rounds must be an integer, got 'many'\n"
+        assert cli.main(["run", str(path), "--max-rounds", "50"]) == 3
+        assert json.loads(capsys.readouterr().out)["rounds"] == 50
+
+    def test_max_rounds_flag_keeps_the_default_window_wording(self, capsys, tmp_path):
+        # three steps and no window: the window defaults to the period, 3
+        doc = json.loads((CONFIG_DIR / "continuous_four_regions.json").read_text())
+        doc["graph"] = {"kind": "periodic", "steps": [[[1, 2]], [[2, 3]], [[3, 4]]]}
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path), "--max-rounds", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: graph.window defaults to the period 3, which is outside "
+            "[1, max_rounds = 2]\n"
+        )
 
     def test_report_is_strict_json(self, capsys):
         # one round leaves the min-consensus values at their +inf sentinel
@@ -684,6 +744,45 @@ class TestCli:
         assert rc == 0
         assert "sign_condition: pass" in out
         assert "window_connectivity: pass" in out
+
+    @pytest.mark.parametrize(
+        "name, command, code, digest",
+        [
+            ("continuous_four_regions", "run", 0,
+             "0be794220d09930dd0a6297d99807c2b8ff7597e259bf108c032d4e99bd33779"),
+            ("continuous_four_regions", "solve", 0,
+             "b915f5bc7f9da642d5c84230c1e77cc5a171ce2da0b0ccce664c128837e20576"),
+            ("continuous_four_regions", "check", 0,
+             "cd44372a025ecc2b43808459cafb6d78d79829968c50c3731dcd460db3e72628"),
+            ("two_region_step_example", "run", 0,
+             "5b91ba065666071563fd9d04fb9988f1153e29dec466ec2ff460541db6b05e10"),
+            ("two_region_step_example", "solve", 0,
+             "75c1fd95a66d29ab7cca13bf8cacbd0e8971563214ba90c8570b54ffeb53500d"),
+            ("two_region_step_example", "check", 0,
+             "615fcbc13e1d7ba67122d6ae8f9564bc53929216c5a488f6d72b3136d90eccde"),
+            ("line-0", "run", 0,
+             "1182ba992affeead1b0a06778da2b7ee2a3224b9708ec0630aecc5baf7fee2b8"),
+            ("line-0", "solve", 0,
+             "9de1edaf4c2efe7766df494f4a5d125e423e94c9c11aac82c9e48c36cfabd3e8"),
+            ("line-0", "check", 0,
+             "9cb794cfcba84b793c8cbf47d63532836d3e93fa0ce8f5c1e09651ef18489a21"),
+            ("random-periodic-1", "run", 0,
+             "d9faae7b0e5084aedba6066182222ccaa45710e617165e80529091ceec1faad4"),
+            ("random-periodic-1", "solve", 0,
+             "006f409666a625f2fd05aff4684aa1abd80b5d3f44a31837ffcbbcde7b8d482d"),
+            ("random-periodic-1", "check", 0,
+             "f678e7cd7e7b700bbeedfb0278c74845b61258da31937b318b4325eacc6a0b22"),
+        ],
+    )
+    def test_stdout_is_pinned(self, name, command, code, digest, capsys, tmp_path):
+        # shipped configs, and generate_scenario(4, 100, seed, graph=family) for "family-seed"
+        path = CONFIG_DIR / f"{name}.json"
+        if not path.exists():
+            family, seed = name.rsplit("-", 1)
+            path = tmp_path / "gen.json"
+            dump_scenario(generate_scenario(4, 100, int(seed), graph=family), path)
+        assert cli.main([command, str(path)]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_max_rounds_override(self, capsys):
         rc = cli.main([
