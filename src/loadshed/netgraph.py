@@ -4,8 +4,17 @@ Graphs are undirected over nodes 0..n-1 and stored as frozensets of
 ordered pairs (i, j) with i < j.  Schedules map a 1-based round counter to
 an edge set; all three kinds (static, periodic, seeded random) are pure
 functions of (seed, t), so any round can be re-derived independently.
-They are read a block of rounds at a time (``edges_between``); a random
-schedule draws a block as one vectorised splitmix matrix.
+They are read a block of rounds at a time (``edges_between``).
+
+Blocks of graphs are boolean rows over the pair columns (pair k of the
+pairs i < j in lexicographic order).  A random schedule draws a block as
+one vectorised splitmix matrix of such rows, finds every window's
+components from one batched reachability product (``component_labels``,
+which the connectivity check uses too), writes the repair chains of the
+disconnected windows into the matrix, and makes one frozenset per
+distinct row.  ``MixingCache`` builds the mixing weights and neighbour
+lists of a block's new edge sets from one stack of matrices
+(``metropolis_block``).
 """
 
 from __future__ import annotations
@@ -16,7 +25,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .seeding import STREAM_EDGES, STREAM_REPAIR, mix64, mix64_grid, unit_float
+from .seeding import STREAM_EDGES, STREAM_REPAIR, mix64_grid, unit_float
+from .seeding import mix64  # noqa: F401  perfbench counts calls of netgraph.mix64
 
 Edge = tuple[int, int]
 
@@ -33,52 +43,45 @@ def normalize_edges(edges: Iterable[Sequence[int]], n: int) -> frozenset[Edge]:
     return frozenset(out)
 
 
-def connected_components(edges: Iterable[Edge], n: int) -> list[list[int]]:
-    adjacency = neighbor_lists(edges, n)
-    seen = [False] * n
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        group = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    group.append(v)
-                    stack.append(v)
-        components.append(sorted(group))
-    return components
+def _pair_column(i, j, n: int):
+    """Column of pair (i, j), i < j, among the pairs in lexicographic order."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
-def is_connected(edges: Iterable[Edge], n: int) -> bool:
-    return len(connected_components(edges, n)) <= 1
+def pair_rows(graphs: Sequence[frozenset[Edge]], n: int) -> np.ndarray:
+    """Edge sets (of pairs i != j) as boolean rows over the pair columns."""
+    rows = np.zeros((len(graphs), n * (n - 1) // 2), dtype=bool)
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(graphs)), np.intp).reshape(-1, 2)
+    of_set = np.arange(len(graphs)).repeat([len(e) for e in graphs])
+    rows[of_set, _pair_column(ends.min(axis=1), ends.max(axis=1), n)] = True
+    return rows
 
 
-def metropolis_weights(edges: Iterable[Edge], n: int) -> np.ndarray:
-    """Metropolis-Hastings mixing matrix for an undirected edge set.
+def _adjacency(rows: np.ndarray, n: int) -> np.ndarray:
+    A = np.zeros((len(rows), n, n), dtype=bool)
+    i, j = np.triu_indices(n, 1)
+    A[:, i, j] = A[:, j, i] = rows
+    return A
+
+
+def metropolis_block(rows: np.ndarray, n: int) -> np.ndarray:
+    """Metropolis-Hastings mixing matrix of each row of pair columns.
 
     Off-diagonal weights are 1/(1 + max degree of the endpoints); the
-    diagonal absorbs the remainder.  The result is symmetric, doubly
+    diagonal absorbs the remainder.  Each matrix is symmetric, doubly
     stochastic, has a positive diagonal, and every nonzero entry is at
     least 1/n.
     """
-    edge_list = sorted(normalize_edges(edges, n))
-    degree = [0] * n
-    for i, j in edge_list:
-        degree[i] += 1
-        degree[j] += 1
-    W = np.zeros((n, n))
-    for i, j in edge_list:
-        w = 1.0 / (1.0 + max(degree[i], degree[j]))
-        W[i, j] = w
-        W[j, i] = w
-    for i in range(n):
-        W[i, i] = 1.0 - W[i].sum()
+    A = _adjacency(rows, n)
+    degree = A.sum(axis=2)
+    W = np.where(A, 1.0 / (1.0 + np.maximum(degree[:, :, None], degree[:, None, :])), 0.0)
+    W[:, range(n), range(n)] = 1.0 - W.sum(axis=2)
     return W
+
+
+def metropolis_weights(edges: Iterable[Edge], n: int) -> np.ndarray:
+    """Metropolis-Hastings mixing matrix of one undirected edge set."""
+    return metropolis_block(pair_rows([normalize_edges(edges, n)], n), n)[0]
 
 
 def stochasticity_defect(W: np.ndarray) -> float:
@@ -86,6 +89,15 @@ def stochasticity_defect(W: np.ndarray) -> float:
     rows = np.abs(W.sum(axis=1) - 1.0).max()
     cols = np.abs(W.sum(axis=0) - 1.0).max()
     return float(max(rows, cols))
+
+
+def component_labels(rows: np.ndarray, n: int) -> np.ndarray:
+    """The smallest node each node reaches, for each row of pair columns
+    (by squaring reachability); a row is connected when every label is 0."""
+    reach = _adjacency(rows, n) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    return reach.argmax(axis=2)
 
 
 def draw_edges(seed: int, counters, n: int, edge_probability: float) -> np.ndarray:
@@ -96,51 +108,42 @@ def draw_edges(seed: int, counters, n: int, edge_probability: float) -> np.ndarr
     return unit_float(mix64_grid(seed, STREAM_EDGES, counters, pairs)) < edge_probability
 
 
-def edge_sets(draws: np.ndarray, n: int) -> list[frozenset[Edge]]:
-    """The edge set of each row of ``draws``."""
+def edge_sets(rows: np.ndarray, n: int) -> list[frozenset[Edge]]:
+    """The edge set of each row of pair columns; equal rows share one frozenset."""
+    if not rows.shape[1]:  # no pairs: packed rows have no bytes to key on
+        return [frozenset()] * len(rows)
+    packed = np.packbits(rows, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [frozenset(compress(pairs, row)) for row in draws.tolist()]
-
-
-def connected_rows(draws: np.ndarray, n: int) -> np.ndarray:
-    """Whether each row's edge set connects the n nodes (by squaring reachability)."""
-    reach = np.zeros((draws.shape[0], n, n), dtype=bool)
-    i, j = np.triu_indices(n, 1)
-    reach[:, i, j] = reach[:, j, i] = draws
-    reach[:, range(n), range(n)] = True
-    for _ in range((n - 1).bit_length()):
-        reach = reach @ reach
-    return reach[:, 0].all(axis=1)
-
-
-def repair_edges(components: list[list[int]], seed: int, key: int) -> frozenset[Edge]:
-    """Edges that connect a window's union graph, given its connected
-    components; empty when it is connected.
-
-    The components are put in an order seeded by ``key`` and their
-    smallest nodes are chained in that order.
-    """
-    if len(components) <= 1:
-        return frozenset()
-    order = sorted(
-        range(len(components)), key=lambda k: mix64(seed, STREAM_REPAIR, key, k)
-    )
-    reps = [components[k][0] for k in order]
-    return frozenset((min(a, b), max(a, b)) for a, b in zip(reps, reps[1:]))
+    sets = {key: frozenset(compress(pairs, rows[r].tolist()))
+            for key, r in dict(zip(keys, range(len(keys)))).items()}
+    return [sets[key] for key in keys]
 
 
 def repaired_edge_sets(seed: int, counters, n: int, edge_probability: float, window: int,
                        keys: Sequence[int]) -> list[frozenset[Edge]]:
     """Edge sets drawn at ``counters``, in windows of ``window`` consecutive
-    counters.  When the union of window k is disconnected, its last round gets
-    the ``repair_edges`` chain keyed ``keys[k]``; there is one window per key."""
+    counters; there is one window per key.
+
+    When the union of window k is disconnected, its components are put in
+    an order seeded by ``keys[k]`` (ties keep ascending component order),
+    and the chain through their smallest nodes, in that order, is added to
+    the window's last round.
+    """
     draws = draw_edges(seed, counters, n, edge_probability)
-    edges = edge_sets(draws, n)
     unions = draws[: len(keys) * window].reshape(len(keys), window, draws.shape[1]).any(axis=1)
-    broken = np.flatnonzero(~connected_rows(unions, n))
-    for k, union in zip(broken.tolist(), edge_sets(unions[broken], n)):
-        edges[(k + 1) * window - 1] |= repair_edges(connected_components(union, n), seed, keys[k])
-    return edges
+    labels = component_labels(unions, n)
+    broken = np.flatnonzero(labels.any(axis=1))
+    leaders = labels[broken] == np.arange(n)  # components in ascending order of their leaders
+    count = leaders.sum(axis=1, keepdims=True)
+    order = mix64_grid(seed, STREAM_REPAIR, np.asarray(keys)[broken], range(n))
+    order[np.arange(n) >= count] = np.iinfo(np.uint64).max
+    reps = np.take_along_axis(np.argsort(~leaders, axis=1, kind="stable"),
+                              order.argsort(axis=1, kind="stable"), axis=1)
+    a, b, link = reps[:, :-1], reps[:, 1:], np.arange(1, n) < count
+    last = np.broadcast_to((broken[:, None] + 1) * window - 1, link.shape)
+    draws[last[link], _pair_column(np.minimum(a, b)[link], np.maximum(a, b)[link], n)] = True
+    return edge_sets(draws, n)
 
 
 @dataclass(frozen=True)
@@ -240,43 +243,40 @@ def check_window_connectivity(schedule: GraphSchedule, max_rounds: int) -> Conne
     """Verify that every window's union graph is connected, over the whole
     windows within ``min(max_rounds, CONNECTIVITY_WINDOWS * window)``
     rounds, at least one."""
-    B = schedule.window
+    B, n = schedule.window, schedule.n
     windows = max(1, min(max_rounds // B, CONNECTIVITY_WINDOWS))
-    edges = schedule.edges_between(1, windows * B + 1)
-    for w in range(windows):
-        components = connected_components(chain(*edges[w * B:(w + 1) * B]), schedule.n)
-        if len(components) > 1:
-            return ConnectivityReport(False, windows, w, tuple(c[0] for c in components))
-    return ConnectivityReport(True, windows)
-
-
-def mixing_rows(W: np.ndarray) -> list[list[tuple[int, float]]]:
-    """Sparse row view of a mixing matrix in ascending column order.
-
-    The protocol engine reduces neighbor sums in this fixed order so that
-    results are bit-identical regardless of evaluation parallelism.
-    """
-    n = W.shape[0]
-    return [
-        [(k, float(W[j, k])) for k in range(n) if W[j, k] != 0.0] for j in range(n)
-    ]
-
-
-def neighbor_lists(edges: Iterable[Edge], n: int) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        out[i].append(j)
-        out[j].append(i)
-    for row in out:
-        row.sort()
-    return out
+    rows = pair_rows(schedule.edges_between(1, windows * B + 1), n)
+    labels = component_labels(rows.reshape(windows, B, rows.shape[1]).any(axis=1), n)
+    broken = np.flatnonzero(labels.any(axis=1))
+    if not broken.size:
+        return ConnectivityReport(True, windows)
+    leaders = np.flatnonzero(labels[broken[0]] == np.arange(n))
+    return ConnectivityReport(False, windows, int(broken[0]), tuple(leaders.tolist()))
 
 
 class Mixing(NamedTuple):
-    """Mixing structure of one edge set."""
+    """Mixing structure of one edge set: the nonzero ``(k, w)`` entries of
+    each row of its mixing matrix and each node's neighbours, in ascending
+    order, which the engine reduces in so that results are bit-identical
+    regardless of evaluation parallelism."""
 
     rows: list[list[tuple[int, float]]]
     neighbors: list[list[int]]
+
+
+def _split(items: list, counts: np.ndarray) -> list[list]:
+    ends = np.cumsum(counts, axis=None).tolist()
+    return [items[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def mixing_block(graphs: Sequence[frozenset[Edge]], n: int) -> list[Mixing]:
+    """Mixing structure of each edge set, from one stack of weights."""
+    W = metropolis_block(pair_rows(graphs, n), n)
+    g, j, k = np.nonzero(W)
+    rows = _split(list(zip(k.tolist(), W[g, j, k].tolist())), np.count_nonzero(W, axis=2))
+    A = (W != 0.0) & ~np.eye(n, dtype=bool)
+    neighbors = _split(np.nonzero(A)[2].tolist(), A.sum(axis=2))
+    return [Mixing(rows[s:s + n], neighbors[s:s + n]) for s in range(0, len(rows), n)]
 
 
 # MixingCache empties itself at the start of a block once it holds more
@@ -288,7 +288,9 @@ MIXING_CACHE_ENTRIES = 1024
 
 class MixingCache:
     """Per-round mixing structure of a schedule, built once per distinct
-    edge set (one dict lookup per round; frozensets cache their hash).
+    edge set: a block's new edge sets are built together (``mixing_block``),
+    and each round is one dict lookup (frozensets cache their hash, and a
+    random schedule's equal rounds share one frozenset).
 
     It holds at most ``MIXING_CACHE_ENTRIES`` entries plus one block's worth;
     each block's list stays valid after the cache empties.
@@ -298,16 +300,12 @@ class MixingCache:
         self.schedule = schedule
         self._by_edges: dict[frozenset[Edge], Mixing] = {}
 
-    def _build(self, edges: frozenset[Edge]) -> Mixing:
-        entry = self._by_edges.get(edges)
-        if entry is None:
-            n = self.schedule.n
-            entry = Mixing(mixing_rows(metropolis_weights(edges, n)), neighbor_lists(edges, n))
-            self._by_edges[edges] = entry
-        return entry
-
     def block(self, t0: int, t1: int) -> list[Mixing]:
         """Mixing structures of rounds t0..t1-1 (1-based)."""
-        if len(self._by_edges) > MIXING_CACHE_ENTRIES:
-            self._by_edges.clear()
-        return [self._build(edges) for edges in self.schedule.edges_between(t0, t1)]
+        cache = self._by_edges
+        if len(cache) > MIXING_CACHE_ENTRIES:
+            cache.clear()
+        edges = self.schedule.edges_between(t0, t1)
+        new = [e for e in dict.fromkeys(edges) if e not in cache]
+        cache.update(zip(new, mixing_block(new, self.schedule.n)))
+        return [cache[e] for e in edges]

@@ -3,6 +3,7 @@ four-region continuous instance used across the suite."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from loadshed.criticality import CriticalLoad, build_ccf
@@ -59,3 +60,38 @@ def make_random_loads(rng, count: int, distinct: bool = True) -> list[CriticalLo
         crits.append(c / 10_000)
     powers = rng.uniform(0.5, 1.5, size=count)
     return [CriticalLoad(i + 1, float(powers[i]), crits[i]) for i in range(count)]
+
+
+# Scalar references for the block-built mixing structure
+# (netgraph.mixing_block): one graph, one Python loop each.
+
+
+def scalar_metropolis(edges, n: int) -> np.ndarray:
+    """Metropolis-Hastings weights of one normalized edge set, entry by entry."""
+    edge_list = sorted(edges)
+    degree = [0] * n
+    for i, j in edge_list:
+        degree[i] += 1
+        degree[j] += 1
+    W = np.zeros((n, n))
+    for i, j in edge_list:
+        W[i, j] = W[j, i] = 1.0 / (1.0 + max(degree[i], degree[j]))
+    for i in range(n):
+        W[i, i] = 1.0 - W[i].sum()
+    return W
+
+
+def mixing_rows(W: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Nonzero ``(k, w)`` entries of each row of a mixing matrix, ascending."""
+    n = W.shape[0]
+    return [[(k, float(W[j, k])) for k in range(n) if W[j, k] != 0.0] for j in range(n)]
+
+
+def neighbor_lists(edges, n: int) -> list[list[int]]:
+    out: list[list[int]] = [[] for _ in range(n)]
+    for i, j in edges:
+        out[i].append(j)
+        out[j].append(i)
+    for row in out:
+        row.sort()
+    return out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -9,24 +10,57 @@ from hypothesis import strategies as st
 
 from loadshed import netgraph
 from loadshed.netgraph import (
+    ConnectivityReport,
     MixingCache,
     PeriodicSchedule,
     RandomSchedule,
     StaticSchedule,
     check_window_connectivity,
-    connected_components,
-    connected_rows,
-    is_connected,
+    component_labels,
     metropolis_weights,
-    mixing_rows,
-    neighbor_lists,
+    mixing_block,
     normalize_edges,
-    repair_edges,
+    pair_rows,
     stochasticity_defect,
 )
-from loadshed.seeding import STREAM_EDGES, mix64, mix64_grid, unit_float
+from loadshed.seeding import STREAM_EDGES, STREAM_REPAIR, mix64, mix64_grid, unit_float
+
+from conftest import mixing_rows, neighbor_lists, scalar_metropolis
 
 LINE4 = [(0, 1), (1, 2), (2, 3)]
+
+
+def connected_components(edges, n: int) -> list[list[int]]:
+    """Scalar reference: the components, each sorted, in order of their
+    smallest nodes (depth-first search)."""
+    adjacency = neighbor_lists(edges, n)
+    seen = [False] * n
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        group, stack = [start], [start]
+        seen[start] = True
+        while stack:
+            for v in adjacency[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = True
+                    group.append(v)
+                    stack.append(v)
+        components.append(sorted(group))
+    return components
+
+
+def repair_edges(components: list[list[int]], seed: int, key: int) -> frozenset:
+    """Scalar reference: the chain that connects a window's union, given its
+    components (empty when it is connected).  The components are ordered by
+    the splitmix draw keyed ``key`` and their smallest nodes are chained in
+    that order."""
+    if len(components) <= 1:
+        return frozenset()
+    order = sorted(range(len(components)), key=lambda k: mix64(seed, STREAM_REPAIR, key, k))
+    reps = [components[k][0] for k in order]
+    return frozenset((min(a, b), max(a, b)) for a, b in zip(reps, reps[1:]))
 
 
 def random_graph(rng, n, p):
@@ -188,28 +222,61 @@ class TestMixingCache:
 
     def test_random_schedule_read_once_per_round(self, monkeypatch):
         # one draw per block call, each round of the block and of the
-        # window it starts in drawn once, at most one repair per window
-        draws, repairs = [], []
-        draw, repair = netgraph.draw_edges, netgraph.repair_edges
+        # window it starts in drawn once; the last round of each window
+        # that ends in the block carries the scalar reference's repair
+        draws = []
+        draw = netgraph.draw_edges
 
         def counted_draw(seed, counters, *rest):
             draws.append(list(counters))
             return draw(seed, counters, *rest)
 
-        def counted_repair(components, seed, key):
-            repairs.append(key)
-            return repair(components, seed, key)
-
         monkeypatch.setattr(netgraph, "draw_edges", counted_draw)
-        monkeypatch.setattr(netgraph, "repair_edges", counted_repair)
-        mixing = MixingCache(RandomSchedule(6, 0.1, window=3, seed=1))
-        mixing.block(5, 50)  # starts and ends inside windows 1 and 16
+        schedule = RandomSchedule(6, 0.1, window=3, seed=1)
+        block = MixingCache(schedule).block(5, 50)  # starts and ends inside windows 1 and 16
         assert draws == [list(range(4, 50))]
-        assert repairs and len(set(repairs)) == len(repairs)
-        assert set(repairs) <= set(range(1, 16))
+        raw = netgraph.edge_sets(draw(1, range(4, 50), 6, 0.1), 6)  # round t at t - 4
+        repaired = 0
+        for w in range(1, 16):  # window w holds rounds 3w + 1 .. 3w + 3
+            rounds = raw[3 * w - 3:3 * w]
+            repair = repair_edges(connected_components(chain(*rounds), 6), 1, w)
+            repaired += bool(repair)
+            assert block[3 * w + 3 - 5].neighbors == neighbor_lists(rounds[-1] | repair, 6)
+        assert repaired
         draws.clear()
-        assert check_window_connectivity(mixing.schedule, 30).passed
+        assert check_window_connectivity(schedule, 30).passed
         assert draws == [list(range(1, 31))]
+
+
+class TestMixingBlock:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 29),
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        rounds=st.integers(0, 12),
+        same=st.booleans(),
+    )
+    @example(n=1, p=0.5, seed=0, rounds=3, same=False)
+    @example(n=29, p=0.5, seed=0, rounds=12, same=True)
+    def test_block_matches_scalar_reference(self, n, p, seed, rounds, same):
+        # same: every round of the block draws the same graph
+        counters = [1] * rounds if same else range(1, rounds + 1)
+        edges = netgraph.edge_sets(netgraph.draw_edges(seed, counters, n, p), n)
+        assert len(edges) == rounds
+        if same:
+            assert all(e is edges[0] for e in edges)
+        block = mixing_block(edges, n)
+        assert len(block) == rounds
+        for e, entry in zip(edges, block):
+            W = scalar_metropolis(e, n)
+            assert metropolis_weights(e, n).tobytes() == W.tobytes()
+            assert entry.rows == mixing_rows(W)
+            assert entry.neighbors == neighbor_lists(e, n)
+
+    def test_empty_block(self):
+        assert mixing_block([], 4) == []
+        assert pair_rows([], 4).shape == (0, 6)
 
 
 def reference_edges(schedule: RandomSchedule, t: int) -> frozenset:
@@ -287,8 +354,9 @@ class TestHelpers:
         assert normalize_edges([(1, 1), (0, 1)], 2) == {(0, 1)}
 
     def test_connected_components(self):
-        comps = connected_components([(0, 1), (2, 3)], 5)
-        assert comps == [[0, 1], [2, 3], [4]]
+        labels = component_labels(pair_rows([frozenset({(0, 1), (2, 3)})], 5), 5)
+        assert labels.tolist() == [[0, 0, 2, 2, 4]]
+        assert connected_components([(0, 1), (2, 3)], 5) == [[0, 1], [2, 3], [4]]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_connected_rows_on_paths(self, n):
@@ -299,13 +367,45 @@ class TestHelpers:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         rows = np.array([[pair in path for pair in pairs]]
                         + [[pair in path and pair != cut for pair in pairs] for cut in path])
-        assert connected_rows(rows.reshape(len(rows), len(pairs)), n).tolist() == [
-            is_connected(edges, n) for edges in netgraph.edge_sets(rows, n)
-        ] == [True] + [False] * len(path)
+        rows = rows.reshape(len(rows), len(pairs))
+        labels = component_labels(rows, n)
+        expected = []
+        for edges in netgraph.edge_sets(rows, n):
+            expected.append([0] * n)
+            for component in connected_components(edges, n):
+                for v in component:
+                    expected[-1][v] = component[0]
+        assert labels.tolist() == expected
+        assert (~labels.any(axis=1)).tolist() == [True] + [False] * len(path)
 
     def test_single_node_connected(self):
-        assert is_connected([], 1)
+        assert component_labels(np.zeros((1, 0), dtype=bool), 1).tolist() == [[0]]
+        assert check_window_connectivity(StaticSchedule(1, frozenset()), 5).passed
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        window=st.integers(1, 4),
+        period=st.integers(1, 6),
+        p=st.floats(0.0, 0.6),
+        seed=st.integers(0, 2**32 - 1),
+        max_rounds=st.integers(1, 40),
+    )
+    def test_window_connectivity_matches_scalar_reference(self, n, window, period, p, seed,
+                                                          max_rounds):
+        rng = np.random.default_rng(seed)
+        steps = tuple(frozenset(random_graph(rng, n, p)) for _ in range(period))
+        schedule = PeriodicSchedule(n, steps, window)
+        windows = max(1, min(max_rounds // window, 100))
+        edges = schedule.edges_between(1, windows * window + 1)
+        expected = ConnectivityReport(True, windows)
+        for w in range(windows):
+            components = connected_components(chain(*edges[w * window:(w + 1) * window]), n)
+            if len(components) > 1:
+                expected = ConnectivityReport(False, windows, w, tuple(c[0] for c in components))
+                break
+        assert check_window_connectivity(schedule, max_rounds) == expected
 
     def test_neighbor_lists_sorted(self):
-        nbrs = neighbor_lists([(2, 0), (0, 1)], 3)
-        assert nbrs == [[1, 2], [0], [0]]
+        (entry,) = mixing_block([frozenset({(0, 2), (0, 1)})], 3)
+        assert entry.neighbors == neighbor_lists([(2, 0), (0, 1)], 3) == [[1, 2], [0], [0]]

@@ -20,8 +20,6 @@ from loadshed.netgraph import (
     RandomSchedule,
     StaticSchedule,
     metropolis_weights,
-    mixing_rows,
-    neighbor_lists,
     normalize_edges,
 )
 from loadshed.oracle import exact_z_hat, exact_z_star
@@ -42,7 +40,7 @@ from loadshed.protocol import (
 from loadshed import scenario
 from loadshed.seeding import noise_matrix, symmetric_uniform, STREAM_NOISE
 
-from conftest import FIG_PAIRS, FIG_RAMP
+from conftest import FIG_PAIRS, FIG_RAMP, mixing_rows, neighbor_lists
 
 
 def fig_two_region_instance(deficit=6.0, max_rounds=3000, window=None, **kwargs):
