@@ -115,8 +115,8 @@ def edge_sets(rows: np.ndarray, n: int) -> list[frozenset[Edge]]:
     packed = np.packbits(rows, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    sets = {key: frozenset(compress(pairs, rows[r].tolist()))
-            for key, r in dict(zip(keys, range(len(keys)))).items()}
+    row_of = dict(zip(keys, range(len(keys))))  # one row per distinct key
+    sets = {key: frozenset(compress(pairs, rows[r].tolist())) for key, r in row_of.items()}
     return [sets[key] for key in keys]
 
 
@@ -137,7 +137,7 @@ def repaired_edge_sets(seed: int, counters, n: int, edge_probability: float, win
     leaders = labels[broken] == np.arange(n)  # components in ascending order of their leaders
     count = leaders.sum(axis=1, keepdims=True)
     order = mix64_grid(seed, STREAM_REPAIR, np.asarray(keys)[broken], range(n))
-    order[np.arange(n) >= count] = np.iinfo(np.uint64).max
+    order[np.arange(n) >= count] = np.iinfo(np.uint64).max  # no such component: sorts last
     reps = np.take_along_axis(np.argsort(~leaders, axis=1, kind="stable"),
                               order.argsort(axis=1, kind="stable"), axis=1)
     a, b, link = reps[:, :-1], reps[:, 1:], np.arange(1, n) < count
@@ -307,5 +307,6 @@ class MixingCache:
             cache.clear()
         edges = self.schedule.edges_between(t0, t1)
         new = [e for e in dict.fromkeys(edges) if e not in cache]
-        cache.update(zip(new, mixing_block(new, self.schedule.n)))
+        if new:  # an empty build still costs a few dozen numpy calls
+            cache.update(zip(new, mixing_block(new, self.schedule.n)))
         return [cache[e] for e in edges]

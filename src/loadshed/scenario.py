@@ -38,8 +38,9 @@ from .netgraph import (
     RandomSchedule,
     StaticSchedule,
     check_window_connectivity,
-    metropolis_weights,
+    metropolis_block,
     normalize_edges,
+    pair_rows,
     repaired_edge_sets,
     stochasticity_defect,
 )
@@ -794,10 +795,8 @@ def certificate_digest(config: ScenarioConfig, inst: ProtocolInstance) -> dict:
     schedule = inst.schedule
     connectivity = check_window_connectivity(schedule, inst.max_rounds)
     sampled = min(connectivity.windows_checked * schedule.window, 32)
-    defect = max(
-        stochasticity_defect(metropolis_weights(edges, schedule.n))
-        for edges in set(schedule.edges_between(1, sampled + 1))
-    )
+    graphs = pair_rows(list(set(schedule.edges_between(1, sampled + 1))), schedule.n)
+    defect = max(map(stochasticity_defect, metropolis_block(graphs, schedule.n)))
     return {
         "window": schedule.window,
         "window_connectivity": connectivity.passed,

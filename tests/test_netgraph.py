@@ -258,8 +258,9 @@ class TestMixingBlock:
         same=st.booleans(),
     )
     @example(n=1, p=0.5, seed=0, rounds=3, same=False)
+    @example(n=4, p=0.5, seed=0, rounds=0, same=False)
     @example(n=29, p=0.5, seed=0, rounds=12, same=True)
-    def test_block_matches_scalar_reference(self, n, p, seed, rounds, same):
+    def test_rows_and_neighbors_match_scalar_reference(self, n, p, seed, rounds, same):
         # same: every round of the block draws the same graph
         counters = [1] * rounds if same else range(1, rounds + 1)
         edges = netgraph.edge_sets(netgraph.draw_edges(seed, counters, n, p), n)
@@ -273,10 +274,6 @@ class TestMixingBlock:
             assert metropolis_weights(e, n).tobytes() == W.tobytes()
             assert entry.rows == mixing_rows(W)
             assert entry.neighbors == neighbor_lists(e, n)
-
-    def test_empty_block(self):
-        assert mixing_block([], 4) == []
-        assert pair_rows([], 4).shape == (0, 6)
 
 
 def reference_edges(schedule: RandomSchedule, t: int) -> frozenset:
@@ -377,6 +374,14 @@ class TestHelpers:
                     expected[-1][v] = component[0]
         assert labels.tolist() == expected
         assert (~labels.any(axis=1)).tolist() == [True] + [False] * len(path)
+
+    def test_pair_rows_take_either_order(self):
+        # schedules may hold (j, i) pairs; they mix and connect like (i, j)
+        reversed_line = StaticSchedule(4, frozenset({(1, 0), (2, 1), (3, 2)}))
+        assert pair_rows([reversed_line.edges], 4).tolist() == [[1, 0, 0, 1, 0, 1]]
+        assert MixingCache(reversed_line).block(1, 2)[0].rows == mixing_rows(
+            scalar_metropolis(LINE4, 4))
+        assert check_window_connectivity(reversed_line, 4).passed
 
     def test_single_node_connected(self):
         assert component_labels(np.zeros((1, 0), dtype=bool), 1).tolist() == [[0]]
