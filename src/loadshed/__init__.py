@@ -3,8 +3,8 @@
 Library plus CLI simulator: cumulative criticality functions and their
 Lipschitz surrogates, centralized verification oracles, time-varying
 communication graphs with doubly-stochastic mixing, the synchronous
-distributed threshold protocol with dynamic min-consensus, and a
-generalized distributed root finder with executable assumption checks.
+distributed threshold protocol with dynamic min-consensus, and
+executable checks of the assumptions its root-finding recursion rests on.
 """
 
 from .criticality import (
@@ -52,12 +52,7 @@ from .protocol import (
     run_protocol,
     shed_decision,
 )
-from .rootfind import (
-    AssumptionCertificate,
-    RootRun,
-    TimeVaryingField,
-    run_to_root,
-)
+from .rootfind import AssumptionCertificate, TimeVaryingField
 from .scenario import (
     ScenarioConfig,
     ScenarioError,

@@ -80,7 +80,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     cert.add(bounded)
     cert.add(lipschitz)
-    sign = rootfind.verify_sign_condition(fld, grid, 10.0 * horizon)
+    sign = rootfind.verify_sign_condition(fld, grid)
     cert.add(sign)
     deviation = rootfind.verify_deviation_rate(
         fld, grid[::10], horizon, lambda t: inst.step.eta(t)

@@ -220,7 +220,6 @@ def brute_force_min_set(
 
 def continuous_ccf_eval(regions: Iterable[tuple[float, float]], z: float) -> float:
     """Continuous-variant CCF: sum of capacity times a unit-width ramp."""
-    total = 0.0
     parts = []
     for capacity, criticality in regions:
         if capacity < 0:

@@ -1,12 +1,12 @@
-"""Distributed root finding for time-varying node fields over switching graphs.
+"""Executable checks of the conditions behind distributed root finding.
 
 The recursion x(t+1) = W(t) x(t) - eta(t) y(t), with y_j(t) the local field
 evaluated at the node's own state, drives every node to a common root of
-the average limit field.  This module provides a fixed-field runner,
-``consensus_diagnostics`` (the disagreement, its ratio to the step size
-and the size of the mean of any block of estimates), and executable
-checks of the boundedness, Lipschitz, sign, and deviation-rate conditions
-the convergence argument rests on.
+the average limit field; the engine runs it as ``protocol.x_rounds``.
+This module checks the boundedness, Lipschitz, sign, and deviation-rate
+conditions the convergence argument rests on, and computes
+``consensus_diagnostics`` (the disagreement of a block of estimates and
+its ratio to the step size).
 The checks evaluate a field on a whole grid per call and average across
 nodes with ``math.fsum`` at each point: bit for bit a point-by-point check.
 """
@@ -15,13 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-
-from .netgraph import GraphSchedule, MixingCache
-from .protocol import CHUNK
 
 SIGN_TOL = 1e-9
 LIPSCHITZ_SAFETY = 1.1
@@ -29,32 +25,24 @@ LIPSCHITZ_SAFETY = 1.1
 
 @dataclass(frozen=True)
 class TimeVaryingField:
-    """Per-node field h(j, z, t) with an optional declared limit field.
+    """Per-node field h(j, z, t) and its limit lim_{t->inf} h(j, z, .).
 
-    ``evaluate(j, z, t)`` and ``limit(j, z)`` take z as a float (from ``run_to_root``)
-    or a float64 array (the verifiers' grid) and return a value of its shape.
-    ``limit`` gives lim_{t->inf} h(j, z, .) when known analytically; when
-    absent, certificates estimate it from late-time samples.
+    ``evaluate(j, z, t)`` and ``limit(j, z)`` take z as a float64 grid array
+    and return an array of its shape.
     """
 
     n: int
-    evaluate: Callable[[int, float, float], float]
-    limit: Callable[[int, float], float] | None = None
+    evaluate: Callable[[int, np.ndarray, float], np.ndarray]
+    limit: Callable[[int, np.ndarray], np.ndarray]
 
-    def average_limit(self, z: float | np.ndarray, t_large: float) -> float | np.ndarray:
-        """Mean over nodes of the limit field at z, a float or an array."""
-        if self.limit is not None:
-            values = [self.limit(j, z) for j in range(self.n)]
-        else:
-            values = [self.evaluate(j, z, t_large) for j in range(self.n)]
-        return _node_mean(values)
+    def average_limit(self, z: np.ndarray) -> np.ndarray:
+        """Mean over nodes of the limit field on the grid z."""
+        return _node_mean([self.limit(j, z) for j in range(self.n)])
 
 
-def _node_mean(values: Sequence[float] | Sequence[np.ndarray]) -> float | np.ndarray:
-    """Mean of per-node floats or 1-D grid arrays: ``math.fsum`` across nodes at each point.
-    Grid arrays with a non-finite sample have no mean: it is NaN at every point."""
-    if np.ndim(values[0]) == 0:
-        return math.fsum(values) / len(values)
+def _node_mean(values: Sequence[np.ndarray]) -> np.ndarray:
+    """Mean of per-node 1-D grid arrays: ``math.fsum`` across nodes at each point.
+    Arrays with a non-finite sample have no mean: it is NaN at every point."""
     points = np.stack(values, axis=-1)
     if not np.isfinite(points).all():  # math.fsum raises on inf + -inf
         return np.full(len(points), math.nan)
@@ -142,16 +130,14 @@ def verify_assumption_bounded_lipschitz(
     return bounded, lipschitz, bound, slope
 
 
-def verify_sign_condition(
-    fld: TimeVaryingField, grid: np.ndarray, t_large: float
-) -> CheckResult:
+def verify_sign_condition(fld: TimeVaryingField, grid: np.ndarray) -> CheckResult:
     """Search for a root of the average limit validating (z - root) H(z) >= 0.
 
     Candidates come from sign changes of the sampled limit (or an endpoint
     when the limit never changes sign); the winner must keep the product
     above -SIGN_TOL across the whole grid.
     """
-    H = fld.average_limit(grid, t_large)
+    H = fld.average_limit(grid)
     candidates: list[float] = []
     for i in range(len(grid) - 1):
         if H[i] == 0.0:
@@ -192,8 +178,7 @@ def verify_deviation_rate(
     second half of the sampled horizon; fails on a non-finite sample.
     """
     times = _sample_times(horizon, count=40)
-    t_large = 10.0 * max(horizon, 1)
-    H = fld.average_limit(grid, t_large)
+    H = fld.average_limit(grid)
     running = 0.0
     attained_at = 1
     for t in times:
@@ -215,87 +200,22 @@ def verify_deviation_rate(
 class ConsensusDiagnostics(NamedTuple):
     """Consensus diagnostics of a block of estimates, one row per round.
 
-    A peak is reported with the first round attaining it, and as (0.0, 1)
-    when no round has a positive value.
+    The peak ratio is reported with the first round attaining it, and as
+    (0.0, 1) when no round has a positive ratio.
     """
 
     disagreement: np.ndarray   # (rounds,) max_j |x_j - mean|
     ratio_max: float           # sup_t disagreement / eta  (consensus-rate nu)
     ratio_argmax: int
-    mean_abs_max: float        # sup_t |mean(x)|  (boundedness monitor)
-    mean_abs_argmax: int
 
 
 def consensus_diagnostics(x: np.ndarray, eta: np.ndarray) -> ConsensusDiagnostics:
-    """Disagreement, its largest ratio to the step size and the largest
-    |mean| of the (rounds, n) estimates ``x`` under steps ``eta``.
+    """Disagreement of the (rounds, n) estimates ``x`` and its largest ratio
+    to the steps ``eta``.
 
     The mean is numpy's row mean; rounds with eta = 0 have no ratio.
     """
-    mean = x.mean(axis=1)
-    disagreement = np.abs(x - mean[:, None]).max(axis=1)
+    disagreement = np.abs(x - x.mean(axis=1)[:, None]).max(axis=1)
     ratio = np.divide(disagreement, eta, out=np.zeros_like(disagreement), where=eta > 0)
-    peaks = []
-    for values in (ratio, np.abs(mean)):
-        k = int(np.argmax(np.append(0.0, values)))  # index k is round k; 0: none positive
-        peaks += [float(values[k - 1]) if k else 0.0, max(k, 1)]
-    return ConsensusDiagnostics(disagreement, *peaks)
-
-
-@dataclass(frozen=True)
-class RootRun:
-    """Trajectory and diagnostics of a root-finding run."""
-
-    root: float
-    x_final: tuple[float, ...]
-    converged: bool
-    rounds: int
-    x: np.ndarray              # (rounds, n)
-    eta: np.ndarray            # (rounds,)
-    diagnostics: ConsensusDiagnostics
-
-
-def run_to_root(
-    fld: TimeVaryingField,
-    schedule: GraphSchedule,
-    eta: Callable[[int], float],
-    x0: float | Sequence[float] = 0.0,
-    tolerance: float = 1e-6,
-    max_rounds: int = 10_000,
-) -> RootRun:
-    """Iterate the recursion until nodes agree on a root or rounds run out.
-
-    Convergence requires both the disagreement and the average limit field
-    at the mean to fall inside the tolerance.  Diagnostics cover the
-    consensus ratio (disagreement over step size) and the boundedness of
-    the running mean (``consensus_diagnostics``).
-    """
-    n = fld.n
-    x = list(x0) if isinstance(x0, Sequence) else [float(x0)] * n
-    if len(x) != n:
-        raise ValueError(f"x0 has length {len(x)}, field has {n} nodes")
-    t_large = 10.0 * max_rounds
-    mixing = MixingCache(schedule)
-    xs, etas = [], []
-    converged = False
-    budget = range(1, max_rounds + 1)  # a chunk at a time: an early stop draws no more
-    blocks = (mixing.block(t0, min(t0 + CHUNK, budget.stop)) for t0 in budget[::CHUNK])
-    for t, graph in enumerate(chain.from_iterable(blocks), 1):
-        eta_t = eta(t)
-        x_next = []
-        for j, row in enumerate(graph.rows):  # ascending neighbour order
-            acc = 0.0
-            for k, w in row:
-                acc += w * x[k]
-            x_next.append(acc - eta_t * fld.evaluate(j, x[j], t))
-        x = x_next
-        xs.append(x)
-        etas.append(eta_t)
-        mean = math.fsum(x) / n
-        spread = max(abs(v - mean) for v in x)
-        if spread <= tolerance and abs(fld.average_limit(mean, t_large)) <= tolerance:
-            converged = True
-            break
-    X, E = np.array(xs).reshape(len(xs), n), np.array(etas)
-    diagnostics = consensus_diagnostics(X, E)
-    return RootRun(math.fsum(x) / n, tuple(x), converged, len(xs), X, E, diagnostics)
+    k = int(np.argmax(np.append(0.0, ratio)))  # index k is round k; 0: none positive
+    return ConsensusDiagnostics(disagreement, float(ratio[k - 1]) if k else 0.0, max(k, 1))

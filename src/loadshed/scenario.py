@@ -278,8 +278,8 @@ def validate(config: ScenarioConfig, window_is_period: bool = False) -> None:
         raise ScenarioError(f"unsupported config version {config.version}")
     if config.mode not in ("discrete", "continuous"):
         raise ScenarioError(f"unknown mode {config.mode!r}")
-    if config.deficit < 0:
-        raise ScenarioError(f"deficit {config.deficit} is negative")
+    if config.deficit <= 0:
+        raise ScenarioError(f"deficit {config.deficit} must be positive")
     if config.max_rounds < 1:
         raise ScenarioError("max_rounds must be positive")
     if config.convergence_window is not None and config.convergence_window < 1:

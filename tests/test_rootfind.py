@@ -6,18 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loadshed import cli, netgraph, rootfind, scenario
+from loadshed import cli, rootfind, scenario
 from loadshed.criticality import SurrogateCcf, build_ccf, eval_surrogate
-from loadshed.netgraph import RandomSchedule, StaticSchedule, normalize_edges
+from loadshed.netgraph import MixingCache, StaticSchedule, normalize_edges
 from loadshed.oracle import exact_z_hat
 from loadshed.protocol import (
-    CHUNK,
     ExactSplit,
     NoisySplit,
     ProtocolInstance,
     StepSchedule,
     TraceEstimator,
     run_protocol,
+    x_rounds,
 )
 from loadshed.rootfind import (
     LIPSCHITZ_SAFETY,
@@ -25,7 +25,6 @@ from loadshed.rootfind import (
     CheckResult,
     TimeVaryingField,
     consensus_diagnostics,
-    run_to_root,
     verify_assumption_bounded_lipschitz,
     verify_deviation_rate,
     verify_sign_condition,
@@ -37,6 +36,7 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 LINE4 = StaticSchedule(4, normalize_edges([(0, 1), (1, 2), (2, 3)], 4))
 ETA = StepSchedule(1.0, 1.0, 1.0)
+ZERO = SurrogateCcf(build_ccf([]), 1.0)  # an empty CCF: the zero field
 
 
 def shedding_field(pairs_by_region, ramp, estimator, rounds=2000, deficit=None):
@@ -55,111 +55,44 @@ def shedding_field(pairs_by_region, ramp, estimator, rounds=2000, deficit=None):
     )
 
 
-def continuous_field():
-    caps = [(1.2, 1.0), (1.2, 2.0), (1.2, 2.0), (1.2, 3.0)]
-    surrogates = [
-        SurrogateCcf(build_ccf([(cap, crit)]), 1.0) for cap, crit in caps
-    ]
-    return TimeVaryingField(
-        n=4,
-        evaluate=lambda j, z, t: eval_surrogate(surrogates[j], z) - 0.45,
-        limit=lambda j, z: eval_surrogate(surrogates[j], z) - 0.45,
+def continuous_run(estimator, rounds, x0):
+    """The engine on four regions of one load of 1.2 each, at criticalities
+    1, 2, 2 and 3 under unit ramps, over the line graph for a fixed horizon."""
+    crits = ((1.0,), (2.0,), (2.0,), (3.0,))
+    surrogates = tuple(SurrogateCcf(build_ccf([(1.2, c)]), 1.0) for (c,) in crits)
+    return run_protocol(
+        ProtocolInstance(crits, surrogates, 1.0, LINE4, ETA, estimator, None, rounds, x0)
     )
+
+
+def recursion(x0, surrogates, schedule, rounds):
+    """``x_rounds`` from the node states ``x0`` over rounds 1..rounds, with
+    zero deficit estimates; one row per round."""
+    rows = [g.rows for g in MixingCache(schedule).block(1, rounds + 1)]
+    etas = [ETA.eta(t) for t in range(1, rounds + 1)]
+    ps = [[0.0] * len(x0)] * rounds
+    return np.array(x_rounds(x0, rows, etas, ps, surrogates))
 
 
 class TestAuxUpdate:
     def test_telescoping_contraction(self):
-        # h(z, t) = z on one node: x(t) shrinks by (1 - eta) each round,
-        # giving exactly 1/(t+1) after t rounds of the harmonic step
-        fld = TimeVaryingField(1, lambda j, z, t: z)
-        run = run_to_root(fld, StaticSchedule(1, frozenset()), ETA.eta, x0=1.0,
-                          tolerance=0.0, max_rounds=199)
-        assert run.rounds == 199 and not run.converged
-        assert run.x_final[0] == pytest.approx(1.0 / 200.0, rel=1e-9)
+        # h(z, t) = z on one node (one load of power 2 at breakpoint 2 under
+        # a ramp of width 2): x(t) shrinks by (1 - eta) each round, giving
+        # 1/(t+1) after t rounds of the harmonic step
+        ramp = SurrogateCcf(build_ccf([(2.0, 2.0)]), 2.0)
+        X = recursion([1.0], [ramp], StaticSchedule(1, frozenset()), 199)
+        assert X[-1, 0] == pytest.approx(1.0 / 200.0, rel=1e-9)
 
     def test_zero_field_is_pure_consensus(self):
-        fld = TimeVaryingField(4, lambda j, z, t: 0.0, limit=lambda j, z: 0.0)
-        run = run_to_root(fld, LINE4, ETA.eta, x0=[4.0, 0.0, 0.0, 0.0],
-                          tolerance=1e-9, max_rounds=4000)
-        assert run.converged
-        assert run.root == pytest.approx(1.0, abs=1e-8)  # the initial mean
-
-
-class TestModuleEquivalence:
-    def test_bit_exact_against_protocol(self):
-        """The generic root finder and the shedding runtime produce
-        identical trajectories for the shedding field."""
-        pairs = [FIG_PAIRS[:4], FIG_PAIRS[4:]]
-        estimator = ExactSplit(6.0, 2)
-        ramp = FIG_RAMP
-        rounds = 700
-        schedule = StaticSchedule(2, normalize_edges([(0, 1)], 2))
-
-        inst = ProtocolInstance(
-            region_criticalities=tuple(
-                tuple(sorted(c for _, c in p)) for p in pairs
-            ),
-            surrogates=tuple(SurrogateCcf(build_ccf(p), ramp) for p in pairs),
-            ramp_width=ramp,
-            schedule=schedule,
-            step=ETA,
-            estimator=estimator,
-            convergence_window=None,
-            max_rounds=rounds,
-        )
+        X = recursion([4.0, 0.0, 0.0, 0.0], [ZERO] * 4, LINE4, 4000)
+        assert np.abs(X[-1] - X[-1].mean()).max() <= 1e-9
+        assert X[-1] == pytest.approx([1.0] * 4, abs=1e-8)  # the initial mean
+        # the engine runs the same recursion, with no cutoff to find
+        inst = ProtocolInstance(((),) * 4, (ZERO,) * 4, 1.0, LINE4, ETA, ExactSplit(0.0, 4),
+                                None, 300, 1.0)
         trace = run_protocol(inst)
-
-        fld = shedding_field(pairs, ramp, estimator)
-        run = run_to_root(fld, schedule, ETA.eta, x0=0.0, tolerance=0.0,
-                          max_rounds=rounds)
-        assert run.rounds == trace.rounds == rounds
-        assert np.array_equal(run.x, trace.x)
-
-    def test_bit_exact_on_random_schedule(self):
-        pairs = [FIG_PAIRS[:4], FIG_PAIRS[4:]]
-        estimator = NoisySplit(6.0, 2, seed=77)
-        schedule = RandomSchedule(2, 0.6, window=3, seed=77)
-        inst = ProtocolInstance(
-            region_criticalities=tuple(tuple(sorted(c for _, c in p)) for p in pairs),
-            surrogates=tuple(SurrogateCcf(build_ccf(p), FIG_RAMP) for p in pairs),
-            ramp_width=FIG_RAMP,
-            schedule=schedule,
-            step=ETA,
-            estimator=estimator,
-            convergence_window=None,
-            max_rounds=300,
-        )
-        trace = run_protocol(inst)
-        fld = shedding_field(pairs, FIG_RAMP, estimator)
-        run = run_to_root(fld, schedule, ETA.eta, tolerance=0.0, max_rounds=300)
-        assert np.array_equal(run.x, trace.x)
-
-    def test_random_schedule_read_a_chunk_at_a_time(self, monkeypatch):
-        # the round budget is drawn CHUNK rounds at a time, so an early
-        # stop leaves the rest of it undrawn
-        drawn = []
-        draw = netgraph.draw_edges
-
-        def counted_draw(seed, counters, *rest):
-            drawn.append((int(counters[0]), int(counters[-1])))
-            return draw(seed, counters, *rest)
-
-        monkeypatch.setattr(netgraph, "draw_edges", counted_draw)
-        schedule = RandomSchedule(3, 0.3, window=2, seed=5)
-        still = TimeVaryingField(3, lambda j, z, t: 0.0, limit=lambda j, z: 0.0)
-        run = run_to_root(still, schedule, ETA.eta, x0=1.0, max_rounds=10_000)
-        assert run.converged and run.rounds == 1
-        assert drawn == [(1, CHUNK)]
-
-        drawn.clear()
-        fld = TimeVaryingField(3, lambda j, z, t: math.tanh(z) + j, limit=lambda j, z: math.tanh(z) + j)
-        run = run_to_root(fld, schedule, ETA.eta, x0=30.0, max_rounds=2500)
-        assert not run.converged and run.rounds == 2500
-        assert drawn == [(1, 1024), (1025, 2048), (2049, 2500)]
-        # blocks that start and end inside windows give the same run
-        monkeypatch.setattr(rootfind, "CHUNK", 7)
-        again = run_to_root(fld, schedule, ETA.eta, x0=30.0, max_rounds=2500)
-        assert np.array_equal(again.x, run.x)
+        assert np.array_equal(trace.x, recursion([1.0] * 4, [ZERO] * 4, LINE4, 300))
+        assert trace.final_x == pytest.approx((1.0,) * 4) and trace.final_zeta == (math.inf,) * 4
 
 
 class TestAssumptionChecks:
@@ -172,7 +105,7 @@ class TestAssumptionChecks:
         )
         assert bounded.passed and lipschitz.passed
         assert bound <= 16.0  # fields never exceed the total load
-        sign = verify_sign_condition(fld, grid, t_large=1e6)
+        sign = verify_sign_condition(fld, grid)
         assert sign.passed
         ccf = build_ccf(FIG_PAIRS)
         z_hat = exact_z_hat(SurrogateCcf(ccf, FIG_RAMP), 6.0)
@@ -182,14 +115,14 @@ class TestAssumptionChecks:
         fld = TimeVaryingField(1, lambda j, z, t: np.sin(z),
                                limit=lambda j, z: np.sin(z))
         grid = np.linspace(-1.0, 1.0, 801)
-        sign = verify_sign_condition(fld, grid, t_large=1e6)
+        sign = verify_sign_condition(fld, grid)
         assert sign.passed
         assert abs(sign.witness) <= 2.5e-3
 
     def test_reversed_sign_fails(self):
         fld = TimeVaryingField(1, lambda j, z, t: -z, limit=lambda j, z: -z)
         grid = np.linspace(-1.0, 1.0, 801)
-        assert not verify_sign_condition(fld, grid, t_large=1e6).passed
+        assert not verify_sign_condition(fld, grid).passed
 
     @pytest.mark.parametrize(
         "h, witness",
@@ -200,13 +133,13 @@ class TestAssumptionChecks:
         # a limit of one sign everywhere: the root sits past the grid's end
         fld = TimeVaryingField(1, lambda j, z, t: h(z), limit=lambda j, z: h(z))
         grid = np.linspace(-1.0, 1.0, 801)
-        sign = verify_sign_condition(fld, grid, t_large=1e6)
+        sign = verify_sign_condition(fld, grid)
         assert sign.passed and sign.witness == grid[witness]
 
     def test_sign_of_a_decreasing_limit_has_no_candidate(self):
         # even point count: the limit -(z + 0.3) is never 0 on the grid
         fld = TimeVaryingField(1, lambda j, z, t: -(z + 0.3), limit=lambda j, z: -(z + 0.3))
-        sign = verify_sign_condition(fld, np.linspace(-1.0, 1.0, 800), t_large=1e6)
+        sign = verify_sign_condition(fld, np.linspace(-1.0, 1.0, 800))
         assert not sign.passed
         assert sign.detail == "no sign change found" and sign.witness is None
 
@@ -215,15 +148,17 @@ class TestAssumptionChecks:
         ids=["nan", "inf", "opposite-inf"],
     )
     def test_non_finite_samples_fail(self, bad):
-        # node j's field is bad[j] above z = 0.5
-        fld = TimeVaryingField(2, lambda j, z, t: np.where(z > 0.5, bad[j], z))
+        def h(j, z):  # node j's field is bad[j] above z = 0.5
+            return np.where(z > 0.5, bad[j], z)
+
+        fld = TimeVaryingField(2, lambda j, z, t: h(j, z), limit=h)
         grid = np.linspace(-1.0, 1.0, 801)
         bounded, lipschitz, bound, slope = verify_assumption_bounded_lipschitz(fld, grid, 100)
         assert not bounded.passed and not lipschitz.passed
         assert not math.isfinite(bound) and not math.isfinite(slope)
         deviation = verify_deviation_rate(fld, grid, 100, ETA.eta)
         assert not deviation.passed and math.isnan(deviation.value)
-        sign = verify_sign_condition(fld, grid, t_large=1e6)
+        sign = verify_sign_condition(fld, grid)
         assert not sign.passed and sign.detail == "no sign change found"
 
     def test_deviation_rate_zero_for_time_invariant(self):
@@ -255,39 +190,26 @@ class TestAssumptionChecks:
 
 class TestRunToRoot:
     def test_continuous_shedding_root(self):
-        run = run_to_root(continuous_field(), LINE4, ETA.eta, x0=1.0,
-                          tolerance=1e-4, max_rounds=1000)
-        assert abs(run.root - 1.25) <= 0.01
-        assert all(abs(v - 1.25) <= 0.01 for v in run.x_final)
+        trace = continuous_run(ExactSplit(1.8, 4), 1000, 1.0)
+        assert abs(math.fsum(trace.final_x) / 4 - 1.25) <= 0.01
+        assert all(abs(v - 1.25) <= 0.01 for v in trace.final_x)
 
     def test_affine_mean_root(self):
-        fld = TimeVaryingField(
-            4,
-            lambda j, z, t: z - (j + 1.0),
-            limit=lambda j, z: z - (j + 1.0),
-        )
-        run = run_to_root(fld, LINE4, ETA.eta, x0=0.0, tolerance=1e-2,
-                          max_rounds=5000)
-        assert run.converged
-        assert abs(run.root - 2.5) <= 1e-2
-        # at termination the averaged field and the disagreement both sit
-        # inside the tolerance
-        assert abs(fld.average_limit(run.root, 1e6)) <= 1e-2
-        assert max(abs(v - run.root) for v in run.x_final) <= 1e-2
+        # one load of power 100 at breakpoint 100 under a ramp of width 100
+        # is z on (0, 100]; a deficit estimate of j + 1 makes region j's
+        # field z - (j + 1), whose average has its root at 2.5
+        ramp = SurrogateCcf(build_ccf([(100.0, 100.0)]), 100.0)
+        inst = ProtocolInstance(((100.0,),) * 4, (ramp,) * 4, 100.0, LINE4, ETA,
+                                TraceEstimator(((1.0, 2.0, 3.0, 4.0),)), None, 5000)
+        trace = run_protocol(inst)
+        root = math.fsum(trace.final_x) / 4
+        assert abs(root - 2.5) <= 1e-2
+        assert max(abs(v - root) for v in trace.final_x) <= 1e-2
 
     def test_zero_field_returns_initial_mean(self):
-        fld = TimeVaryingField(4, lambda j, z, t: 0.0, limit=lambda j, z: 0.0)
-        run = run_to_root(fld, LINE4, ETA.eta, x0=[1.0, 2.0, 3.0, 6.0],
-                          tolerance=1e-10, max_rounds=5000)
-        assert run.converged
-        assert run.root == pytest.approx(3.0, abs=1e-9)
-
-    def test_exhausted_budget_reports_not_converged(self):
-        fld = TimeVaryingField(4, lambda j, z, t: math.tanh(z), limit=lambda j, z: math.tanh(z))
-        run = run_to_root(fld, LINE4, ETA.eta, x0=30.0, tolerance=1e-12,
-                          max_rounds=20)
-        assert not run.converged
-        assert run.rounds == 20
+        X = recursion([1.0, 2.0, 3.0, 6.0], [ZERO] * 4, LINE4, 5000)
+        assert np.abs(X[-1] - X[-1].mean()).max() <= 1e-10
+        assert X[-1] == pytest.approx([3.0] * 4, abs=1e-9)
 
 
 class TestConvergenceDiagnostics:
@@ -299,12 +221,11 @@ class TestConvergenceDiagnostics:
         # round 3 disagrees most but has eta = 0, so no ratio; round 5 ties
         # round 1, and the first round attaining the peak is reported
         assert (d.ratio_max, d.ratio_argmax) == (2.0, 1)
-        assert (d.mean_abs_max, d.mean_abs_argmax) == (4.0, 4)
 
     def test_consensus_diagnostics_in_agreement(self):
         d = consensus_diagnostics(np.zeros((3, 2)), np.ones(3))
         assert d.disagreement.tolist() == [0.0, 0.0, 0.0]
-        assert d[1:] == (0.0, 1, 0.0, 1)
+        assert d[1:] == (0.0, 1)
 
     def test_consensus_ratio_peaks_early(self):
         # ten seeded noisy-estimator runs of the continuous shedding field:
@@ -312,39 +233,25 @@ class TestConvergenceDiagnostics:
         # 200 rounds and never exceeds it afterward (the per-node imbalance
         # is constant along this trajectory, so the quasi-static ratio
         # approaches its limit from above)
-        caps = [(1.2, 1.0), (1.2, 2.0), (1.2, 2.0), (1.2, 3.0)]
-        surrogates = [SurrogateCcf(build_ccf([(cap, crit)]), 1.0) for cap, crit in caps]
         for seed in range(10):
-            estimates = NoisySplit(1.8, 4, seed=seed).block(1, 2001).tolist()
-            fld = TimeVaryingField(
-                4,
-                evaluate=lambda j, z, t, e=estimates: eval_surrogate(surrogates[j], z)
-                - e[int(t) - 1][j],
-                limit=lambda j, z: eval_surrogate(surrogates[j], z) - 0.45,
-            )
-            run = run_to_root(fld, LINE4, ETA.eta, x0=1.0, tolerance=0.0,
-                              max_rounds=2000)
-            assert run.diagnostics.ratio_argmax <= 200
-            ratio = run.diagnostics.disagreement / run.eta
-            assert ratio[200:].max() <= ratio[: run.diagnostics.ratio_argmax + 1].max() + 1e-12
+            trace = continuous_run(NoisySplit(1.8, 4, seed=seed), 2000, 1.0)
+            d = consensus_diagnostics(trace.x, trace.eta)
+            assert d.ratio_argmax <= 200
+            ratio = d.disagreement / trace.eta
+            assert ratio[200:].max() <= ratio[: d.ratio_argmax + 1].max() + 1e-12
 
     def test_mean_stays_bounded(self):
         # boundedness monitor: |mean| never leaves the criticality range
         # and its running max grows negligibly once the transit is over
-        run = run_to_root(continuous_field(), LINE4, ETA.eta, x0=0.0,
-                          tolerance=0.0, max_rounds=3000)
-        assert math.isfinite(run.diagnostics.mean_abs_max)
-        assert run.diagnostics.mean_abs_max <= 3.0
-        means = np.abs(run.x.mean(axis=1))
-        half_max = means[: 3000 // 2].max()
-        assert run.diagnostics.mean_abs_max <= half_max * 1.05
+        means = np.abs(continuous_run(ExactSplit(1.8, 4), 3000, 0.0).x.mean(axis=1))
+        assert math.isfinite(means.max())
+        assert means.max() <= 3.0
+        assert means.max() <= means[: 3000 // 2].max() * 1.05
 
     def test_lyapunov_monitor(self):
         # test-side decrease monitor: squared distance of the mean to the
         # known root never rises meaningfully after warm-up
-        run = run_to_root(continuous_field(), LINE4, ETA.eta, x0=0.0,
-                          tolerance=0.0, max_rounds=3000)
-        means = run.x.mean(axis=1)
+        means = continuous_run(ExactSplit(1.8, 4), 3000, 0.0).x.mean(axis=1)
         V = (means - 1.25) ** 2
         warmup = 50
         assert (V[warmup:] < V[warmup] + 0.01).all()
@@ -369,8 +276,12 @@ def loop_bounded_lipschitz(fld, grid, horizon):
     return bound, slope * LIPSCHITZ_SAFETY
 
 
-def loop_sign_condition(fld, grid, t_large):
-    H = np.array([fld.average_limit(float(z), t_large) for z in grid])
+def loop_average_limit(fld, z):
+    return math.fsum(fld.limit(j, float(z)) for j in range(fld.n)) / fld.n
+
+
+def loop_sign_condition(fld, grid):
+    H = np.array([loop_average_limit(fld, z) for z in grid])
     candidates = []
     for i in range(len(grid) - 1):
         if H[i] == 0.0:
@@ -397,8 +308,7 @@ def loop_sign_condition(fld, grid, t_large):
 
 def loop_deviation_rate(fld, grid, horizon, eta):
     times = rootfind._sample_times(horizon, count=40)
-    t_large = 10.0 * max(horizon, 1)
-    H = [fld.average_limit(float(z), t_large) for z in grid]
+    H = [loop_average_limit(fld, z) for z in grid]
     running = 0.0
     attained_at = 1
     for t in times:
@@ -445,9 +355,7 @@ class TestGridVerifiersMatchLoops:
             float(v).hex() for v in loop_bounded_lipschitz(fld, grid, horizon)
         )
         assert (bounded.value, lipschitz.value) == (bound, slope)
-        assert bits(verify_sign_condition(fld, grid, 10.0 * horizon)) == bits(
-            loop_sign_condition(fld, grid, 10.0 * horizon)
-        )
+        assert bits(verify_sign_condition(fld, grid)) == bits(loop_sign_condition(fld, grid))
         sparse = grid[::10]
         assert bits(verify_deviation_rate(fld, sparse, horizon, ETA.eta)) == bits(
             loop_deviation_rate(fld, sparse, horizon, ETA.eta)
@@ -456,14 +364,9 @@ class TestGridVerifiersMatchLoops:
     def test_average_limit_of_a_grid_is_its_points(self):
         fld = shedding_field(self.PAIRS, FIG_RAMP, NoisySplit(6.0, 3, seed=3))
         grid = np.linspace(-0.1, 0.9, 57)
-        for t_large in (1e6, None):
-            if t_large is None:  # no declared limit: late-time samples
-                fld = TimeVaryingField(fld.n, fld.evaluate)
-                t_large = 1500
-            values = fld.average_limit(grid, t_large)
-            assert [v.hex() for v in values.tolist()] == [
-                fld.average_limit(float(z), t_large).hex() for z in grid
-            ]
+        assert [v.hex() for v in fld.average_limit(grid).tolist()] == [
+            loop_average_limit(fld, z).hex() for z in grid
+        ]
 
 
 class TestCheckCertificate:

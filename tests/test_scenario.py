@@ -500,6 +500,7 @@ class TestCli:
         [
             (("deficit",), math.nan, "deficit"),
             (("deficit",), True, "deficit"),
+            (("deficit",), 0.0, "deficit"),
             (("x0",), math.nan, "x0"),
             (("regions", 0, "loads", 0, "power"), math.nan, "regions[0].loads[0].power"),
             (("regions", 0, "loads", 0, "power"), "1.0", "regions[0].loads[0].power"),
@@ -508,7 +509,7 @@ class TestCli:
             (("estimator",), {"kind": "trace", "rows": [[6.0]]}, "estimator.rows[0]"),
             (("regions",), "x", "regions"),
         ],
-        ids=["deficit-nan", "deficit-true", "x0-nan", "power-nan", "power-string",
+        ids=["deficit-nan", "deficit-true", "deficit-zero", "x0-nan", "power-nan", "power-string",
              "max-rounds-float", "trace-too-wide", "trace-too-narrow", "regions-string"],
     )
     def test_non_numbers_rejected(self, where, value, field, capsys, tmp_path):

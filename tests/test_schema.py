@@ -1,7 +1,8 @@
 """The JSON schema and the parser agree: the schema describes the parser's
 field tables, every document the parser accepts is schema-valid, a
-schema-valid document is never rejected for an unknown or missing key, and
-the CLI answers any document with an exit code, never a traceback."""
+schema-valid document is never rejected for an unknown or missing key nor,
+once its numbers are clean, for a number of the wrong kind, and the CLI
+answers any document with an exit code, never a traceback."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import copy
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,13 +21,33 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from loadshed import cli, scenario
-from loadshed.scenario import loads_scenario
+from loadshed.scenario import ScenarioError, loads_scenario
 
 from test_scenario import CONFIG_DIR
 
 SCHEMA = json.loads((CONFIG_DIR.parent / "docs" / "scenario.schema.json").read_text())
 VALIDATOR = jsonschema.Draft7Validator(SCHEMA)
 FAMILIES = ("line", "line-periodic", "random-periodic", "random")
+
+
+def _json_integer(checker, value) -> bool:
+    return type(value) is int
+
+
+def _finite_number(checker, value) -> bool:
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max  # False for NaN
+
+
+# Draft 7 counts 3000.0 as an integer and NaN as a number; this walk of the
+# schema marks a document's numbers as clean: finite, never booleans, and
+# JSON integers wherever the schema says "integer"
+CLEAN_NUMBERS = jsonschema.validators.extend(
+    jsonschema.Draft7Validator,
+    type_checker=jsonschema.Draft7Validator.TYPE_CHECKER.redefine_many(
+        {"integer": _json_integer, "number": _finite_number}
+    ),
+)(SCHEMA)
+TYPE_MESSAGES = ("must be an integer", "must be a finite number")
 
 
 def generated_documents() -> dict[str, dict]:
@@ -55,7 +77,34 @@ def test_schema_is_valid_draft7():
 def test_documents_pass_schema_and_load(name):
     doc = DOCUMENTS[name]
     VALIDATOR.validate(doc)
+    CLEAN_NUMBERS.validate(doc)
     loads_scenario(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (("version",), 1.0),
+        (("max_rounds",), 3000.0),
+        (("regions", 0, "loads", 0, "id"), 1e300),
+        (("regions", 0, "loads", 0, "power"), math.nan),
+        (("deficit",), math.inf),
+        (("x0",), 10**400),
+    ],
+    ids=["version-float", "max-rounds-float", "id-1e300", "power-nan", "deficit-inf",
+         "x0-huge-integer"],
+)
+def test_unclean_numbers_are_schema_valid(where, value):
+    # the values Draft 7 admits and the parser rejects for their kind are
+    # exactly the ones the walk does not mark clean
+    doc = copy.deepcopy(DOCUMENTS["two_region_step_example"])
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    assert VALIDATOR.is_valid(doc) and not CLEAN_NUMBERS.is_valid(doc)
+    with pytest.raises(ScenarioError, match="|".join(TYPE_MESSAGES)):
+        loads_scenario(json.dumps(doc))
 
 
 OBJECTS = {  # each JSON object's schema and the parser's field table for it
@@ -156,6 +205,9 @@ def test_schema_rejections_are_parser_rejections(doc):
     elif VALIDATOR.is_valid(doc):
         # the converse: the schema states every rule on which keys an object holds
         assert not error.startswith(("unknown field", "missing field")), text
+        # and, for clean numbers, which kind each number is
+        if CLEAN_NUMBERS.is_valid(doc):
+            assert not any(message in error for message in TYPE_MESSAGES), text
     # `run --max-rounds 50` runs the document with its max_rounds replaced
     try:
         loads_scenario(json.dumps({**doc, "max_rounds": 50}))
