@@ -21,6 +21,7 @@ from .criticality import (
     local_zeta,
     min_gap,
     resolve_loads,
+    shed_decision,
 )
 from .oracle import (
     ContinuousSolution,
@@ -50,7 +51,6 @@ from .protocol import (
     StepSchedule,
     TraceEstimator,
     run_protocol,
-    shed_decision,
 )
 from .rootfind import AssumptionCertificate, TimeVaryingField
 from .scenario import (

@@ -2,8 +2,8 @@
 
 Subcommands: solve (oracle or closed form only), run (distributed run plus
 report, discrete or continuous), check (assumption certificate), gen
-(scenario generator).  Exit codes: 0 success, 2 validation failure,
-3 non-convergence.
+(scenario generator).  Exit codes: 0 success, 2 validation failure or
+file error, 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ import numpy as np
 from . import rootfind, scenario
 from .criticality import eval_surrogate
 from .netgraph import check_window_connectivity
-from .oracle import InfeasibleError
 from .protocol import certify_deficit_tracking, run_protocol
-from .scenario import ScenarioError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -198,13 +196,13 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (ScenarioError, InfeasibleError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it goes first
         # reader gone (Python docs, "Note on SIGPIPE"): the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (OSError, ValueError) as exc:  # ScenarioError, InfeasibleError: ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

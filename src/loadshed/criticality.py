@@ -150,6 +150,9 @@ class Ccf:
         return self.cumulative[-1] if self.cumulative else 0.0
 
 
+_UNIT = 1 << 1074  # every finite float is a whole number of 2**-1074 units
+
+
 def build_ccf(pairs: Iterable[tuple[float, float]]) -> Ccf:
     """Build a CCF from (power, criticality) pairs.
 
@@ -165,11 +168,15 @@ def build_ccf(pairs: Iterable[tuple[float, float]]) -> Ccf:
         if power > 0:
             groups.setdefault(crit, []).append(power)
     bps = sorted(groups)
-    acc: list[float] = []
+    # the exact prefix sum in _UNITs, rounded correctly (int / int) once per
+    # breakpoint: the prefix's math.fsum, and an OverflowError where it overflows
+    units = 0
     cumulative: list[float] = []
     for z in bps:
-        acc.extend(groups[z])
-        cumulative.append(math.fsum(acc))
+        for power in groups[z]:
+            num, den = power.as_integer_ratio()  # den = 2**k, k <= 1074
+            units += num << (1075 - den.bit_length())
+        cumulative.append(units / _UNIT)
     return Ccf(tuple(bps), tuple(cumulative))
 
 
@@ -185,6 +192,20 @@ def min_gap(criticalities: Iterable[float]) -> float:
     if len(distinct) < 2:
         raise ValueError("min_gap needs at least two distinct criticality values")
     return min(b - a for a, b in zip(distinct, distinct[1:]))
+
+
+def default_ramp_width(criticalities: Iterable[float]) -> float:
+    """The surrogate ramp width when none is given: the smallest gap
+    between distinct criticalities, or 1.0 when there are fewer than two."""
+    distinct = set(criticalities)
+    return min_gap(distinct) if len(distinct) >= 2 else 1.0
+
+
+def shed_decision(loads: Iterable[CriticalLoad], z: float) -> list[CriticalLoad]:
+    """The loads with criticality at or below the finite threshold z."""
+    if not math.isfinite(z):
+        raise ValueError(f"shed threshold must be finite, got {z}")
+    return [load for load in loads if load.criticality <= z]
 
 
 def check_ramp_width(criticalities: Iterable[float], ramp_width: float) -> None:

@@ -19,9 +19,10 @@ from .criticality import (
     CriticalLoad,
     SurrogateCcf,
     build_ccf,
+    default_ramp_width,
     eval_ccf,
-    min_gap,
     ramp,
+    shed_decision,
 )
 
 BRUTE_FORCE_MAX_LOADS = 20
@@ -36,17 +37,21 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class SheddingSolution:
-    """Result of the centralized discrete solvers.
+    """Result of the centralized discrete solver.
 
-    ``boundary_case`` flags the measure-zero situation where the CCF meets
-    the deficit exactly at the threshold, in which case the threshold
-    recovered from the surrogate root sits at, not above, that root.
+    ``shed_ids``/``shed_total``: the loads at or below the threshold
+    ``z_star``, in input order; ``greedy_ids``/``greedy_total``: the greedy
+    prefix.  ``boundary_case`` flags the measure-zero situation where the
+    CCF meets the deficit exactly at the threshold, in which case the
+    threshold recovered from the surrogate root sits at, not above, that root.
     """
 
-    shed_ids: tuple[int, ...]
-    total_shed: float
     z_star: float
     z_hat: float
+    shed_total: float
+    shed_ids: tuple[int, ...]
+    greedy_total: float
+    greedy_ids: tuple[int, ...]
     boundary_case: bool
 
 
@@ -117,44 +122,40 @@ def z_star_from_z_hat(
 def greedy_shed_set(
     loads: Sequence[CriticalLoad], deficit: float, ramp_width: float | None = None
 ) -> SheddingSolution:
-    """Shortest criticality-ordered prefix covering the deficit.
+    """Greedy prefix covering the deficit, and the CCF threshold set.
 
     Loads are ordered by (criticality, id); the prefix stops as soon as its
     power sum reaches the deficit, so it may split a group of equal
     criticality.  The CCF threshold ``z_star`` sheds such groups whole,
-    which is why its total can exceed the greedy one.
+    which is why its total can exceed the greedy one.  ``ramp_width``
+    defaults to ``default_ramp_width`` of the loads' criticalities.
     """
-    items = sorted(loads, key=lambda l: (l.criticality, l.id))
-    if not items:
-        raise InfeasibleError("no loads to shed")
-    if math.fsum(l.power for l in items) < deficit:
+    ccf = build_ccf((l.power, l.criticality) for l in loads)
+    if ccf.total_load < deficit:
         raise InfeasibleError(
             f"total sheddable power is below the deficit {deficit}"
         )
-    shed: list[CriticalLoad] = []
+    prefix: list[CriticalLoad] = []
     acc = 0.0
-    for load in items:
+    for load in sorted(loads, key=lambda l: (l.criticality, l.id)):
         if acc >= deficit:
             break
-        shed.append(load)
+        prefix.append(load)
         acc += load.power
 
-    ccf = build_ccf((l.power, l.criticality) for l in items)
     if ramp_width is None:
-        if len(ccf.breakpoints) >= 2:
-            ramp_width = min_gap(l.criticality for l in items)
-        else:
-            ramp_width = 1.0
+        ramp_width = default_ramp_width(l.criticality for l in loads)
     surrogate = SurrogateCcf(ccf, ramp_width)
     z_star = exact_z_star(ccf, deficit)
-    z_hat = exact_z_hat(surrogate, deficit)
-    boundary = abs(eval_ccf(ccf, z_star) - deficit) <= BOUNDARY_TOL
+    shed_total = eval_ccf(ccf, z_star)
     return SheddingSolution(
-        shed_ids=tuple(l.id for l in shed),
-        total_shed=math.fsum(l.power for l in shed),
         z_star=z_star,
-        z_hat=z_hat,
-        boundary_case=boundary,
+        z_hat=exact_z_hat(surrogate, deficit),
+        shed_total=shed_total,
+        shed_ids=tuple(l.id for l in shed_decision(loads, z_star)),
+        greedy_total=math.fsum(l.power for l in prefix),
+        greedy_ids=tuple(l.id for l in prefix),
+        boundary_case=abs(shed_total - deficit) <= BOUNDARY_TOL,
     )
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .criticality import CriticalLoad, SurrogateCcf
+from .criticality import SurrogateCcf
 from .netgraph import GraphSchedule, MixingCache
 from .seeding import noise_matrix
 
@@ -415,10 +415,3 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
         alpha=alphas,
         p=ps,
     )
-
-
-def shed_decision(loads: Sequence[CriticalLoad], z_star: float) -> list[int]:
-    """Ids of the region's loads with criticality at or below the threshold."""
-    if not math.isfinite(z_star):
-        raise ValueError(f"shed threshold must be finite, got {z_star}")
-    return [load.id for load in loads if load.criticality <= z_star]

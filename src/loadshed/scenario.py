@@ -28,9 +28,9 @@ from .criticality import (
     SurrogateCcf,
     build_ccf,
     check_ramp_width,
-    eval_ccf,
-    min_gap,
+    default_ramp_width,
     resolve_loads,
+    shed_decision,
 )
 from .netgraph import (
     GraphSchedule,
@@ -46,6 +46,7 @@ from .netgraph import (
 )
 from .oracle import (
     ContinuousSolution,
+    SheddingSolution,
     continuous_fill,
     continuous_solution,
     greedy_shed_set,
@@ -139,20 +140,9 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class OracleSummary:
-    z_star: float
-    z_hat: float
-    shed_total: float
-    shed_ids: tuple[int, ...]
-    greedy_total: float
-    greedy_ids: tuple[int, ...]
-    boundary_case: bool
-
-
-@dataclass(frozen=True)
 class SummaryReport:
     mode: str
-    oracle: OracleSummary | None
+    oracle: SheddingSolution | None
     oracle_continuous: ContinuousSolution | None
     distributed_z_star: float | None
     per_region_final: tuple[float | str, ...]  # "inf" for an infinite value
@@ -173,20 +163,10 @@ def resolved_loads(config: ScenarioConfig) -> tuple[CriticalLoad, ...]:
     return resolve_loads(config.regions, ConvexCombiner(config.combiner_weight))
 
 
-def regional_loads(config: ScenarioConfig) -> tuple[tuple[CriticalLoad, ...], ...]:
-    combiner = ConvexCombiner(config.combiner_weight)
-    return tuple(
-        resolve_loads((region,), combiner) for region in config.regions
-    )
-
-
 def resolve_ramp_width(config: ScenarioConfig) -> float:
     if config.ramp_width is not None:
         return config.ramp_width
-    crits = [l.criticality for l in resolved_loads(config)]
-    if len(set(crits)) < 2:
-        return 1.0
-    return min_gap(crits)
+    return default_ramp_width(l.criticality for l in resolved_loads(config))
 
 
 def region_ids(config: ScenarioConfig) -> tuple[int, ...]:
@@ -245,7 +225,8 @@ def build_instance(config: ScenarioConfig) -> ProtocolInstance:
         crits = tuple((float(r.criticality),) for r in config.continuous_regions)
         ramp_width = 1.0
     else:
-        per_region = regional_loads(config)
+        combiner = ConvexCombiner(config.combiner_weight)
+        per_region = [resolve_loads((region,), combiner) for region in config.regions]
         ramp_width = resolve_ramp_width(config)
         surrogates = tuple(
             SurrogateCcf(build_ccf((l.power, l.criticality) for l in loads), ramp_width)
@@ -705,21 +686,9 @@ def _random_periodic_steps(
 # runs and reports
 
 
-def oracle_summary(config: ScenarioConfig) -> OracleSummary:
-    loads = resolved_loads(config)
-    ramp_width = resolve_ramp_width(config)
-    greedy = greedy_shed_set(loads, config.deficit, ramp_width)
-    ccf = build_ccf((l.power, l.criticality) for l in loads)
-    shed_ids = tuple(l.id for l in loads if l.criticality <= greedy.z_star)
-    return OracleSummary(
-        z_star=greedy.z_star,
-        z_hat=greedy.z_hat,
-        shed_total=eval_ccf(ccf, greedy.z_star),
-        shed_ids=shed_ids,
-        greedy_total=greedy.total_shed,
-        greedy_ids=greedy.shed_ids,
-        boundary_case=greedy.boundary_case,
-    )
+def oracle_summary(config: ScenarioConfig) -> SheddingSolution:
+    # greedy_shed_set applies the default ramp width when the config sets none
+    return greedy_shed_set(resolved_loads(config), config.deficit, config.ramp_width)
 
 
 def continuous_closed_form(config: ScenarioConfig) -> ContinuousSolution:
@@ -757,10 +726,7 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
         shed_total = None
         if z_dist is not None:
             shed_total = math.fsum(
-                load.power
-                for loads in regional_loads(config)
-                for load in loads
-                if load.criticality <= z_dist
+                l.power for l in shed_decision(resolved_loads(config), z_dist)
             )
     report = SummaryReport(
         mode=config.mode,

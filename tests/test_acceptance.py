@@ -129,13 +129,13 @@ class TestAcceptance:
             deficit = float(rng.uniform(0.05, 0.95)) * total
             greedy = greedy_shed_set(loads, deficit)
             ids, brute_total = brute_force_min_set(loads, deficit, priority_only=True)
-            if set(ids) != set(greedy.shed_ids) or abs(brute_total - greedy.total_shed) > 1e-9:
+            if set(ids) != set(greedy.greedy_ids) or abs(brute_total - greedy.greedy_total) > 1e-9:
                 mismatches.append((k, "prioritized brute force"))
             threshold_ids = {l.id for l in loads if l.criticality <= greedy.z_star}
-            if threshold_ids != set(greedy.shed_ids):
+            if threshold_ids != set(greedy.greedy_ids):
                 mismatches.append((k, "threshold set"))
             _, free_total = brute_force_min_set(loads, deficit)
-            if free_total > greedy.total_shed + 1e-9:
+            if free_total > greedy.greedy_total + 1e-9:
                 mismatches.append((k, "unconstrained above prioritized"))
         # tied instances: threshold overshoot bounded by the tie group
         for k in range(60):
@@ -147,7 +147,7 @@ class TestAcceptance:
             greedy = greedy_shed_set(loads, deficit)
             ccf = build_ccf([(l.power, l.criticality) for l in loads])
             tied = [l.power for l in loads if l.criticality == greedy.z_star]
-            if eval_ccf(ccf, greedy.z_star) - greedy.total_shed > sum(tied) - min(tied) + 1e-9:
+            if eval_ccf(ccf, greedy.z_star) - greedy.greedy_total > sum(tied) - min(tied) + 1e-9:
                 mismatches.append((k, "gap bound"))
         # the worked tie example: threshold sheds 5, the optimum is 3
         tie_ccf = build_ccf([(l.power, l.criticality) for l in TIE_LOADS])

@@ -16,6 +16,7 @@ from loadshed.criticality import (
     SurrogateCcf,
     build_ccf,
     combine_criticality,
+    default_ramp_width,
     eval_ccf,
     eval_surrogate,
     local_zeta,
@@ -73,7 +74,50 @@ class TestLoadTypes:
             resolve_loads(regions, ConvexCombiner())
 
 
+def quadratic_build_ccf(pairs) -> Ccf:
+    """Reference build: the math.fsum of the whole prefix at every breakpoint."""
+    groups: dict[float, list[float]] = {}
+    for power, crit in pairs:
+        if power > 0:
+            groups.setdefault(crit, []).append(power)
+    bps = sorted(groups)
+    acc: list[float] = []
+    cumulative: list[float] = []
+    for z in bps:
+        acc.extend(groups[z])
+        cumulative.append(math.fsum(acc))
+    return Ccf(tuple(bps), tuple(cumulative))
+
+
 class TestBuildCcf:
+    def test_matches_quadratic_reference(self):
+        # ties and zero powers at magnitudes from 1e-300 to 1e300: the same
+        # bits, or the same error for a total past the largest float
+        # (OverflowError) or a load too small to move the prefix (ValueError)
+        def outcome(build, pairs):
+            try:
+                ccf = build(pairs)
+            except (OverflowError, ValueError) as exc:
+                return type(exc)
+            return ccf.breakpoints, [c.hex() for c in ccf.cumulative]
+
+        rng = np.random.default_rng(41)
+        seen = []
+        for trial in range(2000):
+            count = int(rng.integers(0, 40))
+            # one magnitude per multiset, or all of them, or near the largest float
+            spread = (-300, 301) if trial % 10 == 0 else (-6, 7)
+            centre = 307 if trial % 10 == 1 else int(rng.integers(-285, 286))
+            exponents = np.minimum(centre + rng.integers(*spread, size=count), 308)
+            powers = rng.uniform(0.1, 1.7, size=count) * 10.0 ** exponents
+            powers[rng.random(count) < 0.1] = 0.0
+            pairs = list(zip(powers.tolist(), (rng.integers(0, 8, size=count) / 8).tolist()))
+            expected = outcome(quadratic_build_ccf, pairs)
+            assert outcome(build_ccf, pairs) == expected
+            seen.append(expected if isinstance(expected, type) else None)
+        assert seen.count(OverflowError) >= 150 and seen.count(ValueError) >= 50
+        assert seen.count(None) >= 1500
+
     def test_fig_breakpoints(self):
         ccf = build_ccf(FIG_PAIRS)
         assert ccf.breakpoints == (0.1, 0.15, 0.2, 0.4, 0.5, 0.7, 0.8)
@@ -137,6 +181,10 @@ class TestMinGap:
     def test_all_identical_rejected(self):
         with pytest.raises(ValueError):
             min_gap([0.3, 0.3, 0.3])
+
+    def test_default_ramp_width(self):
+        assert default_ramp_width([0.2, 0.3, 0.3, 0.4]) == min_gap([0.2, 0.3, 0.4])
+        assert default_ramp_width([0.3, 0.3]) == default_ramp_width([]) == 1.0
 
 
 class TestSurrogate:

@@ -32,13 +32,17 @@ class TestGreedy:
         # deficit 3 is covered by the first two loads in (criticality, id)
         # order even though loads 2 and 3 share a criticality
         sol = greedy_shed_set(TIE_LOADS, 3.0)
-        assert sol.shed_ids == (1, 2)
-        assert sol.total_shed == 3.0
+        assert sol.greedy_ids == (1, 2)
+        assert sol.greedy_total == 3.0
+        # the threshold sheds the whole 0.3 group
+        assert sol.z_star == 0.3
+        assert sol.shed_ids == (1, 2, 3)
+        assert sol.shed_total == 5.0
 
     def test_full_shed_at_capacity(self, fig_loads):
         sol = greedy_shed_set(fig_loads, 16.0)
-        assert sol.shed_ids == tuple(range(1, 9))
-        assert sol.total_shed == 16.0
+        assert sol.greedy_ids == sol.shed_ids == tuple(range(1, 9))
+        assert sol.greedy_total == sol.shed_total == 16.0
 
     def test_prefix_stops_inside_equal_group(self, fig_loads):
         # cumulative prefix sums 1, 3, 4, 8, ... so the deficit 6 is covered
@@ -46,16 +50,22 @@ class TestGreedy:
         # whole 0.4 group instead (total 9): the two answers legitimately
         # differ on tied groups
         sol = greedy_shed_set(fig_loads, 6.0)
-        assert sol.shed_ids == (1, 2, 3, 4)
-        assert sol.total_shed == 8.0
+        assert sol.greedy_ids == (1, 2, 3, 4)
+        assert sol.greedy_total == 8.0
         assert sol.z_star == 0.4
         ccf = build_ccf(FIG_PAIRS)
-        assert eval_ccf(ccf, sol.z_star) == 9.0
+        assert sol.shed_ids == tuple(l.id for l in fig_loads if l.criticality <= 0.4)
+        assert sol.shed_ids == (1, 2, 3, 4, 5)
+        assert sol.shed_total == eval_ccf(ccf, sol.z_star) == 9.0
 
     def test_zero_deficit(self, fig_loads):
         sol = greedy_shed_set(fig_loads, 0.0)
-        assert sol.shed_ids == ()
-        assert sol.total_shed == 0.0
+        assert sol.greedy_ids == ()
+        assert sol.greedy_total == 0.0
+        # the threshold is the first breakpoint, so its set is not empty
+        assert sol.z_star == 0.1
+        assert sol.shed_ids == (1,)
+        assert sol.shed_total == 1.0
 
     def test_infeasible(self, fig_loads):
         with pytest.raises(InfeasibleError):
@@ -236,15 +246,15 @@ class TestOracleEquivalence:
             # exhaustive search over the prioritized feasible family lands
             # on the same set the greedy prefix picks
             ids, brute_total = brute_force_min_set(loads, deficit, priority_only=True)
-            assert set(ids) == set(greedy.shed_ids)
-            assert abs(greedy.total_shed - brute_total) <= 1e-9
+            assert set(ids) == set(greedy.greedy_ids)
+            assert abs(greedy.greedy_total - brute_total) <= 1e-9
             # the unconstrained minimum can only be smaller: cherry-picking
             # without the priority rule may cover the deficit more cheaply
             _, free_total = brute_force_min_set(loads, deficit)
-            assert free_total <= greedy.total_shed + 1e-9
+            assert free_total <= greedy.greedy_total + 1e-9
             # threshold path agrees as a set when criticalities are distinct
             threshold_ids = {l.id for l in loads if l.criticality <= greedy.z_star}
-            assert threshold_ids == set(greedy.shed_ids)
+            assert threshold_ids == set(greedy.greedy_ids) == set(greedy.shed_ids)
 
     def test_gap_bound_with_ties(self):
         rng = np.random.default_rng(24)
@@ -260,7 +270,8 @@ class TestOracleEquivalence:
             ccf = build_ccf([(l.power, l.criticality) for l in loads])
             tied = [l.power for l in loads if l.criticality == greedy.z_star]
             slack = sum(tied) - min(tied)
-            assert eval_ccf(ccf, greedy.z_star) - greedy.total_shed <= slack + 1e-9
+            assert greedy.shed_total == eval_ccf(ccf, greedy.z_star)
+            assert greedy.shed_total - greedy.greedy_total <= slack + 1e-9
 
     def test_threshold_recovery_matches_direct(self):
         rng = np.random.default_rng(25)

@@ -8,12 +8,15 @@ import pytest
 
 from loadshed.criticality import (
     Ccf,
+    ConvexCombiner,
     CriticalLoad,
     SurrogateCcf,
     build_ccf,
     eval_ccf,
     eval_surrogate,
     local_zeta,
+    resolve_loads,
+    shed_decision,
 )
 from loadshed.netgraph import (
     PeriodicSchedule,
@@ -34,7 +37,6 @@ from loadshed.protocol import (
     cutoffs,
     dmc_rounds,
     run_protocol,
-    shed_decision,
     x_rounds,
 )
 from loadshed import scenario
@@ -448,10 +450,11 @@ class TestEndToEnd:
             z_star = exact_z_star(ccf, config.deficit)
             z_dist = min(trace.final_z)
             assert z_dist == z_star
+            combiner = ConvexCombiner(config.combiner_weight)
             shed_ids = [
-                i
-                for region_loads in scenario.regional_loads(config)
-                for i in shed_decision(region_loads, z_dist)
+                load.id
+                for region in config.regions
+                for load in shed_decision(resolve_loads((region,), combiner), z_dist)
             ]
             expected_ids = [l.id for l in loads if l.criticality <= z_star]
             assert sorted(shed_ids) == sorted(expected_ids)
@@ -497,7 +500,7 @@ class TestEndToEnd:
 class TestShedDecision:
     def test_threshold_inclusive(self):
         loads = [CriticalLoad(1, 1.0, 0.2), CriticalLoad(2, 1.0, 0.5), CriticalLoad(3, 1.0, 0.7)]
-        assert shed_decision(loads, 0.5) == [1, 2]
+        assert shed_decision(loads, 0.5) == loads[:2]
 
     def test_below_all(self):
         loads = [CriticalLoad(1, 1.0, 0.2)]

@@ -452,6 +452,19 @@ class TestCli:
             assert proc.wait(timeout=60) == 1
         assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
+    def test_run_on_a_directory_exits_2(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_trace_exits_2(self, tmp_path, capsys):
+        rc = cli.main([
+            "run", str(CONFIG_DIR / "two_region_step_example.json"),
+            "--trace", str(tmp_path / "missing" / "trace.csv"),
+        ])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: failed writing trace")
+
     def test_run_with_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         rc = cli.main([
