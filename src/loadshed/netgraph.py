@@ -1,20 +1,18 @@
 """Time-varying communication graphs and doubly-stochastic mixing matrices.
 
-Graphs are undirected over nodes 0..n-1 and stored as frozensets of
-ordered pairs (i, j) with i < j.  Schedules map a 1-based round counter to
-an edge set; all three kinds (static, periodic, seeded random) are pure
-functions of (seed, t), so any round can be re-derived independently.
-They are read a block of rounds at a time (``edges_between``).
-
-Blocks of graphs are boolean rows over the pair columns (pair k of the
-pairs i < j in lexicographic order).  A random schedule draws a block as
-one vectorised splitmix matrix of such rows, finds every window's
-components from one batched reachability product (``component_labels``,
-which the connectivity check uses too), writes the repair chains of the
-disconnected windows into the matrix, and makes one frozenset per
-distinct row.  ``MixingCache`` builds the mixing weights and neighbour
-lists of a block's new edge sets from one stack of matrices
-(``metropolis_block``).
+Graphs are undirected over nodes 0..n-1.  Schedules map a 1-based round
+counter to a graph; all three kinds (static, periodic, seeded random) are
+pure functions of (seed, t), so any round can be re-derived independently.
+They are read a block of rounds at a time (``edges_between``) as boolean
+pair rows: one row per round, one column per pair i < j in lexicographic
+order.  Frozensets of pairs appear only at the edges: static and periodic
+schedules are built from them; ``edges_at`` and ``edge_sets`` hand them
+out.  A random schedule draws a block as one splitmix matrix of rows,
+finds every window's components from one batched reachability product
+(``component_labels``, which the connectivity check uses too), and writes
+the repair chains of disconnected windows into the matrix.
+``MixingCache`` keys each round by its packed row and builds the mixing of
+a block's new rows from one stack of matrices (``metropolis_block``).
 """
 
 from __future__ import annotations
@@ -109,20 +107,14 @@ def draw_edges(seed: int, counters, n: int, edge_probability: float) -> np.ndarr
 
 
 def edge_sets(rows: np.ndarray, n: int) -> list[frozenset[Edge]]:
-    """The edge set of each row of pair columns; equal rows share one frozenset."""
-    if not rows.shape[1]:  # no pairs: packed rows have no bytes to key on
-        return [frozenset()] * len(rows)
-    packed = np.packbits(rows, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+    """The edge set of each row of pair columns."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    row_of = dict(zip(keys, range(len(keys))))  # one row per distinct key
-    sets = {key: frozenset(compress(pairs, rows[r].tolist())) for key, r in row_of.items()}
-    return [sets[key] for key in keys]
+    return [frozenset(compress(pairs, row)) for row in rows.tolist()]
 
 
-def repaired_edge_sets(seed: int, counters, n: int, edge_probability: float, window: int,
-                       keys: Sequence[int]) -> list[frozenset[Edge]]:
-    """Edge sets drawn at ``counters``, in windows of ``window`` consecutive
+def repaired_rows(seed: int, counters, n: int, edge_probability: float, window: int,
+                  keys: Sequence[int]) -> np.ndarray:
+    """Pair rows drawn at ``counters``, in windows of ``window`` consecutive
     counters; there is one window per key.
 
     When the union of window k is disconnected, its components are put in
@@ -143,7 +135,7 @@ def repaired_edge_sets(seed: int, counters, n: int, edge_probability: float, win
     a, b, link = reps[:, :-1], reps[:, 1:], np.arange(1, n) < count
     last = np.broadcast_to((broken[:, None] + 1) * window - 1, link.shape)
     draws[last[link], _pair_column(np.minimum(a, b)[link], np.maximum(a, b)[link], n)] = True
-    return edge_sets(draws, n)
+    return draws
 
 
 @dataclass(frozen=True)
@@ -154,11 +146,11 @@ class StaticSchedule:
     edges: frozenset[Edge]
     window: int = 1
 
-    def edges_between(self, t0: int, t1: int) -> list[frozenset[Edge]]:
-        return [self.edges] * (t1 - t0)
+    def edges_between(self, t0: int, t1: int) -> np.ndarray:
+        return pair_rows([self.edges], self.n).repeat(t1 - t0, axis=0)
 
     def edges_at(self, t: int) -> frozenset[Edge]:
-        return self.edges_between(t, t + 1)[0]
+        return edge_sets(self.edges_between(t, t + 1), self.n)[0]
 
 
 @dataclass(frozen=True)
@@ -173,11 +165,11 @@ class PeriodicSchedule:
         if not self.steps:
             raise ValueError("periodic schedule needs at least one step")
 
-    def edges_between(self, t0: int, t1: int) -> list[frozenset[Edge]]:
-        return [self.steps[(t - 1) % len(self.steps)] for t in range(t0, t1)]
+    def edges_between(self, t0: int, t1: int) -> np.ndarray:
+        return pair_rows(self.steps, self.n)[np.arange(t0 - 1, t1 - 1) % len(self.steps)]
 
     def edges_at(self, t: int) -> frozenset[Edge]:
-        return self.edges_between(t, t + 1)[0]
+        return edge_sets(self.edges_between(t, t + 1), self.n)[0]
 
 
 @dataclass(frozen=True)
@@ -201,18 +193,18 @@ class RandomSchedule:
         if self.window < 1:
             raise ValueError("window must be positive")
 
-    def edges_between(self, t0: int, t1: int) -> list[frozenset[Edge]]:
-        """Edge sets of rounds t0..t1-1, drawn in one block from the start
+    def edges_between(self, t0: int, t1: int) -> np.ndarray:
+        """Pair rows of rounds t0..t1-1, drawn in one block from the start
         of t0's window; each disconnected window that ends in the range
         gets its repair, keyed by the window's index."""
         B = self.window
         w0 = (t0 - 1) // B  # window w holds rounds w*B + 1 .. (w + 1)*B
-        edges = repaired_edge_sets(self.seed, np.arange(w0 * B + 1, t1), self.n,
-                                   self.edge_probability, B, range(w0, (t1 - 1) // B))
-        return edges[t0 - 1 - w0 * B:]
+        rows = repaired_rows(self.seed, np.arange(w0 * B + 1, t1), self.n,
+                             self.edge_probability, B, range(w0, (t1 - 1) // B))
+        return rows[t0 - 1 - w0 * B:]
 
     def edges_at(self, t: int) -> frozenset[Edge]:
-        return self.edges_between(t, t + 1)[0]
+        return edge_sets(self.edges_between(t, t + 1), self.n)[0]
 
 
 GraphSchedule = StaticSchedule | PeriodicSchedule | RandomSchedule
@@ -245,7 +237,7 @@ def check_window_connectivity(schedule: GraphSchedule, max_rounds: int) -> Conne
     rounds, at least one."""
     B, n = schedule.window, schedule.n
     windows = max(1, min(max_rounds // B, CONNECTIVITY_WINDOWS))
-    rows = pair_rows(schedule.edges_between(1, windows * B + 1), n)
+    rows = schedule.edges_between(1, windows * B + 1)
     labels = component_labels(rows.reshape(windows, B, rows.shape[1]).any(axis=1), n)
     broken = np.flatnonzero(labels.any(axis=1))
     if not broken.size:
@@ -269,9 +261,9 @@ def _split(items: list, counts: np.ndarray) -> list[list]:
     return [items[a:b] for a, b in zip([0, *ends], ends)]
 
 
-def mixing_block(graphs: Sequence[frozenset[Edge]], n: int) -> list[Mixing]:
-    """Mixing structure of each edge set, from one stack of weights."""
-    W = metropolis_block(pair_rows(graphs, n), n)
+def mixing_block(rows: np.ndarray, n: int) -> list[Mixing]:
+    """Mixing structure of each row of pair columns, from one stack of weights."""
+    W = metropolis_block(rows, n)
     g, j, k = np.nonzero(W)
     rows = _split(list(zip(k.tolist(), W[g, j, k].tolist())), np.count_nonzero(W, axis=2))
     A = (W != 0.0) & ~np.eye(n, dtype=bool)
@@ -280,7 +272,7 @@ def mixing_block(graphs: Sequence[frozenset[Edge]], n: int) -> list[Mixing]:
 
 
 # MixingCache empties itself at the start of a block once it holds more
-# entries than this: random schedules over many regions draw a new edge set
+# entries than this: random schedules over many regions draw a new graph
 # almost every round, static and periodic ones and the 4-region random
 # family (64 graphs) never get near it
 MIXING_CACHE_ENTRIES = 1024
@@ -288,9 +280,9 @@ MIXING_CACHE_ENTRIES = 1024
 
 class MixingCache:
     """Per-round mixing structure of a schedule, built once per distinct
-    edge set: a block's new edge sets are built together (``mixing_block``),
-    and each round is one dict lookup (frozensets cache their hash, and a
-    random schedule's equal rounds share one frozenset).
+    graph: each round is keyed by the bytes of its packed pair row, a block's
+    new rows are built together (``mixing_block``), and equal rows share one
+    ``Mixing`` (the engine skips repeated min-consensus rounds by identity).
 
     It holds at most ``MIXING_CACHE_ENTRIES`` entries plus one block's worth;
     each block's list stays valid after the cache empties.
@@ -298,15 +290,19 @@ class MixingCache:
 
     def __init__(self, schedule: GraphSchedule):
         self.schedule = schedule
-        self._by_edges: dict[frozenset[Edge], Mixing] = {}
+        self._by_row: dict[bytes, Mixing] = {}
 
     def block(self, t0: int, t1: int) -> list[Mixing]:
         """Mixing structures of rounds t0..t1-1 (1-based)."""
-        cache = self._by_edges
+        cache = self._by_row
         if len(cache) > MIXING_CACHE_ENTRIES:
             cache.clear()
-        edges = self.schedule.edges_between(t0, t1)
-        new = [e for e in dict.fromkeys(edges) if e not in cache]
+        rows = self.schedule.edges_between(t0, t1)
+        keys = [b""] * len(rows)  # n = 1: no pairs, so packed rows have no bytes to key on
+        if rows.shape[1]:
+            packed = np.packbits(rows, axis=1)
+            keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
+        new = {key: r for key, r in dict(zip(keys, range(len(keys)))).items() if key not in cache}
         if new:  # an empty build still costs a few dozen numpy calls
-            cache.update(zip(new, mixing_block(new, self.schedule.n)))
-        return [cache[e] for e in edges]
+            cache.update(zip(new, mixing_block(rows[list(new.values())], self.schedule.n)))
+        return [cache[key] for key in keys]

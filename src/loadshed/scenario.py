@@ -38,10 +38,10 @@ from .netgraph import (
     RandomSchedule,
     StaticSchedule,
     check_window_connectivity,
+    edge_sets,
     metropolis_block,
     normalize_edges,
-    pair_rows,
-    repaired_edge_sets,
+    repaired_rows,
     stochasticity_defect,
 )
 from .oracle import (
@@ -675,8 +675,8 @@ def _random_periodic_steps(
     union is disconnected, a chain across its components is appended to
     the window's last step.
     """
-    steps = repaired_edge_sets(seed, range(period), len(ids), edge_probability, window,
-                               range(0, period, window))
+    steps = edge_sets(repaired_rows(seed, range(period), len(ids), edge_probability, window,
+                                    range(0, period, window)), len(ids))
     return tuple(
         tuple(sorted((ids[a], ids[b]) for a, b in step)) for step in steps
     )
@@ -715,9 +715,12 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
     if config.mode == "continuous":
         closed_form = continuous_closed_form(config)
         final = trace.final_x
-        z_dist = math.fsum(final) / len(final)
+        try:
+            z_dist = math.fsum(final) / len(final)
+        except OverflowError:  # finite estimates whose sum is not
+            z_dist = None
         shed_total = math.fsum(continuous_shed_from_estimates(config, final))
-        answer_ok = math.isfinite(z_dist)
+        answer_ok = z_dist is not None and math.isfinite(z_dist)
     else:
         oracle = oracle_summary(config)
         final = trace.final_z
@@ -761,8 +764,8 @@ def certificate_digest(config: ScenarioConfig, inst: ProtocolInstance) -> dict:
     schedule = inst.schedule
     connectivity = check_window_connectivity(schedule, inst.max_rounds)
     sampled = min(connectivity.windows_checked * schedule.window, 32)
-    graphs = pair_rows(list(set(schedule.edges_between(1, sampled + 1))), schedule.n)
-    defect = max(map(stochasticity_defect, metropolis_block(graphs, schedule.n)))
+    rows = schedule.edges_between(1, sampled + 1)
+    defect = max(map(stochasticity_defect, metropolis_block(rows, schedule.n)))
     return {
         "window": schedule.window,
         "window_connectivity": connectivity.passed,

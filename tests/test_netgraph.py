@@ -211,13 +211,22 @@ class TestMixingCache:
         assert one is three is four
         assert two is not one
         assert mixing.block(7, 8)[0] is one
+        # a random schedule's equal rows, met in different blocks, share
+        # one entry (4 regions: 64 graphs)
+        schedule = RandomSchedule(4, 0.45, window=2, seed=0)
+        mixing = MixingCache(schedule)
+        first, second = mixing.block(1, 101), mixing.block(101, 201)
+        by_edges = {}
+        for t, entry in enumerate(first + second, start=1):
+            assert by_edges.setdefault(schedule.edges_at(t), entry) is entry
+        assert len(by_edges) < 64 and {*map(id, first)} & {*map(id, second)}
 
     def test_bounded_on_many_distinct_graphs(self):
         # 12 regions: nearly every round draws a new edge set
         mixing = MixingCache(RandomSchedule(12, 0.45, window=2, seed=0))
         for t0 in range(1, 3073, 1024):
             block = mixing.block(t0, t0 + 1024)
-            assert len(mixing._by_edges) <= 2048
+            assert len(mixing._by_row) <= 2048
         assert block[0].rows == mixing_rows(metropolis_weights(mixing.schedule.edges_at(2049), 12))
 
     def test_random_schedule_read_once_per_round(self, monkeypatch):
@@ -263,11 +272,12 @@ class TestMixingBlock:
     def test_rows_and_neighbors_match_scalar_reference(self, n, p, seed, rounds, same):
         # same: every round of the block draws the same graph
         counters = [1] * rounds if same else range(1, rounds + 1)
-        edges = netgraph.edge_sets(netgraph.draw_edges(seed, counters, n, p), n)
+        rows = netgraph.draw_edges(seed, counters, n, p)
+        edges = netgraph.edge_sets(rows, n)
         assert len(edges) == rounds
         if same:
-            assert all(e is edges[0] for e in edges)
-        block = mixing_block(edges, n)
+            assert all(e == edges[0] for e in edges)
+        block = mixing_block(rows, n)
         assert len(block) == rounds
         for e, entry in zip(edges, block):
             W = scalar_metropolis(e, n)
@@ -309,9 +319,11 @@ class TestBlockDraw:
     def test_block_matches_scalar_reference(self, n, window, p, seed, t0, length):
         schedule = RandomSchedule(n, p, window, seed)
         expected = [reference_edges(schedule, t) for t in range(t0, t0 + length)]
-        assert schedule.edges_between(t0, t0 + length) == expected
+        rows = schedule.edges_between(t0, t0 + length)
+        assert rows.dtype == bool and rows.shape == (length, n * (n - 1) // 2)
+        assert netgraph.edge_sets(rows, n) == expected
         # reads are pure: a second read gives the same edges
-        assert schedule.edges_between(t0, t0 + length) == expected
+        assert netgraph.edge_sets(schedule.edges_between(t0, t0 + length), n) == expected
         if length:
             assert schedule.edges_at(t0) == expected[0]
 
@@ -335,7 +347,8 @@ class TestBlockDraw:
         schedule = RandomSchedule(4, 0.45, window=2, seed=0)
         digest = hashlib.sha256()
         for t0 in range(1, 45_001, 1023):  # blocks that split windows
-            for edges in schedule.edges_between(t0, min(t0 + 1023, 45_001)):
+            rows = schedule.edges_between(t0, min(t0 + 1023, 45_001))
+            for edges in netgraph.edge_sets(rows, 4):
                 digest.update(repr(sorted(edges)).encode("ascii") + b"\n")
         assert digest.hexdigest() == (
             "49f7d7119ad2799ce636fcd4c06328adfcac5f064e3d2345422eb77c797e1576"
@@ -379,6 +392,7 @@ class TestHelpers:
         # schedules may hold (j, i) pairs; they mix and connect like (i, j)
         reversed_line = StaticSchedule(4, frozenset({(1, 0), (2, 1), (3, 2)}))
         assert pair_rows([reversed_line.edges], 4).tolist() == [[1, 0, 0, 1, 0, 1]]
+        assert reversed_line.edges_between(3, 5).tolist() == [[1, 0, 0, 1, 0, 1]] * 2
         assert MixingCache(reversed_line).block(1, 2)[0].rows == mixing_rows(
             scalar_metropolis(LINE4, 4))
         assert check_window_connectivity(reversed_line, 4).passed
@@ -402,7 +416,9 @@ class TestHelpers:
         steps = tuple(frozenset(random_graph(rng, n, p)) for _ in range(period))
         schedule = PeriodicSchedule(n, steps, window)
         windows = max(1, min(max_rounds // window, 100))
-        edges = schedule.edges_between(1, windows * window + 1)
+        rows = schedule.edges_between(1, windows * window + 1)
+        assert rows.dtype == bool and rows.shape == (windows * window, n * (n - 1) // 2)
+        edges = netgraph.edge_sets(rows, n)
         expected = ConnectivityReport(True, windows)
         for w in range(windows):
             components = connected_components(chain(*edges[w * window:(w + 1) * window]), n)
@@ -412,5 +428,5 @@ class TestHelpers:
         assert check_window_connectivity(schedule, max_rounds) == expected
 
     def test_neighbor_lists_sorted(self):
-        (entry,) = mixing_block([frozenset({(0, 2), (0, 1)})], 3)
+        (entry,) = mixing_block(pair_rows([frozenset({(0, 2), (0, 1)})], 3), 3)
         assert entry.neighbors == neighbor_lists([(2, 0), (0, 1)], 3) == [[1, 2], [0], [0]]

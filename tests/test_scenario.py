@@ -465,6 +465,18 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: failed writing trace")
 
+    @pytest.mark.parametrize("x0", [1e308, -1e308, sys.float_info.max])
+    def test_overflowing_mean_estimate_is_not_converged(self, x0, tmp_path, capsys):
+        # every final estimate is finite, but their sum is not
+        doc = json.loads((CONFIG_DIR / "continuous_four_regions.json").read_text())
+        doc["x0"] = x0
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert all(math.isfinite(v) for v in payload["per_region_final"])
+        assert payload["distributed_z_star"] is None and payload["converged"] is False
+
     def test_run_with_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         rc = cli.main([
@@ -786,6 +798,10 @@ class TestCli:
              "006f409666a625f2fd05aff4684aa1abd80b5d3f44a31837ffcbbcde7b8d482d"),
             ("random-periodic-1", "check", 0,
              "f678e7cd7e7b700bbeedfb0278c74845b61258da31937b318b4325eacc6a0b22"),
+            ("random-0", "run", 0,
+             "5df9ef9cb31e16db2c7d816fb8db42f8d517b30b5114f24b14acd9114960fe51"),
+            ("random-0", "check", 0,
+             "b92a28162e13fdf1b5e488c3b1d76957eb6e60cf6d63b0a1c9b2ee23caf48508"),
         ],
     )
     def test_stdout_is_pinned(self, name, command, code, digest, capsys, tmp_path):
