@@ -302,7 +302,7 @@ class MixingCache:
         if rows.shape[1]:
             packed = np.packbits(rows, axis=1)
             keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
-        new = {key: r for key, r in dict(zip(keys, range(len(keys)))).items() if key not in cache}
+        new = {key: r for r, key in enumerate(keys) if key not in cache}
         if new:  # an empty build still costs a few dozen numpy calls
             cache.update(zip(new, mixing_block(rows[list(new.values())], self.schedule.n)))
         return [cache[key] for key in keys]
