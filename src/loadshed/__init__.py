@@ -9,13 +9,11 @@ executable checks of the assumptions its root-finding recursion rests on.
 
 from .criticality import (
     Ccf,
-    ConvexCombiner,
     CriticalLoad,
     Load,
     Region,
     SurrogateCcf,
     build_ccf,
-    combine_criticality,
     eval_ccf,
     eval_surrogate,
     local_zeta,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -64,54 +64,24 @@ class CriticalLoad:
     criticality: float
 
 
-@dataclass(frozen=True)
-class ConvexCombiner:
-    """Combine load and region criticality as a convex mix.
+def resolve_loads(regions: Sequence[Region], nature_weight: float) -> tuple[CriticalLoad, ...]:
+    """Flatten regions into loads whose criticality is the convex mix
+    ``w * c_nature + (1 - w) * c_region`` with ``w = nature_weight``.
 
-    ``nature_weight`` is the share given to the load's own value; the
-    remainder goes to the regional value.  Output stays in [0, 1] whenever
-    both inputs do, and is monotone in both arguments.
+    Enforces that load ids are unique; a repeat is named by its path,
+    ``regions[j].loads[i].id``.  ``Load`` and ``Region`` hold both inputs
+    in [0, 1], so for a weight in [0, 1] the mix stays there too.
     """
-
-    nature_weight: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.nature_weight <= 1.0:
-            raise ValueError(f"combiner weight {self.nature_weight} outside [0, 1]")
-
-    def __call__(self, c_nature: float, c_region: float) -> float:
-        return self.nature_weight * c_nature + (1.0 - self.nature_weight) * c_region
-
-
-Combiner = Callable[[float, float], float]
-
-
-def combine_criticality(combiner: Combiner, c_nature: float, c_region: float) -> float:
-    """Apply a combiner rule with domain and range checks."""
-    if not 0.0 <= c_nature <= 1.0:
-        raise ValueError(f"nature criticality {c_nature} outside [0, 1]")
-    if not 0.0 <= c_region <= 1.0:
-        raise ValueError(f"region criticality {c_region} outside [0, 1]")
-    value = combiner(c_nature, c_region)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"combiner produced {value}, outside [0, 1]")
-    return value
-
-
-def resolve_loads(regions: Sequence[Region], combiner: Combiner) -> tuple[CriticalLoad, ...]:
-    """Flatten regions into loads with combined criticalities.
-
-    Enforces that the regions partition the load set: ids unique, every
-    load tagged with its own region.
-    """
+    w = nature_weight
     seen: set[int] = set()
     out: list[CriticalLoad] = []
-    for region in regions:
-        for load in region.loads:
+    for j, region in enumerate(regions):
+        for i, load in enumerate(region.loads):
             if load.id in seen:
-                raise ValueError(f"duplicate load id {load.id}")
+                raise ValueError(f"regions[{j}].loads[{i}].id: duplicate load id {load.id} "
+                                 "(ids must be unique)")
             seen.add(load.id)
-            c = combine_criticality(combiner, load.nature_criticality, region.region_criticality)
+            c = w * load.nature_criticality + (1.0 - w) * region.region_criticality
             out.append(CriticalLoad(load.id, load.power, c))
     return tuple(out)
 

@@ -254,22 +254,31 @@ def dmc_rounds(
 
 @dataclass(frozen=True)
 class ProtocolInstance:
-    """Everything the runtime needs for one scenario.
-
-    ``region_criticalities`` are sorted ascending per region and must
-    match the surrogates, which all share ``ramp_width``.  A convergence
-    window of None disables early stopping (fixed-horizon run).
+    """Everything the runtime needs for one scenario: one surrogate per
+    region, all of one ramp width.  A convergence window of None disables
+    early stopping (fixed-horizon run).
     """
 
-    region_criticalities: tuple[tuple[float, ...], ...]
     surrogates: tuple[SurrogateCcf, ...]
-    ramp_width: float
     schedule: GraphSchedule
     step: StepSchedule
     estimator: Estimator
     convergence_window: int | None = 50
     max_rounds: int = 20_000
     x0: float = 0.0
+
+    def __post_init__(self):
+        if len({s.ramp_width for s in self.surrogates}) != 1:
+            raise ValueError("an instance needs surrogates that share one ramp width")
+
+    @property
+    def region_criticalities(self) -> tuple[tuple[float, ...], ...]:
+        """Each region's cutoff candidates: its surrogate's breakpoints, ascending."""
+        return tuple(s.base.breakpoints for s in self.surrogates)
+
+    @property
+    def ramp_width(self) -> float:
+        return self.surrogates[0].ramp_width
 
 
 @dataclass(frozen=True)
@@ -346,12 +355,7 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     the min-consensus values keep cycling with the graph period on
     switching networks.  Each layer runs over a chunk of rounds at a time.
     """
-    n = len(inst.region_criticalities)
-    if len(inst.surrogates) != n:
-        raise ValueError("one surrogate per region required")
-    for s in inst.surrogates:
-        if s.ramp_width != inst.ramp_width:
-            raise ValueError("surrogate ramp width differs from instance ramp width")
+    n = len(inst.surrogates)
     K = inst.convergence_window
     x = [float(inst.x0)] * n
     zeta = [math.inf] * n

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,10 @@ from hypothesis import strategies as st
 
 from loadshed.criticality import (
     Ccf,
-    ConvexCombiner,
     Load,
     Region,
     SurrogateCcf,
     build_ccf,
-    combine_criticality,
     default_ramp_width,
     eval_ccf,
     eval_surrogate,
@@ -23,33 +23,56 @@ from loadshed.criticality import (
     min_gap,
     resolve_loads,
 )
+from loadshed.scenario import ScenarioError, loads_scenario
 
 from conftest import FIG_PAIRS, FIG_RAMP, make_random_loads
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def combined(c_nature: float, c_region: float, weight: float = 0.5) -> float:
+    """The criticality ``resolve_loads`` gives one load of one region."""
+    region = Region(1, c_region, (Load(1, 1.0, c_nature, 1),))
+    (load,) = resolve_loads((region,), weight)
+    return load.criticality
+
 
 class TestCombiner:
+    """The convex mix of nature and region criticality in ``resolve_loads``."""
+
     def test_zero_inputs(self):
-        assert combine_criticality(ConvexCombiner(), 0.0, 0.0) == 0.0
+        assert combined(0.0, 0.0) == 0.0
 
     def test_equal_endpoints(self):
-        assert combine_criticality(ConvexCombiner(), 1.0, 1.0) == 1.0
+        assert combined(1.0, 1.0) == 1.0
 
     def test_half_half(self):
-        assert combine_criticality(ConvexCombiner(), 0.2, 0.6) == pytest.approx(0.4, abs=1e-15)
+        assert combined(0.2, 0.6) == pytest.approx(0.4, abs=1e-15)
+        assert combined(0.2, 0.6, weight=1.0) == 0.2
+        assert combined(0.2, 0.6, weight=0.0) == 0.6
 
     def test_domain_errors(self):
+        # the inputs are checked where they are built
         with pytest.raises(ValueError):
-            combine_criticality(ConvexCombiner(), -0.1, 0.5)
+            combined(-0.1, 0.5)
         with pytest.raises(ValueError):
-            combine_criticality(ConvexCombiner(), 0.5, 1.2)
-
-    def test_bad_custom_combiner_caught(self):
-        with pytest.raises(ValueError):
-            combine_criticality(lambda a, b: a + b + 1.0, 0.5, 0.5)
+            combined(0.5, 1.2)
 
     def test_weight_range(self):
-        with pytest.raises(ValueError):
-            ConvexCombiner(1.5)
+        # the weight is a scenario field, range-checked with the rest of the config
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        doc["combiner_weight"] = 1.5
+        with pytest.raises(ScenarioError, match="combiner_weight 1.5 outside"):
+            loads_scenario(json.dumps(doc))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        c_nature=st.floats(0.0, 1.0),
+        c_region=st.floats(0.0, 1.0),
+        weight=st.floats(0.0, 1.0),
+    )
+    def test_mix_stays_in_unit_interval(self, c_nature, c_region, weight):
+        assert 0.0 <= combined(c_nature, c_region, weight) <= 1.0
 
 
 class TestLoadTypes:
@@ -71,7 +94,7 @@ class TestLoadTypes:
             Region(2, 0.5, (Load(1, 1.0, 0.5, 2),)),
         )
         with pytest.raises(ValueError, match="duplicate"):
-            resolve_loads(regions, ConvexCombiner())
+            resolve_loads(regions, 0.5)
 
 
 def quadratic_build_ccf(pairs) -> Ccf:

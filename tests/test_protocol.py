@@ -8,7 +8,6 @@ import pytest
 
 from loadshed.criticality import (
     Ccf,
-    ConvexCombiner,
     CriticalLoad,
     SurrogateCcf,
     build_ccf,
@@ -53,12 +52,7 @@ def fig_two_region_instance(deficit=6.0, max_rounds=3000, window=None, **kwargs)
         SurrogateCcf(build_ccf(pairs), FIG_RAMP) for pairs in (region_a, region_b)
     )
     return ProtocolInstance(
-        region_criticalities=(
-            tuple(sorted(c for _, c in region_a)),
-            tuple(sorted(c for _, c in region_b)),
-        ),
         surrogates=surrogates,
-        ramp_width=FIG_RAMP,
         schedule=StaticSchedule(2, normalize_edges([(0, 1)], 2)),
         step=StepSchedule(1.0, 1.0, 1.0),
         estimator=ExactSplit(deficit, 2),
@@ -72,9 +66,7 @@ def continuous_vc_instance(max_rounds=1000, x0=1.0):
     """Four continuously sheddable regions, unit-width ramps."""
     surrogates = tuple(SurrogateCcf(Ccf((float(c),), (1.2,)), 1.0) for c in (1, 2, 2, 3))
     return ProtocolInstance(
-        region_criticalities=tuple((float(c),) for c in (1, 2, 2, 3)),
         surrogates=surrogates,
-        ramp_width=1.0,
         schedule=StaticSchedule(4, normalize_edges([(0, 1), (1, 2), (2, 3)], 4)),
         step=StepSchedule(1.0, 1.0, 1.0),
         estimator=ExactSplit(1.8, 4),
@@ -285,9 +277,7 @@ class TestRunProtocol:
     def test_single_region_no_communication(self, fig_ccf):
         surrogate = SurrogateCcf(fig_ccf, FIG_RAMP)
         inst = ProtocolInstance(
-            region_criticalities=(tuple(sorted(c for _, c in FIG_PAIRS)),),
             surrogates=(surrogate,),
-            ramp_width=FIG_RAMP,
             schedule=StaticSchedule(1, frozenset()),
             step=StepSchedule(1.0, 1.0, 1.0),
             estimator=ExactSplit(6.0, 1),
@@ -322,18 +312,19 @@ class TestRunProtocol:
         assert np.array_equal(a.z_min, b.z_min)
 
     def test_mismatched_ramp_rejected(self, fig_ccf):
-        surrogate = SurrogateCcf(fig_ccf, 0.04)
-        with pytest.raises(ValueError):
-            run_protocol(
-                ProtocolInstance(
-                    region_criticalities=((0.1,),),
-                    surrogates=(surrogate,),
-                    ramp_width=FIG_RAMP,
-                    schedule=StaticSchedule(1, frozenset()),
-                    step=StepSchedule(),
-                    estimator=ExactSplit(1.0, 1),
-                )
+        surrogates = (SurrogateCcf(fig_ccf, 0.04), SurrogateCcf(fig_ccf, FIG_RAMP))
+        with pytest.raises(ValueError, match="one ramp width"):
+            ProtocolInstance(
+                surrogates=surrogates,
+                schedule=StaticSchedule(2, normalize_edges([(0, 1)], 2)),
+                step=StepSchedule(),
+                estimator=ExactSplit(1.0, 2),
             )
+
+    def test_instance_reads_its_surrogates(self):
+        inst = fig_two_region_instance()
+        assert inst.ramp_width == FIG_RAMP
+        assert inst.region_criticalities == ((0.1, 0.15, 0.2, 0.4), (0.4, 0.5, 0.7, 0.8))
 
 
 def per_round_run(inst):
@@ -450,11 +441,12 @@ class TestEndToEnd:
             z_star = exact_z_star(ccf, config.deficit)
             z_dist = min(trace.final_z)
             assert z_dist == z_star
-            combiner = ConvexCombiner(config.combiner_weight)
-            shed_ids = [
+            shed_ids = [  # each region decides on its own loads
                 load.id
                 for region in config.regions
-                for load in shed_decision(resolve_loads((region,), combiner), z_dist)
+                for load in shed_decision(
+                    resolve_loads((region,), config.combiner_weight), z_dist
+                )
             ]
             expected_ids = [l.id for l in loads if l.criticality <= z_star]
             assert sorted(shed_ids) == sorted(expected_ids)

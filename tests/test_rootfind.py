@@ -61,7 +61,7 @@ def continuous_run(estimator, rounds, x0):
     crits = ((1.0,), (2.0,), (2.0,), (3.0,))
     surrogates = tuple(SurrogateCcf(build_ccf([(1.2, c)]), 1.0) for (c,) in crits)
     return run_protocol(
-        ProtocolInstance(crits, surrogates, 1.0, LINE4, ETA, estimator, None, rounds, x0)
+        ProtocolInstance(surrogates, LINE4, ETA, estimator, None, rounds, x0)
     )
 
 
@@ -88,8 +88,7 @@ class TestAuxUpdate:
         assert np.abs(X[-1] - X[-1].mean()).max() <= 1e-9
         assert X[-1] == pytest.approx([1.0] * 4, abs=1e-8)  # the initial mean
         # the engine runs the same recursion, with no cutoff to find
-        inst = ProtocolInstance(((),) * 4, (ZERO,) * 4, 1.0, LINE4, ETA, ExactSplit(0.0, 4),
-                                None, 300, 1.0)
+        inst = ProtocolInstance((ZERO,) * 4, LINE4, ETA, ExactSplit(0.0, 4), None, 300, 1.0)
         trace = run_protocol(inst)
         assert np.array_equal(trace.x, recursion([1.0] * 4, [ZERO] * 4, LINE4, 300))
         assert trace.final_x == pytest.approx((1.0,) * 4) and trace.final_zeta == (math.inf,) * 4
@@ -199,8 +198,8 @@ class TestRunToRoot:
         # is z on (0, 100]; a deficit estimate of j + 1 makes region j's
         # field z - (j + 1), whose average has its root at 2.5
         ramp = SurrogateCcf(build_ccf([(100.0, 100.0)]), 100.0)
-        inst = ProtocolInstance(((100.0,),) * 4, (ramp,) * 4, 100.0, LINE4, ETA,
-                                TraceEstimator(((1.0, 2.0, 3.0, 4.0),)), None, 5000)
+        inst = ProtocolInstance((ramp,) * 4, LINE4, ETA, TraceEstimator(((1.0, 2.0, 3.0, 4.0),)),
+                                None, 5000)
         trace = run_protocol(inst)
         root = math.fsum(trace.final_x) / 4
         assert abs(root - 2.5) <= 1e-2

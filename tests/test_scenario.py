@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadshed import cli, scenario
+from loadshed.criticality import resolve_loads
 from loadshed.protocol import CHUNK, RunTrace, run_protocol
 from loadshed.scenario import (
     TRACE_BLOCK_ROUNDS,
@@ -99,6 +100,33 @@ class TestLoadScenario:
         doc["regions"][1]["id"] = 1
         with pytest.raises(ScenarioError, match="unique"):
             loads_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "config, where, value, message",
+        [
+            ("two_region_step_example.json", ("regions", 1, "loads", 0, "id"), 1,
+             "regions[1].loads[0].id: duplicate load id 1 (ids must be unique)"),
+            ("two_region_step_example.json", ("regions", 1, "id"), 1,
+             "regions[1].id: duplicate region id 1 (ids must be unique)"),
+            ("continuous_four_regions.json", ("regions", 3, "id"), 2,
+             "regions[3].id: duplicate region id 2 (ids must be unique)"),
+        ],
+        ids=["load", "region", "continuous-region"],
+    )
+    def test_duplicate_ids_name_their_path(self, config, where, value, message, capsys,
+                                           tmp_path):
+        doc = json.loads((CONFIG_DIR / config).read_text())
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        with pytest.raises(ScenarioError) as excinfo:
+            loads_scenario(json.dumps(doc))
+        assert str(excinfo.value) == message
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_non_integer_continuous_criticality_rejected(self):
         config = load_scenario(CONFIG_DIR / "continuous_four_regions.json")
@@ -278,6 +306,20 @@ class TestRuns:
         assert closed.per_region_shed == pytest.approx((1.2, 0.3, 0.3, 0.0), abs=1e-9)
         for estimate in report.per_region_final:
             assert abs(estimate - 1.25) < 0.01
+        assert report.converged
+        assert abs(report.distributed_z_star - closed.z_tilde) <= scenario.CONTINUOUS_TOLERANCE
+
+    def test_zero_power_criticality_is_no_cutoff(self):
+        # region 1 keeps loads at 0.1, 0.15 and 0.2 plus a zero-power load at
+        # 0.6; the estimates settle below 0.4, so the zero-power load's
+        # criticality is the only one above them in region 1
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        doc["regions"][1]["loads"].insert(0, doc["regions"][0]["loads"].pop(3))
+        doc["regions"][0]["loads"].append({"id": 9, "nature_criticality": 0.6, "power": 0.0})
+        trace, report = run_scenario(loads_scenario(json.dumps(doc)), record_trace=False)
+        assert 0.6 not in trace.final_zeta
+        assert trace.final_zeta == (math.inf, 0.4)
+        assert report.converged and report.distributed_z_star == 0.4
 
 
 def recorded_trace(eta, x, zeta, z_min, alpha, p) -> RunTrace:
@@ -476,6 +518,32 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert all(math.isfinite(v) for v in payload["per_region_final"])
         assert payload["distributed_z_star"] is None and payload["converged"] is False
+
+    @pytest.mark.parametrize("x0, z_dist", [(10, 5.135), (-5, -2.081)])
+    def test_continuous_run_off_the_closed_form_is_not_converged(self, x0, z_dist, tmp_path,
+                                                                 capsys):
+        # the cutoffs settle, but the mean estimate is far from z_tilde = 1.25
+        doc = json.loads((CONFIG_DIR / "continuous_four_regions.json").read_text())
+        doc["x0"] = x0
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["distributed_z_star"] == pytest.approx(z_dist, abs=1e-3)
+        assert payload["converged"] is False
+
+    @pytest.mark.parametrize("command", ["run", "solve", "check"])
+    def test_each_command_resolves_loads_once(self, command, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return resolve_loads(*args)
+
+        monkeypatch.setattr(scenario, "resolve_loads", counting)
+        path = CONFIG_DIR / "two_region_step_example.json"
+        assert cli.main(["--quiet", command, str(path)]) == 0
+        assert len(calls) == 1
 
     def test_run_with_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
