@@ -128,7 +128,7 @@ def greedy_shed_set(
     power sum reaches the deficit, so it may split a group of equal
     criticality.  The CCF threshold ``z_star`` sheds such groups whole,
     which is why its total can exceed the greedy one.  ``ramp_width``
-    defaults to ``default_ramp_width`` of the loads' criticalities.
+    defaults to ``default_ramp_width`` of the CCF's breakpoints.
     """
     ccf = build_ccf((l.power, l.criticality) for l in loads)
     if ccf.total_load < deficit:
@@ -144,7 +144,7 @@ def greedy_shed_set(
         acc += load.power
 
     if ramp_width is None:
-        ramp_width = default_ramp_width(l.criticality for l in loads)
+        ramp_width = default_ramp_width(ccf.breakpoints)
     surrogate = SurrogateCcf(ccf, ramp_width)
     z_star = exact_z_star(ccf, deficit)
     shed_total = eval_ccf(ccf, z_star)

@@ -77,10 +77,9 @@ CRITICALITY_GRID = 10_000  # nature criticalities are multiples of 1e-4
 # the closed-form threshold: a hundredth of the unit ramp
 CONTINUOUS_TOLERANCE = 0.01
 
-# emit_trace builds and writes this many rounds of rows at a time; the
-# text of a block stays well under a megabyte at any region count the
-# generator makes
-TRACE_BLOCK_ROUNDS = 128
+# emit_trace formats and writes this many rounds of rows at a time; a
+# block of 29 regions is about 1.2 MB of text
+TRACE_BLOCK_ROUNDS = 512
 
 
 class ScenarioError(ValueError):
@@ -137,7 +136,7 @@ class ScenarioConfig:
     max_rounds: int
     convergence_window: int | None  # None: fixed-horizon run
     combiner_weight: float = 0.5
-    ramp_width: float | None = None  # None: smallest criticality gap
+    ramp_width: float | None = None  # None: smallest breakpoint gap
     x0: float = 0.0  # initial threshold estimate at every region
     regions: tuple[Region, ...] = ()
     continuous_regions: tuple[ContinuousRegion, ...] = ()
@@ -175,7 +174,7 @@ def resolved_loads(config: ScenarioConfig) -> tuple[CriticalLoad, ...]:
 def resolve_ramp_width(config: ScenarioConfig) -> float:
     if config.ramp_width is not None:
         return config.ramp_width
-    return default_ramp_width(l.criticality for l in resolved_loads(config))
+    return default_ramp_width(l.criticality for l in resolved_loads(config) if l.power > 0)
 
 
 def region_ids(config: ScenarioConfig) -> tuple[int, ...]:
@@ -299,7 +298,7 @@ def validate(config: ScenarioConfig, window_is_period: bool = False) -> None:
         except ValueError as exc:  # a repeated load id
             raise ScenarioError(str(exc)) from exc
         what, amounts = "total sheddable power", [l.power for l in loads]
-        crits = [l.criticality for l in loads]
+        crits = [l.criticality for l in loads if l.power > 0]  # the breakpoints
     try:
         total = math.fsum(amounts)
     except OverflowError:  # finite amounts whose sum is not
@@ -786,9 +785,10 @@ def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | No
     """Write the per-round records as CSV.
 
     Columns: t, eta, region, x, zeta, z_min, alpha, p.  Floats carry 12
-    significant digits; the infinity sentinel serializes as ``inf``.  Rows
-    are built and written ``TRACE_BLOCK_ROUNDS`` rounds at a time, which
-    bounds the memory the text takes.
+    significant digits; the infinity sentinel serializes as ``inf``.  Each
+    block of ``TRACE_BLOCK_ROUNDS`` rounds is one %-format, which bounds the
+    memory the text takes.  A row's ``zeta,z_min,alpha,p`` tail is formatted
+    only where its bits differ from the region's row one round earlier.
     """
     if not trace.recorded or trace.rounds == 0:
         raise ValueError("trace has no recorded rounds")
@@ -796,37 +796,37 @@ def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | No
     ids = list(region_ids) if region_ids is not None else list(range(1, n + 1))
     if len(ids) != n:
         raise ValueError(f"{len(ids)} region ids for {n} regions")
-    cells_of_region = np.array([f",{i}," for i in ids], dtype=object)
-    repeating = (trace.zeta, trace.z_min, trace.alpha, trace.p)
-    path = Path(path)
+    template = "".join(f"%s,{i},%.12g%s" for i in ids)
+    columns = (trace.zeta, trace.z_min, trace.alpha, trace.p)
+    last_bits, last_tails = np.zeros((len(columns), 1, n), np.uint64), np.empty(n, object)
     try:
-        with path.open("w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("t,eta,region,x,zeta,z_min,alpha,p\n")
             for r0 in range(0, trace.rounds, TRACE_BLOCK_ROUNDS):
                 block = slice(r0, r0 + TRACE_BLOCK_ROUNDS)
                 ts, etas = trace.t[block].tolist(), trace.eta[block].tolist()
+                # bits, not values: -0.0 stays apart from 0.0, and NaNs need no care
+                bits = np.stack([np.asarray(c[block], np.float64).view(np.uint64) for c in columns])
+                changed = (bits != np.concatenate((last_bits, bits[:, :-1]), axis=1)).any(axis=0)
+                changed[0] |= r0 == 0
+                texts = map(_distinct_text, bits[:, changed])
+                fresh = [",%s,%s,%s,%s\n" % tail for tail in zip(*texts)]
+                # a cell's tail is the newest formatted one at or above it in its column
+                pool = np.array([*last_tails.tolist(), *fresh], dtype=object)
+                index = np.tile(np.arange(n), (len(ts), 1))
+                index[changed] = np.arange(n, len(pool))
+                tails = pool[np.maximum.accumulate(index, axis=0)]
+                last_bits, last_tails = bits[:, -1:], tails[-1]
                 heads = np.array([f"{t},{eta:.12g}" for t, eta in zip(ts, etas)], dtype=object)
-                rows = heads[:, None] + cells_of_region + _text(trace.x[block])
-                for values in repeating:
-                    rows = rows + "," + _distinct_text(values[block])
-                fh.write("".join((rows + "\n").ravel().tolist()))
+                cells = np.stack(np.broadcast_arrays(heads[:, None], trace.x[block], tails), -1)
+                fh.write(template * len(ts) % tuple(cells.ravel().tolist()))
     except OSError as exc:
         raise OSError(f"failed writing trace to {path}: {exc}") from exc
 
 
-def _text(values: np.ndarray) -> np.ndarray:
-    """``format(v, ".12g")`` of each value as a float, as an object array
-    of the same shape.  An integer prints the same digits either way."""
-    values = np.asarray(values, dtype=np.float64)
-    text = np.array([format(v, ".12g") for v in values.ravel().tolist()], dtype=object)
-    return text.reshape(values.shape)
-
-
-def _distinct_text(values: np.ndarray) -> np.ndarray:
-    """As ``_text``, formatting each distinct bit pattern once: the cutoff,
-    min-consensus, ramp and estimate columns hold a few hundred distinct
-    values per run.  Keyed on bits, not on value, so ``-0.0`` stays apart
-    from ``0.0`` and NaNs need no care."""
-    values = np.asarray(values, dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    return _text(bits.view(np.float64))[inverse.reshape(values.shape)]
+def _distinct_text(bits: np.ndarray) -> list[str]:
+    """``"%.12g"`` of the float64 of each 64-bit pattern, formatting each
+    distinct pattern once: a run's column holds at most about a thousand."""
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(["%.12g" % v for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()

@@ -71,6 +71,14 @@ class TestGreedy:
         with pytest.raises(InfeasibleError):
             greedy_shed_set(fig_loads, 17.0)
 
+    def test_zero_power_load_keeps_default_ramp(self, fig_loads):
+        # a zero-power load adds no breakpoint; at 0.38 it would narrow the
+        # default ramp from 0.05 to 0.02 and move the surrogate root
+        sol = greedy_shed_set([*fig_loads, CriticalLoad(99, 0.0, 0.38)], 6.0)
+        expected = greedy_shed_set(fig_loads, 6.0)
+        assert (sol.z_star, sol.z_hat) == (expected.z_star, expected.z_hat)
+        assert sol.z_hat != greedy_shed_set(fig_loads, 6.0, 0.02).z_hat
+
 
 class TestBruteForce:
     def test_tie_example_total(self):

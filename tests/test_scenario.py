@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,22 @@ class TestLoadScenario:
         doc["ramp_width"] = 0.2
         with pytest.raises(ScenarioError, match="ramp width"):
             loads_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("width", [0.05, "auto"])
+    def test_zero_power_load_leaves_ramp_width(self, width):
+        # a zero-power load adds no breakpoint: at nature criticality 0.38,
+        # 0.02 from the 0.4 loads, it neither rejects the given width 0.05
+        # nor narrows the default one
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        doc["ramp_width"] = width
+        doc["regions"][0]["loads"].append({"id": 99, "nature_criticality": 0.38, "power": 0.0})
+        config = loads_scenario(json.dumps(doc))
+        assert scenario.resolve_ramp_width(config) == pytest.approx(0.05, abs=1e-15)
+        assert scenario.build_instance(config).ramp_width == scenario.resolve_ramp_width(config)
+        base = load_scenario(CONFIG_DIR / "two_region_step_example.json")
+        report, expected = (run_scenario(c, record_trace=False)[1] for c in (config, base))
+        assert report.oracle.z_hat == pytest.approx(expected.oracle.z_hat, abs=1e-12)
+        assert report.converged and report.distributed_z_star == expected.distributed_z_star == 0.4
 
     @pytest.mark.parametrize("width", [0, -0.01])
     def test_nonpositive_ramp_rejected(self, width, tmp_path):
@@ -357,20 +374,24 @@ SPECIAL_FLOATS = (
 INTEGERS = (0, 3, -7, 10**15, 2**53 + 1, -(2**63), 2**63 - 1)
 
 
+COLUMN_KINDS = ("repeat", "distinct", "mixed", "integer", "stretches")
+
+
 @st.composite
-def drawn_traces(draw, rounds: int):
+def drawn_traces(draw, rounds: int, kinds=COLUMN_KINDS):
     """A trace of ``rounds`` rounds whose columns each repeat one value,
     repeat no value, mix signed zeros, NaNs, infinities, subnormals and
-    drawn floats, or hold 64-bit integers (a ``trace`` estimator given in
-    JSON integers records ``p`` as such); plus the region ids to write (or
-    None)."""
+    drawn floats, hold 64-bit integers (a ``trace`` estimator given in
+    JSON integers records ``p`` as such), or hold long stretches of equal
+    rows whose cells change only on or next to a block boundary; plus the
+    region ids to write (or None)."""
     n = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = np.array(SPECIAL_FLOATS + tuple(draw(st.lists(st.floats(), max_size=4))))
 
     def column(shape):
         size = math.prod(shape)
-        kind = draw(st.sampled_from(["repeat", "distinct", "mixed", "integer"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "repeat":
             values = np.full(size, draw(st.sampled_from(pool.tolist())))
         elif kind == "distinct":
@@ -380,8 +401,18 @@ def drawn_traces(draw, rounds: int):
         elif kind == "mixed":
             values = rng.choice(pool, size)
             values[:2] = [0.0, -0.0][:size]
-        else:
+        elif kind == "integer":
             values = rng.choice(np.array(INTEGERS), size)
+        else:
+            # the writer carries each region's last row across blocks; with
+            # two values per column, a row that differs from the last row
+            # but equals an earlier one is likely
+            rows = np.arange(shape[0]).reshape(-1, *[1] * (len(shape) - 1))
+            near = np.isin(rows % TRACE_BLOCK_ROUNDS, (0, 1, TRACE_BLOCK_ROUNDS - 1))
+            starts = near & (rng.random(shape) < 0.5)
+            starts[0] = True
+            since = np.maximum.accumulate(np.where(starts, rows, 0), axis=0)
+            values = np.take_along_axis(rng.choice(rng.choice(pool, 2), shape), since, axis=0)
         return values.reshape(shape)
 
     eta = column((rounds,))
@@ -403,6 +434,46 @@ class TestEmitTrace:
             out = Path(tmp) / "trace.csv"
             emit_trace(trace, out, ids)
             assert out.read_bytes() == reference_csv(trace, ids)
+
+    @pytest.mark.parametrize("rounds", [TRACE_BLOCK_ROUNDS + 2, 3 * TRACE_BLOCK_ROUNDS + 1])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_stretches_match_scalar_reference(self, rounds, data):
+        trace, ids = data.draw(drawn_traces(rounds, kinds=("stretches",)))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "trace.csv"
+            emit_trace(trace, out, ids)
+            assert out.read_bytes() == reference_csv(trace, ids)
+
+    def test_one_tail_changes_at_block_boundary(self, tmp_path):
+        # region 2's zeta changes at the first row of the second block; the
+        # other regions' tails come from the first block's last row
+        rounds = 2 * TRACE_BLOCK_ROUNDS
+        x = np.arange(rounds * 3, dtype=np.float64).reshape(rounds, 3)
+        zeta = np.full((rounds, 3), math.inf)
+        zeta[TRACE_BLOCK_ROUNDS:, 1] = 0.25
+        rest = np.full((rounds, 3), 0.5)
+        trace = recorded_trace(np.ones(rounds), x, zeta, rest, rest, rest)
+        out = tmp_path / "trace.csv"
+        emit_trace(trace, out, (7, 8, 9))
+        assert out.read_bytes() == reference_csv(trace, (7, 8, 9))
+        rows = out.read_text().splitlines()[1:]
+        boundary = 3 * TRACE_BLOCK_ROUNDS
+        assert [row.split(",", 4)[4] for row in rows[boundary - 3:boundary + 3]] == [
+            "inf,0.5,0.5,0.5", "inf,0.5,0.5,0.5", "inf,0.5,0.5,0.5",
+            "inf,0.5,0.5,0.5", "0.25,0.5,0.5,0.5", "inf,0.5,0.5,0.5",
+        ]
+
+    def test_memory_stays_at_one_block(self, tmp_path):
+        # 45 000 rounds of 4 regions are about 13 MB of text
+        trace, _ = run_scenario(generate_scenario(4, 100, seed=0, graph="line"))
+        tracemalloc.start()
+        try:
+            emit_trace(trace, tmp_path / "trace.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_signed_zeros_stay_apart(self, tmp_path):
         # 0.0 == -0.0, so a writer that formats each distinct float value
