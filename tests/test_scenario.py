@@ -422,8 +422,9 @@ def drawn_traces(draw, rounds: int, kinds=COLUMN_KINDS):
 
 
 class TestEmitTrace:
+    # 127..129 rounds stay well inside one block: a lone partial block
     @pytest.mark.parametrize("rounds", [
-        1, TRACE_BLOCK_ROUNDS - 1, TRACE_BLOCK_ROUNDS, TRACE_BLOCK_ROUNDS + 1,
+        1, 127, 128, 129, TRACE_BLOCK_ROUNDS - 1, TRACE_BLOCK_ROUNDS, TRACE_BLOCK_ROUNDS + 1,
         CHUNK - 1, CHUNK, CHUNK + 1,
     ])
     @settings(max_examples=12, deadline=None)
