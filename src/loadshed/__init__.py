@@ -16,7 +16,6 @@ from .criticality import (
     build_ccf,
     eval_ccf,
     eval_surrogate,
-    local_zeta,
     min_gap,
     resolve_loads,
     shed_decision,

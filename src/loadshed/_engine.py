@@ -1,0 +1,83 @@
+"""The round engine's compiled kernels: ``_engine.c``, built on first import.
+
+The source is compiled with the C compiler this Python was built with
+(``sysconfig``'s ``CC``) into ``__pycache__/_engine-<digest>.so`` beside
+it, where the digest is the SHA-256 of the source and the compile command.
+A process compiles to a name of its own and renames the result into
+place, so concurrent first imports leave one artifact; later imports hash
+the source and load the artifact with ctypes.  A missing compiler or an
+unwritable directory is an ``ImportError`` that names it.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_engine.c")
+# no FMA contraction: the kernels must round as Python's float arithmetic does
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _compiler() -> list[str]:
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc:
+        raise ImportError("loadshed's engine needs a C compiler, and this Python names none "
+                          "(sysconfig CC)")
+    return cc
+
+
+def _build(directory: Path) -> Path:
+    """The compiled kernels in ``directory``, compiled there first if absent."""
+    command = [*_compiler(), *FLAGS]
+    source = SOURCE.read_bytes()
+    digest = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()
+    target = directory / f"_engine-{digest}.so"
+    if target.exists():
+        return target
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ImportError(f"cannot build loadshed's engine in {directory}: {exc}") from exc
+    partial = directory / f"_engine-{digest}.{os.getpid()}.tmp"
+    try:
+        try:
+            done = subprocess.run([*command, "-o", str(partial), str(SOURCE), "-lm"],
+                                  capture_output=True, text=True, check=False)
+        except FileNotFoundError as exc:
+            raise ImportError(f"loadshed's engine needs the C compiler {command[0]!r}, "
+                              "which was not found") from exc
+        if done.returncode:
+            raise ImportError(f"compiling {SOURCE} into {directory} with {command[0]} "
+                              f"failed:\n{done.stderr}")
+        os.replace(partial, target)
+    finally:
+        partial.unlink(missing_ok=True)
+    return target
+
+
+_lib = ctypes.CDLL(str(_build(SOURCE.parent / "__pycache__")))
+_i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_ints = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+_longs = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+
+surrogate = _lib.surrogate
+# plain addresses: scalar callers pay per point for ndpointer's checks, and
+# eval_surrogate makes or owns every array it passes as C-ordered float64
+surrogate.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _f64, _ptr]
+x_rounds = _lib.x_rounds
+x_rounds.argtypes = [_i64, _i64, _i64, _f64, _f64, _f64, _ints, _longs, _ints, _floats,
+                     _floats, _longs, _floats, _floats, _f64, _floats, _floats, _floats]
+dmc_rounds = _lib.dmc_rounds
+dmc_rounds.argtypes = [_i64, _i64, _ints, _longs, _ints, _floats, _f64, _floats, _floats,
+                       _floats, _floats]
+for _kernel in (surrogate, x_rounds, dmc_rounds):
+    _kernel.restype = None

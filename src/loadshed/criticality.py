@@ -10,11 +10,13 @@ the threshold-inversion problem solvable by the distributed runtime.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from . import _engine
 
 
 @dataclass(frozen=True)
@@ -210,9 +212,9 @@ class SurrogateCcf:
 
     def __post_init__(self):
         check_ramp_width(self.base.breakpoints, self.ramp_width)
-        # eval_surrogate's arrays: breakpoints, and cumulative loads after a leading 0.0
+        # the arrays eval_surrogate and the engine read: breakpoints, cumulative loads
         object.__setattr__(self, "_bps", np.array(self.base.breakpoints, dtype=np.float64))
-        object.__setattr__(self, "_cum", np.array((0.0, *self.base.cumulative)))
+        object.__setattr__(self, "_cum", np.array(self.base.cumulative, dtype=np.float64))
 
 
 def eval_surrogate(surrogate: SurrogateCcf, z: float | np.ndarray) -> float | np.ndarray:
@@ -221,29 +223,13 @@ def eval_surrogate(surrogate: SurrogateCcf, z: float | np.ndarray) -> float | np
     A float gives a float, an array an array of its shape.  Because the
     ramp width never exceeds the smallest breakpoint gap, at most one ramp
     is partially climbed at any z: everything below is fully counted,
-    everything above contributes nothing.  Each point takes the arithmetic
-    of the scalar recursion in ``protocol.x_rounds``, bit for bit.
+    everything above contributes nothing.  Each point is evaluated by the
+    engine's own surrogate function (``_engine.c``), bit for bit as the
+    recursion does.
     """
-    bps, cum, c = surrogate._bps, surrogate._cum, surrogate.ramp_width
-    zs = np.asarray(z, dtype=np.float64).reshape(-1)
-    idx = np.searchsorted(bps, zs, side="right")
-    value = cum[idx]  # the load at or below z
-    # the ramp term only below the last breakpoint, on the ramp to the next
-    lanes = np.flatnonzero(idx < len(bps))
-    d = zs[lanes] - bps[idx[lanes]]
-    lanes, d = lanes[d > -c], d[d > -c]
-    below = value[lanes]
-    value[lanes] = below + (cum[idx[lanes] + 1] - below) * (d / c + 1.0)
-    return value.reshape(np.shape(z)) if np.ndim(z) else float(value[0])
-
-
-def local_zeta(sorted_criticalities: Sequence[float], x: float) -> float:
-    """Smallest regional criticality at or above x; +inf when none exists.
-
-    The infinity sentinel is absorbed correctly by min-consensus layers:
-    it compares above every finite value and stays infinite under addition.
-    """
-    i = bisect_left(sorted_criticalities, x)
-    if i == len(sorted_criticalities):
-        return math.inf
-    return sorted_criticalities[i]
+    zs = np.asarray(z, dtype=np.float64, order="C")
+    out = np.empty(zs.shape)
+    bps, cum = surrogate._bps, surrogate._cum
+    _engine.surrogate(zs.size, zs.ctypes.data, bps.ctypes.data, len(bps), cum.ctypes.data,
+                      surrogate.ramp_width, out.ctypes.data)
+    return out if np.ndim(z) else float(out)

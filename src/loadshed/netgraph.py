@@ -11,15 +11,15 @@ out.  A random schedule draws a block as one splitmix matrix of rows,
 finds every window's components from one batched reachability product
 (``component_labels``, which the connectivity check uses too), and writes
 the repair chains of disconnected windows into the matrix.
-``MixingCache`` keys each round by its packed row and builds the mixing of
-a block's new rows from one stack of matrices (``metropolis_block``).
+``mixing_block`` gives the engine a block's mixing as CSR arrays, built
+from one stack of matrices (``metropolis_block``) over its distinct rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -246,63 +246,25 @@ def check_window_connectivity(schedule: GraphSchedule, max_rounds: int) -> Conne
     return ConnectivityReport(False, windows, int(broken[0]), tuple(leaders.tolist()))
 
 
-class Mixing(NamedTuple):
-    """Mixing structure of one edge set: the nonzero ``(k, w)`` entries of
-    each row of its mixing matrix and each node's neighbours, in ascending
-    order, which the engine reduces in so that results are bit-identical
-    regardless of evaluation parallelism."""
+def mixing_block(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Mixing of a block of pair rows, as a graph index per round and CSR arrays.
 
-    rows: list[list[tuple[int, float]]]
-    neighbors: list[list[int]]
-
-
-def _split(items: list, counts: np.ndarray) -> list[list]:
-    ends = np.cumsum(counts, axis=None).tolist()
-    return [items[a:b] for a, b in zip([0, *ends], ends)]
-
-
-def mixing_block(rows: np.ndarray, n: int) -> list[Mixing]:
-    """Mixing structure of each row of pair columns, from one stack of weights."""
-    W = metropolis_block(rows, n)
-    g, j, k = np.nonzero(W)
-    rows = _split(list(zip(k.tolist(), W[g, j, k].tolist())), np.count_nonzero(W, axis=2))
-    A = (W != 0.0) & ~np.eye(n, dtype=bool)
-    neighbors = _split(np.nonzero(A)[2].tolist(), A.sum(axis=2))
-    return [Mixing(rows[s:s + n], neighbors[s:s + n]) for s in range(0, len(rows), n)]
-
-
-# MixingCache empties itself at the start of a block once it holds more
-# entries than this: random schedules over many regions draw a new graph
-# almost every round, static and periodic ones and the 4-region random
-# family (64 graphs) never get near it
-MIXING_CACHE_ENTRIES = 1024
-
-
-class MixingCache:
-    """Per-round mixing structure of a schedule, built once per distinct
-    graph: each round is keyed by the bytes of its packed pair row, a block's
-    new rows are built together (``mixing_block``), and equal rows share one
-    ``Mixing`` (the engine skips repeated min-consensus rounds by identity).
-
-    It holds at most ``MIXING_CACHE_ENTRIES`` entries plus one block's worth;
-    each block's list stays valid after the cache empties.
+    Equal rows (compared packed) share one graph index, and the Metropolis
+    matrices of the distinct rows are built as one stack.  Returns
+    ``(graph, indptr, col, weight)``: row j of graph g holds the entries
+    ``indptr[g*n + j]`` to ``indptr[g*n + j + 1] - 1`` of ``col`` and
+    ``weight``, in ascending column order, which is the order the engine
+    reduces in so that results do not depend on evaluation order.
     """
-
-    def __init__(self, schedule: GraphSchedule):
-        self.schedule = schedule
-        self._by_row: dict[bytes, Mixing] = {}
-
-    def block(self, t0: int, t1: int) -> list[Mixing]:
-        """Mixing structures of rounds t0..t1-1 (1-based)."""
-        cache = self._by_row
-        if len(cache) > MIXING_CACHE_ENTRIES:
-            cache.clear()
-        rows = self.schedule.edges_between(t0, t1)
-        keys = [b""] * len(rows)  # n = 1: no pairs, so packed rows have no bytes to key on
-        if rows.shape[1]:
-            packed = np.packbits(rows, axis=1)
-            keys = packed.view(f"V{packed.shape[1]}").ravel().tolist()
-        new = {key: r for r, key in enumerate(keys) if key not in cache}
-        if new:  # an empty build still costs a few dozen numpy calls
-            cache.update(zip(new, mixing_block(rows[list(new.values())], self.schedule.n)))
-        return [cache[key] for key in keys]
+    keys = np.zeros(len(rows), np.uint8)  # n = 1: no pair columns, one graph
+    if rows.shape[1]:
+        packed = np.packbits(rows, axis=1)
+        # fixed-width bytes: equal exactly when the rows are, and numpy
+        # sorts them about three times faster than raw void keys
+        keys = packed.view(f"S{packed.shape[1]}").ravel()
+    _, first, graph = np.unique(keys, return_index=True, return_inverse=True)
+    W = metropolis_block(rows[first], n)
+    indptr = np.zeros(len(first) * n + 1, np.int64)
+    np.cumsum(np.count_nonzero(W, axis=2), out=indptr[1:])
+    g, j, k = np.nonzero(W)
+    return graph.astype(np.int32), indptr, k.astype(np.int32), W[g, j, k]

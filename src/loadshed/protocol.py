@@ -4,26 +4,27 @@ Each region keeps a scalar estimate of the shedding threshold; a regional
 cutoff (the smallest own criticality at or above the estimate) feeds a
 dynamic min-consensus layer whose minimum is the network-wide threshold.
 The estimates never read the other two layers, so the engine runs the
-layers one after another over chunks of rounds: the recursion kernel
-``x_rounds`` (x <- W(t) x - eta(t) (S_j(x_j) - p_j(t))), the cutoff layer
-``cutoffs``, then the min-consensus kernel ``dmc_rounds``.  Estimators
-return the deficit estimates of a chunk as one array (``block(t0, t1)``).
-Every update reads only previous-round state, and all neighbor reductions
-run in fixed index order, so results do not depend on evaluation order.
+layers one after another over chunks of rounds: the compiled recursion
+kernel ``x_rounds`` (x <- W(t) x - eta(t) (S_j(x_j) - p_j(t)), in
+``_engine.c``), the cutoff layer ``cutoffs``, then the compiled
+min-consensus kernel ``dmc_rounds``.  A chunk's mixing is one graph index
+per round into CSR arrays (``netgraph.mixing_block``), and estimators
+return its deficit estimates as one array (``block(t0, t1)``).  Every
+update reads only previous-round state, and all neighbor reductions run
+in fixed index order, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
+from . import _engine
 from .criticality import SurrogateCcf
-from .netgraph import GraphSchedule, MixingCache
+from .netgraph import GraphSchedule, mixing_block
 from .seeding import noise_matrix
 
 
@@ -51,6 +52,7 @@ class StepSchedule:
             )
 
     def eta(self, t: int) -> float:
+        """eta(t); the engine's kernel computes it with the same operations."""
         base = t + self.offset
         if self.exponent == 1.0:
             return self.gain / base
@@ -146,110 +148,19 @@ def certify_deficit_tracking(
     return worst
 
 
-def x_rounds(
-    x: Sequence[float],
-    rows: Sequence[Sequence[Sequence[tuple[int, float]]]],
-    etas: Sequence[float],
-    ps: Sequence[Sequence[float]],
-    surrogates: Sequence[SurrogateCcf],
-) -> list[list[float]]:
-    """The threshold-estimate recursion over consecutive rounds.
-
-    Round r mixes the previous estimates with the sparse mixing rows
-    ``rows[r]`` (reduced in ascending neighbor order) and steps by
-    ``etas[r]`` against the gap between each region's surrogate CCF and
-    its deficit estimate ``ps[r][j]``.  The surrogate is evaluated with
-    the arithmetic of ``eval_surrogate``, so results match it bit for bit.
-    Returns the estimates after every round.
-    """
-    regions = [
-        (s.base.breakpoints, s.base.cumulative, len(s.base.breakpoints), s.ramp_width)
-        for s in surrogates
-    ]
-    out = []
-    for rows_t, eta_t, p_t in zip(rows, etas, ps):
-        new_x = []
-        for j, (bps, cum, size, c) in enumerate(regions):
-            z = x[j]
-            idx = bisect_right(bps, z)
-            below = cum[idx - 1] if idx else 0.0
-            v = below
-            if idx < size:
-                d = z - bps[idx]
-                if d > -c:
-                    v += (cum[idx] - below) * (d / c + 1.0)
-            acc = 0.0
-            for k, w in rows_t[j]:
-                acc += w * x[k]
-            new_x.append(acc - eta_t * (v - p_t[j]))
-        out.append(new_x)
-        x = new_x
-    return out
-
-
 def cutoffs(
     region_criticalities: Sequence[Sequence[float]], X: np.ndarray
 ) -> np.ndarray:
     """Regional cutoffs of a block of estimates, one row per round.
 
     Entry (r, j) is the smallest criticality of region j at or above
-    ``X[r, j]``, or +inf when none exists: ``local_zeta`` applied to every
-    entry, with the same comparisons (a NaN estimate, which local_zeta
-    maps to the smallest criticality, maps to +inf here).
+    ``X[r, j]``, or +inf when none exists or the estimate is NaN.
     """
     Z = np.empty(X.shape)
     for j, crits in enumerate(region_criticalities):
         padded = np.array((*crits, math.inf))
         Z[:, j] = padded[np.searchsorted(padded[:-1], X[:, j], side="left")]
     return Z
-
-
-def dmc_rounds(
-    z: Sequence[float],
-    alpha: Sequence[float],
-    zeta_rows: Sequence[Sequence[float]],
-    neighbor_rows: Sequence[Sequence[Sequence[int]]],
-    ramp_width: float,
-) -> tuple[list[list[float]], list[list[float]]]:
-    """Dynamic min-consensus with local self-tuning over consecutive rounds.
-
-    In round r each node takes the minimum of its neighborhood's previous
-    values (inflated by its own step alpha) and its fresh cutoff
-    ``zeta_rows[r][j]``; neighborhoods are ``neighbor_rows[r]``.  Alpha
-    resets large after any increase so stale minima age out quickly, and
-    settles at half the ramp width otherwise.  Returns the values and
-    steps after every round.
-    """
-    half = ramp_width / 2.0
-    z_rows, alpha_rows = [], []
-    # the last round computed with each neighborhood object, by id: a
-    # round with the same neighborhood and cutoff-row objects and an equal
-    # state has that round's output (equal floats differ at most in the
-    # sign of zero, which neither the sums with alpha >= 0 nor the
-    # comparisons carry into the output); on static and periodic graphs
-    # this skips the rounds after the layer has settled
-    last: dict[int, tuple] = {}
-    for zeta_new, neighbors in zip(zeta_rows, neighbor_rows):
-        seen = last.get(id(neighbors))
-        if seen is not None and seen[0] is zeta_new and seen[1] == z and seen[2] == alpha:
-            new_z, new_alpha = seen[3], seen[4]
-        else:
-            new_z, new_alpha = [], []
-            for j, a_j in enumerate(alpha):
-                best = z[j] + a_j
-                for k in neighbors[j]:
-                    cand = z[k] + a_j
-                    if cand < best:
-                        best = cand
-                if zeta_new[j] < best:
-                    best = zeta_new[j]
-                new_z.append(best)
-                new_alpha.append(0.5 if best > z[j] else half)
-            last[id(neighbors)] = (zeta_new, z, alpha, new_z, new_alpha)
-        z_rows.append(new_z)
-        alpha_rows.append(new_alpha)
-        z, alpha = new_z, new_alpha
-    return z_rows, alpha_rows
 
 
 @dataclass(frozen=True)
@@ -311,38 +222,6 @@ class RunTrace:
         return min(self.final_z)
 
 
-def _as_array(rows: list[list[float]], n: int) -> np.ndarray:
-    return np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * n).reshape(-1, n)
-
-
-def _stretch_rows(
-    A: np.ndarray, changed: np.ndarray, prev: list[float] | None
-) -> list[list[float]]:
-    """The rows of ``A`` as lists, one list object per stretch that starts at
-    a row marked ``changed``, with ``prev`` before the first mark: kernels
-    recognise a repeated row by identity, and it costs no allocation."""
-    rows, row, start = [], prev, 0
-    for r in np.flatnonzero(changed).tolist():
-        rows += [row] * (r - start)
-        row, start = A[r].tolist(), r
-    return rows + [row] * (len(A) - start)
-
-
-def _zeta_stretches(
-    Z: np.ndarray, prev: list[float], carry: int
-) -> tuple[np.ndarray, list[list[float]]]:
-    """Stretches of unchanged cutoff rows in ``Z``, which follows the row
-    ``prev`` that closed a stretch of ``carry`` rounds: the length of the
-    stretch ending at each row, and the rows as ``_stretch_rows`` lists."""
-    changed = np.empty(len(Z), dtype=bool)
-    changed[0] = (Z[0] != prev).any()
-    changed[1:] = (Z[1:] != Z[:-1]).any(axis=1)
-    idx = np.arange(len(Z))
-    last_change = np.maximum.accumulate(np.where(changed, idx, -1))
-    streaks = np.where(last_change >= 0, idx - last_change, carry + idx + 1)
-    return streaks, _stretch_rows(Z, changed, prev)
-
-
 def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     """Run the full protocol until the cutoff vector holds still or rounds
     run out.
@@ -357,41 +236,43 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     """
     n = len(inst.surrogates)
     K = inst.convergence_window
-    x = [float(inst.x0)] * n
-    zeta = [math.inf] * n
-    z = [math.inf] * n
-    alpha = [inst.ramp_width / 2.0] * n
+    step, half = inst.step, inst.ramp_width / 2.0
+    bstart = np.cumsum([0, *(len(s._bps) for s in inst.surrogates)], dtype=np.int64)
+    bps = np.concatenate([s._bps for s in inst.surrogates])
+    cum = np.concatenate([s._cum for s in inst.surrogates])
+    x = np.full(n, float(inst.x0))
+    zeta = z = np.full(n, math.inf)
+    alpha = np.full(n, half)
     streak = 0
     converged = False
-    mixing = MixingCache(inst.schedule)
     recorded: list[tuple] = []  # per chunk: eta, x, zeta, z_min, alpha, p
     t0, size = 1, 64
     while t0 <= inst.max_rounds and not converged:
-        ts = range(t0, min(t0 + size, inst.max_rounds + 1))
-        graphs = mixing.block(ts.start, ts.stop)
-        etas = [inst.step.eta(t) for t in ts]
-        P = inst.estimator.block(ts.start, ts.stop)
-        bits = P.view(np.uint64)  # rows equal bit for bit, as an exact split's, share a list
-        ps = _stretch_rows(P, np.append(True, (bits[1:] != bits[:-1]).any(axis=1)), None)
-        X = _as_array(x_rounds(x, [g.rows for g in graphs], etas, ps, inst.surrogates), n)
+        m = min(size, inst.max_rounds + 1 - t0)
+        graph, indptr, col, weight = mixing_block(inst.schedule.edges_between(t0, t0 + m), n)
+        P = np.ascontiguousarray(inst.estimator.block(t0, t0 + m), dtype=np.float64)
+        if P.shape != (m, n):
+            raise ValueError(f"estimator gave a {P.shape} block for {m} rounds of {n} regions")
+        X, etas = np.empty((m, n)), np.empty(m)
+        _engine.x_rounds(n, m, t0, step.gain, step.offset, step.exponent, graph, indptr, col,
+                         weight, P, bstart, bps, cum, inst.ramp_width, x, X, etas)
         Z = cutoffs(inst.region_criticalities, X)
-        streaks, zeta_rows = _zeta_stretches(Z, zeta, streak)
-        m = len(ts)
+        # the length of the stretch of unchanged cutoff rows ending at each row
+        changed = np.append((Z[0] != zeta).any(), (Z[1:] != Z[:-1]).any(axis=1))
+        idx = np.arange(m)
+        last_change = np.maximum.accumulate(np.where(changed, idx, -1))
+        streaks = np.where(last_change >= 0, idx - last_change, streak + idx + 1)
         if K is not None:
             stops = np.flatnonzero(streaks >= K)
             if stops.size:
                 m = int(stops[0]) + 1
                 converged = True
-        z_rows, alpha_rows = dmc_rounds(
-            z, alpha, zeta_rows[:m], [g.neighbors for g in graphs[:m]], inst.ramp_width
-        )
-        x, zeta, z, alpha = X[m - 1].tolist(), zeta_rows[m - 1], z_rows[-1], alpha_rows[-1]
+        Zm, A = np.empty((m, n)), np.empty((m, n))
+        _engine.dmc_rounds(n, m, graph, indptr, col, Z, half, z, alpha, Zm, A)
+        x, zeta, z, alpha = X[m - 1], Z[m - 1], Zm[m - 1], A[m - 1]
         streak = int(streaks[m - 1])
         if record_trace:
-            recorded.append((
-                np.array(etas[:m]), X[:m], Z[:m], _as_array(z_rows, n),
-                _as_array(alpha_rows, n), P[:m],
-            ))
+            recorded.append((etas[:m], X[:m], Z[:m], Zm, A, P[:m]))
         t0 += m
         size = min(2 * size, CHUNK)
     if K is None:
@@ -405,10 +286,10 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     return RunTrace(
         rounds=t0 - 1,
         converged=converged,
-        final_x=tuple(x),
-        final_zeta=tuple(zeta),
-        final_z=tuple(z),
-        final_alpha=tuple(alpha),
+        final_x=tuple(x.tolist()),
+        final_zeta=tuple(zeta.tolist()),
+        final_z=tuple(z.tolist()),
+        final_alpha=tuple(alpha.tolist()),
         zeta_stable_rounds=streak,
         recorded=record_trace,
         t=np.arange(1, len(eta) + 1, dtype=np.int64),

@@ -1,12 +1,17 @@
-"""Shared fixtures: the step-function example set, the tie example, and the
-four-region continuous instance used across the suite."""
+"""Shared fixtures: the step-function example set, the tie example, the
+four-region continuous instance used across the suite, and the scalar
+references of the block-built graphs and of the compiled round engine."""
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 
 from loadshed.criticality import CriticalLoad, build_ccf
+from loadshed.netgraph import mixing_block
 
 # (power GW, criticality) pairs of the worked step-function example;
 # ramp width 0.05
@@ -62,7 +67,7 @@ def make_random_loads(rng, count: int, distinct: bool = True) -> list[CriticalLo
     return [CriticalLoad(i + 1, float(powers[i]), crits[i]) for i in range(count)]
 
 
-# Scalar references for the block-built mixing structure
+# Scalar references for the block-built mixing arrays
 # (netgraph.mixing_block): one graph, one Python loop each.
 
 
@@ -95,3 +100,95 @@ def neighbor_lists(edges, n: int) -> list[list[int]]:
     for row in out:
         row.sort()
     return out
+
+
+def block_rows(rows: np.ndarray, n: int) -> list[list[list[tuple[int, float]]]]:
+    """Per round of a block of pair rows, the nonzero ``(k, w)`` entries of
+    each row of its mixing matrix, read from ``mixing_block``'s CSR arrays."""
+    graph, indptr, col, weight = mixing_block(rows, n)
+    entries = list(zip(col.tolist(), weight.tolist()))
+    bounds = indptr.tolist()
+    graphs = [[entries[bounds[g * n + j]:bounds[g * n + j + 1]] for j in range(n)]
+              for g in range((len(bounds) - 1) // n)]
+    return [graphs[g] for g in graph.tolist()]
+
+
+def row_neighbors(w_rows: list[list[tuple[int, float]]]) -> list[list[int]]:
+    """Each node's neighbours in the ``(k, w)`` rows of one mixing matrix."""
+    return [[k for k, _ in row if k != j] for j, row in enumerate(w_rows)]
+
+
+# Scalar references for the compiled round engine (loadshed/_engine.c):
+# one round, one region and one neighbour at a time.
+
+
+def x_rounds(x, rows, etas, ps, surrogates) -> list[list[float]]:
+    """The threshold-estimate recursion over consecutive rounds.
+
+    Round r mixes the previous estimates with the sparse mixing rows
+    ``rows[r]`` (reduced in ascending neighbour order) and steps by
+    ``etas[r]`` against the gap between each region's surrogate CCF and
+    its deficit estimate ``ps[r][j]``.  Returns the estimates after every
+    round.
+    """
+    regions = [
+        (s.base.breakpoints, s.base.cumulative, len(s.base.breakpoints), s.ramp_width)
+        for s in surrogates
+    ]
+    out = []
+    for rows_t, eta_t, p_t in zip(rows, etas, ps):
+        new_x = []
+        for j, (bps, cum, size, c) in enumerate(regions):
+            z = x[j]
+            idx = bisect_right(bps, z)
+            below = cum[idx - 1] if idx else 0.0
+            v = below
+            if idx < size:
+                d = z - bps[idx]
+                if d > -c:
+                    v += (cum[idx] - below) * (d / c + 1.0)
+            acc = 0.0
+            for k, w in rows_t[j]:
+                acc += w * x[k]
+            new_x.append(acc - eta_t * (v - p_t[j]))
+        out.append(new_x)
+        x = new_x
+    return out
+
+
+def dmc_rounds(z, alpha, zeta_rows, neighbor_rows, ramp_width):
+    """Dynamic min-consensus with local self-tuning over consecutive rounds.
+
+    In round r each node takes the minimum of its neighbourhood's previous
+    values (inflated by its own step alpha) and its fresh cutoff
+    ``zeta_rows[r][j]``; neighbourhoods are ``neighbor_rows[r]``.  Alpha
+    resets to 1/2 after any increase and is half the ramp width otherwise.
+    Returns the values and steps after every round.
+    """
+    half = ramp_width / 2.0
+    z_rows, alpha_rows = [], []
+    for zeta_new, neighbors in zip(zeta_rows, neighbor_rows):
+        new_z, new_alpha = [], []
+        for j, a_j in enumerate(alpha):
+            best = z[j] + a_j
+            for k in neighbors[j]:
+                cand = z[k] + a_j
+                if cand < best:
+                    best = cand
+            if zeta_new[j] < best:
+                best = zeta_new[j]
+            new_z.append(best)
+            new_alpha.append(0.5 if best > z[j] else half)
+        z_rows.append(new_z)
+        alpha_rows.append(new_alpha)
+        z, alpha = new_z, new_alpha
+    return z_rows, alpha_rows
+
+
+def local_zeta(sorted_criticalities, x: float) -> float:
+    """Smallest regional criticality at or above x; +inf when none exists or
+    x is NaN, the rule of ``protocol.cutoffs``."""
+    i = bisect_left(sorted_criticalities, x)
+    if math.isnan(x) or i == len(sorted_criticalities):
+        return math.inf
+    return sorted_criticalities[i]

@@ -19,13 +19,12 @@ from loadshed.criticality import (
     default_ramp_width,
     eval_ccf,
     eval_surrogate,
-    local_zeta,
     min_gap,
     resolve_loads,
 )
 from loadshed.scenario import ScenarioError, loads_scenario
 
-from conftest import FIG_PAIRS, FIG_RAMP, make_random_loads
+from conftest import FIG_PAIRS, FIG_RAMP, local_zeta, make_random_loads
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from loadshed import netgraph
 from loadshed.netgraph import (
     ConnectivityReport,
-    MixingCache,
     PeriodicSchedule,
     RandomSchedule,
     StaticSchedule,
@@ -25,7 +24,7 @@ from loadshed.netgraph import (
 )
 from loadshed.seeding import STREAM_EDGES, STREAM_REPAIR, mix64, mix64_grid, unit_float
 
-from conftest import mixing_rows, neighbor_lists, scalar_metropolis
+from conftest import block_rows, mixing_rows, neighbor_lists, row_neighbors, scalar_metropolis
 
 LINE4 = [(0, 1), (1, 2), (2, 3)]
 
@@ -194,43 +193,49 @@ class TestSchedules:
 
 
 class TestMixingCache:
+    """A block's mixing: one graph index per round into CSR arrays, one
+    graph per distinct row of the block."""
+
     def test_entries_match_the_edge_sets(self):
         schedule = RandomSchedule(5, 0.4, window=2, seed=4)
-        mixing = MixingCache(schedule)
-        for t in range(1, 30):
+        block = block_rows(schedule.edges_between(1, 30), 5)
+        for t, w_rows in enumerate(block, start=1):
             edges = schedule.edges_at(t)
-            (entry,) = mixing.block(t, t + 1)
-            assert entry.rows == mixing_rows(metropolis_weights(edges, 5))
-            assert entry.neighbors == neighbor_lists(edges, 5)
+            assert w_rows == mixing_rows(metropolis_weights(edges, 5))
+            assert row_neighbors(w_rows) == neighbor_lists(edges, 5)
 
     def test_one_entry_per_distinct_edge_set(self):
         line = frozenset({(0, 1), (1, 2)})
         schedule = PeriodicSchedule(3, (line, frozenset({(0, 1)}), line), window=3)
-        mixing = MixingCache(schedule)
-        one, two, three, four = mixing.block(1, 5)
-        assert one is three is four
-        assert two is not one
-        assert mixing.block(7, 8)[0] is one
-        # a random schedule's equal rows, met in different blocks, share
-        # one entry (4 regions: 64 graphs)
+        graph, indptr, _, _ = mixing_block(schedule.edges_between(1, 5), 3)
+        one, two, three, four = graph.tolist()
+        assert one == three == four != two
+        assert len(indptr) == 2 * 3 + 1  # two graphs of three rows
+        # a random schedule's equal rows share one graph index, and
+        # distinct rows do not (4 regions: 64 graphs)
         schedule = RandomSchedule(4, 0.45, window=2, seed=0)
-        mixing = MixingCache(schedule)
-        first, second = mixing.block(1, 101), mixing.block(101, 201)
+        graph, indptr, _, _ = mixing_block(schedule.edges_between(1, 201), 4)
         by_edges = {}
-        for t, entry in enumerate(first + second, start=1):
-            assert by_edges.setdefault(schedule.edges_at(t), entry) is entry
-        assert len(by_edges) < 64 and {*map(id, first)} & {*map(id, second)}
+        for t, g in enumerate(graph.tolist(), start=1):
+            assert by_edges.setdefault(schedule.edges_at(t), g) == g
+        assert sorted(by_edges.values()) == list(range(len(by_edges)))
+        assert len(by_edges) < 64 and len(indptr) == 4 * len(by_edges) + 1
 
     def test_bounded_on_many_distinct_graphs(self):
-        # 12 regions: nearly every round draws a new edge set
-        mixing = MixingCache(RandomSchedule(12, 0.45, window=2, seed=0))
-        for t0 in range(1, 3073, 1024):
-            block = mixing.block(t0, t0 + 1024)
-            assert len(mixing._by_row) <= 2048
-        assert block[0].rows == mixing_rows(metropolis_weights(mixing.schedule.edges_at(2049), 12))
+        # 12 regions: nearly every round draws a new edge set, and a block
+        # holds one graph per distinct row, at most one per round
+        schedule = RandomSchedule(12, 0.45, window=2, seed=0)
+        rows = schedule.edges_between(2049, 3073)
+        graph, indptr, col, weight = mixing_block(rows, 12)
+        distinct = len(np.unique(rows, axis=0))
+        assert graph.dtype == np.int32 and graph.shape == (1024,)
+        assert indptr.dtype == np.int64 and len(indptr) == 12 * distinct + 1 <= 12 * 1024 + 1
+        assert col.dtype == np.int32 and len(col) == len(weight) == indptr[-1]
+        assert block_rows(rows[:1], 12)[0] == mixing_rows(
+            metropolis_weights(schedule.edges_at(2049), 12))
 
     def test_random_schedule_read_once_per_round(self, monkeypatch):
-        # one draw per block call, each round of the block and of the
+        # one draw per block read, each round of the block and of the
         # window it starts in drawn once; the last round of each window
         # that ends in the block carries the scalar reference's repair
         draws = []
@@ -242,7 +247,8 @@ class TestMixingCache:
 
         monkeypatch.setattr(netgraph, "draw_edges", counted_draw)
         schedule = RandomSchedule(6, 0.1, window=3, seed=1)
-        block = MixingCache(schedule).block(5, 50)  # starts and ends inside windows 1 and 16
+        # the block starts and ends inside windows 1 and 16
+        block = block_rows(schedule.edges_between(5, 50), 6)
         assert draws == [list(range(4, 50))]
         raw = netgraph.edge_sets(draw(1, range(4, 50), 6, 0.1), 6)  # round t at t - 4
         repaired = 0
@@ -250,7 +256,7 @@ class TestMixingCache:
             rounds = raw[3 * w - 3:3 * w]
             repair = repair_edges(connected_components(chain(*rounds), 6), 1, w)
             repaired += bool(repair)
-            assert block[3 * w + 3 - 5].neighbors == neighbor_lists(rounds[-1] | repair, 6)
+            assert row_neighbors(block[3 * w + 3 - 5]) == neighbor_lists(rounds[-1] | repair, 6)
         assert repaired
         draws.clear()
         assert check_window_connectivity(schedule, 30).passed
@@ -277,13 +283,18 @@ class TestMixingBlock:
         assert len(edges) == rounds
         if same:
             assert all(e == edges[0] for e in edges)
-        block = mixing_block(rows, n)
+        block = block_rows(rows, n)
         assert len(block) == rounds
-        for e, entry in zip(edges, block):
+        for e, w_rows in zip(edges, block):
             W = scalar_metropolis(e, n)
             assert metropolis_weights(e, n).tobytes() == W.tobytes()
-            assert entry.rows == mixing_rows(W)
-            assert entry.neighbors == neighbor_lists(e, n)
+            assert w_rows == mixing_rows(W)
+            assert row_neighbors(w_rows) == neighbor_lists(e, n)
+        # equal rows share a graph index, and each index is a distinct row
+        graph = mixing_block(rows, n)[0].tolist()
+        assert [graph[a] == graph[b] for a in range(rounds) for b in range(rounds)] == [
+            edges[a] == edges[b] for a in range(rounds) for b in range(rounds)]
+        assert sorted(set(graph)) == list(range(len(set(edges))))
 
 
 def reference_edges(schedule: RandomSchedule, t: int) -> frozenset:
@@ -393,7 +404,7 @@ class TestHelpers:
         reversed_line = StaticSchedule(4, frozenset({(1, 0), (2, 1), (3, 2)}))
         assert pair_rows([reversed_line.edges], 4).tolist() == [[1, 0, 0, 1, 0, 1]]
         assert reversed_line.edges_between(3, 5).tolist() == [[1, 0, 0, 1, 0, 1]] * 2
-        assert MixingCache(reversed_line).block(1, 2)[0].rows == mixing_rows(
+        assert block_rows(reversed_line.edges_between(1, 2), 4)[0] == mixing_rows(
             scalar_metropolis(LINE4, 4))
         assert check_window_connectivity(reversed_line, 4).passed
 
@@ -428,5 +439,5 @@ class TestHelpers:
         assert check_window_connectivity(schedule, max_rounds) == expected
 
     def test_neighbor_lists_sorted(self):
-        (entry,) = mixing_block(pair_rows([frozenset({(0, 2), (0, 1)})], 3), 3)
-        assert entry.neighbors == neighbor_lists([(2, 0), (0, 1)], 3) == [[1, 2], [0], [0]]
+        (w_rows,) = block_rows(pair_rows([frozenset({(0, 2), (0, 1)})], 3), 3)
+        assert row_neighbors(w_rows) == neighbor_lists([(2, 0), (0, 1)], 3) == [[1, 2], [0], [0]]

@@ -13,7 +13,6 @@ from loadshed.criticality import (
     build_ccf,
     eval_ccf,
     eval_surrogate,
-    local_zeta,
     resolve_loads,
     shed_decision,
 )
@@ -34,14 +33,20 @@ from loadshed.protocol import (
     TraceEstimator,
     certify_deficit_tracking,
     cutoffs,
-    dmc_rounds,
     run_protocol,
-    x_rounds,
 )
 from loadshed import scenario
 from loadshed.seeding import noise_matrix, symmetric_uniform, STREAM_NOISE
 
-from conftest import FIG_PAIRS, FIG_RAMP, mixing_rows, neighbor_lists
+from conftest import (
+    FIG_PAIRS,
+    FIG_RAMP,
+    dmc_rounds,
+    local_zeta,
+    mixing_rows,
+    neighbor_lists,
+    x_rounds,
+)
 
 
 def fig_two_region_instance(deficit=6.0, max_rounds=3000, window=None, **kwargs):
@@ -320,6 +325,14 @@ class TestRunProtocol:
                 step=StepSchedule(),
                 estimator=ExactSplit(1.0, 2),
             )
+
+    @pytest.mark.parametrize("row", [(3.0,), (1.0, 2.0, 3.0)])
+    def test_estimates_must_match_the_regions(self, row):
+        # the kernel reads one estimate per region and round
+        inst = dataclasses.replace(fig_two_region_instance(max_rounds=10),
+                                   estimator=TraceEstimator((row,)))
+        with pytest.raises(ValueError, match=r"estimator gave a \(10, \d\) block"):
+            run_protocol(inst)
 
     def test_instance_reads_its_surrogates(self):
         inst = fig_two_region_instance()

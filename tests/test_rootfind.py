@@ -8,7 +8,7 @@ import pytest
 
 from loadshed import cli, rootfind, scenario
 from loadshed.criticality import SurrogateCcf, build_ccf, eval_surrogate
-from loadshed.netgraph import MixingCache, StaticSchedule, normalize_edges
+from loadshed.netgraph import StaticSchedule, normalize_edges
 from loadshed.oracle import exact_z_hat
 from loadshed.protocol import (
     ExactSplit,
@@ -17,7 +17,6 @@ from loadshed.protocol import (
     StepSchedule,
     TraceEstimator,
     run_protocol,
-    x_rounds,
 )
 from loadshed.rootfind import (
     LIPSCHITZ_SAFETY,
@@ -30,7 +29,7 @@ from loadshed.rootfind import (
     verify_sign_condition,
 )
 
-from conftest import FIG_PAIRS, FIG_RAMP
+from conftest import FIG_PAIRS, FIG_RAMP, block_rows, x_rounds
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -68,7 +67,7 @@ def continuous_run(estimator, rounds, x0):
 def recursion(x0, surrogates, schedule, rounds):
     """``x_rounds`` from the node states ``x0`` over rounds 1..rounds, with
     zero deficit estimates; one row per round."""
-    rows = [g.rows for g in MixingCache(schedule).block(1, rounds + 1)]
+    rows = block_rows(schedule.edges_between(1, rounds + 1), schedule.n)
     etas = [ETA.eta(t) for t in range(1, rounds + 1)]
     ps = [[0.0] * len(x0)] * rounds
     return np.array(x_rounds(x0, rows, etas, ps, surrogates))
