@@ -24,13 +24,11 @@ from .oracle import (
     ContinuousSolution,
     InfeasibleError,
     SheddingSolution,
-    brute_force_min_set,
     continuous_ccf_eval,
     continuous_solution,
     exact_z_hat,
     exact_z_star,
     greedy_shed_set,
-    z_star_from_z_hat,
 )
 from .netgraph import (
     ConnectivityReport,
@@ -38,7 +36,6 @@ from .netgraph import (
     RandomSchedule,
     StaticSchedule,
     check_window_connectivity,
-    metropolis_weights,
 )
 from .protocol import (
     ExactSplit,

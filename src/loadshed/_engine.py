@@ -19,8 +19,6 @@ import subprocess
 import sysconfig
 from pathlib import Path
 
-import numpy as np
-
 SOURCE = Path(__file__).with_name("_engine.c")
 # no FMA contraction: the kernels must round as Python's float arithmetic does
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -65,19 +63,14 @@ def _build(directory: Path) -> Path:
 
 _lib = ctypes.CDLL(str(_build(SOURCE.parent / "__pycache__")))
 _i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-_ints = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-_longs = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 
+# Both kernels take plain addresses: ndpointer's checks cost more per call
+# than a scalar surrogate or a short chunk does, and every caller makes or
+# owns the C-ordered arrays it passes, of the dtypes the signatures name.
 surrogate = _lib.surrogate
-# plain addresses: scalar callers pay per point for ndpointer's checks, and
-# eval_surrogate makes or owns every array it passes as C-ordered float64
 surrogate.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _f64, _ptr]
-x_rounds = _lib.x_rounds
-x_rounds.argtypes = [_i64, _i64, _i64, _f64, _f64, _f64, _ints, _longs, _ints, _floats,
-                     _floats, _longs, _floats, _floats, _f64, _floats, _floats, _floats]
-dmc_rounds = _lib.dmc_rounds
-dmc_rounds.argtypes = [_i64, _i64, _ints, _longs, _ints, _floats, _f64, _floats, _floats,
-                       _floats, _floats]
-for _kernel in (surrogate, x_rounds, dmc_rounds):
-    _kernel.restype = None
+surrogate.restype = None
+rounds = _lib.rounds
+rounds.argtypes = [_i64, _i64, _i64, _f64, _f64, _f64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr,
+                   _ptr, _f64, _i64, ctypes.POINTER(_i64), _ptr, _ptr]
+rounds.restype = _i64

@@ -11,13 +11,17 @@ out.  A random schedule draws a block as one splitmix matrix of rows,
 finds every window's components from one batched reachability product
 (``component_labels``, which the connectivity check uses too), and writes
 the repair chains of disconnected windows into the matrix.
-``mixing_block`` gives the engine a block's mixing as CSR arrays, built
-from one stack of matrices (``metropolis_block``) over its distinct rows.
+Each schedule gives the engine a block's mixing as CSR arrays
+(``mixing_between``), which ``mixing_block`` builds from one stack of
+matrices (``metropolis_block``) over distinct rows: a static or periodic
+schedule builds its steps' rows and mixing once and indexes them by round,
+and a random schedule builds each block's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from typing import Iterable, Sequence
 
@@ -77,11 +81,6 @@ def metropolis_block(rows: np.ndarray, n: int) -> np.ndarray:
     return W
 
 
-def metropolis_weights(edges: Iterable[Edge], n: int) -> np.ndarray:
-    """Metropolis-Hastings mixing matrix of one undirected edge set."""
-    return metropolis_block(pair_rows([normalize_edges(edges, n)], n), n)[0]
-
-
 def stochasticity_defect(W: np.ndarray) -> float:
     """Largest deviation of any row or column sum from 1."""
     rows = np.abs(W.sum(axis=1) - 1.0).max()
@@ -138,23 +137,48 @@ def repaired_rows(seed: int, counters, n: int, edge_probability: float, window: 
     return draws
 
 
+class _CyclicSchedule:
+    """A schedule that cycles through fixed steps: round t takes step
+    (t - 1) % period.  The steps' pair rows and mixing are built once."""
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        return pair_rows(self._steps, self.n)
+
+    @cached_property
+    def _mixing(self) -> tuple[np.ndarray, ...]:
+        return mixing_block(self._rows, self.n)
+
+    def _step_of(self, t0: int, t1: int) -> np.ndarray:
+        return np.arange(t0 - 1, t1 - 1) % len(self._rows)
+
+    def edges_between(self, t0: int, t1: int) -> np.ndarray:
+        return self._rows[self._step_of(t0, t1)]
+
+    def mixing_between(self, t0: int, t1: int) -> tuple[np.ndarray, ...]:
+        """``mixing_block`` of rounds t0..t1-1, read from the steps' graphs."""
+        graph, *csr = self._mixing
+        return (graph[self._step_of(t0, t1)], *csr)
+
+
 @dataclass(frozen=True)
-class StaticSchedule:
+class StaticSchedule(_CyclicSchedule):
     """The same edge set at every round."""
 
     n: int
     edges: frozenset[Edge]
     window: int = 1
 
-    def edges_between(self, t0: int, t1: int) -> np.ndarray:
-        return pair_rows([self.edges], self.n).repeat(t1 - t0, axis=0)
+    @property
+    def _steps(self) -> tuple[frozenset[Edge], ...]:
+        return (self.edges,)
 
     def edges_at(self, t: int) -> frozenset[Edge]:
         return edge_sets(self.edges_between(t, t + 1), self.n)[0]
 
 
 @dataclass(frozen=True)
-class PeriodicSchedule:
+class PeriodicSchedule(_CyclicSchedule):
     """Cycle through a fixed tuple of edge sets, one per round."""
 
     n: int
@@ -165,8 +189,9 @@ class PeriodicSchedule:
         if not self.steps:
             raise ValueError("periodic schedule needs at least one step")
 
-    def edges_between(self, t0: int, t1: int) -> np.ndarray:
-        return pair_rows(self.steps, self.n)[np.arange(t0 - 1, t1 - 1) % len(self.steps)]
+    @property
+    def _steps(self) -> tuple[frozenset[Edge], ...]:
+        return self.steps
 
     def edges_at(self, t: int) -> frozenset[Edge]:
         return edge_sets(self.edges_between(t, t + 1), self.n)[0]
@@ -202,6 +227,10 @@ class RandomSchedule:
         rows = repaired_rows(self.seed, np.arange(w0 * B + 1, t1), self.n,
                              self.edge_probability, B, range(w0, (t1 - 1) // B))
         return rows[t0 - 1 - w0 * B:]
+
+    def mixing_between(self, t0: int, t1: int) -> tuple[np.ndarray, ...]:
+        """``mixing_block`` of rounds t0..t1-1."""
+        return mixing_block(self.edges_between(t0, t1), self.n)
 
     def edges_at(self, t: int) -> frozenset[Edge]:
         return edge_sets(self.edges_between(t, t + 1), self.n)[0]

@@ -1,18 +1,16 @@
 """Centralized ground-truth solvers used to verify every distributed run.
 
 Each operation is an independent reference path: greedy prefix selection,
-exhaustive subset search, exact threshold inversion on the CCF and its
-surrogate, and the closed-form solution of the continuous variant.
+exact threshold inversion on the CCF and its surrogate, and the
+closed-form solution of the continuous variant.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .criticality import (
     Ccf,
@@ -24,8 +22,6 @@ from .criticality import (
     ramp,
     shed_decision,
 )
-
-BRUTE_FORCE_MAX_LOADS = 20
 
 # absolute tolerance for detecting an exact CCF hit, f(z*) == deficit
 BOUNDARY_TOL = 1e-9
@@ -100,25 +96,6 @@ def exact_z_hat(surrogate: SurrogateCcf, deficit: float) -> float:
     return ccf.breakpoints[idx] - surrogate.ramp_width * (1.0 - (deficit - below) / mass)
 
 
-def z_star_from_z_hat(
-    ccf: Ccf, z_hat: float, deficit: float, tol: float = BOUNDARY_TOL
-) -> float:
-    """Recover the exact threshold from the surrogate root.
-
-    If the CCF overshoots the deficit at the threshold, the threshold is
-    the smallest criticality strictly above the root; if it meets the
-    deficit exactly, it is the largest criticality not above the root.
-    The case is detected by evaluating the CCF at the lower candidate.
-    """
-    bps = ccf.breakpoints
-    i = bisect_right(bps, z_hat)
-    if i > 0 and abs(eval_ccf(ccf, bps[i - 1]) - deficit) <= tol:
-        return bps[i - 1]
-    if i == len(bps):
-        raise ValueError(f"no criticality value above {z_hat}")
-    return bps[i]
-
-
 def greedy_shed_set(
     loads: Sequence[CriticalLoad], deficit: float, ramp_width: float | None = None
 ) -> SheddingSolution:
@@ -157,66 +134,6 @@ def greedy_shed_set(
         greedy_ids=tuple(l.id for l in prefix),
         boundary_case=abs(shed_total - deficit) <= BOUNDARY_TOL,
     )
-
-
-def _is_priority_based(mask: int, sorted_loads: Sequence[CriticalLoad]) -> bool:
-    """Every included load's criticality is at most every excluded one's."""
-    highest = -1
-    for k in range(len(sorted_loads)):
-        if mask >> k & 1:
-            highest = k
-    if highest < 0:
-        return True
-    cutoff = sorted_loads[highest].criticality
-    for k in range(highest):
-        if not mask >> k & 1 and sorted_loads[k].criticality < cutoff:
-            return False
-    return True
-
-
-def brute_force_min_set(
-    loads: Sequence[CriticalLoad], deficit: float, priority_only: bool = False
-) -> tuple[tuple[int, ...], float]:
-    """Exhaustively minimize shed power over all subsets covering the deficit.
-
-    Verification oracle only; capped at 20 loads (2^20 subsets).  Returns
-    one minimizer (ties broken by lowest bitmask) and its total.  With
-    ``priority_only`` the search is restricted to priority-based subsets
-    (no included load less critical than an excluded one), the feasible
-    family of the prioritized problem the greedy prefix solves.
-    """
-    items = list(loads)
-    if len(items) > BRUTE_FORCE_MAX_LOADS:
-        raise ValueError(
-            f"brute force capped at {BRUTE_FORCE_MAX_LOADS} loads, got {len(items)}"
-        )
-    if priority_only:
-        ordered = sorted(items, key=lambda l: (l.criticality, l.id))
-        best_ids: tuple[int, ...] | None = None
-        best_total = math.inf
-        for mask in range(1 << len(ordered)):
-            if not _is_priority_based(mask, ordered):
-                continue
-            total = math.fsum(
-                ordered[k].power for k in range(len(ordered)) if mask >> k & 1
-            )
-            if total >= deficit and total < best_total:
-                best_total = total
-                best_ids = tuple(
-                    ordered[k].id for k in range(len(ordered)) if mask >> k & 1
-                )
-        if best_ids is None:
-            raise InfeasibleError(f"no subset reaches the deficit {deficit}")
-        return best_ids, best_total
-    sums = np.zeros(1)
-    for load in items:
-        sums = np.concatenate([sums, sums + load.power])
-    feasible = sums >= deficit
-    if not feasible.any():
-        raise InfeasibleError(f"no subset reaches the deficit {deficit}")
-    best = int(np.argmin(np.where(feasible, sums, np.inf)))
-    ids = tuple(items[k].id for k in range(len(items)) if best >> k & 1)
-    return ids, float(sums[best])
 
 
 def continuous_ccf_eval(regions: Iterable[tuple[float, float]], z: float) -> float:

@@ -3,28 +3,28 @@
 Each region keeps a scalar estimate of the shedding threshold; a regional
 cutoff (the smallest own criticality at or above the estimate) feeds a
 dynamic min-consensus layer whose minimum is the network-wide threshold.
-The estimates never read the other two layers, so the engine runs the
-layers one after another over chunks of rounds: the compiled recursion
-kernel ``x_rounds`` (x <- W(t) x - eta(t) (S_j(x_j) - p_j(t)), in
-``_engine.c``), the cutoff layer ``cutoffs``, then the compiled
-min-consensus kernel ``dmc_rounds``.  A chunk's mixing is one graph index
-per round into CSR arrays (``netgraph.mixing_block``), and estimators
-return its deficit estimates as one array (``block(t0, t1)``).  Every
-update reads only previous-round state, and all neighbor reductions run
-in fixed index order, so results do not depend on evaluation order.
+The engine is one compiled kernel (``rounds``, in ``_engine.c``) that runs
+a chunk of whole rounds per call: the estimate recursion
+x <- W(t) x - eta(t) (S_j(x_j) - p_j(t)), the cutoffs, the streak of
+unchanged cutoff rows that decides an early stop, and the min-consensus
+step.  A chunk's mixing is one graph index per round into CSR arrays (the
+schedule's ``mixing_between``), and estimators return its deficit
+estimates as one array (``block(t0, t1)``).  Every update reads only
+previous-round state, and all neighbor reductions run in fixed index
+order, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import _engine
 from .criticality import SurrogateCcf
-from .netgraph import GraphSchedule, mixing_block
+from .netgraph import GraphSchedule
 from .seeding import noise_matrix
 
 
@@ -122,8 +122,9 @@ Estimator = ExactSplit | NoisySplit | TraceEstimator
 DEFAULT_STABLE_ROUNDS = 50
 
 # most rounds per engine chunk: an unrecorded run holds the per-round
-# state of one chunk, so this bounds its memory; chunks start at 64
-# rounds and double, so an early stop computes few surplus rounds
+# state of one chunk, so this bounds its memory; the kernel stops on the
+# round a run converges, and chunks start at 64 rounds and double, so few
+# estimator and graph rows are built past an early stop
 CHUNK = 1024
 
 
@@ -146,21 +147,6 @@ def certify_deficit_tracking(
         etas = np.array([step.eta(t) for t in (rounds + t0).tolist()])
         worst = max(worst, float((errors[rounds] / etas).max(initial=0.0)))
     return worst
-
-
-def cutoffs(
-    region_criticalities: Sequence[Sequence[float]], X: np.ndarray
-) -> np.ndarray:
-    """Regional cutoffs of a block of estimates, one row per round.
-
-    Entry (r, j) is the smallest criticality of region j at or above
-    ``X[r, j]``, or +inf when none exists or the estimate is NaN.
-    """
-    Z = np.empty(X.shape)
-    for j, crits in enumerate(region_criticalities):
-        padded = np.array((*crits, math.inf))
-        Z[:, j] = padded[np.searchsorted(padded[:-1], X[:, j], side="left")]
-    return Z
 
 
 @dataclass(frozen=True)
@@ -232,54 +218,50 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     vector has been unchanged for ``convergence_window`` consecutive
     rounds; the cutoffs are the quantity with a finite-time limit, whereas
     the min-consensus values keep cycling with the graph period on
-    switching networks.  Each layer runs over a chunk of rounds at a time.
+    switching networks.  The kernel runs a chunk of whole rounds per call.
     """
     n = len(inst.surrogates)
     K = inst.convergence_window
-    step, half = inst.step, inst.ramp_width / 2.0
+    step = inst.step
     bstart = np.cumsum([0, *(len(s._bps) for s in inst.surrogates)], dtype=np.int64)
     bps = np.concatenate([s._bps for s in inst.surrogates])
     cum = np.concatenate([s._cum for s in inst.surrogates])
-    x = np.full(n, float(inst.x0))
-    zeta = z = np.full(n, math.inf)
-    alpha = np.full(n, half)
-    streak = 0
+    # estimates, cutoffs, min-consensus values and steps before round t0
+    last = np.repeat([[inst.x0], [math.inf], [math.inf], [inst.ramp_width / 2.0]], n, axis=1)
+    # a streak never exceeds the rounds run, so max_rounds + 1 never stops a run
+    window = inst.max_rounds + 1 if K is None else K
+    carried = ctypes.c_int64(0)  # the streak, carried from chunk to chunk
     converged = False
-    recorded: list[tuple] = []  # per chunk: eta, x, zeta, z_min, alpha, p
+    recorded: list[tuple] = []  # per chunk: eta, state rows, p
     t0, size = 1, 64
     while t0 <= inst.max_rounds and not converged:
         m = min(size, inst.max_rounds + 1 - t0)
-        graph, indptr, col, weight = mixing_block(inst.schedule.edges_between(t0, t0 + m), n)
+        graph, indptr, col, weight = inst.schedule.mixing_between(t0, t0 + m)
         P = np.ascontiguousarray(inst.estimator.block(t0, t0 + m), dtype=np.float64)
         if P.shape != (m, n):
             raise ValueError(f"estimator gave a {P.shape} block for {m} rounds of {n} regions")
-        X, etas = np.empty((m, n)), np.empty(m)
-        _engine.x_rounds(n, m, t0, step.gain, step.offset, step.exponent, graph, indptr, col,
-                         weight, P, bstart, bps, cum, inst.ramp_width, x, X, etas)
-        Z = cutoffs(inst.region_criticalities, X)
-        # the length of the stretch of unchanged cutoff rows ending at each row
-        changed = np.append((Z[0] != zeta).any(), (Z[1:] != Z[:-1]).any(axis=1))
-        idx = np.arange(m)
-        last_change = np.maximum.accumulate(np.where(changed, idx, -1))
-        streaks = np.where(last_change >= 0, idx - last_change, streak + idx + 1)
-        if K is not None:
-            stops = np.flatnonzero(streaks >= K)
-            if stops.size:
-                m = int(stops[0]) + 1
-                converged = True
-        Zm, A = np.empty((m, n)), np.empty((m, n))
-        _engine.dmc_rounds(n, m, graph, indptr, col, Z, half, z, alpha, Zm, A)
-        x, zeta, z, alpha = X[m - 1], Z[m - 1], Zm[m - 1], A[m - 1]
-        streak = int(streaks[m - 1])
+        state, etas = np.empty((4, m + 1, n)), np.empty(m)
+        state[:, 0] = last
+        ran = _engine.rounds(n, m, t0, step.gain, step.offset, step.exponent, graph.ctypes.data,
+                             indptr.ctypes.data, col.ctypes.data, weight.ctypes.data,
+                             P.ctypes.data, bstart.ctypes.data, bps.ctypes.data, cum.ctypes.data,
+                             inst.ramp_width, window, ctypes.byref(carried), etas.ctypes.data,
+                             state.ctypes.data)
+        last = state[:, ran]
         if record_trace:
-            recorded.append((etas[:m], X[:m], Z[:m], Zm, A, P[:m]))
-        t0 += m
+            recorded.append((etas[:ran], state[:, 1:ran + 1], P[:ran]))
+        t0 += ran
         size = min(2 * size, CHUNK)
+        converged = carried.value >= window
+    streak = carried.value
     if K is None:
         converged = streak >= DEFAULT_STABLE_ROUNDS
+    x, zeta, z, alpha = last
 
     if recorded:
-        eta, xs, zetas, zs, alphas, ps = (np.concatenate(parts) for parts in zip(*recorded))
+        eta_parts, state_parts, p_parts = zip(*recorded)
+        eta, ps = np.concatenate(eta_parts), np.concatenate(p_parts)
+        xs, zetas, zs, alphas = np.concatenate(state_parts, axis=1)
     else:
         eta = np.empty(0)
         xs = zetas = zs = alphas = ps = np.empty((0, n))

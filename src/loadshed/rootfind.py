@@ -2,8 +2,8 @@
 
 The recursion x(t+1) = W(t) x(t) - eta(t) y(t), with y_j(t) the local field
 evaluated at the node's own state, drives every node to a common root of
-the average limit field; the engine runs it as the compiled kernel
-``x_rounds`` (``_engine.c``).
+the average limit field; the engine runs it as the first step of each
+round of the compiled chunk kernel ``rounds`` (``_engine.c``).
 This module checks the boundedness, Lipschitz, sign, and deviation-rate
 conditions the convergence argument rests on, and computes
 ``consensus_diagnostics`` (the disagreement of a block of estimates and

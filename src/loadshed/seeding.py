@@ -41,11 +41,6 @@ def unit_float(h):
     return (h >> 11) * 2.0 ** -53
 
 
-def symmetric_uniform(seed: int, tag: int, *indices: int) -> float:
-    """Deterministic draw in [-1, 1) for the given stream position."""
-    return 2.0 * unit_float(mix64(seed, tag, *indices)) - 1.0
-
-
 def mix64_grid(seed: int, tag: int, rows, cols) -> np.ndarray:
     """Vectorized mix64(seed, tag, r, c) over rows x cols of non-negative
     integers below 2**64, as uint64; bit-identical to the scalar path."""
@@ -63,7 +58,8 @@ def mix64_grid(seed: int, tag: int, rows, cols) -> np.ndarray:
 
 
 def noise_matrix(seed: int, times: np.ndarray, n: int) -> np.ndarray:
-    """Vectorized symmetric_uniform(seed, STREAM_NOISE, t, j) over times x [n].
+    """Draws in [-1, 1), 2 * unit_float(mix64(seed, STREAM_NOISE, t, j)) - 1,
+    over times x [n].
 
     Bit-identical to the scalar path; used for long-horizon certificate
     sweeps where a Python loop would be too slow.

@@ -1,17 +1,20 @@
 """Shared fixtures: the step-function example set, the tie example, the
-four-region continuous instance used across the suite, and the scalar
-references of the block-built graphs and of the compiled round engine."""
+four-region continuous instance used across the suite, the scalar
+references of the block-built graphs and of the compiled round engine,
+and the verification oracles only the tests call."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from loadshed.criticality import CriticalLoad, build_ccf
-from loadshed.netgraph import mixing_block
+from loadshed.criticality import Ccf, CriticalLoad, build_ccf, eval_ccf
+from loadshed.netgraph import metropolis_block, mixing_block, normalize_edges, pair_rows
+from loadshed.oracle import BOUNDARY_TOL, InfeasibleError
 
 # (power GW, criticality) pairs of the worked step-function example;
 # ramp width 0.05
@@ -102,10 +105,21 @@ def neighbor_lists(edges, n: int) -> list[list[int]]:
     return out
 
 
+def metropolis_weights(edges, n: int) -> np.ndarray:
+    """Metropolis-Hastings mixing matrix of one undirected edge set."""
+    return metropolis_block(pair_rows([normalize_edges(edges, n)], n), n)[0]
+
+
 def block_rows(rows: np.ndarray, n: int) -> list[list[list[tuple[int, float]]]]:
     """Per round of a block of pair rows, the nonzero ``(k, w)`` entries of
     each row of its mixing matrix, read from ``mixing_block``'s CSR arrays."""
-    graph, indptr, col, weight = mixing_block(rows, n)
+    return csr_rows(mixing_block(rows, n), n)
+
+
+def csr_rows(mixing, n: int) -> list[list[list[tuple[int, float]]]]:
+    """Per round, the nonzero ``(k, w)`` entries of each row of its mixing
+    matrix, read from ``(graph, indptr, col, weight)`` CSR arrays."""
+    graph, indptr, col, weight = mixing
     entries = list(zip(col.tolist(), weight.tolist()))
     bounds = indptr.tolist()
     graphs = [[entries[bounds[g * n + j]:bounds[g * n + j + 1]] for j in range(n)]
@@ -187,8 +201,117 @@ def dmc_rounds(z, alpha, zeta_rows, neighbor_rows, ramp_width):
 
 def local_zeta(sorted_criticalities, x: float) -> float:
     """Smallest regional criticality at or above x; +inf when none exists or
-    x is NaN, the rule of ``protocol.cutoffs``."""
+    x is NaN, the engine's cutoff rule."""
     i = bisect_left(sorted_criticalities, x)
     if math.isnan(x) or i == len(sorted_criticalities):
         return math.inf
     return sorted_criticalities[i]
+
+
+def protocol_rounds(state, streak, window, rows, etas, ps, surrogates):
+    """Whole rounds of the protocol, one at a time: ``x_rounds``, then
+    ``local_zeta`` per region, then the streak of unchanged cutoff rows,
+    then ``dmc_rounds``, each on one-round inputs.
+
+    ``state`` is ``(x, zeta, z, alpha)`` before the first round.  The run
+    stops after the first round whose streak reaches ``window`` (None:
+    never).  Returns the state after every round run and the last streak.
+    """
+    x, zeta, z, alpha = state
+    crits = [s.base.breakpoints for s in surrogates]
+    ramp = surrogates[0].ramp_width
+    out = []
+    for w_rows, eta, p in zip(rows, etas, ps):
+        (x,) = x_rounds(x, [w_rows], [eta], [p], surrogates)
+        new_zeta = [local_zeta(c, v) for c, v in zip(crits, x)]
+        streak = streak + 1 if new_zeta == zeta else 0
+        zeta = new_zeta
+        (z,), (alpha,) = dmc_rounds(z, alpha, [zeta], [row_neighbors(w_rows)], ramp)
+        out.append((x, zeta, z, alpha))
+        if window is not None and streak >= window:
+            break
+    return out, streak
+
+
+# Verification oracles that only the tests call.
+
+BRUTE_FORCE_MAX_LOADS = 20
+
+
+def z_star_from_z_hat(
+    ccf: Ccf, z_hat: float, deficit: float, tol: float = BOUNDARY_TOL
+) -> float:
+    """Recover the exact threshold from the surrogate root.
+
+    If the CCF overshoots the deficit at the threshold, the threshold is
+    the smallest criticality strictly above the root; if it meets the
+    deficit exactly, it is the largest criticality not above the root.
+    The case is detected by evaluating the CCF at the lower candidate.
+    """
+    bps = ccf.breakpoints
+    i = bisect_right(bps, z_hat)
+    if i > 0 and abs(eval_ccf(ccf, bps[i - 1]) - deficit) <= tol:
+        return bps[i - 1]
+    if i == len(bps):
+        raise ValueError(f"no criticality value above {z_hat}")
+    return bps[i]
+
+
+def _is_priority_based(mask: int, sorted_loads: Sequence[CriticalLoad]) -> bool:
+    """Every included load's criticality is at most every excluded one's."""
+    highest = -1
+    for k in range(len(sorted_loads)):
+        if mask >> k & 1:
+            highest = k
+    if highest < 0:
+        return True
+    cutoff = sorted_loads[highest].criticality
+    for k in range(highest):
+        if not mask >> k & 1 and sorted_loads[k].criticality < cutoff:
+            return False
+    return True
+
+
+def brute_force_min_set(
+    loads: Sequence[CriticalLoad], deficit: float, priority_only: bool = False
+) -> tuple[tuple[int, ...], float]:
+    """Exhaustively minimize shed power over all subsets covering the deficit.
+
+    Verification oracle only; capped at 20 loads (2^20 subsets).  Returns
+    one minimizer (ties broken by lowest bitmask) and its total.  With
+    ``priority_only`` the search is restricted to priority-based subsets
+    (no included load less critical than an excluded one), the feasible
+    family of the prioritized problem the greedy prefix solves.
+    """
+    items = list(loads)
+    if len(items) > BRUTE_FORCE_MAX_LOADS:
+        raise ValueError(
+            f"brute force capped at {BRUTE_FORCE_MAX_LOADS} loads, got {len(items)}"
+        )
+    if priority_only:
+        ordered = sorted(items, key=lambda l: (l.criticality, l.id))
+        best_ids: tuple[int, ...] | None = None
+        best_total = math.inf
+        for mask in range(1 << len(ordered)):
+            if not _is_priority_based(mask, ordered):
+                continue
+            total = math.fsum(
+                ordered[k].power for k in range(len(ordered)) if mask >> k & 1
+            )
+            if total >= deficit and total < best_total:
+                best_total = total
+                best_ids = tuple(
+                    ordered[k].id for k in range(len(ordered)) if mask >> k & 1
+                )
+        if best_ids is None:
+            raise InfeasibleError(f"no subset reaches the deficit {deficit}")
+        return best_ids, best_total
+    sums = np.zeros(1)
+    for load in items:
+        sums = np.concatenate([sums, sums + load.power])
+    feasible = sums >= deficit
+    if not feasible.any():
+        raise InfeasibleError(f"no subset reaches the deficit {deficit}")
+    best = int(np.argmin(np.where(feasible, sums, np.inf)))
+    ids = tuple(items[k].id for k in range(len(items)) if best >> k & 1)
+    return ids, float(sums[best])

@@ -18,14 +18,12 @@ from loadshed.criticality import (
     eval_surrogate,
     min_gap,
 )
-from loadshed.netgraph import metropolis_weights, stochasticity_defect
+from loadshed.netgraph import stochasticity_defect
 from loadshed.oracle import (
-    brute_force_min_set,
     continuous_solution,
     exact_z_hat,
     exact_z_star,
     greedy_shed_set,
-    z_star_from_z_hat,
 )
 from loadshed.protocol import (
     NoisySplit,
@@ -40,7 +38,14 @@ from loadshed.scenario import (
     run_scenario,
 )
 
-from conftest import CONTINUOUS_REGIONS_ORDERED, TIE_LOADS, make_random_loads
+from conftest import (
+    CONTINUOUS_REGIONS_ORDERED,
+    TIE_LOADS,
+    brute_force_min_set,
+    make_random_loads,
+    metropolis_weights,
+    z_star_from_z_hat,
+)
 from test_scenario import CONFIG_DIR
 
 

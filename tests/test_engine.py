@@ -1,8 +1,10 @@
-"""The compiled round engine (loadshed/_engine.c): its kernels against the
-scalar references in conftest, bit for bit, and the build that loads it."""
+"""The compiled round engine (loadshed/_engine.c): its chunk kernel against
+the scalar composition in conftest, bit for bit, and the build that loads
+it."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import shutil
@@ -22,7 +24,7 @@ from loadshed.criticality import SurrogateCcf, build_ccf, min_gap
 from loadshed.netgraph import RandomSchedule, mixing_block
 from loadshed.protocol import StepSchedule
 
-from conftest import block_rows, dmc_rounds, row_neighbors, x_rounds
+from conftest import block_rows, protocol_rounds
 
 PACKAGE = Path(loadshed.__file__).resolve().parent
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0]
@@ -46,8 +48,8 @@ def floats(draw, shape, low=-2.0, high=2.0, special=()) -> np.ndarray:
 def chunks(draw):
     """A chunk of rounds: regions sharing one ramp width, the rounds'
     graphs read from a random schedule (a chunk may start inside a window,
-    and sparse graphs leave nodes isolated), a step schedule, and the
-    states, estimates and cutoffs the kernels read."""
+    and sparse graphs leave nodes isolated), a step schedule, the state
+    and streak carried in, and a convergence window (None: never)."""
     n, m = draw(st.integers(1, 6)), draw(st.integers(1, 9))
     ccfs = []
     for _ in range(n):
@@ -62,13 +64,15 @@ def chunks(draw):
                         draw(st.sampled_from(EXPONENTS)))
     alpha = draw(st.lists(st.sampled_from([0.5, ramp / 2.0, 0.0, -0.0]), min_size=n, max_size=n))
     # estimates at, just off and a ramp below the breakpoints
-    edges = [b for ccf in ccfs for b in ccf.breakpoints]
-    edges += [v for b in edges for v in (b - ramp, math.nextafter(b, -math.inf),
-                                         math.nextafter(b - ramp, math.inf))]
+    breakpoints = [b for ccf in ccfs for b in ccf.breakpoints]
+    edges = breakpoints + [v for b in breakpoints for v in (
+        b - ramp, math.nextafter(b, -math.inf), math.nextafter(b - ramp, math.inf))]
     return Chunk([SurrogateCcf(ccf, ramp) for ccf in ccfs],
                  schedule.edges_between(t0, t0 + m), t0, step,
                  x=floats(draw, (n,), special=edges), P=floats(draw, (m, n), -5.0, 5.0),
-                 Z=floats(draw, (m, n)), z=floats(draw, (n,)), alpha=np.array(alpha))
+                 zeta=floats(draw, (n,), special=breakpoints), z=floats(draw, (n,)),
+                 alpha=np.array(alpha), streak=draw(st.integers(0, 12)),
+                 window=draw(st.none() | st.integers(0, 12)))
 
 
 class Chunk(NamedTuple):
@@ -78,51 +82,71 @@ class Chunk(NamedTuple):
     step: StepSchedule
     x: np.ndarray
     P: np.ndarray
-    Z: np.ndarray
+    zeta: np.ndarray
     z: np.ndarray
     alpha: np.ndarray
+    streak: int
+    window: int | None
 
 
 # n = 1, m = 1: one isolated node over one round
 ONE_NODE = Chunk([SurrogateCcf(build_ccf([(2.0, 0.5)]), 0.1)], np.zeros((1, 0), dtype=bool),
                  1, StepSchedule(), x=np.zeros(1), P=np.full((1, 1), 2.0),
-                 Z=np.full((1, 1), 0.5), z=np.full(1, math.inf), alpha=np.full(1, 0.05))
+                 zeta=np.full(1, math.inf), z=np.full(1, math.inf), alpha=np.full(1, 0.05),
+                 streak=0, window=None)
+# the estimate stays on the breakpoint 0.0 (its surrogate equals its
+# deficit estimate), so the cutoff goes from -0.0 to 0.0, which is no
+# change: the carried streak of 3 grows to the window 4 and stops the chunk
+# after a round
+SIGNED_ZERO = Chunk([SurrogateCcf(build_ccf([(1.0, 0.0), (1.0, 0.5)]), 0.25)],
+                    np.zeros((3, 0), dtype=bool), 7, StepSchedule(), x=np.zeros(1),
+                    P=np.ones((3, 1)), zeta=np.full(1, -0.0), z=np.full(1, 0.0),
+                    alpha=np.full(1, 0.125), streak=3, window=4)
 
 
-class TestKernelsMatchReferences:
-    @settings(max_examples=300, deadline=None)
+def run_kernel(case: Chunk):
+    """``_engine.rounds`` over the chunk: rounds run, etas, state rows, streak."""
+    (m, n), step, surrogates = case.P.shape, case.step, case.surrogates
+    graph, indptr, col, weight = mixing_block(case.rows, n)
+    bstart = np.cumsum([0, *(len(s._bps) for s in surrogates)], dtype=np.int64)
+    bps = np.concatenate([s._bps for s in surrogates])
+    cum = np.concatenate([s._cum for s in surrogates])
+    P = np.ascontiguousarray(case.P)
+    state, etas = np.empty((4, m + 1, n)), np.empty(m)
+    state[:, 0] = (case.x, case.zeta, case.z, case.alpha)
+    streak = ctypes.c_int64(case.streak)
+    window = np.iinfo(np.int64).max if case.window is None else case.window
+    ran = _engine.rounds(n, m, case.t0, step.gain, step.offset, step.exponent, graph.ctypes.data,
+                         indptr.ctypes.data, col.ctypes.data, weight.ctypes.data, P.ctypes.data,
+                         bstart.ctypes.data, bps.ctypes.data, cum.ctypes.data,
+                         surrogates[0].ramp_width, window, ctypes.byref(streak),
+                         etas.ctypes.data, state.ctypes.data)
+    return ran, etas[:ran], state[:, 1:ran + 1], streak.value
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=400, deadline=None)
     @given(chunks())
     @example(ONE_NODE)
-    def test_x_rounds(self, case):
-        (m, n), step, surrogates = case.P.shape, case.step, case.surrogates
-        graph, indptr, col, weight = mixing_block(case.rows, n)
-        bstart = np.cumsum([0, *(len(s._bps) for s in surrogates)], dtype=np.int64)
-        bps = np.concatenate([s._bps for s in surrogates])
-        cum = np.concatenate([s._cum for s in surrogates])
-        X, etas = np.empty((m, n)), np.empty(m)
-        _engine.x_rounds(n, m, case.t0, step.gain, step.offset, step.exponent, graph, indptr,
-                         col, weight, case.P, bstart, bps, cum, surrogates[0].ramp_width, case.x,
-                         X, etas)
-        expected_etas = [step.eta(t) for t in range(case.t0, case.t0 + m)]
-        assert bits(etas) == bits(expected_etas)
-        expected = x_rounds(case.x.tolist(), block_rows(case.rows, n), expected_etas,
-                            case.P.tolist(), surrogates)
-        assert bits(X) == bits(expected)
+    @example(SIGNED_ZERO)
+    def test_rounds(self, case):
+        m, n = case.P.shape
+        ran, etas, state, streak = run_kernel(case)
+        expected_etas = [case.step.eta(t) for t in range(case.t0, case.t0 + m)]
+        start = tuple(v.tolist() for v in (case.x, case.zeta, case.z, case.alpha))
+        rows, expected_streak = protocol_rounds(
+            start, case.streak, case.window, block_rows(case.rows, n), expected_etas,
+            case.P.tolist(), case.surrogates)
+        assert ran == len(rows)
+        assert streak == expected_streak
+        assert bits(etas) == bits(expected_etas[:ran])
+        for k in range(4):  # estimates, cutoffs, min-consensus values, steps
+            assert bits(state[k]) == bits([row[k] for row in rows])
 
-    @settings(max_examples=300, deadline=None)
-    @given(chunks())
-    @example(ONE_NODE)
-    def test_dmc_rounds(self, case):
-        (m, n), ramp = case.Z.shape, case.surrogates[0].ramp_width
-        graph, indptr, col, _ = mixing_block(case.rows, n)
-        Zo, Ao = np.empty((m, n)), np.empty((m, n))
-        _engine.dmc_rounds(n, m, graph, indptr, col, case.Z, ramp / 2.0, case.z, case.alpha,
-                           Zo, Ao)
-        neighbors = [row_neighbors(w_rows) for w_rows in block_rows(case.rows, n)]
-        z_rows, alpha_rows = dmc_rounds(case.z.tolist(), case.alpha.tolist(), case.Z.tolist(),
-                                        neighbors, ramp)
-        assert bits(Zo) == bits(z_rows)
-        assert bits(Ao) == bits(alpha_rows)
+    def test_signed_zero_cutoff_keeps_the_streak(self):
+        ran, _, state, streak = run_kernel(SIGNED_ZERO)
+        assert (ran, streak) == (1, 4)
+        assert bits(state[:2]) == bits([[0.0], [0.0]])  # estimate and cutoff
 
 
 class TestBuild:

@@ -16,7 +16,6 @@ from loadshed.netgraph import (
     StaticSchedule,
     check_window_connectivity,
     component_labels,
-    metropolis_weights,
     mixing_block,
     normalize_edges,
     pair_rows,
@@ -24,7 +23,15 @@ from loadshed.netgraph import (
 )
 from loadshed.seeding import STREAM_EDGES, STREAM_REPAIR, mix64, mix64_grid, unit_float
 
-from conftest import block_rows, mixing_rows, neighbor_lists, row_neighbors, scalar_metropolis
+from conftest import (
+    block_rows,
+    csr_rows,
+    metropolis_weights,
+    mixing_rows,
+    neighbor_lists,
+    row_neighbors,
+    scalar_metropolis,
+)
 
 LINE4 = [(0, 1), (1, 2), (2, 3)]
 
@@ -261,6 +268,52 @@ class TestMixingCache:
         draws.clear()
         assert check_window_connectivity(schedule, 30).passed
         assert draws == [list(range(1, 31))]
+
+
+class TestScheduleMixing:
+    """A static or periodic schedule builds its steps' pair rows and mixing
+    once, and hands a block of rounds the graph of each round's step."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        period=st.integers(1, 9),
+        seed=st.integers(0, 2**32),
+        static=st.booleans(),
+        t0=st.integers(1, 5000),
+        length=st.integers(0, 40),
+    )
+    @example(n=1, period=1, seed=0, static=True, t0=1, length=3)
+    def test_mixing_is_the_mixing_block_of_the_rows(self, n, period, seed, static, t0, length):
+        steps = netgraph.edge_sets(netgraph.draw_edges(seed, range(period), n, 0.5), n)
+        if static:
+            schedule = StaticSchedule(n, steps[0])
+        else:
+            schedule = PeriodicSchedule(n, tuple(steps), window=period)
+        t1 = t0 + length
+        mixing = schedule.mixing_between(t0, t1)
+        assert mixing[0].dtype == np.int32 and mixing[0].shape == (length,)
+        assert csr_rows(mixing, n) == block_rows(schedule.edges_between(t0, t1), n)
+        # every block indexes the same arrays
+        assert all(a is b for a, b in zip(mixing[1:], schedule.mixing_between(t1, t1 + 5)[1:]))
+
+    def test_steps_become_rows_once(self, monkeypatch):
+        calls = []
+        build = netgraph.pair_rows
+
+        def counted(graphs, n):
+            calls.append(len(graphs))
+            return build(graphs, n)
+
+        monkeypatch.setattr(netgraph, "pair_rows", counted)
+        line = frozenset({(0, 1), (1, 2)})
+        for schedule in (StaticSchedule(3, line),
+                         PeriodicSchedule(3, (line, frozenset({(0, 2)})), window=2)):
+            for t0 in (1, 7, 100):
+                schedule.edges_between(t0, t0 + 50)
+                schedule.mixing_between(t0, t0 + 50)
+            assert check_window_connectivity(schedule, 1000).passed
+        assert calls == [1, 2]
 
 
 class TestMixingBlock:

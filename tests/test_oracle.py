@@ -8,13 +8,11 @@ import pytest
 from loadshed.criticality import CriticalLoad, SurrogateCcf, build_ccf, eval_ccf, min_gap
 from loadshed.oracle import (
     InfeasibleError,
-    brute_force_min_set,
     continuous_ccf_eval,
     continuous_solution,
     exact_z_hat,
     exact_z_star,
     greedy_shed_set,
-    z_star_from_z_hat,
 )
 
 from conftest import (
@@ -23,7 +21,9 @@ from conftest import (
     FIG_PAIRS,
     FIG_RAMP,
     TIE_LOADS,
+    brute_force_min_set,
     make_random_loads,
+    z_star_from_z_hat,
 )
 
 

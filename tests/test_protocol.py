@@ -20,7 +20,6 @@ from loadshed.netgraph import (
     PeriodicSchedule,
     RandomSchedule,
     StaticSchedule,
-    metropolis_weights,
     normalize_edges,
 )
 from loadshed.oracle import exact_z_hat, exact_z_star
@@ -32,21 +31,26 @@ from loadshed.protocol import (
     StepSchedule,
     TraceEstimator,
     certify_deficit_tracking,
-    cutoffs,
     run_protocol,
 )
 from loadshed import scenario
-from loadshed.seeding import noise_matrix, symmetric_uniform, STREAM_NOISE
+from loadshed.seeding import STREAM_NOISE, mix64, noise_matrix, unit_float
 
 from conftest import (
     FIG_PAIRS,
     FIG_RAMP,
     dmc_rounds,
     local_zeta,
+    metropolis_weights,
     mixing_rows,
-    neighbor_lists,
+    protocol_rounds,
     x_rounds,
 )
+
+
+def symmetric_uniform(seed: int, tag: int, *indices: int) -> float:
+    """Deterministic draw in [-1, 1) for the given stream position."""
+    return 2.0 * unit_float(mix64(seed, tag, *indices)) - 1.0
 
 
 def fig_two_region_instance(deficit=6.0, max_rounds=3000, window=None, **kwargs):
@@ -210,20 +214,26 @@ class TestXUpdate:
 
 
 class TestZetaUpdate:
-    def test_delegates_to_local_zeta(self):
-        # the engine's cutoff layer is local_zeta applied to every estimate
+    def test_cutoff_rule(self):
+        # the smallest own criticality at or above the estimate; +inf above
+        # them all, for NaN and for a region without loads
         crits = ((0.2, 0.5, 0.7), (0.1, 0.4), ())
-        X = np.array([
-            [0.4, 0.05, 0.0],
-            [0.2, 0.4, 1.0],
-            [0.9, 0.41, -1.0],
-            [0.7, -1.0, 0.5],
-            [-0.0, 0.1, 0.2],
-        ])
-        Z = cutoffs(crits, X)
-        for r in range(len(X)):
-            for j in range(len(crits)):
-                assert Z[r, j] == local_zeta(crits[j], float(X[r, j]))
+        X = [[0.4, 0.05, 0.0], [0.2, 0.4, 1.0], [0.9, 0.41, -1.0], [0.7, -1.0, 0.5],
+             [-0.0, math.nan, 0.2], [-math.inf, math.inf, math.nan]]
+        inf = math.inf
+        expected = [[0.5, 0.1, inf], [0.2, 0.4, inf], [inf, inf, inf], [0.7, 0.1, inf],
+                    [0.2, inf, inf], [0.2, inf, inf]]
+        assert [[local_zeta(c, x) for c, x in zip(crits, row)] for row in X] == expected
+
+    def test_delegates_to_local_zeta(self):
+        # the engine's cutoffs are local_zeta of the same round's estimates,
+        # through a transient that crosses breakpoints
+        inst = fig_two_region_instance(max_rounds=400, window=None)
+        trace = run_protocol(inst)
+        expected = [[local_zeta(c, x) for c, x in zip(inst.region_criticalities, row)]
+                    for row in trace.x.tolist()]
+        assert trace.zeta.tolist() == expected
+        assert len({tuple(row) for row in expected}) > 2
 
 
 class TestDmcRound:
@@ -341,27 +351,18 @@ class TestRunProtocol:
 
 
 def per_round_run(inst):
-    """The protocol as a plain loop, one round at a time: x_rounds, then
-    local_zeta per region, then dmc_rounds, each on one-round inputs."""
+    """The protocol as a plain loop, one round at a time (``protocol_rounds``),
+    each round's mixing built from its own edge set."""
     n = len(inst.region_criticalities)
-    x = [float(inst.x0)] * n
-    zeta = [math.inf] * n
-    z = [math.inf] * n
-    alpha = [inst.ramp_width / 2.0] * n
+    state = ([float(inst.x0)] * n, [math.inf] * n, [math.inf] * n, [inst.ramp_width / 2.0] * n)
     streak = 0
     rows = []
     for t in range(1, inst.max_rounds + 1):
-        edges = inst.schedule.edges_at(t)
         eta, p = inst.step.eta(t), inst.estimator.block(t, t + 1)[0].tolist()
-        w_rows = mixing_rows(metropolis_weights(edges, n))
-        (x,) = x_rounds(x, [w_rows], [eta], [p], inst.surrogates)
-        new_zeta = [local_zeta(c, v) for c, v in zip(inst.region_criticalities, x)]
-        streak = streak + 1 if new_zeta == zeta else 0
-        zeta = new_zeta
-        (z,), (alpha,) = dmc_rounds(
-            z, alpha, [zeta], [neighbor_lists(edges, n)], inst.ramp_width
-        )
-        rows.append((t, eta, x, zeta, z, alpha, p))
+        w_rows = mixing_rows(metropolis_weights(inst.schedule.edges_at(t), n))
+        (state,), streak = protocol_rounds(state, streak, inst.convergence_window, [w_rows],
+                                           [eta], [p], inst.surrogates)
+        rows.append((t, eta, *state, p))
         if inst.convergence_window is not None and streak >= inst.convergence_window:
             break
     return rows, streak
@@ -410,6 +411,36 @@ class TestEngineComposition:
         table = tuple((3.0 + 0.01 * (k // 2 % 3), 3.0) for k in range(100))
         inst = dataclasses.replace(
             fig_two_region_instance(max_rounds=300, window=None), estimator=TraceEstimator(table)
+        )
+        self.assert_same(inst)
+
+    @pytest.mark.parametrize("stop", [1, 64, 65, 192, 193, 448, 449, 960])
+    def test_early_stop_on_a_chunk_edge(self, stop):
+        # chunks run rounds 1-64, 65-192, 193-448 and 449-960; the window is
+        # the streak at round `stop`, which no earlier round reaches here
+        inst = fig_two_region_instance(deficit=7.0, max_rounds=1000, window=None)
+        _, window = per_round_run(dataclasses.replace(inst, max_rounds=stop))
+        trace = self.assert_same(dataclasses.replace(inst, convergence_window=window))
+        assert trace.converged and trace.rounds == stop
+
+    def test_periodic_schedule_of_seven_steps(self):
+        # chunks start at rounds 65, 193 and 961, inside a period
+        steps = tuple(normalize_edges(e, 4) for e in (
+            [(0, 1)], [], [(1, 2)], [(0, 1), (2, 3)], [], [(2, 3)], [(0, 3), (1, 2)]))
+        config = scenario.generate_scenario(4, 12, seed=3, graph="random-periodic", max_rounds=1100)
+        inst = dataclasses.replace(scenario.build_instance(config), convergence_window=None,
+                                   schedule=PeriodicSchedule(4, steps, window=7))
+        self.assert_same(inst)
+
+    def test_single_region_static_schedule(self, fig_ccf):
+        # n = 1: a schedule without pair columns
+        inst = ProtocolInstance(
+            surrogates=(SurrogateCcf(fig_ccf, FIG_RAMP),),
+            schedule=StaticSchedule(1, frozenset()),
+            step=StepSchedule(1.0, 1.0, 1.0),
+            estimator=ExactSplit(6.0, 1),
+            convergence_window=None,
+            max_rounds=300,
         )
         self.assert_same(inst)
 
