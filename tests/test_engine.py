@@ -24,7 +24,7 @@ from loadshed.criticality import SurrogateCcf, build_ccf, min_gap
 from loadshed.netgraph import RandomSchedule, mixing_block
 from loadshed.protocol import StepSchedule
 
-from conftest import block_rows, protocol_rounds
+from conftest import block_rows, dmc_rounds, local_zeta, protocol_rounds, row_neighbors, x_rounds
 
 PACKAGE = Path(loadshed.__file__).resolve().parent
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0]
@@ -124,7 +124,37 @@ def run_kernel(case: Chunk):
     return ran, etas[:ran], state[:, 1:ran + 1], streak.value
 
 
-class TestKernelMatchesReference:
+class TestKernelsMatchReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(chunks())
+    @example(ONE_NODE)
+    def test_x_rounds(self, case):
+        (m, n), step = case.P.shape, case.step
+        ran, etas, state, _ = run_kernel(case._replace(window=None))
+        assert ran == m
+        expected_etas = [step.eta(t) for t in range(case.t0, case.t0 + m)]
+        assert bits(etas) == bits(expected_etas)
+        expected = x_rounds(case.x.tolist(), block_rows(case.rows, n), expected_etas,
+                            case.P.tolist(), case.surrogates)
+        assert bits(state[0]) == bits(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunks())
+    @example(ONE_NODE)
+    @example(SIGNED_ZERO)
+    def test_dmc_rounds(self, case):
+        (m, n), ramp = case.P.shape, case.surrogates[0].ramp_width
+        ran, _, state, _ = run_kernel(case._replace(window=None))
+        assert ran == m
+        X, zeta_rows = state[0].tolist(), state[1].tolist()
+        crits = [s.base.breakpoints for s in case.surrogates]
+        assert bits(zeta_rows) == bits([[local_zeta(c, v) for c, v in zip(crits, x)] for x in X])
+        neighbors = [row_neighbors(w_rows) for w_rows in block_rows(case.rows, n)]
+        z_rows, alpha_rows = dmc_rounds(case.z.tolist(), case.alpha.tolist(), zeta_rows,
+                                        neighbors, ramp)
+        assert bits(state[2]) == bits(z_rows)
+        assert bits(state[3]) == bits(alpha_rows)
+
     @settings(max_examples=400, deadline=None)
     @given(chunks())
     @example(ONE_NODE)
