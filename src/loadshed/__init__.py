@@ -24,7 +24,6 @@ from .oracle import (
     ContinuousSolution,
     InfeasibleError,
     SheddingSolution,
-    continuous_ccf_eval,
     continuous_solution,
     exact_z_hat,
     exact_z_star,

@@ -2,9 +2,12 @@
 
 The cumulative criticality function (CCF) of a load set maps a threshold z
 to the total power of all loads whose criticality is at most z: a
-right-continuous, non-decreasing step function.  Its Lipschitz surrogate
-replaces each step with a linear ramp of configurable width, which makes
-the threshold-inversion problem solvable by the distributed runtime.
+right-continuous, non-decreasing step function, held as its breakpoints and
+their cumulative loads.  Its Lipschitz surrogate replaces each step with a
+linear ramp of configurable width ending at the breakpoint, which makes the
+threshold-inversion problem solvable by the distributed runtime; the
+surrogate is evaluated by the compiled engine, and ``oracle`` inverts both
+at a deficit.
 """
 
 from __future__ import annotations
@@ -86,15 +89,6 @@ def resolve_loads(regions: Sequence[Region], nature_weight: float) -> tuple[Crit
             c = w * load.nature_criticality + (1.0 - w) * region.region_criticality
             out.append(CriticalLoad(load.id, load.power, c))
     return tuple(out)
-
-
-def ramp(z: float, width: float) -> float:
-    """Unit ramp: 0 below -width, linear up to 1 at 0, then saturated."""
-    if z >= 0.0:
-        return 1.0
-    if z >= -width:
-        return z / width + 1.0
-    return 0.0
 
 
 @dataclass(frozen=True)

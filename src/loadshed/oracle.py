@@ -1,8 +1,12 @@
 """Centralized ground-truth solvers used to verify every distributed run.
 
-Each operation is an independent reference path: greedy prefix selection,
-exact threshold inversion on the CCF and its surrogate, and the
-closed-form solution of the continuous variant.
+Every answer inverts a CCF at the deficit through one lookup,
+``deficit_segment``: the index of the smallest breakpoint whose cumulative
+load reaches the deficit, and how far up that step the deficit sits.  The
+discrete threshold is that breakpoint, the surrogate root sits the same
+fraction up the ramp ending there, and the continuous closed form is the
+same point on the unit ramp of the regions' CCF.  The greedy prefix is an
+independent path checked against them.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .criticality import (
     Ccf,
@@ -18,8 +22,6 @@ from .criticality import (
     SurrogateCcf,
     build_ccf,
     default_ramp_width,
-    eval_ccf,
-    ramp,
     shed_decision,
 )
 
@@ -57,19 +59,37 @@ class ContinuousSolution:
     z_tilde: float
 
 
+def deficit_segment(ccf: Ccf, deficit: float) -> tuple[int, float]:
+    """Where the CCF reaches the deficit: ``(i, fraction)``.
+
+    ``i`` indexes the smallest breakpoint whose cumulative load is at least
+    the deficit, and ``fraction`` is ``(deficit - below) / (cumulative[i] -
+    below)`` with ``below`` the cumulative load of the breakpoint before it
+    (0 for the first).  A zero deficit gives ``(0, 0.0)``, the first
+    breakpoint that carries load.  A negative deficit and a CCF without
+    breakpoints are ``ValueError``s, a deficit above the total load an
+    ``InfeasibleError``.
+    """
+    if deficit < 0:
+        raise ValueError(f"deficit {deficit} is negative")
+    if deficit > ccf.total_load:
+        raise InfeasibleError(
+            f"deficit {deficit} exceeds total sheddable power {ccf.total_load}"
+        )
+    if not ccf.breakpoints:
+        raise ValueError("CCF has no breakpoints")
+    i = bisect_left(ccf.cumulative, deficit)
+    below = ccf.cumulative[i - 1] if i else 0.0
+    return i, (deficit - below) / (ccf.cumulative[i] - below)
+
+
 def exact_z_star(ccf: Ccf, deficit: float) -> float:
     """Smallest breakpoint z with f(z) >= deficit.
 
     The optimal threshold is always one of the criticality values present,
     so searching breakpoints is exhaustive.
     """
-    if not ccf.breakpoints:
-        raise ValueError("CCF has no breakpoints")
-    if deficit > ccf.total_load:
-        raise InfeasibleError(
-            f"deficit {deficit} exceeds total sheddable power {ccf.total_load}"
-        )
-    return ccf.breakpoints[bisect_left(ccf.cumulative, deficit)]
+    return ccf.breakpoints[deficit_segment(ccf, deficit)[0]]
 
 
 def exact_z_hat(surrogate: SurrogateCcf, deficit: float) -> float:
@@ -79,21 +99,8 @@ def exact_z_hat(surrogate: SurrogateCcf, deficit: float) -> float:
     surrogate is flat at exactly the deficit, this returns the left
     endpoint of the plateau.
     """
-    ccf = surrogate.base
-    if not ccf.breakpoints:
-        raise ValueError("CCF has no breakpoints")
-    if deficit < 0:
-        raise ValueError(f"deficit {deficit} is negative")
-    if deficit > ccf.total_load:
-        raise InfeasibleError(
-            f"deficit {deficit} exceeds total sheddable power {ccf.total_load}"
-        )
-    if deficit == 0.0:
-        return ccf.breakpoints[0] - surrogate.ramp_width
-    idx = bisect_left(ccf.cumulative, deficit)
-    below = ccf.cumulative[idx - 1] if idx else 0.0
-    mass = ccf.cumulative[idx] - below
-    return ccf.breakpoints[idx] - surrogate.ramp_width * (1.0 - (deficit - below) / mass)
+    i, fraction = deficit_segment(surrogate.base, deficit)
+    return surrogate.base.breakpoints[i] - surrogate.ramp_width * (1.0 - fraction)
 
 
 def greedy_shed_set(
@@ -108,10 +115,7 @@ def greedy_shed_set(
     defaults to ``default_ramp_width`` of the CCF's breakpoints.
     """
     ccf = build_ccf((l.power, l.criticality) for l in loads)
-    if ccf.total_load < deficit:
-        raise InfeasibleError(
-            f"total sheddable power is below the deficit {deficit}"
-        )
+    i, _ = deficit_segment(ccf, deficit)
     prefix: list[CriticalLoad] = []
     acc = 0.0
     for load in sorted(loads, key=lambda l: (l.criticality, l.id)):
@@ -122,12 +126,10 @@ def greedy_shed_set(
 
     if ramp_width is None:
         ramp_width = default_ramp_width(ccf.breakpoints)
-    surrogate = SurrogateCcf(ccf, ramp_width)
-    z_star = exact_z_star(ccf, deficit)
-    shed_total = eval_ccf(ccf, z_star)
+    z_star, shed_total = ccf.breakpoints[i], ccf.cumulative[i]
     return SheddingSolution(
         z_star=z_star,
-        z_hat=exact_z_hat(surrogate, deficit),
+        z_hat=exact_z_hat(SurrogateCcf(ccf, ramp_width), deficit),
         shed_total=shed_total,
         shed_ids=tuple(l.id for l in shed_decision(loads, z_star)),
         greedy_total=math.fsum(l.power for l in prefix),
@@ -136,40 +138,21 @@ def greedy_shed_set(
     )
 
 
-def continuous_ccf_eval(regions: Iterable[tuple[float, float]], z: float) -> float:
-    """Continuous-variant CCF: sum of capacity times a unit-width ramp."""
-    parts = []
-    for capacity, criticality in regions:
-        if capacity < 0:
-            raise ValueError(f"negative capacity {capacity}")
-        parts.append(capacity * ramp(z - criticality, 1.0))
-    return math.fsum(parts)
-
-
 def continuous_solution(
     regions: Sequence[tuple[float, float]], deficit: float
 ) -> ContinuousSolution:
     """Closed-form split of the deficit across continuously sheddable regions.
 
-    Finds the smallest root of the continuous CCF by piecewise-linear
-    inversion over its kink points, then fills regions whole up to the
-    root's floor, fractionally at the next integer level, and not at all
-    above.  Regional criticalities must be integers for the fill rule.
+    Each region's capacity ramps in over the unit interval ending at its
+    criticality.  Criticalities must be integers, so the ramps never
+    overlap and the smallest root lies ``fraction`` up the ramp ending at
+    the breakpoint ``deficit_segment`` finds in the regions' CCF.  Regions
+    then fill whole up to the root's floor, fractionally at the next
+    integer level, and not at all above.
     """
-    if deficit < 0:
-        raise ValueError(f"deficit {deficit} is negative")
-    total = math.fsum(cap for cap, _ in regions)
-    if deficit > total:
-        raise InfeasibleError(f"deficit {deficit} exceeds total capacity {total}")
-    kinks = sorted({c - 1.0 for _, c in regions} | {float(c) for _, c in regions})
-    values = [continuous_ccf_eval(regions, k) for k in kinks]
-    idx = bisect_left(values, deficit)
-    if values[idx] == deficit:
-        z = kinks[idx]
-    else:
-        lo, hi = kinks[idx - 1], kinks[idx]
-        flo, fhi = values[idx - 1], values[idx]
-        z = lo + (deficit - flo) * (hi - lo) / (fhi - flo)
+    ccf = build_ccf(regions)
+    i, fraction = deficit_segment(ccf, deficit)
+    z = (ccf.breakpoints[i] - 1.0) + fraction
     shed = tuple(continuous_fill(capacity, criticality, z) for capacity, criticality in regions)
     return ContinuousSolution(shed, z)
 

@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, asdict
 from itertools import accumulate
 from pathlib import Path
@@ -49,6 +48,7 @@ from .oracle import (
     SheddingSolution,
     continuous_fill,
     continuous_solution,
+    deficit_segment,
     greedy_shed_set,
 )
 from .protocol import (
@@ -594,10 +594,7 @@ def generate_scenario(
             for j in range(n_regions)
             for i in range(loads_per_region)
         ]
-        ccf = build_ccf(pairs)
-        idx = bisect_left(ccf.cumulative, deficit)
-        below = ccf.cumulative[idx - 1] if idx else 0.0
-        frac = (deficit - below) / (ccf.cumulative[idx] - below)
+        _, frac = deficit_segment(build_ccf(pairs), deficit)
         if DEGENERACY_MARGIN <= frac <= 1.0 - DEGENERACY_MARGIN:
             chosen = (powers, total, deficit)
             break

@@ -1,7 +1,8 @@
 """Shared fixtures: the step-function example set, the tie example, the
 four-region continuous instance used across the suite, the scalar
 references of the block-built graphs and of the compiled round engine,
-and the verification oracles only the tests call."""
+the verification oracles only the tests call, and the kink-interpolated
+continuous closed form that ``oracle.continuous_solution`` is held to."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pytest
 
 from loadshed.criticality import Ccf, CriticalLoad, build_ccf, eval_ccf
 from loadshed.netgraph import metropolis_block, mixing_block, normalize_edges, pair_rows
-from loadshed.oracle import BOUNDARY_TOL, InfeasibleError
+from loadshed.oracle import BOUNDARY_TOL, ContinuousSolution, InfeasibleError, continuous_fill
 
 # (power GW, criticality) pairs of the worked step-function example;
 # ramp width 0.05
@@ -315,3 +316,44 @@ def brute_force_min_set(
     best = int(np.argmin(np.where(feasible, sums, np.inf)))
     ids = tuple(items[k].id for k in range(len(items)) if best >> k & 1)
     return ids, float(sums[best])
+
+
+def ramp(z: float, width: float) -> float:
+    """Unit ramp: 0 below -width, linear up to 1 at 0, then saturated."""
+    if z >= 0.0:
+        return 1.0
+    if z >= -width:
+        return z / width + 1.0
+    return 0.0
+
+
+def continuous_ccf_eval(regions, z: float) -> float:
+    """Continuous-variant CCF: sum of capacity times a unit-width ramp."""
+    parts = []
+    for capacity, criticality in regions:
+        if capacity < 0:
+            raise ValueError(f"negative capacity {capacity}")
+        parts.append(capacity * ramp(z - criticality, 1.0))
+    return math.fsum(parts)
+
+
+def continuous_solution_reference(
+    regions: Sequence[tuple[float, float]], deficit: float
+) -> ContinuousSolution:
+    """The continuous closed form by piecewise-linear inversion of
+    ``continuous_ccf_eval`` over its kink points (every ramp's foot and
+    top), then the fill rule.  Defined for deficits in (0, total]."""
+    total = math.fsum(cap for cap, _ in regions)
+    if not 0.0 < deficit <= total:
+        raise ValueError(f"deficit {deficit} outside (0, {total}]")
+    kinks = sorted({c - 1.0 for _, c in regions} | {float(c) for _, c in regions})
+    values = [continuous_ccf_eval(regions, k) for k in kinks]
+    idx = bisect_left(values, deficit)
+    if values[idx] == deficit:
+        z = kinks[idx]
+    else:
+        lo, hi = kinks[idx - 1], kinks[idx]
+        flo, fhi = values[idx - 1], values[idx]
+        z = lo + (deficit - flo) * (hi - lo) / (fhi - flo)
+    shed = tuple(continuous_fill(capacity, criticality, z) for capacity, criticality in regions)
+    return ContinuousSolution(shed, z)

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loadshed.criticality import CriticalLoad, SurrogateCcf, build_ccf, eval_ccf, min_gap
 from loadshed.oracle import (
     InfeasibleError,
-    continuous_ccf_eval,
     continuous_solution,
+    deficit_segment,
     exact_z_hat,
     exact_z_star,
     greedy_shed_set,
@@ -17,11 +19,14 @@ from loadshed.oracle import (
 
 from conftest import (
     CONTINUOUS_DEFICIT,
+    CONTINUOUS_REGIONS,
     CONTINUOUS_REGIONS_ORDERED,
     FIG_PAIRS,
     FIG_RAMP,
     TIE_LOADS,
     brute_force_min_set,
+    continuous_ccf_eval,
+    continuous_solution_reference,
     make_random_loads,
     z_star_from_z_hat,
 )
@@ -105,6 +110,43 @@ class TestBruteForce:
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
             brute_force_min_set([CriticalLoad(1, 1.0, 0.5)], 2.0)
+
+
+# each CCF inversion at a deficit, on (power or capacity, integer
+# criticality) pairs; the surrogate's ramp is 1.0 wide, as the continuous one
+INVERSIONS = [
+    pytest.param(lambda pairs, d: exact_z_star(build_ccf(pairs), d), 0.0, id="exact_z_star"),
+    pytest.param(lambda pairs, d: exact_z_hat(SurrogateCcf(build_ccf(pairs), 1.0), d), 1.0,
+                 id="exact_z_hat"),
+    pytest.param(lambda pairs, d: greedy_shed_set(
+        [CriticalLoad(k, p, c) for k, (p, c) in enumerate(pairs)], d, 1.0).z_star, 0.0,
+                 id="greedy_shed_set"),
+    pytest.param(lambda pairs, d: continuous_solution(pairs, d).z_tilde, 1.0,
+                 id="continuous_solution"),
+]
+# a zero-capacity region at criticality 1 ahead of the first loaded one, at 3
+RULE_PAIRS = [(0.0, 1.0), (1.2, 3.0), (2.0, 4.0)]
+
+
+class TestDeficitSegment:
+    def test_fig_deficit_six(self, fig_ccf):
+        # cumulative 1, 3, 4, 9, ...: 6 is two fifths up the step to 9 at 0.4
+        assert deficit_segment(fig_ccf, 6.0) == (3, 0.4)
+        assert deficit_segment(fig_ccf, 9.0) == (3, 1.0)
+        assert deficit_segment(fig_ccf, 16.0) == (6, 1.0)
+
+    @pytest.mark.parametrize("invert, ramp_foot", INVERSIONS)
+    def test_rules(self, invert, ramp_foot):
+        # a zero deficit sits at the foot of the first step that carries load
+        assert invert(RULE_PAIRS, 0.0) == 3.0 - ramp_foot
+        with pytest.raises(ValueError, match="negative"):
+            invert(RULE_PAIRS, -1.0)
+        with pytest.raises(InfeasibleError, match="exceeds total sheddable power 3.2"):
+            invert(RULE_PAIRS, 3.5)
+        with pytest.raises(ValueError, match="no breakpoints"):
+            invert([(0.0, 2.0)], 0.0)
+        with pytest.raises(InfeasibleError):
+            invert([], 1.0)
 
 
 class TestExactZStar:
@@ -238,6 +280,40 @@ class TestContinuous:
                     for k, (shed_k, (_, crit_k)) in enumerate(zip(sol.per_region_shed, regions)):
                         if crit_k > crit_j:
                             assert shed_k <= 1e-9
+
+
+@st.composite
+def continuous_cases(draw):
+    """Regions with integer criticalities, zero capacities and repeated
+    criticalities allowed, and a deficit in (0, total]: drawn, a prefix sum
+    of the CCF or the total."""
+    regions = draw(st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(0.01, 50.0)), st.integers(1, 8).map(float)),
+        min_size=1, max_size=8))
+    cumulative = build_ccf(regions).cumulative
+    if not cumulative:
+        regions.append((draw(st.floats(0.01, 50.0)), float(draw(st.integers(1, 8)))))
+        cumulative = build_ccf(regions).cumulative
+    deficit = draw(st.one_of(
+        st.floats(0.0, cumulative[-1], exclude_min=True),
+        st.sampled_from(cumulative),
+    ))
+    return regions, deficit
+
+
+class TestContinuousReference:
+    @settings(max_examples=400, deadline=None)
+    @given(case=continuous_cases())
+    @example(case=([(0.0, 1.0), (1.2, 3.0)], 0.6))
+    @example(case=(CONTINUOUS_REGIONS, 2.4))
+    @example(case=(CONTINUOUS_REGIONS, 4.8))
+    @example(case=([(0.0, 2.0), (1.5, 2.0), (0.25, 2.0), (3.0, 5.0)], 1.75))
+    def test_matches_kink_interpolation_bit_for_bit(self, case):
+        regions, deficit = case
+        got = continuous_solution(regions, deficit)
+        want = continuous_solution_reference(regions, deficit)
+        assert got.z_tilde.hex() == want.z_tilde.hex()
+        assert [v.hex() for v in got.per_region_shed] == [v.hex() for v in want.per_region_shed]
 
 
 class TestOracleEquivalence:
