@@ -1,14 +1,18 @@
-/* The round engine's kernel over one chunk of rounds (see protocol.py).
+/* The round engine's kernels: the chunk kernel over a chunk of rounds
+ * (see protocol.py) with the surrogate it evaluates, and the random
+ * schedules' graphs that feed it (see netgraph.py): their draw and window
+ * repair, the components of a window's union, and Metropolis mixing.
  *
  * Mixing is read per round as a graph index into CSR arrays: row j of
  * graph g holds entries indptr[g*n + j] .. indptr[g*n + j + 1] - 1, in
  * ascending column order, which is the order every reduction runs in.
- * Arrays are C-ordered float64 with one row per round.  Build without
+ * Arrays are C-ordered with one row per round.  Build without
  * contraction to FMA (-ffp-contract=off) so every sum and product rounds
  * as it does in Python.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 /* Surrogate CCF at z: the load at or below z, plus the climbed part of
  * the ramp of width c ending at the next breakpoint.  The search keeps
@@ -117,4 +121,219 @@ int64_t rounds(int64_t n, int64_t m, int64_t t0, double gain, double offset,
             return r + 1;
     }
     return m;
+}
+
+/* Graphs of the random schedules (see netgraph.py).  A graph over nodes
+ * 0..n-1 is a pair row: one byte per pair i < j, in lexicographic order.
+ * Draws are splitmix64 folds, as seeding.mix64 folds its parts. */
+
+/* Fold one more part into a splitmix64 state. */
+static inline uint64_t mix(uint64_t x, uint64_t part)
+{
+    uint64_t z = x + part;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+static inline uint64_t seeded(uint64_t seed, uint64_t tag)
+{
+    return mix(mix(0x9E3779B97F4A7C15ULL, seed), tag);
+}
+
+static inline int64_t pair_column(int64_t i, int64_t j, int64_t n)
+{
+    return i * (2 * n - i - 1) / 2 + j - i - 1;
+}
+
+/* The root of v's set, halving the path; a root is its set's least node. */
+static inline int64_t root(int64_t *parent, int64_t v)
+{
+    while (parent[v] != v) {
+        parent[v] = parent[parent[v]];
+        v = parent[v];
+    }
+    return v;
+}
+
+/* label[v]: the smallest node v reaches in the union of count pair rows. */
+static void union_labels(int64_t n, const uint8_t *rows, int64_t count, int64_t *label)
+{
+    int64_t pairs = n * (n - 1) / 2, sets = n;
+    for (int64_t v = 0; v < n; v++)
+        label[v] = v;
+    for (const uint8_t *row = rows; row < rows + count * pairs && sets > 1; row += pairs)
+        for (int64_t i = 0, k = 0; i < n && sets > 1; i++)
+            for (int64_t j = i + 1; j < n; j++, k++)
+                if (row[k]) {
+                    int64_t a = root(label, i), b = root(label, j);
+                    sets -= a != b;
+                    if (a < b)
+                        label[b] = a;
+                    else
+                        label[a] = b;
+                }
+    for (int64_t v = 0; v < n; v++)
+        label[v] = root(label, v);
+}
+
+/* The labels of each of count / window windows of consecutive pair rows:
+ * row w of labels gives each node the smallest node it reaches in the
+ * union of window w's rows. */
+void components(int64_t n, int64_t count, int64_t window, const uint8_t *rows,
+                int64_t *labels)
+{
+    for (int64_t w = 0; w < count / window; w++)
+        union_labels(n, rows + w * window * (n * (n - 1) / 2), window, labels + w * n);
+}
+
+/* Pair rows drawn at counters first .. first+count-1: pair k of the row of
+ * counter c is present when the top 53 bits of mix64(seed, edge_tag, c, k),
+ * as a fraction of 2**53, fall below p.  Then each of the windows whole
+ * windows of window rows gets its repair: when its union is disconnected,
+ * its components (in ascending order of their least nodes) are stably
+ * sorted by mix64(seed, repair_tag, keys[w], i), and the chain through
+ * their least nodes, in that order, is added to the window's last row.
+ * Returns 0, or -1 when working memory cannot be had. */
+int64_t draw_repaired(uint64_t seed, uint64_t edge_tag, uint64_t repair_tag, int64_t n,
+                      double p, uint64_t first, int64_t count, int64_t window, int64_t windows,
+                      const uint64_t *keys, uint8_t *rows)
+{
+    int64_t pairs = n * (n - 1) / 2;
+    uint64_t edges = seeded(seed, edge_tag), repair = seeded(seed, repair_tag);
+    for (int64_t r = 0; r < count; r++) {
+        uint64_t state = mix(edges, first + (uint64_t)r);
+        uint8_t *row = rows + r * pairs;
+        for (int64_t k = 0; k < pairs; k++)
+            row[k] = (double)(int64_t)(mix(state, (uint64_t)k) >> 11) * 0x1p-53 < p;
+    }
+    int64_t *label = malloc((3 * n + 1) * sizeof *label);
+    uint64_t *draw = malloc((n + 1) * sizeof *draw);
+    if (!label || !draw) {
+        free(label);
+        free(draw);
+        return -1;
+    }
+    int64_t *leader = label + n, *order = leader + n;
+    for (int64_t w = 0; w < windows; w++) {
+        union_labels(n, rows + w * window * pairs, window, label);
+        int64_t found = 0;
+        for (int64_t v = 0; v < n; v++)
+            if (label[v] == v)
+                leader[found++] = v;
+        if (found < 2)
+            continue;
+        /* insertion sort: ties keep ascending component order */
+        uint64_t key = mix(repair, keys[w]);
+        for (int64_t i = 0; i < found; i++) {
+            uint64_t d = mix(key, (uint64_t)i);
+            int64_t at = i;
+            for (; at > 0 && draw[at - 1] > d; at--) {
+                draw[at] = draw[at - 1];
+                order[at] = order[at - 1];
+            }
+            draw[at] = d;
+            order[at] = i;
+        }
+        uint8_t *last = rows + ((w + 1) * window - 1) * pairs;
+        for (int64_t a = 0; a + 1 < found; a++) {
+            int64_t i = leader[order[a]], j = leader[order[a + 1]];
+            last[i < j ? pair_column(i, j, n) : pair_column(j, i, n)] = 1;
+        }
+    }
+    free(label);
+    free(draw);
+    return 0;
+}
+
+/* numpy's pairwise sum of a float64 run (pairwise_sum_DOUBLE): below 8
+ * values one by one, up to 128 in eight interleaved accumulators, and
+ * above that the two halves (split at a multiple of 8) on their own. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (i = 0; i < 8; i++)
+            r[i] = a[i];
+        for (; i < n - n % 8; i += 8)
+            for (int64_t j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2 - n / 2 % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* The Metropolis-Hastings mixing of each of count pair rows, as CSR:
+ * row j of graph g holds entries indptr[g*n + j] .. indptr[g*n + j + 1] - 1
+ * of col and weight, in ascending column order.  A neighbour k weighs
+ * 1 / (1 + max(deg j, deg k)); the diagonal is 1 minus the row's sum,
+ * summed as numpy sums the dense row with a zero diagonal, and is positive,
+ * so the arrays hold count*n + 2*(edges) entries.  Returns 0, or -1 when
+ * working memory cannot be had. */
+int64_t metropolis(int64_t n, int64_t count, const uint8_t *rows, int64_t *indptr,
+                   int32_t *col, double *weight)
+{
+    int64_t pairs = n * (n - 1) / 2, e = 0;
+    /* per node: its degree and n slots for its neighbours; 1 / (1 + d) at
+     * each degree d; and one dense row, kept zero between rows */
+    int64_t *degree = malloc((n * (n + 1) + 1) * sizeof *degree), *adjacent = degree + n;
+    double *inverse = malloc((2 * n + 1) * sizeof *inverse), *dense = inverse + n;
+    if (!degree || !inverse) {
+        free(degree);
+        free(inverse);
+        return -1;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        inverse[v] = 1.0 / (1.0 + (double)v);
+        dense[v] = 0.0;
+    }
+    indptr[0] = 0;
+    for (int64_t g = 0; g < count; g++) {
+        const uint8_t *row = rows + g * pairs;
+        for (int64_t v = 0; v < n; v++)
+            degree[v] = 0;
+        /* neighbour lists in ascending order, appended without branches:
+         * an absent pair's write lands in the slot past the list's end */
+        for (int64_t i = 0, k = 0; i < n; i++)
+            for (int64_t j = i + 1; j < n; j++, k++) {
+                int64_t present = row[k] != 0;
+                adjacent[i * n + degree[i]] = j;
+                adjacent[j * n + degree[j]] = i;
+                degree[i] += present;
+                degree[j] += present;
+            }
+        for (int64_t j = 0; j < n; j++) {
+            const int64_t *next = adjacent + j * n, *end = next + degree[j];
+            for (const int64_t *a = next; a < end; a++)
+                dense[*a] = inverse[degree[j] > degree[*a] ? degree[j] : degree[*a]];
+            double diagonal = 1.0 - pairwise_sum(dense, n);
+            for (; next < end && *next < j; next++) {
+                col[e] = (int32_t)*next;
+                weight[e++] = dense[*next];
+            }
+            col[e] = (int32_t)j;
+            weight[e++] = diagonal;
+            for (; next < end; next++) {
+                col[e] = (int32_t)*next;
+                weight[e++] = dense[*next];
+            }
+            for (const int64_t *a = adjacent + j * n; a < end; a++)
+                dense[*a] = 0.0;
+            indptr[g * n + j + 1] = e;
+        }
+    }
+    free(degree);
+    free(inverse);
+    return 0;
 }

@@ -1,4 +1,5 @@
-"""The round engine's compiled kernels: ``_engine.c``, built on first import.
+"""The compiled kernels of the round engine and of the random schedules'
+graphs: ``_engine.c``, built on first import.
 
 The source is compiled with the C compiler this Python was built with
 (``sysconfig``'s ``CC``) into ``__pycache__/_engine-<digest>.so`` beside
@@ -62,9 +63,9 @@ def _build(directory: Path) -> Path:
 
 
 _lib = ctypes.CDLL(str(_build(SOURCE.parent / "__pycache__")))
-_i64, _f64, _ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_i64, _u64, _f64, _ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
 
-# Both kernels take plain addresses: ndpointer's checks cost more per call
+# The kernels take plain addresses: ndpointer's checks cost more per call
 # than a scalar surrogate or a short chunk does, and every caller makes or
 # owns the C-ordered arrays it passes, of the dtypes the signatures name.
 surrogate = _lib.surrogate
@@ -74,3 +75,13 @@ rounds = _lib.rounds
 rounds.argtypes = [_i64, _i64, _i64, _f64, _f64, _f64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr,
                    _ptr, _f64, _i64, ctypes.POINTER(_i64), _ptr, _ptr]
 rounds.restype = _i64
+components = _lib.components
+components.argtypes = [_i64, _i64, _i64, _ptr, _ptr]
+components.restype = None
+# c_uint64 arguments wrap modulo 2**64, as seeding.mix64 reduces its parts
+draw_repaired = _lib.draw_repaired
+draw_repaired.argtypes = [_u64, _u64, _u64, _i64, _f64, _u64, _i64, _i64, _i64, _ptr, _ptr]
+draw_repaired.restype = _i64
+metropolis = _lib.metropolis
+metropolis.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _ptr]
+metropolis.restype = _i64

@@ -7,15 +7,14 @@ They are read a block of rounds at a time (``edges_between``) as boolean
 pair rows: one row per round, one column per pair i < j in lexicographic
 order.  Frozensets of pairs appear only at the edges: static and periodic
 schedules are built from them; ``edges_at`` and ``edge_sets`` hand them
-out.  A random schedule draws a block as one splitmix matrix of rows,
-finds every window's components from one batched reachability product
-(``component_labels``, which the connectivity check uses too), and writes
-the repair chains of disconnected windows into the matrix.
+out.  The compiled engine (``_engine.c``) does the per-graph work: it
+draws a random schedule's block of rows and repairs its disconnected
+windows (``repaired_rows``), finds each window's components by union-find
+(which the connectivity check uses too), and builds Metropolis mixing.
 Each schedule gives the engine a block's mixing as CSR arrays
-(``mixing_between``), which ``mixing_block`` builds from one stack of
-matrices (``metropolis_block``) over distinct rows: a static or periodic
-schedule builds its steps' rows and mixing once and indexes them by round,
-and a random schedule builds each block's.
+(``mixing_between``) from ``mixing_block``, one graph per row: a static or
+periodic schedule builds its steps' rows and mixing once and indexes them
+by round, and a random schedule builds each block's, one graph per round.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .seeding import STREAM_EDGES, STREAM_REPAIR, mix64_grid, unit_float
+from . import _engine
+from .seeding import STREAM_EDGES, STREAM_REPAIR
 from .seeding import mix64  # noqa: F401  perfbench counts calls of netgraph.mix64
 
 Edge = tuple[int, int]
@@ -59,50 +59,11 @@ def pair_rows(graphs: Sequence[frozenset[Edge]], n: int) -> np.ndarray:
     return rows
 
 
-def _adjacency(rows: np.ndarray, n: int) -> np.ndarray:
-    A = np.zeros((len(rows), n, n), dtype=bool)
-    i, j = np.triu_indices(n, 1)
-    A[:, i, j] = A[:, j, i] = rows
-    return A
-
-
-def metropolis_block(rows: np.ndarray, n: int) -> np.ndarray:
-    """Metropolis-Hastings mixing matrix of each row of pair columns.
-
-    Off-diagonal weights are 1/(1 + max degree of the endpoints); the
-    diagonal absorbs the remainder.  Each matrix is symmetric, doubly
-    stochastic, has a positive diagonal, and every nonzero entry is at
-    least 1/n.
-    """
-    A = _adjacency(rows, n)
-    degree = A.sum(axis=2)
-    W = np.where(A, 1.0 / (1.0 + np.maximum(degree[:, :, None], degree[:, None, :])), 0.0)
-    W[:, range(n), range(n)] = 1.0 - W.sum(axis=2)
-    return W
-
-
 def stochasticity_defect(W: np.ndarray) -> float:
     """Largest deviation of any row or column sum from 1."""
     rows = np.abs(W.sum(axis=1) - 1.0).max()
     cols = np.abs(W.sum(axis=0) - 1.0).max()
     return float(max(rows, cols))
-
-
-def component_labels(rows: np.ndarray, n: int) -> np.ndarray:
-    """The smallest node each node reaches, for each row of pair columns
-    (by squaring reachability); a row is connected when every label is 0."""
-    reach = _adjacency(rows, n) | np.eye(n, dtype=bool)
-    for _ in range((n - 1).bit_length()):
-        reach = reach @ reach
-    return reach.argmax(axis=2)
-
-
-def draw_edges(seed: int, counters, n: int, edge_probability: float) -> np.ndarray:
-    """Bernoulli edge draws, one row per counter: pair k of the pairs
-    (i, j), i < j, in lexicographic order appears when the splitmix draw
-    at (counter, k) falls below ``edge_probability``."""
-    pairs = np.arange(n * (n - 1) // 2)
-    return unit_float(mix64_grid(seed, STREAM_EDGES, counters, pairs)) < edge_probability
 
 
 def edge_sets(rows: np.ndarray, n: int) -> list[frozenset[Edge]]:
@@ -111,30 +72,28 @@ def edge_sets(rows: np.ndarray, n: int) -> list[frozenset[Edge]]:
     return [frozenset(compress(pairs, row)) for row in rows.tolist()]
 
 
-def repaired_rows(seed: int, counters, n: int, edge_probability: float, window: int,
+def repaired_rows(seed: int, counters: range, n: int, edge_probability: float, window: int,
                   keys: Sequence[int]) -> np.ndarray:
-    """Pair rows drawn at ``counters``, in windows of ``window`` consecutive
-    counters; there is one window per key.
+    """Pair rows drawn at the consecutive ``counters``, in windows of
+    ``window`` of them; there is one window per key.
 
-    When the union of window k is disconnected, its components are put in
-    an order seeded by ``keys[k]`` (ties keep ascending component order),
-    and the chain through their smallest nodes, in that order, is added to
-    the window's last round.
+    Pair k of the pairs (i, j), i < j, in lexicographic order appears at
+    counter c when ``unit_float(mix64(seed, STREAM_EDGES, c, k))`` falls
+    below ``edge_probability``.  When the union of window w is
+    disconnected, its components are put in an order seeded by
+    ``keys[w]`` (ties keep ascending component order), and the chain
+    through their smallest nodes, in that order, is added to the window's
+    last round.  The engine draws and repairs (``_engine.draw_repaired``).
     """
-    draws = draw_edges(seed, counters, n, edge_probability)
-    unions = draws[: len(keys) * window].reshape(len(keys), window, draws.shape[1]).any(axis=1)
-    labels = component_labels(unions, n)
-    broken = np.flatnonzero(labels.any(axis=1))
-    leaders = labels[broken] == np.arange(n)  # components in ascending order of their leaders
-    count = leaders.sum(axis=1, keepdims=True)
-    order = mix64_grid(seed, STREAM_REPAIR, np.asarray(keys)[broken], range(n))
-    order[np.arange(n) >= count] = np.iinfo(np.uint64).max  # no such component: sorts last
-    reps = np.take_along_axis(np.argsort(~leaders, axis=1, kind="stable"),
-                              order.argsort(axis=1, kind="stable"), axis=1)
-    a, b, link = reps[:, :-1], reps[:, 1:], np.arange(1, n) < count
-    last = np.broadcast_to((broken[:, None] + 1) * window - 1, link.shape)
-    draws[last[link], _pair_column(np.minimum(a, b)[link], np.maximum(a, b)[link], n)] = True
-    return draws
+    rows = np.empty((len(counters), n * (n - 1) // 2), dtype=bool)
+    keys = np.asarray(keys, dtype=np.uint64)
+    if window < 1 or len(keys) * window > len(rows):
+        raise ValueError(f"{len(keys)} windows of {window} rounds in {len(rows)} counters")
+    if _engine.draw_repaired(seed, STREAM_EDGES, STREAM_REPAIR, n, edge_probability,
+                             counters.start, len(rows), window, len(keys), keys.ctypes.data,
+                             rows.ctypes.data):
+        raise MemoryError("no working memory for the window repair")
+    return rows
 
 
 class _CyclicSchedule:
@@ -224,8 +183,8 @@ class RandomSchedule:
         gets its repair, keyed by the window's index."""
         B = self.window
         w0 = (t0 - 1) // B  # window w holds rounds w*B + 1 .. (w + 1)*B
-        rows = repaired_rows(self.seed, np.arange(w0 * B + 1, t1), self.n,
-                             self.edge_probability, B, range(w0, (t1 - 1) // B))
+        rows = repaired_rows(self.seed, range(w0 * B + 1, t1), self.n,
+                             self.edge_probability, B, np.arange(w0, (t1 - 1) // B))
         return rows[t0 - 1 - w0 * B:]
 
     def mixing_between(self, t0: int, t1: int) -> tuple[np.ndarray, ...]:
@@ -266,8 +225,9 @@ def check_window_connectivity(schedule: GraphSchedule, max_rounds: int) -> Conne
     rounds, at least one."""
     B, n = schedule.window, schedule.n
     windows = max(1, min(max_rounds // B, CONNECTIVITY_WINDOWS))
-    rows = schedule.edges_between(1, windows * B + 1)
-    labels = component_labels(rows.reshape(windows, B, rows.shape[1]).any(axis=1), n)
+    rows = np.ascontiguousarray(schedule.edges_between(1, windows * B + 1), dtype=bool)
+    labels = np.empty((windows, n), np.int64)  # the smallest node each node reaches
+    _engine.components(n, len(rows), B, rows.ctypes.data, labels.ctypes.data)
     broken = np.flatnonzero(labels.any(axis=1))
     if not broken.size:
         return ConnectivityReport(True, windows)
@@ -276,24 +236,25 @@ def check_window_connectivity(schedule: GraphSchedule, max_rounds: int) -> Conne
 
 
 def mixing_block(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Mixing of a block of pair rows, as a graph index per round and CSR arrays.
+    """Metropolis-Hastings mixing of a block of pair rows, as a graph index
+    per round and CSR arrays, one graph per row (``_engine.metropolis``).
 
-    Equal rows (compared packed) share one graph index, and the Metropolis
-    matrices of the distinct rows are built as one stack.  Returns
-    ``(graph, indptr, col, weight)``: row j of graph g holds the entries
-    ``indptr[g*n + j]`` to ``indptr[g*n + j + 1] - 1`` of ``col`` and
-    ``weight``, in ascending column order, which is the order the engine
-    reduces in so that results do not depend on evaluation order.
+    Off-diagonal weights are 1/(1 + max degree of the endpoints); the
+    diagonal absorbs the remainder.  Each matrix is symmetric, doubly
+    stochastic, has a positive diagonal, and every nonzero entry is at
+    least 1/n.  Returns ``(graph, indptr, col, weight)``: row j of graph g
+    holds the entries ``indptr[g*n + j]`` to ``indptr[g*n + j + 1] - 1`` of
+    ``col`` and ``weight``, in ascending column order, which is the order
+    the engine reduces in so that results do not depend on evaluation order.
     """
-    keys = np.zeros(len(rows), np.uint8)  # n = 1: no pair columns, one graph
-    if rows.shape[1]:
-        packed = np.packbits(rows, axis=1)
-        # fixed-width bytes: equal exactly when the rows are, and numpy
-        # sorts them about three times faster than raw void keys
-        keys = packed.view(f"S{packed.shape[1]}").ravel()
-    _, first, graph = np.unique(keys, return_index=True, return_inverse=True)
-    W = metropolis_block(rows[first], n)
-    indptr = np.zeros(len(first) * n + 1, np.int64)
-    np.cumsum(np.count_nonzero(W, axis=2), out=indptr[1:])
-    g, j, k = np.nonzero(W)
-    return graph.astype(np.int32), indptr, k.astype(np.int32), W[g, j, k]
+    rows = np.ascontiguousarray(rows, dtype=bool)
+    if rows.ndim != 2 or rows.shape[1] != n * (n - 1) // 2:
+        raise ValueError(f"pair rows of shape {rows.shape} for {n} nodes")
+    m = len(rows)
+    entries = m * n + 2 * np.count_nonzero(rows)  # every diagonal, each edge twice
+    indptr, col = np.empty(m * n + 1, np.int64), np.empty(entries, np.int32)
+    weight = np.empty(entries)
+    if _engine.metropolis(n, m, rows.ctypes.data, indptr.ctypes.data, col.ctypes.data,
+                          weight.ctypes.data):
+        raise MemoryError("no working memory for the mixing weights")
+    return np.arange(m, dtype=np.int32), indptr, col, weight

@@ -66,12 +66,12 @@ def deficit_segment(ccf: Ccf, deficit: float) -> tuple[int, float]:
     the deficit, and ``fraction`` is ``(deficit - below) / (cumulative[i] -
     below)`` with ``below`` the cumulative load of the breakpoint before it
     (0 for the first).  A zero deficit gives ``(0, 0.0)``, the first
-    breakpoint that carries load.  A negative deficit and a CCF without
-    breakpoints are ``ValueError``s, a deficit above the total load an
-    ``InfeasibleError``.
+    breakpoint that carries load.  A negative or NaN deficit and a CCF
+    without breakpoints are ``ValueError``s, a deficit above the total load
+    an ``InfeasibleError``.
     """
-    if deficit < 0:
-        raise ValueError(f"deficit {deficit} is negative")
+    if not deficit >= 0:
+        raise ValueError(f"deficit {deficit} is negative or NaN")
     if deficit > ccf.total_load:
         raise InfeasibleError(
             f"deficit {deficit} exceeds total sheddable power {ccf.total_load}"

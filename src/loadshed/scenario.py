@@ -38,7 +38,7 @@ from .netgraph import (
     StaticSchedule,
     check_window_connectivity,
     edge_sets,
-    metropolis_block,
+    mixing_block,
     normalize_edges,
     repaired_rows,
     stochasticity_defect,
@@ -760,11 +760,13 @@ def continuous_shed_from_estimates(
 
 def certificate_digest(config: ScenarioConfig, inst: ProtocolInstance) -> dict:
     """Small always-on sanity digest attached to every report."""
-    schedule = inst.schedule
+    schedule, n = inst.schedule, inst.schedule.n
     connectivity = check_window_connectivity(schedule, inst.max_rounds)
     sampled = min(connectivity.windows_checked * schedule.window, 32)
-    rows = schedule.edges_between(1, sampled + 1)
-    defect = max(map(stochasticity_defect, metropolis_block(rows, schedule.n)))
+    _, indptr, col, weight = mixing_block(schedule.edges_between(1, sampled + 1), n)
+    W = np.zeros((sampled * n, n))  # the sampled rounds' mixing matrices, dense
+    W[np.arange(sampled * n).repeat(np.diff(indptr)), col] = weight
+    defect = max(map(stochasticity_defect, W.reshape(sampled, n, n)))
     return {
         "window": schedule.window,
         "window_connectivity": connectivity.passed,

@@ -1,6 +1,6 @@
 """Shared fixtures: the step-function example set, the tie example, the
-four-region continuous instance used across the suite, the scalar
-references of the block-built graphs and of the compiled round engine,
+four-region continuous instance used across the suite, the numpy and
+scalar references of the compiled graphs and of the compiled round engine,
 the verification oracles only the tests call, and the kink-interpolated
 continuous closed form that ``oracle.continuous_solution`` is held to."""
 
@@ -13,9 +13,11 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from loadshed import _engine
 from loadshed.criticality import Ccf, CriticalLoad, build_ccf, eval_ccf
-from loadshed.netgraph import metropolis_block, mixing_block, normalize_edges, pair_rows
+from loadshed.netgraph import mixing_block, normalize_edges, pair_rows
 from loadshed.oracle import BOUNDARY_TOL, ContinuousSolution, InfeasibleError, continuous_fill
+from loadshed.seeding import STREAM_EDGES, mix64_grid, unit_float
 
 # (power GW, criticality) pairs of the worked step-function example;
 # ramp width 0.05
@@ -71,8 +73,48 @@ def make_random_loads(rng, count: int, distinct: bool = True) -> list[CriticalLo
     return [CriticalLoad(i + 1, float(powers[i]), crits[i]) for i in range(count)]
 
 
-# Scalar references for the block-built mixing arrays
-# (netgraph.mixing_block): one graph, one Python loop each.
+# Numpy references for the compiled graphs (loadshed/_engine.c): a
+# vectorised splitmix draw, components by squaring reachability, and a
+# stack of dense Metropolis matrices.
+
+
+def draw_edges(seed: int, counters, n: int, edge_probability: float) -> np.ndarray:
+    """Bernoulli edge draws, one row per counter: pair k of the pairs
+    (i, j), i < j, in lexicographic order appears when the splitmix draw
+    at (counter, k) falls below ``edge_probability``."""
+    pairs = np.arange(n * (n - 1) // 2)
+    return unit_float(mix64_grid(seed, STREAM_EDGES, counters, pairs)) < edge_probability
+
+
+def _adjacency(rows: np.ndarray, n: int) -> np.ndarray:
+    A = np.zeros((len(rows), n, n), dtype=bool)
+    i, j = np.triu_indices(n, 1)
+    A[:, i, j] = A[:, j, i] = rows
+    return A
+
+
+def component_labels(rows: np.ndarray, n: int) -> np.ndarray:
+    """The smallest node each node reaches, for each row of pair columns
+    (by squaring reachability); a row is connected when every label is 0."""
+    reach = _adjacency(rows, n) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
+    return reach.argmax(axis=2)
+
+
+def metropolis_block(rows: np.ndarray, n: int) -> np.ndarray:
+    """Metropolis-Hastings mixing matrix of each row of pair columns:
+    off-diagonal weights 1/(1 + max degree of the endpoints), and the
+    diagonal 1 minus numpy's sum of the row."""
+    A = _adjacency(rows, n)
+    degree = A.sum(axis=2)
+    W = np.where(A, 1.0 / (1.0 + np.maximum(degree[:, :, None], degree[:, None, :])), 0.0)
+    W[:, range(n), range(n)] = 1.0 - W.sum(axis=2)
+    return W
+
+
+# Scalar references for the mixing arrays (netgraph.mixing_block): one
+# graph, one Python loop each.
 
 
 def scalar_metropolis(edges, n: int) -> np.ndarray:
@@ -115,6 +157,15 @@ def block_rows(rows: np.ndarray, n: int) -> list[list[list[tuple[int, float]]]]:
     """Per round of a block of pair rows, the nonzero ``(k, w)`` entries of
     each row of its mixing matrix, read from ``mixing_block``'s CSR arrays."""
     return csr_rows(mixing_block(rows, n), n)
+
+
+def window_labels(rows: np.ndarray, n: int, window: int = 1) -> np.ndarray:
+    """``_engine.components`` of pair rows: for each whole window of
+    ``window`` rows, the smallest node each node reaches in its union."""
+    rows = np.ascontiguousarray(rows, dtype=bool)
+    labels = np.empty((len(rows) // window, n), np.int64)
+    _engine.components(n, len(rows), window, rows.ctypes.data, labels.ctypes.data)
+    return labels
 
 
 def csr_rows(mixing, n: int) -> list[list[list[tuple[int, float]]]]:

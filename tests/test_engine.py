@@ -1,6 +1,7 @@
-"""The compiled round engine (loadshed/_engine.c): its chunk kernel against
-the scalar composition in conftest, bit for bit, and the build that loads
-it."""
+"""The compiled engine (loadshed/_engine.c): its chunk kernel against the
+scalar composition in conftest, its graph draw, window repair, components
+and Metropolis mixing against the numpy references in conftest, bit for
+bit, and the build that loads it."""
 
 from __future__ import annotations
 
@@ -21,10 +22,22 @@ from hypothesis import strategies as st
 import loadshed
 from loadshed import _engine
 from loadshed.criticality import SurrogateCcf, build_ccf, min_gap
-from loadshed.netgraph import RandomSchedule, mixing_block
+from loadshed.netgraph import RandomSchedule, mixing_block, repaired_rows
 from loadshed.protocol import StepSchedule
+from loadshed.seeding import STREAM_EDGES, STREAM_REPAIR, mix64, unit_float
 
-from conftest import block_rows, dmc_rounds, local_zeta, protocol_rounds, row_neighbors, x_rounds
+from conftest import (
+    block_rows,
+    component_labels,
+    dmc_rounds,
+    draw_edges,
+    local_zeta,
+    metropolis_block,
+    protocol_rounds,
+    row_neighbors,
+    window_labels,
+    x_rounds,
+)
 
 PACKAGE = Path(loadshed.__file__).resolve().parent
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0]
@@ -177,6 +190,116 @@ class TestKernelsMatchReferences:
         ran, _, state, streak = run_kernel(SIGNED_ZERO)
         assert (ran, streak) == (1, 4)
         assert bits(state[:2]) == bits([[0.0], [0.0]])  # estimate and cutoff
+
+
+def repaired_reference(seed, counters, n, p, window, keys) -> np.ndarray:
+    """``draw_edges``, then each whole window's repair: its components by
+    ``component_labels`` of its union, stably sorted by their scalar draws,
+    their least nodes chained into the window's last row."""
+    rows = draw_edges(seed, counters, n, p)
+    unions = rows[:len(keys) * window].reshape(len(keys), window, rows.shape[1]).any(axis=1)
+    column = {pair: k for k, pair in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
+    for w, (labels, key) in enumerate(zip(component_labels(unions, n).tolist(), keys)):
+        leaders = [v for v in range(n) if labels[v] == v]
+        order = sorted(range(len(leaders)), key=lambda i: mix64(seed, STREAM_REPAIR, key, i))
+        reps = [leaders[i] for i in order]
+        for a, b in zip(reps, reps[1:]):
+            rows[(w + 1) * window - 1, column[min(a, b), max(a, b)]] = True
+    return rows
+
+
+def dense(mixing, n: int) -> np.ndarray:
+    """Each round's mixing matrix, read from CSR arrays."""
+    graph, indptr, col, weight = mixing
+    W = np.zeros((len(indptr) - 1, n))
+    W[np.arange(len(indptr) - 1).repeat(np.diff(indptr)), col] = weight
+    return W.reshape(-1, n, n)[graph]
+
+
+# sparse draws leave windows disconnected, so they get repairs
+PROBABILITIES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | st.floats(0.0, 0.08)
+SEEDS = st.integers(0, 2**64 - 1) | st.integers(2**63 - 2, 2**63 + 2)
+
+
+class TestGraphsMatchReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 70), window=st.integers(1, 5), p=PROBABILITIES, seed=SEEDS,
+           t0=st.integers(1, 40), length=st.integers(0, 10))
+    @example(n=1, window=3, p=0.5, seed=0, t0=2, length=5)  # no pair columns
+    @example(n=70, window=5, p=0.01, seed=2**64 - 1, t0=8, length=10)  # t0 inside a window
+    @example(n=65, window=2, p=0.0, seed=2**63, t0=1, length=4)  # 65 components per window
+    def test_random_schedule_draw_and_repair(self, n, window, p, seed, t0, length):
+        t1, w0 = t0 + length, (t0 - 1) // window
+        expected = repaired_reference(seed, range(w0 * window + 1, t1), n, p, window,
+                                      range(w0, (t1 - 1) // window))
+        rows = RandomSchedule(n, p, window, seed).edges_between(t0, t1)
+        assert rows.tolist() == expected[t0 - 1 - w0 * window:].tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 70), window=st.integers(1, 5), p=PROBABILITIES, seed=SEEDS,
+           first=st.integers(0, 2**64 - 11), count=st.integers(0, 10),
+           keys=st.lists(st.integers(0, 2**64 - 1), max_size=10))
+    @example(n=9, window=4, p=0.05, seed=1, first=0, count=12, keys=[0, 4, 8])  # gen's steps
+    def test_repaired_rows(self, n, window, p, seed, first, count, keys):
+        # any counters and keys, with counters past the last whole window
+        counters, keys = range(first, first + count), keys[:count // window]
+        assert repaired_rows(seed, counters, n, p, window, keys).tolist() == repaired_reference(
+            seed, counters, n, p, window, keys).tolist()
+
+    def test_edge_is_present_strictly_below_p(self):
+        # the draw of pair 0 at counter 1 as p: absent at p, present just above
+        p = unit_float(mix64(3, STREAM_EDGES, 1, 0))
+        assert repaired_rows(3, range(1, 2), 2, p, 1, []).tolist() == [[False]]
+        assert repaired_rows(3, range(1, 2), 2, math.nextafter(p, 1.0), 1, []).tolist() == [[True]]
+
+    def test_repaired_rows_need_whole_windows(self):
+        with pytest.raises(ValueError, match="3 windows of 2 rounds in 5 counters"):
+            repaired_rows(0, range(5), 4, 0.5, 2, [0, 1, 2])
+        with pytest.raises(ValueError, match="1 windows of 0 rounds in 5 counters"):
+            repaired_rows(0, range(5), 4, 0.5, 0, [0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 70), window=st.integers(1, 5), p=PROBABILITIES, seed=SEEDS,
+           count=st.integers(0, 12))
+    @example(n=70, window=1, p=0.0, seed=0, count=1)
+    @example(n=70, window=3, p=0.001, seed=0, count=12)
+    def test_components(self, n, window, p, seed, count):
+        rows = draw_edges(seed, range(count), n, p)
+        windows = count // window
+        unions = rows[:windows * window].reshape(windows, window, rows.shape[1]).any(axis=1)
+        assert window_labels(rows, n, window).tolist() == component_labels(unions, n).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 70), p=PROBABILITIES, seed=SEEDS, count=st.integers(0, 12))
+    @example(n=1, p=0.5, seed=0, count=2)
+    @example(n=70, p=1.0, seed=0, count=1)
+    @example(n=29, p=0.45, seed=0, count=12)
+    def test_metropolis(self, n, p, seed, count):
+        rows = draw_edges(seed, range(count), n, p)
+        mixing = mixing_block(rows, n)
+        graph, indptr, col, weight = mixing
+        assert graph.tolist() == list(range(count))
+        # arrays sized from the edges: every diagonal entry and each edge twice
+        assert len(col) == len(weight) == indptr[-1] == count * n + 2 * rows.sum()
+        assert all((np.diff(col[a:b]) > 0).all() for a, b in zip(indptr[:-1], indptr[1:]))
+        assert bits(dense(mixing, n)) == bits(metropolis_block(rows, n))
+
+    @pytest.mark.parametrize("n", [8, 29, 70, 200])
+    def test_diagonal_is_one_minus_numpys_pairwise_sum(self, n):
+        # a left-to-right sum of the row differs in the last bit on some
+        # rows; the engine's diagonal is numpy's on all of them (past 128
+        # nodes, numpy sums the two halves of a row on their own)
+        rows = draw_edges(n, range(20), n, 0.5)
+        W = metropolis_block(rows, n)
+        sequential = 0
+        for g in range(len(rows)):
+            for j in range(n):
+                total = 0.0
+                for k, v in enumerate(W[g, j].tolist()):
+                    total += 0.0 if k == j else v
+                sequential += 1.0 - total != W[g, j, j]
+        assert sequential
+        assert bits(dense(mixing_block(rows, n), n)) == bits(W)
 
 
 class TestBuild:

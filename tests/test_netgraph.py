@@ -8,14 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loadshed import netgraph
+from loadshed import _engine, netgraph
 from loadshed.netgraph import (
     ConnectivityReport,
     PeriodicSchedule,
     RandomSchedule,
     StaticSchedule,
     check_window_connectivity,
-    component_labels,
     mixing_block,
     normalize_edges,
     pair_rows,
@@ -25,12 +24,15 @@ from loadshed.seeding import STREAM_EDGES, STREAM_REPAIR, mix64, mix64_grid, uni
 
 from conftest import (
     block_rows,
+    component_labels,
     csr_rows,
+    draw_edges,
     metropolis_weights,
     mixing_rows,
     neighbor_lists,
     row_neighbors,
     scalar_metropolis,
+    window_labels,
 )
 
 LINE4 = [(0, 1), (1, 2), (2, 3)]
@@ -201,7 +203,8 @@ class TestSchedules:
 
 class TestMixingCache:
     """A block's mixing: one graph index per round into CSR arrays, one
-    graph per distinct row of the block."""
+    graph per round of a random block and one per step of a cyclic
+    schedule."""
 
     def test_entries_match_the_edge_sets(self):
         schedule = RandomSchedule(5, 0.4, window=2, seed=4)
@@ -211,33 +214,34 @@ class TestMixingCache:
             assert w_rows == mixing_rows(metropolis_weights(edges, 5))
             assert row_neighbors(w_rows) == neighbor_lists(edges, 5)
 
-    def test_one_entry_per_distinct_edge_set(self):
+    def test_equal_edge_sets_mix_alike(self):
         line = frozenset({(0, 1), (1, 2)})
         schedule = PeriodicSchedule(3, (line, frozenset({(0, 1)}), line), window=3)
-        graph, indptr, _, _ = mixing_block(schedule.edges_between(1, 5), 3)
-        one, two, three, four = graph.tolist()
+        mixing = schedule.mixing_between(1, 5)
+        assert mixing[0].tolist() == [0, 1, 2, 0]
+        assert len(mixing[1]) == 3 * 3 + 1  # three steps' graphs of three rows
+        one, two, three, four = csr_rows(mixing, 3)
         assert one == three == four != two
-        assert len(indptr) == 2 * 3 + 1  # two graphs of three rows
-        # a random schedule's equal rows share one graph index, and
-        # distinct rows do not (4 regions: 64 graphs)
+        # a random block gives each round a graph; equal rows mix alike,
+        # and distinct rows do not (4 regions: 64 graphs)
         schedule = RandomSchedule(4, 0.45, window=2, seed=0)
-        graph, indptr, _, _ = mixing_block(schedule.edges_between(1, 201), 4)
+        mixing = mixing_block(schedule.edges_between(1, 201), 4)
+        assert mixing[0].tolist() == list(range(200)) and len(mixing[1]) == 4 * 200 + 1
         by_edges = {}
-        for t, g in enumerate(graph.tolist(), start=1):
-            assert by_edges.setdefault(schedule.edges_at(t), g) == g
-        assert sorted(by_edges.values()) == list(range(len(by_edges)))
-        assert len(by_edges) < 64 and len(indptr) == 4 * len(by_edges) + 1
+        for t, w_rows in enumerate(csr_rows(mixing, 4), start=1):
+            assert by_edges.setdefault(schedule.edges_at(t), w_rows) == w_rows
+        assert len({repr(w_rows) for w_rows in by_edges.values()}) == len(by_edges) < 64
 
     def test_bounded_on_many_distinct_graphs(self):
-        # 12 regions: nearly every round draws a new edge set, and a block
-        # holds one graph per distinct row, at most one per round
+        # 12 regions: nearly every round draws a new edge set; a block
+        # holds one graph per round, its arrays sized from its edges
         schedule = RandomSchedule(12, 0.45, window=2, seed=0)
         rows = schedule.edges_between(2049, 3073)
         graph, indptr, col, weight = mixing_block(rows, 12)
-        distinct = len(np.unique(rows, axis=0))
-        assert graph.dtype == np.int32 and graph.shape == (1024,)
-        assert indptr.dtype == np.int64 and len(indptr) == 12 * distinct + 1 <= 12 * 1024 + 1
-        assert col.dtype == np.int32 and len(col) == len(weight) == indptr[-1]
+        assert graph.dtype == np.int32 and graph.tolist() == list(range(1024))
+        assert indptr.dtype == np.int64 and len(indptr) == 12 * 1024 + 1
+        assert col.dtype == np.int32
+        assert len(col) == len(weight) == indptr[-1] == 12 * 1024 + 2 * rows.sum()
         assert block_rows(rows[:1], 12)[0] == mixing_rows(
             metropolis_weights(schedule.edges_at(2049), 12))
 
@@ -246,18 +250,19 @@ class TestMixingCache:
         # window it starts in drawn once; the last round of each window
         # that ends in the block carries the scalar reference's repair
         draws = []
-        draw = netgraph.draw_edges
+        draw = _engine.draw_repaired
 
-        def counted_draw(seed, counters, *rest):
-            draws.append(list(counters))
-            return draw(seed, counters, *rest)
+        def counted_draw(*args):
+            first, count = args[5:7]  # the block's counters
+            draws.append(list(range(first, first + count)))
+            return draw(*args)
 
-        monkeypatch.setattr(netgraph, "draw_edges", counted_draw)
+        monkeypatch.setattr(_engine, "draw_repaired", counted_draw)
         schedule = RandomSchedule(6, 0.1, window=3, seed=1)
         # the block starts and ends inside windows 1 and 16
         block = block_rows(schedule.edges_between(5, 50), 6)
         assert draws == [list(range(4, 50))]
-        raw = netgraph.edge_sets(draw(1, range(4, 50), 6, 0.1), 6)  # round t at t - 4
+        raw = netgraph.edge_sets(draw_edges(1, range(4, 50), 6, 0.1), 6)  # round t at t - 4
         repaired = 0
         for w in range(1, 16):  # window w holds rounds 3w + 1 .. 3w + 3
             rounds = raw[3 * w - 3:3 * w]
@@ -285,7 +290,7 @@ class TestScheduleMixing:
     )
     @example(n=1, period=1, seed=0, static=True, t0=1, length=3)
     def test_mixing_is_the_mixing_block_of_the_rows(self, n, period, seed, static, t0, length):
-        steps = netgraph.edge_sets(netgraph.draw_edges(seed, range(period), n, 0.5), n)
+        steps = netgraph.edge_sets(draw_edges(seed, range(period), n, 0.5), n)
         if static:
             schedule = StaticSchedule(n, steps[0])
         else:
@@ -331,7 +336,7 @@ class TestMixingBlock:
     def test_rows_and_neighbors_match_scalar_reference(self, n, p, seed, rounds, same):
         # same: every round of the block draws the same graph
         counters = [1] * rounds if same else range(1, rounds + 1)
-        rows = netgraph.draw_edges(seed, counters, n, p)
+        rows = draw_edges(seed, counters, n, p)
         edges = netgraph.edge_sets(rows, n)
         assert len(edges) == rounds
         if same:
@@ -343,11 +348,11 @@ class TestMixingBlock:
             assert metropolis_weights(e, n).tobytes() == W.tobytes()
             assert w_rows == mixing_rows(W)
             assert row_neighbors(w_rows) == neighbor_lists(e, n)
-        # equal rows share a graph index, and each index is a distinct row
-        graph = mixing_block(rows, n)[0].tolist()
-        assert [graph[a] == graph[b] for a in range(rounds) for b in range(rounds)] == [
+        # each round has its own graph index, equal rows mix alike, and
+        # distinct rows do not
+        assert mixing_block(rows, n)[0].tolist() == list(range(rounds))
+        assert [block[a] == block[b] for a in range(rounds) for b in range(rounds)] == [
             edges[a] == edges[b] for a in range(rounds) for b in range(rounds)]
-        assert sorted(set(graph)) == list(range(len(set(edges))))
 
 
 def reference_edges(schedule: RandomSchedule, t: int) -> frozenset:
@@ -428,8 +433,9 @@ class TestHelpers:
         assert normalize_edges([(1, 1), (0, 1)], 2) == {(0, 1)}
 
     def test_connected_components(self):
-        labels = component_labels(pair_rows([frozenset({(0, 1), (2, 3)})], 5), 5)
-        assert labels.tolist() == [[0, 0, 2, 2, 4]]
+        rows = pair_rows([frozenset({(0, 1), (2, 3)})], 5)
+        assert window_labels(rows, 5).tolist() == component_labels(rows, 5).tolist() == [
+            [0, 0, 2, 2, 4]]
         assert connected_components([(0, 1), (2, 3)], 5) == [[0, 1], [2, 3], [4]]
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -442,14 +448,14 @@ class TestHelpers:
         rows = np.array([[pair in path for pair in pairs]]
                         + [[pair in path and pair != cut for pair in pairs] for cut in path])
         rows = rows.reshape(len(rows), len(pairs))
-        labels = component_labels(rows, n)
+        labels = window_labels(rows, n)
         expected = []
         for edges in netgraph.edge_sets(rows, n):
             expected.append([0] * n)
             for component in connected_components(edges, n):
                 for v in component:
                     expected[-1][v] = component[0]
-        assert labels.tolist() == expected
+        assert labels.tolist() == component_labels(rows, n).tolist() == expected
         assert (~labels.any(axis=1)).tolist() == [True] + [False] * len(path)
 
     def test_pair_rows_take_either_order(self):
@@ -462,7 +468,8 @@ class TestHelpers:
         assert check_window_connectivity(reversed_line, 4).passed
 
     def test_single_node_connected(self):
-        assert component_labels(np.zeros((1, 0), dtype=bool), 1).tolist() == [[0]]
+        rows = np.zeros((1, 0), dtype=bool)
+        assert window_labels(rows, 1).tolist() == component_labels(rows, 1).tolist() == [[0]]
         assert check_window_connectivity(StaticSchedule(1, frozenset()), 5).passed
 
     @settings(max_examples=100, deadline=None)

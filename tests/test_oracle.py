@@ -141,6 +141,8 @@ class TestDeficitSegment:
         assert invert(RULE_PAIRS, 0.0) == 3.0 - ramp_foot
         with pytest.raises(ValueError, match="negative"):
             invert(RULE_PAIRS, -1.0)
+        with pytest.raises(ValueError, match="deficit nan is negative or NaN"):
+            invert(RULE_PAIRS, math.nan)
         with pytest.raises(InfeasibleError, match="exceeds total sheddable power 3.2"):
             invert(RULE_PAIRS, 3.5)
         with pytest.raises(ValueError, match="no breakpoints"):
