@@ -123,10 +123,22 @@ def build_ccf(pairs: Iterable[tuple[float, float]]) -> Ccf:
     """Build a CCF from (power, criticality) pairs.
 
     Loads sharing a criticality merge into a single breakpoint; zero-power
-    loads contribute nothing and produce no breakpoint, keeping the
-    cumulative sums strictly increasing.  An empty input yields the zero
-    CCF.
+    loads contribute nothing and produce no breakpoint.  An empty input
+    yields the zero CCF.  A load too small to change the rounded
+    cumulative load is rejected, as ``Ccf`` requires (``flat_breakpoint``).
     """
+    return Ccf(*_cumulative(pairs))
+
+
+def flat_breakpoint(pairs: Iterable[tuple[float, float]]) -> float | None:
+    """The first breakpoint whose loads leave the rounded cumulative load
+    of (power, criticality) pairs unchanged, or None when there is none."""
+    bps, cumulative = _cumulative(pairs)
+    return next((z for z, a, b in zip(bps[1:], cumulative, cumulative[1:]) if a == b), None)
+
+
+def _cumulative(pairs: Iterable[tuple[float, float]]) -> tuple[tuple[float, ...], ...]:
+    """The breakpoints of ``build_ccf`` and their cumulative loads."""
     groups: dict[float, list[float]] = {}
     for power, crit in pairs:
         if power < 0:
@@ -143,7 +155,7 @@ def build_ccf(pairs: Iterable[tuple[float, float]]) -> Ccf:
             num, den = power.as_integer_ratio()  # den = 2**k, k <= 1074
             units += num << (1075 - den.bit_length())
         cumulative.append(units / _UNIT)
-    return Ccf(tuple(bps), tuple(cumulative))
+    return tuple(bps), tuple(cumulative)
 
 
 def eval_ccf(ccf: Ccf, z: float) -> float:

@@ -6,11 +6,13 @@ pure functions of (seed, t), so any round can be re-derived independently.
 They are read a block of rounds at a time (``edges_between``) as boolean
 pair rows: one row per round, one column per pair i < j in lexicographic
 order.  Frozensets of pairs appear only at the edges: static and periodic
-schedules are built from them; ``edges_at`` and ``edge_sets`` hand them
-out.  The compiled engine (``_engine.c``) does the per-graph work: it
-draws a random schedule's block of rows and repairs its disconnected
-windows (``repaired_rows``), finds each window's components by union-find
-(which the connectivity check uses too), and builds Metropolis mixing.
+schedules are built from them (a scenario's parser maps its region ids to
+these node indices); ``edges_at`` and ``edge_sets`` hand them out.  Each
+schedule class names its JSON kind (``kind``).  The compiled engine
+(``_engine.c``) does the per-graph work: it draws a random schedule's
+block of rows and repairs its disconnected windows (``repaired_rows``),
+finds each window's components by union-find (which the connectivity
+check uses too), and builds Metropolis mixing.
 Each schedule gives the engine a block's mixing as CSR arrays
 (``mixing_between``) from ``mixing_block``, one graph per row: a static or
 periodic schedule builds its steps' rows and mixing once and indexes them
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -124,6 +126,7 @@ class _CyclicSchedule:
 class StaticSchedule(_CyclicSchedule):
     """The same edge set at every round."""
 
+    kind: ClassVar[str] = "static"
     n: int
     edges: frozenset[Edge]
     window: int = 1
@@ -140,6 +143,7 @@ class StaticSchedule(_CyclicSchedule):
 class PeriodicSchedule(_CyclicSchedule):
     """Cycle through a fixed tuple of edge sets, one per round."""
 
+    kind: ClassVar[str] = "periodic"
     n: int
     steps: tuple[frozenset[Edge], ...]
     window: int
@@ -166,6 +170,7 @@ class RandomSchedule:
     added, so every window union is connected by construction.
     """
 
+    kind: ClassVar[str] = "random"
     n: int
     edge_probability: float
     window: int

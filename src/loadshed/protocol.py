@@ -19,6 +19,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,6 +64,7 @@ class StepSchedule:
 class ExactSplit:
     """Every region reports an equal share of the true deficit."""
 
+    kind: ClassVar[str] = "exact_split"
     deficit: float
     n: int
 
@@ -82,6 +84,7 @@ class NoisySplit:
     certificate verifies it numerically.
     """
 
+    kind: ClassVar[str] = "noisy_split"
     deficit: float
     n: int
     seed: int
@@ -100,6 +103,7 @@ class TraceEstimator:
     table.
     """
 
+    kind: ClassVar[str] = "trace"
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
@@ -121,10 +125,9 @@ Estimator = ExactSplit | NoisySplit | TraceEstimator
 # run converged
 DEFAULT_STABLE_ROUNDS = 50
 
-# most rounds per engine chunk: an unrecorded run holds the per-round
-# state of one chunk, so this bounds its memory; the kernel stops on the
-# round a run converges, and chunks start at 64 rounds and double, so few
-# estimator and graph rows are built past an early stop
+# rounds per engine chunk: an unrecorded run holds the per-round state of
+# one chunk, so this bounds its memory; the kernel stops on the round a run
+# converges
 CHUNK = 1024
 
 
@@ -142,7 +145,8 @@ def certify_deficit_tracking(
     worst = 0.0
     for t0 in range(1, t_max + 1, CHUNK):
         P = estimator.block(t0, min(t0 + CHUNK, t_max + 1))
-        errors = np.abs((P - deficit / P.shape[1]).sum(axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is inf
+            errors = np.abs((P - deficit / P.shape[1]).sum(axis=1))
         rounds = np.flatnonzero(errors)
         etas = np.array([step.eta(t) for t in (rounds + t0).tolist()])
         worst = max(worst, float((errors[rounds] / etas).max(initial=0.0)))
@@ -233,9 +237,9 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     carried = ctypes.c_int64(0)  # the streak, carried from chunk to chunk
     converged = False
     recorded: list[tuple] = []  # per chunk: eta, state rows, p
-    t0, size = 1, 64
+    t0 = 1
     while t0 <= inst.max_rounds and not converged:
-        m = min(size, inst.max_rounds + 1 - t0)
+        m = min(CHUNK, inst.max_rounds + 1 - t0)
         graph, indptr, col, weight = inst.schedule.mixing_between(t0, t0 + m)
         P = np.ascontiguousarray(inst.estimator.block(t0, t0 + m), dtype=np.float64)
         if P.shape != (m, n):
@@ -251,7 +255,6 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
         if record_trace:
             recorded.append((etas[:ran], state[:, 1:ran + 1], P[:ran]))
         t0 += ran
-        size = min(2 * size, CHUNK)
         converged = carried.value >= window
     streak = carried.value
     if K is None:

@@ -43,11 +43,15 @@ class TimeVaryingField:
 
 def _node_mean(values: Sequence[np.ndarray]) -> np.ndarray:
     """Mean of per-node 1-D grid arrays: ``math.fsum`` across nodes at each point.
-    Arrays with a non-finite sample have no mean: it is NaN at every point."""
+    Arrays with a non-finite sample, or finite samples whose sum overflows,
+    have no mean: it is NaN at every point."""
     points = np.stack(values, axis=-1)
-    if not np.isfinite(points).all():  # math.fsum raises on inf + -inf
-        return np.full(len(points), math.nan)
-    return np.array([math.fsum(p) for p in points.tolist()]) / len(values)
+    if np.isfinite(points).all():  # math.fsum raises on inf + -inf
+        try:
+            return np.array([math.fsum(p) for p in points.tolist()]) / len(values)
+        except OverflowError:  # finite samples whose sum is not
+            pass
+    return np.full(len(points), math.nan)
 
 
 @dataclass(frozen=True)
@@ -214,9 +218,11 @@ def consensus_diagnostics(x: np.ndarray, eta: np.ndarray) -> ConsensusDiagnostic
     """Disagreement of the (rounds, n) estimates ``x`` and its largest ratio
     to the steps ``eta``.
 
-    The mean is numpy's row mean; rounds with eta = 0 have no ratio.
+    The mean is numpy's row mean, infinite where the row sum overflows;
+    rounds with eta = 0 have no ratio.
     """
-    disagreement = np.abs(x - x.mean(axis=1)[:, None]).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        disagreement = np.abs(x - x.mean(axis=1)[:, None]).max(axis=1)
     ratio = np.divide(disagreement, eta, out=np.zeros_like(disagreement), where=eta > 0)
     k = int(np.argmax(np.append(0.0, ratio)))  # index k is round k; 0: none positive
     return ConsensusDiagnostics(disagreement, float(ratio[k - 1]) if k else 0.0, max(k, 1))

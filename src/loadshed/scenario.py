@@ -3,8 +3,11 @@
 A scenario is a single JSON document (version 1) fully describing one
 load-shedding problem and the runtime that solves it: loads and regions,
 the deficit, the communication schedule, step sizes, the per-region
-deficit estimator, and the stopping setup.  Identical configs produce
-byte-identical traces.
+deficit estimator, and the stopping setup.  The parser reads each JSON
+object through one field table and builds the objects a run uses from
+it, once: the schedule and the estimator, with region ids mapped to
+indices, are the ones the engine runs.  A fault is a ``ScenarioError``
+that names its field.  Identical configs produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import sys
 from dataclasses import dataclass, asdict
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .criticality import (
     build_ccf,
     check_ramp_width,
     default_ramp_width,
+    flat_breakpoint,
     resolve_loads,
     shed_decision,
 )
@@ -101,38 +105,21 @@ class ContinuousRegion:
 
 
 @dataclass(frozen=True)
-class GraphSpec:
-    """Declarative communication-schedule description.
+class ScenarioConfig:
+    """One parsed scenario, holding the schedule and the estimator its runs use.
 
-    kinds: ``static`` (fixed edge list), ``periodic`` (cycle of edge
-    lists), ``random`` (Bernoulli edges, window-repaired).  Edges name
-    region ids, not indices.
+    ``deficit`` and ``seed`` are read into ``ExactSplit``, ``NoisySplit`` and
+    ``RandomSchedule`` when the document is parsed; changing them on a
+    config afterwards does not reach those objects.
     """
 
-    kind: str
-    edges: tuple[tuple[int, int], ...] = ()
-    steps: tuple[tuple[tuple[int, int], ...], ...] = ()
-    edge_probability: float = 0.5
-    window: int = 1
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """Deficit-estimator description: exact_split | noisy_split | trace."""
-
-    kind: str
-    rows: tuple[tuple[float, ...], ...] = ()
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
     version: int
     mode: str  # "discrete" | "continuous"
     deficit: float
     seed: int
-    graph: GraphSpec
+    graph: GraphSchedule
     step: StepSchedule
-    estimator: EstimatorSpec
+    estimator: Estimator
     max_rounds: int
     convergence_window: int | None  # None: fixed-horizon run
     combiner_weight: float = 0.5
@@ -183,40 +170,10 @@ def region_ids(config: ScenarioConfig) -> tuple[int, ...]:
     return tuple(r.id for r in config.regions)
 
 
-def build_schedule(config: ScenarioConfig) -> GraphSchedule:
-    ids = region_ids(config)
-    index = {rid: k for k, rid in enumerate(ids)}
-    n = len(ids)
-    spec = config.graph
-
-    def to_indices(edges: Iterable[tuple[int, int]]) -> frozenset:
-        try:
-            pairs = [(index[i], index[j]) for i, j in edges]
-        except KeyError as exc:
-            raise ScenarioError(f"graph references unknown region id {exc.args[0]}")
-        return normalize_edges(pairs, n)
-
-    if spec.kind == "static":
-        return StaticSchedule(n, to_indices(spec.edges), spec.window)
-    if spec.kind == "periodic":
-        return PeriodicSchedule(
-            n, tuple(to_indices(step) for step in spec.steps), spec.window
-        )
-    if spec.kind == "random":
-        return RandomSchedule(n, spec.edge_probability, spec.window, config.seed)
-    raise ScenarioError(f"unknown graph kind {spec.kind!r}")
-
-
-def build_estimator(config: ScenarioConfig) -> Estimator:
-    n = len(region_ids(config))
-    spec = config.estimator
-    if spec.kind == "exact_split":
-        return ExactSplit(config.deficit, n)
-    if spec.kind == "noisy_split":
-        return NoisySplit(config.deficit, n, config.seed)
-    if spec.kind == "trace":
-        return TraceEstimator(spec.rows)
-    raise ScenarioError(f"unknown estimator kind {spec.kind!r}")
+def _region_slices(config: ScenarioConfig) -> list[tuple[int, int]]:
+    """Each discrete region's slice of the resolved loads, as (start, stop)."""
+    ends = list(accumulate(len(region.loads) for region in config.regions))
+    return list(zip([0, *ends], ends))
 
 
 def build_instance(config: ScenarioConfig) -> ProtocolInstance:
@@ -231,14 +188,13 @@ def build_instance(config: ScenarioConfig) -> ProtocolInstance:
         ramp_width = 1.0
     else:
         loads = resolved_loads(config)
-        ends = list(accumulate(len(region.loads) for region in config.regions))
-        pairs = [[(l.power, l.criticality) for l in loads[a:b]] for a, b in zip([0, *ends], ends)]
+        pairs = [[(l.power, l.criticality) for l in loads[a:b]] for a, b in _region_slices(config)]
         ramp_width = resolve_ramp_width(config)
     return ProtocolInstance(
         surrogates=tuple(SurrogateCcf(build_ccf(p), ramp_width) for p in pairs),
-        schedule=build_schedule(config),
+        schedule=config.graph,
         step=config.step,
-        estimator=build_estimator(config),
+        estimator=config.estimator,
         convergence_window=config.convergence_window,
         max_rounds=config.max_rounds,
         x0=config.x0,
@@ -249,50 +205,24 @@ def build_instance(config: ScenarioConfig) -> ProtocolInstance:
 # validation
 
 
-def validate(config: ScenarioConfig, window_is_period: bool = False) -> None:
-    """Raise a ``ScenarioError`` naming the first fault of ``config``;
-    ``window_is_period``: the graph's window is its period by default."""
+def validate(config: ScenarioConfig) -> None:
+    """Raise a ``ScenarioError`` naming the first fault of ``config`` that
+    the parser's field checks do not see."""
     if config.version != CONFIG_VERSION:
         raise ScenarioError(f"unsupported config version {config.version}")
     if config.mode not in ("discrete", "continuous"):
         raise ScenarioError(f"unknown mode {config.mode!r}")
     if config.deficit <= 0:
         raise ScenarioError(f"deficit {config.deficit} must be positive")
-    if config.max_rounds < 1:
-        raise ScenarioError("max_rounds must be positive")
     if config.convergence_window is not None and config.convergence_window < 1:
         raise ScenarioError("convergence window must be positive or null")
-    if not 1 <= config.graph.window <= config.max_rounds:
-        window = config.graph.window
-        given = f"defaults to the period {window}, which is" if window_is_period else window
-        raise ScenarioError(
-            f"graph.window {given} outside [1, max_rounds = {config.max_rounds}]"
-        )
-    # checked in every mode and graph kind, also where unused
-    for field, value in (("graph.edge_probability", config.graph.edge_probability),
-                         ("combiner_weight", config.combiner_weight)):
-        if not 0.0 <= value <= 1.0:
-            raise ScenarioError(f"{field} {value} outside [0, 1]")
-
-    ids = region_ids(config)
-    for k, rid in enumerate(ids):
-        if rid in ids[:k]:
-            raise ScenarioError(f"regions[{k}].id: duplicate region id {rid} (ids must be unique)")
-    if config.estimator.kind == "trace":
-        for k, row in enumerate(config.estimator.rows):
-            if len(row) != len(ids):
-                raise ScenarioError(
-                    f"estimator.rows[{k}] has {len(row)} entries for {len(ids)} regions"
-                )
+    if not 0.0 <= config.combiner_weight <= 1.0:  # checked in continuous mode too
+        raise ScenarioError(f"combiner_weight {config.combiner_weight} outside [0, 1]")
 
     crits: list[float] = []
     if config.mode == "continuous":
-        if not config.continuous_regions:
-            raise ScenarioError("continuous mode needs continuous_regions")
         what, amounts = "total capacity", [r.capacity for r in config.continuous_regions]
     else:
-        if not config.regions:
-            raise ScenarioError("discrete mode needs regions")
         try:
             loads = resolved_loads(config)
         except ValueError as exc:  # a repeated load id
@@ -308,20 +238,29 @@ def validate(config: ScenarioConfig, window_is_period: bool = False) -> None:
             f"infeasible: {what} {total} is below the deficit "
             f"{config.deficit}; the load set must cover the deficit"
         )
+    # a power above the total's ulp moves every rounded cumulative load it
+    # enters; a smaller one may not, and a CCF must increase at each breakpoint
+    if crits and min(p for p in amounts if p > 0) <= math.ulp(total):
+        slices = _region_slices(config)
+        for a, b in [(0, len(loads)), *slices]:  # all loads, then each region's
+            z = flat_breakpoint((l.power, l.criticality) for l in loads[a:b])
+            if z is not None:
+                k = next(k for k in range(a, b) if loads[k].criticality == z and loads[k].power > 0)
+                j = next(j for j, (_, stop) in enumerate(slices) if k < stop)
+                path = f"regions[{j}].loads[{k - slices[j][0]}].power"
+                raise ScenarioError(f"{path}: {loads[k].power} leaves the cumulative load at "
+                                    f"criticality {z} unchanged")
     if config.ramp_width is not None:  # continuous mode: positivity only
         try:
             check_ramp_width(crits, config.ramp_width)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
 
-    build_estimator(config)
-    # schedule sanity: buildable, and unions over the horizon's windows connect
-    schedule = build_schedule(config)
-    report = check_window_connectivity(schedule, config.max_rounds)
+    report = check_window_connectivity(config.graph, config.max_rounds)
     if not report.passed:
         raise ScenarioError(
             f"communication schedule fails window connectivity at window "
-            f"{report.failing_window} (window {schedule.window})"
+            f"{report.failing_window} (window {config.graph.window})"
         )
 
 
@@ -379,10 +318,17 @@ def _written(obj, table: dict, **values) -> dict:
 
 
 def _config_to_dict(config: ScenarioConfig) -> dict:
+    ids = region_ids(config)
+
+    def named(edges: frozenset) -> list[list[int]]:  # index pairs, as region ids
+        return [[ids[i], ids[j]] for i, j in sorted(edges)]
+
+    graph = config.graph
     return _written(
         config, _ROOT,
         ramp_width="auto" if config.ramp_width is None else config.ramp_width,
-        graph=_written(config.graph, _GRAPH),
+        graph=_written(graph, _GRAPH, edges=named(getattr(graph, "edges", ())),
+                       steps=[named(step) for step in getattr(graph, "steps", ())]),
         step=_written(config.step, _STEP),
         estimator=_written(config.estimator, _ESTIMATOR),
         regions=[
@@ -443,36 +389,69 @@ def _built(cls: type, path: str, **fields):
         raise ScenarioError(f"{path[:-1]}: {exc}") from exc
 
 
-def _edges(items, field: str) -> tuple[tuple[int, int], ...]:
-    edges = []
+def _edges(items, field: str, index: dict[int, int]) -> frozenset:
+    """The pairs of region ids ``items`` as a normalized set of index pairs."""
+    pairs = []
     for k, edge in enumerate(_checked(items, list, field)):
         if not (isinstance(edge, list) and len(edge) == 2):
             raise ScenarioError(f"{field}[{k}] must be a pair of region ids, got {edge!r}")
-        edges.append(tuple(_checked(i, int, f"{field}[{k}]") for i in edge))
-    return tuple(edges)
+        for rid in edge:
+            if _checked(rid, int, f"{field}[{k}]") not in index:
+                raise ScenarioError(f"{field}[{k}]: unknown region id {rid}")
+        pairs.append((index[edge[0]], index[edge[1]]))
+    return normalize_edges(pairs, len(index))
 
 
-def _config_from_dict(doc: dict) -> ScenarioConfig:
-    root = _fields(doc, _ROOT)
-    graph = _fields(root["graph"], _GRAPH, "graph.")
+def _schedule(graph: dict, index: dict[int, int], seed: int, max_rounds: int) -> GraphSchedule:
+    """The schedule of the graph object's ``graph`` fields, over the regions of ``index``."""
     steps = graph["steps"]
-    # a periodic graph's window defaults to its period, any other's to 1
-    window_is_period = graph["window"] is None and graph["kind"] == "periodic" and bool(steps)
-    if graph["window"] is None:
-        graph["window"] = len(steps) if window_is_period else 1
-    graph["edges"] = _edges(graph["edges"], "graph.edges")
-    graph["steps"] = tuple(_edges(step, f"graph.steps[{k}]") for k, step in enumerate(steps))
-    step = _built(StepSchedule, "step.", **_fields(root["step"], _STEP, "step."))
-    estimator = _fields(root["estimator"], _ESTIMATOR, "estimator.")
-    if estimator["rows"] == []:
+    window = given = graph["window"]
+    if window is None:  # a periodic graph's window defaults to its period, any other's to 1
+        window = len(steps) if graph["kind"] == "periodic" and steps else 1
+        given = f"defaults to the period {window}, which is"
+    if not 1 <= window <= max_rounds:
+        raise ScenarioError(f"graph.window {given} outside [1, max_rounds = {max_rounds}]")
+    if not 0.0 <= graph["edge_probability"] <= 1.0:  # checked for every kind
+        raise ScenarioError(f"graph.edge_probability {graph['edge_probability']} outside [0, 1]")
+    n, edges = len(index), _edges(graph["edges"], "graph.edges", index)
+    steps = tuple(_edges(step, f"graph.steps[{k}]", index) for k, step in enumerate(steps))
+    if graph["kind"] == "static":
+        return StaticSchedule(n, edges, window)
+    if graph["kind"] == "periodic":
+        return _built(PeriodicSchedule, "graph.steps.", n=n, steps=steps, window=window)
+    if graph["kind"] == "random":
+        return RandomSchedule(n, graph["edge_probability"], window, seed)
+    raise ScenarioError(f"graph.kind: unknown graph kind {graph['kind']!r}")
+
+
+def _estimator(estimator: dict, n: int, deficit: float, seed: int) -> Estimator:
+    """The estimator of the estimator object's ``estimator`` fields, for ``n`` regions."""
+    if estimator["rows"] == []:  # checked for every kind
         raise ScenarioError("estimator.rows must hold at least one row")
-    estimator["rows"] = tuple(
+    rows = tuple(
         tuple(
             _checked(v, float, f"estimator.rows[{r}][{k}]")
             for k, v in enumerate(_checked(row, list, f"estimator.rows[{r}]"))
         )
         for r, row in enumerate(estimator["rows"] or ())
     )
+    if estimator["kind"] == "exact_split":
+        return ExactSplit(deficit, n)
+    if estimator["kind"] == "noisy_split":
+        return NoisySplit(deficit, n, seed)
+    if estimator["kind"] == "trace":
+        for r, row in enumerate(rows):
+            if len(row) != n:
+                raise ScenarioError(f"estimator.rows[{r}] has {len(row)} entries for {n} regions")
+        return _built(TraceEstimator, "estimator.rows.", rows=rows)
+    raise ScenarioError(f"estimator.kind: unknown estimator kind {estimator['kind']!r}")
+
+
+def _config_from_dict(doc: dict) -> ScenarioConfig:
+    root = _fields(doc, _ROOT)
+    graph = _fields(root["graph"], _GRAPH, "graph.")
+    step = _built(StepSchedule, "step.", **_fields(root["step"], _STEP, "step."))
+    estimator = _fields(root["estimator"], _ESTIMATOR, "estimator.")
     continuous = root["mode"] == "continuous"
     regions = []
     for k, item in enumerate(root["regions"]):
@@ -488,16 +467,28 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
         )
         regions.append(_built(Region, path, id=region["id"],
                               region_criticality=region["criticality"], loads=loads))
+    if not regions:  # before the graph, whose edges could name none
+        raise ScenarioError("continuous mode needs continuous_regions" if continuous
+                            else "discrete mode needs regions")
+    index: dict[int, int] = {}  # region id -> region index
+    for k, region in enumerate(regions):
+        if region.id in index:
+            raise ScenarioError(
+                f"regions[{k}].id: duplicate region id {region.id} (ids must be unique)"
+            )
+        index[region.id] = k
+    if root["max_rounds"] < 1:
+        raise ScenarioError("max_rounds must be positive")
     root.update(
-        graph=GraphSpec(**graph),
+        graph=_schedule(graph, index, root["seed"], root["max_rounds"]),
         step=step,
-        estimator=EstimatorSpec(**estimator),
+        estimator=_estimator(estimator, len(index), root["deficit"], root["seed"]),
         ramp_width=None if root["ramp_width"] == "auto" else float(root["ramp_width"]),
         regions=() if continuous else tuple(regions),
         continuous_regions=tuple(regions) if continuous else (),
     )
     config = ScenarioConfig(**root)
-    validate(config, window_is_period)
+    validate(config)
     return config
 
 
@@ -619,30 +610,18 @@ def generate_scenario(
         for j in range(n_regions)
     )
 
-    ids = [r.id for r in regions]
+    line = [(k, k + 1) for k in range(n_regions - 1)]
     if graph == "line":
-        spec = GraphSpec(
-            kind="static",
-            edges=tuple((ids[k], ids[k + 1]) for k in range(len(ids) - 1)),
-            window=1,
-        )
+        schedule = StaticSchedule(n_regions, frozenset(line), window=1)
     elif graph == "line-periodic":
-        line = [(ids[k], ids[k + 1]) for k in range(len(ids) - 1)]
-        odd = tuple(line[0::2])
-        even = tuple(line[1::2]) or odd
-        spec = GraphSpec(
-            kind="periodic",
-            steps=(tuple(line), odd, tuple(line), even),
-            window=4,
-        )
+        odd, even = frozenset(line[0::2]), frozenset(line[1::2])
+        steps = (frozenset(line), odd, frozenset(line), even or odd)
+        schedule = PeriodicSchedule(n_regions, steps, window=4)
     elif graph == "random-periodic":
-        spec = GraphSpec(
-            kind="periodic",
-            steps=_random_periodic_steps(seed, ids, period=12, window=4),
-            window=4,
-        )
+        steps = _random_periodic_steps(seed, n_regions, period=12, window=4)
+        schedule = PeriodicSchedule(n_regions, steps, window=4)
     elif graph == "random":
-        spec = GraphSpec(kind="random", edge_probability=0.45, window=2)
+        schedule = RandomSchedule(n_regions, edge_probability=0.45, window=2, seed=seed)
     else:
         raise ValueError(f"unknown graph family {graph!r}")
 
@@ -651,33 +630,25 @@ def generate_scenario(
         mode="discrete",
         deficit=deficit,
         seed=seed,
-        graph=spec,
+        graph=schedule,
         step=StepSchedule(gain=n_regions / total, offset=50.0, exponent=1.0),
-        estimator=EstimatorSpec(kind="exact_split"),
+        estimator=ExactSplit(deficit, n_regions),
         max_rounds=max_rounds,
         convergence_window=None,
         regions=regions,
     )
 
 
-def _random_periodic_steps(
-    seed: int,
-    ids: Sequence[int],
-    period: int,
-    window: int,
-    edge_probability: float = 0.6,
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Seed-derived periodic schedule with connected window unions.
+def _random_periodic_steps(seed: int, n: int, period: int, window: int,
+                           edge_probability: float = 0.6) -> tuple[frozenset, ...]:
+    """Seed-derived periodic steps over n nodes with connected window unions.
 
     Edges are drawn per step with the given probability; if a window's
     union is disconnected, a chain across its components is appended to
     the window's last step.
     """
-    steps = edge_sets(repaired_rows(seed, range(period), len(ids), edge_probability, window,
-                                    range(0, period, window)), len(ids))
-    return tuple(
-        tuple(sorted((ids[a], ids[b]) for a, b in step)) for step in steps
-    )
+    rows = repaired_rows(seed, range(period), n, edge_probability, window, range(0, period, window))
+    return tuple(edge_sets(rows, n))
 
 
 # ---------------------------------------------------------------------------

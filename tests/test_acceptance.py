@@ -310,7 +310,7 @@ class TestAcceptance:
                 4, 40, seed=2024, graph="random-periodic", max_rounds=4000
             )
             config = dataclasses.replace(
-                config, estimator=dataclasses.replace(config.estimator, kind="noisy_split")
+                config, estimator=NoisySplit(config.deficit, 4, config.seed)
             )
             trace, _ = run_scenario(config)
             path = tmp_path / f"{name}.csv"

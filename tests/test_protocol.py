@@ -414,17 +414,19 @@ class TestEngineComposition:
         )
         self.assert_same(inst)
 
-    @pytest.mark.parametrize("stop", [1, 64, 65, 192, 193, 448, 449, 960])
+    @pytest.mark.parametrize("stop", [1, 64, 65, 192, 193, 448, 449, 960,
+                                      CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1])
     def test_early_stop_on_a_chunk_edge(self, stop):
-        # chunks run rounds 1-64, 65-192, 193-448 and 449-960; the window is
-        # the streak at round `stop`, which no earlier round reaches here
-        inst = fig_two_region_instance(deficit=7.0, max_rounds=1000, window=None)
+        # chunks run rounds 1-CHUNK, CHUNK+1-2*CHUNK and on, so the stops
+        # below CHUNK end the first chunk early; the window is the streak
+        # at round `stop`, which no earlier round reaches here
+        inst = fig_two_region_instance(deficit=7.0, max_rounds=3 * CHUNK, window=None)
         _, window = per_round_run(dataclasses.replace(inst, max_rounds=stop))
         trace = self.assert_same(dataclasses.replace(inst, convergence_window=window))
         assert trace.converged and trace.rounds == stop
 
     def test_periodic_schedule_of_seven_steps(self):
-        # chunks start at rounds 65, 193 and 961, inside a period
+        # the second chunk starts at round CHUNK + 1 = 1025 = 146*7 + 3, inside a period
         steps = tuple(normalize_edges(e, 4) for e in (
             [(0, 1)], [], [(1, 2)], [(0, 1), (2, 3)], [], [(2, 3)], [(0, 3), (1, 2)]))
         config = scenario.generate_scenario(4, 12, seed=3, graph="random-periodic", max_rounds=1100)

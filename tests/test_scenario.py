@@ -241,6 +241,20 @@ class TestRoundTrip:
             "9550b6f6fdc2346af2fbb9c11fe9b38a744d8048bd632be2066c275508a85c01"
         )
 
+    def test_edges_are_written_in_normal_form(self):
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        doc["graph"]["edges"] = [[2, 1], [1, 2], [1, 1]]
+        config = loads_scenario(json.dumps(doc))
+        text = dumps_scenario(config)
+        assert json.loads(text)["graph"]["edges"] == [[1, 2]]
+        assert loads_scenario(text) == config
+
+    def test_instance_runs_the_parsed_schedule_and_estimator(self):
+        config = load_scenario(CONFIG_DIR / "two_region_step_example.json")
+        inst = scenario.build_instance(config)
+        assert inst.schedule is config.graph
+        assert inst.estimator is config.estimator
+
     @pytest.mark.parametrize("name", ["continuous_four_regions.json",
                                       "two_region_step_example.json"])
     def test_shipped_config_bytes_round_trip(self, name):
@@ -287,9 +301,8 @@ class TestGenerateScenario:
 
     def test_random_periodic_steps_are_pinned(self):
         # the last steps of both windows (steps 2 and 4) carry repair edges
-        steps = scenario._random_periodic_steps(3, [1, 2, 3, 4], period=4, window=2,
-                                                edge_probability=0.2)
-        assert steps == (((2, 4),), ((1, 2), (1, 3)), ((1, 4),), ((1, 2), (2, 3)))
+        steps = scenario._random_periodic_steps(3, 4, period=4, window=2, edge_probability=0.2)
+        assert steps == ({(1, 3)}, {(0, 1), (0, 2)}, {(0, 3)}, {(0, 1), (1, 2)})
 
     def test_validates(self):
         config = generate_scenario(4, 20, seed=9, graph="random-periodic")
@@ -672,10 +685,13 @@ class TestCli:
             (("max_rounds",), 3000.0, "max_rounds"),
             (("estimator",), {"kind": "trace", "rows": [[2.0, 2.0, 2.0]]}, "estimator.rows[0]"),
             (("estimator",), {"kind": "trace", "rows": [[6.0]]}, "estimator.rows[0]"),
+            (("estimator",), {"kind": "trace", "rows": [[3.0, 3.0], [2.0, 2.0, 2.0]]},
+             "estimator.rows[1]"),
             (("regions",), "x", "regions"),
         ],
         ids=["deficit-nan", "deficit-true", "deficit-zero", "x0-nan", "power-nan", "power-string",
-             "max-rounds-float", "trace-too-wide", "trace-too-narrow", "regions-string"],
+             "max-rounds-float", "trace-too-wide", "trace-too-narrow", "trace-mixed-widths",
+             "regions-string"],
     )
     def test_non_numbers_rejected(self, where, value, field, capsys, tmp_path):
         doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
@@ -832,6 +848,71 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert cli.main(["check", str(path)]) == code
         assert line in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
+        "graph, estimator, message",
+        [
+            (None, {"kind": "trace"}, "estimator.rows: trace estimator needs at least one row"),
+            ({"kind": "periodic"}, None, "graph.steps: periodic schedule needs at least one step"),
+            ({"kind": "static", "edges": [[1, 2], [2, 9]]}, None,
+             "graph.edges[1]: unknown region id 9"),
+            ({"kind": "periodic", "steps": [[[1, 2]], [[9, 1]]]}, None,
+             "graph.steps[1][0]: unknown region id 9"),
+            ({"kind": "mesh"}, None, "graph.kind: unknown graph kind 'mesh'"),
+            (None, {"kind": "oracle"}, "estimator.kind: unknown estimator kind 'oracle'"),
+        ],
+        ids=["trace-without-rows", "periodic-without-steps", "edge-id", "step-id", "graph-kind",
+             "estimator-kind"],
+    )
+    def test_build_error_names_its_path(self, graph, estimator, message, capsys, tmp_path):
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        doc["graph"] = graph or doc["graph"]
+        doc["estimator"] = estimator or doc["estimator"]
+        path = tmp_path / "build.json"
+        path.write_text(json.dumps(doc))
+        for command in ("run", "solve", "check"):
+            assert cli.main([command, str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "load, nature, message",
+        [
+            ((0, 1), None, "regions[0].loads[1].power: 1e-17 leaves the cumulative load at "
+                           "criticality 0.15 unchanged"),
+            # merged with regions[1].loads[0] at 0.4, it moves the all-loads CCF, not its region's
+            ((0, 3), None, "regions[0].loads[3].power: 1e-17 leaves the cumulative load at "
+                           "criticality 0.4 unchanged"),
+            # its region's first breakpoint, it moves that region's CCF, not the all-loads one
+            ((1, 0), 0.45, "regions[1].loads[0].power: 1e-17 leaves the cumulative load at "
+                           "criticality 0.45 unchanged"),
+        ],
+        ids=["both", "region-only", "all-loads-only"],
+    )
+    def test_load_below_the_cumulative_ulp_rejected(self, load, nature, message, capsys,
+                                                     tmp_path):
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        target = doc["regions"][load[0]]["loads"][load[1]]
+        target["power"] = 1e-17
+        target["nature_criticality"] = nature or target["nature_criticality"]
+        with pytest.raises(ScenarioError) as excinfo:
+            loads_scenario(json.dumps(doc))
+        assert str(excinfo.value) == message
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        for command in ("run", "solve", "check"):
+            assert cli.main([command, str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_check_of_overflowing_trace_rows_fails(self, capsys, tmp_path):
+        # each row entry is finite, their sums are not
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        doc["estimator"] = {"kind": "trace", "rows": [[1e308, 1e308]]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", str(path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert "deviation_rate: FAIL  value=nan  non-finite field sample" in lines
+        assert "deficit_tracking: FAIL  value=inf  bound 4" in lines
 
     def test_validation_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
