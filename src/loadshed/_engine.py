@@ -72,8 +72,8 @@ surrogate = _lib.surrogate
 surrogate.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _f64, _ptr]
 surrogate.restype = None
 rounds = _lib.rounds
-rounds.argtypes = [_i64, _i64, _i64, _f64, _f64, _f64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr,
-                   _ptr, _f64, _i64, ctypes.POINTER(_i64), _ptr, _ptr]
+rounds.argtypes = [_i64, _i64, _i64, _f64, _f64, _f64, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
+                   _f64, _i64, ctypes.POINTER(_i64), _ptr, _ptr]
 rounds.restype = _i64
 components = _lib.components
 components.argtypes = [_i64, _i64, _i64, _ptr, _ptr]
@@ -82,6 +82,3 @@ components.restype = None
 draw_repaired = _lib.draw_repaired
 draw_repaired.argtypes = [_u64, _u64, _u64, _i64, _f64, _u64, _i64, _i64, _i64, _ptr, _ptr]
 draw_repaired.restype = _i64
-metropolis = _lib.metropolis
-metropolis.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _ptr]
-metropolis.restype = _i64

@@ -109,14 +109,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             detail=str(connectivity),
         )
     )
-    digest = scenario.certificate_digest(config, inst)
-    cert.add(
-        rootfind.CheckResult(
-            "doubly_stochastic",
-            digest["stochasticity_defect"] <= 1e-12,
-            value=digest["stochasticity_defect"],
-        )
-    )
 
     probe_inst = dataclasses.replace(
         inst, max_rounds=min(500, config.max_rounds), convergence_window=None

@@ -1,4 +1,5 @@
-"""Time-varying communication graphs and doubly-stochastic mixing matrices.
+"""Time-varying communication graphs: schedules, their pair rows, and the
+window connectivity check.
 
 Graphs are undirected over nodes 0..n-1.  Schedules map a 1-based round
 counter to a graph; all three kinds (static, periodic, seeded random) are
@@ -11,12 +12,12 @@ these node indices); ``edges_at`` and ``edge_sets`` hand them out.  Each
 schedule class names its JSON kind (``kind``).  The compiled engine
 (``_engine.c``) does the per-graph work: it draws a random schedule's
 block of rows and repairs its disconnected windows (``repaired_rows``),
-finds each window's components by union-find (which the connectivity
-check uses too), and builds Metropolis mixing.
-Each schedule gives the engine a block's mixing as CSR arrays
-(``mixing_between``) from ``mixing_block``, one graph per row: a static or
-periodic schedule builds its steps' rows and mixing once and indexes them
-by round, and a random schedule builds each block's, one graph per round.
+and finds each window's components by union-find (which the connectivity
+check uses too).  Each schedule hands the engine a block's graphs as pair
+rows and one index per round into them (``graphs_between``): a static or
+periodic schedule builds its steps' rows once and indexes them by round,
+and a random schedule draws each block's, one row per round.  The chunk
+kernel builds their Metropolis mixing itself.
 """
 
 from __future__ import annotations
@@ -61,13 +62,6 @@ def pair_rows(graphs: Sequence[frozenset[Edge]], n: int) -> np.ndarray:
     return rows
 
 
-def stochasticity_defect(W: np.ndarray) -> float:
-    """Largest deviation of any row or column sum from 1."""
-    rows = np.abs(W.sum(axis=1) - 1.0).max()
-    cols = np.abs(W.sum(axis=0) - 1.0).max()
-    return float(max(rows, cols))
-
-
 def edge_sets(rows: np.ndarray, n: int) -> list[frozenset[Edge]]:
     """The edge set of each row of pair columns."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -100,26 +94,20 @@ def repaired_rows(seed: int, counters: range, n: int, edge_probability: float, w
 
 class _CyclicSchedule:
     """A schedule that cycles through fixed steps: round t takes step
-    (t - 1) % period.  The steps' pair rows and mixing are built once."""
+    (t - 1) % period.  The steps' pair rows are built once."""
 
     @cached_property
     def _rows(self) -> np.ndarray:
         return pair_rows(self._steps, self.n)
 
-    @cached_property
-    def _mixing(self) -> tuple[np.ndarray, ...]:
-        return mixing_block(self._rows, self.n)
-
-    def _step_of(self, t0: int, t1: int) -> np.ndarray:
-        return np.arange(t0 - 1, t1 - 1) % len(self._rows)
+    def graphs_between(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rounds t0..t1-1 as an int32 index of each round's step into the
+        steps' pair rows, and those rows (the same array for every block)."""
+        return (np.arange(t0 - 1, t1 - 1) % len(self._rows)).astype(np.int32), self._rows
 
     def edges_between(self, t0: int, t1: int) -> np.ndarray:
-        return self._rows[self._step_of(t0, t1)]
-
-    def mixing_between(self, t0: int, t1: int) -> tuple[np.ndarray, ...]:
-        """``mixing_block`` of rounds t0..t1-1, read from the steps' graphs."""
-        graph, *csr = self._mixing
-        return (graph[self._step_of(t0, t1)], *csr)
+        graph, rows = self.graphs_between(t0, t1)
+        return rows[graph]
 
 
 @dataclass(frozen=True)
@@ -192,9 +180,11 @@ class RandomSchedule:
                              self.edge_probability, B, np.arange(w0, (t1 - 1) // B))
         return rows[t0 - 1 - w0 * B:]
 
-    def mixing_between(self, t0: int, t1: int) -> tuple[np.ndarray, ...]:
-        """``mixing_block`` of rounds t0..t1-1."""
-        return mixing_block(self.edges_between(t0, t1), self.n)
+    def graphs_between(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rounds t0..t1-1 as one graph each: the int32 index of each
+        round's row, and ``edges_between(t0, t1)``."""
+        rows = self.edges_between(t0, t1)
+        return np.arange(len(rows), dtype=np.int32), rows
 
     def edges_at(self, t: int) -> frozenset[Edge]:
         return edge_sets(self.edges_between(t, t + 1), self.n)[0]
@@ -238,28 +228,3 @@ def check_window_connectivity(schedule: GraphSchedule, max_rounds: int) -> Conne
         return ConnectivityReport(True, windows)
     leaders = np.flatnonzero(labels[broken[0]] == np.arange(n))
     return ConnectivityReport(False, windows, int(broken[0]), tuple(leaders.tolist()))
-
-
-def mixing_block(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Metropolis-Hastings mixing of a block of pair rows, as a graph index
-    per round and CSR arrays, one graph per row (``_engine.metropolis``).
-
-    Off-diagonal weights are 1/(1 + max degree of the endpoints); the
-    diagonal absorbs the remainder.  Each matrix is symmetric, doubly
-    stochastic, has a positive diagonal, and every nonzero entry is at
-    least 1/n.  Returns ``(graph, indptr, col, weight)``: row j of graph g
-    holds the entries ``indptr[g*n + j]`` to ``indptr[g*n + j + 1] - 1`` of
-    ``col`` and ``weight``, in ascending column order, which is the order
-    the engine reduces in so that results do not depend on evaluation order.
-    """
-    rows = np.ascontiguousarray(rows, dtype=bool)
-    if rows.ndim != 2 or rows.shape[1] != n * (n - 1) // 2:
-        raise ValueError(f"pair rows of shape {rows.shape} for {n} nodes")
-    m = len(rows)
-    entries = m * n + 2 * np.count_nonzero(rows)  # every diagonal, each edge twice
-    indptr, col = np.empty(m * n + 1, np.int64), np.empty(entries, np.int32)
-    weight = np.empty(entries)
-    if _engine.metropolis(n, m, rows.ctypes.data, indptr.ctypes.data, col.ctypes.data,
-                          weight.ctypes.data):
-        raise MemoryError("no working memory for the mixing weights")
-    return np.arange(m, dtype=np.int32), indptr, col, weight

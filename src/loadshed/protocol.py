@@ -7,9 +7,10 @@ The engine is one compiled kernel (``rounds``, in ``_engine.c``) that runs
 a chunk of whole rounds per call: the estimate recursion
 x <- W(t) x - eta(t) (S_j(x_j) - p_j(t)), the cutoffs, the streak of
 unchanged cutoff rows that decides an early stop, and the min-consensus
-step.  A chunk's mixing is one graph index per round into CSR arrays (the
-schedule's ``mixing_between``), and estimators return its deficit
-estimates as one array (``block(t0, t1)``).  Every update reads only
+step.  A chunk's graphs are pair rows with one index per round into them
+(the schedule's ``graphs_between``), whose Metropolis mixing the kernel
+builds once per call, and estimators return its deficit estimates as one
+array (``block(t0, t1)``).  Every update reads only
 previous-round state, and all neighbor reductions run in fixed index
 order, so results do not depend on evaluation order.
 """
@@ -230,6 +231,7 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     bstart = np.cumsum([0, *(len(s._bps) for s in inst.surrogates)], dtype=np.int64)
     bps = np.concatenate([s._bps for s in inst.surrogates])
     cum = np.concatenate([s._cum for s in inst.surrogates])
+    regions = bstart.ctypes.data, bps.ctypes.data, cum.ctypes.data  # addresses, read once a run
     # estimates, cutoffs, min-consensus values and steps before round t0
     last = np.repeat([[inst.x0], [math.inf], [math.inf], [inst.ramp_width / 2.0]], n, axis=1)
     # a streak never exceeds the rounds run, so max_rounds + 1 never stops a run
@@ -240,17 +242,18 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     t0 = 1
     while t0 <= inst.max_rounds and not converged:
         m = min(CHUNK, inst.max_rounds + 1 - t0)
-        graph, indptr, col, weight = inst.schedule.mixing_between(t0, t0 + m)
+        graph, rows = inst.schedule.graphs_between(t0, t0 + m)
         P = np.ascontiguousarray(inst.estimator.block(t0, t0 + m), dtype=np.float64)
         if P.shape != (m, n):
             raise ValueError(f"estimator gave a {P.shape} block for {m} rounds of {n} regions")
         state, etas = np.empty((4, m + 1, n)), np.empty(m)
         state[:, 0] = last
         ran = _engine.rounds(n, m, t0, step.gain, step.offset, step.exponent, graph.ctypes.data,
-                             indptr.ctypes.data, col.ctypes.data, weight.ctypes.data,
-                             P.ctypes.data, bstart.ctypes.data, bps.ctypes.data, cum.ctypes.data,
+                             len(rows), rows.ctypes.data, P.ctypes.data, *regions,
                              inst.ramp_width, window, ctypes.byref(carried), etas.ctypes.data,
                              state.ctypes.data)
+        if ran < 0:
+            raise MemoryError("no working memory for the mixing weights")
         last = state[:, ran]
         if record_trace:
             recorded.append((etas[:ran], state[:, 1:ran + 1], P[:ran]))

@@ -6,6 +6,7 @@ continuous closed form that ``oracle.continuous_solution`` is held to."""
 
 from __future__ import annotations
 
+import ctypes
 import math
 from bisect import bisect_left, bisect_right
 from typing import Sequence
@@ -15,7 +16,7 @@ import pytest
 
 from loadshed import _engine
 from loadshed.criticality import Ccf, CriticalLoad, build_ccf, eval_ccf
-from loadshed.netgraph import mixing_block, normalize_edges, pair_rows
+from loadshed.netgraph import normalize_edges, pair_rows
 from loadshed.oracle import BOUNDARY_TOL, ContinuousSolution, InfeasibleError, continuous_fill
 from loadshed.seeding import STREAM_EDGES, mix64_grid, unit_float
 
@@ -113,8 +114,38 @@ def metropolis_block(rows: np.ndarray, n: int) -> np.ndarray:
     return W
 
 
-# Scalar references for the mixing arrays (netgraph.mixing_block): one
-# graph, one Python loop each.
+def stochasticity_defect(W: np.ndarray) -> float:
+    """Largest deviation of any row or column sum from 1."""
+    rows = np.abs(W.sum(axis=1) - 1.0).max()
+    cols = np.abs(W.sum(axis=0) - 1.0).max()
+    return float(max(rows, cols))
+
+
+# The engine's Metropolis weights, which its chunk kernel builds from a
+# chunk's pair rows and reads as CSR arrays: no code outside the kernel
+# reads them, so the tests bind the function themselves.
+_metropolis = _engine._lib.metropolis
+_metropolis.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 4
+_metropolis.restype = ctypes.c_int64
+
+
+def mixing_csr(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_engine.c``'s ``metropolis`` of each pair row, as ``(indptr, col,
+    weight)``: row j of graph g holds the entries ``indptr[g*n + j]`` to
+    ``indptr[g*n + j + 1] - 1`` of ``col`` and ``weight``, in ascending
+    column order."""
+    rows = np.ascontiguousarray(rows, dtype=bool)
+    assert rows.ndim == 2 and rows.shape[1] == n * (n - 1) // 2
+    entries = len(rows) * n + 2 * np.count_nonzero(rows)  # every diagonal, each edge twice
+    indptr = np.empty(len(rows) * n + 1, np.int64)
+    col, weight = np.empty(entries, np.int32), np.empty(entries)
+    assert _metropolis(n, len(rows), rows.ctypes.data, indptr.ctypes.data, col.ctypes.data,
+                       weight.ctypes.data) == 0
+    return indptr, col, weight
+
+
+# Scalar references for the engine's mixing (``mixing_csr``): one graph,
+# one Python loop each.
 
 
 def scalar_metropolis(edges, n: int) -> np.ndarray:
@@ -155,8 +186,8 @@ def metropolis_weights(edges, n: int) -> np.ndarray:
 
 def block_rows(rows: np.ndarray, n: int) -> list[list[list[tuple[int, float]]]]:
     """Per round of a block of pair rows, the nonzero ``(k, w)`` entries of
-    each row of its mixing matrix, read from ``mixing_block``'s CSR arrays."""
-    return csr_rows(mixing_block(rows, n), n)
+    each row of its mixing matrix, read from the engine's CSR arrays."""
+    return csr_rows(np.arange(len(rows)), rows, n)
 
 
 def window_labels(rows: np.ndarray, n: int, window: int = 1) -> np.ndarray:
@@ -168,10 +199,12 @@ def window_labels(rows: np.ndarray, n: int, window: int = 1) -> np.ndarray:
     return labels
 
 
-def csr_rows(mixing, n: int) -> list[list[list[tuple[int, float]]]]:
+def csr_rows(graph: np.ndarray, rows: np.ndarray, n: int) -> list[list[list[tuple[int, float]]]]:
     """Per round, the nonzero ``(k, w)`` entries of each row of its mixing
-    matrix, read from ``(graph, indptr, col, weight)`` CSR arrays."""
-    graph, indptr, col, weight = mixing
+    matrix, read from the engine's CSR arrays of the pair rows ``rows``:
+    round r mixes with graph ``graph[r]``, as a schedule's
+    ``graphs_between`` gives them."""
+    indptr, col, weight = mixing_csr(rows, n)
     entries = list(zip(col.tolist(), weight.tolist()))
     bounds = indptr.tolist()
     graphs = [[entries[bounds[g * n + j]:bounds[g * n + j + 1]] for j in range(n)]

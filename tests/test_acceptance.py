@@ -18,7 +18,6 @@ from loadshed.criticality import (
     eval_surrogate,
     min_gap,
 )
-from loadshed.netgraph import stochasticity_defect
 from loadshed.oracle import (
     continuous_solution,
     exact_z_hat,
@@ -44,6 +43,7 @@ from conftest import (
     brute_force_min_set,
     make_random_loads,
     metropolis_weights,
+    stochasticity_defect,
     z_star_from_z_hat,
 )
 from test_scenario import CONFIG_DIR

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import loadshed
 from loadshed import _engine
 from loadshed.criticality import SurrogateCcf, build_ccf, min_gap
-from loadshed.netgraph import RandomSchedule, mixing_block, repaired_rows
-from loadshed.protocol import StepSchedule
+from loadshed.netgraph import RandomSchedule, repaired_rows
+from loadshed.protocol import ExactSplit, ProtocolInstance, StepSchedule, run_protocol
 from loadshed.seeding import STREAM_EDGES, STREAM_REPAIR, mix64, unit_float
 
 from conftest import (
@@ -33,8 +33,10 @@ from conftest import (
     draw_edges,
     local_zeta,
     metropolis_block,
+    mixing_csr,
     protocol_rounds,
     row_neighbors,
+    stochasticity_defect,
     window_labels,
     x_rounds,
 )
@@ -42,6 +44,9 @@ from conftest import (
 PACKAGE = Path(loadshed.__file__).resolve().parent
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0]
 EXPONENTS = [0.51, 0.6, 0.75, 0.9, 1.0]
+# sparse draws leave windows disconnected, so they get repairs
+PROBABILITIES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | st.floats(0.0, 0.08)
+SEEDS = st.integers(0, 2**64 - 1) | st.integers(2**63 - 2, 2**63 + 2)
 
 
 def bits(values) -> list[int]:
@@ -58,12 +63,12 @@ def floats(draw, shape, low=-2.0, high=2.0, special=()) -> np.ndarray:
 
 
 @st.composite
-def chunks(draw):
+def chunks(draw, max_n=6):
     """A chunk of rounds: regions sharing one ramp width, the rounds'
     graphs read from a random schedule (a chunk may start inside a window,
     and sparse graphs leave nodes isolated), a step schedule, the state
     and streak carried in, and a convergence window (None: never)."""
-    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    n, m = draw(st.integers(1, max_n)), draw(st.integers(1, 9))
     ccfs = []
     for _ in range(n):
         crits = draw(st.lists(st.integers(0, 40), max_size=5, unique=True))
@@ -86,6 +91,19 @@ def chunks(draw):
                  zeta=floats(draw, (n,), special=breakpoints), z=floats(draw, (n,)),
                  alpha=np.array(alpha), streak=draw(st.integers(0, 12)),
                  window=draw(st.none() | st.integers(0, 12)))
+
+
+@st.composite
+def cyclic_chunks(draw):
+    """A chunk of up to 30 regions whose rounds take up to 12 steps' graphs:
+    the chunk with one pair row per round, the steps' pair rows, and the
+    step of each round."""
+    case = draw(chunks(max_n=30))
+    m, n = case.P.shape
+    period = draw(st.integers(1, 12))
+    steps = draw_edges(draw(st.integers(0, 2**32)), range(period), n, draw(PROBABILITIES))
+    index = draw(st.lists(st.integers(0, period - 1), min_size=m, max_size=m))
+    return case._replace(rows=steps[index]), steps, index
 
 
 class Chunk(NamedTuple):
@@ -117,10 +135,14 @@ SIGNED_ZERO = Chunk([SurrogateCcf(build_ccf([(1.0, 0.0), (1.0, 0.5)]), 0.25)],
                     alpha=np.full(1, 0.125), streak=3, window=4)
 
 
-def run_kernel(case: Chunk):
-    """``_engine.rounds`` over the chunk: rounds run, etas, state rows, streak."""
+def run_kernel(case: Chunk, graph=None, rows=None):
+    """``_engine.rounds`` over the chunk: rounds run, etas, state rows, streak.
+    Round r mixes with the pair row ``rows[graph[r]]``; by default each
+    round reads its own row of the chunk's."""
     (m, n), step, surrogates = case.P.shape, case.step, case.surrogates
-    graph, indptr, col, weight = mixing_block(case.rows, n)
+    if graph is None:
+        graph, rows = np.arange(m, dtype=np.int32), case.rows
+    graph, rows = np.asarray(graph, dtype=np.int32), np.ascontiguousarray(rows, dtype=bool)
     bstart = np.cumsum([0, *(len(s._bps) for s in surrogates)], dtype=np.int64)
     bps = np.concatenate([s._bps for s in surrogates])
     cum = np.concatenate([s._cum for s in surrogates])
@@ -130,10 +152,9 @@ def run_kernel(case: Chunk):
     streak = ctypes.c_int64(case.streak)
     window = np.iinfo(np.int64).max if case.window is None else case.window
     ran = _engine.rounds(n, m, case.t0, step.gain, step.offset, step.exponent, graph.ctypes.data,
-                         indptr.ctypes.data, col.ctypes.data, weight.ctypes.data, P.ctypes.data,
-                         bstart.ctypes.data, bps.ctypes.data, cum.ctypes.data,
-                         surrogates[0].ramp_width, window, ctypes.byref(streak),
-                         etas.ctypes.data, state.ctypes.data)
+                         len(rows), rows.ctypes.data, P.ctypes.data, bstart.ctypes.data,
+                         bps.ctypes.data, cum.ctypes.data, surrogates[0].ramp_width, window,
+                         ctypes.byref(streak), etas.ctypes.data, state.ctypes.data)
     return ran, etas[:ran], state[:, 1:ran + 1], streak.value
 
 
@@ -191,6 +212,24 @@ class TestKernelsMatchReferences:
         assert (ran, streak) == (1, 4)
         assert bits(state[:2]) == bits([[0.0], [0.0]])  # estimate and cutoff
 
+    @settings(max_examples=150, deadline=None)
+    @given(cyclic_chunks())
+    def test_graph_index_is_exact(self, cyclic):
+        # a cyclic schedule's form, the steps' rows and each round's step,
+        # runs as the random form, one row per round (n >= 8 takes numpy's
+        # eight accumulators in the diagonal's sum)
+        case, steps, index = cyclic
+        by_step, by_round = run_kernel(case, index, steps), run_kernel(case)
+        assert by_step[0] == by_round[0] and by_step[3] == by_round[3]  # rounds run, streak
+        assert bits(by_step[1]) == bits(by_round[1]) and bits(by_step[2]) == bits(by_round[2])
+
+    def test_no_memory_is_a_memory_error(self, monkeypatch):
+        monkeypatch.setattr(_engine, "rounds", lambda *args: -1)
+        inst = ProtocolInstance(ONE_NODE.surrogates, RandomSchedule(1, 0.5, 1, 0), StepSchedule(),
+                                ExactSplit(1.0, 1))
+        with pytest.raises(MemoryError, match="no working memory for the mixing weights"):
+            run_protocol(inst)
+
 
 def repaired_reference(seed, counters, n, p, window, keys) -> np.ndarray:
     """``draw_edges``, then each whole window's repair: its components by
@@ -208,17 +247,12 @@ def repaired_reference(seed, counters, n, p, window, keys) -> np.ndarray:
     return rows
 
 
-def dense(mixing, n: int) -> np.ndarray:
-    """Each round's mixing matrix, read from CSR arrays."""
-    graph, indptr, col, weight = mixing
+def dense(rows: np.ndarray, n: int) -> np.ndarray:
+    """Each pair row's mixing matrix, read from the engine's CSR arrays."""
+    indptr, col, weight = mixing_csr(rows, n)
     W = np.zeros((len(indptr) - 1, n))
     W[np.arange(len(indptr) - 1).repeat(np.diff(indptr)), col] = weight
-    return W.reshape(-1, n, n)[graph]
-
-
-# sparse draws leave windows disconnected, so they get repairs
-PROBABILITIES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0) | st.floats(0.0, 0.08)
-SEEDS = st.integers(0, 2**64 - 1) | st.integers(2**63 - 2, 2**63 + 2)
+    return W.reshape(-1, n, n)
 
 
 class TestGraphsMatchReferences:
@@ -276,13 +310,13 @@ class TestGraphsMatchReferences:
     @example(n=29, p=0.45, seed=0, count=12)
     def test_metropolis(self, n, p, seed, count):
         rows = draw_edges(seed, range(count), n, p)
-        mixing = mixing_block(rows, n)
-        graph, indptr, col, weight = mixing
-        assert graph.tolist() == list(range(count))
+        indptr, col, weight = mixing_csr(rows, n)
         # arrays sized from the edges: every diagonal entry and each edge twice
         assert len(col) == len(weight) == indptr[-1] == count * n + 2 * rows.sum()
         assert all((np.diff(col[a:b]) > 0).all() for a, b in zip(indptr[:-1], indptr[1:]))
-        assert bits(dense(mixing, n)) == bits(metropolis_block(rows, n))
+        W = dense(rows, n)
+        assert bits(W) == bits(metropolis_block(rows, n))
+        assert all(stochasticity_defect(w) <= 1e-12 and (np.diag(w) > 0).all() for w in W)
 
     @pytest.mark.parametrize("n", [8, 29, 70, 200])
     def test_diagonal_is_one_minus_numpys_pairwise_sum(self, n):
@@ -299,7 +333,7 @@ class TestGraphsMatchReferences:
                     total += 0.0 if k == j else v
                 sequential += 1.0 - total != W[g, j, j]
         assert sequential
-        assert bits(dense(mixing_block(rows, n), n)) == bits(W)
+        assert bits(dense(rows, n)) == bits(W)
 
 
 class TestBuild:

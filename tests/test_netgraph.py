@@ -15,10 +15,8 @@ from loadshed.netgraph import (
     RandomSchedule,
     StaticSchedule,
     check_window_connectivity,
-    mixing_block,
     normalize_edges,
     pair_rows,
-    stochasticity_defect,
 )
 from loadshed.seeding import STREAM_EDGES, STREAM_REPAIR, mix64, mix64_grid, unit_float
 
@@ -28,10 +26,12 @@ from conftest import (
     csr_rows,
     draw_edges,
     metropolis_weights,
+    mixing_csr,
     mixing_rows,
     neighbor_lists,
     row_neighbors,
     scalar_metropolis,
+    stochasticity_defect,
     window_labels,
 )
 
@@ -202,9 +202,8 @@ class TestSchedules:
 
 
 class TestMixingCache:
-    """A block's mixing: one graph index per round into CSR arrays, one
-    graph per round of a random block and one per step of a cyclic
-    schedule."""
+    """A block's graphs: one graph index per round into pair rows, one row
+    per round of a random block and one per step of a cyclic schedule."""
 
     def test_entries_match_the_edge_sets(self):
         schedule = RandomSchedule(5, 0.4, window=2, seed=4)
@@ -217,28 +216,30 @@ class TestMixingCache:
     def test_equal_edge_sets_mix_alike(self):
         line = frozenset({(0, 1), (1, 2)})
         schedule = PeriodicSchedule(3, (line, frozenset({(0, 1)}), line), window=3)
-        mixing = schedule.mixing_between(1, 5)
-        assert mixing[0].tolist() == [0, 1, 2, 0]
-        assert len(mixing[1]) == 3 * 3 + 1  # three steps' graphs of three rows
-        one, two, three, four = csr_rows(mixing, 3)
+        graph, rows = schedule.graphs_between(1, 5)
+        assert graph.tolist() == [0, 1, 2, 0]
+        assert len(rows) == 3  # three steps' graphs
+        one, two, three, four = csr_rows(graph, rows, 3)
         assert one == three == four != two
         # a random block gives each round a graph; equal rows mix alike,
         # and distinct rows do not (4 regions: 64 graphs)
         schedule = RandomSchedule(4, 0.45, window=2, seed=0)
-        mixing = mixing_block(schedule.edges_between(1, 201), 4)
-        assert mixing[0].tolist() == list(range(200)) and len(mixing[1]) == 4 * 200 + 1
+        graph, rows = schedule.graphs_between(1, 201)
+        assert graph.tolist() == list(range(200)) and len(rows) == 200
         by_edges = {}
-        for t, w_rows in enumerate(csr_rows(mixing, 4), start=1):
+        for t, w_rows in enumerate(csr_rows(graph, rows, 4), start=1):
             assert by_edges.setdefault(schedule.edges_at(t), w_rows) == w_rows
         assert len({repr(w_rows) for w_rows in by_edges.values()}) == len(by_edges) < 64
 
     def test_bounded_on_many_distinct_graphs(self):
         # 12 regions: nearly every round draws a new edge set; a block
-        # holds one graph per round, its arrays sized from its edges
+        # holds one graph per round, its mixing sized from its edges
         schedule = RandomSchedule(12, 0.45, window=2, seed=0)
-        rows = schedule.edges_between(2049, 3073)
-        graph, indptr, col, weight = mixing_block(rows, 12)
+        graph, rows = schedule.graphs_between(2049, 3073)
         assert graph.dtype == np.int32 and graph.tolist() == list(range(1024))
+        assert rows.dtype == bool and rows.shape == (1024, 66) and rows.flags.c_contiguous
+        assert rows.tolist() == schedule.edges_between(2049, 3073).tolist()
+        indptr, col, weight = mixing_csr(rows, 12)
         assert indptr.dtype == np.int64 and len(indptr) == 12 * 1024 + 1
         assert col.dtype == np.int32
         assert len(col) == len(weight) == indptr[-1] == 12 * 1024 + 2 * rows.sum()
@@ -276,8 +277,8 @@ class TestMixingCache:
 
 
 class TestScheduleMixing:
-    """A static or periodic schedule builds its steps' pair rows and mixing
-    once, and hands a block of rounds the graph of each round's step."""
+    """A static or periodic schedule builds its steps' pair rows once, and
+    hands a block of rounds them and the graph of each round's step."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -296,11 +297,14 @@ class TestScheduleMixing:
         else:
             schedule = PeriodicSchedule(n, tuple(steps), window=period)
         t1 = t0 + length
-        mixing = schedule.mixing_between(t0, t1)
-        assert mixing[0].dtype == np.int32 and mixing[0].shape == (length,)
-        assert csr_rows(mixing, n) == block_rows(schedule.edges_between(t0, t1), n)
-        # every block indexes the same arrays
-        assert all(a is b for a, b in zip(mixing[1:], schedule.mixing_between(t1, t1 + 5)[1:]))
+        graph, rows = schedule.graphs_between(t0, t1)
+        assert graph.dtype == np.int32 and graph.shape == (length,)
+        length_of_cycle = 1 if static else period
+        assert rows.dtype == bool and rows.shape == (length_of_cycle, n * (n - 1) // 2)
+        assert graph.tolist() == [(t - 1) % length_of_cycle for t in range(t0, t1)]
+        assert csr_rows(graph, rows, n) == block_rows(schedule.edges_between(t0, t1), n)
+        # every block indexes the same rows
+        assert schedule.graphs_between(t1, t1 + 5)[1] is rows
 
     def test_steps_become_rows_once(self, monkeypatch):
         calls = []
@@ -316,7 +320,7 @@ class TestScheduleMixing:
                          PeriodicSchedule(3, (line, frozenset({(0, 2)})), window=2)):
             for t0 in (1, 7, 100):
                 schedule.edges_between(t0, t0 + 50)
-                schedule.mixing_between(t0, t0 + 50)
+                schedule.graphs_between(t0, t0 + 50)
             assert check_window_connectivity(schedule, 1000).passed
         assert calls == [1, 2]
 
@@ -348,9 +352,7 @@ class TestMixingBlock:
             assert metropolis_weights(e, n).tobytes() == W.tobytes()
             assert w_rows == mixing_rows(W)
             assert row_neighbors(w_rows) == neighbor_lists(e, n)
-        # each round has its own graph index, equal rows mix alike, and
-        # distinct rows do not
-        assert mixing_block(rows, n)[0].tolist() == list(range(rounds))
+        # equal rows mix alike, and distinct rows do not
         assert [block[a] == block[b] for a in range(rounds) for b in range(rounds)] == [
             edges[a] == edges[b] for a in range(rounds) for b in range(rounds)]
 

@@ -266,11 +266,12 @@ def loop_bounded_lipschitz(fld, grid, horizon):
     slope = 0.0
     for t in times:
         for j in range(fld.n):
-            values = [fld.evaluate(j, float(z), t) for z in grid]
-            bound = max(bound, max(abs(v) for v in values))
-            for i in range(1, len(grid) - 1):
-                quotient = abs(values[i + 1] - values[i - 1]) / (grid[i + 1] - grid[i - 1])
-                slope = max(slope, quotient)
+            bound = max(bound, max(abs(fld.evaluate(j, float(z), t)) for z in grid))
+    for j in range(fld.n):  # the slope of the limit field
+        values = [fld.limit(j, float(z)) for z in grid]
+        for i in range(1, len(grid) - 1):
+            quotient = abs(values[i + 1] - values[i - 1]) / (grid[i + 1] - grid[i - 1])
+            slope = max(slope, quotient)
     return bound, slope * LIPSCHITZ_SAFETY
 
 

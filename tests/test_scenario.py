@@ -914,6 +914,16 @@ class TestCli:
         assert "deviation_rate: FAIL  value=nan  non-finite field sample" in lines
         assert "deficit_tracking: FAIL  value=inf  bound 4" in lines
 
+    def test_check_takes_the_slope_of_the_limit_field(self, capsys, tmp_path):
+        # estimates of 1e17 swamp the surrogate's differences in rounding
+        # (a slope of 0); the limit field's slope is the shipped config's 88
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        doc["estimator"] = {"kind": "trace", "rows": [[1e17, 1e17]]}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", str(path)]) == 2  # deficit_tracking fails
+        assert "field_lipschitz: pass  value=88" in capsys.readouterr().out.splitlines()
+
     def test_validation_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
@@ -996,33 +1006,33 @@ class TestCli:
         "name, command, code, digest",
         [
             ("continuous_four_regions", "run", 0,
-             "0be794220d09930dd0a6297d99807c2b8ff7597e259bf108c032d4e99bd33779"),
+             "369ed146a70582fab5a2918ea6204181f49b386886f0b8bbca1482b7511c73e5"),
             ("continuous_four_regions", "solve", 0,
              "b915f5bc7f9da642d5c84230c1e77cc5a171ce2da0b0ccce664c128837e20576"),
             ("continuous_four_regions", "check", 0,
-             "cd44372a025ecc2b43808459cafb6d78d79829968c50c3731dcd460db3e72628"),
+             "f59bdd52f9d560eb15d7ae519d1bb376ba3189dc42547ef79e3df7ff44b2c432"),
             ("two_region_step_example", "run", 0,
-             "5b91ba065666071563fd9d04fb9988f1153e29dec466ec2ff460541db6b05e10"),
+             "a7922d4ccf7ffa8d0b293807f281dc4aee64a8a000a59e580745de93b761399c"),
             ("two_region_step_example", "solve", 0,
              "75c1fd95a66d29ab7cca13bf8cacbd0e8971563214ba90c8570b54ffeb53500d"),
             ("two_region_step_example", "check", 0,
-             "615fcbc13e1d7ba67122d6ae8f9564bc53929216c5a488f6d72b3136d90eccde"),
+             "bb0e02fc2eb53ba07f45887881dcfe4421e50f655839d8ba56f4e2db0de4619b"),
             ("line-0", "run", 0,
-             "1182ba992affeead1b0a06778da2b7ee2a3224b9708ec0630aecc5baf7fee2b8"),
+             "e14ea374389d5a5c793de494276e59e3e7414c487556f96ba4bc541c4ffb89b9"),
             ("line-0", "solve", 0,
              "9de1edaf4c2efe7766df494f4a5d125e423e94c9c11aac82c9e48c36cfabd3e8"),
             ("line-0", "check", 0,
-             "9cb794cfcba84b793c8cbf47d63532836d3e93fa0ce8f5c1e09651ef18489a21"),
+             "1cfffe4344a0958f41e061ac064da46910d739a2bd29cbe3ead413e3249bc04e"),
             ("random-periodic-1", "run", 0,
-             "d9faae7b0e5084aedba6066182222ccaa45710e617165e80529091ceec1faad4"),
+             "df9478900d21149ffc664a6b1b60a6d50dab227df04cea73711ff043b7e82060"),
             ("random-periodic-1", "solve", 0,
              "006f409666a625f2fd05aff4684aa1abd80b5d3f44a31837ffcbbcde7b8d482d"),
             ("random-periodic-1", "check", 0,
-             "f678e7cd7e7b700bbeedfb0278c74845b61258da31937b318b4325eacc6a0b22"),
+             "b990e58faf3ea4f1d3db21afb85c4404215f30c684645fbf022ced96214e01ba"),
             ("random-0", "run", 0,
-             "5df9ef9cb31e16db2c7d816fb8db42f8d517b30b5114f24b14acd9114960fe51"),
+             "ef44d09023f0a7873a1361638512938954a9c5609663d7dc8c52b97b10b8be7d"),
             ("random-0", "check", 0,
-             "b92a28162e13fdf1b5e488c3b1d76957eb6e60cf6d63b0a1c9b2ee23caf48508"),
+             "1ee2d1ac10042bd9ee04f1fbd4a839f6caa77d581ac2ff9ae823ec8fa64e3bbd"),
         ],
     )
     def test_stdout_is_pinned(self, name, command, code, digest, capsys, tmp_path):
