@@ -1,8 +1,8 @@
 /* The round engine's kernels: the chunk kernel over a chunk of rounds
  * (see protocol.py) with the surrogate and the Metropolis mixing it
- * computes, and the random schedules' graphs that feed it (see
- * netgraph.py): their draw and window repair and the components of a
- * window's union.
+ * computes, the random schedules' graphs that feed it (see netgraph.py):
+ * their draw and window repair and the components of a window's union,
+ * and the trace CSV's rows (see scenario.emit_trace).
  *
  * A graph over nodes 0..n-1 is a pair row: one byte per pair i < j, in
  * lexicographic order.  The chunk kernel takes a chunk's distinct graphs
@@ -16,7 +16,9 @@
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* Surrogate CCF at z: the load at or below z, plus the climbed part of
  * the ramp of width c ending at the next breakpoint.  The search keeps
@@ -80,8 +82,11 @@ void surrogate(int64_t count, const double *z, const double *b, int64_t bn,
  * t0 and row r + 1 the state after round t0 + r.  Returns the number of
  * rounds run: m, or fewer when the streak reaches window first.  Kept out
  * of line, so the loop compiles alike whatever rounds does around it:
- * inlined beside the build, it measured 2-8 % slower per chunk. */
-__attribute__((noinline))
+ * inlined beside the build, it measured 2-8 % slower per chunk.  Aligned
+ * to 64 bytes, so code added elsewhere in the file cannot shift its
+ * loop's place within a cache line: such shifts alone measured 8-10 %
+ * per chunk. */
+__attribute__((noinline, aligned(64)))
 static int64_t run_rounds(int64_t n, int64_t m, int64_t t0, double gain, double offset,
                           double exponent, const int32_t *graph, const int64_t *indptr,
                           const int32_t *col, const double *w, const double *P,
@@ -370,4 +375,166 @@ int64_t rounds(int64_t n, int64_t m, int64_t t0, double gain, double offset,
     free(col);
     free(w);
     return ran;
+}
+
+/* Rows of the trace CSV (see scenario.emit_trace). */
+
+/* The longest %.12g cell, "-1.23456789012e-308", and the most a region's
+ * ",zeta,z_min,alpha,p\n" tail can take; scenario.py sizes its buffers by
+ * the same bounds. */
+#define CELL_BYTES 19
+#define TAIL_BYTES (4 * (CELL_BYTES + 1) + 1)
+
+static const double POW10[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+static const char PAIRS[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* %.12g of v at s, as Python's "%.12g" % v writes it; returns its length.
+ * |v| is scaled by one exact power of ten (its exponent at most 22) into
+ * [1e11, 1e12) and rounded to 12 digits, which %g's fixed or exponent form
+ * then lays out.  That one multiply or divide errs by at most 6.1e-5 at
+ * this scale, so unless the scaled value lies within 1e-3 of a tie it
+ * rounds as v's exact decimal expansion does.  Zeros, infinities,
+ * exponents out of reach and near-ties are glibc's %.12g, which rounds
+ * correctly too; every NaN is "nan", where glibc writes a negative one
+ * "-nan". */
+static int64_t cell(double v, char *s)
+{
+    if (v != v) {
+        memcpy(s, "nan", 3);
+        return 3;
+    }
+    double a = fabs(v);
+    uint64_t bits;
+    memcpy(&bits, &a, sizeof bits);
+    /* k: 11 minus a's decimal exponent, or one more, since a normal a
+     * lies in [2**e2, 2**(e2 + 1)); zeros, subnormals and infinities land
+     * far out of reach */
+    int64_t e2 = (int64_t)(bits >> 52) - 1023;
+    int64_t k = 11 - (int64_t)floor((double)e2 * 0.30102999566398120);
+    if (k >= -21 && k <= 22) {
+        double scaled = k >= 0 ? a * POW10[k] : a / POW10[-k];
+        if (scaled >= 1e12) {
+            k--;
+            scaled = k >= 0 ? a * POW10[k] : a / POW10[-k];
+        }
+        double whole = floor(scaled), frac = scaled - whole;
+        int64_t d = (int64_t)whole + (frac > 0.5);
+        if (d == 1000000000000) {
+            d = 100000000000;
+            k--;
+        }
+        if (fabs(frac - 0.5) >= 1e-3 && d >= 100000000000 && d < 1000000000000) {
+            /* the 12 digits, their count without trailing zeros, and the
+             * exponent x of the first, within [-11, 34] */
+            char dg[12];
+            for (int i = 10; i >= 0; i -= 2, d /= 100)
+                memcpy(dg + i, PAIRS + 2 * (d % 100), 2);
+            int64_t len = 12, x = 11 - k;
+            while (dg[len - 1] == '0')
+                len--;
+            char *p = s;
+            if (v < 0)
+                *p++ = '-';
+            if (x >= 0 && x < 12) {
+                memcpy(p, dg, x + 1);
+                p += x + 1;
+                if (len > x + 1) {
+                    *p++ = '.';
+                    memcpy(p, dg + x + 1, len - x - 1);
+                    p += len - x - 1;
+                }
+            } else if (x < 0 && x >= -4) {
+                memcpy(p, "0.000", 1 - x);
+                memcpy(p + 1 - x, dg, len);
+                p += 1 - x + len;
+            } else {
+                *p++ = dg[0];
+                if (len > 1) {
+                    *p++ = '.';
+                    memcpy(p, dg + 1, len - 1);
+                    p += len - 1;
+                }
+                *p++ = 'e';
+                *p++ = x < 0 ? '-' : '+';
+                memcpy(p, PAIRS + 2 * (x < 0 ? -x : x), 2);
+                p += 2;
+            }
+            return p - s;
+        }
+    }
+    char text[32];
+    int len = snprintf(text, sizeof text, "%.12g", v);
+    memcpy(s, text, len);
+    return len;
+}
+
+/* The decimal digits of t at s; returns their count. */
+static int64_t integer(int64_t t, char *s)
+{
+    char dg[20];
+    uint64_t u = t < 0 ? -(uint64_t)t : (uint64_t)t;
+    int64_t len = 0;
+    do {
+        dg[19 - len++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (t < 0)
+        *s++ = '-';
+    memcpy(s, dg + 20 - len, len);
+    return len + (t < 0);
+}
+
+/* The CSV rows "t,eta,region,x,zeta,z_min,alpha,p" of m rounds of n
+ * regions, at out; returns their length.  cols points at five arrays of m
+ * rows of n cells: x, zeta, z_min, alpha and p.  Region j's id, as text
+ * with a leading comma, is ids[id_start[j] .. id_start[j+1]-1].  Region
+ * j's tail ",zeta,z_min,alpha,p\n" is formatted only when its four 64-bit
+ * patterns differ from tail_bits[4j .. 4j+3]; then those patterns, the text
+ * (at tail_text + j*TAIL_BYTES) and its length tail_len[j] are replaced,
+ * and they carry to the next call.  A zero tail_len[j] has no text yet.
+ * out must hold m*n rows of the longest text each can take. */
+int64_t trace_rows(int64_t n, int64_t m, const int64_t *t, const double *eta,
+                   const double *const *cols, const char *ids, const int64_t *id_start,
+                   uint64_t *tail_bits, char *tail_text, int64_t *tail_len, char *out)
+{
+    char *o = out;
+    for (int64_t r = 0; r < m; r++) {
+        char head[2 * (CELL_BYTES + 1)];
+        int64_t h = integer(t[r], head);
+        head[h++] = ',';
+        h += cell(eta[r], head + h);
+        for (int64_t j = 0; j < n; j++) {
+            int64_t i = r * n + j;
+            uint64_t bits[4], *last = tail_bits + 4 * j;
+            char *text = tail_text + j * TAIL_BYTES;
+            memcpy(o, head, h);
+            o += h;
+            memcpy(o, ids + id_start[j], id_start[j + 1] - id_start[j]);
+            o += id_start[j + 1] - id_start[j];
+            *o++ = ',';
+            o += cell(cols[0][i], o);
+            for (int c = 0; c < 4; c++)
+                memcpy(bits + c, cols[c + 1] + i, sizeof *bits);
+            if (!tail_len[j] || memcmp(bits, last, sizeof bits)) {
+                char *p = text;
+                for (int c = 0; c < 4; c++) {
+                    *p++ = ',';
+                    p += cell(cols[c + 1][i], p);
+                }
+                *p++ = '\n';
+                tail_len[j] = p - text;
+                memcpy(last, bits, sizeof bits);
+            }
+            memcpy(o, text, tail_len[j]);
+            o += tail_len[j];
+        }
+    }
+    return o - out;
 }

@@ -1,5 +1,5 @@
-"""The compiled kernels of the round engine and of the random schedules'
-graphs: ``_engine.c``, built on first import.
+"""The compiled kernels of the round engine, of the random schedules'
+graphs and of the trace CSV's rows: ``_engine.c``, built on first import.
 
 The source is compiled with the C compiler this Python was built with
 (``sysconfig``'s ``CC``) into ``__pycache__/_engine-<digest>.so`` beside
@@ -82,3 +82,6 @@ components.restype = None
 draw_repaired = _lib.draw_repaired
 draw_repaired.argtypes = [_u64, _u64, _u64, _i64, _f64, _u64, _i64, _i64, _i64, _ptr, _ptr]
 draw_repaired.restype = _i64
+trace_rows = _lib.trace_rows
+trace_rows.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]
+trace_rows.restype = _i64

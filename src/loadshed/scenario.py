@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _engine
 from .criticality import (
     CriticalLoad,
     Load,
@@ -79,9 +80,13 @@ CRITICALITY_GRID = 10_000  # nature criticalities are multiples of 1e-4
 # the closed-form threshold: a hundredth of the unit ramp
 CONTINUOUS_TOLERANCE = 0.01
 
-# emit_trace formats and writes this many rounds of rows at a time; a
-# block of 29 regions is about 1.2 MB of text
+# emit_trace formats at most this many rounds at a time, and at most
+# TRACE_BLOCK_BYTES of the longest text they can take: 20 bytes for an
+# int64 t and for each comma and cell (",-1.23456789012e-308"); a region's
+# ",zeta,z_min,alpha,p\n" tail takes _engine.c's TAIL_BYTES
 TRACE_BLOCK_ROUNDS = 512
+TRACE_BLOCK_BYTES = 1 << 20
+TRACE_TAIL_BYTES = 4 * 20 + 1
 
 
 class ScenarioError(ValueError):
@@ -746,10 +751,11 @@ def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | No
     """Write the per-round records as CSV.
 
     Columns: t, eta, region, x, zeta, z_min, alpha, p.  Floats carry 12
-    significant digits; the infinity sentinel serializes as ``inf``.  Each
-    block of ``TRACE_BLOCK_ROUNDS`` rounds is one %-format, which bounds the
-    memory the text takes.  A row's ``zeta,z_min,alpha,p`` tail is formatted
-    only where its bits differ from the region's row one round earlier.
+    significant digits as ``"%.12g" %`` writes them, every NaN as ``nan``.
+    The engine's ``trace_rows`` formats a block of rounds into a buffer
+    sized by the longest text the block can take.  A row's
+    ``zeta,z_min,alpha,p`` tail is formatted only where its 64-bit patterns
+    differ from the region's row one round earlier, and copied elsewhere.
     """
     if not trace.recorded or trace.rounds == 0:
         raise ValueError("trace has no recorded rounds")
@@ -757,37 +763,28 @@ def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | No
     ids = list(region_ids) if region_ids is not None else list(range(1, n + 1))
     if len(ids) != n:
         raise ValueError(f"{len(ids)} region ids for {n} regions")
-    template = "".join(f"%s,{i},%.12g%s" for i in ids)
-    columns = (trace.zeta, trace.z_min, trace.alpha, trace.p)
-    last_bits, last_tails = np.zeros((len(columns), 1, n), np.uint64), np.empty(n, object)
+    columns = (trace.eta, trace.x, trace.zeta, trace.z_min, trace.alpha, trace.p)
+    if {c.shape for c in columns[1:]} | {(len(trace.t), n), (len(trace.eta), n)} != {(trace.rounds, n)}:
+        raise ValueError(f"trace columns must hold {trace.rounds} rounds of {n} regions")
+    names = [f",{i}".encode() for i in ids]
+    id_text, id_start = b"".join(names), np.array([0, *accumulate(map(len, names))], np.int64)
+    row_bytes = 3 * 20 + TRACE_TAIL_BYTES + max(map(len, names), default=0)
+    rounds = max(1, min(TRACE_BLOCK_ROUNDS, TRACE_BLOCK_BYTES // (max(n, 1) * row_bytes)))
+    out = np.empty(rounds * n * row_bytes, np.uint8)
+    # each region's last tail: its four 64-bit patterns, its text and length
+    tail_bits, tail_len = np.zeros((n, 4), np.uint64), np.zeros(n, np.int64)
+    tail_text = np.empty((n, TRACE_TAIL_BYTES), np.uint8)
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,eta,region,x,zeta,z_min,alpha,p\n")
-            for r0 in range(0, trace.rounds, TRACE_BLOCK_ROUNDS):
-                block = slice(r0, r0 + TRACE_BLOCK_ROUNDS)
-                ts, etas = trace.t[block].tolist(), trace.eta[block].tolist()
-                # bits, not values: -0.0 stays apart from 0.0, and NaNs need no care
-                bits = np.stack([np.asarray(c[block], np.float64).view(np.uint64) for c in columns])
-                changed = (bits != np.concatenate((last_bits, bits[:, :-1]), axis=1)).any(axis=0)
-                changed[0] |= r0 == 0
-                texts = map(_distinct_text, bits[:, changed])
-                fresh = [",%s,%s,%s,%s\n" % tail for tail in zip(*texts)]
-                # a cell's tail is the newest formatted one at or above it in its column
-                pool = np.array([*last_tails.tolist(), *fresh], dtype=object)
-                index = np.tile(np.arange(n), (len(ts), 1))
-                index[changed] = np.arange(n, len(pool))
-                tails = pool[np.maximum.accumulate(index, axis=0)]
-                last_bits, last_tails = bits[:, -1:], tails[-1]
-                heads = np.array([f"{t},{eta:.12g}" for t, eta in zip(ts, etas)], dtype=object)
-                cells = np.stack(np.broadcast_arrays(heads[:, None], trace.x[block], tails), -1)
-                fh.write(template * len(ts) % tuple(cells.ravel().tolist()))
+        with open(path, "wb") as fh:
+            fh.write(b"t,eta,region,x,zeta,z_min,alpha,p\n")
+            for r0 in range(0, trace.rounds, rounds):
+                t = np.ascontiguousarray(trace.t[r0:r0 + rounds], np.int64)
+                eta, *cells = (np.ascontiguousarray(c[r0:r0 + rounds], np.float64) for c in columns)
+                size = _engine.trace_rows(
+                    n, len(t), t.ctypes.data, eta.ctypes.data,
+                    np.array([c.ctypes.data for c in cells], np.uintp).ctypes.data, id_text,
+                    id_start.ctypes.data, tail_bits.ctypes.data, tail_text.ctypes.data,
+                    tail_len.ctypes.data, out.ctypes.data)
+                fh.write(out.data[:size])
     except OSError as exc:
         raise OSError(f"failed writing trace to {path}: {exc}") from exc
-
-
-def _distinct_text(bits: np.ndarray) -> list[str]:
-    """``"%.12g"`` of the float64 of each 64-bit pattern, formatting each
-    distinct pattern once: a run's column holds at most about a thousand."""
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(["%.12g" % v for v in distinct.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()

@@ -389,6 +389,26 @@ INTEGERS = (0, 3, -7, 10**15, 2**53 + 1, -(2**63), 2**63 - 1)
 
 COLUMN_KINDS = ("repeat", "distinct", "mixed", "integer", "stretches")
 
+# values that reach the writer's snprintf fallback and the edges of its
+# fast path: exact ties (the second carries to 1e+12), the switch between
+# fixed and exponent form, and the edges of the exact powers of ten
+FORMAT_EDGES = (
+    1234567890125.0, 999999999999.5,
+    1e-05, 9.999999999995e-05, 99999999999.95, 1e11, 1e12, 1e16,
+    1e22, 1e23, 1e-11, 1e-12,
+    5e-324, -2.5e-310, 0.0, -0.0, math.inf, -math.inf, -math.nan,
+)
+
+
+def written_x_cells(values) -> list[str]:
+    """The x cells emit_trace writes for a one-region trace of values."""
+    column = np.array(values, np.float64).reshape(-1, 1)
+    trace = recorded_trace(np.ones(len(column)), column, column, column, column, column)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "trace.csv"
+        emit_trace(trace, out)
+        return [row.split(",")[3] for row in out.read_text().splitlines()[1:]]
+
 
 @st.composite
 def drawn_traces(draw, rounds: int, kinds=COLUMN_KINDS):
@@ -478,16 +498,33 @@ class TestEmitTrace:
             "inf,0.5,0.5,0.5", "0.25,0.5,0.5,0.5", "inf,0.5,0.5,0.5",
         ]
 
-    def test_memory_stays_at_one_block(self, tmp_path):
-        # 45 000 rounds of 4 regions are about 13 MB of text
-        trace, _ = run_scenario(generate_scenario(4, 100, seed=0, graph="line"))
+    @staticmethod
+    def emit_peak(config, path) -> int:
+        """The most memory emit_trace holds while writing config's run."""
+        trace, _ = run_scenario(config)
         tracemalloc.start()
         try:
-            emit_trace(trace, tmp_path / "trace.csv")
-            peak = tracemalloc.get_traced_memory()[1]
+            emit_trace(trace, path)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2_000_000
+
+    def test_memory_stays_at_one_block(self, tmp_path):
+        # 45 000 rounds of 4 regions are about 13 MB of text
+        config = generate_scenario(4, 100, seed=0, graph="line")
+        assert self.emit_peak(config, tmp_path / "trace.csv") < 2_000_000
+
+    def test_memory_stays_at_one_block_of_29_regions(self, tmp_path):
+        # the longest text of TRACE_BLOCK_ROUNDS rounds of 29 regions is
+        # about 2.1 MB, so a block of 29 regions holds fewer rounds
+        config = generate_scenario(29, 232, seed=0, graph="line", max_rounds=1500)
+        assert self.emit_peak(config, tmp_path / "trace.csv") < 2_000_000
+
+    @settings(max_examples=50, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), max_size=200), floats=st.lists(st.floats()))
+    def test_cells_match_python_format(self, bits, floats):
+        values = [*np.array(bits, np.uint64).view(np.float64).tolist(), *floats, *FORMAT_EDGES]
+        assert written_x_cells(values) == ["%.12g" % v for v in values]
 
     def test_signed_zeros_stay_apart(self, tmp_path):
         # 0.0 == -0.0, so a writer that formats each distinct float value
@@ -551,11 +588,51 @@ class TestEmitTrace:
             paths.append(out.read_bytes())
         assert paths[0] == paths[1]
 
+    def test_short_column_rejected(self, tmp_path):
+        # the engine reads every column's rows by address
+        x = np.zeros((3, 2))
+        trace = recorded_trace(np.ones(3), x, x, x, x, x[:2])
+        with pytest.raises(ValueError, match="3 rounds of 2 regions"):
+            emit_trace(trace, tmp_path / "trace.csv")
+
     def test_unrecorded_trace_rejected(self):
         config = load_scenario(CONFIG_DIR / "two_region_step_example.json")
         trace, _ = run_scenario(config, record_trace=False)
         with pytest.raises(ValueError):
             emit_trace(trace, "/tmp/never.csv")
+
+
+# cli stdout SHA-256 digests: name, command, exit code, digest
+PINNED_STDOUT = [
+    ("continuous_four_regions", "run", 0,
+     "369ed146a70582fab5a2918ea6204181f49b386886f0b8bbca1482b7511c73e5"),
+    ("continuous_four_regions", "solve", 0,
+     "b915f5bc7f9da642d5c84230c1e77cc5a171ce2da0b0ccce664c128837e20576"),
+    ("continuous_four_regions", "check", 0,
+     "f59bdd52f9d560eb15d7ae519d1bb376ba3189dc42547ef79e3df7ff44b2c432"),
+    ("two_region_step_example", "run", 0,
+     "a7922d4ccf7ffa8d0b293807f281dc4aee64a8a000a59e580745de93b761399c"),
+    ("two_region_step_example", "solve", 0,
+     "75c1fd95a66d29ab7cca13bf8cacbd0e8971563214ba90c8570b54ffeb53500d"),
+    ("two_region_step_example", "check", 0,
+     "bb0e02fc2eb53ba07f45887881dcfe4421e50f655839d8ba56f4e2db0de4619b"),
+    ("line-0", "run", 0,
+     "e14ea374389d5a5c793de494276e59e3e7414c487556f96ba4bc541c4ffb89b9"),
+    ("line-0", "solve", 0,
+     "9de1edaf4c2efe7766df494f4a5d125e423e94c9c11aac82c9e48c36cfabd3e8"),
+    ("line-0", "check", 0,
+     "1cfffe4344a0958f41e061ac064da46910d739a2bd29cbe3ead413e3249bc04e"),
+    ("random-periodic-1", "run", 0,
+     "df9478900d21149ffc664a6b1b60a6d50dab227df04cea73711ff043b7e82060"),
+    ("random-periodic-1", "solve", 0,
+     "006f409666a625f2fd05aff4684aa1abd80b5d3f44a31837ffcbbcde7b8d482d"),
+    ("random-periodic-1", "check", 0,
+     "b990e58faf3ea4f1d3db21afb85c4404215f30c684645fbf022ced96214e01ba"),
+    ("random-0", "run", 0,
+     "ef44d09023f0a7873a1361638512938954a9c5609663d7dc8c52b97b10b8be7d"),
+    ("random-0", "check", 0,
+     "1ee2d1ac10042bd9ee04f1fbd4a839f6caa77d581ac2ff9ae823ec8fa64e3bbd"),
+]
 
 
 class TestCli:
@@ -1003,37 +1080,7 @@ class TestCli:
         assert "window_connectivity: pass" in out
 
     @pytest.mark.parametrize(
-        "name, command, code, digest",
-        [
-            ("continuous_four_regions", "run", 0,
-             "369ed146a70582fab5a2918ea6204181f49b386886f0b8bbca1482b7511c73e5"),
-            ("continuous_four_regions", "solve", 0,
-             "b915f5bc7f9da642d5c84230c1e77cc5a171ce2da0b0ccce664c128837e20576"),
-            ("continuous_four_regions", "check", 0,
-             "f59bdd52f9d560eb15d7ae519d1bb376ba3189dc42547ef79e3df7ff44b2c432"),
-            ("two_region_step_example", "run", 0,
-             "a7922d4ccf7ffa8d0b293807f281dc4aee64a8a000a59e580745de93b761399c"),
-            ("two_region_step_example", "solve", 0,
-             "75c1fd95a66d29ab7cca13bf8cacbd0e8971563214ba90c8570b54ffeb53500d"),
-            ("two_region_step_example", "check", 0,
-             "bb0e02fc2eb53ba07f45887881dcfe4421e50f655839d8ba56f4e2db0de4619b"),
-            ("line-0", "run", 0,
-             "e14ea374389d5a5c793de494276e59e3e7414c487556f96ba4bc541c4ffb89b9"),
-            ("line-0", "solve", 0,
-             "9de1edaf4c2efe7766df494f4a5d125e423e94c9c11aac82c9e48c36cfabd3e8"),
-            ("line-0", "check", 0,
-             "1cfffe4344a0958f41e061ac064da46910d739a2bd29cbe3ead413e3249bc04e"),
-            ("random-periodic-1", "run", 0,
-             "df9478900d21149ffc664a6b1b60a6d50dab227df04cea73711ff043b7e82060"),
-            ("random-periodic-1", "solve", 0,
-             "006f409666a625f2fd05aff4684aa1abd80b5d3f44a31837ffcbbcde7b8d482d"),
-            ("random-periodic-1", "check", 0,
-             "b990e58faf3ea4f1d3db21afb85c4404215f30c684645fbf022ced96214e01ba"),
-            ("random-0", "run", 0,
-             "ef44d09023f0a7873a1361638512938954a9c5609663d7dc8c52b97b10b8be7d"),
-            ("random-0", "check", 0,
-             "1ee2d1ac10042bd9ee04f1fbd4a839f6caa77d581ac2ff9ae823ec8fa64e3bbd"),
-        ],
+        "name, command, code, digest", PINNED_STDOUT,
     )
     def test_stdout_is_pinned(self, name, command, code, digest, capsys, tmp_path):
         # shipped configs, and generate_scenario(4, 100, seed, graph=family) for "family-seed"
