@@ -4,6 +4,12 @@
  * their draw and window repair and the components of a window's union,
  * and the trace CSV's rows (see scenario.emit_trace).
  *
+ * One breakpoint search (upper) serves the surrogate and the cutoffs.  In
+ * the chunk kernel each region searches once per round, starting from last
+ * round's index, and the index it finds gives both the region's cutoff and
+ * its next round's surrogate; the exported surrogate starts each point's
+ * search from the previous point's index.
+ *
  * A graph over nodes 0..n-1 is a pair row: one byte per pair i < j, in
  * lexicographic order.  The chunk kernel takes a chunk's distinct graphs
  * as pair rows and one graph index per round, and builds each graph's
@@ -20,12 +26,15 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Surrogate CCF at z: the load at or below z, plus the climbed part of
- * the ramp of width c ending at the next breakpoint.  The search keeps
- * bisect_right's comparisons, so a NaN z lands past the end. */
-static inline double surrogate_at(double z, const double *b, int64_t bn,
-                                  const double *cum, double c)
+/* bisect_right(b, z) over bn strictly increasing breakpoints: how many lie
+ * at or below z, and bn for a NaN z.  That index is the one k in 0..bn with
+ * !(z < b[k-1]) and z < b[k] (either test dropped at an end), so the guess
+ * hint, any index in 0..bn, is returned when it passes those two tests and
+ * a bisection with the same comparisons runs otherwise. */
+static inline int64_t upper(double z, const double *b, int64_t bn, int64_t hint)
 {
+    if ((hint == 0 || !(z < b[hint - 1])) && (hint == bn || z < b[hint]))
+        return hint;
     int64_t lo = 0, hi = bn;
     while (lo < hi) {
         int64_t mid = (lo + hi) / 2;
@@ -34,41 +43,40 @@ static inline double surrogate_at(double z, const double *b, int64_t bn,
         else
             lo = mid + 1;
     }
-    double below = lo ? cum[lo - 1] : 0.0, v = below;
-    if (lo < bn) {
-        double d = z - b[lo];
+    return lo;
+}
+
+/* Surrogate CCF at z, whose upper index is k: the load at or below z, plus
+ * the climbed part of the ramp of width c ending at the next breakpoint. */
+static inline double surrogate_at(double z, int64_t k, const double *b, int64_t bn,
+                                  const double *cum, double c)
+{
+    double below = k ? cum[k - 1] : 0.0, v = below;
+    if (k < bn) {
+        double d = z - b[k];
         if (d > -c)
-            v += (cum[lo] - below) * (d / c + 1.0);
+            v += (cum[k] - below) * (d / c + 1.0);
     }
     return v;
 }
 
-/* The cutoff at x: the smallest breakpoint at or above x, or +inf when
- * none is or x is NaN (numpy's searchsorted(side="left") over them). */
-static inline double cutoff_at(double x, const double *b, int64_t bn)
-{
-    int64_t lo = 0, hi = bn;
-    while (lo < hi) {
-        int64_t mid = (lo + hi) / 2;
-        if (x <= b[mid])
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return lo < bn ? b[lo] : INFINITY;
-}
-
+/* The surrogate at each of count points, each search started from the
+ * previous point's index. */
 void surrogate(int64_t count, const double *z, const double *b, int64_t bn,
                const double *cum, double c, double *out)
 {
-    for (int64_t i = 0; i < count; i++)
-        out[i] = surrogate_at(z[i], b, bn, cum, c);
+    for (int64_t i = 0, k = 0; i < count; i++) {
+        k = upper(z[i], b, bn, k);
+        out[i] = surrogate_at(z[i], k, b, bn, cum, c);
+    }
 }
 
 /* Rounds t0 .. t0+m-1 of the protocol, each one whole before the next:
  *  - the estimates x(t+1) = W(t) x(t) - eta(t) (S_j(x_j(t)) - p_j(t)),
  *    with eta(t) = gain / (t + offset)^exponent;
- *  - each region's cutoff at its new estimate;
+ *  - each region's cutoff at its new estimate: the smallest breakpoint at
+ *    or above it, or +inf when none is or it is NaN (numpy's
+ *    searchsorted(side="left")), read off the estimate's upper index;
  *  - the streak: how many consecutive rounds the cutoff row has not
  *    changed, carried across calls in *streak;
  *  - dynamic min-consensus with local self-tuning: each node takes the
@@ -79,7 +87,11 @@ void surrogate(int64_t count, const double *z, const double *b, int64_t bn,
  * j's breakpoints and cumulative loads are b[bstart[j] .. bstart[j+1]-1].
  * state holds four blocks of m + 1 rows of n: the estimates, cutoffs,
  * min-consensus values and steps; row 0 of each is the state before round
- * t0 and row r + 1 the state after round t0 + r.  Returns the number of
+ * t0 and row r + 1 the state after round t0 + r.  at[j] holds the upper
+ * index of region j's estimate in the current row: its surrogate's index,
+ * and the guess for the one search of the new estimate, whose result gives
+ * both the cutoff and the next round's surrogate index.  The estimates
+ * settle, so the guess almost always holds.  Returns the number of
  * rounds run: m, or fewer when the streak reaches window first.  Kept out
  * of line, so the loop compiles alike whatever rounds does around it:
  * inlined beside the build, it measured 2-8 % slower per chunk.  Aligned
@@ -92,7 +104,7 @@ static int64_t run_rounds(int64_t n, int64_t m, int64_t t0, double gain, double 
                           const int32_t *col, const double *w, const double *P,
                           const int64_t *bstart, const double *b, const double *cum,
                           double c, int64_t window, int64_t *streak, double *etas,
-                          double *state)
+                          double *state, int64_t *at)
 {
     int64_t block = (m + 1) * n;
     double half = c / 2.0;
@@ -106,12 +118,17 @@ static int64_t run_rounds(int64_t n, int64_t m, int64_t t0, double gain, double 
         etas[r] = eta;
         for (int64_t j = 0; j < n; j++) {
             int64_t s = bstart[j], bn = bstart[j + 1] - s;
-            double v = surrogate_at(x[j], b + s, bn, cum + s, c);
+            const double *bj = b + s;
+            double v = surrogate_at(x[j], at[j], bj, bn, cum + s, c);
             double acc = 0.0;
             for (int64_t e = row[j]; e < row[j + 1]; e++)
                 acc += w[e] * x[col[e]];
-            x[n + j] = acc - eta * (v - P[r * n + j]);
-            zeta[n + j] = cutoff_at(x[n + j], b + s, bn);
+            double next = acc - eta * (v - P[r * n + j]);
+            /* the left index: one less when next equals the breakpoint below */
+            int64_t k = at[j] = upper(next, bj, bn, at[j]);
+            k -= k && bj[k - 1] == next;
+            x[n + j] = next;
+            zeta[n + j] = k < bn ? bj[k] : INFINITY;
             changed |= zeta[n + j] != zeta[j];
         }
         *streak = changed ? 0 : *streak + 1;
@@ -351,8 +368,10 @@ int64_t metropolis(int64_t n, int64_t count, const uint8_t *rows, int64_t *indpt
 }
 
 /* run_rounds over the mixing of graphs pair rows, built here once each:
- * round t0 + r mixes with rows[graph[r]].  Returns the number of rounds
- * run, or -1 when memory for the mixing cannot be had. */
+ * round t0 + r mixes with rows[graph[r]].  The upper indices of the
+ * estimates in row 0 of state start with a full search each.  Returns the
+ * number of rounds run, or -1 when memory for the mixing and the indices
+ * cannot be had. */
 int64_t rounds(int64_t n, int64_t m, int64_t t0, double gain, double offset,
                double exponent, const int32_t *graph, int64_t graphs,
                const uint8_t *rows, const double *P, const int64_t *bstart,
@@ -365,12 +384,17 @@ int64_t rounds(int64_t n, int64_t m, int64_t t0, double gain, double offset,
     /* every diagonal entry and each edge twice, and one more: malloc(0) may
      * give NULL */
     int64_t entries = graphs * n + 2 * edges, ran = -1;
-    int64_t *indptr = malloc((graphs * n + 1) * sizeof *indptr);
+    /* the CSR row starts, then the upper indices */
+    int64_t *indptr = malloc((graphs * n + 1 + n) * sizeof *indptr);
     int32_t *col = malloc((entries + 1) * sizeof *col);
     double *w = malloc((entries + 1) * sizeof *w);
-    if (indptr && col && w && !metropolis(n, graphs, rows, indptr, col, w))
+    if (indptr && col && w && !metropolis(n, graphs, rows, indptr, col, w)) {
+        int64_t *at = indptr + graphs * n + 1;
+        for (int64_t j = 0; j < n; j++)
+            at[j] = upper(state[j], b + bstart[j], bstart[j + 1] - bstart[j], 0);
         ran = run_rounds(n, m, t0, gain, offset, exponent, graph, indptr, col, w, P, bstart,
-                         b, cum, c, window, streak, etas, state);
+                         b, cum, c, window, streak, etas, state, at);
+    }
     free(indptr);
     free(col);
     free(w);

@@ -5,9 +5,10 @@ The source is compiled with the C compiler this Python was built with
 (``sysconfig``'s ``CC``) into ``__pycache__/_engine-<digest>.so`` beside
 it, where the digest is the SHA-256 of the source and the compile command.
 A process compiles to a name of its own and renames the result into
-place, so concurrent first imports leave one artifact; later imports hash
-the source and load the artifact with ctypes.  A missing compiler or an
-unwritable directory is an ``ImportError`` that names it.
+place, so concurrent first imports leave one artifact; it then removes the
+artifacts of other digests, which no import of this source reads.  Later
+imports hash the source and load the artifact with ctypes.  A missing
+compiler or an unwritable directory is an ``ImportError`` that names it.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ def _build(directory: Path) -> Path:
         os.replace(partial, target)
     finally:
         partial.unlink(missing_ok=True)
+    for stale in directory.glob("_engine-*.so"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
     return target
 
 

@@ -221,31 +221,35 @@ def row_neighbors(w_rows: list[list[tuple[int, float]]]) -> list[list[int]]:
 # one round, one region and one neighbour at a time.
 
 
+def scalar_surrogate(surrogate, z: float) -> float:
+    """The surrogate CCF at one point by ``bisect_right`` on the tuples: the
+    load at or below z, plus the climbed part of the ramp ending at the next
+    breakpoint."""
+    bps, cum, c = surrogate.base.breakpoints, surrogate.base.cumulative, surrogate.ramp_width
+    idx = bisect_right(bps, z)
+    below = cum[idx - 1] if idx else 0.0
+    v = below
+    if idx < len(bps):
+        d = z - bps[idx]
+        if d > -c:
+            v += (cum[idx] - below) * (d / c + 1.0)
+    return v
+
+
 def x_rounds(x, rows, etas, ps, surrogates) -> list[list[float]]:
     """The threshold-estimate recursion over consecutive rounds.
 
     Round r mixes the previous estimates with the sparse mixing rows
     ``rows[r]`` (reduced in ascending neighbour order) and steps by
-    ``etas[r]`` against the gap between each region's surrogate CCF and
-    its deficit estimate ``ps[r][j]``.  Returns the estimates after every
-    round.
+    ``etas[r]`` against the gap between each region's surrogate CCF
+    (``scalar_surrogate``) and its deficit estimate ``ps[r][j]``.  Returns
+    the estimates after every round.
     """
-    regions = [
-        (s.base.breakpoints, s.base.cumulative, len(s.base.breakpoints), s.ramp_width)
-        for s in surrogates
-    ]
     out = []
     for rows_t, eta_t, p_t in zip(rows, etas, ps):
         new_x = []
-        for j, (bps, cum, size, c) in enumerate(regions):
-            z = x[j]
-            idx = bisect_right(bps, z)
-            below = cum[idx - 1] if idx else 0.0
-            v = below
-            if idx < size:
-                d = z - bps[idx]
-                if d > -c:
-                    v += (cum[idx] - below) * (d / c + 1.0)
+        for j, s in enumerate(surrogates):
+            v = scalar_surrogate(s, x[j])
             acc = 0.0
             for k, w in rows_t[j]:
                 acc += w * x[k]

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from loadshed.criticality import (
 )
 from loadshed.scenario import ScenarioError, loads_scenario
 
-from conftest import FIG_PAIRS, FIG_RAMP, local_zeta, make_random_loads
+from conftest import FIG_PAIRS, FIG_RAMP, local_zeta, make_random_loads, scalar_surrogate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -236,22 +235,6 @@ class TestSurrogate:
         assert eval_surrogate(s, 0.3 - 1.0) == 2.5
 
 
-def scalar_surrogate(surrogate: SurrogateCcf, z: float) -> float:
-    """The surrogate at one point by ``bisect_right`` on the tuples: the
-    reference for the array evaluation."""
-    bps = surrogate.base.breakpoints
-    cum = surrogate.base.cumulative
-    idx = bisect_right(bps, z)
-    value = cum[idx - 1] if idx else 0.0
-    if idx < len(bps):
-        d = z - bps[idx]
-        if d > -surrogate.ramp_width:
-            value += (cum[idx] - (cum[idx - 1] if idx else 0.0)) * (
-                d / surrogate.ramp_width + 1.0
-            )
-    return value
-
-
 @st.composite
 def surrogates_and_points(draw):
     """A surrogate (possibly of no loads) with points at and around its
@@ -282,6 +265,19 @@ class TestSurrogateArrays:
         singles = [eval_surrogate(surrogate, z) for z in points]
         assert all(type(v) is float for v in singles)
         assert [v.hex() for v in singles] == expected
+
+    @pytest.mark.parametrize("points", [
+        [0.9, 0.8, 0.7, 0.5, 0.4, 0.375, 0.2, 0.15, 0.1, 0.0, -0.0, -1.0],  # descending
+        [0.4, 0.4, 0.4, 0.375, 0.375, 0.9, 0.9, 0.1, 0.1, 0.1],  # repeats
+        [0.1, math.nan, 0.7, math.inf, 0.15, -math.inf, 0.4, math.nan, math.nan, 0.8,
+         math.inf, math.inf, -math.inf, 0.375],  # non-finite between finite points
+        [math.nan, 0.9, -math.inf, 0.1, math.inf, 0.1, -math.inf, 0.9],
+    ], ids=["descending", "repeats", "non-finite-between", "alternating-ends"])
+    def test_unsorted_points_match_scalar_reference(self, fig_ccf, points):
+        # each point's search starts from the previous point's index
+        s = SurrogateCcf(fig_ccf, FIG_RAMP)
+        values = eval_surrogate(s, np.array(points, dtype=np.float64))
+        assert [v.hex() for v in values.tolist()] == [scalar_surrogate(s, z).hex() for z in points]
 
     def test_empty_ccf(self):
         s = SurrogateCcf(build_ccf([]), 1.0)

@@ -36,6 +36,7 @@ from conftest import (
     mixing_csr,
     protocol_rounds,
     row_neighbors,
+    scalar_surrogate,
     stochasticity_defect,
     window_labels,
     x_rounds,
@@ -135,6 +136,51 @@ SIGNED_ZERO = Chunk([SurrogateCcf(build_ccf([(1.0, 0.0), (1.0, 0.5)]), 0.25)],
                     alpha=np.full(1, 0.125), streak=3, window=4)
 
 
+def chunk_over(pairs, ramp, x, P, step, t0, connected=False) -> Chunk:
+    """A chunk over regions of the given (power, criticality) pairs and one
+    ramp width, with no edges (each region's mixing keeps its own estimate)
+    or, when ``connected``, every edge; no streak and no window."""
+    P = np.array(P, dtype=np.float64)
+    m, n = P.shape
+    rows = np.full((m, n * (n - 1) // 2), connected)
+    return Chunk([SurrogateCcf(build_ccf(p), ramp) for p in pairs], rows, t0, step,
+                 x=np.array(x, dtype=np.float64), P=P, zeta=np.full(n, math.inf),
+                 z=np.full(n, math.inf), alpha=np.full(n, ramp / 2.0), streak=0, window=None)
+
+
+def steered(pairs, ramp, x, path, step, t0, connected=False) -> Chunk:
+    """``chunk_over``, with the deficit estimates that steer the estimates
+    from ``x`` towards ``path[r]`` in round r: p = S(x) + (target - x) / eta
+    on ``x_rounds``' estimates, which for isolated regions reaches the
+    target exactly where the arithmetic is exact, and near it elsewhere."""
+    case = chunk_over(pairs, ramp, x, np.zeros((len(path), len(pairs))), step, t0, connected)
+    mixing = block_rows(case.rows, len(pairs))
+    for r, target in enumerate(path):
+        eta = step.eta(t0 + r)
+        case.P[r] = [scalar_surrogate(s, v) + (goal - v) / eta
+                     for s, v, goal in zip(case.surrogates, x, target)]
+        (x,) = x_rounds(x, [mixing[r]], [eta], [case.P[r].tolist()], case.surrogates)
+    return case
+
+
+def assert_rounds_match(case: Chunk) -> np.ndarray:
+    """Holds ``_engine.rounds`` over the chunk to ``protocol_rounds``, bit
+    for bit; returns the state rows of the rounds run."""
+    m, n = case.P.shape
+    ran, etas, state, streak = run_kernel(case)
+    expected_etas = [case.step.eta(t) for t in range(case.t0, case.t0 + m)]
+    start = tuple(v.tolist() for v in (case.x, case.zeta, case.z, case.alpha))
+    rows, expected_streak = protocol_rounds(
+        start, case.streak, case.window, block_rows(case.rows, n), expected_etas,
+        case.P.tolist(), case.surrogates)
+    assert ran == len(rows)
+    assert streak == expected_streak
+    assert bits(etas) == bits(expected_etas[:ran])
+    for k in range(4):  # estimates, cutoffs, min-consensus values, steps
+        assert bits(state[k]) == bits([row[k] for row in rows])
+    return state
+
+
 def run_kernel(case: Chunk, graph=None, rows=None):
     """``_engine.rounds`` over the chunk: rounds run, etas, state rows, streak.
     Round r mixes with the pair row ``rows[graph[r]]``; by default each
@@ -194,18 +240,63 @@ class TestKernelsMatchReferences:
     @example(ONE_NODE)
     @example(SIGNED_ZERO)
     def test_rounds(self, case):
-        m, n = case.P.shape
-        ran, etas, state, streak = run_kernel(case)
-        expected_etas = [case.step.eta(t) for t in range(case.t0, case.t0 + m)]
-        start = tuple(v.tolist() for v in (case.x, case.zeta, case.z, case.alpha))
-        rows, expected_streak = protocol_rounds(
-            start, case.streak, case.window, block_rows(case.rows, n), expected_etas,
-            case.P.tolist(), case.surrogates)
-        assert ran == len(rows)
-        assert streak == expected_streak
-        assert bits(etas) == bits(expected_etas[:ran])
-        for k in range(4):  # estimates, cutoffs, min-consensus values, steps
-            assert bits(state[k]) == bits([row[k] for row in rows])
+        assert_rounds_match(case)
+
+    @pytest.mark.parametrize("connected", [False, True])
+    def test_walk_across_every_breakpoint(self, connected):
+        # up past each region's last breakpoint, then down below its first,
+        # a bracket or less per round
+        case = steered([[(1.0, k / 4) for k in range(5)], [(2.0, 0.1), (1.0, 0.6)]], 0.05,
+                       [-0.3, -0.3], [[-0.3 + 0.06 * r] * 2 for r in range(1, 26)]
+                       + [[1.2 - 0.07 * r] * 2 for r in range(1, 31)], StepSchedule(1.0, 1.0, 0.9),
+                       t0=100, connected=connected)
+        x = assert_rounds_match(case)[0]
+        for j, s in enumerate(case.surrogates):
+            top = int(np.argmax(x[:, j] > s.base.breakpoints[-1]))
+            assert top and (x[top:, j] < s.base.breakpoints[0]).any()
+
+    def test_landing_on_a_breakpoint(self):
+        # eta is 1/4, 1/8 and 1/16 in rounds 0, 4 and 12, so those rounds
+        # move the estimates exactly; the rest hold them.  The estimates
+        # land on breakpoints (cutoff: the breakpoint, below the upper
+        # index) from above and below, leave them and land on others.
+        path = [[0.5, 0.5]] * 4 + [[0.75, 0.25]] * 8 + [[1.0, 0.5]] * 4
+        case = steered([[(1.0, 0.5), (1.0, 1.0)]] * 2, 0.01, [0.75, 0.25], path,
+                       StepSchedule(1.0, 2.0, 1.0), t0=2)
+        x, zeta = assert_rounds_match(case)[:2]
+        assert x.tolist() == path
+        assert zeta.tolist() == [[0.5, 0.5]] * 4 + [[1.0, 0.5]] * 8 + [[1.0, 0.5]] * 4
+
+    def test_signed_zero_estimates(self):
+        # -0.0 against breakpoints 0.0 and -0.0 and against none at zero;
+        # the first round holds the estimates at +0.0, round 4 moves them
+        # off and round 12 back on zero
+        bps = [[(1.0, 0.0), (1.0, 0.5)], [(1.0, -0.0), (1.0, 0.5)], [(1.0, 0.25), (1.0, 0.5)]]
+        path = [[0.0] * 4] * 4 + [[0.25, 0.375, 0.125, 0.25]] * 8 + [[0.0] * 4] * 4
+        case = steered([bps[0], bps[1], bps[0], bps[2]], 0.125, [-0.0, -0.0, 0.0, -0.0], path,
+                       StepSchedule(1.0, 2.0, 1.0), t0=2)
+        x, zeta = assert_rounds_match(case)[:2]
+        assert x.tolist() == path
+        assert bits(zeta[[0, -1]]) == bits([[0.0, -0.0, 0.0, 0.25]] * 2)
+
+    @pytest.mark.parametrize("connected", [False, True])
+    def test_non_finite_estimates_mid_chunk(self, connected):
+        # region 0 turns NaN in round 3; region 1 +inf in round 5, then NaN;
+        # region 2 -inf in round 4, then NaN; region 3 stays finite alone
+        P = np.full((14, 4), 1.5)
+        P[3, 0] = math.nan
+        P[5, 1], P[9, 1] = math.inf, -math.inf
+        P[4, 2], P[8, 2] = -math.inf, math.inf
+        case = chunk_over([[(1.0, 0.25), (1.0, 0.5), (1.0, 0.75)]] * 4, 0.125,
+                          [0.3, 0.6, 0.9, 0.1], P, StepSchedule(), 1, connected)
+        x = assert_rounds_match(case)[0]
+        if connected:  # each round mixes every estimate into every other
+            assert np.isfinite(x[:3]).all() and np.isnan(x[4:]).all()
+        else:
+            assert np.isfinite(x[:3, 0]).all() and np.isnan(x[3:, 0]).all()
+            assert x[5:9, 1].tolist() == [math.inf] * 4 and np.isnan(x[9:, 1]).all()
+            assert x[4:8, 2].tolist() == [-math.inf] * 4 and np.isnan(x[8:, 2]).all()
+            assert np.isfinite(x[:, 3]).all()
 
     def test_signed_zero_cutoff_keeps_the_streak(self):
         ran, _, state, streak = run_kernel(SIGNED_ZERO)
@@ -346,6 +437,23 @@ class TestBuild:
         assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
         (artifact,) = tmp_path.iterdir()
         assert artifact.name.startswith("_engine-") and artifact.suffix == ".so"
+
+    @pytest.mark.parametrize("change", ["source", "command"])
+    def test_rebuild_removes_the_stale_artifact(self, tmp_path, monkeypatch, change):
+        first = _engine._build(tmp_path)
+        partial = tmp_path / "_engine-0000.1.tmp"  # another process's compile in flight
+        partial.write_bytes(b"")
+        if change == "source":
+            edited = tmp_path / "source" / "_engine.c"
+            edited.parent.mkdir()
+            edited.write_bytes(_engine.SOURCE.read_bytes() + b"/* edited */\n")
+            monkeypatch.setattr(_engine, "SOURCE", edited)
+        else:
+            monkeypatch.setattr(_engine, "FLAGS", (*_engine.FLAGS, "-DREBUILT"))
+        second = _engine._build(tmp_path)
+        assert second != first
+        assert list(tmp_path.glob("_engine-*.so")) == [second]
+        assert partial.exists()
 
     def test_missing_compiler_fails_the_import(self, tmp_path):
         compiler = _engine._compiler()[0]
