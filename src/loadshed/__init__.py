@@ -45,7 +45,7 @@ from .protocol import (
     TraceEstimator,
     run_protocol,
 )
-from .rootfind import AssumptionCertificate, TimeVaryingField
+from .rootfind import AssumptionCertificate
 from .scenario import (
     ScenarioConfig,
     ScenarioError,

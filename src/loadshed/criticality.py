@@ -209,8 +209,8 @@ class SurrogateCcf:
     Each step becomes a ramp of width ``ramp_width`` ending at the
     breakpoint.  The width may not exceed the smallest gap between
     breakpoints, which guarantees the surrogate agrees with the base CCF
-    at every breakpoint and is non-decreasing with Lipschitz constant
-    total_load / ramp_width.
+    at every breakpoint and is non-decreasing, with Lipschitz constant its
+    largest step over ``ramp_width`` (at most total_load / ramp_width).
     """
 
     base: Ccf

@@ -132,6 +132,29 @@ DEFAULT_STABLE_ROUNDS = 50
 CHUNK = 1024
 
 
+def deficit_deviation(P: np.ndarray, t0: int, step: StepSchedule, deficit: float) -> np.ndarray:
+    """|sum_j p_j(t) - deficit| / eta(t) for the rows of P, rounds t0, t0 + 1, ...
+
+    The deficit enters as n equal shares, one against each estimate, and the
+    2n terms are summed with TwoSum, so an exact split reads 0 and estimates
+    that cancel, as 1e308 and -1e308 do, keep the shares' error.  A sum that
+    overflows is inf.  eta(t) is evaluated only at rounds whose error is
+    nonzero, so an exact split costs a few array operations.
+    """
+    share = deficit / P.shape[1]
+    total = error = np.zeros(len(P))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is inf
+        for x in (term for p in P.T for term in (p, -share)):
+            s = total + x
+            z = s - total
+            error = error + ((total - (s - z)) + (x - z))
+            total = s
+        errors = np.abs(np.where(np.isfinite(total), total + error, total))
+    rounds = np.flatnonzero(errors)
+    errors[rounds] /= [step.eta(t) for t in (rounds + t0).tolist()]
+    return errors
+
+
 def certify_deficit_tracking(
     estimator: Estimator, step: StepSchedule, t_max: int, deficit: float
 ) -> float:
@@ -139,19 +162,12 @@ def certify_deficit_tracking(
 
     This is the empirical deviation-rate constant of the estimator; for
     the noisy split with the harmonic default step it never exceeds 2n.
-    Estimates are read a chunk at a time, and eta(t) is evaluated only at
-    rounds whose aggregate error is nonzero, so an exact split costs a few
-    array operations per chunk.
+    Estimates are read a chunk at a time; a NaN estimate makes the result NaN.
     """
-    worst = 0.0
-    for t0 in range(1, t_max + 1, CHUNK):
-        P = estimator.block(t0, min(t0 + CHUNK, t_max + 1))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is inf
-            errors = np.abs((P - deficit / P.shape[1]).sum(axis=1))
-        rounds = np.flatnonzero(errors)
-        etas = np.array([step.eta(t) for t in (rounds + t0).tolist()])
-        worst = max(worst, float((errors[rounds] / etas).max(initial=0.0)))
-    return worst
+    return float(np.max([
+        deficit_deviation(estimator.block(t0, min(t0 + CHUNK, t_max + 1)), t0, step, deficit).max()
+        for t0 in range(1, t_max + 1, CHUNK)
+    ], initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -172,11 +188,6 @@ class ProtocolInstance:
     def __post_init__(self):
         if len({s.ramp_width for s in self.surrogates}) != 1:
             raise ValueError("an instance needs surrogates that share one ramp width")
-
-    @property
-    def region_criticalities(self) -> tuple[tuple[float, ...], ...]:
-        """Each region's cutoff candidates: its surrogate's breakpoints, ascending."""
-        return tuple(s.base.breakpoints for s in self.surrogates)
 
     @property
     def ramp_width(self) -> float:

@@ -1,57 +1,29 @@
 """Executable checks of the conditions behind distributed root finding.
 
-The recursion x(t+1) = W(t) x(t) - eta(t) y(t), with y_j(t) the local field
-evaluated at the node's own state, drives every node to a common root of
-the average limit field; the engine runs it as the first step of each
-round of the compiled chunk kernel ``rounds`` (``_engine.c``).
-This module checks the boundedness, Lipschitz, sign, and deviation-rate
-conditions the convergence argument rests on, and computes
-``consensus_diagnostics`` (the disagreement of a block of estimates and
-its ratio to the step size).
-The checks evaluate a field on a whole grid per call and average across
-nodes with ``math.fsum`` at each point: bit for bit a point-by-point check.
+The recursion x(t+1) = W(t) x(t) - eta(t) y(t), with y_j(t) = S_j(x_j(t)) -
+p_j(t) the local field at the node's own state (region j's surrogate CCF
+minus its deficit estimate), drives every node to a common root of the
+averaged field H(z) = mean_j S_j(z) - deficit / n; the engine runs it as the
+first step of each round of the compiled chunk kernel ``rounds``
+(``_engine.c``).  The surrogates are piecewise linear and the estimates are
+a table, so this module reads the convergence argument's constants off them
+exactly: the bound and the Lipschitz constant of the local fields, whether
+H has a single root, strictly inside a ramp (the sign condition), and
+whether the estimates' aggregate error shrinks like the step (the deviation
+rate).  It also computes ``consensus_diagnostics`` (the disagreement of a
+block of estimates and its ratio to the step size).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-SIGN_TOL = 1e-9
-LIPSCHITZ_SAFETY = 1.1
-
-
-@dataclass(frozen=True)
-class TimeVaryingField:
-    """Per-node field h(j, z, t) and its limit lim_{t->inf} h(j, z, .).
-
-    ``evaluate(j, z, t)`` and ``limit(j, z)`` take z as a float64 grid array
-    and return an array of its shape.
-    """
-
-    n: int
-    evaluate: Callable[[int, np.ndarray, float], np.ndarray]
-    limit: Callable[[int, np.ndarray], np.ndarray]
-
-    def average_limit(self, z: np.ndarray) -> np.ndarray:
-        """Mean over nodes of the limit field on the grid z."""
-        return _node_mean([self.limit(j, z) for j in range(self.n)])
-
-
-def _node_mean(values: Sequence[np.ndarray]) -> np.ndarray:
-    """Mean of per-node 1-D grid arrays: ``math.fsum`` across nodes at each point.
-    Arrays with a non-finite sample, or finite samples whose sum overflows,
-    have no mean: it is NaN at every point."""
-    points = np.stack(values, axis=-1)
-    if np.isfinite(points).all():  # math.fsum raises on inf + -inf
-        try:
-            return np.array([math.fsum(p) for p in points.tolist()]) / len(values)
-        except OverflowError:  # finite samples whose sum is not
-            pass
-    return np.full(len(points), math.nan)
+from .criticality import Ccf, SurrogateCcf
+from .oracle import deficit_segment, exact_z_hat
 
 
 @dataclass(frozen=True)
@@ -76,15 +48,15 @@ class CheckResult:
 
 @dataclass
 class AssumptionCertificate:
-    """Numeric evidence for the convergence conditions of one setup.
+    """The convergence conditions of one setup, checked on its CCFs and estimates.
 
-    Bound constants are empirical estimates over the sampled grid and
-    horizon, not proofs; ``checks`` carries one entry per verified
-    condition with the failing sample when a condition does not hold.
+    ``bound`` and ``lipschitz`` are exact constants of the local fields over
+    the checked horizon; ``deviation_rate`` and ``consensus_ratio`` are
+    measured.  ``checks`` carries one entry per condition an input can fail.
     """
 
-    bound: float = math.nan            # sup |h|
-    lipschitz: float = math.nan        # slope estimate, with safety factor
+    bound: float = math.nan            # sup |h_j(z, t)|
+    lipschitz: float = math.nan        # largest ramp slope
     deviation_rate: float = math.nan   # theta: |H - avg h(., t)| / eta(t)
     window: int = 0                    # B of the schedule in force
     consensus_ratio: float = math.nan  # nu: max disagreement / eta
@@ -112,97 +84,59 @@ def _sample_times(horizon: int, count: int = 24) -> list[int]:
 
 
 def verify_assumption_bounded_lipschitz(
-    fld: TimeVaryingField, grid: np.ndarray, horizon: int
-) -> tuple[CheckResult, CheckResult, float, float]:
-    """Estimate sup |h| over grid x sample times, and the Lipschitz constant
-    from the limit field's central difference quotients on the grid, once
-    per node: h_j(., t) differs from the limit by a term constant in z,
-    which adds no slope, only rounding.  A non-finite sample fails its
-    check."""
-    times = _sample_times(horizon)
-    bound = 0.0
-    for v in (fld.evaluate(j, grid, t) for t in times for j in range(fld.n)):
-        peak = float(np.abs(v).max())  # NaN or inf when a sample is
-        if not math.isfinite(peak):
-            bound = peak
-            break
-        bound = max(bound, peak)
-    limits = np.stack([fld.limit(j, grid) for j in range(fld.n)])
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite samples: no slope
-        quotients = np.abs(limits[:, 2:] - limits[:, :-2]) / (grid[2:] - grid[:-2])
-    slope = float(np.max(quotients, initial=0.0)) * LIPSCHITZ_SAFETY
-    bounded = CheckResult(
-        "field_bounded", math.isfinite(bound), bound,
-        detail=f"sampled over {len(times)} times x {len(grid)} grid points",
-    )
-    lipschitz = CheckResult("field_lipschitz", math.isfinite(slope), slope)
-    return bounded, lipschitz, bound, slope
+    surrogates: Sequence[SurrogateCcf], estimates: np.ndarray
+) -> tuple[float, float]:
+    """The bound and the Lipschitz constant of the local fields
+    h_j(z, t) = S_j(z) - p_j(t), with one row of ``estimates`` per round.
 
-
-def verify_sign_condition(fld: TimeVaryingField, grid: np.ndarray) -> CheckResult:
-    """Search for a root of the average limit validating (z - root) H(z) >= 0.
-
-    Candidates come from sign changes of the sampled limit (or an endpoint
-    when the limit never changes sign); the winner must keep the product
-    above -SIGN_TOL across the whole grid.
+    S_j climbs from 0 to region j's total load, so sup_z |h_j(z, t)| is
+    max(|p_j(t)|, |total_j - p_j(t)|).  Ramps never overlap, so the slope
+    of S_j is at most its largest CCF step over the ramp width.
     """
-    H = fld.average_limit(grid)
-    candidates: list[float] = []
-    for i in range(len(grid) - 1):
-        if H[i] == 0.0:
-            candidates.append(float(grid[i]))
-        elif H[i] < 0.0 < H[i + 1]:
-            candidates.append(float(grid[i] if abs(H[i]) <= abs(H[i + 1]) else grid[i + 1]))
-    if H[-1] == 0.0:
-        candidates.append(float(grid[-1]))
-    if not candidates:
-        if (H >= 0.0).all():
-            candidates.append(float(grid[0]))
-        elif (H <= 0.0).all():
-            candidates.append(float(grid[-1]))
-    best_witness, best_min = None, -math.inf
-    for cand in candidates:
-        worst = float(((grid - cand) * H).min())
-        if worst > best_min:
-            best_min, best_witness = worst, cand
-    if best_witness is None:
-        return CheckResult("sign_condition", False, detail="no sign change found")
+    totals = np.array([s.base.total_load for s in surrogates])
+    with np.errstate(over="ignore"):  # an overflowing difference is inf
+        bound = float(np.maximum(np.abs(estimates), np.abs(totals - estimates)).max(initial=0.0))
+    step = max(np.diff(s.base.cumulative, prepend=0.0).max(initial=0.0) for s in surrogates)
+    return bound, float(step) / surrogates[0].ramp_width
+
+
+def verify_sign_condition(ccf: Ccf, ramp_width: float, deficit: float) -> CheckResult:
+    """Does the averaged field H have one root, with (z - root) H(z) > 0 elsewhere?
+
+    ``ccf`` holds all loads of the regions: no ramp is wider than the
+    smallest criticality gap, so the regions' surrogates sum to its own.
+    The deficit sits ``fraction`` up the step at breakpoint b_i
+    (``deficit_segment``).  Below 1, H crosses zero once, inside the ramp
+    ending at b_i; at 1 it vanishes on all of [b_i, b_{i+1} - ramp_width],
+    and nothing pins the estimates to one point of that plateau.
+    """
+    i, fraction = deficit_segment(ccf, deficit)
     return CheckResult(
-        "sign_condition",
-        best_min >= -SIGN_TOL,
-        value=best_min,
-        witness=best_witness,
+        "sign_condition", fraction < 1.0, value=fraction,
+        witness=exact_z_hat(SurrogateCcf(ccf, ramp_width), deficit),
+        detail="" if fraction < 1.0 else
+        f"the deficit is the cumulative load at breakpoint {ccf.breakpoints[i]:.6g}",
     )
 
 
-def verify_deviation_rate(
-    fld: TimeVaryingField,
-    grid: np.ndarray,
-    horizon: int,
-    eta: Callable[[int], float],
-) -> CheckResult:
-    """Bound |H(z) - avg_j h_j(z, t)| / eta(t) and check it stabilizes.
-
-    Passes when the running maximum of the ratio stops growing in the
-    second half of the sampled horizon; fails on a non-finite sample.
+def verify_deviation_rate(deviation: np.ndarray) -> CheckResult:
+    """Check that |H(z) - avg_j h_j(z, t)| / eta(t), one entry of
+    ``deviation`` per round t = 1, 2, ..., stabilizes: its running maximum
+    over 40 sample rounds stops growing in the second half of the horizon.
+    The difference does not depend on z.  A non-finite sample fails.
     """
+    horizon = len(deviation)
     times = _sample_times(horizon, count=40)
-    H = fld.average_limit(grid)
-    running = 0.0
-    attained_at = 1
-    for t in times:
-        avg = _node_mean([fld.evaluate(j, grid, t) for j in range(fld.n)])
-        if not (np.isfinite(H).all() and np.isfinite(avg).all()):
-            return CheckResult("deviation_rate", False, math.nan, detail="non-finite field sample")
-        ratio = float(np.abs(H - avg).max()) / eta(t)
-        if ratio > running:
-            running = ratio
-            attained_at = t
+    samples = deviation[np.array(times) - 1]
+    if not np.isfinite(samples).all():
+        bad = float(samples[~np.isfinite(samples)][0])
+        return CheckResult("deviation_rate", False, bad, detail="non-finite estimate sum")
+    k = int(np.argmax(samples))  # the first sample attaining the maximum
     return CheckResult(
         "deviation_rate",
-        attained_at <= max(1, horizon // 2),
-        value=running,
-        detail=f"running max attained at t={attained_at}",
+        times[k] <= max(1, horizon // 2),
+        value=float(samples[k]),
+        detail=f"running max attained at t={times[k]}",
     )
 
 

@@ -53,6 +53,11 @@ def symmetric_uniform(seed: int, tag: int, *indices: int) -> float:
     return 2.0 * unit_float(mix64(seed, tag, *indices)) - 1.0
 
 
+def cutoff_candidates(inst):
+    """Each region's cutoff candidates: its surrogate's breakpoints, ascending."""
+    return tuple(s.base.breakpoints for s in inst.surrogates)
+
+
 def fig_two_region_instance(deficit=6.0, max_rounds=3000, window=None, **kwargs):
     """The step-function example split across two regions on a 2-node graph."""
     region_a = FIG_PAIRS[:4]
@@ -230,7 +235,7 @@ class TestZetaUpdate:
         # through a transient that crosses breakpoints
         inst = fig_two_region_instance(max_rounds=400, window=None)
         trace = run_protocol(inst)
-        expected = [[local_zeta(c, x) for c, x in zip(inst.region_criticalities, row)]
+        expected = [[local_zeta(c, x) for c, x in zip(cutoff_candidates(inst), row)]
                     for row in trace.x.tolist()]
         assert trace.zeta.tolist() == expected
         assert len({tuple(row) for row in expected}) > 2
@@ -347,13 +352,13 @@ class TestRunProtocol:
     def test_instance_reads_its_surrogates(self):
         inst = fig_two_region_instance()
         assert inst.ramp_width == FIG_RAMP
-        assert inst.region_criticalities == ((0.1, 0.15, 0.2, 0.4), (0.4, 0.5, 0.7, 0.8))
+        assert cutoff_candidates(inst) == ((0.1, 0.15, 0.2, 0.4), (0.4, 0.5, 0.7, 0.8))
 
 
 def per_round_run(inst):
     """The protocol as a plain loop, one round at a time (``protocol_rounds``),
     each round's mixing built from its own edge set."""
-    n = len(inst.region_criticalities)
+    n = len(inst.surrogates)
     state = ([float(inst.x0)] * n, [math.inf] * n, [math.inf] * n, [inst.ramp_width / 2.0] * n)
     streak = 0
     rows = []
@@ -474,7 +479,7 @@ class TestEndToEnd:
             z_hat = exact_z_hat(
                 SurrogateCcf(ccf, scenario.resolve_ramp_width(config)), config.deficit
             )
-            expected = tuple(local_zeta(rc, z_hat) for rc in inst.region_criticalities)
+            expected = tuple(local_zeta(rc, z_hat) for rc in cutoff_candidates(inst))
             assert trace.final_zeta == expected
             assert trace.zeta_stable_rounds >= 50
             assert trace.converged
@@ -509,7 +514,7 @@ class TestEndToEnd:
             ),
             record_trace=True,
         )
-        n = len(inst.region_criticalities)
+        n = len(inst.surrogates)
         prev_x = [inst.x0] * n
         for r in range(short.rounds):
             y_bar = (

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from loadshed import cli, rootfind, scenario
-from loadshed.criticality import SurrogateCcf, build_ccf, eval_surrogate
+from loadshed.criticality import SurrogateCcf, build_ccf
 from loadshed.netgraph import StaticSchedule, normalize_edges
 from loadshed.oracle import exact_z_hat
 from loadshed.protocol import (
@@ -16,13 +16,12 @@ from loadshed.protocol import (
     ProtocolInstance,
     StepSchedule,
     TraceEstimator,
+    certify_deficit_tracking,
+    deficit_deviation,
     run_protocol,
 )
 from loadshed.rootfind import (
-    LIPSCHITZ_SAFETY,
-    SIGN_TOL,
     CheckResult,
-    TimeVaryingField,
     consensus_diagnostics,
     verify_assumption_bounded_lipschitz,
     verify_deviation_rate,
@@ -38,20 +37,15 @@ ETA = StepSchedule(1.0, 1.0, 1.0)
 ZERO = SurrogateCcf(build_ccf([]), 1.0)  # an empty CCF: the zero field
 
 
-def shedding_field(pairs_by_region, ramp, estimator, rounds=2000, deficit=None):
-    """Per-region surrogate CCFs minus deficit estimates as a field, for
-    rounds 1..rounds; the limit subtracts an equal share of ``deficit``
-    (by default the estimator's)."""
-    surrogates = [SurrogateCcf(build_ccf(p), ramp) for p in pairs_by_region]
-    n = len(surrogates)
-    deficit = estimator.deficit if deficit is None else deficit
-    estimates = estimator.block(1, rounds + 1).tolist()
+def fig_surrogates(pairs_by_region=(FIG_PAIRS[:4], FIG_PAIRS[4:])):
+    """Per-region surrogate CCFs of the figure's loads (two regions by default)."""
+    return [SurrogateCcf(build_ccf(p), FIG_RAMP) for p in pairs_by_region]
 
-    return TimeVaryingField(
-        n=n,
-        evaluate=lambda j, z, t: eval_surrogate(surrogates[j], z) - estimates[int(t) - 1][j],
-        limit=lambda j, z: eval_surrogate(surrogates[j], z) - deficit / n,
-    )
+
+def deviation_rate(estimator, rounds, deficit=6.0):
+    """``loadshed check``'s deviation-rate line for ``estimator`` over rounds 1..rounds."""
+    P = estimator.block(1, rounds + 1)
+    return verify_deviation_rate(deficit_deviation(P, 1, ETA, deficit) / P.shape[1])
 
 
 def continuous_run(estimator, rounds, x0):
@@ -95,95 +89,60 @@ class TestAuxUpdate:
 
 class TestAssumptionChecks:
     def test_shedding_field_passes(self):
-        pairs = [FIG_PAIRS[:4], FIG_PAIRS[4:]]
-        fld = shedding_field(pairs, FIG_RAMP, ExactSplit(6.0, 2))
-        grid = np.linspace(0.0, 1.0, 1001)
-        bounded, lipschitz, bound, slope = verify_assumption_bounded_lipschitz(
-            fld, grid, horizon=200
+        surrogates = fig_surrogates()
+        bound, slope = verify_assumption_bounded_lipschitz(
+            surrogates, ExactSplit(6.0, 2).block(1, 201)
         )
-        assert bounded.passed and lipschitz.passed
-        assert bound <= 16.0  # fields never exceed the total load
-        sign = verify_sign_condition(fld, grid)
-        assert sign.passed
-        ccf = build_ccf(FIG_PAIRS)
-        z_hat = exact_z_hat(SurrogateCcf(ccf, FIG_RAMP), 6.0)
-        assert abs(sign.witness - z_hat) <= FIG_RAMP + grid[1] - grid[0]
+        assert bound == 5.0  # 8 - 3: fields never exceed the total load
+        assert slope == 4.0 / FIG_RAMP  # the step of 4 at 0.4
+        sign = verify_sign_condition(build_ccf(FIG_PAIRS), FIG_RAMP, 6.0)
+        assert sign.passed and sign.value == 0.4  # 6 sits 2/5 up the step of 5 at 0.4
+        assert sign.witness == exact_z_hat(SurrogateCcf(build_ccf(FIG_PAIRS), FIG_RAMP), 6.0)
 
-    def test_sine_field_passes_on_symmetric_grid(self):
-        fld = TimeVaryingField(1, lambda j, z, t: np.sin(z),
-                               limit=lambda j, z: np.sin(z))
-        grid = np.linspace(-1.0, 1.0, 801)
-        sign = verify_sign_condition(fld, grid)
-        assert sign.passed
-        assert abs(sign.witness) <= 2.5e-3
-
-    def test_reversed_sign_fails(self):
-        fld = TimeVaryingField(1, lambda j, z, t: -z, limit=lambda j, z: -z)
-        grid = np.linspace(-1.0, 1.0, 801)
-        assert not verify_sign_condition(fld, grid).passed
-
-    @pytest.mark.parametrize(
-        "h, witness",
-        [(lambda z: z + 5.0, 0), (lambda z: z - 5.0, -1)],
-        ids=["positive", "negative"],
-    )
-    def test_sign_without_a_change_takes_an_endpoint(self, h, witness):
-        # a limit of one sign everywhere: the root sits past the grid's end
-        fld = TimeVaryingField(1, lambda j, z, t: h(z), limit=lambda j, z: h(z))
-        grid = np.linspace(-1.0, 1.0, 801)
-        sign = verify_sign_condition(fld, grid)
-        assert sign.passed and sign.witness == grid[witness]
-
-    def test_sign_of_a_decreasing_limit_has_no_candidate(self):
-        # even point count: the limit -(z + 0.3) is never 0 on the grid
-        fld = TimeVaryingField(1, lambda j, z, t: -(z + 0.3), limit=lambda j, z: -(z + 0.3))
-        sign = verify_sign_condition(fld, np.linspace(-1.0, 1.0, 800))
+    @pytest.mark.parametrize("deficit, breakpoint", [(1.0, 0.1), (9.0, 0.4), (16.0, 0.8)])
+    def test_sign_condition_fails_at_a_cumulative_load(self, deficit, breakpoint):
+        # H vanishes from the breakpoint up to the next ramp (for the total
+        # load, everywhere above it): no single root
+        sign = verify_sign_condition(build_ccf(FIG_PAIRS), FIG_RAMP, deficit)
         assert not sign.passed
-        assert sign.detail == "no sign change found" and sign.witness is None
+        assert (sign.value, sign.witness) == (1.0, breakpoint)
 
     @pytest.mark.parametrize(
         "bad", [(np.nan, np.nan), (np.inf, np.inf), (np.inf, -np.inf)],
         ids=["nan", "inf", "opposite-inf"],
     )
     def test_non_finite_samples_fail(self, bad):
-        def h(j, z):  # node j's field is bad[j] above z = 0.5
-            return np.where(z > 0.5, bad[j], z)
-
-        fld = TimeVaryingField(2, lambda j, z, t: h(j, z), limit=h)
-        grid = np.linspace(-1.0, 1.0, 801)
-        bounded, lipschitz, bound, slope = verify_assumption_bounded_lipschitz(fld, grid, 100)
-        assert not bounded.passed and not lipschitz.passed
-        assert not math.isfinite(bound) and not math.isfinite(slope)
-        deviation = verify_deviation_rate(fld, grid, 100, ETA.eta)
-        assert not deviation.passed and math.isnan(deviation.value)
-        sign = verify_sign_condition(fld, grid)
-        assert not sign.passed and sign.detail == "no sign change found"
+        estimator = TraceEstimator(((3.0, 3.0), bad))
+        P = estimator.block(1, 101)
+        bound, slope = verify_assumption_bounded_lipschitz(fig_surrogates(), P)
+        assert not math.isfinite(bound) and slope == 4.0 / FIG_RAMP
+        deviation = deviation_rate(estimator, 100)
+        assert not deviation.passed and not math.isfinite(deviation.value)
+        assert deviation.detail == "non-finite estimate sum"
+        assert not certify_deficit_tracking(estimator, ETA, 100, 6.0) <= 2 * 2
 
     def test_deviation_rate_zero_for_time_invariant(self):
-        pairs = [FIG_PAIRS[:4], FIG_PAIRS[4:]]
-        fld = shedding_field(pairs, FIG_RAMP, ExactSplit(6.0, 2))
-        grid = np.linspace(0.0, 1.0, 101)
-        check = verify_deviation_rate(fld, grid, horizon=500, eta=ETA.eta)
+        check = deviation_rate(ExactSplit(6.0, 2), 500)
         assert check.passed
         assert check.value == 0.0
 
     def test_deviation_rate_noisy_bounded(self):
-        pairs = [FIG_PAIRS[:4], FIG_PAIRS[4:]]
-        fld = shedding_field(pairs, FIG_RAMP, NoisySplit(6.0, 2, seed=3))
-        grid = np.linspace(0.0, 1.0, 51)
-        check = verify_deviation_rate(fld, grid, horizon=2000, eta=ETA.eta)
+        check = deviation_rate(NoisySplit(6.0, 2, seed=3), 2000)
         assert check.passed
         assert check.value <= 2 * 2  # twice the node count
 
     def test_deviation_rate_slow_drift_fails(self):
-        fld = TimeVaryingField(
-            2,
-            lambda j, z, t: z + 1.0 / math.sqrt(t),
-            limit=lambda j, z: z,
-        )
-        grid = np.linspace(-1.0, 1.0, 51)
-        check = verify_deviation_rate(fld, grid, horizon=4000, eta=ETA.eta)
+        # each estimate is off its share by 1/sqrt(t): the ratio grows like sqrt(t)
+        rows = tuple((3.0 + d, 3.0 + d) for d in (1.0 / math.sqrt(t) for t in range(1, 4001)))
+        check = deviation_rate(TraceEstimator(rows), 4000)
         assert not check.passed
+
+    def test_cancelling_estimates_keep_their_error(self):
+        # each estimate is off its share of 3 by more than 1e308 and their
+        # sum is 0, so the aggregate error is the deficit, 6, in every round
+        est = TraceEstimator(((-1e308, 1e308),))
+        ratios = deficit_deviation(est.block(1, 11), 1, ETA, 6.0)
+        assert ratios.tolist() == [6.0 / ETA.eta(t) for t in range(1, 11)]
 
 
 class TestRunToRoot:
@@ -256,69 +215,31 @@ class TestConvergenceDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# the verifiers as they were written point by point: references for the
-# grid evaluation, which must give the same results bit for bit
+# the verifiers a round and a region at a time: references for the array
+# evaluation, which must give the same results bit for bit
 
 
-def loop_bounded_lipschitz(fld, grid, horizon):
-    times = rootfind._sample_times(horizon)
-    bound = 0.0
-    slope = 0.0
-    for t in times:
-        for j in range(fld.n):
-            bound = max(bound, max(abs(fld.evaluate(j, float(z), t)) for z in grid))
-    for j in range(fld.n):  # the slope of the limit field
-        values = [fld.limit(j, float(z)) for z in grid]
-        for i in range(1, len(grid) - 1):
-            quotient = abs(values[i + 1] - values[i - 1]) / (grid[i + 1] - grid[i - 1])
-            slope = max(slope, quotient)
-    return bound, slope * LIPSCHITZ_SAFETY
+def loop_bounded_lipschitz(surrogates, rows):
+    bound = slope = 0.0
+    for row in rows:
+        for s, p in zip(surrogates, row):
+            bound = max(bound, abs(p), abs(s.base.total_load - p))
+    for s in surrogates:
+        cumulative = (0.0, *s.base.cumulative)
+        slope = max(slope, *(b - a for a, b in zip(cumulative, cumulative[1:])))
+    return bound, slope / FIG_RAMP
 
 
-def loop_average_limit(fld, z):
-    return math.fsum(fld.limit(j, float(z)) for j in range(fld.n)) / fld.n
-
-
-def loop_sign_condition(fld, grid):
-    H = np.array([loop_average_limit(fld, z) for z in grid])
-    candidates = []
-    for i in range(len(grid) - 1):
-        if H[i] == 0.0:
-            candidates.append(float(grid[i]))
-        elif H[i] < 0.0 < H[i + 1]:
-            candidates.append(float(grid[i] if abs(H[i]) <= abs(H[i + 1]) else grid[i + 1]))
-    if H[-1] == 0.0:
-        candidates.append(float(grid[-1]))
-    if not candidates:
-        if (H >= 0.0).all():
-            candidates.append(float(grid[0]))
-        elif (H <= 0.0).all():
-            candidates.append(float(grid[-1]))
-    best_witness, best_min = None, -math.inf
-    for cand in candidates:
-        worst = float(((grid - cand) * H).min())
-        if worst > best_min:
-            best_min, best_witness = worst, cand
-    if best_witness is None:
-        return CheckResult("sign_condition", False, detail="no sign change found")
-    return CheckResult("sign_condition", best_min >= -SIGN_TOL, value=best_min,
-                       witness=best_witness)
-
-
-def loop_deviation_rate(fld, grid, horizon, eta):
-    times = rootfind._sample_times(horizon, count=40)
-    H = [loop_average_limit(fld, z) for z in grid]
-    running = 0.0
-    attained_at = 1
-    for t in times:
-        worst = 0.0
-        for zi, z in enumerate(grid):
-            avg = math.fsum(fld.evaluate(j, float(z), t) for j in range(fld.n)) / fld.n
-            worst = max(worst, abs(H[zi] - avg))
-        ratio = worst / eta(t)
+def loop_deviation_rate(rows, deficit):
+    # the aggregate error exactly: every estimate less its share, summed by fsum
+    n = len(rows[0])
+    share = deficit / n
+    horizon = len(rows)
+    running, attained_at = 0.0, 1
+    for t in rootfind._sample_times(horizon, count=40):
+        ratio = abs(math.fsum([*rows[t - 1], *[-share] * n])) / ETA.eta(t) / n
         if ratio > running:
-            running = ratio
-            attained_at = t
+            running, attained_at = ratio, t
     return CheckResult("deviation_rate", attained_at <= max(1, horizon // 2), value=running,
                        detail=f"running max attained at t={attained_at}")
 
@@ -330,42 +251,27 @@ def bits(check: CheckResult) -> tuple:
             check.detail)
 
 
-class TestGridVerifiersMatchLoops:
+class TestVerifiersMatchLoops:
     # three regions, so that a sum across nodes can round differently from fsum
     PAIRS = [FIG_PAIRS[:3], FIG_PAIRS[3:5], FIG_PAIRS[5:]]
 
     @pytest.mark.parametrize(
-        "estimator, deficit",
+        "estimator",
         [
-            (ExactSplit(6.0, 3), 6.0),
-            (NoisySplit(6.0, 3, seed=3), 6.0),
-            (TraceEstimator(((1.0, 4.0, 1.0), (2.1, 2.5, 1.4), (1.7, 2.2, 2.1))), 6.0),
+            ExactSplit(6.0, 3),
+            NoisySplit(6.0, 3, seed=3),
+            TraceEstimator(((1.0, 4.0, 1.0), (2.1, 2.5, 1.4), (1.7, 2.2, 2.1))),
         ],
         ids=["exact", "noisy", "trace"],
     )
-    def test_same_results_as_point_by_point(self, estimator, deficit):
-        fld = shedding_field(self.PAIRS, FIG_RAMP, estimator, deficit=deficit)
-        grid = np.linspace(0.0 - 2 * FIG_RAMP, 0.8 + 2 * FIG_RAMP, 301)
-        horizon = 400
-        bounded, lipschitz, bound, slope = verify_assumption_bounded_lipschitz(
-            fld, grid, horizon
-        )
-        assert (bound.hex(), slope.hex()) == tuple(
-            float(v).hex() for v in loop_bounded_lipschitz(fld, grid, horizon)
-        )
-        assert (bounded.value, lipschitz.value) == (bound, slope)
-        assert bits(verify_sign_condition(fld, grid)) == bits(loop_sign_condition(fld, grid))
-        sparse = grid[::10]
-        assert bits(verify_deviation_rate(fld, sparse, horizon, ETA.eta)) == bits(
-            loop_deviation_rate(fld, sparse, horizon, ETA.eta)
-        )
-
-    def test_average_limit_of_a_grid_is_its_points(self):
-        fld = shedding_field(self.PAIRS, FIG_RAMP, NoisySplit(6.0, 3, seed=3))
-        grid = np.linspace(-0.1, 0.9, 57)
-        assert [v.hex() for v in fld.average_limit(grid).tolist()] == [
-            loop_average_limit(fld, z).hex() for z in grid
+    def test_same_results_as_round_by_round(self, estimator):
+        surrogates = fig_surrogates(self.PAIRS)
+        P = estimator.block(1, 401)
+        got = verify_assumption_bounded_lipschitz(surrogates, P)
+        assert [v.hex() for v in got] == [
+            v.hex() for v in loop_bounded_lipschitz(surrogates, P.tolist())
         ]
+        assert bits(deviation_rate(estimator, 400)) == bits(loop_deviation_rate(P.tolist(), 6.0))
 
 
 class TestCheckCertificate:
@@ -374,14 +280,13 @@ class TestCheckCertificate:
     @pytest.mark.parametrize(
         "source, constants",
         [
-            ("two_region_step_example.json",
-             (5.0, 88.0, 0.0, 1, 4.000000000000001, -0.0, 0.3699)),
+            ("two_region_step_example.json", (5.0, 80.0, 0.0, 1, 4.000000000000001, 0.4, 0.37)),
             ("continuous_four_regions.json",
-             (0.75, 1.3200000000000165, 0.0, 1, 3.548682538985941, -0.0, 1.25)),
-            ("line", (63.27119016960299, 3832.9029522611204, 0.0, 1, 31.551827232703314,
-                      -0.0, 0.4210726)),
-            ("random", (63.27119016960299, 3832.9029522611204, 0.0, 2, 140.96398051850585,
-                        -0.0, 0.4210726)),
+             (0.75, 1.2, 0.0, 1, 3.548682538985941, 0.2500000000000001, 1.25)),
+            ("line", (63.27119016960299, 29999.82118519904, 0.0, 1, 31.551827232703314,
+                      0.3347697930974102, 0.4216667384896549)),
+            ("random", (63.27119016960299, 29999.82118519904, 0.0, 2, 140.96398051850585,
+                        0.3347697930974102, 0.4216667384896549)),
         ],
         ids=["two-region", "continuous", "gen-line-0", "gen-random-0"],
     )
@@ -404,3 +309,18 @@ class TestCheckCertificate:
         got = (cert.bound, cert.lipschitz, cert.deviation_rate, cert.window,
                cert.consensus_ratio, sign.value, sign.witness)
         assert [float(v).hex() for v in got] == [float(v).hex() for v in constants]
+
+    def test_lipschitz_is_the_largest_ramp_slope(self, capsys, tmp_path):
+        # ramps about 5e-5 wide: a grid of 1 001 points read a slope of
+        # 3832.9 here, an eighth of the steepest ramp's
+        config = scenario.generate_scenario(4, 100, 0, graph="line")
+        path = tmp_path / "gen.json"
+        scenario.dump_scenario(config, path)
+        inst = scenario.build_instance(config)
+        step = max(b - a for s in inst.surrogates
+                   for a, b in zip((0.0, *s.base.cumulative), s.base.cumulative))
+        _, lipschitz = verify_assumption_bounded_lipschitz(inst.surrogates, np.zeros((1, 4)))
+        assert lipschitz == step / inst.ramp_width
+        assert cli.main(["check", str(path)]) == 0
+        constants = capsys.readouterr().out.splitlines()[-1]
+        assert "lipschitz=29999.8" in constants.split()
