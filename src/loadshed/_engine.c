@@ -2,7 +2,9 @@
  * (see protocol.py) with the surrogate and the Metropolis mixing it
  * computes, the random schedules' graphs that feed it (see netgraph.py):
  * their draw and window repair and the components of a window's union,
- * and the trace CSV's rows (see scenario.emit_trace).
+ * the trace CSV's rows (see scenario.emit_trace), and deviation, the
+ * deficit-tracking error that check certifies (see
+ * protocol.deficit_deviation).
  *
  * One breakpoint search (upper) serves the surrogate and the cutoffs.  In
  * the chunk kernel each region searches once per round, starting from last
@@ -71,6 +73,14 @@ void surrogate(int64_t count, const double *z, const double *b, int64_t bn,
     }
 }
 
+/* eta(t) = gain / (t + offset)^exponent, with no power at exponent 1, as
+ * protocol.StepSchedule.eta computes it. */
+static inline double step_size(int64_t t, double gain, double offset, double exponent)
+{
+    double base = (double)t + offset;
+    return exponent == 1.0 ? gain / base : gain / pow(base, exponent);
+}
+
 /* Rounds t0 .. t0+m-1 of the protocol, each one whole before the next:
  *  - the estimates x(t+1) = W(t) x(t) - eta(t) (S_j(x_j(t)) - p_j(t)),
  *    with eta(t) = gain / (t + offset)^exponent;
@@ -109,8 +119,7 @@ static int64_t run_rounds(int64_t n, int64_t m, int64_t t0, double gain, double 
     int64_t block = (m + 1) * n;
     double half = c / 2.0;
     for (int64_t r = 0; r < m; r++) {
-        double base = (double)(t0 + r) + offset;
-        double eta = exponent == 1.0 ? gain / base : gain / pow(base, exponent);
+        double eta = step_size(t0 + r, gain, offset, exponent);
         const int64_t *row = indptr + (int64_t)graph[r] * n;
         double *x = state + r * n, *zeta = x + block, *z = zeta + block,
                *alpha = z + block;
@@ -561,4 +570,39 @@ int64_t trace_rows(int64_t n, int64_t m, const int64_t *t, const double *eta,
         }
     }
     return o - out;
+}
+
+/* The deficit-tracking error (see protocol.deficit_deviation). */
+
+/* Adds x to the running *total and the rounding error of every addition so
+ * far to *error (Knuth's TwoSum). */
+static inline void two_sum(double x, double *total, double *error)
+{
+    double s = *total + x, z = s - *total;
+    *error += (*total - (s - z)) + (x - z);
+    *total = s;
+}
+
+/* |sum_j P[r*n + j] - deficit| / eta(t0 + r) of each of m rows of n
+ * estimates, at out[r].  The deficit enters as n equal shares, one against
+ * each estimate, and the 2n terms p_j, -share are summed in that order with
+ * TwoSum, so an exact split reads 0 and estimates that cancel, as 1e308 and
+ * -1e308 do, keep the shares' error; a sum that is not finite is its
+ * running total, so one that overflows is inf.  eta(t) is step_size, as in
+ * run_rounds, computed only for rows whose error is nonzero: zeros stay
+ * zero and any other error, NaN too, is divided by it. */
+void deviation(int64_t n, int64_t m, int64_t t0, double gain, double offset, double exponent,
+               const double *P, double deficit, double *out)
+{
+    double share = deficit / (double)n;
+    for (int64_t r = 0; r < m; r++) {
+        const double *p = P + r * n;
+        double total = 0.0, error = 0.0;
+        for (int64_t j = 0; j < n; j++) {
+            two_sum(p[j], &total, &error);
+            two_sum(-share, &total, &error);
+        }
+        double v = fabs(isfinite(total) ? total + error : total);
+        out[r] = v != 0.0 ? v / step_size(t0 + r, gain, offset, exponent) : v;
+    }
 }

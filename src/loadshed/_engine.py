@@ -1,5 +1,6 @@
 """The compiled kernels of the round engine, of the random schedules'
-graphs and of the trace CSV's rows: ``_engine.c``, built on first import.
+graphs, of the trace CSV's rows and of ``check``'s deficit-tracking error
+(``deviation``): ``_engine.c``, built on first import.
 
 The source is compiled with the C compiler this Python was built with
 (``sysconfig``'s ``CC``) into ``__pycache__/_engine-<digest>.so`` beside
@@ -89,3 +90,6 @@ draw_repaired.restype = _i64
 trace_rows = _lib.trace_rows
 trace_rows.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]
 trace_rows.restype = _i64
+deviation = _lib.deviation
+deviation.argtypes = [_i64, _i64, _i64, _f64, _f64, _f64, _ptr, _f64, _ptr]
+deviation.restype = None

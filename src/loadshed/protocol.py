@@ -54,7 +54,7 @@ class StepSchedule:
             )
 
     def eta(self, t: int) -> float:
-        """eta(t); the engine's kernel computes it with the same operations."""
+        """eta(t); the engine's kernels compute it with the same operations."""
         base = t + self.offset
         if self.exponent == 1.0:
             return self.gain / base
@@ -135,24 +135,17 @@ CHUNK = 1024
 def deficit_deviation(P: np.ndarray, t0: int, step: StepSchedule, deficit: float) -> np.ndarray:
     """|sum_j p_j(t) - deficit| / eta(t) for the rows of P, rounds t0, t0 + 1, ...
 
-    The deficit enters as n equal shares, one against each estimate, and the
-    2n terms are summed with TwoSum, so an exact split reads 0 and estimates
-    that cancel, as 1e308 and -1e308 do, keep the shares' error.  A sum that
-    overflows is inf.  eta(t) is evaluated only at rounds whose error is
-    nonzero, so an exact split costs a few array operations.
+    The engine's ``deviation`` kernel sums each row's 2n terms, the estimates
+    and n equal shares of the deficit, with TwoSum, so an exact split reads 0
+    and estimates that cancel, as 1e308 and -1e308 do, keep the shares'
+    error.  A sum that overflows is inf.  A row's eta(t) is computed, as the
+    round kernel computes it, only when its error is nonzero.
     """
-    share = deficit / P.shape[1]
-    total = error = np.zeros(len(P))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is inf
-        for x in (term for p in P.T for term in (p, -share)):
-            s = total + x
-            z = s - total
-            error = error + ((total - (s - z)) + (x - z))
-            total = s
-        errors = np.abs(np.where(np.isfinite(total), total + error, total))
-    rounds = np.flatnonzero(errors)
-    errors[rounds] /= [step.eta(t) for t in (rounds + t0).tolist()]
-    return errors
+    P = np.ascontiguousarray(P, dtype=np.float64)
+    out = np.empty(len(P))
+    _engine.deviation(P.shape[1], len(P), t0, step.gain, step.offset, step.exponent,
+                      P.ctypes.data, deficit, out.ctypes.data)
+    return out
 
 
 def certify_deficit_tracking(

@@ -1,8 +1,9 @@
 """Shared fixtures: the step-function example set, the tie example, the
 four-region continuous instance used across the suite, the numpy and
-scalar references of the compiled graphs and of the compiled round engine,
-the verification oracles only the tests call, and the kink-interpolated
-continuous closed form that ``oracle.continuous_solution`` is held to."""
+scalar references of the compiled graphs, of the compiled round engine and
+of its deficit-tracking error, the verification oracles only the tests
+call, and the kink-interpolated continuous closed form that
+``oracle.continuous_solution`` is held to."""
 
 from __future__ import annotations
 
@@ -320,6 +321,32 @@ def protocol_rounds(state, streak, window, rows, etas, ps, surrogates):
         if window is not None and streak >= window:
             break
     return out, streak
+
+
+# Numpy reference for the compiled deficit-tracking error
+# (``protocol.deficit_deviation``, the engine's ``deviation``).
+
+
+def deviation_reference(P: np.ndarray, t0: int, step, deficit: float) -> np.ndarray:
+    """|sum_j p_j(t) - deficit| / eta(t) for the rows of P, rounds t0, t0 + 1, ...
+
+    The 2n terms p_j, -deficit/n are summed column by column with TwoSum,
+    all rows at once; a total that is not finite stands as it is.  Only
+    nonzero errors are divided by ``step.eta``.
+    """
+    share = deficit / P.shape[1]
+    total = error = np.zeros(len(P))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is inf
+        for x in (term for p in P.T for term in (p, -share)):
+            s = total + x
+            z = s - total
+            error = error + ((total - (s - z)) + (x - z))
+            total = s
+        errors = np.abs(np.where(np.isfinite(total), total + error, total))
+    rounds = np.flatnonzero(errors)
+    with np.errstate(divide="ignore", over="ignore"):  # a subnormal or zero eta
+        errors[rounds] /= [step.eta(t) for t in (rounds + t0).tolist()]
+    return errors
 
 
 # Verification oracles that only the tests call.

@@ -1,7 +1,7 @@
 """The compiled engine (loadshed/_engine.c): its chunk kernel against the
-scalar composition in conftest, its graph draw, window repair, components
-and Metropolis mixing against the numpy references in conftest, bit for
-bit, and the build that loads it."""
+scalar composition in conftest, its graph draw, window repair, components,
+Metropolis mixing and deficit-tracking error against the numpy references
+in conftest, bit for bit, and the build that loads it."""
 
 from __future__ import annotations
 
@@ -23,12 +23,23 @@ import loadshed
 from loadshed import _engine
 from loadshed.criticality import SurrogateCcf, build_ccf, min_gap
 from loadshed.netgraph import RandomSchedule, repaired_rows
-from loadshed.protocol import ExactSplit, ProtocolInstance, StepSchedule, run_protocol
+from loadshed.protocol import (
+    CHUNK,
+    ExactSplit,
+    NoisySplit,
+    ProtocolInstance,
+    StepSchedule,
+    TraceEstimator,
+    certify_deficit_tracking,
+    deficit_deviation,
+    run_protocol,
+)
 from loadshed.seeding import STREAM_EDGES, STREAM_REPAIR, mix64, unit_float
 
 from conftest import (
     block_rows,
     component_labels,
+    deviation_reference,
     dmc_rounds,
     draw_edges,
     local_zeta,
@@ -425,6 +436,64 @@ class TestGraphsMatchReferences:
                 sequential += 1.0 - total != W[g, j, j]
         assert sequential
         assert bits(dense(rows, n)) == bits(W)
+
+
+@st.composite
+def deviation_blocks(draw):
+    """Rows of up to 29 estimates whose cells mix the exact share, +-1e308,
+    +-inf, NaN and -0.0 with ordinary values (some rows wholly exact), a
+    first round up to 100 000, and a step whose eta may be subnormal."""
+    n, m = draw(st.integers(1, 29)), draw(st.integers(1, 12))
+    deficit = draw(st.sampled_from([6.0, 1e308, -0.0]) | st.floats(0.0, 50.0))
+    share = deficit / n
+    cell = st.sampled_from([share, 1e308, -1e308, *SPECIAL]) | st.floats(-5.0, 5.0)
+    P = np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m)))
+    exact = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    P[exact] = share
+    gain = draw(st.sampled_from([1.0, 5e-324, 1e-310]) | st.floats(1e-320, 10.0))
+    step = StepSchedule(gain, draw(st.floats(0.01, 100.0)), draw(st.sampled_from(EXPONENTS)))
+    return P, draw(st.integers(1, 100_000)), step, deficit
+
+
+def tracking_reference(estimator, step, t_max, deficit) -> float:
+    """``deviation_reference``'s largest value over rounds 1..t_max, one
+    ``CHUNK`` of rounds at a time."""
+    return float(np.max([
+        deviation_reference(estimator.block(t0, min(t0 + CHUNK, t_max + 1)), t0, step,
+                            deficit).max()
+        for t0 in range(1, t_max + 1, CHUNK)
+    ], initial=0.0))
+
+
+# rows around the share 1.5 of the deficit 6: exact, a thousandth off, and
+# one with NaN; past the table, its last row misses by 0.5 in every round
+ROWS = np.round(1.5 + np.random.default_rng(7).normal(0.0, 1e-3, (1100, 4)), 4)
+ROWS[::3] = 1.5
+ROWS[1050, 2] = math.nan
+ROWS[-1] = [1.5, 1.5, 1.5, 1.0]
+ESTIMATORS = [
+    ExactSplit(6.0, 4), NoisySplit(6.0, 4, seed=3), TraceEstimator(tuple(map(tuple, ROWS)))
+]
+
+
+class TestDeviationMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(deviation_blocks())
+    @example((np.array([[1e308, -1e308]]), 1, StepSchedule(), 6.0))  # the shares' error
+    @example((np.array([[1e308, 1e308]]), 1, StepSchedule(), 6.0))  # an overflowing sum
+    @example((np.full((2, 1), 1.0), 99_999, StepSchedule(5e-324, 1.0, 0.6), 0.0))  # eta 0
+    def test_deficit_deviation(self, case):
+        P, t0, step, deficit = case
+        assert bits(deficit_deviation(P, t0, step, deficit)) == bits(
+            deviation_reference(P, t0, step, deficit))
+
+    @pytest.mark.parametrize("horizon", [1, CHUNK - 1, CHUNK, CHUNK + 1, 100_000])
+    @pytest.mark.parametrize("estimator", ESTIMATORS, ids=["exact", "noisy", "trace"])
+    @pytest.mark.parametrize("step", [StepSchedule(), StepSchedule(0.5, 2.0, 0.75)],
+                             ids=["harmonic", "power"])
+    def test_certify_deficit_tracking(self, estimator, step, horizon):
+        assert bits([certify_deficit_tracking(estimator, step, horizon, 6.0)]) == bits(
+            [tracking_reference(estimator, step, horizon, 6.0)])
 
 
 class TestBuild:

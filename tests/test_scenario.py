@@ -632,7 +632,18 @@ PINNED_STDOUT = [
      "d539d6b74c03f8a61f546c6f54b0444efb411d39e8c216784fc7354b3458b07c"),
     ("random-0", "check", 0,
      "8e6b9ac5915f76e3cd46665c347a1f351be2789622692c169367d47b44d68121"),
+    # nonzero deficit-tracking errors, divided by eta(t) in every round
+    ("two_region_step_example+noisy", "check", 0,
+     "e659fa87acaea2945cbfb76468fea4c3e78de66d2c92509dccec69abbcd66c33"),
+    ("two_region_step_example+miss", "check", 2,
+     "0ee800ad229eb3432181db7d756603a4bc8a51e1d4897a47d819eaa83c69e992"),
 ]
+# "config+edit": the shipped config with one estimator replaced
+PINNED_ESTIMATORS = {
+    "noisy": {"kind": "noisy_split"},
+    # each row sums to 5.5, half a unit short of the deficit 6
+    "miss": {"kind": "trace", "rows": [[3.25, 2.25], [2.5, 3.0]]},
+}
 
 
 class TestCli:
@@ -1109,9 +1120,15 @@ class TestCli:
         ids=[f"{name}-{command}" for name, command, _, _ in PINNED_STDOUT],
     )
     def test_stdout_is_pinned(self, name, command, code, digest, capsys, tmp_path):
-        # shipped configs, and generate_scenario(4, 100, seed, graph=family) for "family-seed"
+        # shipped configs, PINNED_ESTIMATORS' edits of them for "config+edit", and
+        # generate_scenario(4, 100, seed, graph=family) for "family-seed"
+        name, _, edit = name.partition("+")
         path = CONFIG_DIR / f"{name}.json"
-        if not path.exists():
+        if edit:
+            doc = {**json.loads(path.read_text()), "estimator": PINNED_ESTIMATORS[edit]}
+            path = tmp_path / "edited.json"
+            path.write_text(json.dumps(doc))
+        elif not path.exists():
             family, seed = name.rsplit("-", 1)
             path = tmp_path / "gen.json"
             dump_scenario(generate_scenario(4, 100, int(seed), graph=family), path)
