@@ -30,7 +30,6 @@ from .oracle import (
     greedy_shed_set,
 )
 from .netgraph import (
-    ConnectivityReport,
     PeriodicSchedule,
     RandomSchedule,
     StaticSchedule,

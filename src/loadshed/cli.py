@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -109,6 +110,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first main() call, not at import
 def build_parser() -> argparse.ArgumentParser:
     # --quiet is accepted before and after the subcommand; it has no
     # default of its own, so a subcommand that omits it keeps the value

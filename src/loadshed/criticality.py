@@ -29,7 +29,6 @@ class Load:
     id: int
     power: float
     nature_criticality: float
-    region_id: int
 
     def __post_init__(self):
         if self.power < 0:
@@ -53,11 +52,6 @@ class Region:
             raise ValueError(
                 f"region {self.id}: criticality {self.region_criticality} outside [0, 1]"
             )
-        for load in self.loads:
-            if load.region_id != self.id:
-                raise ValueError(
-                    f"load {load.id} carries region_id {load.region_id} inside region {self.id}"
-                )
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,19 @@ window connectivity check.
 Graphs are undirected over nodes 0..n-1.  Schedules map a 1-based round
 counter to a graph; all three kinds (static, periodic, seeded random) are
 pure functions of (seed, t), so any round can be re-derived independently.
-They are read a block of rounds at a time (``edges_between``) as boolean
-pair rows: one row per round, one column per pair i < j in lexicographic
-order.  Frozensets of pairs appear only at the edges: static and periodic
-schedules are built from them (a scenario's parser maps its region ids to
-these node indices); ``edges_at`` and ``edge_sets`` hand them out.  Each
-schedule class names its JSON kind (``kind``).  The compiled engine
-(``_engine.c``) does the per-graph work: it draws a random schedule's
-block of rows and repairs its disconnected windows (``repaired_rows``),
-and finds each window's components by union-find (which the connectivity
-check uses too).  Each schedule hands the engine a block's graphs as pair
-rows and one index per round into them (``graphs_between``): a static or
-periodic schedule builds its steps' rows once and indexes them by round,
-and a random schedule draws each block's, one row per round.  The chunk
-kernel builds their Metropolis mixing itself.
+Each schedule hands out a block of rounds as boolean pair rows (one column
+per pair i < j in lexicographic order) and one int32 index per round into
+them (``graphs_between``): a static or periodic schedule builds its steps'
+rows once and indexes them by round, and a random schedule draws each
+block's, one row per round.  The chunk kernel builds their Metropolis
+mixing itself.  Frozensets of pairs appear only at the edges: static and
+periodic schedules are built from them (a scenario's parser maps its region
+ids to these node indices); ``edges_at`` and ``edge_sets`` hand them out.
+Each schedule class names its JSON kind (``kind``).  The compiled engine
+(``_engine.c``) does the per-graph work: it draws a random schedule's block
+of rows and repairs its disconnected windows (``repaired_rows``), and finds
+each window's components by union-find, which the connectivity check reads
+for the distinct windows of a cyclic schedule.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
+from math import gcd
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -105,10 +105,6 @@ class _CyclicSchedule:
         steps' pair rows, and those rows (the same array for every block)."""
         return (np.arange(t0 - 1, t1 - 1) % len(self._rows)).astype(np.int32), self._rows
 
-    def edges_between(self, t0: int, t1: int) -> np.ndarray:
-        graph, rows = self.graphs_between(t0, t1)
-        return rows[graph]
-
 
 @dataclass(frozen=True)
 class StaticSchedule(_CyclicSchedule):
@@ -124,7 +120,8 @@ class StaticSchedule(_CyclicSchedule):
         return (self.edges,)
 
     def edges_at(self, t: int) -> frozenset[Edge]:
-        return edge_sets(self.edges_between(t, t + 1), self.n)[0]
+        graph, rows = self.graphs_between(t, t + 1)
+        return edge_sets(rows[graph], self.n)[0]
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,8 @@ class PeriodicSchedule(_CyclicSchedule):
         return self.steps
 
     def edges_at(self, t: int) -> frozenset[Edge]:
-        return edge_sets(self.edges_between(t, t + 1), self.n)[0]
+        graph, rows = self.graphs_between(t, t + 1)
+        return edge_sets(rows[graph], self.n)[0]
 
 
 @dataclass(frozen=True)
@@ -170,61 +168,40 @@ class RandomSchedule:
         if self.window < 1:
             raise ValueError("window must be positive")
 
-    def edges_between(self, t0: int, t1: int) -> np.ndarray:
-        """Pair rows of rounds t0..t1-1, drawn in one block from the start
+    def graphs_between(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rounds t0..t1-1 as one graph each: the int32 index of each
+        round's row, and the pair rows, drawn in one block from the start
         of t0's window; each disconnected window that ends in the range
         gets its repair, keyed by the window's index."""
         B = self.window
         w0 = (t0 - 1) // B  # window w holds rounds w*B + 1 .. (w + 1)*B
         rows = repaired_rows(self.seed, range(w0 * B + 1, t1), self.n,
                              self.edge_probability, B, np.arange(w0, (t1 - 1) // B))
-        return rows[t0 - 1 - w0 * B:]
-
-    def graphs_between(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rounds t0..t1-1 as one graph each: the int32 index of each
-        round's row, and ``edges_between(t0, t1)``."""
-        rows = self.edges_between(t0, t1)
-        return np.arange(len(rows), dtype=np.int32), rows
+        return np.arange(t1 - t0, dtype=np.int32), rows[t0 - 1 - w0 * B:]
 
     def edges_at(self, t: int) -> frozenset[Edge]:
-        return edge_sets(self.edges_between(t, t + 1), self.n)[0]
+        graph, rows = self.graphs_between(t, t + 1)
+        return edge_sets(rows[graph], self.n)[0]
 
 
 GraphSchedule = StaticSchedule | PeriodicSchedule | RandomSchedule
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    passed: bool
-    windows_checked: int
-    failing_window: int | None = None
-    failing_nodes: tuple[int, ...] = ()
+def check_window_connectivity(schedule: GraphSchedule, max_rounds: int) -> int | None:
+    """The first window whose union graph is disconnected, or None.
 
-    def __str__(self) -> str:
-        if self.passed:
-            return f"window connectivity: pass ({self.windows_checked} windows)"
-        return (
-            f"window connectivity: FAIL at window {self.failing_window} "
-            f"(components led by {list(self.failing_nodes)})"
-        )
-
-
-# windows of a schedule that validation and certificates check for
-# connectivity, when the run is that long
-CONNECTIVITY_WINDOWS = 100
-
-
-def check_window_connectivity(schedule: GraphSchedule, max_rounds: int) -> ConnectivityReport:
-    """Verify that every window's union graph is connected, over the whole
-    windows within ``min(max_rounds, CONNECTIVITY_WINDOWS * window)``
-    rounds, at least one."""
-    B, n = schedule.window, schedule.n
-    windows = max(1, min(max_rounds // B, CONNECTIVITY_WINDOWS))
-    rows = np.ascontiguousarray(schedule.edges_between(1, windows * B + 1), dtype=bool)
+    A random schedule is connected by construction, and nothing is drawn.
+    A cyclic schedule's window unions repeat every ``period / gcd(period,
+    window)`` windows; each distinct one among the whole windows within
+    ``max_rounds`` rounds, at least one, is read through ``graphs_between``.
+    """
+    if isinstance(schedule, RandomSchedule):
+        return None
+    B, n, period = schedule.window, schedule.n, len(schedule._rows)
+    windows = max(1, min(max_rounds // B, period // gcd(period, B)))
+    graph, rows = schedule.graphs_between(1, windows * B + 1)
+    rows = rows[graph]
     labels = np.empty((windows, n), np.int64)  # the smallest node each node reaches
     _engine.components(n, len(rows), B, rows.ctypes.data, labels.ctypes.data)
     broken = np.flatnonzero(labels.any(axis=1))
-    if not broken.size:
-        return ConnectivityReport(True, windows)
-    leaders = np.flatnonzero(labels[broken[0]] == np.arange(n))
-    return ConnectivityReport(False, windows, int(broken[0]), tuple(leaders.tolist()))
+    return int(broken[0]) if broken.size else None

@@ -264,11 +264,11 @@ def validate(config: ScenarioConfig) -> None:
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
 
-    report = check_window_connectivity(config.graph, config.max_rounds)
-    if not report.passed:
+    failing = check_window_connectivity(config.graph, config.max_rounds)
+    if failing is not None:
         raise ScenarioError(
             f"communication schedule fails window connectivity at window "
-            f"{report.failing_window} (window {config.graph.window})"
+            f"{failing} (window {config.graph.window})"
         )
 
 
@@ -469,8 +469,7 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
             regions.append(_built(ContinuousRegion, path, **region))
             continue
         loads = tuple(
-            _built(Load, f"{path}loads[{i}].", **_fields(load, _LOAD, f"{path}loads[{i}]."),
-                   region_id=region["id"])
+            _built(Load, f"{path}loads[{i}].", **_fields(load, _LOAD, f"{path}loads[{i}]."))
             for i, load in enumerate(region["loads"])
         )
         regions.append(_built(Region, path, id=region["id"],
@@ -610,7 +609,6 @@ def generate_scenario(
                     id=j * loads_per_region + i + 1,
                     power=powers[j][i],
                     nature_criticality=nature[j][i],
-                    region_id=j + 1,
                 )
                 for i in range(loads_per_region)
             ),

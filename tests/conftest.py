@@ -191,6 +191,13 @@ def block_rows(rows: np.ndarray, n: int) -> list[list[list[tuple[int, float]]]]:
     return csr_rows(np.arange(len(rows)), rows, n)
 
 
+def round_rows(schedule, t0: int, t1: int) -> np.ndarray:
+    """The pair row of each round t0..t1-1 of a schedule, read through its
+    ``graphs_between`` as the engine reads it."""
+    graph, rows = schedule.graphs_between(t0, t1)
+    return rows[graph]
+
+
 def window_labels(rows: np.ndarray, n: int, window: int = 1) -> np.ndarray:
     """``_engine.components`` of pair rows: for each whole window of
     ``window`` rows, the smallest node each node reaches in its union."""

@@ -30,7 +30,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def combined(c_nature: float, c_region: float, weight: float = 0.5) -> float:
     """The criticality ``resolve_loads`` gives one load of one region."""
-    region = Region(1, c_region, (Load(1, 1.0, c_nature, 1),))
+    region = Region(1, c_region, (Load(1, 1.0, c_nature),))
     (load,) = resolve_loads((region,), weight)
     return load.criticality
 
@@ -76,20 +76,16 @@ class TestCombiner:
 class TestLoadTypes:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            Load(1, -1.0, 0.5, 1)
+            Load(1, -1.0, 0.5)
 
     def test_criticality_range(self):
         with pytest.raises(ValueError):
-            Load(1, 1.0, 1.5, 1)
-
-    def test_region_id_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Region(1, 0.5, (Load(1, 1.0, 0.5, 2),))
+            Load(1, 1.0, 1.5)
 
     def test_duplicate_ids_rejected(self):
         regions = (
-            Region(1, 0.5, (Load(1, 1.0, 0.5, 1),)),
-            Region(2, 0.5, (Load(1, 1.0, 0.5, 2),)),
+            Region(1, 0.5, (Load(1, 1.0, 0.5),)),
+            Region(2, 0.5, (Load(1, 1.0, 0.5),)),
         )
         with pytest.raises(ValueError, match="duplicate"):
             resolve_loads(regions, 0.5)

@@ -46,6 +46,7 @@ from conftest import (
     metropolis_block,
     mixing_csr,
     protocol_rounds,
+    round_rows,
     row_neighbors,
     scalar_surrogate,
     stochasticity_defect,
@@ -98,7 +99,7 @@ def chunks(draw, max_n=6):
     edges = breakpoints + [v for b in breakpoints for v in (
         b - ramp, math.nextafter(b, -math.inf), math.nextafter(b - ramp, math.inf))]
     return Chunk([SurrogateCcf(ccf, ramp) for ccf in ccfs],
-                 schedule.edges_between(t0, t0 + m), t0, step,
+                 round_rows(schedule, t0, t0 + m), t0, step,
                  x=floats(draw, (n,), special=edges), P=floats(draw, (m, n), -5.0, 5.0),
                  zeta=floats(draw, (n,), special=breakpoints), z=floats(draw, (n,)),
                  alpha=np.array(alpha), streak=draw(st.integers(0, 12)),
@@ -368,7 +369,7 @@ class TestGraphsMatchReferences:
         t1, w0 = t0 + length, (t0 - 1) // window
         expected = repaired_reference(seed, range(w0 * window + 1, t1), n, p, window,
                                       range(w0, (t1 - 1) // window))
-        rows = RandomSchedule(n, p, window, seed).edges_between(t0, t1)
+        rows = round_rows(RandomSchedule(n, p, window, seed), t0, t1)
         assert rows.tolist() == expected[t0 - 1 - w0 * window:].tolist()
 
     @settings(max_examples=100, deadline=None)

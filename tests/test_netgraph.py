@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 from itertools import chain
+from math import gcd
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from loadshed import _engine, netgraph
 from loadshed.netgraph import (
-    ConnectivityReport,
     PeriodicSchedule,
     RandomSchedule,
     StaticSchedule,
@@ -29,6 +29,7 @@ from conftest import (
     mixing_csr,
     mixing_rows,
     neighbor_lists,
+    round_rows,
     row_neighbors,
     scalar_metropolis,
     stochasticity_defect,
@@ -154,8 +155,7 @@ class TestMetropolisWeights:
 class TestSchedules:
     def test_static_connected_passes(self):
         schedule = StaticSchedule(4, normalize_edges(LINE4, 4))
-        report = check_window_connectivity(schedule, 10)
-        assert report.passed and report.windows_checked == 10
+        assert check_window_connectivity(schedule, 10) is None
 
     def test_periodic_alternation_passes(self):
         schedule = PeriodicSchedule(
@@ -163,13 +163,11 @@ class TestSchedules:
         )
         assert schedule.edges_at(1) == {(0, 1)}
         assert schedule.edges_at(2) == {(1, 2)}
-        assert check_window_connectivity(schedule, 8).passed
+        assert check_window_connectivity(schedule, 8) is None
 
     def test_isolated_node_fails_window_zero(self):
         schedule = StaticSchedule(3, normalize_edges([(0, 1)], 3))
-        report = check_window_connectivity(schedule, 4)
-        assert not report.passed
-        assert report.failing_window == 0
+        assert check_window_connectivity(schedule, 4) == 0
 
     def test_random_schedule_deterministic(self):
         a = RandomSchedule(5, 0.4, window=3, seed=123)
@@ -177,10 +175,31 @@ class TestSchedules:
         for t in range(1, 40):
             assert a.edges_at(t) == b.edges_at(t)
 
-    def test_random_schedule_window_connected_by_construction(self):
-        for seed in range(10):
-            schedule = RandomSchedule(6, 0.15, window=4, seed=seed)
-            assert check_window_connectivity(schedule, 400).passed
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 70),
+        p=st.just(0.0) | st.floats(0.0, 0.3),
+        window=st.integers(1, 4),
+        windows=st.integers(1, 5),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(n=70, p=0.0, window=1, windows=3, seed=0)
+    @example(n=65, p=0.01, window=3, windows=2, seed=7)
+    def test_random_schedule_window_connected_by_construction(self, n, p, window, windows,
+                                                              seed):
+        # the repair connects every whole window, so the check draws nothing
+        schedule = RandomSchedule(n, p, window, seed)
+        edges = netgraph.edge_sets(round_rows(schedule, 1, windows * window + 1), n)
+        for w in range(windows):
+            union = chain(*edges[w * window:(w + 1) * window])
+            assert connected_components(union, n) == [list(range(n))]
+
+        def no_draw(*args):
+            raise AssertionError("the connectivity check drew a random block")
+
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(netgraph, "repaired_rows", no_draw)
+            assert check_window_connectivity(schedule, 45_000) is None
 
     def test_random_schedule_seed_changes_draws(self):
         a = RandomSchedule(5, 0.4, window=3, seed=1)
@@ -194,11 +213,31 @@ class TestSchedules:
                     {(1, 2)}, {(0, 1), (1, 3)}]
         assert [schedule.edges_at(t) for t in range(1, 7)] == expected
 
-    def test_connectivity_horizon_whole_windows(self):
-        schedule = PeriodicSchedule(3, (frozenset({(0, 1)}), frozenset({(1, 2)})), window=2)
-        assert check_window_connectivity(schedule, 45_000).windows_checked == 100
-        assert check_window_connectivity(schedule, 7).windows_checked == 3
-        assert check_window_connectivity(schedule, 1).windows_checked == 1  # at least one
+    def test_connectivity_horizon_whole_windows(self, monkeypatch):
+        # period 3, window 2: three distinct windows, steps (0, 1), (2, 0) and
+        # (1, 2); only the third misses step 0, the one with edges
+        steps = (frozenset({(0, 1), (1, 2)}), frozenset(), frozenset())
+        schedule = PeriodicSchedule(3, steps, window=2)
+        reads = []
+        read = PeriodicSchedule.graphs_between
+        monkeypatch.setattr(PeriodicSchedule, "graphs_between",
+                            lambda self, t0, t1: reads.append((t0, t1)) or read(self, t0, t1))
+        assert check_window_connectivity(schedule, 45_000) == 2
+        assert check_window_connectivity(schedule, 6) == 2
+        assert check_window_connectivity(schedule, 5) is None  # window 2 ends in round 6
+        assert check_window_connectivity(schedule, 1) is None  # at least one window
+        assert reads == [(1, 7), (1, 7), (1, 5), (1, 3)]
+
+    def test_cyclic_schedule_checks_every_distinct_window(self):
+        # period 6, window 4: windows 0, 1 and 2 hold steps 0-3, 4-1 and 2-5,
+        # and window 3 is window 0 again; only window 2 misses steps 0 and 1
+        steps = (frozenset({(0, 1)}), frozenset({(1, 2)})) + (frozenset(),) * 4
+        assert check_window_connectivity(PeriodicSchedule(3, steps, window=4), 45_000) == 2
+        assert check_window_connectivity(PeriodicSchedule(3, steps, window=4), 11) is None
+        # 101 steps, the last one empty, at window 1: window 100 fails
+        steps = (frozenset({(0, 1)}),) * 100 + (frozenset(),)
+        assert check_window_connectivity(PeriodicSchedule(2, steps, window=1), 3000) == 100
+        assert check_window_connectivity(PeriodicSchedule(2, steps, window=1), 100) is None
 
 
 class TestMixingCache:
@@ -207,7 +246,7 @@ class TestMixingCache:
 
     def test_entries_match_the_edge_sets(self):
         schedule = RandomSchedule(5, 0.4, window=2, seed=4)
-        block = block_rows(schedule.edges_between(1, 30), 5)
+        block = block_rows(round_rows(schedule, 1, 30), 5)
         for t, w_rows in enumerate(block, start=1):
             edges = schedule.edges_at(t)
             assert w_rows == mixing_rows(metropolis_weights(edges, 5))
@@ -238,7 +277,7 @@ class TestMixingCache:
         graph, rows = schedule.graphs_between(2049, 3073)
         assert graph.dtype == np.int32 and graph.tolist() == list(range(1024))
         assert rows.dtype == bool and rows.shape == (1024, 66) and rows.flags.c_contiguous
-        assert rows.tolist() == schedule.edges_between(2049, 3073).tolist()
+        assert rows.tolist() == round_rows(schedule, 2049, 3073).tolist()
         indptr, col, weight = mixing_csr(rows, 12)
         assert indptr.dtype == np.int64 and len(indptr) == 12 * 1024 + 1
         assert col.dtype == np.int32
@@ -261,7 +300,7 @@ class TestMixingCache:
         monkeypatch.setattr(_engine, "draw_repaired", counted_draw)
         schedule = RandomSchedule(6, 0.1, window=3, seed=1)
         # the block starts and ends inside windows 1 and 16
-        block = block_rows(schedule.edges_between(5, 50), 6)
+        block = block_rows(round_rows(schedule, 5, 50), 6)
         assert draws == [list(range(4, 50))]
         raw = netgraph.edge_sets(draw_edges(1, range(4, 50), 6, 0.1), 6)  # round t at t - 4
         repaired = 0
@@ -272,8 +311,8 @@ class TestMixingCache:
             assert row_neighbors(block[3 * w + 3 - 5]) == neighbor_lists(rounds[-1] | repair, 6)
         assert repaired
         draws.clear()
-        assert check_window_connectivity(schedule, 30).passed
-        assert draws == [list(range(1, 31))]
+        assert check_window_connectivity(schedule, 30) is None
+        assert draws == []
 
 
 class TestScheduleMixing:
@@ -302,7 +341,7 @@ class TestScheduleMixing:
         length_of_cycle = 1 if static else period
         assert rows.dtype == bool and rows.shape == (length_of_cycle, n * (n - 1) // 2)
         assert graph.tolist() == [(t - 1) % length_of_cycle for t in range(t0, t1)]
-        assert csr_rows(graph, rows, n) == block_rows(schedule.edges_between(t0, t1), n)
+        assert csr_rows(graph, rows, n) == block_rows(round_rows(schedule, t0, t1), n)
         # every block indexes the same rows
         assert schedule.graphs_between(t1, t1 + 5)[1] is rows
 
@@ -319,9 +358,8 @@ class TestScheduleMixing:
         for schedule in (StaticSchedule(3, line),
                          PeriodicSchedule(3, (line, frozenset({(0, 2)})), window=2)):
             for t0 in (1, 7, 100):
-                schedule.edges_between(t0, t0 + 50)
-                schedule.graphs_between(t0, t0 + 50)
-            assert check_window_connectivity(schedule, 1000).passed
+                round_rows(schedule, t0, t0 + 50)
+            assert check_window_connectivity(schedule, 1000) is None
         assert calls == [1, 2]
 
 
@@ -390,11 +428,11 @@ class TestBlockDraw:
     def test_block_matches_scalar_reference(self, n, window, p, seed, t0, length):
         schedule = RandomSchedule(n, p, window, seed)
         expected = [reference_edges(schedule, t) for t in range(t0, t0 + length)]
-        rows = schedule.edges_between(t0, t0 + length)
+        rows = round_rows(schedule, t0, t0 + length)
         assert rows.dtype == bool and rows.shape == (length, n * (n - 1) // 2)
         assert netgraph.edge_sets(rows, n) == expected
         # reads are pure: a second read gives the same edges
-        assert netgraph.edge_sets(schedule.edges_between(t0, t0 + length), n) == expected
+        assert netgraph.edge_sets(round_rows(schedule, t0, t0 + length), n) == expected
         if length:
             assert schedule.edges_at(t0) == expected[0]
 
@@ -418,7 +456,7 @@ class TestBlockDraw:
         schedule = RandomSchedule(4, 0.45, window=2, seed=0)
         digest = hashlib.sha256()
         for t0 in range(1, 45_001, 1023):  # blocks that split windows
-            rows = schedule.edges_between(t0, min(t0 + 1023, 45_001))
+            rows = round_rows(schedule, t0, min(t0 + 1023, 45_001))
             for edges in netgraph.edge_sets(rows, 4):
                 digest.update(repr(sorted(edges)).encode("ascii") + b"\n")
         assert digest.hexdigest() == (
@@ -464,15 +502,15 @@ class TestHelpers:
         # schedules may hold (j, i) pairs; they mix and connect like (i, j)
         reversed_line = StaticSchedule(4, frozenset({(1, 0), (2, 1), (3, 2)}))
         assert pair_rows([reversed_line.edges], 4).tolist() == [[1, 0, 0, 1, 0, 1]]
-        assert reversed_line.edges_between(3, 5).tolist() == [[1, 0, 0, 1, 0, 1]] * 2
-        assert block_rows(reversed_line.edges_between(1, 2), 4)[0] == mixing_rows(
+        assert round_rows(reversed_line, 3, 5).tolist() == [[1, 0, 0, 1, 0, 1]] * 2
+        assert block_rows(round_rows(reversed_line, 1, 2), 4)[0] == mixing_rows(
             scalar_metropolis(LINE4, 4))
-        assert check_window_connectivity(reversed_line, 4).passed
+        assert check_window_connectivity(reversed_line, 4) is None
 
     def test_single_node_connected(self):
         rows = np.zeros((1, 0), dtype=bool)
         assert window_labels(rows, 1).tolist() == component_labels(rows, 1).tolist() == [[0]]
-        assert check_window_connectivity(StaticSchedule(1, frozenset()), 5).passed
+        assert check_window_connectivity(StaticSchedule(1, frozenset()), 5) is None
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -481,23 +519,25 @@ class TestHelpers:
         period=st.integers(1, 6),
         p=st.floats(0.0, 0.6),
         seed=st.integers(0, 2**32 - 1),
-        max_rounds=st.integers(1, 40),
+        max_rounds=st.integers(1, 60),
     )
     def test_window_connectivity_matches_scalar_reference(self, n, window, period, p, seed,
                                                           max_rounds):
+        # the first disconnected window among the whole windows within
+        # max_rounds (at least one), read round by round through edges_at,
+        # is found among the period / gcd(period, window) distinct ones
         rng = np.random.default_rng(seed)
         steps = tuple(frozenset(random_graph(rng, n, p)) for _ in range(period))
         schedule = PeriodicSchedule(n, steps, window)
-        windows = max(1, min(max_rounds // window, 100))
-        rows = schedule.edges_between(1, windows * window + 1)
-        assert rows.dtype == bool and rows.shape == (windows * window, n * (n - 1) // 2)
-        edges = netgraph.edge_sets(rows, n)
-        expected = ConnectivityReport(True, windows)
+        windows = max(1, max_rounds // window)
+        expected = None
         for w in range(windows):
-            components = connected_components(chain(*edges[w * window:(w + 1) * window]), n)
-            if len(components) > 1:
-                expected = ConnectivityReport(False, windows, w, tuple(c[0] for c in components))
+            rounds = range(w * window + 1, (w + 1) * window + 1)
+            union = chain(*(schedule.edges_at(t) for t in rounds))
+            if len(connected_components(union, n)) > 1:
+                expected = w
                 break
+        assert expected is None or expected < period // gcd(period, window)
         assert check_window_connectivity(schedule, max_rounds) == expected
 
     def test_neighbor_lists_sorted(self):

@@ -28,7 +28,7 @@ from loadshed.rootfind import (
     verify_sign_condition,
 )
 
-from conftest import FIG_PAIRS, FIG_RAMP, block_rows, x_rounds
+from conftest import FIG_PAIRS, FIG_RAMP, block_rows, round_rows, x_rounds
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -61,7 +61,7 @@ def continuous_run(estimator, rounds, x0):
 def recursion(x0, surrogates, schedule, rounds):
     """``x_rounds`` from the node states ``x0`` over rounds 1..rounds, with
     zero deficit estimates; one row per round."""
-    rows = block_rows(schedule.edges_between(1, rounds + 1), schedule.n)
+    rows = block_rows(round_rows(schedule, 1, rounds + 1), schedule.n)
     etas = [ETA.eta(t) for t in range(1, rounds + 1)]
     ps = [[0.0] * len(x0)] * rounds
     return np.array(x_rounds(x0, rows, etas, ps, surrogates))

@@ -652,6 +652,8 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["z_star"] == 0.4
+        # every later call parses with the parser the first one built
+        assert cli.build_parser() is cli.build_parser()
 
     def test_closed_stdout_exits_without_traceback(self):
         # the reader goes away before any output is written, as with `| head`
@@ -843,6 +845,21 @@ class TestCli:
             loads_scenario(json.dumps(doc))
         doc["graph"] = {"kind": "static", "edges": [[1, 2], [2, 3], [3, 4]]}
         assert loads_scenario(json.dumps(doc)).graph.window == 1
+
+    def test_disconnected_window_past_the_hundredth_rejected(self, capsys, tmp_path):
+        # 101 steps at window 1, the last one empty: only window 100 is
+        # disconnected, and every command rejects the document
+        doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+        doc["graph"] = {"kind": "periodic", "steps": [[[1, 2]]] * 100 + [[]], "window": 1}
+        message = "communication schedule fails window connectivity at window 100 (window 1)"
+        with pytest.raises(ScenarioError) as excinfo:
+            loads_scenario(json.dumps(doc))
+        assert str(excinfo.value) == message
+        path = tmp_path / "window100.json"
+        path.write_text(json.dumps(doc))
+        for command in ("run", "solve", "check"):
+            assert cli.main([command, str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "config, where, value, message",
