@@ -13,8 +13,9 @@
  * search from the previous point's index.
  *
  * A graph over nodes 0..n-1 is a pair row: one byte per pair i < j, in
- * lexicographic order.  The chunk kernel takes a chunk's distinct graphs
- * as pair rows and one graph index per round, and builds each graph's
+ * lexicographic order.  The chunk kernel takes a chunk's graphs as pair
+ * rows and one graph index per round, dedupes the rows (a hash table,
+ * every match confirmed by memcmp), and builds each distinct graph's
  * mixing once per call as CSR arrays: row j of graph g holds entries
  * indptr[g*n + j] .. indptr[g*n + j + 1] - 1, in ascending column order,
  * which is the order every reduction runs in.  No other code reads them.
@@ -376,34 +377,119 @@ int64_t metropolis(int64_t n, int64_t count, const uint8_t *rows, int64_t *indpt
     return 0;
 }
 
-/* run_rounds over the mixing of graphs pair rows, built here once each:
- * round t0 + r mixes with rows[graph[r]].  The upper indices of the
+/* A hash of a pair row of len bytes: one multiply per eight bytes, read
+ * as one word, and one for the bytes left over, then the splitmix64
+ * finalizer, so every byte reaches the low bits that pick a table slot. */
+static inline uint64_t row_hash(const uint8_t *row, int64_t len)
+{
+    uint64_t h = (uint64_t)len, word;
+    int64_t k = 0;
+    for (; k + 8 <= len; k += 8) {
+        memcpy(&word, row + k, 8);
+        h = (h ^ word) * 0x9E3779B97F4A7C15ULL;
+    }
+    for (word = 0; k < len; k++)
+        word = word << 8 | row[k];
+    return mix((h ^ word) * 0x9E3779B97F4A7C15ULL, 0);
+}
+
+/* How many of len bytes are nonzero, eight at a time: adding 0x7F to a
+ * byte's low seven bits carries into its top bit unless they are all zero,
+ * so the top bits of that sum or the byte mark the nonzero bytes, and one
+ * multiply adds up the eight marks. */
+static int64_t nonzero(const uint8_t *bytes, int64_t len)
+{
+    const uint64_t low = 0x7F7F7F7F7F7F7F7FULL;
+    int64_t count = 0, k = 0;
+    uint64_t word;
+    for (; k + 8 <= len; k += 8) {
+        memcpy(&word, bytes + k, 8);
+        word = (((word & low) + low) | word) & ~low;
+        count += (int64_t)((word >> 7) * 0x0101010101010101ULL >> 56);
+    }
+    for (; k < len; k++)
+        count += bytes[k] != 0;
+    return count;
+}
+
+/* The distinct rows among count pair rows of len bytes: of_row[g] gets
+ * the number of row g's distinct row, counted in order of first
+ * appearance.  An open-addressing table of slots entries (a power of two,
+ * at least twice count) holds the first row of each distinct row, and
+ * memcmp confirms every hash match, so two different rows are never
+ * merged.  Returns how many are distinct. */
+static int64_t dedupe(int64_t len, int64_t count, const uint8_t *rows, int64_t slots,
+                      int32_t *slot, int32_t *of_row)
+{
+    int64_t distinct = 0;
+    for (int64_t s = 0; s < slots; s++)
+        slot[s] = -1;
+    for (int64_t g = 0; g < count; g++) {
+        const uint8_t *row = rows + g * len;
+        int64_t s = (int64_t)(row_hash(row, len) & (uint64_t)(slots - 1));
+        while (slot[s] >= 0 && memcmp(rows + slot[s] * len, row, len))
+            s = (s + 1) & (slots - 1);
+        if (slot[s] < 0) {
+            slot[s] = (int32_t)g;
+            of_row[g] = (int32_t)distinct++;
+        } else {
+            of_row[g] = of_row[slot[s]];
+        }
+    }
+    return distinct;
+}
+
+/* run_rounds over the mixing of graphs pair rows, built here once per
+ * distinct row: round t0 + r mixes with the distinct graph of
+ * rows[graph[r]].  The distinct rows are rows itself when none repeats,
+ * and otherwise a copy: copying a 29-region random chunk's all-new rows
+ * (415 kB) kept glibc from reusing the freed working memory, and a run
+ * took 34 000 page faults instead of 1 900.  The upper indices of the
  * estimates in row 0 of state start with a full search each.  Returns the
- * number of rounds run, or -1 when memory for the mixing and the indices
- * cannot be had. */
+ * number of rounds run, or -1 when memory for the deduplication, the
+ * mixing and the indices cannot be had. */
 int64_t rounds(int64_t n, int64_t m, int64_t t0, double gain, double offset,
                double exponent, const int32_t *graph, int64_t graphs,
                const uint8_t *rows, const double *P, const int64_t *bstart,
                const double *b, const double *cum, double c, int64_t window,
                int64_t *streak, double *etas, double *state)
 {
-    int64_t edges = 0;
-    for (int64_t k = 0; k < graphs * (n * (n - 1) / 2); k++)
-        edges += rows[k] != 0;
-    /* every diagonal entry and each edge twice, and one more: malloc(0) may
-     * give NULL */
-    int64_t entries = graphs * n + 2 * edges, ran = -1;
+    int64_t pairs = n * (n - 1) / 2, slots = 2, ran = -1;
+    while (slots < 2 * graphs)
+        slots *= 2;
+    /* the table, each row's distinct graph, then each round's */
+    int32_t *slot = malloc((slots + graphs + m) * sizeof *slot);
+    if (!slot)
+        return -1;
+    int32_t *of_row = slot + slots, *index = of_row + graphs;
+    int64_t distinct = dedupe(pairs, graphs, rows, slots, slot, of_row);
+    for (int64_t r = 0; r < m; r++)
+        index[r] = of_row[graph[r]];
+    /* the distinct rows' copy, and one more byte: malloc(0) may give NULL */
+    uint8_t *copy = distinct < graphs ? malloc(distinct * pairs + 1) : NULL;
+    if (distinct < graphs && !copy) {
+        free(slot);
+        return -1;
+    }
+    for (int64_t g = 0, d = 0; copy && g < graphs; g++)
+        if (of_row[g] == d)
+            memcpy(copy + d++ * pairs, rows + g * pairs, pairs);
+    const uint8_t *unique = copy ? copy : rows;
+    /* every diagonal entry and each edge twice, and one more */
+    int64_t entries = distinct * n + 2 * nonzero(unique, distinct * pairs);
     /* the CSR row starts, then the upper indices */
-    int64_t *indptr = malloc((graphs * n + 1 + n) * sizeof *indptr);
+    int64_t *indptr = malloc((distinct * n + 1 + n) * sizeof *indptr);
     int32_t *col = malloc((entries + 1) * sizeof *col);
     double *w = malloc((entries + 1) * sizeof *w);
-    if (indptr && col && w && !metropolis(n, graphs, rows, indptr, col, w)) {
-        int64_t *at = indptr + graphs * n + 1;
+    if (indptr && col && w && !metropolis(n, distinct, unique, indptr, col, w)) {
+        int64_t *at = indptr + distinct * n + 1;
         for (int64_t j = 0; j < n; j++)
             at[j] = upper(state[j], b + bstart[j], bstart[j + 1] - bstart[j], 0);
-        ran = run_rounds(n, m, t0, gain, offset, exponent, graph, indptr, col, w, P, bstart,
-                         b, cum, c, window, streak, etas, state, at);
+        ran = run_rounds(n, m, t0, gain, offset, exponent, index, indptr, col, w, P,
+                         bstart, b, cum, c, window, streak, etas, state, at);
     }
+    free(slot);
+    free(copy);
     free(indptr);
     free(col);
     free(w);

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 
@@ -41,7 +40,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     config = _load(args)
     solution = (scenario.continuous_closed_form(config) if config.mode == "continuous"
                 else scenario.oracle_summary(config))
-    _emit(json.dumps(dataclasses.asdict(solution), sort_keys=True, indent=2), args.quiet)
+    _emit(scenario.report_json(solution), args.quiet)
     return EXIT_OK
 
 

@@ -8,11 +8,13 @@ Each schedule hands out a block of rounds as boolean pair rows (one column
 per pair i < j in lexicographic order) and one int32 index per round into
 them (``graphs_between``): a static or periodic schedule builds its steps'
 rows once and indexes them by round, and a random schedule draws each
-block's, one row per round.  The chunk kernel builds their Metropolis
-mixing itself.  Frozensets of pairs appear only at the edges: static and
-periodic schedules are built from them (a scenario's parser maps its region
-ids to these node indices); ``edges_at`` and ``edge_sets`` hand them out.
-Each schedule class names its JSON kind (``kind``).  The compiled engine
+block's, one row per round, which repeat when the graph has few pairs.
+The chunk kernel dedupes a block's rows and builds each distinct row's
+Metropolis mixing once per call.  Frozensets of pairs appear only at the
+edges: static and periodic schedules are built from them (a scenario's
+parser maps its region ids to these node indices); ``edges_at`` and
+``edge_sets`` hand them out.  Each schedule class names its JSON kind
+(``kind``).  The compiled engine
 (``_engine.c``) does the per-graph work: it draws a random schedule's block
 of rows and repairs its disconnected windows (``repaired_rows``), and finds
 each window's components by union-find, which the connectivity check reads

@@ -8,11 +8,12 @@ a chunk of whole rounds per call: the estimate recursion
 x <- W(t) x - eta(t) (S_j(x_j) - p_j(t)), the cutoffs, the streak of
 unchanged cutoff rows that decides an early stop, and the min-consensus
 step.  A chunk's graphs are pair rows with one index per round into them
-(the schedule's ``graphs_between``), whose Metropolis mixing the kernel
-builds once per call, and estimators return its deficit estimates as one
-array (``block(t0, t1)``).  Every update reads only
-previous-round state, and all neighbor reductions run in fixed index
-order, so results do not depend on evaluation order.
+(the schedule's ``graphs_between``); the kernel dedupes the rows and
+builds each distinct row's Metropolis mixing once per call, so a random
+chunk of few regions, whose graphs repeat, builds each graph once.
+Estimators return its deficit estimates as one array (``block(t0, t1)``).
+Every update reads only previous-round state, and all neighbor reductions
+run in fixed index order, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations

@@ -12,11 +12,12 @@ that names its field.  Identical configs produce byte-identical traces.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
@@ -150,7 +151,18 @@ class SummaryReport:
     certificate_digest: dict
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return report_json(self)
+
+
+def report_json(report) -> str:
+    """A report or a solution dataclass as sorted, indented JSON: the bytes
+    ``dataclasses.asdict`` gives, but its fields are read as they are, and
+    a nested solution's one level down, so no tuple of shed ids is copied."""
+    def shallow(obj) -> dict:
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+    doc = {k: shallow(v) if dataclasses.is_dataclass(v) else v for k, v in shallow(report).items()}
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -268,16 +268,19 @@ class TestAcceptance:
             peak = int(np.argmax(ratio))
             if peak > 200 or ratio[200:].max() > ratio[: peak + 1].max() + 1e-12:
                 ratio_ok = False
-            prev = [inst.x0] * 4
-            for r in range(trace.rounds):
-                y_bar = math.fsum(
-                    eval_surrogate(inst.surrogates[j], prev[j]) - trace.p[r, j]
-                    for j in range(4)
-                ) / 4.0
-                expected = math.fsum(prev) / 4.0 - trace.eta[r] * y_bar
-                if abs(math.fsum(trace.x[r]) / 4.0 - expected) > 1e-10:
+            # each round's previous estimates, and each region's surrogate
+            # at its column of them, in one call per region
+            prev = np.vstack([np.full((1, 4), inst.x0), trace.x[:-1]])
+            surrogate = np.column_stack(
+                [eval_surrogate(s, prev[:, j]) for j, s in enumerate(inst.surrogates)]
+            )
+            for r, (x_prev, s_prev, p, x) in enumerate(
+                zip(prev.tolist(), surrogate.tolist(), trace.p.tolist(), trace.x.tolist())
+            ):
+                y_bar = math.fsum(v - q for v, q in zip(s_prev, p)) / 4.0
+                expected = math.fsum(x_prev) / 4.0 - trace.eta[r] * y_bar
+                if abs(math.fsum(x) / 4.0 - expected) > 1e-10:
                     identity_ok = False
-                prev = list(trace.x[r])
         report(
             6,
             ratio_ok and identity_ok,

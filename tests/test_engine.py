@@ -1,7 +1,8 @@
 """The compiled engine (loadshed/_engine.c): its chunk kernel against the
-scalar composition in conftest, its graph draw, window repair, components,
-Metropolis mixing and deficit-tracking error against the numpy references
-in conftest, bit for bit, and the build that loads it."""
+scalar composition in conftest (also where the kernel dedupes a chunk's
+pair rows before building their mixing), its graph draw, window repair,
+components, Metropolis mixing and deficit-tracking error against the numpy
+references in conftest, bit for bit, and the build that loads it."""
 
 from __future__ import annotations
 
@@ -16,13 +17,13 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import loadshed
 from loadshed import _engine
 from loadshed.criticality import SurrogateCcf, build_ccf, min_gap
-from loadshed.netgraph import RandomSchedule, repaired_rows
+from loadshed.netgraph import PeriodicSchedule, RandomSchedule, repaired_rows
 from loadshed.protocol import (
     CHUNK,
     ExactSplit,
@@ -175,21 +176,24 @@ def steered(pairs, ramp, x, path, step, t0, connected=False) -> Chunk:
     return case
 
 
-def assert_rounds_match(case: Chunk) -> np.ndarray:
+def assert_rounds_match(case: Chunk, graph=None, rows=None) -> np.ndarray:
     """Holds ``_engine.rounds`` over the chunk to ``protocol_rounds``, bit
-    for bit; returns the state rows of the rounds run."""
+    for bit; returns the state rows of the rounds run.  The kernel reads
+    each round's row as ``run_kernel`` passes it (``rows[graph[r]]`` when
+    given); the reference builds each round's mixing from its own row of
+    ``case.rows``."""
     m, n = case.P.shape
-    ran, etas, state, streak = run_kernel(case)
+    ran, etas, state, streak = run_kernel(case, graph, rows)
     expected_etas = [case.step.eta(t) for t in range(case.t0, case.t0 + m)]
     start = tuple(v.tolist() for v in (case.x, case.zeta, case.z, case.alpha))
-    rows, expected_streak = protocol_rounds(
+    expected, expected_streak = protocol_rounds(
         start, case.streak, case.window, block_rows(case.rows, n), expected_etas,
         case.P.tolist(), case.surrogates)
-    assert ran == len(rows)
+    assert ran == len(expected)
     assert streak == expected_streak
     assert bits(etas) == bits(expected_etas[:ran])
     for k in range(4):  # estimates, cutoffs, min-consensus values, steps
-        assert bits(state[k]) == bits([row[k] for row in rows])
+        assert bits(state[k]) == bits([row[k] for row in expected])
     return state
 
 
@@ -332,6 +336,132 @@ class TestKernelsMatchReferences:
                                 ExactSplit(1.0, 1))
         with pytest.raises(MemoryError, match="no working memory for the mixing weights"):
             run_protocol(inst)
+
+
+def seeded_chunk(rows: np.ndarray, n: int, seed: int = 0) -> Chunk:
+    """A chunk of one round per pair row of ``rows``: n regions of four
+    seeded loads on a 1/40 criticality grid, seeded estimates and deficit
+    estimates, and no window, so every round runs."""
+    rng = np.random.default_rng(seed)
+    pairs = [[(float(rng.uniform(0.5, 2.0)), k / 40) for k in np.sort(rng.choice(41, 4, False))]
+             for _ in range(n)]
+    P = rng.uniform(0.0, 4.0, (len(rows), n))
+    return chunk_over(pairs, 0.01, rng.uniform(0.0, 1.0, n), P, StepSchedule(1.0, 10.0, 0.75),
+                      t0=1)._replace(rows=np.ascontiguousarray(rows, dtype=bool))
+
+
+def distinct_rows(rows: np.ndarray) -> int:
+    return len({row.tobytes() for row in rows})
+
+
+MASK = 2**64 - 1
+
+
+def home_slots(rows: np.ndarray, count: int | None = None) -> np.ndarray:
+    """The slot where ``rounds``' dedupe table starts its probe for each
+    pair row, in the table of a call with ``count`` rows (default: these):
+    ``_engine.c``'s ``row_hash`` (the row's whole eight-byte words read
+    little-endian, the bytes left over as one big-endian word), modulo the
+    table's size, the least power of two of at least 2 and at least twice
+    the rows."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    count = len(rows) if count is None else count
+    length = rows.shape[1]
+    h = np.full(len(rows), length, dtype=np.uint64)
+    whole = length // 8 * 8
+    for word in rows[:, :whole].copy().view("<u8").T:
+        h = (h ^ word) * np.uint64(0x9E3779B97F4A7C15)
+    rest = [int.from_bytes(row[whole:].tobytes(), "big") for row in rows]
+    slots = 2
+    while slots < 2 * count:
+        slots *= 2
+    home = []
+    for value, word in zip(h.tolist(), rest):
+        z = (value ^ word) * 0x9E3779B97F4A7C15 & MASK
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK
+        home.append((z ^ (z >> 31)) % slots)
+    return np.array(home)
+
+
+class TestDistinctGraphs:
+    """The kernel builds each distinct pair row's mixing once per call and
+    runs every round on its row's: held bit for bit to the references,
+    which build each round's mixing on its own."""
+
+    def test_chunks_cover_repeated_and_distinct_rows(self):
+        # the rounds the Hypothesis tests draw dedupe to fewer rows and to
+        # as many (the first such example is enough: no shrinking)
+        found = settings(phases=[Phase.generate], database=None)
+        find(chunks(), lambda case: distinct_rows(case.rows) < len(case.rows), settings=found)
+        find(chunks(), lambda case: len(case.rows) >= 3
+             and distinct_rows(case.rows) == len(case.rows), settings=found)
+
+    @pytest.mark.parametrize("p, window, seed", [(0.5, 1, 0), (0.3, 2, 7), (0.9, 3, 2**64 - 1)])
+    def test_random_schedule_chunk_of_four_nodes(self, p, window, seed):
+        # a whole chunk of 1 024 rounds holds at most 2**6 distinct graphs
+        rows = round_rows(RandomSchedule(4, p, window, seed), 5, 5 + CHUNK)
+        assert distinct_rows(rows) <= 64
+        assert_rounds_match(seeded_chunk(rows, 4, seed % 1000))
+
+    @pytest.mark.parametrize("n, connected", [(3, False), (5, True)])
+    def test_every_row_identical(self, n, connected):
+        rows = np.full((200, n * (n - 1) // 2), connected)
+        assert_rounds_match(seeded_chunk(rows, n))
+
+    def test_one_node_has_no_pairs(self):
+        assert_rounds_match(seeded_chunk(np.zeros((300, 0), dtype=bool), 1))
+
+    def test_two_nodes(self):
+        rows = np.random.default_rng(2).random((300, 1)) < 0.5
+        assert distinct_rows(rows) == 2
+        assert_rounds_match(seeded_chunk(rows, 2))
+
+    def test_periodic_steps_that_repeat(self):
+        # six steps, three of them distinct, read through the steps' rows
+        # and each round's step index, as run_protocol hands them over
+        a, b, c = frozenset({(0, 1), (1, 2)}), frozenset({(2, 3), (0, 3)}), frozenset()
+        schedule = PeriodicSchedule(4, (a, b, a, a, c, b), 2)
+        graph, steps = schedule.graphs_between(3, 3 + 500)
+        assert distinct_rows(steps) == 3
+        assert_rounds_match(seeded_chunk(steps[graph], 4, 3), graph, steps)
+
+    def test_colliding_rows_of_29_nodes(self):
+        # 1 024 distinct rows in 2 048 slots, whose home slots collide
+        rows = draw_edges(29, range(CHUNK), 29, 0.45)
+        assert distinct_rows(rows) == CHUNK
+        assert len(set(home_slots(rows).tolist())) < CHUNK
+        assert_rounds_match(seeded_chunk(rows, 29))
+
+    def test_long_probes_wrap_around_the_table(self):
+        # 64 rows, so 128 slots: nine distinct rows whose home is the last
+        # slot, each twice, and five whose home is the first, among rows of
+        # other homes, so probes run past the end of the table and a
+        # repeated row is found only past the rows that share its home
+        pool = draw_edges(5, range(4000), 29, 0.45)
+        homes = home_slots(pool, 64)
+        last, first = np.flatnonzero(homes == 127)[:9], np.flatnonzero(homes == 0)[:5]
+        other = np.flatnonzero((homes != 127) & (homes != 0))[:64 - 2 * 9 - 5]
+        picked = np.random.default_rng(0).permutation(np.concatenate([last, last, first, other]))
+        rows = pool[picked]
+        assert len(rows) == 64 and distinct_rows(rows) == 64 - 9
+        assert (home_slots(rows)[np.isin(picked, last)] == 127).all()
+        assert_rounds_match(seeded_chunk(rows, 29, 5))
+
+
+    @pytest.mark.parametrize("pair", [0, 405])
+    def test_rows_one_pair_apart_stay_apart(self, pair):
+        # 64 rows of 29 nodes: twenty rows and their twins, each twin the
+        # row with one pair flipped and the same home slot, so the probe
+        # meets the row and the whole-row comparison alone tells them apart
+        pool = draw_edges(6, range(4000), 29, 0.45)
+        twins = pool.copy()
+        twins[:, pair] ^= True
+        same = np.flatnonzero(home_slots(pool, 64) == home_slots(twins, 64))[:20]
+        assert len(same) == 20
+        rows = np.concatenate([pool[same], twins[same], pool[4000 - 24:]])
+        assert distinct_rows(rows) == 64
+        assert_rounds_match(seeded_chunk(rows[np.random.default_rng(pair).permutation(64)], 29, 6))
 
 
 def repaired_reference(seed, counters, n, p, window, keys) -> np.ndarray:

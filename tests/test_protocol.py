@@ -515,19 +515,19 @@ class TestEndToEnd:
             record_trace=True,
         )
         n = len(inst.surrogates)
-        prev_x = [inst.x0] * n
-        for r in range(short.rounds):
-            y_bar = (
-                math.fsum(
-                    eval_surrogate(inst.surrogates[j], prev_x[j]) - short.p[r, j]
-                    for j in range(n)
-                )
-                / n
-            )
+        # each round's previous estimates, and each region's surrogate at
+        # its column of them, in one call per region
+        prev = np.vstack([np.full((1, n), inst.x0), short.x[:-1]])
+        surrogate = np.column_stack(
+            [eval_surrogate(s, prev[:, j]) for j, s in enumerate(inst.surrogates)]
+        )
+        for r, (prev_x, s_prev, p, x) in enumerate(
+            zip(prev.tolist(), surrogate.tolist(), short.p.tolist(), short.x.tolist())
+        ):
+            y_bar = math.fsum(v - q for v, q in zip(s_prev, p)) / n
             expected_mean = math.fsum(prev_x) / n - short.eta[r] * y_bar
-            actual_mean = math.fsum(short.x[r]) / n
+            actual_mean = math.fsum(x) / n
             assert abs(actual_mean - expected_mean) <= 1e-10
-            prev_x = list(short.x[r])
 
     def test_consensus_residual_bounded(self):
         # disagreement over step size peaks early and stays below that peak
