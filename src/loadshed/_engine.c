@@ -2,9 +2,11 @@
  * (see protocol.py) with the surrogate and the Metropolis mixing it
  * computes, the random schedules' graphs that feed it (see netgraph.py):
  * their draw and window repair and the components of a window's union,
- * the trace CSV's rows (see scenario.emit_trace), and deviation, the
+ * the trace CSV's rows (see scenario.emit_trace), deviation, the
  * deficit-tracking error that check certifies (see
- * protocol.deficit_deviation).
+ * protocol.deficit_deviation), and prefix_sums, the exact prefix sums of
+ * every CCF (see criticality._cumulative): an unsigned fixed-point
+ * accumulator in units of 2**-1074, correctly rounded once per breakpoint.
  *
  * One breakpoint search (upper) serves the surrogate and the cutoffs.  In
  * the chunk kernel each region searches once per round, starting from last
@@ -691,4 +693,77 @@ void deviation(int64_t n, int64_t m, int64_t t0, double gain, double offset, dou
         double v = fabs(isfinite(total) ? total + error : total);
         out[r] = v != 0.0 ? v / step_size(t0 + r, gain, offset, exponent) : v;
     }
+}
+
+/* A CCF's exact prefix sums (see criticality._cumulative). */
+
+/* Every finite float is a whole number of units of 2**-1074 below 2**2098,
+ * so LIMBS 64-bit limbs hold the exact sum of up to 2**78 of them. */
+#define LIMBS 34
+
+/* The unsigned little-endian integer acc[0..hi], hi its top nonzero limb,
+ * times 2**-1074, correctly rounded (half to even), as float bits; a value
+ * that rounds to 2**1024 or more gives the bits of inf. */
+static uint64_t rounded_bits(const uint64_t *acc, int64_t hi)
+{
+    int64_t width = 64 * hi + 64 - __builtin_clzll(acc[hi] | (hi == 0));
+    if (width <= 53)  /* exact: a subnormal's bits, or the first binade's */
+        return acc[0];
+    int64_t shift = width - 53, i = shift / 64, off = shift % 64;
+    uint64_t m = acc[i] >> off;
+    if (off > 11)
+        m |= acc[i + 1] << (64 - off);
+    m &= (UINT64_C(1) << 53) - 1;
+    int64_t r = shift - 1;  /* the round bit, and the sticky bits below it */
+    uint64_t half = acc[r / 64] >> (r % 64) & 1;
+    int sticky = (acc[r / 64] & ((UINT64_C(1) << (r % 64)) - 1)) != 0;
+    for (int64_t k = 0; k < r / 64 && !sticky; k++)
+        sticky = acc[k] != 0;
+    m += half & (sticky | (m & 1));
+    /* an m of 2**53 carries into the exponent field */
+    uint64_t bits = ((uint64_t)shift << 52) + m;
+    return bits < UINT64_C(0x7ff0000000000000) ? bits : UINT64_C(0x7ff0000000000000);
+}
+
+/* The breakpoints and cumulative loads of count positive powers, sorted by
+ * criticality: each power is added exactly into a fixed-point accumulator,
+ * and at each change of criticality the group's first criticality goes to
+ * bps and the correctly rounded sum so far to cum.  Returns how many
+ * breakpoints it wrote, or -1 where a power is inf or a rounded sum is
+ * 2**1024 or more. */
+int64_t prefix_sums(int64_t count, const double *power, const double *crit,
+                    double *bps, double *cum)
+{
+    uint64_t acc[LIMBS] = {0};
+    int64_t hi = 0, k = 0, first = 0;
+    for (int64_t i = 0; i < count; i++) {
+        uint64_t bits;
+        memcpy(&bits, &power[i], sizeof bits);
+        uint64_t biased = bits >> 52, m = bits & ((UINT64_C(1) << 52) - 1);
+        if (biased == 0x7ff)
+            return -1;
+        int64_t shift = biased ? (int64_t)biased - 1 : 0;  /* m * 2**shift units */
+        if (biased)
+            m |= UINT64_C(1) << 52;
+        int64_t j = shift / 64, off = shift % 64;
+        uint64_t low = m << off, high = off ? m >> (64 - off) : 0;
+        uint64_t carry = (acc[j] += low) < low;
+        for (j++; (high | carry) && j < LIMBS; j++, high = 0) {
+            uint64_t add = high + carry;  /* high < 2**53: no wrap */
+            carry = (acc[j] += add) < add;
+        }
+        if (j - 1 > hi)
+            hi = j - 1;
+        if (i + 1 == count || crit[i + 1] != crit[i]) {
+            while (hi && !acc[hi])
+                hi--;
+            uint64_t sum = rounded_bits(acc, hi);
+            if (sum == UINT64_C(0x7ff0000000000000))
+                return -1;
+            bps[k] = crit[first];
+            memcpy(&cum[k++], &sum, sizeof sum);
+            first = i + 1;
+        }
+    }
+    return k;
 }

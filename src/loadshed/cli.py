@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import rootfind, scenario
-from .criticality import build_ccf
+from .criticality import column_ccf
 from .criticality import eval_surrogate  # noqa: F401  perfbench counts calls of cli.eval_surrogate
 from .netgraph import check_window_connectivity  # noqa: F401  perfbench wraps it under cli
 from .protocol import certify_deficit_tracking, deficit_deviation, run_protocol
@@ -64,7 +64,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     cert.bound, cert.lipschitz = rootfind.verify_assumption_bounded_lipschitz(
         inst.surrogates, estimates
     )
-    ccf = build_ccf(pair for region in scenario.region_pairs(config) for pair in region)
+    ccf = column_ccf(*scenario.load_columns(config))
     cert.add(rootfind.verify_sign_condition(ccf, inst.ramp_width, config.deficit))
     deviation = rootfind.verify_deviation_rate(
         deficit_deviation(estimates, 1, inst.step, config.deficit) / n

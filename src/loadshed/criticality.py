@@ -8,6 +8,13 @@ linear ramp of configurable width ending at the breakpoint, which makes the
 threshold-inversion problem solvable by the distributed runtime; the
 surrogate is evaluated by the compiled engine, and ``oracle`` inverts both
 at a deficit.
+
+A CCF is built from power and criticality columns: a stable sort by
+criticality, then one call of the engine's ``prefix_sums``, which adds each
+power exactly into a fixed-point accumulator (34 64-bit limbs in units of
+2**-1074, so no carry is lost) and rounds the prefix once per breakpoint,
+half to even: the prefix's math.fsum.  A NaN power or criticality is
+rejected, as a negative power is.
 """
 
 from __future__ import annotations
@@ -91,65 +98,88 @@ class Ccf:
 
     ``cumulative[k]`` is the exactly-rounded sum (math.fsum) of the powers
     of all loads with criticality <= ``breakpoints[k]``, so evaluations
-    agree bit-for-bit with any other fsum over the same multiset.
+    agree bit-for-bit with any other fsum over the same multiset;
+    ``build_ccf`` rounds it from an exact fixed-point sum.  Both tuples must
+    increase strictly, pair by pair: ``not a < b`` fails on a NaN too.
     """
 
     breakpoints: tuple[float, ...]
     cumulative: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.breakpoints) != len(self.cumulative):
+        # the arrays the surrogate and the engine read; not (a < b) fails on NaN
+        bps = np.array(self.breakpoints, dtype=np.float64)
+        cum = np.array(self.cumulative, dtype=np.float64)
+        if len(bps) != len(cum):
             raise ValueError("breakpoints and cumulative must have equal length")
-        if any(b >= a for a, b in zip(self.breakpoints[1:], self.breakpoints)):
+        if not (bps[:-1] < bps[1:]).all():
             raise ValueError("breakpoints must be strictly increasing")
-        if any(b >= a for a, b in zip(self.cumulative[1:], self.cumulative)):
+        if not (cum[:-1] < cum[1:]).all():
             raise ValueError("cumulative loads must be strictly increasing")
+        object.__setattr__(self, "_bps", bps)
+        object.__setattr__(self, "_cum", cum)
 
     @property
     def total_load(self) -> float:
         return self.cumulative[-1] if self.cumulative else 0.0
 
 
-_UNIT = 1 << 1074  # every finite float is a whole number of 2**-1074 units
+_PAIR = np.dtype([("power", np.float64), ("criticality", np.float64)])
 
 
 def build_ccf(pairs: Iterable[tuple[float, float]]) -> Ccf:
-    """Build a CCF from (power, criticality) pairs.
+    """Build a CCF from (power, criticality) tuples.
 
     Loads sharing a criticality merge into a single breakpoint; zero-power
     loads contribute nothing and produce no breakpoint.  An empty input
     yields the zero CCF.  A load too small to change the rounded
     cumulative load is rejected, as ``Ccf`` requires (``flat_breakpoint``).
     """
-    return Ccf(*_cumulative(pairs))
+    columns = np.fromiter(pairs, dtype=_PAIR)
+    return column_ccf(columns["power"], columns["criticality"])
 
 
-def flat_breakpoint(pairs: Iterable[tuple[float, float]]) -> float | None:
+def column_ccf(powers: np.ndarray, criticalities: np.ndarray) -> Ccf:
+    """``build_ccf`` of the pairs of two equally long float64 columns."""
+    bps, cumulative = _cumulative(powers, criticalities)
+    return Ccf(tuple(bps.tolist()), tuple(cumulative.tolist()))
+
+
+def flat_breakpoint(powers: np.ndarray, criticalities: np.ndarray) -> float | None:
     """The first breakpoint whose loads leave the rounded cumulative load
-    of (power, criticality) pairs unchanged, or None when there is none."""
-    bps, cumulative = _cumulative(pairs)
-    return next((z for z, a, b in zip(bps[1:], cumulative, cumulative[1:]) if a == b), None)
+    of two float64 columns unchanged, or None when there is none."""
+    bps, cumulative = _cumulative(powers, criticalities)
+    flat = np.flatnonzero(cumulative[1:] == cumulative[:-1])
+    return float(bps[flat[0] + 1]) if flat.size else None
 
 
-def _cumulative(pairs: Iterable[tuple[float, float]]) -> tuple[tuple[float, ...], ...]:
-    """The breakpoints of ``build_ccf`` and their cumulative loads."""
-    groups: dict[float, list[float]] = {}
-    for power, crit in pairs:
+def _cumulative(powers: np.ndarray, criticalities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The breakpoints of ``build_ccf`` and their cumulative loads, as arrays.
+
+    A stable sort keeps each criticality's loads in input order, so a
+    breakpoint is the first of its equal criticalities (-0.0 or 0.0); the
+    engine's ``prefix_sums`` then rounds each exact prefix sum once.
+    """
+    powers = np.asarray(powers, dtype=np.float64)
+    criticalities = np.asarray(criticalities, dtype=np.float64)
+    if powers.ndim != 1 or powers.shape != criticalities.shape:
+        raise ValueError("power and criticality columns must be one-dimensional and equally long")
+    bad = np.flatnonzero(~(powers >= 0) | np.isnan(criticalities))
+    if bad.size:
+        power, crit = powers[bad[0]], criticalities[bad[0]]
         if power < 0:
             raise ValueError(f"negative power {power}")
-        if power > 0:
-            groups.setdefault(crit, []).append(power)
-    bps = sorted(groups)
-    # the exact prefix sum in _UNITs, rounded correctly (int / int) once per
-    # breakpoint: the prefix's math.fsum, and an OverflowError where it overflows
-    units = 0
-    cumulative: list[float] = []
-    for z in bps:
-        for power in groups[z]:
-            num, den = power.as_integer_ratio()  # den = 2**k, k <= 1074
-            units += num << (1075 - den.bit_length())
-        cumulative.append(units / _UNIT)
-    return tuple(bps), tuple(cumulative)
+        raise ValueError(f"NaN in the load (power {power}, criticality {crit})")
+    keep = powers > 0
+    powers, criticalities = powers[keep], criticalities[keep]
+    order = np.argsort(criticalities, kind="stable")
+    powers, criticalities = powers[order], criticalities[order]
+    bps, cumulative = np.empty(len(order)), np.empty(len(order))
+    count = _engine.prefix_sums(len(order), powers.ctypes.data, criticalities.ctypes.data,
+                                bps.ctypes.data, cumulative.ctypes.data)
+    if count < 0:
+        raise OverflowError("cumulative load exceeds the largest float")
+    return bps[:count], cumulative[:count]
 
 
 def eval_ccf(ccf: Ccf, z: float) -> float:
@@ -158,19 +188,28 @@ def eval_ccf(ccf: Ccf, z: float) -> float:
     return ccf.cumulative[idx - 1] if idx else 0.0
 
 
-def min_gap(criticalities: Iterable[float]) -> float:
+def _smallest_gap(criticalities: Sequence[float] | np.ndarray) -> float | None:
+    """The smallest gap between distinct criticalities, or None when there
+    are fewer than two: one ``np.diff`` over the sorted values (a CCF's
+    breakpoints are sorted already), skipping the zero gaps of repeats."""
+    gaps = np.diff(np.sort(np.asarray(criticalities, dtype=np.float64)))
+    gaps = gaps[gaps > 0]
+    return float(gaps.min()) if gaps.size else None
+
+
+def min_gap(criticalities: Sequence[float] | np.ndarray) -> float:
     """Smallest positive difference between distinct criticality values."""
-    distinct = sorted(set(criticalities))
-    if len(distinct) < 2:
+    gap = _smallest_gap(criticalities)
+    if gap is None:
         raise ValueError("min_gap needs at least two distinct criticality values")
-    return min(b - a for a, b in zip(distinct, distinct[1:]))
+    return gap
 
 
-def default_ramp_width(criticalities: Iterable[float]) -> float:
+def default_ramp_width(criticalities: Sequence[float] | np.ndarray) -> float:
     """The surrogate ramp width when none is given: the smallest gap
     between distinct criticalities, or 1.0 when there are fewer than two."""
-    distinct = set(criticalities)
-    return min_gap(distinct) if len(distinct) >= 2 else 1.0
+    gap = _smallest_gap(criticalities)
+    return 1.0 if gap is None else gap
 
 
 def shed_decision(loads: Iterable[CriticalLoad], z: float) -> list[CriticalLoad]:
@@ -180,20 +219,16 @@ def shed_decision(loads: Iterable[CriticalLoad], z: float) -> list[CriticalLoad]
     return [load for load in loads if load.criticality <= z]
 
 
-def check_ramp_width(criticalities: Iterable[float], ramp_width: float) -> None:
+def check_ramp_width(criticalities: Sequence[float] | np.ndarray, ramp_width: float) -> None:
     """Reject a surrogate ramp width that is not positive or exceeds the
     smallest gap between distinct criticalities."""
     if ramp_width <= 0:
         raise ValueError(f"ramp width must be positive, got {ramp_width}")
-    distinct = set(criticalities)
-    if len(distinct) >= 2:
-        gap = min_gap(distinct)
-        # a few ulps of slack: a width equal to the real smallest gap
-        # may exceed the float-rounded gap by one ulp
-        if ramp_width > gap * (1.0 + 1e-12):
-            raise ValueError(
-                f"ramp width {ramp_width} exceeds the smallest criticality gap {gap}"
-            )
+    gap = _smallest_gap(criticalities)
+    # a few ulps of slack: a width equal to the real smallest gap
+    # may exceed the float-rounded gap by one ulp
+    if gap is not None and ramp_width > gap * (1.0 + 1e-12):
+        raise ValueError(f"ramp width {ramp_width} exceeds the smallest criticality gap {gap}")
 
 
 @dataclass(frozen=True)
@@ -211,10 +246,10 @@ class SurrogateCcf:
     ramp_width: float
 
     def __post_init__(self):
-        check_ramp_width(self.base.breakpoints, self.ramp_width)
         # the arrays eval_surrogate and the engine read: breakpoints, cumulative loads
-        object.__setattr__(self, "_bps", np.array(self.base.breakpoints, dtype=np.float64))
-        object.__setattr__(self, "_cum", np.array(self.base.cumulative, dtype=np.float64))
+        object.__setattr__(self, "_bps", self.base._bps)
+        object.__setattr__(self, "_cum", self.base._cum)
+        check_ramp_width(self._bps, self.ramp_width)
 
 
 def eval_surrogate(surrogate: SurrogateCcf, z: float | np.ndarray) -> float | np.ndarray:

@@ -16,11 +16,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .criticality import (
     Ccf,
     CriticalLoad,
     SurrogateCcf,
     build_ccf,
+    column_ccf,
     default_ramp_width,
     shed_decision,
 )
@@ -114,7 +117,8 @@ def greedy_shed_set(
     which is why its total can exceed the greedy one.  ``ramp_width``
     defaults to ``default_ramp_width`` of the CCF's breakpoints.
     """
-    ccf = build_ccf((l.power, l.criticality) for l in loads)
+    ccf = column_ccf(np.array([l.power for l in loads], dtype=np.float64),
+                     np.array([l.criticality for l in loads], dtype=np.float64))
     i, _ = deficit_segment(ccf, deficit)
     prefix: list[CriticalLoad] = []
     acc = 0.0

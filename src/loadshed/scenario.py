@@ -30,8 +30,8 @@ from .criticality import (
     Load,
     Region,
     SurrogateCcf,
-    build_ccf,
     check_ramp_width,
+    column_ccf,
     default_ramp_width,
     flat_breakpoint,
     resolve_loads,
@@ -173,12 +173,6 @@ def resolved_loads(config: ScenarioConfig) -> tuple[CriticalLoad, ...]:
     return config.critical_loads
 
 
-def resolve_ramp_width(config: ScenarioConfig) -> float:
-    if config.ramp_width is not None:
-        return config.ramp_width
-    return default_ramp_width(l.criticality for l in resolved_loads(config) if l.power > 0)
-
-
 def region_ids(config: ScenarioConfig) -> tuple[int, ...]:
     if config.mode == "continuous":
         return tuple(r.id for r in config.continuous_regions)
@@ -186,21 +180,27 @@ def region_ids(config: ScenarioConfig) -> tuple[int, ...]:
 
 
 def _region_slices(config: ScenarioConfig) -> list[tuple[int, int]]:
-    """Each discrete region's slice of the resolved loads, as (start, stop)."""
+    """Each region's slice of ``load_columns``, as (start, stop)."""
+    if config.mode == "continuous":
+        return [(j, j + 1) for j in range(len(config.continuous_regions))]
     ends = list(accumulate(len(region.loads) for region in config.regions))
     return list(zip([0, *ends], ends))
 
 
-def region_pairs(config: ScenarioConfig) -> list[list[tuple[float, float]]]:
-    """Each region's (power, criticality) pairs, from which its CCF is built.
+def load_columns(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every load's power and criticality as float64 columns, region by
+    region, from which the CCFs are built.
 
-    A continuous region is one pair, its capacity at its criticality; a
-    discrete region's pairs are its slice of the resolved loads.
+    A continuous region is one load, its capacity at its criticality; a
+    discrete region's loads are its slice of the resolved loads.
     """
     if config.mode == "continuous":
-        return [[(r.capacity, float(r.criticality))] for r in config.continuous_regions]
+        regions = config.continuous_regions
+        return (np.array([r.capacity for r in regions], dtype=np.float64),
+                np.array([r.criticality for r in regions], dtype=np.float64))
     loads = resolved_loads(config)
-    return [[(l.power, l.criticality) for l in loads[a:b]] for a, b in _region_slices(config)]
+    return (np.array([l.power for l in loads], dtype=np.float64),
+            np.array([l.criticality for l in loads], dtype=np.float64))
 
 
 def build_instance(config: ScenarioConfig) -> ProtocolInstance:
@@ -208,10 +208,19 @@ def build_instance(config: ScenarioConfig) -> ProtocolInstance:
 
     Continuous regions enter the same engine as single-breakpoint CCFs
     with a unit-width ramp; their surrogate is the continuous CCF itself.
+    A discrete config without a ramp width gets the default one, the
+    smallest gap between the criticalities of its loads with positive power.
     """
-    ramp_width = 1.0 if config.mode == "continuous" else resolve_ramp_width(config)
+    powers, crits = load_columns(config)
+    if config.mode == "continuous":
+        ramp_width = 1.0
+    elif config.ramp_width is None:
+        ramp_width = default_ramp_width(crits[powers > 0])
+    else:
+        ramp_width = config.ramp_width
     return ProtocolInstance(
-        surrogates=tuple(SurrogateCcf(build_ccf(p), ramp_width) for p in region_pairs(config)),
+        surrogates=tuple(SurrogateCcf(column_ccf(powers[a:b], crits[a:b]), ramp_width)
+                         for a, b in _region_slices(config)),
         schedule=config.graph,
         step=config.step,
         estimator=config.estimator,
@@ -239,18 +248,16 @@ def validate(config: ScenarioConfig) -> None:
     if not 0.0 <= config.combiner_weight <= 1.0:  # checked in continuous mode too
         raise ScenarioError(f"combiner_weight {config.combiner_weight} outside [0, 1]")
 
-    crits: list[float] = []
-    if config.mode == "continuous":
-        what, amounts = "total capacity", [r.capacity for r in config.continuous_regions]
-    else:
+    discrete = config.mode == "discrete"
+    if discrete:
         try:
             loads = resolved_loads(config)
         except ValueError as exc:  # a repeated load id
             raise ScenarioError(str(exc)) from exc
-        what, amounts = "total sheddable power", [l.power for l in loads]
-        crits = [l.criticality for l in loads if l.power > 0]  # the breakpoints
+    what = "total sheddable power" if discrete else "total capacity"
+    powers, crits = load_columns(config)
     try:
-        total = math.fsum(amounts)
+        total = math.fsum(powers.tolist())
     except OverflowError:  # finite amounts whose sum is not
         raise ScenarioError(f"regions: {what} exceeds the largest float") from None
     if total < config.deficit:
@@ -260,10 +267,11 @@ def validate(config: ScenarioConfig) -> None:
         )
     # a power above the total's ulp moves every rounded cumulative load it
     # enters; a smaller one may not, and a CCF must increase at each breakpoint
-    if crits and min(p for p in amounts if p > 0) <= math.ulp(total):
+    positive = powers > 0
+    if discrete and positive.any() and powers[positive].min() <= math.ulp(total):
         slices = _region_slices(config)
         for a, b in [(0, len(loads)), *slices]:  # all loads, then each region's
-            z = flat_breakpoint((l.power, l.criticality) for l in loads[a:b])
+            z = flat_breakpoint(powers[a:b], crits[a:b])
             if z is not None:
                 k = next(k for k in range(a, b) if loads[k].criticality == z and loads[k].power > 0)
                 j = next(j for j, (_, stop) in enumerate(slices) if k < stop)
@@ -272,7 +280,7 @@ def validate(config: ScenarioConfig) -> None:
                                     f"criticality {z} unchanged")
     if config.ramp_width is not None:  # continuous mode: positivity only
         try:
-            check_ramp_width(crits, config.ramp_width)
+            check_ramp_width(crits[positive] if discrete else (), config.ramp_width)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
 
@@ -588,6 +596,7 @@ def generate_scenario(
         combined.append(row_c)
 
     # reject power draws that land the deficit too close to a breakpoint
+    criticalities = np.array(combined, dtype=np.float64).ravel()
     chosen = None
     for sub_draw in range(1000):
         powers = [
@@ -599,12 +608,8 @@ def generate_scenario(
         ]
         total = math.fsum(p for row in powers for p in row)
         deficit = deficit_fraction * total
-        pairs = [
-            (powers[j][i], combined[j][i])
-            for j in range(n_regions)
-            for i in range(loads_per_region)
-        ]
-        _, frac = deficit_segment(build_ccf(pairs), deficit)
+        ccf = column_ccf(np.array(powers, dtype=np.float64).ravel(), criticalities)
+        _, frac = deficit_segment(ccf, deficit)
         if DEGENERACY_MARGIN <= frac <= 1.0 - DEGENERACY_MARGIN:
             chosen = (powers, total, deficit)
             break

@@ -1,8 +1,9 @@
 """Shared fixtures: the step-function example set, the tie example, the
-four-region continuous instance used across the suite, the numpy and
-scalar references of the compiled graphs, of the compiled round engine and
-of its deficit-tracking error, the verification oracles only the tests
-call, and the kink-interpolated continuous closed form that
+four-region continuous instance used across the suite, the big-integer
+reference of the CCF's prefix sums, the numpy and scalar references of
+the compiled graphs, of the compiled round engine and of its
+deficit-tracking error, the verification oracles only the tests call, and
+the kink-interpolated continuous closed form that
 ``oracle.continuous_solution`` is held to."""
 
 from __future__ import annotations
@@ -58,6 +59,32 @@ def fig_loads() -> list[CriticalLoad]:
 @pytest.fixture
 def fig_ccf():
     return build_ccf(FIG_PAIRS)
+
+
+_UNIT = 1 << 1074  # every finite float is a whole number of 2**-1074 units
+
+
+def cumulative_reference(pairs) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The breakpoints and cumulative loads of (power, criticality) pairs in
+    big integers: each breakpoint is the first criticality seen among its
+    equals (a dict key), and each exact prefix sum in _UNITs is rounded once
+    (int / int), which is its math.fsum, or an OverflowError where it is
+    2**1024 or more.  ``build_ccf`` runs the engine's ``prefix_sums``."""
+    groups: dict[float, list[float]] = {}
+    for power, crit in pairs:
+        if power < 0:
+            raise ValueError(f"negative power {power}")
+        if power > 0:
+            groups.setdefault(crit, []).append(power)
+    bps = sorted(groups)
+    units = 0
+    cumulative: list[float] = []
+    for z in bps:
+        for power in groups[z]:
+            num, den = power.as_integer_ratio()  # den = 2**k, k <= 1074
+            units += num << (1075 - den.bit_length())
+        cumulative.append(units / _UNIT)
+    return tuple(bps), tuple(cumulative)
 
 
 def make_random_loads(rng, count: int, distinct: bool = True) -> list[CriticalLoad]:

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loadshed.criticality import (
@@ -15,6 +16,7 @@ from loadshed.criticality import (
     Region,
     SurrogateCcf,
     build_ccf,
+    column_ccf,
     default_ramp_width,
     eval_ccf,
     eval_surrogate,
@@ -23,7 +25,14 @@ from loadshed.criticality import (
 )
 from loadshed.scenario import ScenarioError, loads_scenario
 
-from conftest import FIG_PAIRS, FIG_RAMP, local_zeta, make_random_loads, scalar_surrogate
+from conftest import (
+    FIG_PAIRS,
+    FIG_RAMP,
+    cumulative_reference,
+    local_zeta,
+    make_random_loads,
+    scalar_surrogate,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -106,6 +115,18 @@ def quadratic_build_ccf(pairs) -> Ccf:
     return Ccf(tuple(bps), tuple(cumulative))
 
 
+# powers from the smallest subnormal up through the normal range, the
+# largest float, inf and both zeros; criticalities with both zeros
+PREFIX_POWERS = st.one_of(
+    st.floats(5e-324, 2.2250738585072014e-308 * 4),
+    st.floats(0.0, sys.float_info.max),
+    st.floats(1.0, 2.0**60).map(lambda x: float(math.floor(x))),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0**53, 2.0**53 + 2, 2.0**969, 2.0**970,
+                     sys.float_info.max, math.inf, 5e-324]),
+)
+PREFIX_CRITS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+
+
 class TestBuildCcf:
     def test_matches_quadratic_reference(self):
         # ties and zero powers at magnitudes from 1e-300 to 1e300: the same
@@ -168,6 +189,78 @@ class TestBuildCcf:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             build_ccf([(-1.0, 0.3)])
+
+    def test_first_negative_power_named(self):
+        with pytest.raises(ValueError, match=r"^negative power -2\.0$"):
+            build_ccf([(1.0, 0.5), (-2.0, 0.7), (-3.0, 0.1)])
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="equally long"):
+            column_ccf(np.ones(1), np.ones(3))
+
+    def test_nan_power_rejected(self):
+        # NaN > 0 is false: the load was dropped and the CCF left empty
+        with pytest.raises(ValueError, match="NaN"):
+            build_ccf([(math.nan, 0.5)])
+
+    def test_nan_criticality_rejected(self):
+        # NaN keys are unequal: two breakpoints (nan, nan) were built
+        with pytest.raises(ValueError, match="NaN"):
+            build_ccf([(1.0, math.nan), (2.0, math.nan)])
+
+    def test_nan_breakpoints_rejected(self):
+        with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
+            Ccf((math.nan, math.nan), (1.0, 3.0))
+
+    def test_nan_cumulative_rejected(self):
+        with pytest.raises(ValueError, match="cumulative loads must be strictly increasing"):
+            Ccf((0.1, 0.2), (math.nan, math.nan))
+
+    @pytest.mark.parametrize("pairs, sign", [
+        ([(1.0, -0.0), (2.0, 0.0)], -1.0),
+        ([(1.0, 0.0), (2.0, -0.0)], 1.0),
+        ([(0.0, -0.0), (2.0, 0.0), (1.0, -0.0)], 1.0),  # a zero power is no load
+    ], ids=["negative-first", "positive-first", "zero-power-first"])
+    def test_signed_zero_breakpoint_is_the_first_seen(self, pairs, sign):
+        ccf = build_ccf(pairs)
+        assert ccf.cumulative == (3.0,)
+        assert math.copysign(1.0, ccf.breakpoints[0]) == sign
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(PREFIX_POWERS, PREFIX_CRITS), max_size=40))
+    # exact halfway ties round to even, down and then up
+    @example([(2.0**53, 0.5), (1.0, 0.5)])
+    @example([(2.0**53 + 2, 0.5), (1.0, 0.5)])
+    # a sticky bit below the halfway bit rounds up
+    @example([(2.0**53, 0.5), (1.0, 0.5), (2.0**-20, 0.5)])
+    @example([(2.0**53, 0.25), (1.0, 0.5), (2.0**-20, 0.75)])  # flat: a ValueError
+    # half an ulp of the largest float rounds to 2**1024, a quarter stays below
+    @example([(sys.float_info.max, 0.0), (2.0**970, 1.0)])
+    @example([(sys.float_info.max, 0.0), (2.0**969, 1.0)])
+    @example([(sys.float_info.max, 0.5), (2.0**969, 0.5)])
+    @example([(math.inf, 0.5)])
+    @example([(1.0, 0.5), (math.inf, 0.25)])
+    # long carry chains: thousands of equal large powers, and one unit
+    # added to a run of ones that spans 17 limbs
+    @example([(sys.float_info.max / 4096, k % 3 / 2) for k in range(4096)])
+    @example([(2.0**1000, 0.5)] * 3000)
+    @example([(math.ldexp(2.0**53 - 1, 53 * k - 1074), 0.5) for k in range(20)]
+             + [(5e-324, 0.5)])
+    @example([(5e-324, 0.0)] * 2000 + [(2.2250738585072014e-308, 0.0)])
+    # signed zeros in either order, and each after a zero power
+    @example([(1.0, -0.0), (2.0, 0.0), (1.0, 0.5)])
+    @example([(2.0, 0.0), (1.0, -0.0)])
+    @example([(0.0, 0.0), (1.0, -0.0), (1.0, 0.0)])
+    def test_matches_big_integer_reference(self, pairs):
+        # the same bits (a breakpoint's sign too), or the same error
+        def outcome(build):
+            try:
+                ccf = build(pairs)
+            except (OverflowError, ValueError) as exc:
+                return type(exc)
+            return [b.hex() for b in ccf.breakpoints], [c.hex() for c in ccf.cumulative]
+
+        assert outcome(build_ccf) == outcome(lambda p: Ccf(*cumulative_reference(p)))
 
 
 class TestEvalCcf:

@@ -477,7 +477,7 @@ class TestEndToEnd:
             loads = scenario.resolved_loads(config)
             ccf = build_ccf((l.power, l.criticality) for l in loads)
             z_hat = exact_z_hat(
-                SurrogateCcf(ccf, scenario.resolve_ramp_width(config)), config.deficit
+                SurrogateCcf(ccf, inst.ramp_width), config.deficit
             )
             expected = tuple(local_zeta(rc, z_hat) for rc in cutoff_candidates(inst))
             assert trace.final_zeta == expected

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadshed import cli, scenario
-from loadshed.criticality import resolve_loads
+from loadshed import cli, oracle, scenario
+from loadshed.criticality import SurrogateCcf, build_ccf, resolve_loads
 from loadshed.protocol import CHUNK, RunTrace, run_protocol
 from loadshed.scenario import (
     TRACE_BLOCK_ROUNDS,
@@ -47,7 +47,7 @@ class TestLoadScenario:
         config = load_scenario(CONFIG_DIR / "two_region_step_example.json")
         assert config.mode == "discrete"
         assert len(config.regions) == 2
-        assert scenario.resolve_ramp_width(config) == 0.05
+        assert scenario.build_instance(config).ramp_width == 0.05
 
     def test_infeasible_deficit_rejected(self):
         config = load_scenario(CONFIG_DIR / "two_region_step_example.json")
@@ -72,8 +72,7 @@ class TestLoadScenario:
         doc["ramp_width"] = width
         doc["regions"][0]["loads"].append({"id": 99, "nature_criticality": 0.38, "power": 0.0})
         config = loads_scenario(json.dumps(doc))
-        assert scenario.resolve_ramp_width(config) == pytest.approx(0.05, abs=1e-15)
-        assert scenario.build_instance(config).ramp_width == scenario.resolve_ramp_width(config)
+        assert scenario.build_instance(config).ramp_width == pytest.approx(0.05, abs=1e-15)
         base = load_scenario(CONFIG_DIR / "two_region_step_example.json")
         report, expected = (run_scenario(c, record_trace=False)[1] for c in (config, base))
         assert report.oracle.z_hat == pytest.approx(expected.oracle.z_hat, abs=1e-12)
@@ -307,6 +306,76 @@ class TestGenerateScenario:
     def test_validates(self):
         config = generate_scenario(4, 20, seed=9, graph="random-periodic")
         scenario.validate(config)
+
+
+GEN_FAMILIES = ("line", "line-periodic", "random-periodic", "random")
+
+
+def sorted_set_gap(crits) -> float | None:
+    """The smallest gap as the ramp-width readers once took it: over
+    ``sorted(set(...))``, or None when there are fewer than two values."""
+    distinct = sorted(set(crits))
+    return min(b - a for a, b in zip(distinct, distinct[1:])) if len(distinct) > 1 else None
+
+
+def rejects(gap: float | None, width: float) -> bool:
+    """Whether a positive width exceeds the gap by more than the check's slack."""
+    return gap is not None and width > gap * (1.0 + 1e-12)
+
+
+class TestRampWidthGap:
+    """The ramp widths read off a CCF's breakpoints with one np.diff are the
+    ones the sorted(set(...)) path gave."""
+
+    @pytest.mark.parametrize("source", [
+        *(f"{graph}-{seed}" for graph in GEN_FAMILIES for seed in range(8)),
+        "two_region_step_example.json", "continuous_four_regions.json",
+    ])
+    def test_same_widths_and_decisions(self, source, monkeypatch):
+        if source.endswith(".json"):
+            config = load_scenario(CONFIG_DIR / source)
+        else:
+            graph, seed = source.rsplit("-", 1)
+            config = generate_scenario(4, 100, seed=int(seed), graph=graph)
+        loads = scenario.resolved_loads(config)
+        gap = sorted_set_gap([l.criticality for l in loads if l.power > 0])
+        default = 1.0 if gap is None else gap
+        auto = dataclasses.replace(config, ramp_width=None)
+        assert scenario.build_instance(auto).ramp_width.hex() == default.hex()
+
+        if loads:  # the width greedy_shed_set builds its surrogate with
+            widths = []
+            surrogate = oracle.SurrogateCcf
+            monkeypatch.setattr(oracle, "SurrogateCcf",
+                                lambda ccf, width: widths.append(width) or surrogate(ccf, width))
+            oracle.greedy_shed_set(loads, config.deficit)
+            assert [w.hex() for w in widths] == [default.hex()]
+            monkeypatch.undo()
+
+        # accept or reject: validate against every load, each region's
+        # surrogate against its own loads, the all-loads surrogate too
+        ccf = build_ccf((l.power, l.criticality) for l in loads)
+        slack = default * (1.0 + 1e-12)
+        ends = np.cumsum([len(r.loads) for r in config.regions]).tolist()
+        region_gaps = [sorted_set_gap([l.criticality for l in loads[a:b] if l.power > 0])
+                       for a, b in zip([0, *ends], ends)]
+        for width in (default / 2, default, math.nextafter(default, math.inf), slack,
+                      math.nextafter(slack, math.inf), 2 * default):
+            set_width = dataclasses.replace(config, ramp_width=width)
+            if config.mode == "discrete":
+                assert raises(ValueError, SurrogateCcf, ccf, width) == rejects(gap, width)
+                assert raises(ValueError, scenario.build_instance, set_width) == any(
+                    rejects(g, width) for g in region_gaps)
+            assert raises(ScenarioError, scenario.validate, set_width) == (
+                config.mode == "discrete" and rejects(gap, width))
+
+
+def raises(kind, call, *args) -> bool:
+    try:
+        call(*args)
+    except kind:
+        return True
+    return False
 
 
 class TestRuns:
