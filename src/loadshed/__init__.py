@@ -10,14 +10,12 @@ executable checks of the assumptions its root-finding recursion rests on.
 from .criticality import (
     Ccf,
     CriticalLoad,
-    Load,
     Region,
     SurrogateCcf,
     build_ccf,
     eval_ccf,
     eval_surrogate,
     min_gap,
-    resolve_loads,
     shed_decision,
 )
 from .oracle import (

@@ -1,5 +1,9 @@
 """Discrete load sets, criticality values, and cumulative criticality functions.
 
+A scenario holds its loads as columns; a region is a range of them, and a
+load's criticality is resolved from its nature and region criticalities
+over whole columns.
+
 The cumulative criticality function (CCF) of a load set maps a threshold z
 to the total power of all loads whose criticality is at most z: a
 right-continuous, non-decreasing step function, held as its breakpoints and
@@ -30,29 +34,15 @@ from . import _engine
 
 
 @dataclass(frozen=True)
-class Load:
-    """A sheddable load: power demand (GW) plus its intrinsic criticality."""
-
-    id: int
-    power: float
-    nature_criticality: float
-
-    def __post_init__(self):
-        if self.power < 0:
-            raise ValueError(f"load {self.id}: power must be nonnegative, got {self.power}")
-        if not 0.0 <= self.nature_criticality <= 1.0:
-            raise ValueError(
-                f"load {self.id}: nature criticality {self.nature_criticality} outside [0, 1]"
-            )
-
-
-@dataclass(frozen=True)
 class Region:
-    """A group of loads sharing one regional criticality value."""
+    """A group of loads sharing one regional criticality value.
+
+    Its loads are the range ``loads`` of a scenario's load columns.
+    """
 
     id: int
     region_criticality: float
-    loads: tuple[Load, ...]
+    loads: range
 
     def __post_init__(self):
         if not 0.0 <= self.region_criticality <= 1.0:
@@ -70,26 +60,17 @@ class CriticalLoad:
     criticality: float
 
 
-def resolve_loads(regions: Sequence[Region], nature_weight: float) -> tuple[CriticalLoad, ...]:
-    """Flatten regions into loads whose criticality is the convex mix
-    ``w * c_nature + (1 - w) * c_region`` with ``w = nature_weight``.
+def resolve_criticalities(nature: np.ndarray, region: np.ndarray,
+                          nature_weight: float) -> np.ndarray:
+    """The convex mix ``w * c_nature + (1 - w) * c_region`` of two float64
+    columns, load by load, with ``w = nature_weight``.
 
-    Enforces that load ids are unique; a repeat is named by its path,
-    ``regions[j].loads[i].id``.  ``Load`` and ``Region`` hold both inputs
-    in [0, 1], so for a weight in [0, 1] the mix stays there too.
+    numpy rounds each product and the sum once, as the scalar expression
+    does, so each value has the same bits.  For inputs and a weight in
+    [0, 1] the mix stays in [0, 1].
     """
     w = nature_weight
-    seen: set[int] = set()
-    out: list[CriticalLoad] = []
-    for j, region in enumerate(regions):
-        for i, load in enumerate(region.loads):
-            if load.id in seen:
-                raise ValueError(f"regions[{j}].loads[{i}].id: duplicate load id {load.id} "
-                                 "(ids must be unique)")
-            seen.add(load.id)
-            c = w * load.nature_criticality + (1.0 - w) * region.region_criticality
-            out.append(CriticalLoad(load.id, load.power, c))
-    return tuple(out)
+    return w * nature + (1.0 - w) * region
 
 
 @dataclass(frozen=True)
@@ -212,11 +193,12 @@ def default_ramp_width(criticalities: Sequence[float] | np.ndarray) -> float:
     return 1.0 if gap is None else gap
 
 
-def shed_decision(loads: Iterable[CriticalLoad], z: float) -> list[CriticalLoad]:
-    """The loads with criticality at or below the finite threshold z."""
+def shed_decision(criticalities: np.ndarray, z: float) -> np.ndarray:
+    """Which loads the finite threshold z sheds: a mask of the
+    criticalities at or below it."""
     if not math.isfinite(z):
         raise ValueError(f"shed threshold must be finite, got {z}")
-    return [load for load in loads if load.criticality <= z]
+    return np.asarray(criticalities, dtype=np.float64) <= z
 
 
 def check_ramp_width(criticalities: Sequence[float] | np.ndarray, ramp_width: float) -> None:

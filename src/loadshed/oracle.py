@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
 from .criticality import (
     Ccf,
-    CriticalLoad,
     SurrogateCcf,
     build_ccf,
     column_ccf,
@@ -107,26 +107,31 @@ def exact_z_hat(surrogate: SurrogateCcf, deficit: float) -> float:
 
 
 def greedy_shed_set(
-    loads: Sequence[CriticalLoad], deficit: float, ramp_width: float | None = None
+    ids: Sequence[int], powers: np.ndarray, criticalities: np.ndarray, deficit: float,
+    ramp_width: float | None = None,
 ) -> SheddingSolution:
-    """Greedy prefix covering the deficit, and the CCF threshold set.
+    """Greedy prefix covering the deficit, and the CCF threshold set, of the
+    loads given as columns: ids (any integers) and float64 powers and
+    criticalities.
 
     Loads are ordered by (criticality, id); the prefix stops as soon as its
-    power sum reaches the deficit, so it may split a group of equal
+    running power sum reaches the deficit, so it may split a group of equal
     criticality.  The CCF threshold ``z_star`` sheds such groups whole,
     which is why its total can exceed the greedy one.  ``ramp_width``
     defaults to ``default_ramp_width`` of the CCF's breakpoints.
     """
-    ccf = column_ccf(np.array([l.power for l in loads], dtype=np.float64),
-                     np.array([l.criticality for l in loads], dtype=np.float64))
+    ccf = column_ccf(powers, criticalities)
     i, _ = deficit_segment(ccf, deficit)
-    prefix: list[CriticalLoad] = []
-    acc = 0.0
-    for load in sorted(loads, key=lambda l: (l.criticality, l.id)):
-        if acc >= deficit:
-            break
-        prefix.append(load)
-        acc += load.power
+    order = np.argsort(criticalities, kind="stable")
+    ranked = criticalities[order]
+    if (ranked[1:] == ranked[:-1]).any():  # equal criticalities (-0.0 and 0.0 too) go by id
+        crits = criticalities.tolist()
+        order = np.array(sorted(range(len(crits)), key=lambda k: (crits[k], ids[k])), np.intp)
+    # the running sums the walk adds one load at a time: cumsum adds in
+    # order, as the walk does; a deficit of 0 is reached before any load
+    running = np.cumsum(powers[order])
+    size = min(int(np.searchsorted(running, deficit)) + 1, len(order)) if deficit > 0 else 0
+    prefix = order[:size]
 
     if ramp_width is None:
         ramp_width = default_ramp_width(ccf.breakpoints)
@@ -135,9 +140,9 @@ def greedy_shed_set(
         z_star=z_star,
         z_hat=exact_z_hat(SurrogateCcf(ccf, ramp_width), deficit),
         shed_total=shed_total,
-        shed_ids=tuple(l.id for l in shed_decision(loads, z_star)),
-        greedy_total=math.fsum(l.power for l in prefix),
-        greedy_ids=tuple(l.id for l in prefix),
+        shed_ids=tuple(compress(ids, shed_decision(criticalities, z_star).tolist())),
+        greedy_total=math.fsum(powers[prefix].tolist()),
+        greedy_ids=tuple(map(ids.__getitem__, prefix.tolist())),
         boundary_case=abs(shed_total - deficit) <= BOUNDARY_TOL,
     )
 

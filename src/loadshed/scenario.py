@@ -6,8 +6,12 @@ the deficit, the communication schedule, step sizes, the per-region
 deficit estimator, and the stopping setup.  The parser reads each JSON
 object through one field table and builds the objects a run uses from
 it, once: the schedule and the estimator, with region ids mapped to
-indices, are the ones the engine runs.  A fault is a ``ScenarioError``
-that names its field.  Identical configs produce byte-identical traces.
+indices, are the ones the engine runs.  A region's loads are read as
+columns (ids, powers, nature criticalities) and checked whole; the config
+resolves their criticalities once, as an array, and every reader takes the
+columns.  A fault is a ``ScenarioError`` that names its field, the first
+one a load-by-load read would meet.  Identical configs produce
+byte-identical traces.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -27,14 +32,13 @@ import numpy as np
 from . import _engine
 from .criticality import (
     CriticalLoad,
-    Load,
     Region,
     SurrogateCcf,
     check_ramp_width,
     column_ccf,
     default_ramp_width,
     flat_breakpoint,
-    resolve_loads,
+    resolve_criticalities,
     shed_decision,
 )
 from .netgraph import (
@@ -65,7 +69,7 @@ from .protocol import (
     TraceEstimator,
     run_protocol,
 )
-from .seeding import STREAM_NATURE, STREAM_POWER, STREAM_REGION, mix64, unit_float
+from .seeding import STREAM_NATURE, STREAM_POWER, STREAM_REGION, mix64, mix64_grid, unit_float
 
 CONFIG_VERSION = 1
 
@@ -110,7 +114,8 @@ class ContinuousRegion:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One parsed scenario, holding the schedule and the estimator its runs use.
+    """One parsed scenario, holding the schedule and the estimator its runs
+    use, and its discrete loads as columns.
 
     ``deficit`` and ``seed`` are read into ``ExactSplit``, ``NoisySplit`` and
     ``RandomSchedule`` when the document is parsed; changing them on a
@@ -131,11 +136,32 @@ class ScenarioConfig:
     x0: float = 0.0  # initial threshold estimate at every region
     regions: tuple[Region, ...] = ()
     continuous_regions: tuple[ContinuousRegion, ...] = ()
+    # every discrete load's id, power and nature criticality, region by
+    # region (a region's ``loads`` is its range), as the document gave them:
+    # a JSON integer stays an int, and is written back as one
+    load_ids: tuple[int, ...] = ()
+    load_powers: tuple[float, ...] = ()
+    load_natures: tuple[float, ...] = ()
+
+    @functools.cached_property
+    def power(self) -> np.ndarray:
+        """Every discrete load's power as float64, once per config."""
+        return np.array(self.load_powers, dtype=np.float64)
+
+    @functools.cached_property
+    def criticality(self) -> np.ndarray:
+        """Every discrete load's criticality, resolved once per config."""
+        region = np.array([r.region_criticality for r in self.regions], dtype=np.float64)
+        return resolve_criticalities(np.array(self.load_natures, dtype=np.float64),
+                                     np.repeat(region, [len(r.loads) for r in self.regions]),
+                                     self.combiner_weight)
 
     @functools.cached_property
     def critical_loads(self) -> tuple[CriticalLoad, ...]:
-        """The discrete loads with their criticalities resolved, once per config."""
-        return resolve_loads(self.regions, self.combiner_weight)
+        """Every discrete load as a ``CriticalLoad``, built from the columns
+        once per config."""
+        return tuple(map(CriticalLoad, self.load_ids, self.power.tolist(),
+                         self.criticality.tolist()))
 
 
 @dataclass(frozen=True)
@@ -170,6 +196,8 @@ def report_json(report) -> str:
 
 
 def resolved_loads(config: ScenarioConfig) -> tuple[CriticalLoad, ...]:
+    """Every discrete load as a ``CriticalLoad``, cached on the config.
+    Nothing in the package calls this; the benchmark's checks read it."""
     return config.critical_loads
 
 
@@ -183,8 +211,7 @@ def _region_slices(config: ScenarioConfig) -> list[tuple[int, int]]:
     """Each region's slice of ``load_columns``, as (start, stop)."""
     if config.mode == "continuous":
         return [(j, j + 1) for j in range(len(config.continuous_regions))]
-    ends = list(accumulate(len(region.loads) for region in config.regions))
-    return list(zip([0, *ends], ends))
+    return [(region.loads.start, region.loads.stop) for region in config.regions]
 
 
 def load_columns(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -192,15 +219,14 @@ def load_columns(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     region, from which the CCFs are built.
 
     A continuous region is one load, its capacity at its criticality; a
-    discrete region's loads are its slice of the resolved loads.
+    discrete config's columns are the parsed powers and the resolved
+    criticalities.
     """
     if config.mode == "continuous":
         regions = config.continuous_regions
         return (np.array([r.capacity for r in regions], dtype=np.float64),
                 np.array([r.criticality for r in regions], dtype=np.float64))
-    loads = resolved_loads(config)
-    return (np.array([l.power for l in loads], dtype=np.float64),
-            np.array([l.criticality for l in loads], dtype=np.float64))
+    return config.power, config.criticality
 
 
 def build_instance(config: ScenarioConfig) -> ProtocolInstance:
@@ -249,11 +275,15 @@ def validate(config: ScenarioConfig) -> None:
         raise ScenarioError(f"combiner_weight {config.combiner_weight} outside [0, 1]")
 
     discrete = config.mode == "discrete"
-    if discrete:
-        try:
-            loads = resolved_loads(config)
-        except ValueError as exc:  # a repeated load id
-            raise ScenarioError(str(exc)) from exc
+    ids = config.load_ids
+    if len(set(ids)) < len(ids):  # name the first repeat
+        seen: set[int] = set()
+        for j, region in enumerate(config.regions):
+            for i, k in enumerate(region.loads):
+                if ids[k] in seen:
+                    raise ScenarioError(f"regions[{j}].loads[{i}].id: duplicate load id "
+                                        f"{ids[k]} (ids must be unique)")
+                seen.add(ids[k])
     what = "total sheddable power" if discrete else "total capacity"
     powers, crits = load_columns(config)
     try:
@@ -270,14 +300,14 @@ def validate(config: ScenarioConfig) -> None:
     positive = powers > 0
     if discrete and positive.any() and powers[positive].min() <= math.ulp(total):
         slices = _region_slices(config)
-        for a, b in [(0, len(loads)), *slices]:  # all loads, then each region's
+        for a, b in [(0, len(powers)), *slices]:  # all loads, then each region's
             z = flat_breakpoint(powers[a:b], crits[a:b])
             if z is not None:
-                k = next(k for k in range(a, b) if loads[k].criticality == z and loads[k].power > 0)
+                k = a + int(np.flatnonzero((crits[a:b] == z) & positive[a:b])[0])
                 j = next(j for j, (_, stop) in enumerate(slices) if k < stop)
                 path = f"regions[{j}].loads[{k - slices[j][0]}].power"
-                raise ScenarioError(f"{path}: {loads[k].power} leaves the cumulative load at "
-                                    f"criticality {z} unchanged")
+                raise ScenarioError(f"{path}: {config.load_powers[k]} leaves the cumulative "
+                                    f"load at criticality {z} unchanged")
     if config.ramp_width is not None:  # continuous mode: positivity only
         try:
             check_ramp_width(crits[positive] if discrete else (), config.ramp_width)
@@ -306,7 +336,8 @@ _KINDS = {
 # required.  A default of None marks an optional key with no value of its
 # own; a third entry is the one value accepted outside the kind.  A key
 # names the attribute it is built into (a discrete region's criticality:
-# ``region_criticality``).  tests/test_schema.py holds the schema to them.
+# ``region_criticality``), except a load's, which fill the config's load
+# columns.  tests/test_schema.py holds the schema to them.
 _ROOT = {
     "version": (int,),
     "mode": (str,),
@@ -362,9 +393,12 @@ def _config_to_dict(config: ScenarioConfig) -> dict:
         regions=[
             _written(region, _CONTINUOUS_REGION) for region in config.continuous_regions
         ] if config.mode == "continuous" else [
-            _written(region, _REGION, criticality=region.region_criticality,
-                     loads=[_written(load, _LOAD) for load in region.loads])
-            for region in config.regions
+            _written(region, _REGION, criticality=region.region_criticality, loads=[
+                dict(zip(_LOAD, load)) for load in zip(config.load_ids[a:b],
+                                                       config.load_powers[a:b],
+                                                       config.load_natures[a:b])
+            ])
+            for region, (a, b) in zip(config.regions, _region_slices(config))
         ],
     )
 
@@ -408,13 +442,51 @@ def _fields(doc, table: dict, path: str = "") -> dict:
     return fields
 
 
-def _built(cls: type, path: str, **fields):
+def _built(cls, path: str, **fields):
     """``cls(**fields)``; a range error it raises becomes a ``ScenarioError``
     prefixed by the object's JSON path (``path`` ends in a dot)."""
     try:
         return cls(**fields)
     except ValueError as exc:
         raise ScenarioError(f"{path[:-1]}: {exc}") from exc
+
+
+def _load_range(id: int, power: float, nature_criticality: float) -> None:
+    """Reject a load whose fields are out of range."""
+    if power < 0:
+        raise ValueError(f"load {id}: power must be nonnegative, got {power}")
+    if not 0.0 <= nature_criticality <= 1.0:
+        raise ValueError(f"load {id}: nature criticality {nature_criticality} outside [0, 1]")
+
+
+def _loads(items: list, path: str) -> tuple[list, list, list]:
+    """A region's ``loads`` array read as columns: the ids, powers and
+    nature criticalities as the document gave them.  ``path`` is the
+    array's JSON path.
+
+    Keys, kinds and ranges are checked over whole columns.  On a fault, the
+    loads from the first one the columns flag (the first, if the columns
+    could not be built) are read one at a time through ``_fields`` and
+    ``_load_range``, which raise the first fault as a load-by-load read does.
+    """
+    power = nature = None
+    try:  # a load that is not an object, a missing key, an integer beyond the floats
+        ids, powers, natures = (list(map(itemgetter(key), items)) for key in _LOAD)
+        if (sum(map(len, items)) == len(_LOAD) * len(items)  # no other key
+                and set(map(type, ids)) <= {int}  # booleans are not integers
+                and set(map(type, powers)) | set(map(type, natures)) <= {int, float}):
+            power, nature = np.array(powers, np.float64), np.array(natures, np.float64)
+    except (TypeError, KeyError, OverflowError):
+        pass
+    if power is None:
+        first = 0
+    else:  # a power of the largest float is flagged, and passes the field reader
+        bad = np.flatnonzero(~((0 <= power) & (power < sys.float_info.max)
+                               & (0 <= nature) & (nature <= 1)))
+        first = int(bad[0]) if bad.size else len(items)
+    for i in range(first, len(items)):
+        _built(_load_range, f"{path}[{i}].", **_fields(items[i], _LOAD, f"{path}[{i}]."))
+    return ids, powers, natures
 
 
 def _edges(items, field: str, index: dict[int, int]) -> frozenset:
@@ -482,18 +554,19 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
     estimator = _fields(root["estimator"], _ESTIMATOR, "estimator.")
     continuous = root["mode"] == "continuous"
     regions = []
+    ids, powers, natures = [], [], []  # every discrete load's, region by region
     for k, item in enumerate(root["regions"]):
         path = f"regions[{k}]."
         region = _fields(item, _CONTINUOUS_REGION if continuous else _REGION, path)
         if continuous:
             regions.append(_built(ContinuousRegion, path, **region))
             continue
-        loads = tuple(
-            _built(Load, f"{path}loads[{i}].", **_fields(load, _LOAD, f"{path}loads[{i}]."))
-            for i, load in enumerate(region["loads"])
-        )
+        start = len(ids)
+        for column, values in zip((ids, powers, natures), _loads(region["loads"], f"{path}loads")):
+            column += values
         regions.append(_built(Region, path, id=region["id"],
-                              region_criticality=region["criticality"], loads=loads))
+                              region_criticality=region["criticality"],
+                              loads=range(start, len(ids))))
     if not regions:  # before the graph, whose edges could name none
         raise ScenarioError("continuous mode needs continuous_regions" if continuous
                             else "discrete mode needs regions")
@@ -513,6 +586,9 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
         ramp_width=None if root["ramp_width"] == "auto" else float(root["ramp_width"]),
         regions=() if continuous else tuple(regions),
         continuous_regions=tuple(regions) if continuous else (),
+        load_ids=tuple(ids),
+        load_powers=tuple(powers),
+        load_natures=tuple(natures),
     )
     config = ScenarioConfig(**root)
     validate(config)
@@ -567,49 +643,37 @@ def generate_scenario(
         raise ValueError("counts must be positive")
     if not 0.0 < deficit_fraction < 1.0:
         raise ValueError(f"deficit fraction {deficit_fraction} outside (0, 1)")
-    grid = CRITICALITY_GRID
+    grid, count = CRITICALITY_GRID, n_regions * loads_per_region
     region_grid_values = [
         int(unit_float(mix64(seed, STREAM_REGION, j)) * (grid + 1))
         for j in range(n_regions)
     ]
-    # distinctness is tracked on the integer half-grid of the combined
-    # value (c_nature + c_region in grid units), so two loads that agree
-    # in exact arithmetic can never slip through as distinct floats
+    # every load's first nature draw at once; distinctness is tracked on the
+    # integer half-grid of the combined value (c_nature + c_region in grid
+    # units), so two loads that agree in exact arithmetic can never slip
+    # through as distinct floats, and a taken value is redrawn, in load order
+    nature_grid = (unit_float(mix64_grid(seed, STREAM_NATURE, np.arange(count), [0])[:, 0])
+                   * (grid + 1)).astype(np.int64).tolist()
     taken: set[int] = set()
-    nature: list[list[float]] = []
-    combined: list[list[float]] = []
-    for j in range(n_regions):
-        row_n, row_c = [], []
-        for i in range(loads_per_region):
-            gi = j * loads_per_region + i
-            attempt = 0
-            while True:
-                cn_i = int(unit_float(mix64(seed, STREAM_NATURE, gi, attempt)) * (grid + 1))
-                key = cn_i + region_grid_values[j]
-                if key not in taken:
-                    taken.add(key)
-                    row_n.append(cn_i / grid)
-                    row_c.append(0.5 * (cn_i / grid) + 0.5 * (region_grid_values[j] / grid))
-                    break
-                attempt += 1
-        nature.append(row_n)
-        combined.append(row_c)
+    for gi, cn_i in enumerate(nature_grid):
+        region_value, attempt = region_grid_values[gi // loads_per_region], 0
+        while cn_i + region_value in taken:
+            attempt += 1
+            cn_i = int(unit_float(mix64(seed, STREAM_NATURE, gi, attempt)) * (grid + 1))
+        taken.add(cn_i + region_value)
+        nature_grid[gi] = cn_i
+    nature = np.array(nature_grid, dtype=np.float64) / grid
+    region_criticality = np.array(region_grid_values, dtype=np.float64) / grid
+    criticalities = resolve_criticalities(nature, np.repeat(region_criticality, loads_per_region),
+                                          0.5)
 
     # reject power draws that land the deficit too close to a breakpoint
-    criticalities = np.array(combined, dtype=np.float64).ravel()
     chosen = None
     for sub_draw in range(1000):
-        powers = [
-            [
-                0.5 + unit_float(mix64(seed, STREAM_POWER, sub_draw, j * loads_per_region + i))
-                for i in range(loads_per_region)
-            ]
-            for j in range(n_regions)
-        ]
-        total = math.fsum(p for row in powers for p in row)
+        powers = 0.5 + unit_float(mix64_grid(seed, STREAM_POWER, [sub_draw], np.arange(count))[0])
+        total = math.fsum(powers.tolist())
         deficit = deficit_fraction * total
-        ccf = column_ccf(np.array(powers, dtype=np.float64).ravel(), criticalities)
-        _, frac = deficit_segment(ccf, deficit)
+        _, frac = deficit_segment(column_ccf(powers, criticalities), deficit)
         if DEGENERACY_MARGIN <= frac <= 1.0 - DEGENERACY_MARGIN:
             chosen = (powers, total, deficit)
             break
@@ -618,18 +682,8 @@ def generate_scenario(
     powers, total, deficit = chosen
 
     regions = tuple(
-        Region(
-            id=j + 1,
-            region_criticality=region_grid_values[j] / grid,
-            loads=tuple(
-                Load(
-                    id=j * loads_per_region + i + 1,
-                    power=powers[j][i],
-                    nature_criticality=nature[j][i],
-                )
-                for i in range(loads_per_region)
-            ),
-        )
+        Region(id=j + 1, region_criticality=float(region_criticality[j]),
+               loads=range(j * loads_per_region, (j + 1) * loads_per_region))
         for j in range(n_regions)
     )
 
@@ -659,6 +713,9 @@ def generate_scenario(
         max_rounds=max_rounds,
         convergence_window=None,
         regions=regions,
+        load_ids=tuple(range(1, count + 1)),
+        load_powers=tuple(powers.tolist()),
+        load_natures=tuple(nature.tolist()),
     )
 
 
@@ -680,7 +737,8 @@ def _random_periodic_steps(seed: int, n: int, period: int, window: int,
 
 def oracle_summary(config: ScenarioConfig) -> SheddingSolution:
     # greedy_shed_set applies the default ramp width when the config sets none
-    return greedy_shed_set(resolved_loads(config), config.deficit, config.ramp_width)
+    return greedy_shed_set(config.load_ids, *load_columns(config), config.deficit,
+                           config.ramp_width)
 
 
 def continuous_closed_form(config: ScenarioConfig) -> ContinuousSolution:
@@ -721,9 +779,8 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
         answer_ok = z_dist == oracle.z_star
         shed_total = None
         if z_dist is not None:
-            shed_total = math.fsum(
-                l.power for l in shed_decision(resolved_loads(config), z_dist)
-            )
+            powers, crits = load_columns(config)
+            shed_total = math.fsum(powers[shed_decision(crits, z_dist)].tolist())
     report = SummaryReport(
         mode=config.mode,
         oracle=oracle,

@@ -1,6 +1,7 @@
 """Shared fixtures: the step-function example set, the tie example, the
 four-region continuous instance used across the suite, the big-integer
-reference of the CCF's prefix sums, the numpy and scalar references of
+reference of the CCF's prefix sums, the load-by-load reference of the
+greedy oracle, the numpy and scalar references of
 the compiled graphs, of the compiled round engine and of its
 deficit-tracking error, the verification oracles only the tests call, and
 the kink-interpolated continuous closed form that
@@ -17,9 +18,24 @@ import numpy as np
 import pytest
 
 from loadshed import _engine
-from loadshed.criticality import Ccf, CriticalLoad, build_ccf, eval_ccf
+from loadshed.criticality import (
+    Ccf,
+    CriticalLoad,
+    SurrogateCcf,
+    build_ccf,
+    default_ramp_width,
+    eval_ccf,
+)
 from loadshed.netgraph import normalize_edges, pair_rows
-from loadshed.oracle import BOUNDARY_TOL, ContinuousSolution, InfeasibleError, continuous_fill
+from loadshed.oracle import (
+    BOUNDARY_TOL,
+    ContinuousSolution,
+    InfeasibleError,
+    SheddingSolution,
+    continuous_fill,
+    deficit_segment,
+    exact_z_hat,
+)
 from loadshed.seeding import STREAM_EDGES, mix64_grid, unit_float
 
 # (power GW, criticality) pairs of the worked step-function example;
@@ -85,6 +101,43 @@ def cumulative_reference(pairs) -> tuple[tuple[float, ...], tuple[float, ...]]:
             units += num << (1075 - den.bit_length())
         cumulative.append(units / _UNIT)
     return tuple(bps), tuple(cumulative)
+
+
+def columns(loads: Sequence[CriticalLoad]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The ids, powers and criticalities of ``loads`` as the columns
+    ``greedy_shed_set`` takes."""
+    return ([l.id for l in loads], np.array([l.power for l in loads], dtype=np.float64),
+            np.array([l.criticality for l in loads], dtype=np.float64))
+
+
+def greedy_reference(
+    loads: Sequence[CriticalLoad], deficit: float, ramp_width: float | None = None
+) -> SheddingSolution:
+    """``greedy_shed_set`` load by load: the loads sorted by (criticality,
+    id) with a Python key, the prefix walked one load at a time, and the
+    shed set filtered in input order."""
+    ccf = build_ccf((l.power, l.criticality) for l in loads)
+    i, _ = deficit_segment(ccf, deficit)
+    prefix: list[CriticalLoad] = []
+    acc = 0.0
+    for load in sorted(loads, key=lambda l: (l.criticality, l.id)):
+        if acc >= deficit:
+            break
+        prefix.append(load)
+        acc += load.power
+
+    if ramp_width is None:
+        ramp_width = default_ramp_width(ccf.breakpoints)
+    z_star, shed_total = ccf.breakpoints[i], ccf.cumulative[i]
+    return SheddingSolution(
+        z_star=z_star,
+        z_hat=exact_z_hat(SurrogateCcf(ccf, ramp_width), deficit),
+        shed_total=shed_total,
+        shed_ids=tuple(l.id for l in loads if l.criticality <= z_star),
+        greedy_total=math.fsum(l.power for l in prefix),
+        greedy_ids=tuple(l.id for l in prefix),
+        boundary_case=abs(shed_total - deficit) <= BOUNDARY_TOL,
+    )
 
 
 def make_random_loads(rng, count: int, distinct: bool = True) -> list[CriticalLoad]:

@@ -41,6 +41,7 @@ from conftest import (
     CONTINUOUS_REGIONS_ORDERED,
     TIE_LOADS,
     brute_force_min_set,
+    columns,
     make_random_loads,
     metropolis_weights,
     stochasticity_defect,
@@ -132,7 +133,7 @@ class TestAcceptance:
             loads = make_random_loads(rng, count, distinct=True)
             total = math.fsum(l.power for l in loads)
             deficit = float(rng.uniform(0.05, 0.95)) * total
-            greedy = greedy_shed_set(loads, deficit)
+            greedy = greedy_shed_set(*columns(loads), deficit)
             ids, brute_total = brute_force_min_set(loads, deficit, priority_only=True)
             if set(ids) != set(greedy.greedy_ids) or abs(brute_total - greedy.greedy_total) > 1e-9:
                 mismatches.append((k, "prioritized brute force"))
@@ -149,7 +150,7 @@ class TestAcceptance:
             loads[1] = CriticalLoad(loads[1].id, loads[1].power, loads[0].criticality)
             total = math.fsum(l.power for l in loads)
             deficit = float(rng.uniform(0.05, 0.95)) * total
-            greedy = greedy_shed_set(loads, deficit)
+            greedy = greedy_shed_set(*columns(loads), deficit)
             ccf = build_ccf([(l.power, l.criticality) for l in loads])
             tied = [l.power for l in loads if l.criticality == greedy.z_star]
             if eval_ccf(ccf, greedy.z_star) - greedy.greedy_total > sum(tied) - min(tied) + 1e-9:

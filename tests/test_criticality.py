@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from loadshed.criticality import (
     Ccf,
-    Load,
-    Region,
     SurrogateCcf,
     build_ccf,
     column_ccf,
@@ -21,7 +19,6 @@ from loadshed.criticality import (
     eval_ccf,
     eval_surrogate,
     min_gap,
-    resolve_loads,
 )
 from loadshed.scenario import ScenarioError, loads_scenario
 
@@ -37,15 +34,25 @@ from conftest import (
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+def one_load_document(power=1.0, c_nature=0.5, c_region=0.5, weight=0.5) -> dict:
+    """A one-region scenario of one load (id 1) and the deficit 1e-3."""
+    return {
+        "version": 1, "mode": "discrete", "deficit": 1e-3, "combiner_weight": weight,
+        "graph": {"kind": "static"},
+        "regions": [{"id": 1, "criticality": c_region,
+                     "loads": [{"id": 1, "power": power, "nature_criticality": c_nature}]}],
+    }
+
+
 def combined(c_nature: float, c_region: float, weight: float = 0.5) -> float:
-    """The criticality ``resolve_loads`` gives one load of one region."""
-    region = Region(1, c_region, (Load(1, 1.0, c_nature),))
-    (load,) = resolve_loads((region,), weight)
-    return load.criticality
+    """The criticality a one-load scenario resolves its load to."""
+    config = loads_scenario(json.dumps(one_load_document(1.0, c_nature, c_region, weight)))
+    (criticality,) = config.criticality.tolist()
+    return criticality
 
 
 class TestCombiner:
-    """The convex mix of nature and region criticality in ``resolve_loads``."""
+    """The convex mix of nature and region criticality in ``resolve_criticalities``."""
 
     def test_zero_inputs(self):
         assert combined(0.0, 0.0) == 0.0
@@ -84,20 +91,19 @@ class TestCombiner:
 
 class TestLoadTypes:
     def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            Load(1, -1.0, 0.5)
+        with pytest.raises(ValueError, match="power must be nonnegative"):
+            loads_scenario(json.dumps(one_load_document(power=-1.0)))
 
     def test_criticality_range(self):
-        with pytest.raises(ValueError):
-            Load(1, 1.0, 1.5)
+        with pytest.raises(ValueError, match="nature criticality 1.5 outside"):
+            loads_scenario(json.dumps(one_load_document(c_nature=1.5)))
 
     def test_duplicate_ids_rejected(self):
-        regions = (
-            Region(1, 0.5, (Load(1, 1.0, 0.5),)),
-            Region(2, 0.5, (Load(1, 1.0, 0.5),)),
-        )
+        doc = one_load_document()
+        doc["regions"].append({**doc["regions"][0], "id": 2})
+        doc["graph"]["edges"] = [[1, 2]]
         with pytest.raises(ValueError, match="duplicate"):
-            resolve_loads(regions, 0.5)
+            loads_scenario(json.dumps(doc))
 
 
 def quadratic_build_ccf(pairs) -> Ccf:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from conftest import (
     FIG_RAMP,
     TIE_LOADS,
     brute_force_min_set,
+    columns,
     continuous_ccf_eval,
+    greedy_reference,
     continuous_solution_reference,
     make_random_loads,
     z_star_from_z_hat,
@@ -36,7 +39,7 @@ class TestGreedy:
     def test_tie_example(self):
         # deficit 3 is covered by the first two loads in (criticality, id)
         # order even though loads 2 and 3 share a criticality
-        sol = greedy_shed_set(TIE_LOADS, 3.0)
+        sol = greedy_shed_set(*columns(TIE_LOADS), 3.0)
         assert sol.greedy_ids == (1, 2)
         assert sol.greedy_total == 3.0
         # the threshold sheds the whole 0.3 group
@@ -45,7 +48,7 @@ class TestGreedy:
         assert sol.shed_total == 5.0
 
     def test_full_shed_at_capacity(self, fig_loads):
-        sol = greedy_shed_set(fig_loads, 16.0)
+        sol = greedy_shed_set(*columns(fig_loads), 16.0)
         assert sol.greedy_ids == sol.shed_ids == tuple(range(1, 9))
         assert sol.greedy_total == sol.shed_total == 16.0
 
@@ -54,7 +57,7 @@ class TestGreedy:
         # after the first criticality-0.4 load; the threshold path sheds the
         # whole 0.4 group instead (total 9): the two answers legitimately
         # differ on tied groups
-        sol = greedy_shed_set(fig_loads, 6.0)
+        sol = greedy_shed_set(*columns(fig_loads), 6.0)
         assert sol.greedy_ids == (1, 2, 3, 4)
         assert sol.greedy_total == 8.0
         assert sol.z_star == 0.4
@@ -64,7 +67,7 @@ class TestGreedy:
         assert sol.shed_total == eval_ccf(ccf, sol.z_star) == 9.0
 
     def test_zero_deficit(self, fig_loads):
-        sol = greedy_shed_set(fig_loads, 0.0)
+        sol = greedy_shed_set(*columns(fig_loads), 0.0)
         assert sol.greedy_ids == ()
         assert sol.greedy_total == 0.0
         # the threshold is the first breakpoint, so its set is not empty
@@ -74,15 +77,71 @@ class TestGreedy:
 
     def test_infeasible(self, fig_loads):
         with pytest.raises(InfeasibleError):
-            greedy_shed_set(fig_loads, 17.0)
+            greedy_shed_set(*columns(fig_loads), 17.0)
 
     def test_zero_power_load_keeps_default_ramp(self, fig_loads):
         # a zero-power load adds no breakpoint; at 0.38 it would narrow the
         # default ramp from 0.05 to 0.02 and move the surrogate root
-        sol = greedy_shed_set([*fig_loads, CriticalLoad(99, 0.0, 0.38)], 6.0)
-        expected = greedy_shed_set(fig_loads, 6.0)
+        sol = greedy_shed_set(*columns([*fig_loads, CriticalLoad(99, 0.0, 0.38)]), 6.0)
+        expected = greedy_shed_set(*columns(fig_loads), 6.0)
         assert (sol.z_star, sol.z_hat) == (expected.z_star, expected.z_hat)
-        assert sol.z_hat != greedy_shed_set(fig_loads, 6.0, 0.02).z_hat
+        assert sol.z_hat != greedy_shed_set(*columns(fig_loads), 6.0, 0.02).z_hat
+
+
+@st.composite
+def greedy_cases(draw):
+    """Loads with distinct ids (any integers, in any input order) and a
+    deficit: repeated criticalities, -0.0 beside 0.0, zero powers, and
+    deficits equal to a running sum of the greedy walk or to a cumulative load."""
+    count = draw(st.integers(0, 24))
+    ids = draw(st.lists(st.integers(-2**70, 2**70), min_size=count, max_size=count, unique=True))
+    if draw(st.booleans()):
+        ids.sort(reverse=True)
+    crits = draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(-2.0, 2.0),
+                          min_size=count, max_size=count))
+    powers = draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.1, 3.0, 1e16]) | st.floats(0.0, 1e3),
+        min_size=count, max_size=count))
+    loads = [CriticalLoad(*load) for load in zip(ids, powers, crits)]
+    ordered = sorted(loads, key=lambda l: (l.criticality, l.id))
+    running = list(accumulate(l.power for l in ordered))
+    try:
+        cumulative = list(build_ccf((l.power, l.criticality) for l in loads).cumulative)
+    except ValueError:  # a power too small to move its cumulative load: both raise
+        cumulative = []
+    total = math.fsum(powers)
+    deficit = draw(st.one_of(
+        st.sampled_from([0.0, *running, *cumulative]),
+        st.floats(0.0, total) if total > 0 else st.just(1.0),
+    ))
+    return loads, deficit
+
+
+class TestGreedyReference:
+    @settings(max_examples=400, deadline=None)
+    @given(case=greedy_cases())
+    # -0.0 and 0.0 compare equal, so the id decides; ids in descending order
+    @example(case=([CriticalLoad(2, 1.0, 0.0), CriticalLoad(1, 1.0, -0.0)], 1.0))
+    @example(case=([CriticalLoad(9, 1.0, 0.5), CriticalLoad(-5, 1.0, 0.5),
+                    CriticalLoad(2**70, 1.0, 0.25)], 2.0))
+    @example(case=([CriticalLoad(3, 0.0, 0.1), CriticalLoad(2, 2.0, 0.1),
+                    CriticalLoad(1, 0.0, 0.2)], 2.0))
+    # added one at a time, the 3s round up past 1e16; a sum in another order does not
+    @example(case=([CriticalLoad(k, 3.0 if k else 1e16, k / 16) for k in range(12)],
+                   list(accumulate([1e16] + [3.0] * 11))[9]))
+    def test_matches_load_by_load_reference(self, case):
+        loads, deficit = case
+        try:
+            want = greedy_reference(loads, deficit)
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                greedy_shed_set(*columns(loads), deficit)
+            return
+        got = greedy_shed_set(*columns(loads), deficit)
+        assert got.greedy_ids == want.greedy_ids
+        assert got.shed_ids == want.shed_ids
+        assert got.greedy_total.hex() == want.greedy_total.hex()
+        assert got == want
 
 
 class TestBruteForce:
@@ -119,7 +178,7 @@ INVERSIONS = [
     pytest.param(lambda pairs, d: exact_z_hat(SurrogateCcf(build_ccf(pairs), 1.0), d), 1.0,
                  id="exact_z_hat"),
     pytest.param(lambda pairs, d: greedy_shed_set(
-        [CriticalLoad(k, p, c) for k, (p, c) in enumerate(pairs)], d, 1.0).z_star, 0.0,
+        *columns([CriticalLoad(k, p, c) for k, (p, c) in enumerate(pairs)]), d, 1.0).z_star, 0.0,
                  id="greedy_shed_set"),
     pytest.param(lambda pairs, d: continuous_solution(pairs, d).z_tilde, 1.0,
                  id="continuous_solution"),
@@ -220,12 +279,12 @@ class TestZStarFromZHat:
 class TestBoundaryFlag:
     def test_exact_hit_flagged(self):
         # the deficit equals the cumulative load at the threshold exactly
-        sol = greedy_shed_set(TIE_LOADS, 5.0)
+        sol = greedy_shed_set(*columns(TIE_LOADS), 5.0)
         assert sol.boundary_case
         assert sol.z_star == 0.3
 
     def test_overshoot_not_flagged(self):
-        assert not greedy_shed_set(TIE_LOADS, 3.0).boundary_case
+        assert not greedy_shed_set(*columns(TIE_LOADS), 3.0).boundary_case
 
 
 class TestContinuous:
@@ -328,7 +387,7 @@ class TestOracleEquivalence:
             loads = make_random_loads(rng, count, distinct=True)
             total = math.fsum(l.power for l in loads)
             deficit = float(rng.uniform(0, total))
-            greedy = greedy_shed_set(loads, deficit)
+            greedy = greedy_shed_set(*columns(loads), deficit)
             # exhaustive search over the prioritized feasible family lands
             # on the same set the greedy prefix picks
             ids, brute_total = brute_force_min_set(loads, deficit, priority_only=True)
@@ -352,7 +411,7 @@ class TestOracleEquivalence:
             loads[1] = CriticalLoad(loads[1].id, loads[1].power, dup)
             total = math.fsum(l.power for l in loads)
             deficit = float(rng.uniform(0, total))
-            greedy = greedy_shed_set(loads, deficit)
+            greedy = greedy_shed_set(*columns(loads), deficit)
             ccf = build_ccf([(l.power, l.criticality) for l in loads])
             tied = [l.power for l in loads if l.criticality == greedy.z_star]
             slack = sum(tied) - min(tied)

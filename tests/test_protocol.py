@@ -8,12 +8,10 @@ import pytest
 
 from loadshed.criticality import (
     Ccf,
-    CriticalLoad,
     SurrogateCcf,
     build_ccf,
     eval_ccf,
     eval_surrogate,
-    resolve_loads,
     shed_decision,
 )
 from loadshed.netgraph import (
@@ -493,11 +491,11 @@ class TestEndToEnd:
             z_dist = min(trace.final_z)
             assert z_dist == z_star
             shed_ids = [  # each region decides on its own loads
-                load.id
+                config.load_ids[k]
                 for region in config.regions
-                for load in shed_decision(
-                    resolve_loads((region,), config.combiner_weight), z_dist
-                )
+                for k, shed in zip(region.loads, shed_decision(
+                    config.criticality[region.loads.start:region.loads.stop], z_dist))
+                if shed
             ]
             expected_ids = [l.id for l in loads if l.criticality <= z_star]
             assert sorted(shed_ids) == sorted(expected_ids)
@@ -542,13 +540,11 @@ class TestEndToEnd:
 
 class TestShedDecision:
     def test_threshold_inclusive(self):
-        loads = [CriticalLoad(1, 1.0, 0.2), CriticalLoad(2, 1.0, 0.5), CriticalLoad(3, 1.0, 0.7)]
-        assert shed_decision(loads, 0.5) == loads[:2]
+        assert shed_decision(np.array([0.2, 0.5, 0.7]), 0.5).tolist() == [True, True, False]
 
     def test_below_all(self):
-        loads = [CriticalLoad(1, 1.0, 0.2)]
-        assert shed_decision(loads, 0.1) == []
+        assert shed_decision(np.array([0.2]), 0.1).tolist() == [False]
 
     def test_requires_finite_threshold(self):
         with pytest.raises(ValueError):
-            shed_decision([CriticalLoad(1, 1.0, 0.2)], math.inf)
+            shed_decision(np.array([0.2]), math.inf)

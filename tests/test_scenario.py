@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadshed import cli, oracle, scenario
-from loadshed.criticality import SurrogateCcf, build_ccf, resolve_loads
+from loadshed.criticality import SurrogateCcf, build_ccf, resolve_criticalities
 from loadshed.protocol import CHUNK, RunTrace, run_protocol
 from loadshed.scenario import (
     TRACE_BLOCK_ROUNDS,
@@ -200,6 +200,88 @@ class TestLoadScenario:
             loads_scenario(json.dumps(doc))
 
 
+def edited_example(edits) -> dict:
+    """The two-region example with each (path, value) of ``edits`` applied;
+    a value of DELETE removes the key."""
+    doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
+    for where, value in edits:
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        if value is DELETE:
+            del target[where[-1]]
+        else:
+            target[where[-1]] = value
+    return doc
+
+
+DELETE = object()
+
+
+def load_at(j: int, i: int, key: str | None = None) -> tuple:
+    """The document path of ``regions[j].loads[i]``, or of its ``key``."""
+    return ("regions", j, "loads", i) + ((key,) if key else ())
+
+
+class TestLoadFaults:
+    """Each load fault, and which of several comes first, named word for
+    word as a load-by-load read names it."""
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ([(load_at(0, 0, "power"), True)],
+             "regions[0].loads[0].power must be a finite number, got True"),
+            ([(load_at(0, 2, "id"), "3")],
+             "regions[0].loads[2].id must be an integer, got '3'"),
+            ([(load_at(1, 0, "power"), 10**400)],
+             f"regions[1].loads[0].power must be a finite number, got {10**400}"),
+            ([(load_at(0, 0, "power"), int(sys.float_info.max) + 1)],
+             f"regions[0].loads[0].power must be a finite number, got "
+             f"{int(sys.float_info.max) + 1}"),
+            ([(load_at(0, 0, "power"), -1)],
+             "regions[0].loads[0]: load 1: power must be nonnegative, got -1"),
+            ([(load_at(1, 3, "nature_criticality"), DELETE)],
+             "missing field regions[1].loads[3].nature_criticality"),
+            ([(load_at(0, 1), 5)], "regions[0].loads[1] must be an object, got 5"),
+            # the earlier of two faulty loads, whatever the kinds of their faults
+            ([(load_at(0, 1, "power"), -2.0), (load_at(0, 3, "nature_criticality"), 2.0)],
+             "regions[0].loads[1]: load 2: power must be nonnegative, got -2.0"),
+            ([(load_at(0, 0, "power"), -1.0), (load_at(0, 2, "power"), "x")],
+             "regions[0].loads[0]: load 1: power must be nonnegative, got -1.0"),
+            ([(load_at(0, 2, "id"), True), (load_at(1, 0), [])],
+             "regions[0].loads[2].id must be an integer, got True"),
+            # within a load: an unknown key, then the keys in table order, then ranges
+            ([(load_at(0, 0, "pwr"), 1), (load_at(0, 0, "power"), True)],
+             "unknown field regions[0].loads[0].pwr"),
+            ([(load_at(0, 0, "nature_criticality"), "x"), (load_at(0, 0, "power"), -1.0)],
+             "regions[0].loads[0].nature_criticality must be a finite number, got 'x'"),
+            # a region's loads are read before its criticality is range checked
+            ([(("regions", 1, "criticality"), 1.5), (load_at(1, 2, "nature_criticality"), 1.5)],
+             "regions[1].loads[2]: load 7: nature criticality 1.5 outside [0, 1]"),
+            # the largest float is a power the field reader accepts; it
+            # leaves the next cumulative load where it is
+            ([(load_at(0, 0, "power"), sys.float_info.max)],
+             "regions[0].loads[1].power: 2.0 leaves the cumulative load at criticality 0.15 "
+             "unchanged"),
+        ],
+        ids=["bool-power", "string-id", "huge-integer-power", "integer-above-largest-float",
+             "negative-integer-power", "missing-key", "not-an-object", "two-range-faults",
+             "range-before-kind", "kind-before-structure", "unknown-key-first",
+             "kind-before-range", "load-before-region", "largest-float-power"],
+    )
+    def test_first_fault_named_word_for_word(self, edits, message, capsys, tmp_path):
+        doc = edited_example(edits)
+        with pytest.raises(ScenarioError) as excinfo:
+            loads_scenario(json.dumps(doc))
+        assert str(excinfo.value) == message
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for command in ("run", "solve", "check"):
+            assert cli.main([command, str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestRoundTrip:
     def test_dump_load_identity(self, tmp_path):
         config = generate_scenario(3, 5, seed=11, graph="line")
@@ -260,6 +342,16 @@ class TestRoundTrip:
         text = (CONFIG_DIR / name).read_text()
         assert dumps_scenario(loads_scenario(text)) == text
 
+    def test_integer_values_round_trip(self):
+        # a JSON integer is written back as one, not as a float
+        doc = edited_example([(load_at(0, 0, "power"), 1), (load_at(1, 3, "power"), 3),
+                              (load_at(0, 3, "nature_criticality"), 1),
+                              (load_at(1, 0, "nature_criticality"), 0),
+                              (("regions", 0, "criticality"), 0)])
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert '"power": 1\n' in text and '"criticality": 0,' in text
+        assert dumps_scenario(loads_scenario(text)) == text
+
 
 class TestGenerateScenario:
     def test_deterministic(self):
@@ -285,11 +377,11 @@ class TestGenerateScenario:
 
     def test_nature_criticalities_on_grid(self):
         config = generate_scenario(2, 30, seed=3)
-        for region in config.regions:
-            for load in region.loads:
-                assert round(load.nature_criticality * 10_000) == pytest.approx(
-                    load.nature_criticality * 10_000, abs=1e-9
-                )
+        assert [len(region.loads) for region in config.regions] == [30, 30]
+        for nature_criticality in config.load_natures:
+            assert round(nature_criticality * 10_000) == pytest.approx(
+                nature_criticality * 10_000, abs=1e-9
+            )
 
     def test_single_load_scenario(self):
         config = generate_scenario(1, 1, seed=5)
@@ -348,7 +440,8 @@ class TestRampWidthGap:
             surrogate = oracle.SurrogateCcf
             monkeypatch.setattr(oracle, "SurrogateCcf",
                                 lambda ccf, width: widths.append(width) or surrogate(ccf, width))
-            oracle.greedy_shed_set(loads, config.deficit)
+            oracle.greedy_shed_set(config.load_ids, *scenario.load_columns(config),
+                                   config.deficit)
             assert [w.hex() for w in widths] == [default.hex()]
             monkeypatch.undo()
 
@@ -782,9 +875,9 @@ class TestCli:
 
         def counting(*args):
             calls.append(args)
-            return resolve_loads(*args)
+            return resolve_criticalities(*args)
 
-        monkeypatch.setattr(scenario, "resolve_loads", counting)
+        monkeypatch.setattr(scenario, "resolve_criticalities", counting)
         path = CONFIG_DIR / "two_region_step_example.json"
         assert cli.main(["--quiet", command, str(path)]) == 0
         assert len(calls) == 1
@@ -1194,6 +1287,31 @@ class TestCli:
         assert rc == 0
         rc = cli.main(["--quiet", "solve", str(out)])
         assert rc == 0
+
+    def test_ids_are_any_json_integers(self, capsys, tmp_path):
+        # loads 4 and 5 share criticality 0.4: the greedy prefix takes -5 first
+        doc = edited_example([(load_at(0, 3, "id"), 2**70), (load_at(1, 0, "id"), -5)])
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(path)]) == 0
+        solution = json.loads(capsys.readouterr().out)
+        assert solution["greedy_ids"] == [1, 2, 3, -5, 2**70]
+        assert solution["shed_ids"] == [1, 2, 3, 2**70, -5]
+        assert cli.main(["solve", str(path)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "0b113bbad8f8817aedbde409d4e67f21acbe3128dacc25d00220ea0c282b9bf4"
+        )
+
+    def test_large_id_repeated_across_regions(self, capsys, tmp_path):
+        doc = edited_example([(load_at(0, 3, "id"), 2**70), (load_at(1, 1, "id"), 2**70)])
+        message = f"regions[1].loads[1].id: duplicate load id {2**70} (ids must be unique)"
+        with pytest.raises(ScenarioError) as excinfo:
+            loads_scenario(json.dumps(doc))
+        assert str(excinfo.value) == message
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["solve", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_check_subcommand(self, capsys):
         rc = cli.main(["check", str(CONFIG_DIR / "continuous_four_regions.json")])
