@@ -4,9 +4,10 @@
  * their draw and window repair and the components of a window's union,
  * the trace CSV's rows (see scenario.emit_trace), deviation, the
  * deficit-tracking error that check certifies (see
- * protocol.deficit_deviation), and prefix_sums, the exact prefix sums of
- * every CCF (see criticality._cumulative): an unsigned fixed-point
- * accumulator in units of 2**-1074, correctly rounded once per breakpoint.
+ * protocol.deficit_deviation), which sums a row that repeats only once,
+ * and prefix_sums, the exact prefix sums of every CCF (see
+ * criticality._cumulative): an unsigned fixed-point accumulator in units
+ * of 2**-1074, correctly rounded once per breakpoint.
  *
  * One breakpoint search (upper) serves the surrogate and the cutoffs.  In
  * the chunk kernel each region searches once per round, starting from last
@@ -671,26 +672,30 @@ static inline void two_sum(double x, double *total, double *error)
     *total = s;
 }
 
-/* |sum_j P[r*n + j] - deficit| / eta(t0 + r) of each of m rows of n
- * estimates, at out[r].  The deficit enters as n equal shares, one against
- * each estimate, and the 2n terms p_j, -share are summed in that order with
- * TwoSum, so an exact split reads 0 and estimates that cancel, as 1e308 and
- * -1e308 do, keep the shares' error; a sum that is not finite is its
- * running total, so one that overflows is inf.  eta(t) is step_size, as in
- * run_rounds, computed only for rows whose error is nonzero: zeros stay
- * zero and any other error, NaN too, is divided by it. */
+/* |sum_j P[r*stride + j] - deficit| / eta(t0 + r) of each of m rows of n
+ * estimates, at out[r]: stride is n for m rows of their own and 0 for one
+ * row that every round repeats, whose error is then summed once.  The
+ * deficit enters as n equal shares, one against each estimate, and the 2n
+ * terms p_j, -share are summed in that order with TwoSum, so an exact
+ * split reads 0 and estimates that cancel, as 1e308 and -1e308 do, keep
+ * the shares' error; a sum that is not finite is its running total, so
+ * one that overflows is inf.  eta(t) is step_size, as in run_rounds,
+ * computed only for rounds whose error is nonzero: zeros stay zero and
+ * any other error, NaN too, is divided by it in each round. */
 void deviation(int64_t n, int64_t m, int64_t t0, double gain, double offset, double exponent,
-               const double *P, double deficit, double *out)
+               const double *P, int64_t stride, double deficit, double *out)
 {
-    double share = deficit / (double)n;
+    double share = deficit / (double)n, v = 0.0;
     for (int64_t r = 0; r < m; r++) {
-        const double *p = P + r * n;
-        double total = 0.0, error = 0.0;
-        for (int64_t j = 0; j < n; j++) {
-            two_sum(p[j], &total, &error);
-            two_sum(-share, &total, &error);
+        if (r == 0 || stride) {
+            const double *p = P + r * stride;
+            double total = 0.0, error = 0.0;
+            for (int64_t j = 0; j < n; j++) {
+                two_sum(p[j], &total, &error);
+                two_sum(-share, &total, &error);
+            }
+            v = fabs(isfinite(total) ? total + error : total);
         }
-        double v = fabs(isfinite(total) ? total + error : total);
         out[r] = v != 0.0 ? v / step_size(t0 + r, gain, offset, exponent) : v;
     }
 }

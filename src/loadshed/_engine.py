@@ -1,7 +1,7 @@
 """The compiled kernels of the round engine, of the random schedules'
 graphs, of the trace CSV's rows, of ``check``'s deficit-tracking error
-(``deviation``) and of a CCF's exact prefix sums (``prefix_sums``):
-``_engine.c``, built on first import.
+(``deviation``, which sums a row that repeats only once) and of a CCF's
+exact prefix sums (``prefix_sums``): ``_engine.c``, built on first import.
 
 The source is compiled with the C compiler this Python was built with
 (``sysconfig``'s ``CC``) into ``__pycache__/_engine-<digest>.so`` beside
@@ -92,7 +92,7 @@ trace_rows = _lib.trace_rows
 trace_rows.argtypes = [_i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]
 trace_rows.restype = _i64
 deviation = _lib.deviation
-deviation.argtypes = [_i64, _i64, _i64, _f64, _f64, _f64, _ptr, _f64, _ptr]
+deviation.argtypes = [_i64, _i64, _i64, _f64, _f64, _f64, _ptr, _i64, _f64, _ptr]
 deviation.restype = None
 prefix_sums = _lib.prefix_sums
 prefix_sums.argtypes = [_i64, _ptr, _ptr, _ptr, _ptr]

@@ -67,6 +67,7 @@ class ExactSplit:
     """Every region reports an equal share of the true deficit."""
 
     kind: ClassVar[str] = "exact_split"
+    repeats_from: ClassVar[int] = 1  # the first round from which every row is the same
     deficit: float
     n: int
 
@@ -87,6 +88,7 @@ class NoisySplit:
     """
 
     kind: ClassVar[str] = "noisy_split"
+    repeats_from: ClassVar[float] = math.inf  # every round draws its own noise
     deficit: float
     n: int
     seed: int
@@ -115,6 +117,7 @@ class TraceEstimator:
         if any(len(r) != width for r in self.rows):
             raise ValueError("trace estimator rows must have equal width")
         object.__setattr__(self, "_table", np.array(self.rows, dtype=np.float64))
+        object.__setattr__(self, "repeats_from", len(self.rows))  # the last row repeats
 
     def block(self, t0: int, t1: int) -> np.ndarray:
         """Estimates of rounds t0..t1-1, one row per round (t0 >= 1)."""
@@ -139,13 +142,14 @@ def deficit_deviation(P: np.ndarray, t0: int, step: StepSchedule, deficit: float
     The engine's ``deviation`` kernel sums each row's 2n terms, the estimates
     and n equal shares of the deficit, with TwoSum, so an exact split reads 0
     and estimates that cancel, as 1e308 and -1e308 do, keep the shares'
-    error.  A sum that overflows is inf.  A row's eta(t) is computed, as the
-    round kernel computes it, only when its error is nonzero.
+    error; one that overflows is inf.  eta(t) is computed as the round kernel
+    does, only for nonzero errors; rows of stride 0 (broadcast) sum once.
     """
-    P = np.ascontiguousarray(P, dtype=np.float64)
+    P = np.asarray(P, dtype=np.float64)
+    P = P if P.strides[0] == 0 and P[:1].flags.c_contiguous else np.ascontiguousarray(P)
     out = np.empty(len(P))
     _engine.deviation(P.shape[1], len(P), t0, step.gain, step.offset, step.exponent,
-                      P.ctypes.data, deficit, out.ctypes.data)
+                      P.ctypes.data, P.strides[0] // P.itemsize, deficit, out.ctypes.data)
     return out
 
 
@@ -154,14 +158,18 @@ def certify_deficit_tracking(
 ) -> float:
     """Max over t in [1, t_max] of |sum_j p_j(t) - deficit| / eta(t).
 
-    This is the empirical deviation-rate constant of the estimator; for
-    the noisy split with the harmonic default step it never exceeds 2n.
-    Estimates are read a chunk at a time; a NaN estimate makes the result NaN.
+    The estimator's empirical deviation-rate constant (at most 2n for the
+    noisy split and harmonic step).  Rounds before its ``repeats_from`` are
+    read a chunk at a time, the rest as one row summed once; NaN gives NaN.
     """
-    return float(np.max([
-        deficit_deviation(estimator.block(t0, min(t0 + CHUNK, t_max + 1)), t0, step, deficit).max()
-        for t0 in range(1, t_max + 1, CHUNK)
-    ], initial=0.0))
+    tail = min(estimator.repeats_from, t_max + 1)  # rounds tail..t_max all read one row
+    peaks = [deficit_deviation(estimator.block(t0, min(t0 + CHUNK, tail)), t0, step, deficit).max()
+             for t0 in range(1, tail, CHUNK)]
+    if tail <= t_max:
+        row = estimator.block(tail, tail + 1)
+        repeated = np.broadcast_to(row, (t_max + 1 - tail, row.shape[1]))
+        peaks.append(deficit_deviation(repeated, tail, step, deficit).max())
+    return float(np.max(peaks, initial=0.0))
 
 
 @dataclass(frozen=True)

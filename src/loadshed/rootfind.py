@@ -16,6 +16,7 @@ block of estimates and its ratio to the step size).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -79,8 +80,9 @@ class AssumptionCertificate:
         return "\n".join(lines)
 
 
-def _sample_times(horizon: int, count: int = 24) -> list[int]:
-    return sorted({int(round(x)) for x in np.geomspace(1, max(horizon, 1), count)})
+@functools.cache  # check's horizons take few values
+def _sample_times(horizon: int, count: int = 24) -> tuple[int, ...]:
+    return tuple(sorted({int(round(x)) for x in np.geomspace(1, max(horizon, 1), count)}))
 
 
 def verify_assumption_bounded_lipschitz(

@@ -577,8 +577,8 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
                 f"regions[{k}].id: duplicate region id {region.id} (ids must be unique)"
             )
         index[region.id] = k
-    if root["max_rounds"] < 1:
-        raise ScenarioError("max_rounds must be positive")
+    if not 1 <= root["max_rounds"] <= 2**63 - 2:  # the engine counts max_rounds + 1 as int64
+        raise ScenarioError(f"max_rounds {root['max_rounds']} outside [1, 2**63 - 2]")
     root.update(
         graph=_schedule(graph, index, root["seed"], root["max_rounds"]),
         step=step,

@@ -586,6 +586,50 @@ def deviation_blocks(draw):
     return P, draw(st.integers(1, 100_000)), step, deficit
 
 
+@st.composite
+def repeated_rows(draw):
+    """A row of ``deviation_blocks`` repeated as a stride-0 block of up to
+    3 000 rounds, with its first round, step and deficit."""
+    P, t0, step, deficit = draw(deviation_blocks())
+    row = P[draw(st.integers(0, len(P) - 1))]
+    return np.broadcast_to(row, (draw(st.integers(0, 3000)), len(row))), t0, step, deficit
+
+
+# the last row of a table, the one repeated past its end: exact, off the
+# deficit by a finite amount (as little as the smallest subnormal, against a
+# deficit of 0), NaN, or +-1e308 values whose sum overflows
+LAST_ROWS = ("exact", "off", "nan", "overflow")
+
+
+@st.composite
+def trace_tables(draw):
+    """A ``TraceEstimator`` table of 1-5 rows, its horizon (below, at or above
+    its length, or around ``CHUNK``), step and deficit.  Gains run from
+    subnormal to 1e300: from 1e4 on, eta(t) > 1 in the first rounds, so a
+    subnormal error over it can read 0 early in the tail and not later."""
+    last = draw(st.sampled_from(LAST_ROWS))
+    n = draw(st.integers(2 if last == "overflow" else 1, 4))
+    deficit = draw(st.sampled_from([6.0, 0.0, 1e308]) | st.floats(0.0, 50.0))
+    share = deficit / n
+    cell = st.sampled_from([share, 1e308, -1e308, *SPECIAL]) | st.floats(-5.0, 5.0)
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=0, max_size=4))
+    row = [share] * n
+    if last == "off":
+        row[draw(st.integers(0, n - 1))] += draw(
+            st.sampled_from([5e-324, -5e-324, 1e-310, 0.5]) | st.floats(-5.0, 5.0))
+    elif last == "nan":
+        row[draw(st.integers(0, n - 1))] = math.nan
+    elif last == "overflow":
+        row = [draw(st.sampled_from([1e308, -1e308]))] * n
+    rows.append(row)
+    k = len(rows)
+    t_max = draw(st.sampled_from([k - 1, k, k + 1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + k,
+                                  3 * CHUNK]) | st.integers(0, 12_000))
+    gain = draw(st.sampled_from([1.0, 1e4, 1e300, 5e-324, 1e-310]) | st.floats(1e-320, 10.0))
+    step = StepSchedule(gain, draw(st.floats(0.01, 100.0)), draw(st.sampled_from(EXPONENTS)))
+    return TraceEstimator(tuple(map(tuple, rows))), t_max, step, deficit
+
+
 def tracking_reference(estimator, step, t_max, deficit) -> float:
     """``deviation_reference``'s largest value over rounds 1..t_max, one
     ``CHUNK`` of rounds at a time."""
@@ -617,6 +661,37 @@ class TestDeviationMatchesReference:
         P, t0, step, deficit = case
         assert bits(deficit_deviation(P, t0, step, deficit)) == bits(
             deviation_reference(P, t0, step, deficit))
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_rows())
+    @example((np.broadcast_to([1.0, 2.0, 3.0], (5, 3)), 1, StepSchedule(), 7.0))
+    @example((np.broadcast_to([0.0], (4, 1)), 1, StepSchedule(), 0.0))  # every round 0
+    def test_deficit_deviation_of_a_repeated_row(self, case):
+        P, t0, step, deficit = case
+        assert P.strides[0] == 0
+        assert bits(deficit_deviation(P, t0, step, deficit)) == bits(
+            deviation_reference(P, t0, step, deficit))
+
+    @pytest.mark.parametrize("row", [
+        np.arange(8.0)[::2],  # a row of stride 16 bytes
+        np.arange(4),  # integers
+        np.float64(1.5),  # one value in every cell
+    ], ids=["strided", "integer", "scalar"])
+    def test_repeated_rows_of_other_layouts(self, row):
+        P = np.broadcast_to(row, (7, 4))
+        assert bits(deficit_deviation(P, 3, StepSchedule(), 6.0)) == bits(
+            deviation_reference(np.array(P, dtype=np.float64), 3, StepSchedule(), 6.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace_tables())
+    # an error of 5e-324 over eta(t) = 1e4 / (t + 1): 0 up to round 4 999, then not
+    @example((TraceEstimator(((0.0,), (5e-324,))), 12_000, StepSchedule(1e4), 0.0))
+    @example((TraceEstimator(((1.0, 2.0), (1.6, 1.6), (1.5, 1.5))), 3, StepSchedule(), 3.0))
+    @example((TraceEstimator(((math.nan,), (1.0,))), 2, StepSchedule(), 1.0))
+    def test_certify_deficit_tracking_of_trace_tables(self, case):
+        estimator, t_max, step, deficit = case
+        assert bits([certify_deficit_tracking(estimator, step, t_max, deficit)]) == bits(
+            [tracking_reference(estimator, step, t_max, deficit)])
 
     @pytest.mark.parametrize("horizon", [1, CHUNK - 1, CHUNK, CHUNK + 1, 100_000])
     @pytest.mark.parametrize("estimator", ESTIMATORS, ids=["exact", "noisy", "trace"])

@@ -1223,8 +1223,20 @@ class TestCli:
         rc = cli.main(["--quiet", "run", str(path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("rounds", [2**63 - 1, 2**64 + 50])
+    def test_max_rounds_the_engine_cannot_count_rejected(self, rounds):
+        # run_protocol hands the kernel max_rounds + 1 as an int64, which ctypes wraps
+        doc = (CONFIG_DIR / "two_region_step_example.json").read_text()
+        message = rf"^max_rounds {rounds} outside \[1, 2\*\*63 - 2\]$"
+        with pytest.raises(ScenarioError, match=message):
+            loads_scenario(doc, max_rounds=rounds)
+
+    def test_largest_countable_max_rounds_accepted(self):
+        doc = (CONFIG_DIR / "two_region_step_example.json").read_text()
+        assert loads_scenario(doc, max_rounds=2**63 - 2).max_rounds == 2**63 - 2
+
     @pytest.mark.parametrize("command", ["run", "check"])
-    @pytest.mark.parametrize("rounds", ["0", "-5"])
+    @pytest.mark.parametrize("rounds", ["0", "-5", str(2**63 - 1)])
     def test_max_rounds_override_validated(self, command, rounds, capsys):
         config = str(CONFIG_DIR / "two_region_step_example.json")
         assert cli.main([command, config, "--max-rounds", rounds]) == 2
