@@ -13,9 +13,7 @@ from .criticality import (
     Region,
     SurrogateCcf,
     build_ccf,
-    eval_ccf,
     eval_surrogate,
-    min_gap,
     shed_decision,
 )
 from .oracle import (

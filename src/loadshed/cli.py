@@ -49,7 +49,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace, report = scenario.run_scenario(config, record_trace=args.trace is not None)
     if args.trace:
         scenario.emit_trace(trace, args.trace, scenario.region_ids(config))
-    _emit(report.to_json(), args.quiet)
+    _emit(scenario.report_json(report), args.quiet)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 

@@ -24,7 +24,6 @@ rejected, as a negative power is.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -73,22 +72,23 @@ def resolve_criticalities(nature: np.ndarray, region: np.ndarray,
     return w * nature + (1.0 - w) * region
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ccf:
     """Cumulative criticality function as sorted breakpoints.
 
-    ``cumulative[k]`` is the exactly-rounded sum (math.fsum) of the powers
-    of all loads with criticality <= ``breakpoints[k]``, so evaluations
-    agree bit-for-bit with any other fsum over the same multiset;
-    ``build_ccf`` rounds it from an exact fixed-point sum.  Both tuples must
-    increase strictly, pair by pair: ``not a < b`` fails on a NaN too.
+    ``breakpoints`` and ``cumulative`` are read-only float64 arrays; a
+    sequence given for either is copied into one.  ``cumulative[k]`` is the
+    exactly-rounded sum (math.fsum) of the powers of all loads with
+    criticality <= ``breakpoints[k]``, so evaluations agree bit-for-bit with
+    any other fsum over the same multiset; ``build_ccf`` rounds it from an
+    exact fixed-point sum.  Both arrays must increase strictly, pair by
+    pair: ``not a < b`` fails on a NaN too.
     """
 
-    breakpoints: tuple[float, ...]
-    cumulative: tuple[float, ...]
+    breakpoints: np.ndarray
+    cumulative: np.ndarray
 
     def __post_init__(self):
-        # the arrays the surrogate and the engine read; not (a < b) fails on NaN
         bps = np.array(self.breakpoints, dtype=np.float64)
         cum = np.array(self.cumulative, dtype=np.float64)
         if len(bps) != len(cum):
@@ -97,12 +97,13 @@ class Ccf:
             raise ValueError("breakpoints must be strictly increasing")
         if not (cum[:-1] < cum[1:]).all():
             raise ValueError("cumulative loads must be strictly increasing")
-        object.__setattr__(self, "_bps", bps)
-        object.__setattr__(self, "_cum", cum)
+        bps.flags.writeable = cum.flags.writeable = False
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "cumulative", cum)
 
     @property
     def total_load(self) -> float:
-        return self.cumulative[-1] if self.cumulative else 0.0
+        return float(self.cumulative[-1]) if len(self.cumulative) else 0.0
 
 
 _PAIR = np.dtype([("power", np.float64), ("criticality", np.float64)])
@@ -122,8 +123,7 @@ def build_ccf(pairs: Iterable[tuple[float, float]]) -> Ccf:
 
 def column_ccf(powers: np.ndarray, criticalities: np.ndarray) -> Ccf:
     """``build_ccf`` of the pairs of two equally long float64 columns."""
-    bps, cumulative = _cumulative(powers, criticalities)
-    return Ccf(tuple(bps.tolist()), tuple(cumulative.tolist()))
+    return Ccf(*_cumulative(powers, criticalities))
 
 
 def flat_breakpoint(powers: np.ndarray, criticalities: np.ndarray) -> float | None:
@@ -163,12 +163,6 @@ def _cumulative(powers: np.ndarray, criticalities: np.ndarray) -> tuple[np.ndarr
     return bps[:count], cumulative[:count]
 
 
-def eval_ccf(ccf: Ccf, z: float) -> float:
-    """Total power of loads with criticality <= z (right-continuous in z)."""
-    idx = bisect_right(ccf.breakpoints, z)
-    return ccf.cumulative[idx - 1] if idx else 0.0
-
-
 def _smallest_gap(criticalities: Sequence[float] | np.ndarray) -> float | None:
     """The smallest gap between distinct criticalities, or None when there
     are fewer than two: one ``np.diff`` over the sorted values (a CCF's
@@ -176,14 +170,6 @@ def _smallest_gap(criticalities: Sequence[float] | np.ndarray) -> float | None:
     gaps = np.diff(np.sort(np.asarray(criticalities, dtype=np.float64)))
     gaps = gaps[gaps > 0]
     return float(gaps.min()) if gaps.size else None
-
-
-def min_gap(criticalities: Sequence[float] | np.ndarray) -> float:
-    """Smallest positive difference between distinct criticality values."""
-    gap = _smallest_gap(criticalities)
-    if gap is None:
-        raise ValueError("min_gap needs at least two distinct criticality values")
-    return gap
 
 
 def default_ramp_width(criticalities: Sequence[float] | np.ndarray) -> float:
@@ -228,10 +214,7 @@ class SurrogateCcf:
     ramp_width: float
 
     def __post_init__(self):
-        # the arrays eval_surrogate and the engine read: breakpoints, cumulative loads
-        object.__setattr__(self, "_bps", self.base._bps)
-        object.__setattr__(self, "_cum", self.base._cum)
-        check_ramp_width(self._bps, self.ramp_width)
+        check_ramp_width(self.base.breakpoints, self.ramp_width)
 
 
 def eval_surrogate(surrogate: SurrogateCcf, z: float | np.ndarray) -> float | np.ndarray:
@@ -246,7 +229,7 @@ def eval_surrogate(surrogate: SurrogateCcf, z: float | np.ndarray) -> float | np
     """
     zs = np.asarray(z, dtype=np.float64, order="C")
     out = np.empty(zs.shape)
-    bps, cum = surrogate._bps, surrogate._cum
+    bps, cum = surrogate.base.breakpoints, surrogate.base.cumulative
     _engine.surrogate(zs.size, zs.ctypes.data, bps.ctypes.data, len(bps), cum.ctypes.data,
                       surrogate.ramp_width, out.ctypes.data)
     return out if np.ndim(z) else float(out)

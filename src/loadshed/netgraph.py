@@ -94,6 +94,13 @@ def repaired_rows(seed: int, counters: range, n: int, edge_probability: float, w
     return rows
 
 
+def _edges_at(schedule, t: int) -> frozenset[Edge]:
+    """The edge set of round t.  Each schedule class binds it as its own
+    ``edges_at``, which perfbench's tracer wraps class by class."""
+    graph, rows = schedule.graphs_between(t, t + 1)
+    return edge_sets(rows[graph], schedule.n)[0]
+
+
 class _CyclicSchedule:
     """A schedule that cycles through fixed steps: round t takes step
     (t - 1) % period.  The steps' pair rows are built once."""
@@ -121,9 +128,7 @@ class StaticSchedule(_CyclicSchedule):
     def _steps(self) -> tuple[frozenset[Edge], ...]:
         return (self.edges,)
 
-    def edges_at(self, t: int) -> frozenset[Edge]:
-        graph, rows = self.graphs_between(t, t + 1)
-        return edge_sets(rows[graph], self.n)[0]
+    edges_at = _edges_at
 
 
 @dataclass(frozen=True)
@@ -143,9 +148,7 @@ class PeriodicSchedule(_CyclicSchedule):
     def _steps(self) -> tuple[frozenset[Edge], ...]:
         return self.steps
 
-    def edges_at(self, t: int) -> frozenset[Edge]:
-        graph, rows = self.graphs_between(t, t + 1)
-        return edge_sets(rows[graph], self.n)[0]
+    edges_at = _edges_at
 
 
 @dataclass(frozen=True)
@@ -181,9 +184,7 @@ class RandomSchedule:
                              self.edge_probability, B, np.arange(w0, (t1 - 1) // B))
         return np.arange(t1 - t0, dtype=np.int32), rows[t0 - 1 - w0 * B:]
 
-    def edges_at(self, t: int) -> frozenset[Edge]:
-        graph, rows = self.graphs_between(t, t + 1)
-        return edge_sets(rows[graph], self.n)[0]
+    edges_at = _edges_at
 
 
 GraphSchedule = StaticSchedule | PeriodicSchedule | RandomSchedule

@@ -12,7 +12,6 @@ independent path checked against them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -79,11 +78,11 @@ def deficit_segment(ccf: Ccf, deficit: float) -> tuple[int, float]:
         raise InfeasibleError(
             f"deficit {deficit} exceeds total sheddable power {ccf.total_load}"
         )
-    if not ccf.breakpoints:
+    if not len(ccf.breakpoints):
         raise ValueError("CCF has no breakpoints")
-    i = bisect_left(ccf.cumulative, deficit)
-    below = ccf.cumulative[i - 1] if i else 0.0
-    return i, (deficit - below) / (ccf.cumulative[i] - below)
+    i = int(np.searchsorted(ccf.cumulative, deficit))  # bisect_left's comparisons
+    below = float(ccf.cumulative[i - 1]) if i else 0.0
+    return i, (deficit - below) / (float(ccf.cumulative[i]) - below)
 
 
 def exact_z_star(ccf: Ccf, deficit: float) -> float:
@@ -92,7 +91,7 @@ def exact_z_star(ccf: Ccf, deficit: float) -> float:
     The optimal threshold is always one of the criticality values present,
     so searching breakpoints is exhaustive.
     """
-    return ccf.breakpoints[deficit_segment(ccf, deficit)[0]]
+    return float(ccf.breakpoints[deficit_segment(ccf, deficit)[0]])
 
 
 def exact_z_hat(surrogate: SurrogateCcf, deficit: float) -> float:
@@ -103,7 +102,7 @@ def exact_z_hat(surrogate: SurrogateCcf, deficit: float) -> float:
     endpoint of the plateau.
     """
     i, fraction = deficit_segment(surrogate.base, deficit)
-    return surrogate.base.breakpoints[i] - surrogate.ramp_width * (1.0 - fraction)
+    return float(surrogate.base.breakpoints[i]) - surrogate.ramp_width * (1.0 - fraction)
 
 
 def greedy_shed_set(
@@ -135,7 +134,7 @@ def greedy_shed_set(
 
     if ramp_width is None:
         ramp_width = default_ramp_width(ccf.breakpoints)
-    z_star, shed_total = ccf.breakpoints[i], ccf.cumulative[i]
+    z_star, shed_total = float(ccf.breakpoints[i]), float(ccf.cumulative[i])
     return SheddingSolution(
         z_star=z_star,
         z_hat=exact_z_hat(SurrogateCcf(ccf, ramp_width), deficit),
@@ -161,7 +160,7 @@ def continuous_solution(
     """
     ccf = build_ccf(regions)
     i, fraction = deficit_segment(ccf, deficit)
-    z = (ccf.breakpoints[i] - 1.0) + fraction
+    z = (float(ccf.breakpoints[i]) - 1.0) + fraction
     shed = tuple(continuous_fill(capacity, criticality, z) for capacity, criticality in regions)
     return ContinuousSolution(shed, z)
 

@@ -83,8 +83,11 @@ class NoisySplit:
     p_j(t) = deficit/n + e_j(t)/t with e_j(t) drawn from [-1, 1) by the
     seeded counter stream (``noise_matrix``), so any round can be
     recomputed independently.  The aggregate error is bounded by n/t, which
-    stays below 2n * eta(t) for the default harmonic step; the tracking
-    certificate verifies it numerically.
+    stays below 2n * eta(t) = 2n * gain / (t + offset) for the harmonic step
+    only while t + offset <= 2 * gain * t: in every round at the default
+    gain 1 and offset 1, but not at the gain n / total of generated
+    scenarios, on which ``check``'s deficit_tracking fails.  The tracking
+    certificate measures the constant numerically.
     """
 
     kind: ClassVar[str] = "noisy_split"
@@ -221,10 +224,6 @@ class RunTrace:
     alpha: np.ndarray
     p: np.ndarray
 
-    @property
-    def z_star_distributed(self) -> float:
-        return min(self.final_z)
-
 
 def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     """Run the full protocol until the cutoff vector holds still or rounds
@@ -241,9 +240,10 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     n = len(inst.surrogates)
     K = inst.convergence_window
     step = inst.step
-    bstart = np.cumsum([0, *(len(s._bps) for s in inst.surrogates)], dtype=np.int64)
-    bps = np.concatenate([s._bps for s in inst.surrogates])
-    cum = np.concatenate([s._cum for s in inst.surrogates])
+    ccfs = [s.base for s in inst.surrogates]
+    bstart = np.cumsum([0, *(len(c.breakpoints) for c in ccfs)], dtype=np.int64)
+    bps = np.concatenate([c.breakpoints for c in ccfs])
+    cum = np.concatenate([c.cumulative for c in ccfs])
     regions = bstart.ctypes.data, bps.ctypes.data, cum.ctypes.data  # addresses, read once a run
     # estimates, cutoffs, min-consensus values and steps before round t0
     last = np.repeat([[inst.x0], [math.inf], [math.inf], [inst.ramp_width / 2.0]], n, axis=1)

@@ -176,9 +176,6 @@ class SummaryReport:
     converged: bool
     certificate_digest: dict
 
-    def to_json(self) -> str:
-        return report_json(self)
-
 
 def report_json(report) -> str:
     """A report or a solution dataclass as sorted, indented JSON: the bytes
@@ -269,8 +266,6 @@ def validate(config: ScenarioConfig) -> None:
         raise ScenarioError(f"unknown mode {config.mode!r}")
     if config.deficit <= 0:
         raise ScenarioError(f"deficit {config.deficit} must be positive")
-    if config.convergence_window is not None and config.convergence_window < 1:
-        raise ScenarioError("convergence window must be positive or null")
     if not 0.0 <= config.combiner_weight <= 1.0:  # checked in continuous mode too
         raise ScenarioError(f"combiner_weight {config.combiner_weight} outside [0, 1]")
 
@@ -577,8 +572,9 @@ def _config_from_dict(doc: dict) -> ScenarioConfig:
                 f"regions[{k}].id: duplicate region id {region.id} (ids must be unique)"
             )
         index[region.id] = k
-    if not 1 <= root["max_rounds"] <= 2**63 - 2:  # the engine counts max_rounds + 1 as int64
-        raise ScenarioError(f"max_rounds {root['max_rounds']} outside [1, 2**63 - 2]")
+    for key in ("max_rounds", "convergence_window"):  # int64s to the engine, max_rounds + 1 too
+        if root[key] is not None and not 1 <= root[key] <= 2**63 - 2:
+            raise ScenarioError(f"{key} {root[key]} outside [1, 2**63 - 2]")
     root.update(
         graph=_schedule(graph, index, root["seed"], root["max_rounds"]),
         step=step,
@@ -770,12 +766,13 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
             z_dist = math.fsum(final) / len(final)
         except OverflowError:  # finite estimates whose sum is not
             z_dist = None
-        shed_total = math.fsum(continuous_shed_from_estimates(config, final))
+        shed_total = math.fsum(continuous_fill(r.capacity, r.criticality, z)
+                               for r, z in zip(config.continuous_regions, final))
         answer_ok = z_dist is not None and abs(z_dist - closed_form.z_tilde) <= CONTINUOUS_TOLERANCE
     else:
         oracle = oracle_summary(config)
         final = trace.final_z
-        z_dist = trace.z_star_distributed if math.isfinite(trace.z_star_distributed) else None
+        z_dist = min(final) if math.isfinite(min(final)) else None
         answer_ok = z_dist == oracle.z_star
         shed_total = None
         if z_dist is not None:
@@ -797,16 +794,6 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
 
 # perfbench/golden.py calls this name
 run_continuous = run_scenario
-
-
-def continuous_shed_from_estimates(
-    config: ScenarioConfig, estimates: Sequence[float]
-) -> tuple[float, ...]:
-    """Apply the continuous fill rule region by region to local estimates."""
-    return tuple(
-        continuous_fill(region.capacity, region.criticality, z)
-        for region, z in zip(config.continuous_regions, estimates)
-    )
 
 
 def certificate_digest(config: ScenarioConfig, inst: ProtocolInstance) -> dict:

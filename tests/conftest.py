@@ -24,7 +24,6 @@ from loadshed.criticality import (
     SurrogateCcf,
     build_ccf,
     default_ramp_width,
-    eval_ccf,
 )
 from loadshed.netgraph import normalize_edges, pair_rows
 from loadshed.oracle import (
@@ -75,6 +74,21 @@ def fig_loads() -> list[CriticalLoad]:
 @pytest.fixture
 def fig_ccf():
     return build_ccf(FIG_PAIRS)
+
+
+def eval_ccf(ccf: Ccf, z: float) -> float:
+    """Total power of loads with criticality <= z (right-continuous in z)."""
+    idx = int(np.searchsorted(ccf.breakpoints, z, side="right"))  # bisect_right
+    return float(ccf.cumulative[idx - 1]) if idx else 0.0
+
+
+def min_gap(criticalities: Sequence[float]) -> float:
+    """Smallest positive difference between distinct criticality values."""
+    values = sorted(map(float, criticalities))
+    gaps = [b - a for a, b in zip(values, values[1:]) if b > a]
+    if not gaps:
+        raise ValueError("min_gap needs at least two distinct criticality values")
+    return min(gaps)
 
 
 _UNIT = 1 << 1074  # every finite float is a whole number of 2**-1074 units
@@ -128,7 +142,7 @@ def greedy_reference(
 
     if ramp_width is None:
         ramp_width = default_ramp_width(ccf.breakpoints)
-    z_star, shed_total = ccf.breakpoints[i], ccf.cumulative[i]
+    z_star, shed_total = float(ccf.breakpoints[i]), float(ccf.cumulative[i])
     return SheddingSolution(
         z_star=z_star,
         z_hat=exact_z_hat(SurrogateCcf(ccf, ramp_width), deficit),
@@ -310,10 +324,11 @@ def row_neighbors(w_rows: list[list[tuple[int, float]]]) -> list[list[int]]:
 
 
 def scalar_surrogate(surrogate, z: float) -> float:
-    """The surrogate CCF at one point by ``bisect_right`` on the tuples: the
+    """The surrogate CCF at one point by ``bisect_right`` on lists: the
     load at or below z, plus the climbed part of the ramp ending at the next
     breakpoint."""
-    bps, cum, c = surrogate.base.breakpoints, surrogate.base.cumulative, surrogate.ramp_width
+    bps, cum = surrogate.base.breakpoints.tolist(), surrogate.base.cumulative.tolist()
+    c = surrogate.ramp_width
     idx = bisect_right(bps, z)
     below = cum[idx - 1] if idx else 0.0
     v = below
@@ -395,7 +410,7 @@ def protocol_rounds(state, streak, window, rows, etas, ps, surrogates):
     never).  Returns the state after every round run and the last streak.
     """
     x, zeta, z, alpha = state
-    crits = [s.base.breakpoints for s in surrogates]
+    crits = [s.base.breakpoints.tolist() for s in surrogates]
     ramp = surrogates[0].ramp_width
     out = []
     for w_rows, eta, p in zip(rows, etas, ps):
@@ -451,7 +466,7 @@ def z_star_from_z_hat(
     deficit exactly, it is the largest criticality not above the root.
     The case is detected by evaluating the CCF at the lower candidate.
     """
-    bps = ccf.breakpoints
+    bps = ccf.breakpoints.tolist()
     i = bisect_right(bps, z_hat)
     if i > 0 and abs(eval_ccf(ccf, bps[i - 1]) - deficit) <= tol:
         return bps[i - 1]

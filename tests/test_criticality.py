@@ -15,10 +15,9 @@ from loadshed.criticality import (
     SurrogateCcf,
     build_ccf,
     column_ccf,
+    check_ramp_width,
     default_ramp_width,
-    eval_ccf,
     eval_surrogate,
-    min_gap,
 )
 from loadshed.scenario import ScenarioError, loads_scenario
 
@@ -26,8 +25,10 @@ from conftest import (
     FIG_PAIRS,
     FIG_RAMP,
     cumulative_reference,
+    eval_ccf,
     local_zeta,
     make_random_loads,
+    min_gap,
     scalar_surrogate,
 )
 
@@ -143,7 +144,7 @@ class TestBuildCcf:
                 ccf = build(pairs)
             except (OverflowError, ValueError) as exc:
                 return type(exc)
-            return ccf.breakpoints, [c.hex() for c in ccf.cumulative]
+            return ccf.breakpoints.tolist(), [c.hex() for c in ccf.cumulative.tolist()]
 
         rng = np.random.default_rng(41)
         seen = []
@@ -164,19 +165,33 @@ class TestBuildCcf:
 
     def test_fig_breakpoints(self):
         ccf = build_ccf(FIG_PAIRS)
-        assert ccf.breakpoints == (0.1, 0.15, 0.2, 0.4, 0.5, 0.7, 0.8)
-        assert ccf.cumulative == (1.0, 3.0, 4.0, 9.0, 11.0, 13.0, 16.0)
-        assert ccf.total_load == 16.0
+        assert ccf.breakpoints.tolist() == [0.1, 0.15, 0.2, 0.4, 0.5, 0.7, 0.8]
+        assert ccf.cumulative.tolist() == [1.0, 3.0, 4.0, 9.0, 11.0, 13.0, 16.0]
+        assert type(ccf.total_load) is float and ccf.total_load == 16.0
+
+    def test_arrays_are_read_only_float64(self):
+        ccf = build_ccf(FIG_PAIRS)
+        for array in (ccf.breakpoints, ccf.cumulative):
+            assert type(array) is np.ndarray and array.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_sequences_coerced_to_the_same_arrays(self):
+        ccf = Ccf((0.1, 0.2), (1.0, 3.0))
+        built = build_ccf([(1.0, 0.1), (2.0, 0.2)])
+        for array, same in ((ccf.breakpoints, built.breakpoints), (ccf.cumulative, built.cumulative)):
+            assert array.dtype == np.float64 and not array.flags.writeable
+            assert array.tolist() == same.tolist()
 
     def test_singleton(self):
         ccf = build_ccf([(5.0, 0.3)])
-        assert ccf.breakpoints == (0.3,)
-        assert ccf.cumulative == (5.0,)
+        assert ccf.breakpoints.tolist() == [0.3]
+        assert ccf.cumulative.tolist() == [5.0]
 
     def test_merge_equal_criticalities(self):
         ccf = build_ccf([(2.0, 0.3), (3.0, 0.3)])
-        assert ccf.breakpoints == (0.3,)
-        assert ccf.cumulative == (5.0,)
+        assert ccf.breakpoints.tolist() == [0.3]
+        assert ccf.cumulative.tolist() == [5.0]
 
     def test_empty_is_zero_ccf(self):
         ccf = build_ccf([])
@@ -185,7 +200,7 @@ class TestBuildCcf:
 
     def test_zero_power_loads_add_no_breakpoint(self):
         ccf = build_ccf([(0.0, 0.2), (3.0, 0.5)])
-        assert ccf.breakpoints == (0.5,)
+        assert ccf.breakpoints.tolist() == [0.5]
         assert eval_ccf(ccf, 0.3) == 0.0
 
     def test_flat_cumulative_rejected(self):
@@ -229,7 +244,7 @@ class TestBuildCcf:
     ], ids=["negative-first", "positive-first", "zero-power-first"])
     def test_signed_zero_breakpoint_is_the_first_seen(self, pairs, sign):
         ccf = build_ccf(pairs)
-        assert ccf.cumulative == (3.0,)
+        assert ccf.cumulative.tolist() == [3.0]
         assert math.copysign(1.0, ccf.breakpoints[0]) == sign
 
     @settings(max_examples=400, deadline=None)
@@ -264,7 +279,8 @@ class TestBuildCcf:
                 ccf = build(pairs)
             except (OverflowError, ValueError) as exc:
                 return type(exc)
-            return [b.hex() for b in ccf.breakpoints], [c.hex() for c in ccf.cumulative]
+            return ([b.hex() for b in ccf.breakpoints.tolist()],
+                    [c.hex() for c in ccf.cumulative.tolist()])
 
         assert outcome(build_ccf) == outcome(lambda p: Ccf(*cumulative_reference(p)))
 
@@ -285,18 +301,32 @@ class TestEvalCcf:
 
 
 class TestMinGap:
+    """The smallest criticality gap, as the default ramp width and the
+    ramp-width check read it."""
+
     def test_fig_ramp(self):
-        assert min_gap([c for _, c in FIG_PAIRS]) == pytest.approx(FIG_RAMP, abs=1e-15)
+        crits = [c for _, c in FIG_PAIRS]
+        assert default_ramp_width(crits) == pytest.approx(FIG_RAMP, abs=1e-15)
+        check_ramp_width(crits, FIG_RAMP)  # the rounded gap is one ulp below
+        with pytest.raises(ValueError, match="exceeds the smallest criticality gap"):
+            check_ramp_width(crits, FIG_RAMP * 1.01)
 
     def test_with_duplicates(self):
-        assert min_gap([0.2, 0.3, 0.3, 0.4]) == pytest.approx(0.1, abs=1e-15)
+        assert default_ramp_width([0.2, 0.3, 0.3, 0.4]) == pytest.approx(0.1, abs=1e-15)
+        with pytest.raises(ValueError, match="exceeds"):
+            check_ramp_width([0.4, 0.3, 0.3, 0.2], 0.11)
 
     def test_two_points(self):
-        assert min_gap([0.0, 1.0]) == 1.0
+        assert default_ramp_width([0.0, 0.5]) == 0.5
+        check_ramp_width([0.0, 0.5], 0.5)
+        with pytest.raises(ValueError, match="exceeds"):
+            check_ramp_width([0.0, 0.5], 0.6)
 
-    def test_all_identical_rejected(self):
-        with pytest.raises(ValueError):
-            min_gap([0.3, 0.3, 0.3])
+    def test_all_identical_have_no_gap(self):
+        assert default_ramp_width([0.3, 0.3, 0.3]) == 1.0
+        check_ramp_width([0.3, 0.3, 0.3], 5.0)  # no gap to exceed
+        with pytest.raises(ValueError, match="must be positive"):
+            check_ramp_width([0.3, 0.3, 0.3], 0.0)
 
     def test_default_ramp_width(self):
         assert default_ramp_width([0.2, 0.3, 0.3, 0.4]) == min_gap([0.2, 0.3, 0.4])
@@ -341,7 +371,7 @@ def surrogates_and_points(draw):
     ramp = gap * draw(st.sampled_from([1.0, 0.5, 0.3, 1e-3]))
     surrogate = SurrogateCcf(ccf, ramp)
     special = [0.0, -0.0, -1.0, 2.0, -math.inf, math.inf]
-    for bp in ccf.breakpoints:
+    for bp in ccf.breakpoints.tolist():
         special += [bp, bp - ramp, math.nextafter(bp, -math.inf), math.nextafter(bp - ramp, math.inf)]
     points = draw(st.lists(st.sampled_from(special) | st.floats(-0.5, 1.5), max_size=40))
     return surrogate, points

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import loadshed
 from loadshed import _engine
-from loadshed.criticality import SurrogateCcf, build_ccf, min_gap
+from loadshed.criticality import SurrogateCcf, build_ccf
 from loadshed.netgraph import PeriodicSchedule, RandomSchedule, repaired_rows
 from loadshed.protocol import (
     CHUNK,
@@ -53,6 +53,7 @@ from conftest import (
     stochasticity_defect,
     window_labels,
     x_rounds,
+    min_gap,
 )
 
 PACKAGE = Path(loadshed.__file__).resolve().parent
@@ -96,7 +97,7 @@ def chunks(draw, max_n=6):
                         draw(st.sampled_from(EXPONENTS)))
     alpha = draw(st.lists(st.sampled_from([0.5, ramp / 2.0, 0.0, -0.0]), min_size=n, max_size=n))
     # estimates at, just off and a ramp below the breakpoints
-    breakpoints = [b for ccf in ccfs for b in ccf.breakpoints]
+    breakpoints = [b for ccf in ccfs for b in ccf.breakpoints.tolist()]
     edges = breakpoints + [v for b in breakpoints for v in (
         b - ramp, math.nextafter(b, -math.inf), math.nextafter(b - ramp, math.inf))]
     return Chunk([SurrogateCcf(ccf, ramp) for ccf in ccfs],
@@ -205,9 +206,9 @@ def run_kernel(case: Chunk, graph=None, rows=None):
     if graph is None:
         graph, rows = np.arange(m, dtype=np.int32), case.rows
     graph, rows = np.asarray(graph, dtype=np.int32), np.ascontiguousarray(rows, dtype=bool)
-    bstart = np.cumsum([0, *(len(s._bps) for s in surrogates)], dtype=np.int64)
-    bps = np.concatenate([s._bps for s in surrogates])
-    cum = np.concatenate([s._cum for s in surrogates])
+    bstart = np.cumsum([0, *(len(s.base.breakpoints) for s in surrogates)], dtype=np.int64)
+    bps = np.concatenate([s.base.breakpoints for s in surrogates])
+    cum = np.concatenate([s.base.cumulative for s in surrogates])
     P = np.ascontiguousarray(case.P)
     state, etas = np.empty((4, m + 1, n)), np.empty(m)
     state[:, 0] = (case.x, case.zeta, case.z, case.alpha)
@@ -243,7 +244,7 @@ class TestKernelsMatchReferences:
         ran, _, state, _ = run_kernel(case._replace(window=None))
         assert ran == m
         X, zeta_rows = state[0].tolist(), state[1].tolist()
-        crits = [s.base.breakpoints for s in case.surrogates]
+        crits = [s.base.breakpoints.tolist() for s in case.surrogates]
         assert bits(zeta_rows) == bits([[local_zeta(c, v) for c, v in zip(crits, x)] for x in X])
         neighbors = [row_neighbors(w_rows) for w_rows in block_rows(case.rows, n)]
         z_rows, alpha_rows = dmc_rounds(case.z.tolist(), case.alpha.tolist(), zeta_rows,

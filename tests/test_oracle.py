@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loadshed.criticality import CriticalLoad, SurrogateCcf, build_ccf, eval_ccf, min_gap
+from loadshed.criticality import CriticalLoad, SurrogateCcf, build_ccf
 from loadshed.oracle import (
     InfeasibleError,
     continuous_solution,
@@ -32,6 +32,8 @@ from conftest import (
     continuous_solution_reference,
     make_random_loads,
     z_star_from_z_hat,
+    eval_ccf,
+    min_gap,
 )
 
 
@@ -351,10 +353,10 @@ def continuous_cases(draw):
     regions = draw(st.lists(
         st.tuples(st.one_of(st.just(0.0), st.floats(0.01, 50.0)), st.integers(1, 8).map(float)),
         min_size=1, max_size=8))
-    cumulative = build_ccf(regions).cumulative
+    cumulative = build_ccf(regions).cumulative.tolist()
     if not cumulative:
         regions.append((draw(st.floats(0.01, 50.0)), float(draw(st.integers(1, 8)))))
-        cumulative = build_ccf(regions).cumulative
+        cumulative = build_ccf(regions).cumulative.tolist()
     deficit = draw(st.one_of(
         st.floats(0.0, cumulative[-1], exclude_min=True),
         st.sampled_from(cumulative),

@@ -10,7 +10,6 @@ from loadshed.criticality import (
     Ccf,
     SurrogateCcf,
     build_ccf,
-    eval_ccf,
     eval_surrogate,
     shed_decision,
 )
@@ -43,6 +42,7 @@ from conftest import (
     mixing_rows,
     protocol_rounds,
     x_rounds,
+    eval_ccf,
 )
 
 
@@ -53,7 +53,7 @@ def symmetric_uniform(seed: int, tag: int, *indices: int) -> float:
 
 def cutoff_candidates(inst):
     """Each region's cutoff candidates: its surrogate's breakpoints, ascending."""
-    return tuple(s.base.breakpoints for s in inst.surrogates)
+    return tuple(tuple(s.base.breakpoints.tolist()) for s in inst.surrogates)
 
 
 def fig_two_region_instance(deficit=6.0, max_rounds=3000, window=None, **kwargs):

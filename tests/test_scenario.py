@@ -480,8 +480,14 @@ class TestRuns:
         assert report.distributed_z_star == 0.4
         assert report.distributed_shed_total == 9.0
         assert report.certificate_digest == {"window": 1, "ramp_width": 0.05, "step_gain": 1.0}
-        payload = json.loads(report.to_json())
+        payload = json.loads(scenario.report_json(report))
         assert payload["oracle"]["z_star"] == 0.4
+
+    def test_oracle_values_are_python_floats(self):
+        # the CCF's arrays hold float64s; a report reads Python floats off them
+        solution = scenario.oracle_summary(load_scenario(CONFIG_DIR / "two_region_step_example.json"))
+        for value in (solution.z_star, solution.z_hat, solution.shed_total):
+            assert type(value) is float
 
     def test_oracle_half_populated_without_convergence(self):
         config = load_scenario(CONFIG_DIR / "two_region_step_example.json")
@@ -1234,6 +1240,19 @@ class TestCli:
     def test_largest_countable_max_rounds_accepted(self):
         doc = (CONFIG_DIR / "two_region_step_example.json").read_text()
         assert loads_scenario(doc, max_rounds=2**63 - 2).max_rounds == 2**63 - 2
+
+    @pytest.mark.parametrize("window", [0, 2**63 - 1, 2**64 + 1])
+    def test_convergence_window_the_engine_cannot_count_rejected(self, window):
+        # run_protocol hands the kernel the window as an int64, which ctypes wraps
+        doc = (CONFIG_DIR / "two_region_step_example.json").read_text()
+        message = rf"^convergence_window {window} outside \[1, 2\*\*63 - 2\]$"
+        with pytest.raises(ScenarioError, match=message):
+            loads_scenario(doc, convergence_window=window)
+
+    def test_largest_countable_convergence_window_accepted(self):
+        doc = (CONFIG_DIR / "two_region_step_example.json").read_text()
+        config = loads_scenario(doc, convergence_window=2**63 - 2)
+        assert config.convergence_window == 2**63 - 2
 
     @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.parametrize("rounds", ["0", "-5", str(2**63 - 1)])
