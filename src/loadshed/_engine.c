@@ -19,10 +19,12 @@
  * lexicographic order.  The chunk kernel takes a chunk's graphs as pair
  * rows and one graph index per round, dedupes the rows (a hash table,
  * every match confirmed by memcmp), and builds each distinct graph's
- * mixing once per call as CSR arrays: row j of graph g holds entries
+ * mixing once per call, from the first of its rows where the caller holds
+ * them, as CSR arrays: row j of graph g holds entries
  * indptr[g*n + j] .. indptr[g*n + j + 1] - 1, in ascending column order,
  * which is the order every reduction runs in.  No other code reads them.
- * Arrays are C-ordered with one row per round.  Build without
+ * Arrays are C-ordered with one row per round, and every kernel reads the
+ * caller's arrays where they are, copying none.  Build without
  * contraction to FMA (-ffp-contract=off) so every sum and product rounds
  * as it does in Python.
  */
@@ -315,16 +317,16 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
 }
 
-/* The Metropolis-Hastings mixing of each of count pair rows, as CSR:
- * row j of graph g holds entries indptr[g*n + j] .. indptr[g*n + j + 1] - 1
- * of col and weight, in ascending column order.  A neighbour k weighs
+/* The Metropolis-Hastings mixing of count graphs, graph g the pair row
+ * rows[pick[g]], as CSR: row j of graph g holds entries indptr[g*n + j] ..
+ * indptr[g*n + j + 1] - 1 of col and weight, in ascending column order.  A neighbour k weighs
  * 1 / (1 + max(deg j, deg k)); the diagonal is 1 minus the row's sum,
  * summed as numpy sums the dense row with a zero diagonal, and is positive,
  * so the arrays hold count*n + 2*(edges) entries.  Returns 0, or -1 when
  * working memory cannot be had.  rounds calls it; it is exported for the
  * tests, which hold it to a dense reference. */
-int64_t metropolis(int64_t n, int64_t count, const uint8_t *rows, int64_t *indptr,
-                   int32_t *col, double *weight)
+int64_t metropolis(int64_t n, int64_t count, const uint8_t *rows, const int32_t *pick,
+                   int64_t *indptr, int32_t *col, double *weight)
 {
     int64_t pairs = n * (n - 1) / 2, e = 0;
     /* per node: its degree and n slots for its neighbours; 1 / (1 + d) at
@@ -342,7 +344,7 @@ int64_t metropolis(int64_t n, int64_t count, const uint8_t *rows, int64_t *indpt
     }
     indptr[0] = 0;
     for (int64_t g = 0; g < count; g++) {
-        const uint8_t *row = rows + g * pairs;
+        const uint8_t *row = rows + pick[g] * pairs;
         for (int64_t v = 0; v < n; v++)
             degree[v] = 0;
         /* neighbour lists in ascending order, appended without branches:
@@ -417,12 +419,13 @@ static int64_t nonzero(const uint8_t *bytes, int64_t len)
 
 /* The distinct rows among count pair rows of len bytes: of_row[g] gets
  * the number of row g's distinct row, counted in order of first
- * appearance.  An open-addressing table of slots entries (a power of two,
- * at least twice count) holds the first row of each distinct row, and
+ * appearance, and pick[d] the first row of distinct row d.  An
+ * open-addressing table of slots entries (a power of two, at least twice
+ * count) holds the first row of each distinct row, and
  * memcmp confirms every hash match, so two different rows are never
  * merged.  Returns how many are distinct. */
 static int64_t dedupe(int64_t len, int64_t count, const uint8_t *rows, int64_t slots,
-                      int32_t *slot, int32_t *of_row)
+                      int32_t *slot, int32_t *of_row, int32_t *pick)
 {
     int64_t distinct = 0;
     for (int64_t s = 0; s < slots; s++)
@@ -433,7 +436,7 @@ static int64_t dedupe(int64_t len, int64_t count, const uint8_t *rows, int64_t s
         while (slot[s] >= 0 && memcmp(rows + slot[s] * len, row, len))
             s = (s + 1) & (slots - 1);
         if (slot[s] < 0) {
-            slot[s] = (int32_t)g;
+            slot[s] = pick[distinct] = (int32_t)g;
             of_row[g] = (int32_t)distinct++;
         } else {
             of_row[g] = of_row[slot[s]];
@@ -443,14 +446,11 @@ static int64_t dedupe(int64_t len, int64_t count, const uint8_t *rows, int64_t s
 }
 
 /* run_rounds over the mixing of graphs pair rows, built here once per
- * distinct row: round t0 + r mixes with the distinct graph of
- * rows[graph[r]].  The distinct rows are rows itself when none repeats,
- * and otherwise a copy: copying a 29-region random chunk's all-new rows
- * (415 kB) kept glibc from reusing the freed working memory, and a run
- * took 34 000 page faults instead of 1 900.  The upper indices of the
- * estimates in row 0 of state start with a full search each.  Returns the
- * number of rounds run, or -1 when memory for the deduplication, the
- * mixing and the indices cannot be had. */
+ * distinct row from its first row in rows: round t0 + r mixes with the
+ * distinct graph of rows[graph[r]].  The upper indices of the estimates in
+ * row 0 of state start with a full search each.  Returns the number of
+ * rounds run, or -1 when memory for the deduplication, the mixing and the
+ * indices cannot be had. */
 int64_t rounds(int64_t n, int64_t m, int64_t t0, double gain, double offset,
                double exponent, const int32_t *graph, int64_t graphs,
                const uint8_t *rows, const double *P, const int64_t *bstart,
@@ -460,31 +460,24 @@ int64_t rounds(int64_t n, int64_t m, int64_t t0, double gain, double offset,
     int64_t pairs = n * (n - 1) / 2, slots = 2, ran = -1;
     while (slots < 2 * graphs)
         slots *= 2;
-    /* the table, each row's distinct graph, then each round's */
-    int32_t *slot = malloc((slots + graphs + m) * sizeof *slot);
+    /* the table, each row's distinct graph, each distinct graph's first
+     * row, then each round's distinct graph */
+    int32_t *slot = malloc((slots + 2 * graphs + m) * sizeof *slot);
     if (!slot)
         return -1;
-    int32_t *of_row = slot + slots, *index = of_row + graphs;
-    int64_t distinct = dedupe(pairs, graphs, rows, slots, slot, of_row);
+    int32_t *of_row = slot + slots, *pick = of_row + graphs, *index = pick + graphs;
+    int64_t distinct = dedupe(pairs, graphs, rows, slots, slot, of_row, pick);
     for (int64_t r = 0; r < m; r++)
         index[r] = of_row[graph[r]];
-    /* the distinct rows' copy, and one more byte: malloc(0) may give NULL */
-    uint8_t *copy = distinct < graphs ? malloc(distinct * pairs + 1) : NULL;
-    if (distinct < graphs && !copy) {
-        free(slot);
-        return -1;
-    }
-    for (int64_t g = 0, d = 0; copy && g < graphs; g++)
-        if (of_row[g] == d)
-            memcpy(copy + d++ * pairs, rows + g * pairs, pairs);
-    const uint8_t *unique = copy ? copy : rows;
     /* every diagonal entry and each edge twice, and one more */
-    int64_t entries = distinct * n + 2 * nonzero(unique, distinct * pairs);
+    int64_t entries = distinct * n;
+    for (int64_t d = 0; d < distinct; d++)
+        entries += 2 * nonzero(rows + pick[d] * pairs, pairs);
     /* the CSR row starts, then the upper indices */
     int64_t *indptr = malloc((distinct * n + 1 + n) * sizeof *indptr);
     int32_t *col = malloc((entries + 1) * sizeof *col);
     double *w = malloc((entries + 1) * sizeof *w);
-    if (indptr && col && w && !metropolis(n, distinct, unique, indptr, col, w)) {
+    if (indptr && col && w && !metropolis(n, distinct, rows, pick, indptr, col, w)) {
         int64_t *at = indptr + distinct * n + 1;
         for (int64_t j = 0; j < n; j++)
             at[j] = upper(state[j], b + bstart[j], bstart[j + 1] - bstart[j], 0);
@@ -492,7 +485,6 @@ int64_t rounds(int64_t n, int64_t m, int64_t t0, double gain, double offset,
                          bstart, b, cum, c, window, streak, etas, state, at);
     }
     free(slot);
-    free(copy);
     free(indptr);
     free(col);
     free(w);
@@ -597,39 +589,37 @@ static int64_t cell(double v, char *s)
     return len;
 }
 
-/* The decimal digits of t at s; returns their count. */
+/* The decimal digits of t >= 0 at s; returns their count. */
 static int64_t integer(int64_t t, char *s)
 {
     char dg[20];
-    uint64_t u = t < 0 ? -(uint64_t)t : (uint64_t)t;
     int64_t len = 0;
     do {
-        dg[19 - len++] = (char)('0' + u % 10);
-        u /= 10;
-    } while (u);
-    if (t < 0)
-        *s++ = '-';
+        dg[19 - len++] = (char)('0' + t % 10);
+        t /= 10;
+    } while (t);
     memcpy(s, dg + 20 - len, len);
-    return len + (t < 0);
+    return len;
 }
 
-/* The CSV rows "t,eta,region,x,zeta,z_min,alpha,p" of m rounds of n
- * regions, at out; returns their length.  cols points at five arrays of m
- * rows of n cells: x, zeta, z_min, alpha and p.  Region j's id, as text
- * with a leading comma, is ids[id_start[j] .. id_start[j+1]-1].  Region
+/* The CSV rows "t,eta,region,x,zeta,z_min,alpha,p" of rounds first + 1 ..
+ * first + m of n regions, at out; returns their length.  Round t is row
+ * t - 1 of eta and of the five arrays of rows of n cells that cols points
+ * at: x, zeta, z_min, alpha and p, each read in place.  Region j's id, as
+ * text with a leading comma, is ids[id_start[j] .. id_start[j+1]-1].  Region
  * j's tail ",zeta,z_min,alpha,p\n" is formatted only when its four 64-bit
  * patterns differ from tail_bits[4j .. 4j+3]; then those patterns, the text
  * (at tail_text + j*TAIL_BYTES) and its length tail_len[j] are replaced,
  * and they carry to the next call.  A zero tail_len[j] has no text yet.
  * out must hold m*n rows of the longest text each can take. */
-int64_t trace_rows(int64_t n, int64_t m, const int64_t *t, const double *eta,
+int64_t trace_rows(int64_t n, int64_t m, int64_t first, const double *eta,
                    const double *const *cols, const char *ids, const int64_t *id_start,
                    uint64_t *tail_bits, char *tail_text, int64_t *tail_len, char *out)
 {
     char *o = out;
-    for (int64_t r = 0; r < m; r++) {
+    for (int64_t r = first; r < first + m; r++) {
         char head[2 * (CELL_BYTES + 1)];
-        int64_t h = integer(t[r], head);
+        int64_t h = integer(r + 1, head);
         head[h++] = ',';
         h += cell(eta[r], head + h);
         for (int64_t j = 0; j < n; j++) {

@@ -201,11 +201,10 @@ class ProtocolInstance:
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-round records plus final state of one protocol run.
-
-    When recording is off (long verification sweeps), the arrays are empty
-    but round counts, final state, and the length of the closing stretch
-    of unchanged cutoffs are still reported.
+    """Per-round records, row t - 1 of each array for round t, plus final
+    state of one protocol run.  When recording is off (long verification
+    sweeps), the arrays are empty but round counts, final state, and the
+    length of the closing stretch of unchanged cutoffs are still reported.
     """
 
     rounds: int
@@ -215,8 +214,6 @@ class RunTrace:
     final_z: tuple[float, ...]
     final_alpha: tuple[float, ...]
     zeta_stable_rounds: int
-    recorded: bool
-    t: np.ndarray
     eta: np.ndarray
     x: np.ndarray
     zeta: np.ndarray
@@ -292,8 +289,6 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
         final_z=tuple(z.tolist()),
         final_alpha=tuple(alpha.tolist()),
         zeta_stable_rounds=streak,
-        recorded=record_trace,
-        t=np.arange(1, len(eta) + 1, dtype=np.int64),
         eta=eta,
         x=xs,
         zeta=zetas,

@@ -81,8 +81,8 @@ class AssumptionCertificate:
 
 
 @functools.cache  # check's horizons take few values
-def _sample_times(horizon: int, count: int = 24) -> tuple[int, ...]:
-    return tuple(sorted({int(round(x)) for x in np.geomspace(1, max(horizon, 1), count)}))
+def _sample_times(horizon: int) -> tuple[int, ...]:
+    return tuple(sorted({int(round(x)) for x in np.geomspace(1, max(horizon, 1), 40)}))
 
 
 def verify_assumption_bounded_lipschitz(
@@ -128,7 +128,7 @@ def verify_deviation_rate(deviation: np.ndarray) -> CheckResult:
     The difference does not depend on z.  A non-finite sample fails.
     """
     horizon = len(deviation)
-    times = _sample_times(horizon, count=40)
+    times = _sample_times(horizon)
     samples = deviation[np.array(times) - 1]
     if not np.isfinite(samples).all():
         bad = float(samples[~np.isfinite(samples)][0])

@@ -816,19 +816,22 @@ def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | No
     Columns: t, eta, region, x, zeta, z_min, alpha, p.  Floats carry 12
     significant digits as ``"%.12g" %`` writes them, every NaN as ``nan``.
     The engine's ``trace_rows`` formats a block of rounds into a buffer
-    sized by the longest text the block can take.  A row's
+    sized by the longest text the block can take, reading the columns in
+    place: one of another dtype or layout is converted once, whole.  A row's
     ``zeta,z_min,alpha,p`` tail is formatted only where its 64-bit patterns
     differ from the region's row one round earlier, and copied elsewhere.
     """
-    if not trace.recorded or trace.rounds == 0:
+    if not len(trace.eta):
         raise ValueError("trace has no recorded rounds")
     n = trace.x.shape[1]
     ids = list(region_ids) if region_ids is not None else list(range(1, n + 1))
     if len(ids) != n:
         raise ValueError(f"{len(ids)} region ids for {n} regions")
     columns = (trace.eta, trace.x, trace.zeta, trace.z_min, trace.alpha, trace.p)
-    if {c.shape for c in columns[1:]} | {(len(trace.t), n), (len(trace.eta), n)} != {(trace.rounds, n)}:
+    if {c.shape for c in columns[1:]} | {(len(trace.eta), n)} != {(trace.rounds, n)}:
         raise ValueError(f"trace columns must hold {trace.rounds} rounds of {n} regions")
+    eta, *cells = (np.ascontiguousarray(c, np.float64) for c in columns)
+    addresses = np.array([c.ctypes.data for c in cells], np.uintp)
     names = [f",{i}".encode() for i in ids]
     id_text, id_start = b"".join(names), np.array([0, *accumulate(map(len, names))], np.int64)
     row_bytes = 3 * 20 + TRACE_TAIL_BYTES + max(map(len, names), default=0)
@@ -840,14 +843,11 @@ def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | No
     try:
         with open(path, "wb") as fh:
             fh.write(b"t,eta,region,x,zeta,z_min,alpha,p\n")
-            for r0 in range(0, trace.rounds, rounds):
-                t = np.ascontiguousarray(trace.t[r0:r0 + rounds], np.int64)
-                eta, *cells = (np.ascontiguousarray(c[r0:r0 + rounds], np.float64) for c in columns)
+            for first in range(0, trace.rounds, rounds):
                 size = _engine.trace_rows(
-                    n, len(t), t.ctypes.data, eta.ctypes.data,
-                    np.array([c.ctypes.data for c in cells], np.uintp).ctypes.data, id_text,
-                    id_start.ctypes.data, tail_bits.ctypes.data, tail_text.ctypes.data,
-                    tail_len.ctypes.data, out.ctypes.data)
+                    n, min(rounds, trace.rounds - first), first, eta.ctypes.data,
+                    addresses.ctypes.data, id_text, id_start.ctypes.data, tail_bits.ctypes.data,
+                    tail_text.ctypes.data, tail_len.ctypes.data, out.ctypes.data)
                 fh.write(out.data[:size])
     except OSError as exc:
         raise OSError(f"failed writing trace to {path}: {exc}") from exc

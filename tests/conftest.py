@@ -220,22 +220,24 @@ def stochasticity_defect(W: np.ndarray) -> float:
 # chunk's pair rows and reads as CSR arrays: no code outside the kernel
 # reads them, so the tests bind the function themselves.
 _metropolis = _engine._lib.metropolis
-_metropolis.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 4
+_metropolis.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
 _metropolis.restype = ctypes.c_int64
 
 
-def mixing_csr(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_engine.c``'s ``metropolis`` of each pair row, as ``(indptr, col,
+def mixing_csr(rows: np.ndarray, n: int, pick=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_engine.c``'s ``metropolis`` of the pair rows ``rows[pick]`` (every
+    row by default), read where ``rows`` holds them, as ``(indptr, col,
     weight)``: row j of graph g holds the entries ``indptr[g*n + j]`` to
     ``indptr[g*n + j + 1] - 1`` of ``col`` and ``weight``, in ascending
     column order."""
     rows = np.ascontiguousarray(rows, dtype=bool)
     assert rows.ndim == 2 and rows.shape[1] == n * (n - 1) // 2
-    entries = len(rows) * n + 2 * np.count_nonzero(rows)  # every diagonal, each edge twice
-    indptr = np.empty(len(rows) * n + 1, np.int64)
+    pick = np.arange(len(rows), dtype=np.int32) if pick is None else np.asarray(pick, np.int32)
+    entries = len(pick) * n + 2 * np.count_nonzero(rows[pick])  # every diagonal, each edge twice
+    indptr = np.empty(len(pick) * n + 1, np.int64)
     col, weight = np.empty(entries, np.int32), np.empty(entries)
-    assert _metropolis(n, len(rows), rows.ctypes.data, indptr.ctypes.data, col.ctypes.data,
-                       weight.ctypes.data) == 0
+    assert _metropolis(n, len(pick), rows.ctypes.data, pick.ctypes.data, indptr.ctypes.data,
+                       col.ctypes.data, weight.ctypes.data) == 0
     return indptr, col, weight
 
 

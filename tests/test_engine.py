@@ -392,8 +392,10 @@ class TestDistinctGraphs:
 
     def test_chunks_cover_repeated_and_distinct_rows(self):
         # the rounds the Hypothesis tests draw dedupe to fewer rows and to
-        # as many (the first such example is enough: no shrinking)
-        found = settings(phases=[Phase.generate], database=None)
+        # as many (the first such example is enough: no shrinking); some 16 %
+        # of drawn chunks have three or more rows, all distinct, but a search
+        # can take over 100 draws to meet one, so it may take 10 000
+        found = settings(phases=[Phase.generate], database=None, max_examples=10_000)
         find(chunks(), lambda case: distinct_rows(case.rows) < len(case.rows), settings=found)
         find(chunks(), lambda case: len(case.rows) >= 3
              and distinct_rows(case.rows) == len(case.rows), settings=found)
@@ -551,6 +553,19 @@ class TestGraphsMatchReferences:
         W = dense(rows, n)
         assert bits(W) == bits(metropolis_block(rows, n))
         assert all(stochasticity_defect(w) <= 1e-12 and (np.diag(w) > 0).all() for w in W)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 30), p=PROBABILITIES, seed=SEEDS, count=st.integers(1, 6),
+           pick=st.lists(st.integers(0, 5), min_size=1, max_size=8))
+    @example(n=5, p=0.5, seed=0, count=3, pick=[2, 0, 2])
+    def test_metropolis_builds_the_picked_rows(self, n, p, seed, count, pick):
+        # graph g is built from rows[pick[g]] where rows holds it, whatever
+        # the order of the picks and however often a row is picked
+        rows = draw_edges(seed, range(count), n, p)
+        pick = [k % count for k in pick]
+        picked, copied = mixing_csr(rows, n, pick), mixing_csr(rows[pick], n)
+        assert all(a.tolist() == b.tolist() for a, b in zip(picked, copied))
+        assert bits(picked[2]) == bits(copied[2])
 
     @pytest.mark.parametrize("n", [8, 29, 70, 200])
     def test_diagonal_is_one_minus_numpys_pairwise_sum(self, n):

@@ -314,8 +314,7 @@ class TestRunProtocol:
         inst = fig_two_region_instance(max_rounds=500, window=None)
         trace = run_protocol(inst)
         assert trace.rounds == 500
-        assert trace.t.shape == (500,)
-        assert list(trace.t) == list(range(1, 501))
+        assert trace.eta.shape == (500,)
         assert trace.x.shape == (500, 2)
         assert trace.zeta.shape == (500, 2)
         # final states equal the last recorded rows
@@ -365,7 +364,7 @@ def per_round_run(inst):
         w_rows = mixing_rows(metropolis_weights(inst.schedule.edges_at(t), n))
         (state,), streak = protocol_rounds(state, streak, inst.convergence_window, [w_rows],
                                            [eta], [p], inst.surrogates)
-        rows.append((t, eta, *state, p))
+        rows.append((eta, *state, p))
         if inst.convergence_window is not None and streak >= inst.convergence_window:
             break
     return rows, streak
@@ -377,7 +376,7 @@ class TestEngineComposition:
 
     def assert_same(self, inst):
         rows, streak = per_round_run(inst)
-        t, eta, x, zeta, z, alpha, p = (list(col) for col in zip(*rows))
+        eta, x, zeta, z, alpha, p = (list(col) for col in zip(*rows))
         for record in (False, True):
             trace = run_protocol(inst, record_trace=record)
             assert trace.rounds == len(rows)
@@ -387,7 +386,6 @@ class TestEngineComposition:
             assert trace.final_z == tuple(z[-1])
             assert trace.final_alpha == tuple(alpha[-1])
             if record:
-                assert trace.t.tolist() == t
                 assert trace.eta.tolist() == eta
                 for array, expected in ((trace.x, x), (trace.zeta, zeta), (trace.z_min, z),
                                         (trace.alpha, alpha), (trace.p, p)):

@@ -236,7 +236,7 @@ def loop_deviation_rate(rows, deficit):
     share = deficit / n
     horizon = len(rows)
     running, attained_at = 0.0, 1
-    for t in rootfind._sample_times(horizon, count=40):
+    for t in rootfind._sample_times(horizon):
         ratio = abs(math.fsum([*rows[t - 1], *[-share] * n])) / ETA.eta(t) / n
         if ratio > running:
             running, attained_at = ratio, t

@@ -524,8 +524,7 @@ def recorded_trace(eta, x, zeta, z_min, alpha, p) -> RunTrace:
     """A recorded trace holding the given per-round columns."""
     return RunTrace(
         rounds=len(eta), converged=False, final_x=(), final_zeta=(), final_z=(),
-        final_alpha=(), zeta_stable_rounds=0, recorded=True,
-        t=np.arange(1, len(eta) + 1, dtype=np.int64),
+        final_alpha=(), zeta_stable_rounds=0,
         eta=eta, x=x, zeta=zeta, z_min=z_min, alpha=alpha, p=p,
     )
 
@@ -536,11 +535,10 @@ def reference_csv(trace: RunTrace, ids) -> bytes:
     ids = list(ids) if ids is not None else list(range(1, n + 1))
     lines = ["t,eta,region,x,zeta,z_min,alpha,p\n"]
     for r in range(trace.rounds):
-        t = int(trace.t[r])
         eta = trace.eta[r]
         for j in range(n):
             lines.append(
-                f"{t},{eta:.12g},{ids[j]},{trace.x[r, j]:.12g},"
+                f"{r + 1},{eta:.12g},{ids[j]},{trace.x[r, j]:.12g},"
                 f"{trace.zeta[r, j]:.12g},{trace.z_min[r, j]:.12g},"
                 f"{trace.alpha[r, j]:.12g},{trace.p[r, j]:.12g}\n"
             )
@@ -756,18 +754,39 @@ class TestEmitTrace:
             paths.append(out.read_bytes())
         assert paths[0] == paths[1]
 
-    def test_short_column_rejected(self, tmp_path):
-        # the engine reads every column's rows by address
-        x = np.zeros((3, 2))
-        trace = recorded_trace(np.ones(3), x, x, x, x, x[:2])
-        with pytest.raises(ValueError, match="3 rounds of 2 regions"):
-            emit_trace(trace, tmp_path / "trace.csv")
-
-    def test_unrecorded_trace_rejected(self):
+    @staticmethod
+    def two_region_instance():
         config = load_scenario(CONFIG_DIR / "two_region_step_example.json")
-        trace, _ = run_scenario(config, record_trace=False)
-        with pytest.raises(ValueError):
-            emit_trace(trace, "/tmp/never.csv")
+        return scenario.build_instance(dataclasses.replace(config, max_rounds=40))
+
+    def test_short_column_rejected(self, tmp_path):
+        # the engine reads every column's rows by address, up to the trace's
+        # rounds: each column in turn a round short
+        trace = run_protocol(self.two_region_instance())
+        for column in ("eta", "x", "zeta", "z_min", "alpha", "p"):
+            short = dataclasses.replace(trace, **{column: getattr(trace, column)[:-1]})
+            with pytest.raises(ValueError, match=f"{trace.rounds} rounds of 2 regions"):
+                emit_trace(short, tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_unrecorded_trace_rejected(self, tmp_path):
+        trace = run_protocol(self.two_region_instance(), record_trace=False)
+        assert trace.rounds > 0 and trace.eta.shape == (0,) and trace.x.shape == (0, 2)
+        empty = np.empty((0, 2))
+        for unrecorded in (trace, recorded_trace(np.empty(0), *[empty] * 5)):
+            with pytest.raises(ValueError, match="trace has no recorded rounds"):
+                emit_trace(unrecorded, tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_non_contiguous_columns_match_reference(self, tmp_path):
+        # hand-built columns of other layouts are converted, once, before the
+        # engine reads them in place
+        wide = np.arange(2 * 700 * 4, dtype=np.float64).reshape(2 * 700, 4) / 7
+        x, p = wide[::2, 1::2], np.asfortranarray(wide[1::2, :2])
+        assert not x.flags.c_contiguous and not p.flags.c_contiguous
+        trace = recorded_trace(wide[::2, 3], x, x, -x, x, p)
+        emit_trace(trace, tmp_path / "trace.csv", (5, 6))
+        assert (tmp_path / "trace.csv").read_bytes() == reference_csv(trace, (5, 6))
 
 
 # cli stdout SHA-256 digests: name, command, exit code, digest
