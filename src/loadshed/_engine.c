@@ -2,8 +2,8 @@
  * (see protocol.py) with the surrogate and the Metropolis mixing it
  * computes, the random schedules' graphs that feed it (see netgraph.py):
  * their draw and window repair and the components of a window's union,
- * the trace CSV's rows (see scenario.emit_trace), deviation, the
- * deficit-tracking error that check certifies (see
+ * the trace CSV's rows (see scenario.emit_trace), deviation, the largest
+ * deficit-tracking error of a block that check certifies (see
  * protocol.deficit_deviation), which sums a row that repeats only once,
  * and prefix_sums, the exact prefix sums of every CCF (see
  * criticality._cumulative): an unsigned fixed-point accumulator in units
@@ -494,10 +494,11 @@ int64_t rounds(int64_t n, int64_t m, int64_t t0, double gain, double offset,
 /* Rows of the trace CSV (see scenario.emit_trace). */
 
 /* The longest %.12g cell, "-1.23456789012e-308", and the most a region's
- * ",zeta,z_min,alpha,p\n" tail can take; scenario.py sizes its buffers by
- * the same bounds. */
+ * ",zeta,z_min,alpha,p\n" tail can take; scenario.emit_trace sizes its
+ * buffers by both, exported as trace_cell_bytes and trace_tail_bytes. */
 #define CELL_BYTES 19
 #define TAIL_BYTES (4 * (CELL_BYTES + 1) + 1)
+const int64_t trace_cell_bytes = CELL_BYTES, trace_tail_bytes = TAIL_BYTES;
 
 static const double POW10[] = {
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
@@ -662,20 +663,22 @@ static inline void two_sum(double x, double *total, double *error)
     *total = s;
 }
 
-/* |sum_j P[r*stride + j] - deficit| / eta(t0 + r) of each of m rows of n
- * estimates, at out[r]: stride is n for m rows of their own and 0 for one
- * row that every round repeats, whose error is then summed once.  The
- * deficit enters as n equal shares, one against each estimate, and the 2n
- * terms p_j, -share are summed in that order with TwoSum, so an exact
- * split reads 0 and estimates that cancel, as 1e308 and -1e308 do, keep
- * the shares' error; a sum that is not finite is its running total, so
- * one that overflows is inf.  eta(t) is step_size, as in run_rounds,
- * computed only for rounds whose error is nonzero: zeros stay zero and
- * any other error, NaN too, is divided by it in each round. */
-void deviation(int64_t n, int64_t m, int64_t t0, double gain, double offset, double exponent,
-               const double *P, int64_t stride, double deficit, double *out)
+/* The largest |sum_j P[r*stride + j] - deficit| / eta(t0 + r) over m rows
+ * of n estimates, each row's also at out[r] unless out is NULL: stride is
+ * n for m rows of their own and 0 for one row that every round repeats,
+ * whose error is then summed once.  The deficit enters as n equal shares,
+ * one against each estimate, and the 2n terms p_j, -share are summed in
+ * that order with TwoSum, so an exact split reads 0 and estimates that
+ * cancel, as 1e308 and -1e308 do, keep the shares' error; a sum that is
+ * not finite is its running total, so one that overflows is inf.  eta(t)
+ * is step_size, as in run_rounds, computed only for rounds whose error is
+ * nonzero: zeros stay zero and any other error, NaN too, is divided by it
+ * in each round.  The first NaN error stays the largest, and a block of no
+ * rows gives 0. */
+double deviation(int64_t n, int64_t m, int64_t t0, double gain, double offset, double exponent,
+                 const double *P, int64_t stride, double deficit, double *out)
 {
-    double share = deficit / (double)n, v = 0.0;
+    double share = deficit / (double)n, v = 0.0, top = 0.0;
     for (int64_t r = 0; r < m; r++) {
         if (r == 0 || stride) {
             const double *p = P + r * stride;
@@ -686,8 +689,13 @@ void deviation(int64_t n, int64_t m, int64_t t0, double gain, double offset, dou
             }
             v = fabs(isfinite(total) ? total + error : total);
         }
-        out[r] = v != 0.0 ? v / step_size(t0 + r, gain, offset, exponent) : v;
+        double d = v != 0.0 ? v / step_size(t0 + r, gain, offset, exponent) : v;
+        if (v != 0.0 && top == top && !(d <= top))
+            top = d;
+        if (out)
+            out[r] = d;
     }
+    return top;
 }
 
 /* A CCF's exact prefix sums (see criticality._cumulative). */

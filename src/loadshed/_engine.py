@@ -1,7 +1,7 @@
 """The compiled kernels of the round engine, of the random schedules'
 graphs, of the trace CSV's rows, of ``check``'s deficit-tracking error
-(``deviation``, which sums a row that repeats only once) and of a CCF's
-exact prefix sums (``prefix_sums``): ``_engine.c``, built on first import.
+(``deviation``, a block's largest, summing a repeated row once) and of a
+CCF's exact prefix sums (``prefix_sums``): ``_engine.c``, built on first import.
 
 The source is compiled with the C compiler this Python was built with
 (``sysconfig``'s ``CC``) into ``__pycache__/_engine-<digest>.so`` beside
@@ -70,6 +70,8 @@ def _build(directory: Path) -> Path:
 
 _lib = ctypes.CDLL(str(_build(SOURCE.parent / "__pycache__")))
 _i64, _u64, _f64, _ptr = ctypes.c_int64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p
+# the trace CSV's longest cell, and the longest ",zeta,z_min,alpha,p\n" tail of a row
+CELL_BYTES, TAIL_BYTES = (_i64.in_dll(_lib, f"trace_{k}_bytes").value for k in ("cell", "tail"))
 
 # The kernels take plain addresses: ndpointer's checks cost more per call
 # than a scalar surrogate or a short chunk does, and every caller makes or
@@ -93,7 +95,7 @@ trace_rows.argtypes = [_i64, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _pt
 trace_rows.restype = _i64
 deviation = _lib.deviation
 deviation.argtypes = [_i64, _i64, _i64, _f64, _f64, _f64, _ptr, _i64, _f64, _ptr]
-deviation.restype = None
+deviation.restype = _f64
 prefix_sums = _lib.prefix_sums
 prefix_sums.argtypes = [_i64, _ptr, _ptr, _ptr, _ptr]
 prefix_sums.restype = _i64

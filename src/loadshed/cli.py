@@ -18,7 +18,7 @@ from . import rootfind, scenario
 from .criticality import column_ccf
 from .criticality import eval_surrogate  # noqa: F401  perfbench counts calls of cli.eval_surrogate
 from .netgraph import check_window_connectivity  # noqa: F401  perfbench wraps it under cli
-from .protocol import certify_deficit_tracking, deficit_deviation, run_protocol
+from .protocol import run_protocol
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -56,42 +56,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     config = _load(args)
     inst = scenario.build_instance(config)
-    n = len(inst.surrogates)
-
-    horizon = min(config.max_rounds, 2000)
-    estimates = inst.estimator.block(1, horizon + 1)
-    cert = rootfind.AssumptionCertificate()
-    cert.bound, cert.lipschitz = rootfind.verify_assumption_bounded_lipschitz(
-        inst.surrogates, estimates
-    )
+    probe = run_protocol(dataclasses.replace(inst, max_rounds=min(500, config.max_rounds),
+                                             convergence_window=None))
     ccf = column_ccf(*scenario.load_columns(config))
-    cert.add(rootfind.verify_sign_condition(ccf, inst.ramp_width, config.deficit))
-    deviation = rootfind.verify_deviation_rate(
-        deficit_deviation(estimates, 1, inst.step, config.deficit) / n
-    )
-    cert.add(deviation)
-    cert.deviation_rate = deviation.value
-
-    theta = certify_deficit_tracking(
-        inst.estimator, inst.step, min(100_000, 10 * config.max_rounds), config.deficit
-    )
-    bound_theta = 2.0 * n
-    cert.add(
-        rootfind.CheckResult(
-            "deficit_tracking",
-            theta <= bound_theta + 1e-9,
-            value=theta,
-            detail=f"bound {bound_theta:g}",
-        )
-    )
-
-    cert.window = inst.schedule.window
-    probe_inst = dataclasses.replace(
-        inst, max_rounds=min(500, config.max_rounds), convergence_window=None
-    )
-    probe = run_protocol(probe_inst, record_trace=True)
-    cert.consensus_ratio = rootfind.consensus_diagnostics(probe.x, probe.eta).ratio_max
-
+    cert = rootfind.certify(inst, ccf, config.deficit, config.max_rounds, probe)
     _emit(str(cert), args.quiet)
     return EXIT_OK if cert.passed else EXIT_VALIDATION
 

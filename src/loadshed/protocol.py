@@ -139,6 +139,16 @@ DEFAULT_STABLE_ROUNDS = 50
 CHUNK = 1024
 
 
+def _deviation(P: np.ndarray, t0: int, step: StepSchedule, deficit: float,
+               out: np.ndarray | None = None) -> float:
+    """The engine's ``deviation``: the largest error of P's rows, each one's in ``out``."""
+    P = np.asarray(P, dtype=np.float64)
+    P = P if P.strides[0] == 0 and P[:1].flags.c_contiguous else np.ascontiguousarray(P)
+    return _engine.deviation(P.shape[1], len(P), t0, step.gain, step.offset, step.exponent,
+                             P.ctypes.data, P.strides[0] // P.itemsize, deficit,
+                             None if out is None else out.ctypes.data)
+
+
 def deficit_deviation(P: np.ndarray, t0: int, step: StepSchedule, deficit: float) -> np.ndarray:
     """|sum_j p_j(t) - deficit| / eta(t) for the rows of P, rounds t0, t0 + 1, ...
 
@@ -148,11 +158,8 @@ def deficit_deviation(P: np.ndarray, t0: int, step: StepSchedule, deficit: float
     error; one that overflows is inf.  eta(t) is computed as the round kernel
     does, only for nonzero errors; rows of stride 0 (broadcast) sum once.
     """
-    P = np.asarray(P, dtype=np.float64)
-    P = P if P.strides[0] == 0 and P[:1].flags.c_contiguous else np.ascontiguousarray(P)
     out = np.empty(len(P))
-    _engine.deviation(P.shape[1], len(P), t0, step.gain, step.offset, step.exponent,
-                      P.ctypes.data, P.strides[0] // P.itemsize, deficit, out.ctypes.data)
+    _deviation(P, t0, step, deficit, out)
     return out
 
 
@@ -161,17 +168,18 @@ def certify_deficit_tracking(
 ) -> float:
     """Max over t in [1, t_max] of |sum_j p_j(t) - deficit| / eta(t).
 
-    The estimator's empirical deviation-rate constant (at most 2n for the
-    noisy split and harmonic step).  Rounds before its ``repeats_from`` are
-    read a chunk at a time, the rest as one row summed once; NaN gives NaN.
+    The estimator's empirical deviation-rate constant (for the noisy split
+    at most 2n only while t + offset <= 2 gain t, see ``NoisySplit``).
+    Rounds before its ``repeats_from`` are read a chunk at a time, the rest
+    as one row summed once, keeping each block's maximum; NaN gives NaN.
     """
     tail = min(estimator.repeats_from, t_max + 1)  # rounds tail..t_max all read one row
-    peaks = [deficit_deviation(estimator.block(t0, min(t0 + CHUNK, tail)), t0, step, deficit).max()
+    peaks = [_deviation(estimator.block(t0, min(t0 + CHUNK, tail)), t0, step, deficit)
              for t0 in range(1, tail, CHUNK)]
     if tail <= t_max:
         row = estimator.block(tail, tail + 1)
         repeated = np.broadcast_to(row, (t_max + 1 - tail, row.shape[1]))
-        peaks.append(deficit_deviation(repeated, tail, step, deficit).max())
+        peaks.append(_deviation(repeated, tail, step, deficit))
     return float(np.max(peaks, initial=0.0))
 
 

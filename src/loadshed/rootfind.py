@@ -11,20 +11,21 @@ exactly: the bound and the Lipschitz constant of the local fields, whether
 H has a single root, strictly inside a ramp (the sign condition), and
 whether the estimates' aggregate error shrinks like the step (the deviation
 rate).  It also computes ``consensus_diagnostics`` (the disagreement of a
-block of estimates and its ratio to the step size).
+block of estimates and its ratio to the step size), and ``certify`` sets
+every horizon and bound of ``loadshed check``'s certificate.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .criticality import Ccf, SurrogateCcf
 from .oracle import deficit_segment, exact_z_hat
+from .protocol import ProtocolInstance, RunTrace, certify_deficit_tracking, deficit_deviation
 
 
 @dataclass(frozen=True)
@@ -47,34 +48,30 @@ class CheckResult:
         return "  ".join(parts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssumptionCertificate:
     """The convergence conditions of one setup, checked on its CCFs and estimates.
 
     ``bound`` and ``lipschitz`` are exact constants of the local fields over
-    the checked horizon; ``deviation_rate`` and ``consensus_ratio`` are
-    measured.  ``checks`` carries one entry per condition an input can fail.
+    the checked horizon; ``consensus_ratio`` is measured.  ``checks`` carries
+    one entry per condition an input can fail; ``deviation_rate``'s is theta.
     """
 
-    bound: float = math.nan            # sup |h_j(z, t)|
-    lipschitz: float = math.nan        # largest ramp slope
-    deviation_rate: float = math.nan   # theta: |H - avg h(., t)| / eta(t)
-    window: int = 0                    # B of the schedule in force
-    consensus_ratio: float = math.nan  # nu: max disagreement / eta
-    checks: dict[str, CheckResult] = field(default_factory=dict)
+    bound: float                  # sup |h_j(z, t)|
+    lipschitz: float              # largest ramp slope
+    window: int                   # B of the schedule in force
+    consensus_ratio: float        # nu: max disagreement / eta
+    checks: dict[str, CheckResult]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks.values())
 
-    def add(self, check: CheckResult) -> None:
-        self.checks[check.name] = check
-
     def __str__(self) -> str:
         lines = [str(c) for c in self.checks.values()]
         lines.append(
             f"constants: bound={self.bound:.6g} lipschitz={self.lipschitz:.6g} "
-            f"deviation_rate={self.deviation_rate:.6g} window={self.window} "
+            f"deviation_rate={self.checks['deviation_rate'].value:.6g} window={self.window} "
             f"consensus_ratio={self.consensus_ratio:.6g}"
         )
         return "\n".join(lines)
@@ -166,3 +163,26 @@ def consensus_diagnostics(x: np.ndarray, eta: np.ndarray) -> ConsensusDiagnostic
     ratio = np.divide(disagreement, eta, out=np.zeros_like(disagreement), where=eta > 0)
     k = int(np.argmax(np.append(0.0, ratio)))  # index k is round k; 0: none positive
     return ConsensusDiagnostics(disagreement, float(ratio[k - 1]) if k else 0.0, max(k, 1))
+
+
+def certify(inst: ProtocolInstance, ccf: Ccf, deficit: float, max_rounds: int,
+            probe: RunTrace) -> AssumptionCertificate:
+    """``loadshed check``'s certificate of ``inst``: constants and deviation
+    rate over min(max_rounds, 2 000) rounds of estimates, the sign condition
+    on ``ccf`` (all loads), deficit tracking over min(100 000, 10 max_rounds)
+    rounds against 2n + 1e-9, and nu off the recorded run ``probe``."""
+    n = len(inst.surrogates)
+    estimates = inst.estimator.block(1, min(max_rounds, 2000) + 1)
+    bound, lipschitz = verify_assumption_bounded_lipschitz(inst.surrogates, estimates)
+    theta = certify_deficit_tracking(inst.estimator, inst.step, min(100_000, 10 * max_rounds),
+                                     deficit)
+    tracking_bound = 2.0 * n
+    checks = (
+        verify_sign_condition(ccf, inst.ramp_width, deficit),
+        verify_deviation_rate(deficit_deviation(estimates, 1, inst.step, deficit) / n),
+        CheckResult("deficit_tracking", theta <= tracking_bound + 1e-9, value=theta,
+                    detail=f"bound {tracking_bound:g}"),
+    )
+    return AssumptionCertificate(bound, lipschitz, inst.schedule.window,
+                                 consensus_diagnostics(probe.x, probe.eta).ratio_max,
+                                 {c.name: c for c in checks})

@@ -86,12 +86,11 @@ CRITICALITY_GRID = 10_000  # nature criticalities are multiples of 1e-4
 CONTINUOUS_TOLERANCE = 0.01
 
 # emit_trace formats at most this many rounds at a time, and at most
-# TRACE_BLOCK_BYTES of the longest text they can take: 20 bytes for an
-# int64 t and for each comma and cell (",-1.23456789012e-308"); a region's
-# ",zeta,z_min,alpha,p\n" tail takes _engine.c's TAIL_BYTES
+# TRACE_BLOCK_BYTES of the longest text they can take: the engine's
+# CELL_BYTES and a comma for an int64 t, for eta and for x, and its
+# TAIL_BYTES for a region's ",zeta,z_min,alpha,p\n" tail
 TRACE_BLOCK_ROUNDS = 512
 TRACE_BLOCK_BYTES = 1 << 20
-TRACE_TAIL_BYTES = 4 * 20 + 1
 
 
 class ScenarioError(ValueError):
@@ -787,7 +786,7 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
         distributed_shed_total=shed_total,
         rounds=trace.rounds,
         converged=trace.converged and answer_ok,
-        certificate_digest=certificate_digest(config, inst),
+        certificate_digest=certificate_digest(inst),
     )
     return trace, report
 
@@ -796,7 +795,7 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
 run_continuous = run_scenario
 
 
-def certificate_digest(config: ScenarioConfig, inst: ProtocolInstance) -> dict:
+def certificate_digest(inst: ProtocolInstance) -> dict:
     """The run's convergence setup, attached to every report: the schedule's
     window, the ramp width and the step gain."""
     return {
@@ -834,12 +833,12 @@ def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | No
     addresses = np.array([c.ctypes.data for c in cells], np.uintp)
     names = [f",{i}".encode() for i in ids]
     id_text, id_start = b"".join(names), np.array([0, *accumulate(map(len, names))], np.int64)
-    row_bytes = 3 * 20 + TRACE_TAIL_BYTES + max(map(len, names), default=0)
+    row_bytes = 3 * (_engine.CELL_BYTES + 1) + _engine.TAIL_BYTES + max(map(len, names), default=0)
     rounds = max(1, min(TRACE_BLOCK_ROUNDS, TRACE_BLOCK_BYTES // (max(n, 1) * row_bytes)))
     out = np.empty(rounds * n * row_bytes, np.uint8)
     # each region's last tail: its four 64-bit patterns, its text and length
     tail_bits, tail_len = np.zeros((n, 4), np.uint64), np.zeros(n, np.int64)
-    tail_text = np.empty((n, TRACE_TAIL_BYTES), np.uint8)
+    tail_text = np.empty((n, _engine.TAIL_BYTES), np.uint8)
     try:
         with open(path, "wb") as fh:
             fh.write(b"t,eta,region,x,zeta,z_min,alpha,p\n")

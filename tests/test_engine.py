@@ -31,6 +31,7 @@ from loadshed.protocol import (
     ProtocolInstance,
     StepSchedule,
     TraceEstimator,
+    _deviation,
     certify_deficit_tracking,
     deficit_deviation,
     run_protocol,
@@ -687,6 +688,30 @@ class TestDeviationMatchesReference:
         assert P.strides[0] == 0
         assert bits(deficit_deviation(P, t0, step, deficit)) == bits(
             deviation_reference(P, t0, step, deficit))
+
+    @settings(max_examples=300, deadline=None)
+    @given(deviation_blocks() | repeated_rows(), st.booleans())
+    def test_largest_deviation(self, case, with_out):
+        # the kernel's return value is numpy's maximum of the reference, and
+        # the per-round values it writes when given ``out`` are the reference
+        P, t0, step, deficit = case
+        reference = deviation_reference(P, t0, step, deficit)
+        out = np.full(len(P), -1.0) if with_out else None
+        assert bits([_deviation(P, t0, step, deficit, out)]) == bits(
+            [np.max(reference, initial=0.0)])
+        if with_out:
+            assert bits(out) == bits(reference)
+
+    @pytest.mark.parametrize("with_out", [False, True], ids=["maximum", "with-out"])
+    @pytest.mark.parametrize("P, largest", [
+        (np.empty((0, 2)), 0.0),
+        (np.array([[math.nan, 3.0], [9.0, 3.0], [3.0, 3.0]]), math.nan),  # then 6 / eta(2)
+        (np.array([[1.0, 1.0], [1e308, 1e308], [-1e308, -1e308]]), math.inf),
+        (np.full((3, 2), 3.0), 0.0),
+    ], ids=["no-rows", "nan-before-larger", "overflow", "all-zero"])
+    def test_largest_deviation_examples(self, P, largest, with_out):
+        out = np.empty(len(P)) if with_out else None
+        assert bits([_deviation(P, 1, StepSchedule(), 6.0, out)]) == bits([largest])
 
     @pytest.mark.parametrize("row", [
         np.arange(8.0)[::2],  # a row of stride 16 bytes

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,21 @@ class TestEstimators:
         step = StepSchedule()
         assert certify_deficit_tracking(est, step, 3000, 6.0) == 0.5 / step.eta(3000)
         assert certify_deficit_tracking(est, step, 3000, 6.5) == 0.0
+
+    @pytest.mark.parametrize("estimator", [
+        ExactSplit(6.0, 4), TraceEstimator(((1.5, 1.5, 1.5, 1.5), (1.5, 1.5, 1.5, 1.0))),
+    ], ids=["exact", "two-row-trace"])
+    def test_tracking_certificate_keeps_no_per_round_array(self, estimator):
+        # 100 000 rounds of one repeated row: a float per round would take 800 kB
+        step = StepSchedule()
+        certify_deficit_tracking(estimator, step, 100_000, 6.0)
+        tracemalloc.start()
+        try:
+            certify_deficit_tracking(estimator, step, 100_000, 6.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestXUpdate:

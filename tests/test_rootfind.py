@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from loadshed import cli, rootfind, scenario
-from loadshed.criticality import SurrogateCcf, build_ccf
+from loadshed.criticality import SurrogateCcf, build_ccf, column_ccf
 from loadshed.netgraph import StaticSchedule, normalize_edges
 from loadshed.oracle import exact_z_hat
 from loadshed.protocol import (
@@ -306,9 +307,22 @@ class TestCheckCertificate:
         assert cli.main(["--quiet", "check", str(path)]) == 0
         (cert,) = certificates
         sign = cert.checks["sign_condition"]
-        got = (cert.bound, cert.lipschitz, cert.deviation_rate, cert.window,
+        got = (cert.bound, cert.lipschitz, cert.checks["deviation_rate"].value, cert.window,
                cert.consensus_ratio, sign.value, sign.witness)
         assert [float(v).hex() for v in got] == [float(v).hex() for v in constants]
+
+    def test_certificate_is_frozen(self):
+        config = scenario.load_scenario(CONFIG_DIR / "two_region_step_example.json")
+        inst = scenario.build_instance(config)
+        probe = run_protocol(dataclasses.replace(inst, max_rounds=10, convergence_window=None))
+        ccf = column_ccf(*scenario.load_columns(config))
+        cert = rootfind.certify(inst, ccf, config.deficit, config.max_rounds, probe)
+        assert cert.passed and list(cert.checks) == [
+            "sign_condition", "deviation_rate", "deficit_tracking"]
+        for name in ("bound", "lipschitz", "window", "consensus_ratio", "checks"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cert, name, getattr(cert, name))
+        assert not hasattr(cert, "add") and not hasattr(cert, "deviation_rate")
 
     def test_lipschitz_is_the_largest_ramp_slope(self, capsys, tmp_path):
         # ramps about 5e-5 wide: a grid of 1 001 points read a slope of

@@ -1124,21 +1124,23 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "row, code, line",
+        "row, rounds, code, line",
         [
-            ([3, 3.5], 2, "deficit_tracking: FAIL  value=15000.5  bound 4"),
-            ([3, 3], 0, "deficit_tracking: pass  value=0  bound 4"),
+            ([3, 3.5], [], 2, "deficit_tracking: FAIL  value=15000.5  bound 4"),
+            ([3, 3], [], 0, "deficit_tracking: pass  value=0  bound 4"),
+            ([3, 3.25], ["--max-rounds", "1"], 0, "deficit_tracking: pass  value=2.75  bound 4"),
         ],
-        ids=["off-the-deficit", "on-the-deficit"],
+        ids=["off-the-deficit", "on-the-deficit", "between-n-and-2n"],
     )
-    def test_check_deficit_tracking(self, row, code, line, capsys, tmp_path):
+    def test_check_deficit_tracking(self, row, rounds, code, line, capsys, tmp_path):
         # theta is measured against the config's deficit (6), so a table
-        # that misses it by 0.5 fails at 0.5 (t + 1) over 30 000 rounds
+        # that misses it by 0.5 fails at 0.5 (t + 1) over 30 000 rounds; one
+        # that misses it by 0.25 reads 0.25 * 11 over 10 rounds, within 2n
         doc = json.loads((CONFIG_DIR / "two_region_step_example.json").read_text())
         doc["estimator"] = {"kind": "trace", "rows": [row]}
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(doc))
-        assert cli.main(["check", str(path)]) == code
+        assert cli.main(["check", str(path), *rounds]) == code
         assert line in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize(
