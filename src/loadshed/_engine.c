@@ -22,7 +22,8 @@
  * mixing once per call, from the first of its rows where the caller holds
  * them, as CSR arrays: row j of graph g holds entries
  * indptr[g*n + j] .. indptr[g*n + j + 1] - 1, in ascending column order,
- * which is the order every reduction runs in.  No other code reads them.
+ * which is the order every reduction runs in, the diagonal's sum of its
+ * row's weights included.  No other code reads them.
  * Arrays are C-ordered with one row per round, and every kernel reads the
  * caller's arrays where they are, copying none.  Build without
  * contraction to FMA (-ffp-contract=off) so every sum and product rounds
@@ -289,59 +290,29 @@ int64_t draw_repaired(uint64_t seed, uint64_t edge_tag, uint64_t repair_tag, int
     return 0;
 }
 
-/* numpy's pairwise sum of a float64 run (pairwise_sum_DOUBLE): below 8
- * values one by one, up to 128 in eight interleaved accumulators, and
- * above that the two halves (split at a multiple of 8) on their own. */
-static double pairwise_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = 0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (i = 0; i < 8; i++)
-            r[i] = a[i];
-        for (; i < n - n % 8; i += 8)
-            for (int64_t j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t half = n / 2 - n / 2 % 8;
-    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
-}
-
 /* The Metropolis-Hastings mixing of count graphs, graph g the pair row
  * rows[pick[g]], as CSR: row j of graph g holds entries indptr[g*n + j] ..
- * indptr[g*n + j + 1] - 1 of col and weight, in ascending column order.  A neighbour k weighs
- * 1 / (1 + max(deg j, deg k)); the diagonal is 1 minus the row's sum,
- * summed as numpy sums the dense row with a zero diagonal, and is positive,
- * so the arrays hold count*n + 2*(edges) entries.  Returns 0, or -1 when
- * working memory cannot be had.  rounds calls it; it is exported for the
- * tests, which hold it to a dense reference. */
+ * indptr[g*n + j + 1] - 1 of col and weight, in ascending column order.  A
+ * neighbour k weighs 1 / (1 + max(deg j, deg k)); the diagonal is 1 minus
+ * the sum of those weights, added one by one from 0.0 in ascending column
+ * order, and is positive, so the arrays hold count*n + 2*(edges) entries.
+ * Returns 0, or -1 when working memory cannot be had.  rounds calls it; it
+ * is exported for the tests, which hold it to a matrix reference. */
 int64_t metropolis(int64_t n, int64_t count, const uint8_t *rows, const int32_t *pick,
                    int64_t *indptr, int32_t *col, double *weight)
 {
     int64_t pairs = n * (n - 1) / 2, e = 0;
-    /* per node: its degree and n slots for its neighbours; 1 / (1 + d) at
-     * each degree d; and one dense row, kept zero between rows */
+    /* per node: its degree and n slots for its neighbours, then 1 / (1 + d)
+     * at each degree d */
     int64_t *degree = malloc((n * (n + 1) + 1) * sizeof *degree), *adjacent = degree + n;
-    double *inverse = malloc((2 * n + 1) * sizeof *inverse), *dense = inverse + n;
+    double *inverse = malloc((n + 1) * sizeof *inverse);
     if (!degree || !inverse) {
         free(degree);
         free(inverse);
         return -1;
     }
-    for (int64_t v = 0; v < n; v++) {
+    for (int64_t v = 0; v < n; v++)
         inverse[v] = 1.0 / (1.0 + (double)v);
-        dense[v] = 0.0;
-    }
     indptr[0] = 0;
     for (int64_t g = 0; g < count; g++) {
         const uint8_t *row = rows + pick[g] * pairs;
@@ -359,21 +330,18 @@ int64_t metropolis(int64_t n, int64_t count, const uint8_t *rows, const int32_t 
             }
         for (int64_t j = 0; j < n; j++) {
             const int64_t *next = adjacent + j * n, *end = next + degree[j];
-            for (const int64_t *a = next; a < end; a++)
-                dense[*a] = inverse[degree[j] > degree[*a] ? degree[j] : degree[*a]];
-            double diagonal = 1.0 - pairwise_sum(dense, n);
-            for (; next < end && *next < j; next++) {
-                col[e] = (int32_t)*next;
-                weight[e++] = dense[*next];
-            }
-            col[e] = (int32_t)j;
-            weight[e++] = diagonal;
+            int64_t diagonal = -1;
+            double sum = 0.0;
             for (; next < end; next++) {
+                if (diagonal < 0 && *next > j)
+                    diagonal = e++;
                 col[e] = (int32_t)*next;
-                weight[e++] = dense[*next];
+                sum += weight[e++] = inverse[degree[j] > degree[*next] ? degree[j] : degree[*next]];
             }
-            for (const int64_t *a = adjacent + j * n; a < end; a++)
-                dense[*a] = 0.0;
+            if (diagonal < 0)
+                diagonal = e++;
+            col[diagonal] = (int32_t)j;
+            weight[diagonal] = 1.0 - sum;
             indptr[g * n + j + 1] = e;
         }
     }

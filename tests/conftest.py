@@ -201,11 +201,12 @@ def component_labels(rows: np.ndarray, n: int) -> np.ndarray:
 def metropolis_block(rows: np.ndarray, n: int) -> np.ndarray:
     """Metropolis-Hastings mixing matrix of each row of pair columns:
     off-diagonal weights 1/(1 + max degree of the endpoints), and the
-    diagonal 1 minus numpy's sum of the row."""
+    diagonal 1 minus the row's weights added left to right (``np.cumsum``
+    is sequential, and the row's zeros add exactly)."""
     A = _adjacency(rows, n)
     degree = A.sum(axis=2)
     W = np.where(A, 1.0 / (1.0 + np.maximum(degree[:, :, None], degree[:, None, :])), 0.0)
-    W[:, range(n), range(n)] = 1.0 - W.sum(axis=2)
+    W[:, range(n), range(n)] = 1.0 - np.cumsum(W, axis=2)[:, :, -1]
     return W
 
 
@@ -256,7 +257,10 @@ def scalar_metropolis(edges, n: int) -> np.ndarray:
     for i, j in edge_list:
         W[i, j] = W[j, i] = 1.0 / (1.0 + max(degree[i], degree[j]))
     for i in range(n):
-        W[i, i] = 1.0 - W[i].sum()
+        total = 0.0  # left to right: np.sum is pairwise, sum() compensated from 3.12
+        for w in W[i].tolist():
+            total += w
+        W[i, i] = 1.0 - total
     return W
 
 

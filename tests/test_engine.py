@@ -569,21 +569,24 @@ class TestGraphsMatchReferences:
         assert bits(picked[2]) == bits(copied[2])
 
     @pytest.mark.parametrize("n", [8, 29, 70, 200])
-    def test_diagonal_is_one_minus_numpys_pairwise_sum(self, n):
-        # a left-to-right sum of the row differs in the last bit on some
-        # rows; the engine's diagonal is numpy's on all of them (past 128
-        # nodes, numpy sums the two halves of a row on their own)
+    def test_diagonal_is_one_minus_the_ascending_sum(self, n):
+        # every diagonal is 1 minus its row's weights added one by one in
+        # ascending column order; numpy's pairwise sum of the row differs
+        # in the last bit on some rows, so the test tells the two orders
+        # apart (past 128 nodes numpy also splits the row in halves)
         rows = draw_edges(n, range(20), n, 0.5)
-        W = metropolis_block(rows, n)
-        sequential = 0
+        W = dense(rows, n)
+        pairwise = 0
         for g in range(len(rows)):
             for j in range(n):
+                off = W[g, j].copy()
+                off[j] = 0.0
                 total = 0.0
-                for k, v in enumerate(W[g, j].tolist()):
-                    total += 0.0 if k == j else v
-                sequential += 1.0 - total != W[g, j, j]
-        assert sequential
-        assert bits(dense(rows, n)) == bits(W)
+                for v in off.tolist():
+                    total += v
+                assert W[g, j, j] == 1.0 - total, (g, j)
+                pairwise += W[g, j, j] != 1.0 - off.sum()
+        assert pairwise
 
 
 @st.composite

@@ -240,7 +240,7 @@ class TestSchedules:
         assert check_window_connectivity(PeriodicSchedule(2, steps, window=1), 100) is None
 
 
-class TestMixingCache:
+class TestBlockGraphs:
     """A block's graphs: one graph index per round into pair rows, one row
     per round of a random block and one per step of a cyclic schedule."""
 
