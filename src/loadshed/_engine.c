@@ -20,10 +20,10 @@
  * rows and one graph index per round, dedupes the rows (a hash table,
  * every match confirmed by memcmp), and builds each distinct graph's
  * mixing once per call, from the first of its rows where the caller holds
- * them, as CSR arrays: row j of graph g holds entries
- * indptr[g*n + j] .. indptr[g*n + j + 1] - 1, in ascending column order,
- * which is the order every reduction runs in, the diagonal's sum of its
- * row's weights included.  No other code reads them.
+ * them, as CSR arrays in a working buffer of the caller's: row j of graph
+ * g holds entries indptr[g*n + j] .. indptr[g*n + j + 1] - 1, in ascending
+ * column order, which is the order every reduction runs in, the
+ * diagonal's sum of its row's weights included.  No other code reads them.
  * Arrays are C-ordered with one row per round, and every kernel reads the
  * caller's arrays where they are, copying none.  Build without
  * contraction to FMA (-ffp-contract=off) so every sum and product rounds
@@ -296,21 +296,15 @@ int64_t draw_repaired(uint64_t seed, uint64_t edge_tag, uint64_t repair_tag, int
  * neighbour k weighs 1 / (1 + max(deg j, deg k)); the diagonal is 1 minus
  * the sum of those weights, added one by one from 0.0 in ascending column
  * order, and is positive, so the arrays hold count*n + 2*(edges) entries.
- * Returns 0, or -1 when working memory cannot be had.  rounds calls it; it
- * is exported for the tests, which hold it to a matrix reference. */
-int64_t metropolis(int64_t n, int64_t count, const uint8_t *rows, const int32_t *pick,
-                   int64_t *indptr, int32_t *col, double *weight)
+ * The caller's scratch: degree, of n*(n + 1) entries, gets each node's
+ * degree, then n slots per node for its neighbours, and inverse 1 / (1 + d)
+ * at each degree d < n.  rounds calls it; it is exported for the tests,
+ * which hold it to a matrix reference. */
+void metropolis(int64_t n, int64_t count, const uint8_t *rows, const int32_t *pick,
+                int64_t *indptr, int32_t *col, double *weight, int64_t *degree,
+                double *inverse)
 {
-    int64_t pairs = n * (n - 1) / 2, e = 0;
-    /* per node: its degree and n slots for its neighbours, then 1 / (1 + d)
-     * at each degree d */
-    int64_t *degree = malloc((n * (n + 1) + 1) * sizeof *degree), *adjacent = degree + n;
-    double *inverse = malloc((n + 1) * sizeof *inverse);
-    if (!degree || !inverse) {
-        free(degree);
-        free(inverse);
-        return -1;
-    }
+    int64_t pairs = n * (n - 1) / 2, e = 0, *adjacent = degree + n;
     for (int64_t v = 0; v < n; v++)
         inverse[v] = 1.0 / (1.0 + (double)v);
     indptr[0] = 0;
@@ -345,9 +339,6 @@ int64_t metropolis(int64_t n, int64_t count, const uint8_t *rows, const int32_t 
             indptr[g * n + j + 1] = e;
         }
     }
-    free(degree);
-    free(inverse);
-    return 0;
 }
 
 /* A hash of a pair row of len bytes: one multiply per eight bytes, read
@@ -416,47 +407,45 @@ static int64_t dedupe(int64_t len, int64_t count, const uint8_t *rows, int64_t s
 /* run_rounds over the mixing of graphs pair rows, built here once per
  * distinct row from its first row in rows: round t0 + r mixes with the
  * distinct graph of rows[graph[r]].  The upper indices of the estimates in
- * row 0 of state start with a full search each.  Returns the number of
- * rounds run, or -1 when memory for the deduplication, the mixing and the
- * indices cannot be had. */
+ * row 0 of state start with a full search each.  Its working memory is the
+ * capacity bytes at work, 8-byte aligned.  Returns the rounds run or,
+ * writing nothing but work, minus the bytes it needs: the table's, checked
+ * before the dedupe, or else, checked after it, all of them. */
 int64_t rounds(int64_t n, int64_t m, int64_t t0, double gain, double offset,
                double exponent, const int32_t *graph, int64_t graphs,
                const uint8_t *rows, const double *P, const int64_t *bstart,
                const double *b, const double *cum, double c, int64_t window,
-               int64_t *streak, double *etas, double *state)
+               int64_t *streak, double *etas, double *state, void *work, int64_t capacity)
 {
-    int64_t pairs = n * (n - 1) / 2, slots = 2, ran = -1;
+    int64_t pairs = n * (n - 1) / 2, slots = 2;
     while (slots < 2 * graphs)
         slots *= 2;
     /* the table, each row's distinct graph, each distinct graph's first
-     * row, then each round's distinct graph */
-    int32_t *slot = malloc((slots + 2 * graphs + m) * sizeof *slot);
-    if (!slot)
-        return -1;
-    int32_t *of_row = slot + slots, *pick = of_row + graphs, *index = pick + graphs;
+     * row, then each round's distinct graph, in whole words */
+    int64_t table = (slots + 2 * graphs + m + 1) / 2 * 8;
+    if (capacity < table)
+        return -table;
+    int32_t *slot = work, *of_row = slot + slots, *pick = of_row + graphs, *index = pick + graphs;
     int64_t distinct = dedupe(pairs, graphs, rows, slots, slot, of_row, pick);
-    for (int64_t r = 0; r < m; r++)
-        index[r] = of_row[graph[r]];
-    /* every diagonal entry and each edge twice, and one more */
+    /* every diagonal entry and each edge twice */
     int64_t entries = distinct * n;
     for (int64_t d = 0; d < distinct; d++)
         entries += 2 * nonzero(rows + pick[d] * pairs, pairs);
-    /* the CSR row starts, then the upper indices */
-    int64_t *indptr = malloc((distinct * n + 1 + n) * sizeof *indptr);
-    int32_t *col = malloc((entries + 1) * sizeof *col);
-    double *w = malloc((entries + 1) * sizeof *w);
-    if (indptr && col && w && !metropolis(n, distinct, rows, pick, indptr, col, w)) {
-        int64_t *at = indptr + distinct * n + 1;
-        for (int64_t j = 0; j < n; j++)
-            at[j] = upper(state[j], b + bstart[j], bstart[j + 1] - bstart[j], 0);
-        ran = run_rounds(n, m, t0, gain, offset, exponent, index, indptr, col, w, P,
-                         bstart, b, cum, c, window, streak, etas, state, at);
-    }
-    free(slot);
-    free(indptr);
-    free(col);
-    free(w);
-    return ran;
+    /* then, a word each, the CSR row starts, the upper indices, metropolis's
+     * degrees and neighbour slots and its inverses, the weights; the columns */
+    int64_t need = table + 8 * (distinct * n + 1 + n + n * (n + 1) + n + entries) + 4 * entries;
+    if (capacity < need)
+        return -need;
+    int64_t *indptr = (int64_t *)((char *)work + table), *at = indptr + distinct * n + 1;
+    double *inverse = (double *)(at + n + n * (n + 1)), *w = inverse + n;
+    int32_t *col = (int32_t *)(w + entries);
+    for (int64_t r = 0; r < m; r++)
+        index[r] = of_row[graph[r]];
+    metropolis(n, distinct, rows, pick, indptr, col, w, at + n, inverse);
+    for (int64_t j = 0; j < n; j++)
+        at[j] = upper(state[j], b + bstart[j], bstart[j + 1] - bstart[j], 0);
+    return run_rounds(n, m, t0, gain, offset, exponent, index, indptr, col, w, P, bstart, b,
+                      cum, c, window, streak, etas, state, at);
 }
 
 /* Rows of the trace CSV (see scenario.emit_trace). */

@@ -81,7 +81,7 @@ surrogate.argtypes = [_i64, _ptr, _ptr, _i64, _ptr, _f64, _ptr]
 surrogate.restype = None
 rounds = _lib.rounds
 rounds.argtypes = [_i64, _i64, _i64, _f64, _f64, _f64, _ptr, _i64, _ptr, _ptr, _ptr, _ptr, _ptr,
-                   _f64, _i64, ctypes.POINTER(_i64), _ptr, _ptr]
+                   _f64, _i64, ctypes.POINTER(_i64), _ptr, _ptr, _ptr, _i64]
 rounds.restype = _i64
 components = _lib.components
 components.argtypes = [_i64, _i64, _i64, _ptr, _ptr]

@@ -47,7 +47,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load(args)
     trace, report = scenario.run_scenario(config, record_trace=args.trace is not None)
-    if args.trace:
+    if args.trace is not None:
         scenario.emit_trace(trace, args.trace, scenario.region_ids(config))
     _emit(scenario.report_json(report), args.quiet)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE

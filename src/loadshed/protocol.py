@@ -257,6 +257,7 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     carried = ctypes.c_int64(0)  # the streak, carried from chunk to chunk
     converged = False
     recorded: list[tuple] = []  # per chunk: eta, state rows, p
+    work = np.empty(0)  # the kernel's working memory, for the whole run
     t0 = 1
     while t0 <= inst.max_rounds and not converged:
         m = min(CHUNK, inst.max_rounds + 1 - t0)
@@ -266,12 +267,12 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
             raise ValueError(f"estimator gave a {P.shape} block for {m} rounds of {n} regions")
         state, etas = np.empty((4, m + 1, n)), np.empty(m)
         state[:, 0] = last
-        ran = _engine.rounds(n, m, t0, step.gain, step.offset, step.exponent, graph.ctypes.data,
-                             len(rows), rows.ctypes.data, P.ctypes.data, *regions,
-                             inst.ramp_width, window, ctypes.byref(carried), etas.ctypes.data,
-                             state.ctypes.data)
-        if ran < 0:
-            raise MemoryError("no working memory for the mixing weights")
+        while (ran := _engine.rounds(n, m, t0, step.gain, step.offset, step.exponent,
+                                     graph.ctypes.data, len(rows), rows.ctypes.data,
+                                     P.ctypes.data, *regions, inst.ramp_width, window,
+                                     ctypes.byref(carried), etas.ctypes.data, state.ctypes.data,
+                                     work.ctypes.data, work.nbytes)) < 0:
+            work = np.empty(-(ran // 8))  # the bytes it needs, rounded up to words
         last = state[:, ran]
         if record_trace:
             recorded.append((etas[:ran], state[:, 1:ran + 1], P[:ran]))

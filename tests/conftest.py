@@ -218,11 +218,12 @@ def stochasticity_defect(W: np.ndarray) -> float:
 
 
 # The engine's Metropolis weights, which its chunk kernel builds from a
-# chunk's pair rows and reads as CSR arrays: no code outside the kernel
-# reads them, so the tests bind the function themselves.
+# chunk's pair rows into its working buffer and reads as CSR arrays: no
+# code outside the kernel reads them, so the tests bind the function
+# themselves, with its scratch (degrees and neighbour slots, inverses).
 _metropolis = _engine._lib.metropolis
-_metropolis.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
-_metropolis.restype = ctypes.c_int64
+_metropolis.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 7
+_metropolis.restype = None
 
 
 def mixing_csr(rows: np.ndarray, n: int, pick=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,8 +238,9 @@ def mixing_csr(rows: np.ndarray, n: int, pick=None) -> tuple[np.ndarray, np.ndar
     entries = len(pick) * n + 2 * np.count_nonzero(rows[pick])  # every diagonal, each edge twice
     indptr = np.empty(len(pick) * n + 1, np.int64)
     col, weight = np.empty(entries, np.int32), np.empty(entries)
-    assert _metropolis(n, len(pick), rows.ctypes.data, pick.ctypes.data, indptr.ctypes.data,
-                       col.ctypes.data, weight.ctypes.data) == 0
+    degree, inverse = np.empty(n * (n + 1), np.int64), np.empty(n)
+    _metropolis(n, len(pick), rows.ctypes.data, pick.ctypes.data, indptr.ctypes.data,
+                col.ctypes.data, weight.ctypes.data, degree.ctypes.data, inverse.ctypes.data)
     return indptr, col, weight
 
 

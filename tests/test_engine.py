@@ -199,10 +199,12 @@ def assert_rounds_match(case: Chunk, graph=None, rows=None) -> np.ndarray:
     return state
 
 
-def run_kernel(case: Chunk, graph=None, rows=None):
-    """``_engine.rounds`` over the chunk: rounds run, etas, state rows, streak.
-    Round r mixes with the pair row ``rows[graph[r]]``; by default each
-    round reads its own row of the chunk's."""
+def chunk_kernel(case: Chunk, graph=None, rows=None):
+    """``_engine.rounds`` over the chunk as a function of its working
+    memory (an array, whose bytes are its capacity), and the etas, state
+    and streak it writes.  Round r mixes with the pair row
+    ``rows[graph[r]]``; by default each round reads its own row of the
+    chunk's."""
     (m, n), step, surrogates = case.P.shape, case.step, case.surrogates
     if graph is None:
         graph, rows = np.arange(m, dtype=np.int32), case.rows
@@ -215,10 +217,24 @@ def run_kernel(case: Chunk, graph=None, rows=None):
     state[:, 0] = (case.x, case.zeta, case.z, case.alpha)
     streak = ctypes.c_int64(case.streak)
     window = np.iinfo(np.int64).max if case.window is None else case.window
-    ran = _engine.rounds(n, m, case.t0, step.gain, step.offset, step.exponent, graph.ctypes.data,
-                         len(rows), rows.ctypes.data, P.ctypes.data, bstart.ctypes.data,
-                         bps.ctypes.data, cum.ctypes.data, surrogates[0].ramp_width, window,
-                         ctypes.byref(streak), etas.ctypes.data, state.ctypes.data)
+
+    def call(work: np.ndarray) -> int:
+        return _engine.rounds(n, m, case.t0, step.gain, step.offset, step.exponent,
+                              graph.ctypes.data, len(rows), rows.ctypes.data, P.ctypes.data,
+                              bstart.ctypes.data, bps.ctypes.data, cum.ctypes.data,
+                              surrogates[0].ramp_width, window, ctypes.byref(streak),
+                              etas.ctypes.data, state.ctypes.data, work.ctypes.data, work.nbytes)
+    return call, etas, state, streak
+
+
+def run_kernel(case: Chunk, graph=None, rows=None):
+    """``_engine.rounds`` over the chunk: rounds run, etas, state rows, streak.
+    Its working memory grows, as ``run_protocol``'s does, to each need it
+    returns, rounded up to whole words."""
+    call, etas, state, streak = chunk_kernel(case, graph, rows)
+    work = np.empty(0)
+    while (ran := call(work)) < 0:
+        work = np.empty(-(ran // 8))
     return ran, etas[:ran], state[:, 1:ran + 1], streak.value
 
 
@@ -332,12 +348,56 @@ class TestKernelsMatchReferences:
         assert by_step[0] == by_round[0] and by_step[3] == by_round[3]  # rounds run, streak
         assert bits(by_step[1]) == bits(by_round[1]) and bits(by_step[2]) == bits(by_round[2])
 
-    def test_no_memory_is_a_memory_error(self, monkeypatch):
-        monkeypatch.setattr(_engine, "rounds", lambda *args: -1)
-        inst = ProtocolInstance(ONE_NODE.surrogates, RandomSchedule(1, 0.5, 1, 0), StepSchedule(),
-                                ExactSplit(1.0, 1))
-        with pytest.raises(MemoryError, match="no working memory for the mixing weights"):
-            run_protocol(inst)
+    @pytest.mark.parametrize("n, p", [(29, 0.2), (4, 0.5), (1, 0.0)])
+    def test_a_word_short_writes_nothing_but_work(self, n, p):
+        # the need, read after a table-sized call, comes back unchanged
+        # from a buffer one word short of it, and state, etas and the
+        # streak stay bit for bit as they were
+        rng = np.random.default_rng(n)
+        case = seeded_chunk(rng.random((40, n * (n - 1) // 2)) < p, n)._replace(streak=7)
+        call, etas, state, streak = chunk_kernel(case)
+        state[:, 1:], etas[:] = rng.random(state[:, 1:].shape), rng.random(etas.shape)
+        before = bits(state), bits(etas), streak.value
+        table = -call(np.empty(0))
+        need = -call(np.empty(-(-table // 8)))
+        assert 0 < table < need
+        assert call(np.empty(-(-need // 8) - 1)) == -need
+        assert (bits(state), bits(etas), streak.value) == before
+        assert call(np.empty(-(-need // 8))) == 40
+        _, expected_etas, expected_state, expected_streak = run_kernel(case)
+        assert bits(etas) == bits(expected_etas) and streak.value == expected_streak
+        assert bits(state[:, 1:]) == bits(expected_state)
+
+    @pytest.mark.parametrize("schedule, count", [
+        (RandomSchedule(4, 0.1, 2, 2), 10),
+        (PeriodicSchedule(4, (frozenset({(0, 1), (2, 3)}), frozenset({(1, 2)}), frozenset()), 3),
+         7),
+    ], ids=["random", "cyclic"])
+    def test_run_grows_its_buffer_only_on_a_need(self, schedule, count, monkeypatch):
+        # each chunk calls the kernel at most three times (the table's need,
+        # the whole need, the run), and the capacity changes only after a
+        # need, to that need in whole words; the random run's later chunks
+        # hold more distinct graphs than its first, so it grows three more
+        # times, and the cyclic run's chunks all need what its first did
+        calls, kernel = [], _engine.rounds
+
+        def counted(*args):
+            calls.append((args[-1], kernel(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(_engine, "rounds", counted)
+        surrogates = seeded_chunk(np.zeros((1, 6), dtype=bool), 4).surrogates
+        inst = ProtocolInstance(surrogates, schedule, StepSchedule(), ExactSplit(2.0, 4),
+                                convergence_window=None, max_rounds=4 * CHUNK + 100)
+        assert run_protocol(inst, record_trace=False).rounds == 4 * CHUNK + 100
+        ran = [r for _, r in calls]
+        assert len(calls) == count
+        runs = [k for k, r in enumerate(ran) if r > 0]
+        assert [ran[k] for k in runs] == [CHUNK] * 4 + [100]
+        assert np.diff([-1, *runs]).max() <= 3
+        assert calls[0] == (0, ran[0]) and ran[0] < 0
+        for (capacity, r), (after, _) in zip(calls, calls[1:]):
+            assert after == (capacity if r > 0 else -(r // 8) * 8)
 
 
 def seeded_chunk(rows: np.ndarray, n: int, seed: int = 0) -> Chunk:

@@ -285,6 +285,11 @@ class TestBlockGraphs:
         assert block_rows(rows[:1], 12)[0] == mixing_rows(
             metropolis_weights(schedule.edges_at(2049), 12))
 
+    def test_no_memory_for_the_repair_is_a_memory_error(self, monkeypatch):
+        monkeypatch.setattr(_engine, "draw_repaired", lambda *args: -1)
+        with pytest.raises(MemoryError, match="no working memory for the window repair"):
+            RandomSchedule(4, 0.5, window=2, seed=0).graphs_between(1, 10)
+
     def test_random_schedule_read_once_per_round(self, monkeypatch):
         # one draw per block read, each round of the block and of the
         # window it starts in drawn once; the last round of each window

@@ -861,13 +861,13 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_unwritable_trace_exits_2(self, tmp_path, capsys):
-        rc = cli.main([
-            "run", str(CONFIG_DIR / "two_region_step_example.json"),
-            "--trace", str(tmp_path / "missing" / "trace.csv"),
-        ])
-        assert rc == 2
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: failed writing trace")
+        # the empty path records the run too, and then fails to open
+        for path in (str(tmp_path / "missing" / "trace.csv"), ""):
+            rc = cli.main(["run", str(CONFIG_DIR / "two_region_step_example.json"),
+                           "--trace", path])
+            assert rc == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: failed writing trace")
 
     @pytest.mark.parametrize("x0", [1e308, -1e308, sys.float_info.max])
     def test_overflowing_mean_estimate_is_not_converged(self, x0, tmp_path, capsys):
