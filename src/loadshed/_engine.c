@@ -24,15 +24,14 @@
  * g holds entries indptr[g*n + j] .. indptr[g*n + j + 1] - 1, in ascending
  * column order, which is the order every reduction runs in, the
  * diagonal's sum of its row's weights included.  No other code reads them.
- * Arrays are C-ordered with one row per round, and every kernel reads the
- * caller's arrays where they are, copying none.  Build without
+ * Arrays are C-ordered with one row per round.  No kernel copies or
+ * allocates: every buffer is the caller's, scratch included.  Build without
  * contraction to FMA (-ffp-contract=off) so every sum and product rounds
  * as it does in Python.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* bisect_right(b, z) over bn strictly increasing breakpoints: how many lie
@@ -238,10 +237,11 @@ void components(int64_t n, int64_t count, int64_t window, const uint8_t *rows,
  * its components (in ascending order of their least nodes) are stably
  * sorted by mix64(seed, repair_tag, keys[w], i), and the chain through
  * their least nodes, in that order, is added to the window's last row.
- * Returns 0, or -1 when working memory cannot be had. */
-int64_t draw_repaired(uint64_t seed, uint64_t edge_tag, uint64_t repair_tag, int64_t n,
-                      double p, uint64_t first, int64_t count, int64_t window, int64_t windows,
-                      const uint64_t *keys, uint8_t *rows)
+ * The caller's scratch, of 4*n words, holds each node's label, the
+ * components' least nodes, their order and their draws. */
+void draw_repaired(uint64_t seed, uint64_t edge_tag, uint64_t repair_tag, int64_t n, double p,
+                   uint64_t first, int64_t count, int64_t window, int64_t windows,
+                   const uint64_t *keys, uint8_t *rows, int64_t *scratch)
 {
     int64_t pairs = n * (n - 1) / 2;
     uint64_t edges = seeded(seed, edge_tag), repair = seeded(seed, repair_tag);
@@ -251,14 +251,8 @@ int64_t draw_repaired(uint64_t seed, uint64_t edge_tag, uint64_t repair_tag, int
         for (int64_t k = 0; k < pairs; k++)
             row[k] = (double)(int64_t)(mix(state, (uint64_t)k) >> 11) * 0x1p-53 < p;
     }
-    int64_t *label = malloc((3 * n + 1) * sizeof *label);
-    uint64_t *draw = malloc((n + 1) * sizeof *draw);
-    if (!label || !draw) {
-        free(label);
-        free(draw);
-        return -1;
-    }
-    int64_t *leader = label + n, *order = leader + n;
+    int64_t *label = scratch, *leader = label + n, *order = leader + n;
+    uint64_t *draw = (uint64_t *)(order + n);
     for (int64_t w = 0; w < windows; w++) {
         union_labels(n, rows + w * window * pairs, window, label);
         int64_t found = 0;
@@ -285,9 +279,6 @@ int64_t draw_repaired(uint64_t seed, uint64_t edge_tag, uint64_t repair_tag, int
             last[i < j ? pair_column(i, j, n) : pair_column(j, i, n)] = 1;
         }
     }
-    free(label);
-    free(draw);
-    return 0;
 }
 
 /* The Metropolis-Hastings mixing of count graphs, graph g the pair row

@@ -88,8 +88,8 @@ components.argtypes = [_i64, _i64, _i64, _ptr, _ptr]
 components.restype = None
 # c_uint64 arguments wrap modulo 2**64, as seeding.mix64 reduces its parts
 draw_repaired = _lib.draw_repaired
-draw_repaired.argtypes = [_u64, _u64, _u64, _i64, _f64, _u64, _i64, _i64, _i64, _ptr, _ptr]
-draw_repaired.restype = _i64
+draw_repaired.argtypes = [_u64, _u64, _u64, _i64, _f64, _u64, _i64, _i64, _i64, _ptr, _ptr, _ptr]
+draw_repaired.restype = None
 trace_rows = _lib.trace_rows
 trace_rows.argtypes = [_i64, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]
 trace_rows.restype = _i64

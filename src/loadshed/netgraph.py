@@ -87,10 +87,10 @@ def repaired_rows(seed: int, counters: range, n: int, edge_probability: float, w
     keys = np.asarray(keys, dtype=np.uint64)
     if window < 1 or len(keys) * window > len(rows):
         raise ValueError(f"{len(keys)} windows of {window} rounds in {len(rows)} counters")
-    if _engine.draw_repaired(seed, STREAM_EDGES, STREAM_REPAIR, n, edge_probability,
-                             counters.start, len(rows), window, len(keys), keys.ctypes.data,
-                             rows.ctypes.data):
-        raise MemoryError("no working memory for the window repair")
+    scratch = np.empty(4 * n, np.int64)
+    _engine.draw_repaired(seed, STREAM_EDGES, STREAM_REPAIR, n, edge_probability, counters.start,
+                          len(rows), window, len(keys), keys.ctypes.data, rows.ctypes.data,
+                          scratch.ctypes.data)
     return rows
 
 

@@ -169,7 +169,7 @@ class SummaryReport:
     oracle: SheddingSolution | None
     oracle_continuous: ContinuousSolution | None
     distributed_z_star: float | None
-    per_region_final: tuple[float | str, ...]  # "inf" for an infinite value
+    per_region_final: tuple[float | str, ...]  # "inf", "-inf" or "nan" for a non-finite value
     distributed_shed_total: float | None
     rounds: int
     converged: bool
@@ -748,12 +748,13 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
     Discrete mode reports the oracle and the regions' final min-consensus
     values.  Continuous mode reports the closed form and the final
     threshold estimates; each region applies the fill rule to its own
-    estimate, and the reported shed total sums those local decisions.
-    Infinite per-region values are reported as ``"inf"``, as in the trace
-    CSV, so the report stays strict JSON.  A run is reported converged only
-    when the engine's cutoffs settled and its threshold is the centralized
-    one: the oracle's in discrete mode, and within ``CONTINUOUS_TOLERANCE``
-    of the closed form's in continuous mode.
+    estimate, and the reported shed total sums those local decisions; a
+    non-finite estimate leaves neither threshold nor shed total.  Non-finite
+    per-region values are strings (``"inf"``, ``"-inf"``, ``"nan"``), as in
+    the trace CSV, so the report stays strict JSON.  A run is reported
+    converged only when the engine's cutoffs settled and its threshold is
+    the centralized one: the oracle's in discrete mode, and within
+    ``CONTINUOUS_TOLERANCE`` of the closed form's in continuous mode.
     """
     inst = build_instance(config)
     trace = run_protocol(inst, record_trace=record_trace)
@@ -761,12 +762,13 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
     if config.mode == "continuous":
         closed_form = continuous_closed_form(config)
         final = trace.final_x
+        finite = all(map(math.isfinite, final))
         try:
-            z_dist = math.fsum(final) / len(final)
+            z_dist = math.fsum(final) / len(final) if finite else None
         except OverflowError:  # finite estimates whose sum is not
             z_dist = None
-        shed_total = math.fsum(continuous_fill(r.capacity, r.criticality, z)
-                               for r, z in zip(config.continuous_regions, final))
+        shed_total = math.fsum(continuous_fill(r.capacity, r.criticality, z) for r, z in
+                               zip(config.continuous_regions, final)) if finite else None
         answer_ok = z_dist is not None and abs(z_dist - closed_form.z_tilde) <= CONTINUOUS_TOLERANCE
     else:
         oracle = oracle_summary(config)
@@ -782,7 +784,7 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
         oracle=oracle,
         oracle_continuous=closed_form,
         distributed_z_star=z_dist,
-        per_region_final=tuple(str(v) if math.isinf(v) else v for v in final),
+        per_region_final=tuple(v if math.isfinite(v) else str(v) for v in final),
         distributed_shed_total=shed_total,
         rounds=trace.rounds,
         converged=trace.converged and answer_ok,

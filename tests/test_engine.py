@@ -66,7 +66,10 @@ SEEDS = st.integers(0, 2**64 - 1) | st.integers(2**63 - 2, 2**63 + 2)
 
 
 def bits(values) -> list[int]:
-    return np.asarray(values, dtype=np.float64).view(np.uint64).ravel().tolist()
+    """Each value's bit pattern, every NaN's as one: IEEE 754 leaves the
+    sign of a NaN result unspecified, so only that it is a NaN is compared."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(values), math.nan, values).view(np.uint64).ravel().tolist()
 
 
 def floats(draw, shape, low=-2.0, high=2.0, special=()) -> np.ndarray:

@@ -881,6 +881,27 @@ class TestCli:
         assert all(math.isfinite(v) for v in payload["per_region_final"])
         assert payload["distributed_z_star"] is None and payload["converged"] is False
 
+    @pytest.mark.parametrize("row, final", [
+        ([-1e308] * 4, ["-inf"] * 4),  # the estimates run off to -inf
+        ([1e308, -1e308, 1e308, -1e308], ["nan"] * 4),  # inf - inf in the mixing
+    ])
+    def test_estimates_off_the_floats_are_not_converged(self, row, final, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "continuous_four_regions.json").read_text())
+        doc["step"] = {"gain": 1e308}
+        doc["estimator"] = {"kind": "trace", "rows": [row]}
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", str(path)]) == 3
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        out, err = capsys.readouterr()
+        payload = json.loads(out, parse_constant=strict)
+        assert err == "" and payload["per_region_final"] == final
+        assert payload["distributed_z_star"] is None and payload["distributed_shed_total"] is None
+        assert payload["converged"] is False
+
     @pytest.mark.parametrize("x0, z_dist", [(10, 5.135), (-5, -2.081)])
     def test_continuous_run_off_the_closed_form_is_not_converged(self, x0, z_dist, tmp_path,
                                                                  capsys):
