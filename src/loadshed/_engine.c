@@ -4,7 +4,7 @@
  * their draw and window repair and the components of a window's union,
  * the trace CSV's rows (see scenario.emit_trace), deviation, the largest
  * deficit-tracking error of a block that check certifies (see
- * protocol.deficit_deviation), which sums a row that repeats only once,
+ * rootfind.deficit_deviation), which sums a row that repeats only once,
  * and prefix_sums, the exact prefix sums of every CCF (see
  * criticality._cumulative): an unsigned fixed-point accumulator in units
  * of 2**-1074, correctly rounded once per breakpoint.
@@ -79,8 +79,8 @@ void surrogate(int64_t count, const double *z, const double *b, int64_t bn,
     }
 }
 
-/* eta(t) = gain / (t + offset)^exponent, with no power at exponent 1, as
- * protocol.StepSchedule.eta computes it. */
+/* eta(t) = gain / (t + offset)^exponent (protocol.StepSchedule), with no
+ * power at exponent 1. */
 static inline double step_size(int64_t t, double gain, double offset, double exponent)
 {
     double base = (double)t + offset;
@@ -600,7 +600,7 @@ int64_t trace_rows(int64_t n, int64_t m, int64_t first, const double *eta,
     return o - out;
 }
 
-/* The deficit-tracking error (see protocol.deficit_deviation). */
+/* The deficit-tracking error (see rootfind.deficit_deviation). */
 
 /* Adds x to the running *total and the rounding error of every addition so
  * far to *error (Knuth's TwoSum). */

@@ -54,13 +54,6 @@ class StepSchedule:
                 f"step exponent must lie in (0.5, 1], got {self.exponent}"
             )
 
-    def eta(self, t: int) -> float:
-        """eta(t); the engine's kernels compute it with the same operations."""
-        base = t + self.offset
-        if self.exponent == 1.0:
-            return self.gain / base
-        return self.gain / base ** self.exponent
-
 
 @dataclass(frozen=True)
 class ExactSplit:
@@ -139,50 +132,6 @@ DEFAULT_STABLE_ROUNDS = 50
 CHUNK = 1024
 
 
-def _deviation(P: np.ndarray, t0: int, step: StepSchedule, deficit: float,
-               out: np.ndarray | None = None) -> float:
-    """The engine's ``deviation``: the largest error of P's rows, each one's in ``out``."""
-    P = np.asarray(P, dtype=np.float64)
-    P = P if P.strides[0] == 0 and P[:1].flags.c_contiguous else np.ascontiguousarray(P)
-    return _engine.deviation(P.shape[1], len(P), t0, step.gain, step.offset, step.exponent,
-                             P.ctypes.data, P.strides[0] // P.itemsize, deficit,
-                             None if out is None else out.ctypes.data)
-
-
-def deficit_deviation(P: np.ndarray, t0: int, step: StepSchedule, deficit: float) -> np.ndarray:
-    """|sum_j p_j(t) - deficit| / eta(t) for the rows of P, rounds t0, t0 + 1, ...
-
-    The engine's ``deviation`` kernel sums each row's 2n terms, the estimates
-    and n equal shares of the deficit, with TwoSum, so an exact split reads 0
-    and estimates that cancel, as 1e308 and -1e308 do, keep the shares'
-    error; one that overflows is inf.  eta(t) is computed as the round kernel
-    does, only for nonzero errors; rows of stride 0 (broadcast) sum once.
-    """
-    out = np.empty(len(P))
-    _deviation(P, t0, step, deficit, out)
-    return out
-
-
-def certify_deficit_tracking(
-    estimator: Estimator, step: StepSchedule, t_max: int, deficit: float
-) -> float:
-    """Max over t in [1, t_max] of |sum_j p_j(t) - deficit| / eta(t).
-
-    The estimator's empirical deviation-rate constant (for the noisy split
-    at most 2n only while t + offset <= 2 gain t, see ``NoisySplit``).
-    Rounds before its ``repeats_from`` are read a chunk at a time, the rest
-    as one row summed once, keeping each block's maximum; NaN gives NaN.
-    """
-    tail = min(estimator.repeats_from, t_max + 1)  # rounds tail..t_max all read one row
-    peaks = [_deviation(estimator.block(t0, min(t0 + CHUNK, tail)), t0, step, deficit)
-             for t0 in range(1, tail, CHUNK)]
-    if tail <= t_max:
-        row = estimator.block(tail, tail + 1)
-        repeated = np.broadcast_to(row, (t_max + 1 - tail, row.shape[1]))
-        peaks.append(_deviation(repeated, tail, step, deficit))
-    return float(np.max(peaks, initial=0.0))
-
-
 @dataclass(frozen=True)
 class ProtocolInstance:
     """Everything the runtime needs for one scenario: one surrogate per
@@ -243,7 +192,6 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     switching networks.  The kernel runs a chunk of whole rounds per call.
     """
     n = len(inst.surrogates)
-    K = inst.convergence_window
     step = inst.step
     ccfs = [s.base for s in inst.surrogates]
     bstart = np.cumsum([0, *(len(c.breakpoints) for c in ccfs)], dtype=np.int64)
@@ -253,13 +201,13 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     # estimates, cutoffs, min-consensus values and steps before round t0
     last = np.repeat([[inst.x0], [math.inf], [math.inf], [inst.ramp_width / 2.0]], n, axis=1)
     # a streak never exceeds the rounds run, so max_rounds + 1 never stops a run
-    window = inst.max_rounds + 1 if K is None else K
-    carried = ctypes.c_int64(0)  # the streak, carried from chunk to chunk
-    converged = False
-    recorded: list[tuple] = []  # per chunk: eta, state rows, p
+    window = inst.max_rounds + 1 if inst.convergence_window is None else inst.convergence_window
+    streak = ctypes.c_int64(0)  # carried from chunk to chunk
+    # the recorded chunks' steps, state rows and estimates, after an empty block
+    etas_rec, state_rec, p_rec = [np.empty(0)], [np.empty((4, 0, n))], [np.empty((0, n))]
     work = np.empty(0)  # the kernel's working memory, for the whole run
     t0 = 1
-    while t0 <= inst.max_rounds and not converged:
+    while t0 <= inst.max_rounds and streak.value < window:
         m = min(CHUNK, inst.max_rounds + 1 - t0)
         graph, rows = inst.schedule.graphs_between(t0, t0 + m)
         P = np.ascontiguousarray(inst.estimator.block(t0, t0 + m), dtype=np.float64)
@@ -270,38 +218,31 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
         while (ran := _engine.rounds(n, m, t0, step.gain, step.offset, step.exponent,
                                      graph.ctypes.data, len(rows), rows.ctypes.data,
                                      P.ctypes.data, *regions, inst.ramp_width, window,
-                                     ctypes.byref(carried), etas.ctypes.data, state.ctypes.data,
+                                     ctypes.byref(streak), etas.ctypes.data, state.ctypes.data,
                                      work.ctypes.data, work.nbytes)) < 0:
             work = np.empty(-(ran // 8))  # the bytes it needs, rounded up to words
         last = state[:, ran]
         if record_trace:
-            recorded.append((etas[:ran], state[:, 1:ran + 1], P[:ran]))
+            etas_rec.append(etas[:ran])
+            state_rec.append(state[:, 1:ran + 1])
+            p_rec.append(P[:ran])
         t0 += ran
-        converged = carried.value >= window
-    streak = carried.value
-    if K is None:
-        converged = streak >= DEFAULT_STABLE_ROUNDS
+    # a fixed-horizon run needs a closing stretch of DEFAULT_STABLE_ROUNDS
+    stable = DEFAULT_STABLE_ROUNDS if inst.convergence_window is None else window
     x, zeta, z, alpha = last
-
-    if recorded:
-        eta_parts, state_parts, p_parts = zip(*recorded)
-        eta, ps = np.concatenate(eta_parts), np.concatenate(p_parts)
-        xs, zetas, zs, alphas = np.concatenate(state_parts, axis=1)
-    else:
-        eta = np.empty(0)
-        xs = zetas = zs = alphas = ps = np.empty((0, n))
+    xs, zetas, zs, alphas = np.concatenate(state_rec, axis=1)
     return RunTrace(
         rounds=t0 - 1,
-        converged=converged,
+        converged=streak.value >= stable,
         final_x=tuple(x.tolist()),
         final_zeta=tuple(zeta.tolist()),
         final_z=tuple(z.tolist()),
         final_alpha=tuple(alpha.tolist()),
-        zeta_stable_rounds=streak,
-        eta=eta,
+        zeta_stable_rounds=streak.value,
+        eta=np.concatenate(etas_rec),
         x=xs,
         zeta=zetas,
         z_min=zs,
         alpha=alphas,
-        p=ps,
+        p=np.concatenate(p_rec),
     )

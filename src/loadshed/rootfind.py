@@ -10,9 +10,10 @@ a table, so this module reads the convergence argument's constants off them
 exactly: the bound and the Lipschitz constant of the local fields, whether
 H has a single root, strictly inside a ramp (the sign condition), and
 whether the estimates' aggregate error shrinks like the step (the deviation
-rate).  It also computes ``consensus_diagnostics`` (the disagreement of a
-block of estimates and its ratio to the step size), and ``certify`` sets
-every horizon and bound of ``loadshed check``'s certificate.
+rate and the deficit-tracking constant, both read by the engine's
+``deviation`` kernel).  It also computes ``consensus_diagnostics`` (the
+disagreement of a block of estimates and its ratio to the step size), and
+``certify`` sets every horizon and bound of ``loadshed check``'s certificate.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _engine
 from .criticality import Ccf, SurrogateCcf
 from .oracle import deficit_segment, exact_z_hat
-from .protocol import ProtocolInstance, RunTrace, certify_deficit_tracking, deficit_deviation
+from .protocol import CHUNK, Estimator, ProtocolInstance, RunTrace, StepSchedule
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,45 @@ def consensus_diagnostics(x: np.ndarray, eta: np.ndarray) -> ConsensusDiagnostic
     return ConsensusDiagnostics(disagreement, float(ratio[k - 1]) if k else 0.0, max(k, 1))
 
 
+def deficit_deviation(P: np.ndarray, t0: int, step: StepSchedule, deficit: float,
+                      out: np.ndarray | None = None) -> float:
+    """The largest |sum_j p_j(t) - deficit| / eta(t) over the rows of P,
+    rounds t0, t0 + 1, ..., with each row's written into ``out`` when given.
+
+    The engine's ``deviation`` kernel sums each row's 2n terms, the estimates
+    and n equal shares of the deficit, with TwoSum, so an exact split reads 0
+    and estimates that cancel, as 1e308 and -1e308 do, keep the shares'
+    error; one that overflows is inf, and a NaN row makes the largest NaN.
+    eta(t) is computed as the round kernel does, only for nonzero errors;
+    rows of stride 0 (broadcast) sum once.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    P = P if P.strides[0] == 0 and P[:1].flags.c_contiguous else np.ascontiguousarray(P)
+    return _engine.deviation(P.shape[1], len(P), t0, step.gain, step.offset, step.exponent,
+                             P.ctypes.data, P.strides[0] // P.itemsize, deficit,
+                             None if out is None else out.ctypes.data)
+
+
+def certify_deficit_tracking(
+    estimator: Estimator, step: StepSchedule, t_max: int, deficit: float
+) -> float:
+    """Max over t in [1, t_max] of |sum_j p_j(t) - deficit| / eta(t).
+
+    The estimator's empirical deviation-rate constant (for the noisy split
+    at most 2n only while t + offset <= 2 gain t, see ``NoisySplit``).
+    Rounds before its ``repeats_from`` are read a chunk at a time, the rest
+    as one row summed once, keeping each block's maximum; NaN gives NaN.
+    """
+    tail = min(estimator.repeats_from, t_max + 1)  # rounds tail..t_max all read one row
+    peaks = [deficit_deviation(estimator.block(t0, min(t0 + CHUNK, tail)), t0, step, deficit)
+             for t0 in range(1, tail, CHUNK)]
+    if tail <= t_max:
+        row = estimator.block(tail, tail + 1)
+        repeated = np.broadcast_to(row, (t_max + 1 - tail, row.shape[1]))
+        peaks.append(deficit_deviation(repeated, tail, step, deficit))
+    return float(np.max(peaks, initial=0.0))
+
+
 def certify(inst: ProtocolInstance, ccf: Ccf, deficit: float, max_rounds: int,
             probe: RunTrace) -> AssumptionCertificate:
     """``loadshed check``'s certificate of ``inst``: constants and deviation
@@ -176,10 +217,12 @@ def certify(inst: ProtocolInstance, ccf: Ccf, deficit: float, max_rounds: int,
     bound, lipschitz = verify_assumption_bounded_lipschitz(inst.surrogates, estimates)
     theta = certify_deficit_tracking(inst.estimator, inst.step, min(100_000, 10 * max_rounds),
                                      deficit)
+    deviation = np.empty(len(estimates))
+    deficit_deviation(estimates, 1, inst.step, deficit, deviation)
     tracking_bound = 2.0 * n
     checks = (
         verify_sign_condition(ccf, inst.ramp_width, deficit),
-        verify_deviation_rate(deficit_deviation(estimates, 1, inst.step, deficit) / n),
+        verify_deviation_rate(deviation / n),
         CheckResult("deficit_tracking", theta <= tracking_bound + 1e-9, value=theta,
                     detail=f"bound {tracking_bound:g}"),
     )

@@ -109,6 +109,9 @@ class ContinuousRegion:
         if not (isinstance(self.criticality, int) and self.criticality >= 1):
             raise ValueError(f"region {self.id}: continuous criticality must be a positive "
                              f"integer, got {self.criticality!r}")
+        if self.criticality > 2**53:  # so each is a distinct float, and no two ramps overlap
+            raise ValueError(f"region {self.id}: continuous criticality {self.criticality} "
+                             f"above 2**53")
 
 
 @dataclass(frozen=True)
@@ -259,10 +262,6 @@ def build_instance(config: ScenarioConfig) -> ProtocolInstance:
 def validate(config: ScenarioConfig) -> None:
     """Raise a ``ScenarioError`` naming the first fault of ``config`` that
     the parser's field checks do not see."""
-    if config.version != CONFIG_VERSION:
-        raise ScenarioError(f"unsupported config version {config.version}")
-    if config.mode not in ("discrete", "continuous"):
-        raise ScenarioError(f"unknown mode {config.mode!r}")
     if config.deficit <= 0:
         raise ScenarioError(f"deficit {config.deficit} must be positive")
     if not 0.0 <= config.combiner_weight <= 1.0:  # checked in continuous mode too
@@ -543,6 +542,10 @@ def _estimator(estimator: dict, n: int, deficit: float, seed: int) -> Estimator:
 
 def _config_from_dict(doc: dict) -> ScenarioConfig:
     root = _fields(doc, _ROOT)
+    if root["version"] != CONFIG_VERSION:  # before any nested object is read
+        raise ScenarioError(f"unsupported config version {root['version']}")
+    if root["mode"] not in ("discrete", "continuous"):
+        raise ScenarioError(f"unknown mode {root['mode']!r}")
     graph = _fields(root["graph"], _GRAPH, "graph.")
     step = _built(StepSchedule, "step.", **_fields(root["step"], _STEP, "step."))
     estimator = _fields(root["estimator"], _ESTIMATOR, "estimator.")

@@ -35,6 +35,7 @@ from loadshed.oracle import (
     deficit_segment,
     exact_z_hat,
 )
+from loadshed.rootfind import deficit_deviation
 from loadshed.seeding import STREAM_EDGES, mix64_grid, unit_float
 
 # (power GW, criticality) pairs of the worked step-function example;
@@ -331,6 +332,14 @@ def row_neighbors(w_rows: list[list[tuple[int, float]]]) -> list[list[int]]:
 # one round, one region and one neighbour at a time.
 
 
+def step_eta(step, t: int) -> float:
+    """eta(t) of a ``StepSchedule``, with the operations of the kernels' ``step_size``."""
+    base = t + step.offset
+    if step.exponent == 1.0:
+        return step.gain / base
+    return step.gain / base ** step.exponent
+
+
 def scalar_surrogate(surrogate, z: float) -> float:
     """The surrogate CCF at one point by ``bisect_right`` on lists: the
     load at or below z, plus the climbed part of the ramp ending at the next
@@ -434,7 +443,14 @@ def protocol_rounds(state, streak, window, rows, etas, ps, surrogates):
 
 
 # Numpy reference for the compiled deficit-tracking error
-# (``protocol.deficit_deviation``, the engine's ``deviation``).
+# (``rootfind.deficit_deviation``, the engine's ``deviation``).
+
+
+def deviation_rows(P, t0: int, step, deficit: float) -> np.ndarray:
+    """The per-round errors that ``rootfind.deficit_deviation`` writes into its ``out``."""
+    out = np.empty(len(P))
+    deficit_deviation(P, t0, step, deficit, out)
+    return out
 
 
 def deviation_reference(P: np.ndarray, t0: int, step, deficit: float) -> np.ndarray:
@@ -442,7 +458,7 @@ def deviation_reference(P: np.ndarray, t0: int, step, deficit: float) -> np.ndar
 
     The 2n terms p_j, -deficit/n are summed column by column with TwoSum,
     all rows at once; a total that is not finite stands as it is.  Only
-    nonzero errors are divided by ``step.eta``.
+    nonzero errors are divided by ``step_eta``.
     """
     share = deficit / P.shape[1]
     total = error = np.zeros(len(P))
@@ -455,7 +471,7 @@ def deviation_reference(P: np.ndarray, t0: int, step, deficit: float) -> np.ndar
         errors = np.abs(np.where(np.isfinite(total), total + error, total))
     rounds = np.flatnonzero(errors)
     with np.errstate(divide="ignore", over="ignore"):  # a subnormal or zero eta
-        errors[rounds] /= [step.eta(t) for t in (rounds + t0).tolist()]
+        errors[rounds] /= [step_eta(step, t) for t in (rounds + t0).tolist()]
     return errors
 
 

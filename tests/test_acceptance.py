@@ -23,12 +23,8 @@ from loadshed.oracle import (
     exact_z_star,
     greedy_shed_set,
 )
-from loadshed.protocol import (
-    NoisySplit,
-    StepSchedule,
-    certify_deficit_tracking,
-    run_protocol,
-)
+from loadshed.protocol import NoisySplit, StepSchedule, run_protocol
+from loadshed.rootfind import certify_deficit_tracking
 from loadshed.scenario import (
     emit_trace,
     generate_scenario,
@@ -336,4 +332,31 @@ class TestAcceptance:
             same_generated and outputs[0] == outputs[1],
             "repeated runs with identical config and seed emit byte-identical "
             "trace CSVs (generated noisy scenario and shipped example)",
+        )
+
+    def test_9_paper_scale(self):
+        # seeds 0-7 of every gen family at the paper's 29 regions x 232 loads,
+        # each on the fixed 45 000-round horizon: a run reported converged
+        # must have the oracle's threshold.  Most line runs do not converge
+        # yet: on a 29-node path the estimates still disagree by about
+        # nu * eta(t) at round 45 000 (ROADMAP items 3 and 4), and most hold
+        # their cutoffs over the closing 50 rounds on another threshold.  The
+        # pinned line sets change when those items land.
+        expected = {"random": set(range(8)), "random-periodic": set(range(8)),
+                    "line": {1, 3, 7}, "line-periodic": {7}}
+        converged = {family: set() for family in expected}
+        wrong = []
+        for family, seeds in converged.items():
+            for seed in range(8):
+                config = generate_scenario(29, 232, seed=seed, graph=family)
+                _, rep = run_scenario(config, record_trace=False)
+                if rep.converged:
+                    seeds.add(seed)
+                    if rep.distributed_z_star != rep.oracle.z_star:
+                        wrong.append((family, seed))
+        report(
+            9,
+            not wrong and converged == expected,
+            f"29 x 232, 45 000 rounds: converged seeds {converged}, "
+            f"on a threshold other than the oracle's: {wrong}",
         )

@@ -31,17 +31,16 @@ from loadshed.protocol import (
     ProtocolInstance,
     StepSchedule,
     TraceEstimator,
-    _deviation,
-    certify_deficit_tracking,
-    deficit_deviation,
     run_protocol,
 )
+from loadshed.rootfind import certify_deficit_tracking, deficit_deviation
 from loadshed.seeding import STREAM_EDGES, STREAM_REPAIR, mix64, unit_float
 
 from conftest import (
     block_rows,
     component_labels,
     deviation_reference,
+    deviation_rows,
     dmc_rounds,
     draw_edges,
     local_zeta,
@@ -51,6 +50,7 @@ from conftest import (
     round_rows,
     row_neighbors,
     scalar_surrogate,
+    step_eta,
     stochasticity_defect,
     window_labels,
     x_rounds,
@@ -174,7 +174,7 @@ def steered(pairs, ramp, x, path, step, t0, connected=False) -> Chunk:
     case = chunk_over(pairs, ramp, x, np.zeros((len(path), len(pairs))), step, t0, connected)
     mixing = block_rows(case.rows, len(pairs))
     for r, target in enumerate(path):
-        eta = step.eta(t0 + r)
+        eta = step_eta(step, t0 + r)
         case.P[r] = [scalar_surrogate(s, v) + (goal - v) / eta
                      for s, v, goal in zip(case.surrogates, x, target)]
         (x,) = x_rounds(x, [mixing[r]], [eta], [case.P[r].tolist()], case.surrogates)
@@ -189,7 +189,7 @@ def assert_rounds_match(case: Chunk, graph=None, rows=None) -> np.ndarray:
     ``case.rows``."""
     m, n = case.P.shape
     ran, etas, state, streak = run_kernel(case, graph, rows)
-    expected_etas = [case.step.eta(t) for t in range(case.t0, case.t0 + m)]
+    expected_etas = [step_eta(case.step, t) for t in range(case.t0, case.t0 + m)]
     start = tuple(v.tolist() for v in (case.x, case.zeta, case.z, case.alpha))
     expected, expected_streak = protocol_rounds(
         start, case.streak, case.window, block_rows(case.rows, n), expected_etas,
@@ -249,7 +249,7 @@ class TestKernelsMatchReferences:
         (m, n), step = case.P.shape, case.step
         ran, etas, state, _ = run_kernel(case._replace(window=None))
         assert ran == m
-        expected_etas = [step.eta(t) for t in range(case.t0, case.t0 + m)]
+        expected_etas = [step_eta(step, t) for t in range(case.t0, case.t0 + m)]
         assert bits(etas) == bits(expected_etas)
         expected = x_rounds(case.x.tolist(), block_rows(case.rows, n), expected_etas,
                             case.P.tolist(), case.surrogates)
@@ -742,7 +742,7 @@ class TestDeviationMatchesReference:
     @example((np.full((2, 1), 1.0), 99_999, StepSchedule(5e-324, 1.0, 0.6), 0.0))  # eta 0
     def test_deficit_deviation(self, case):
         P, t0, step, deficit = case
-        assert bits(deficit_deviation(P, t0, step, deficit)) == bits(
+        assert bits(deviation_rows(P, t0, step, deficit)) == bits(
             deviation_reference(P, t0, step, deficit))
 
     @settings(max_examples=200, deadline=None)
@@ -752,7 +752,7 @@ class TestDeviationMatchesReference:
     def test_deficit_deviation_of_a_repeated_row(self, case):
         P, t0, step, deficit = case
         assert P.strides[0] == 0
-        assert bits(deficit_deviation(P, t0, step, deficit)) == bits(
+        assert bits(deviation_rows(P, t0, step, deficit)) == bits(
             deviation_reference(P, t0, step, deficit))
 
     @settings(max_examples=300, deadline=None)
@@ -763,7 +763,7 @@ class TestDeviationMatchesReference:
         P, t0, step, deficit = case
         reference = deviation_reference(P, t0, step, deficit)
         out = np.full(len(P), -1.0) if with_out else None
-        assert bits([_deviation(P, t0, step, deficit, out)]) == bits(
+        assert bits([deficit_deviation(P, t0, step, deficit, out)]) == bits(
             [np.max(reference, initial=0.0)])
         if with_out:
             assert bits(out) == bits(reference)
@@ -777,7 +777,7 @@ class TestDeviationMatchesReference:
     ], ids=["no-rows", "nan-before-larger", "overflow", "all-zero"])
     def test_largest_deviation_examples(self, P, largest, with_out):
         out = np.empty(len(P)) if with_out else None
-        assert bits([_deviation(P, 1, StepSchedule(), 6.0, out)]) == bits([largest])
+        assert bits([deficit_deviation(P, 1, StepSchedule(), 6.0, out)]) == bits([largest])
 
     @pytest.mark.parametrize("row", [
         np.arange(8.0)[::2],  # a row of stride 16 bytes
@@ -786,7 +786,7 @@ class TestDeviationMatchesReference:
     ], ids=["strided", "integer", "scalar"])
     def test_repeated_rows_of_other_layouts(self, row):
         P = np.broadcast_to(row, (7, 4))
-        assert bits(deficit_deviation(P, 3, StepSchedule(), 6.0)) == bits(
+        assert bits(deviation_rows(P, 3, StepSchedule(), 6.0)) == bits(
             deviation_reference(np.array(P, dtype=np.float64), 3, StepSchedule(), 6.0))
 
     @settings(max_examples=300, deadline=None)

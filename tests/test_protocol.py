@@ -28,10 +28,10 @@ from loadshed.protocol import (
     ProtocolInstance,
     StepSchedule,
     TraceEstimator,
-    certify_deficit_tracking,
     run_protocol,
 )
 from loadshed import scenario
+from loadshed.rootfind import certify_deficit_tracking
 from loadshed.seeding import STREAM_NOISE, mix64, noise_matrix, unit_float
 
 from conftest import (
@@ -42,6 +42,7 @@ from conftest import (
     metropolis_weights,
     mixing_rows,
     protocol_rounds,
+    step_eta,
     x_rounds,
     eval_ccf,
 )
@@ -92,8 +93,8 @@ def continuous_vc_instance(max_rounds=1000, x0=1.0):
 class TestStepSchedule:
     def test_harmonic_default(self):
         step = StepSchedule()
-        assert step.eta(1) == 0.5
-        assert step.eta(9) == 0.1
+        assert step_eta(step, 1) == 0.5
+        assert step_eta(step, 9) == 0.1
 
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
@@ -111,7 +112,7 @@ class TestStepSchedule:
     def test_sum_behaviour_numeric(self):
         # partial sums of eta keep growing, partial sums of eta^2 flatten
         for step in (StepSchedule(), StepSchedule(2.0, 50.0, 1.0), StepSchedule(1.0, 1.0, 0.6)):
-            etas = [step.eta(t) for t in range(1, 200_001)]
+            etas = [step_eta(step, t) for t in range(1, 200_001)]
             first = sum(etas[:100_000])
             assert sum(etas) > first * 1.05
             sq = [e * e for e in etas]
@@ -178,14 +179,14 @@ class TestEstimators:
         est = TraceEstimator(((1.0, 2.0), (1.6, 1.6), (1.5, 1.5)))
         step = StepSchedule()
         theta = certify_deficit_tracking(est, step, 10, 3.0)
-        assert theta == pytest.approx(0.2 / step.eta(2), rel=1e-9)
+        assert theta == pytest.approx(0.2 / step_eta(step, 2), rel=1e-9)
 
     def test_tracking_certificate_trace_off_the_deficit(self):
         # a table that never sums to the deficit: the ratio grows like
         # 0.5 (t + 1) and peaks at the last round
         est = TraceEstimator(((3.0, 3.5),))
         step = StepSchedule()
-        assert certify_deficit_tracking(est, step, 3000, 6.0) == 0.5 / step.eta(3000)
+        assert certify_deficit_tracking(est, step, 3000, 6.0) == 0.5 / step_eta(step, 3000)
         assert certify_deficit_tracking(est, step, 3000, 6.5) == 0.0
 
     @pytest.mark.parametrize("estimator", [
@@ -376,7 +377,7 @@ def per_round_run(inst):
     streak = 0
     rows = []
     for t in range(1, inst.max_rounds + 1):
-        eta, p = inst.step.eta(t), inst.estimator.block(t, t + 1)[0].tolist()
+        eta, p = step_eta(inst.step, t), inst.estimator.block(t, t + 1)[0].tolist()
         w_rows = mixing_rows(metropolis_weights(inst.schedule.edges_at(t), n))
         (state,), streak = protocol_rounds(state, streak, inst.convergence_window, [w_rows],
                                            [eta], [p], inst.surrogates)

@@ -17,19 +17,26 @@ from loadshed.protocol import (
     ProtocolInstance,
     StepSchedule,
     TraceEstimator,
-    certify_deficit_tracking,
-    deficit_deviation,
     run_protocol,
 )
 from loadshed.rootfind import (
     CheckResult,
+    certify_deficit_tracking,
     consensus_diagnostics,
     verify_assumption_bounded_lipschitz,
     verify_deviation_rate,
     verify_sign_condition,
 )
 
-from conftest import FIG_PAIRS, FIG_RAMP, block_rows, round_rows, x_rounds
+from conftest import (
+    FIG_PAIRS,
+    FIG_RAMP,
+    block_rows,
+    deviation_rows,
+    round_rows,
+    step_eta,
+    x_rounds,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -46,7 +53,7 @@ def fig_surrogates(pairs_by_region=(FIG_PAIRS[:4], FIG_PAIRS[4:])):
 def deviation_rate(estimator, rounds, deficit=6.0):
     """``loadshed check``'s deviation-rate line for ``estimator`` over rounds 1..rounds."""
     P = estimator.block(1, rounds + 1)
-    return verify_deviation_rate(deficit_deviation(P, 1, ETA, deficit) / P.shape[1])
+    return verify_deviation_rate(deviation_rows(P, 1, ETA, deficit) / P.shape[1])
 
 
 def continuous_run(estimator, rounds, x0):
@@ -63,7 +70,7 @@ def recursion(x0, surrogates, schedule, rounds):
     """``x_rounds`` from the node states ``x0`` over rounds 1..rounds, with
     zero deficit estimates; one row per round."""
     rows = block_rows(round_rows(schedule, 1, rounds + 1), schedule.n)
-    etas = [ETA.eta(t) for t in range(1, rounds + 1)]
+    etas = [step_eta(ETA, t) for t in range(1, rounds + 1)]
     ps = [[0.0] * len(x0)] * rounds
     return np.array(x_rounds(x0, rows, etas, ps, surrogates))
 
@@ -142,8 +149,8 @@ class TestAssumptionChecks:
         # each estimate is off its share of 3 by more than 1e308 and their
         # sum is 0, so the aggregate error is the deficit, 6, in every round
         est = TraceEstimator(((-1e308, 1e308),))
-        ratios = deficit_deviation(est.block(1, 11), 1, ETA, 6.0)
-        assert ratios.tolist() == [6.0 / ETA.eta(t) for t in range(1, 11)]
+        ratios = deviation_rows(est.block(1, 11), 1, ETA, 6.0)
+        assert ratios.tolist() == [6.0 / step_eta(ETA, t) for t in range(1, 11)]
 
 
 class TestRunToRoot:
@@ -238,7 +245,7 @@ def loop_deviation_rate(rows, deficit):
     horizon = len(rows)
     running, attained_at = 0.0, 1
     for t in rootfind._sample_times(horizon):
-        ratio = abs(math.fsum([*rows[t - 1], *[-share] * n])) / ETA.eta(t) / n
+        ratio = abs(math.fsum([*rows[t - 1], *[-share] * n])) / step_eta(ETA, t) / n
         if ratio > running:
             running, attained_at = ratio, t
     return CheckResult("deviation_rate", attained_at <= max(1, horizon // 2), value=running,

@@ -1088,9 +1088,15 @@ class TestCli:
              "regions[2]: region 3: negative capacity -1.0"),
             ("continuous_four_regions.json", ("regions", 3, "criticality"), 0,
              "regions[3]: region 4: continuous criticality must be a positive integer, got 0"),
+            # not a float: reading it as one overflowed
+            ("continuous_four_regions.json", ("regions", 0, "criticality"), 10**400,
+             f"regions[0]: region 1: continuous criticality {10**400} above 2**53"),
+            # the same float as 2**53, so its ramp would merge with one at 2**53
+            ("continuous_four_regions.json", ("regions", 0, "criticality"), 2**53 + 1,
+             "regions[0]: region 1: continuous criticality 9007199254740993 above 2**53"),
         ],
         ids=["power", "nature", "region", "gain", "offset", "exponent", "capacity",
-             "continuous-criticality"],
+             "continuous-criticality", "huge-criticality", "criticality-above-2**53"],
     )
     def test_range_error_names_its_path(self, config, where, value, message, capsys,
                                         tmp_path):
@@ -1105,6 +1111,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"mode": "continous"}, "unknown mode 'continous'"),
+        ({"version": 2, "graph": {"kind": "static", "extra": 1}}, "unsupported config version 2"),
+    ], ids=["mode-typo", "version-2"])
+    def test_version_and_mode_are_read_first(self, edit, message, capsys, tmp_path):
+        # before the region table that the mode picks, and before the nested objects
+        doc = {**json.loads((CONFIG_DIR / "continuous_four_regions.json").read_text()), **edit}
+        path = tmp_path / "first.json"
+        path.write_text(json.dumps(doc))
+        for command in ("run", "solve", "check"):
+            assert cli.main([command, str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "config, key, message",
