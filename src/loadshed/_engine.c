@@ -2,7 +2,7 @@
  * (see protocol.py) with the surrogate and the Metropolis mixing it
  * computes, the random schedules' graphs that feed it (see netgraph.py):
  * their draw and window repair and the components of a window's union,
- * the trace CSV's rows (see scenario.emit_trace), deviation, the largest
+ * the trace CSV's rows (see scenario.TraceWriter), deviation, the largest
  * deficit-tracking error of a block that check certifies (see
  * rootfind.deficit_deviation), which sums a row that repeats only once,
  * and prefix_sums, the exact prefix sums of every CCF (see
@@ -439,10 +439,10 @@ int64_t rounds(int64_t n, int64_t m, int64_t t0, double gain, double offset,
                       cum, c, window, streak, etas, state, at);
 }
 
-/* Rows of the trace CSV (see scenario.emit_trace). */
+/* Rows of the trace CSV (see scenario.TraceWriter). */
 
 /* The longest %.12g cell, "-1.23456789012e-308", and the most a region's
- * ",zeta,z_min,alpha,p\n" tail can take; scenario.emit_trace sizes its
+ * ",zeta,z_min,alpha,p\n" tail can take; scenario.TraceWriter sizes its
  * buffers by both, exported as trace_cell_bytes and trace_tail_bytes. */
 #define CELL_BYTES 19
 #define TAIL_BYTES (4 * (CELL_BYTES + 1) + 1)
@@ -478,17 +478,21 @@ static int64_t cell(double v, char *s)
     memcpy(&bits, &a, sizeof bits);
     /* k: 11 minus a's decimal exponent, or one more, since a normal a
      * lies in [2**e2, 2**(e2 + 1)); zeros, subnormals and infinities land
-     * far out of reach */
+     * far out of reach.  (e2 * 78913) >> 18 is floor(e2 * log10(2)) for
+     * every e2 in -1023..1024, the shift rounding down as gcc's and
+     * clang's do for a negative operand */
     int64_t e2 = (int64_t)(bits >> 52) - 1023;
-    int64_t k = 11 - (int64_t)floor((double)e2 * 0.30102999566398120);
+    int64_t k = 11 - ((e2 * 78913) >> 18);
     if (k >= -21 && k <= 22) {
         double scaled = k >= 0 ? a * POW10[k] : a / POW10[-k];
         if (scaled >= 1e12) {
             k--;
             scaled = k >= 0 ? a * POW10[k] : a / POW10[-k];
         }
-        double whole = floor(scaled), frac = scaled - whole;
-        int64_t d = (int64_t)whole + (frac > 0.5);
+        /* scaled is positive and below 1e13: truncation is its floor */
+        int64_t whole = (int64_t)scaled;
+        double frac = scaled - (double)whole;
+        int64_t d = whole + (frac > 0.5);
         if (d == 1000000000000) {
             d = 100000000000;
             k--;
@@ -551,24 +555,25 @@ static int64_t integer(int64_t t, char *s)
     return len;
 }
 
-/* The CSV rows "t,eta,region,x,zeta,z_min,alpha,p" of rounds first + 1 ..
- * first + m of n regions, at out; returns their length.  Round t is row
- * t - 1 of eta and of the five arrays of rows of n cells that cols points
- * at: x, zeta, z_min, alpha and p, each read in place.  Region j's id, as
+/* The CSV rows "t,eta,region,x,zeta,z_min,alpha,p" of rows first ..
+ * first + m - 1 of n regions, at out; returns their length.  Row r is
+ * round t0 + r, read from row r of eta and of the five arrays of rows of n
+ * cells that cols points at: x, zeta, z_min, alpha and p, each read in
+ * place.  Region j's id, as
  * text with a leading comma, is ids[id_start[j] .. id_start[j+1]-1].  Region
  * j's tail ",zeta,z_min,alpha,p\n" is formatted only when its four 64-bit
  * patterns differ from tail_bits[4j .. 4j+3]; then those patterns, the text
  * (at tail_text + j*TAIL_BYTES) and its length tail_len[j] are replaced,
  * and they carry to the next call.  A zero tail_len[j] has no text yet.
  * out must hold m*n rows of the longest text each can take. */
-int64_t trace_rows(int64_t n, int64_t m, int64_t first, const double *eta,
+int64_t trace_rows(int64_t n, int64_t m, int64_t first, int64_t t0, const double *eta,
                    const double *const *cols, const char *ids, const int64_t *id_start,
                    uint64_t *tail_bits, char *tail_text, int64_t *tail_len, char *out)
 {
     char *o = out;
     for (int64_t r = first; r < first + m; r++) {
         char head[2 * (CELL_BYTES + 1)];
-        int64_t h = integer(r + 1, head);
+        int64_t h = integer(t0 + r, head);
         head[h++] = ',';
         h += cell(eta[r], head + h);
         for (int64_t j = 0; j < n; j++) {

@@ -91,7 +91,7 @@ draw_repaired = _lib.draw_repaired
 draw_repaired.argtypes = [_u64, _u64, _u64, _i64, _f64, _u64, _i64, _i64, _i64, _ptr, _ptr, _ptr]
 draw_repaired.restype = None
 trace_rows = _lib.trace_rows
-trace_rows.argtypes = [_i64, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]
+trace_rows.argtypes = [_i64, _i64, _i64, _i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr]
 trace_rows.restype = _i64
 deviation = _lib.deviation
 deviation.argtypes = [_i64, _i64, _i64, _f64, _f64, _f64, _ptr, _i64, _f64, _ptr]

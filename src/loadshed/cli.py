@@ -46,9 +46,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load(args)
-    trace, report = scenario.run_scenario(config, record_trace=args.trace is not None)
-    if args.trace is not None:
-        scenario.emit_trace(trace, args.trace, scenario.region_ids(config))
+    if args.trace is None:
+        _, report = scenario.run_scenario(config, record_trace=False)
+    else:
+        # the CSV is opened before the run and written chunk by chunk as it goes
+        with scenario.TraceWriter(args.trace, scenario.region_ids(config)) as writer:
+            _, report = scenario.run_scenario(config, record_trace=False, sinks=(writer,))
     _emit(scenario.report_json(report), args.quiet)
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 

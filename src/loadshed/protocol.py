@@ -14,6 +14,15 @@ chunk of few regions, whose graphs repeat, builds each graph once.
 Estimators return its deficit estimates as one array (``block(t0, t1)``).
 Every update reads only previous-round state, and all neighbor reductions
 run in fixed index order, so results do not depend on evaluation order.
+
+A run owns one chunk's state and steps for its whole length.  After each
+chunk, ``run_protocol`` hands every sink (``Sink``) the round ``t0`` of the
+chunk's first row and the chunk's rows of eta, x, zeta, z_min, alpha and p.
+The rows are C-ordered float64 views of the run's chunk and of the
+estimator's block, valid only during the call: the next chunk overwrites
+them, so a sink that keeps rows copies them, as the recorder behind
+``record_trace`` does.  ``scenario.TraceWriter`` is the sink that formats
+them into the trace CSV as they come.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -131,6 +140,11 @@ DEFAULT_STABLE_ROUNDS = 50
 # converges
 CHUNK = 1024
 
+# what a run hands a sink after each chunk: t0, the round of the chunk's
+# first row, then its rows of eta, x, zeta, z_min, alpha and p
+Sink = Callable[[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+                None]
+
 
 @dataclass(frozen=True)
 class ProtocolInstance:
@@ -179,7 +193,22 @@ class RunTrace:
     p: np.ndarray
 
 
-def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
+class _Recorder:
+    """The sink of a recorded run: a copy of each chunk's steps, state rows
+    and estimates, joined once when the run ends."""
+
+    def __init__(self, n: int):
+        # each list starts with an empty block, so an unrecorded run joins empty arrays
+        self.etas, self.states, self.ps = [np.empty(0)], [np.empty((4, 0, n))], [np.empty((0, n))]
+
+    def __call__(self, t0, eta, x, zeta, z_min, alpha, p) -> None:
+        self.etas.append(eta.copy())
+        self.states.append(np.array((x, zeta, z_min, alpha)))
+        self.ps.append(p.copy())
+
+
+def run_protocol(inst: ProtocolInstance, record_trace: bool = True,
+                 sinks: Sequence[Sink] = ()) -> RunTrace:
     """Run the full protocol until the cutoff vector holds still or rounds
     run out.
 
@@ -189,7 +218,10 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     vector has been unchanged for ``convergence_window`` consecutive
     rounds; the cutoffs are the quantity with a finite-time limit, whereas
     the min-consensus values keep cycling with the graph period on
-    switching networks.  The kernel runs a chunk of whole rounds per call.
+    switching networks.  The kernel runs a chunk of whole rounds per call,
+    and each of ``sinks`` is handed every chunk it ran (see the module
+    docstring); ``record_trace`` adds one that keeps them all for the
+    returned trace.
     """
     n = len(inst.surrogates)
     step = inst.step
@@ -198,39 +230,46 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
     bps = np.concatenate([c.breakpoints for c in ccfs])
     cum = np.concatenate([c.cumulative for c in ccfs])
     regions = bstart.ctypes.data, bps.ctypes.data, cum.ctypes.data  # addresses, read once a run
-    # estimates, cutoffs, min-consensus values and steps before round t0
-    last = np.repeat([[inst.x0], [math.inf], [math.inf], [inst.ramp_width / 2.0]], n, axis=1)
     # a streak never exceeds the rounds run, so max_rounds + 1 never stops a run
     window = inst.max_rounds + 1 if inst.convergence_window is None else inst.convergence_window
     streak = ctypes.c_int64(0)  # carried from chunk to chunk
-    # the recorded chunks' steps, state rows and estimates, after an empty block
-    etas_rec, state_rec, p_rec = [np.empty(0)], [np.empty((4, 0, n))], [np.empty((0, n))]
+    streak_at = ctypes.byref(streak)
+    recorder = _Recorder(n)
+    if record_trace:
+        sinks = (*sinks, recorder)
+    # one chunk's steps and state, reused by every chunk: row 0 of the state
+    # holds the estimates, cutoffs, min-consensus values and steps before
+    # round t0, row r + 1 those after round t0 + r
+    size = min(CHUNK, inst.max_rounds)
+    etas, state = np.empty(size), np.empty((4, size + 1, n))
+    state[:, 0] = [[inst.x0], [math.inf], [math.inf], [inst.ramp_width / 2.0]]
+    out = etas.ctypes.data, state.ctypes.data
     work = np.empty(0)  # the kernel's working memory, for the whole run
+    scratch = work.ctypes.data, work.nbytes
     t0 = 1
     while t0 <= inst.max_rounds and streak.value < window:
-        m = min(CHUNK, inst.max_rounds + 1 - t0)
+        m = min(size, inst.max_rounds + 1 - t0)
+        if m < size:  # a shorter last chunk, whose state rows lie m + 1 apart
+            state = np.ascontiguousarray(state[:, :m + 1])
+            out = etas.ctypes.data, state.ctypes.data
         graph, rows = inst.schedule.graphs_between(t0, t0 + m)
         P = np.ascontiguousarray(inst.estimator.block(t0, t0 + m), dtype=np.float64)
         if P.shape != (m, n):
             raise ValueError(f"estimator gave a {P.shape} block for {m} rounds of {n} regions")
-        state, etas = np.empty((4, m + 1, n)), np.empty(m)
-        state[:, 0] = last
         while (ran := _engine.rounds(n, m, t0, step.gain, step.offset, step.exponent,
                                      graph.ctypes.data, len(rows), rows.ctypes.data,
                                      P.ctypes.data, *regions, inst.ramp_width, window,
-                                     ctypes.byref(streak), etas.ctypes.data, state.ctypes.data,
-                                     work.ctypes.data, work.nbytes)) < 0:
+                                     streak_at, *out, *scratch)) < 0:
             work = np.empty(-(ran // 8))  # the bytes it needs, rounded up to words
-        last = state[:, ran]
-        if record_trace:
-            etas_rec.append(etas[:ran])
-            state_rec.append(state[:, 1:ran + 1])
-            p_rec.append(P[:ran])
+            scratch = work.ctypes.data, work.nbytes
+        for sink in sinks:
+            sink(t0, etas[:ran], *state[:, 1:ran + 1], P[:ran])
+        state[:, 0] = state[:, ran]
         t0 += ran
     # a fixed-horizon run needs a closing stretch of DEFAULT_STABLE_ROUNDS
     stable = DEFAULT_STABLE_ROUNDS if inst.convergence_window is None else window
-    x, zeta, z, alpha = last
-    xs, zetas, zs, alphas = np.concatenate(state_rec, axis=1)
+    x, zeta, z, alpha = state[:, 0]
+    xs, zetas, zs, alphas = np.concatenate(recorder.states, axis=1)
     return RunTrace(
         rounds=t0 - 1,
         converged=streak.value >= stable,
@@ -239,10 +278,10 @@ def run_protocol(inst: ProtocolInstance, record_trace: bool = True) -> RunTrace:
         final_z=tuple(z.tolist()),
         final_alpha=tuple(alpha.tolist()),
         zeta_stable_rounds=streak.value,
-        eta=np.concatenate(etas_rec),
+        eta=np.concatenate(recorder.etas),
         x=xs,
         zeta=zetas,
         z_min=zs,
         alpha=alphas,
-        p=np.concatenate(p_rec),
+        p=np.concatenate(recorder.ps),
     )

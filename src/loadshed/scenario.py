@@ -65,6 +65,7 @@ from .protocol import (
     NoisySplit,
     ProtocolInstance,
     RunTrace,
+    Sink,
     StepSchedule,
     TraceEstimator,
     run_protocol,
@@ -85,7 +86,7 @@ CRITICALITY_GRID = 10_000  # nature criticalities are multiples of 1e-4
 # the closed-form threshold: a hundredth of the unit ramp
 CONTINUOUS_TOLERANCE = 0.01
 
-# emit_trace formats at most this many rounds at a time, and at most
+# TraceWriter formats at most this many rounds at a time, and at most
 # TRACE_BLOCK_BYTES of the longest text they can take: the engine's
 # CELL_BYTES and a comma for an int64 t, for eta and for x, and its
 # TAIL_BYTES for a region's ",zeta,z_min,alpha,p\n" tail
@@ -745,7 +746,8 @@ def continuous_closed_form(config: ScenarioConfig) -> ContinuousSolution:
     return continuous_solution(regions, config.deficit)
 
 
-def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[RunTrace, SummaryReport]:
+def run_scenario(config: ScenarioConfig, record_trace: bool = True,
+                 sinks: Sequence[Sink] = ()) -> tuple[RunTrace, SummaryReport]:
     """Centralized solve plus full distributed run, in either mode.
 
     Discrete mode reports the oracle and the regions' final min-consensus
@@ -758,9 +760,10 @@ def run_scenario(config: ScenarioConfig, record_trace: bool = True) -> tuple[Run
     converged only when the engine's cutoffs settled and its threshold is
     the centralized one: the oracle's in discrete mode, and within
     ``CONTINUOUS_TOLERANCE`` of the closed form's in continuous mode.
+    Each of ``sinks`` is handed every chunk of the run (see ``run_protocol``).
     """
     inst = build_instance(config)
-    trace = run_protocol(inst, record_trace=record_trace)
+    trace = run_protocol(inst, record_trace=record_trace, sinks=sinks)
     oracle = closed_form = None
     if config.mode == "continuous":
         closed_form = continuous_closed_form(config)
@@ -814,16 +817,77 @@ def certificate_digest(inst: ProtocolInstance) -> dict:
 # trace emission
 
 
-def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | None = None) -> None:
-    """Write the per-round records as CSV.
+class TraceWriter:
+    """The trace CSV at ``path``, written as a run goes: a ``run_protocol``
+    sink that formats each chunk it is handed while the chunk is still in
+    cache, and keeps nothing of it.
 
     Columns: t, eta, region, x, zeta, z_min, alpha, p.  Floats carry 12
     significant digits as ``"%.12g" %`` writes them, every NaN as ``nan``.
     The engine's ``trace_rows`` formats a block of rounds into a buffer
-    sized by the longest text the block can take, reading the columns in
-    place: one of another dtype or layout is converted once, whole.  A row's
-    ``zeta,z_min,alpha,p`` tail is formatted only where its 64-bit patterns
-    differ from the region's row one round earlier, and copied elsewhere.
+    sized by the longest text the block can take, reading the rows in
+    place.  A row's ``zeta,z_min,alpha,p`` tail is formatted only where its
+    64-bit patterns differ from the region's row one round earlier, and
+    copied elsewhere; each region's last tail carries from call to call.
+    Opening the file, each write and closing it raise one ``OSError`` that
+    names the path; a writer that fails leaves what it wrote at the path.
+    """
+
+    def __init__(self, path: str | Path, region_ids: Sequence[int]):
+        names = [f",{i}".encode() for i in region_ids]
+        self._path, self._n = path, len(names)
+        self._id_text = b"".join(names)
+        self._id_start = np.array([0, *accumulate(map(len, names))], np.int64)
+        row_bytes = (3 * (_engine.CELL_BYTES + 1) + _engine.TAIL_BYTES
+                     + max(map(len, names), default=0))
+        self._rounds = max(1, min(TRACE_BLOCK_ROUNDS,
+                                  TRACE_BLOCK_BYTES // (max(self._n, 1) * row_bytes)))
+        self._out = np.empty(self._rounds * self._n * row_bytes, np.uint8)
+        # each region's last tail: its four 64-bit patterns, its text and length
+        self._tail_bits = np.zeros((self._n, 4), np.uint64)
+        self._tail_len = np.zeros(self._n, np.int64)
+        self._tail_text = np.empty((self._n, _engine.TAIL_BYTES), np.uint8)
+        self._file = self._io(open, path, "wb")
+        self._io(self._file.write, b"t,eta,region,x,zeta,z_min,alpha,p\n")
+
+    def _io(self, call, *args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise OSError(f"failed writing trace to {self._path}: {exc}") from exc
+
+    def __call__(self, t0, eta, x, zeta, z_min, alpha, p) -> None:
+        """Write rounds t0 .. t0 + len(eta) - 1: rows of C-ordered float64
+        columns, one row of n cells per round."""
+        cells = (x, zeta, z_min, alpha, p)
+        if ({c.shape for c in cells} != {(len(eta), self._n)}
+                or not all(c.dtype == np.float64 and c.flags.c_contiguous for c in (eta, *cells))):
+            raise ValueError(f"trace rows must be C-ordered float64, {len(eta)} rounds "
+                             f"of {self._n} regions")
+        addresses = np.array([c.ctypes.data for c in cells], np.uintp)
+        for first in range(0, len(eta), self._rounds):
+            size = _engine.trace_rows(
+                self._n, min(self._rounds, len(eta) - first), first, t0, eta.ctypes.data,
+                addresses.ctypes.data, self._id_text, self._id_start.ctypes.data,
+                self._tail_bits.ctypes.data, self._tail_text.ctypes.data,
+                self._tail_len.ctypes.data, self._out.ctypes.data)
+            self._io(self._file.write, self._out.data[:size])
+
+    def close(self) -> None:
+        self._io(self._file.close)
+
+    def __enter__(self) -> TraceWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | None = None) -> None:
+    """Write a recorded run's per-round records as CSV, as ``TraceWriter``
+    writes a run's chunks.  Region ids default to 1..n.  Columns of another
+    dtype or layout are converted once, whole; a trace whose columns do not
+    hold its rounds is refused before the file is opened.
     """
     if not len(trace.eta):
         raise ValueError("trace has no recorded rounds")
@@ -834,24 +898,5 @@ def emit_trace(trace: RunTrace, path: str | Path, region_ids: Sequence[int] | No
     columns = (trace.eta, trace.x, trace.zeta, trace.z_min, trace.alpha, trace.p)
     if {c.shape for c in columns[1:]} | {(len(trace.eta), n)} != {(trace.rounds, n)}:
         raise ValueError(f"trace columns must hold {trace.rounds} rounds of {n} regions")
-    eta, *cells = (np.ascontiguousarray(c, np.float64) for c in columns)
-    addresses = np.array([c.ctypes.data for c in cells], np.uintp)
-    names = [f",{i}".encode() for i in ids]
-    id_text, id_start = b"".join(names), np.array([0, *accumulate(map(len, names))], np.int64)
-    row_bytes = 3 * (_engine.CELL_BYTES + 1) + _engine.TAIL_BYTES + max(map(len, names), default=0)
-    rounds = max(1, min(TRACE_BLOCK_ROUNDS, TRACE_BLOCK_BYTES // (max(n, 1) * row_bytes)))
-    out = np.empty(rounds * n * row_bytes, np.uint8)
-    # each region's last tail: its four 64-bit patterns, its text and length
-    tail_bits, tail_len = np.zeros((n, 4), np.uint64), np.zeros(n, np.int64)
-    tail_text = np.empty((n, _engine.TAIL_BYTES), np.uint8)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"t,eta,region,x,zeta,z_min,alpha,p\n")
-            for first in range(0, trace.rounds, rounds):
-                size = _engine.trace_rows(
-                    n, min(rounds, trace.rounds - first), first, eta.ctypes.data,
-                    addresses.ctypes.data, id_text, id_start.ctypes.data, tail_bits.ctypes.data,
-                    tail_text.ctypes.data, tail_len.ctypes.data, out.ctypes.data)
-                fh.write(out.data[:size])
-    except OSError as exc:
-        raise OSError(f"failed writing trace to {path}: {exc}") from exc
+    with TraceWriter(path, ids) as writer:
+        writer(1, *(np.ascontiguousarray(c, np.float64) for c in columns))

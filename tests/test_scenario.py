@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -17,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadshed import cli, oracle, scenario
+from loadshed import _engine, cli, oracle, scenario
 from loadshed.criticality import SurrogateCcf, build_ccf, resolve_criticalities
-from loadshed.protocol import CHUNK, RunTrace, run_protocol
+from loadshed.protocol import CHUNK, ExactSplit, RunTrace, run_protocol
 from loadshed.scenario import (
     TRACE_BLOCK_ROUNDS,
     ScenarioError,
@@ -789,6 +790,157 @@ class TestEmitTrace:
         assert (tmp_path / "trace.csv").read_bytes() == reference_csv(trace, (5, 6))
 
 
+def example_doc(**edits) -> dict:
+    """The shipped two-region example (a fixed horizon of 3000 rounds), edited."""
+    return {**json.loads((CONFIG_DIR / "two_region_step_example.json").read_text()), **edits}
+
+
+def generated_doc(n: int, loads: int, graph: str, max_rounds: int) -> dict:
+    return json.loads(dumps_scenario(generate_scenario(n, loads, seed=0, graph=graph,
+                                                       max_rounds=max_rounds)))
+
+
+class TestStreamedTrace:
+    """``loadshed run --trace`` writes each chunk as the engine hands it over;
+    its CSV is the one ``emit_trace`` writes for the same run recorded."""
+
+    @staticmethod
+    def assert_streamed_is_recorded(tmp_path, doc: dict) -> RunTrace:
+        path, streamed, recorded = (tmp_path / name for name in ("s.json", "s.csv", "r.csv"))
+        path.write_text(json.dumps(doc))
+        assert cli.main(["--quiet", "run", str(path), "--trace", str(streamed)]) in (0, 3)
+        config = load_scenario(path)
+        trace = run_protocol(scenario.build_instance(config), record_trace=True)
+        emit_trace(trace, recorded, scenario.region_ids(config))
+        assert streamed.read_bytes() == recorded.read_bytes()
+        return trace
+
+    @pytest.mark.parametrize("rounds", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+    def test_fixed_horizons_around_a_chunk(self, rounds, tmp_path):
+        doc = generated_doc(4, 100, "line", rounds)
+        assert self.assert_streamed_is_recorded(tmp_path, doc).rounds == rounds
+
+    def test_run_that_stops_mid_chunk(self, tmp_path):
+        trace = self.assert_streamed_is_recorded(tmp_path, example_doc(convergence_window=50))
+        assert trace.converged and trace.rounds % CHUNK and trace.rounds < 3000
+
+    def test_29_regions_split_a_chunk_into_blocks(self, tmp_path):
+        # a block of 29 regions holds at most TRACE_BLOCK_BYTES of text, a
+        # few hundred rounds, so each whole chunk is written in several calls
+        doc = generated_doc(29, 232, "random-periodic", 2 * CHUNK + 300)
+        assert self.assert_streamed_is_recorded(tmp_path, doc).rounds == 2 * CHUNK + 300
+
+    @pytest.mark.parametrize("estimator", [
+        {"kind": "noisy_split"},
+        {"kind": "trace", "rows": [[3, 3], [2.5, 3.5], [3.25, 2.75]]},
+    ], ids=["noisy_split", "trace"])
+    def test_estimators(self, estimator, tmp_path):
+        doc = example_doc(estimator=estimator, max_rounds=CHUNK + 7)
+        assert self.assert_streamed_is_recorded(tmp_path, doc).rounds == CHUNK + 7
+
+    def test_memory_stays_at_one_chunk_and_one_block(self, tmp_path, monkeypatch):
+        # the most memory held from opening the trace on, beyond what was held
+        # before: the parse of 6 728 loads is not the run's
+        config = generate_scenario(29, 232, seed=0, graph="line", max_rounds=5 * CHUNK)
+        path = tmp_path / "g29.json"
+        dump_scenario(config, path)
+        held = []
+
+        class Measured(scenario.TraceWriter):
+            def __init__(self, *args):
+                tracemalloc.reset_peak()
+                held.append(tracemalloc.get_traced_memory()[0])
+                super().__init__(*args)
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            trace, _ = run_scenario(config)
+            emit_trace(trace, tmp_path / "r.csv", scenario.region_ids(config))
+            recorded = tracemalloc.get_traced_memory()[1] - before
+            del trace
+            monkeypatch.setattr(scenario, "TraceWriter", Measured)
+            assert cli.main(["--quiet", "run", str(path), "--trace", str(tmp_path / "s.csv")]) == 3
+            streamed = tracemalloc.get_traced_memory()[1] - held[0]
+        finally:
+            tracemalloc.stop()
+        # a chunk's state rows and estimates, and the writer's block
+        chunk = (4 * (CHUNK + 1) + CHUNK) * 29 * 8
+        assert streamed < chunk + scenario.TRACE_BLOCK_BYTES + 1_000_000
+        assert recorded > 4 * streamed
+
+    def test_pipe_is_written_as_it_stands(self, tmp_path):
+        # the CSV is opened once and written in order: never replaced, so a
+        # reader of a named pipe gets the whole trace
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes here")
+        fifo, recorded = tmp_path / "trace.pipe", tmp_path / "r.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        path = CONFIG_DIR / "two_region_step_example.json"
+        try:
+            assert cli.main(["--quiet", "run", str(path), "--trace", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        config = load_scenario(path)
+        emit_trace(run_scenario(config)[0], recorded, scenario.region_ids(config))
+        assert got == [recorded.read_bytes()]
+
+    def test_failed_run_leaves_its_written_chunks(self, tmp_path, capsys, monkeypatch):
+        # the second chunk's estimates fail: the first chunk's rows stay at the path
+        path, out, recorded = tmp_path / "s.json", tmp_path / "s.csv", tmp_path / "r.csv"
+        path.write_text(json.dumps(example_doc()))
+        config = load_scenario(path)
+        emit_trace(run_scenario(config)[0], recorded, scenario.region_ids(config))
+        block = ExactSplit.block
+
+        def first_chunk_only(self, t0, t1):
+            if t0 > 1:
+                raise ValueError("no estimates after the first chunk")
+            return block(self, t0, t1)
+
+        monkeypatch.setattr(ExactSplit, "block", first_chunk_only)
+        assert cli.main(["run", str(path), "--trace", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: no estimates after the first chunk\n")
+        lines = recorded.read_bytes().splitlines(keepends=True)
+        assert out.read_bytes() == b"".join(lines[:1 + CHUNK * 2])
+
+    def test_write_error_mid_run_exits_2(self, capsys, monkeypatch):
+        # the first block of 4 regions far outgrows the file's buffer, so its
+        # write fails inside the first chunk and no later chunk runs
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        chunks = []
+        rounds = _engine.rounds
+
+        def counted(*args):
+            ran = rounds(*args)
+            chunks.extend([ran] if ran >= 0 else [])
+            return ran
+
+        monkeypatch.setattr(_engine, "rounds", counted)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.json"
+            dump_scenario(generate_scenario(4, 100, seed=0, graph="line"), path)
+            assert cli.main(["run", str(path), "--trace", "/dev/full"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: failed writing trace to /dev/full: ")
+        assert chunks == [CHUNK]
+
+    def test_short_trace_to_a_full_device_exits_2(self, capsys):
+        # 3 rounds of 2 regions fit the file's buffer: the error comes on closing
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        assert cli.main(["run", str(CONFIG_DIR / "two_region_step_example.json"),
+                         "--max-rounds", "3", "--trace", "/dev/full"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: failed writing trace to /dev/full: ")
+
+
 # cli stdout SHA-256 digests: name, command, exit code, digest
 PINNED_STDOUT = [
     ("continuous_four_regions", "run", 0,
@@ -860,14 +1012,15 @@ class TestCli:
         assert cli.main(["run", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_unwritable_trace_exits_2(self, tmp_path, capsys):
-        # the empty path records the run too, and then fails to open
+    def test_unwritable_trace_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the empty path too fails to open, and both fail before the run
+        monkeypatch.setattr(scenario, "run_protocol", None)
         for path in (str(tmp_path / "missing" / "trace.csv"), ""):
             rc = cli.main(["run", str(CONFIG_DIR / "two_region_step_example.json"),
                            "--trace", path])
             assert rc == 2
             out, err = capsys.readouterr()
-            assert out == "" and err.startswith("error: failed writing trace")
+            assert out == "" and err.startswith(f"error: failed writing trace to {path}: ")
 
     @pytest.mark.parametrize("x0", [1e308, -1e308, sys.float_info.max])
     def test_overflowing_mean_estimate_is_not_converged(self, x0, tmp_path, capsys):
